@@ -84,6 +84,42 @@ void BM_RadixTreeMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_RadixTreeMatch);
 
+// A prompt tree held at its node cap, as the JE keeps it: every iteration
+// inserts one prompt (a shared opening block plus a private tail) and evicts
+// LRU leaves back down to the cap. The cost per iteration should not depend on
+// the cap.
+void BM_RadixTreeInsertEvictAtCap(benchmark::State& state) {
+  struct V {
+    int x = 0;
+    V SplitTail(size_t) { return V{}; }
+  };
+  using Tree = rtc::RadixTree<V>;
+  size_t cap = static_cast<size_t>(state.range(0));
+  Rng rng(4);
+  auto next_prompt = [&rng] {
+    std::vector<rtc::BlockKey> k(8);
+    k[0] = static_cast<rtc::BlockKey>(rng.UniformInt(1, 32));
+    for (size_t j = 1; j < k.size(); ++j) {
+      k[j] = rng.Next();
+    }
+    return k;
+  };
+  Tree tree;
+  TimeNs now = 0;
+  while (tree.NodeCount() < cap) {
+    tree.Insert(next_prompt(), ++now);
+  }
+  for (auto _ : state) {
+    tree.Insert(next_prompt(), ++now);
+    tree.ScanLruLeaves([&](Tree::Node&) {
+      return tree.NodeCount() > cap ? rtc::LruStep::kRemove : rtc::LruStep::kStop;
+    });
+    benchmark::DoNotOptimize(tree.NodeCount());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RadixTreeInsertEvictAtCap)->Arg(4096)->Arg(65536);
+
 void BM_BlockPoolAllocFree(benchmark::State& state) {
   rtc::BlockPool pool({.npu_capacity = 1 << 20, .dram_capacity = 0});
   for (auto _ : state) {

@@ -15,6 +15,9 @@
 //   replay_64te    full-stack trace replay: 64 tiny colocated TEs behind one
 //                  JE on a Poisson trace — the simulator carrying the whole
 //                  serving stack rather than micro events.
+//   replay_scale   the same fleet at 200 rps over three trace lengths (x1, x2,
+//                  x4): host microseconds per request at each, and `growth`,
+//                  the x4 figure over the x1 one.
 //
 // Per scenario the JSON records `events_per_sec` (events through the queue
 // per wall second) and `sim_seconds_per_wall_second` (virtual-time
@@ -26,9 +29,9 @@
 //   --out=PATH   JSON artifact path (default BENCH_perf.json)
 //   --seed=N     workload seed (default 42)
 //   --smoke      smaller sizes for CI; exits non-zero unless (a) the
-//                full-stack replay is bit-identical across both runs and
+//                full-stack replay is bit-identical across both runs,
 //                (b) cancel_storm shows >= 3x events/sec over the legacy
-//                core replica.
+//                core replica, and (c) replay_scale's growth stays <= 2.2x.
 
 #include <algorithm>
 #include <chrono>
@@ -368,6 +371,27 @@ ReplayResult RunReplay(int tes, double rps, double duration_s, uint64_t seed) {
   return r;
 }
 
+// replay_scale: the replay_64te fleet at a fixed 200 rps over three trace
+// lengths (x1, x2, x4). Host cost per request must stay flat as the trace
+// grows; `growth` is the longest trace's cost per request over the shortest's.
+struct ScalePoint {
+  size_t requests = 0;
+  double us_per_request = 0.0;
+};
+
+std::vector<ScalePoint> RunReplayScale(int tes, double base_duration_s, uint64_t seed) {
+  std::vector<ScalePoint> points;
+  for (double factor : {1.0, 2.0, 4.0}) {
+    ReplayResult r = RunReplay(tes, /*rps=*/200.0, base_duration_s * factor, seed);
+    ScalePoint point;
+    point.requests = r.requests;
+    point.us_per_request =
+        r.perf.wall_s * 1e6 / static_cast<double>(std::max<size_t>(r.requests, 1));
+    points.push_back(point);
+  }
+  return points;
+}
+
 // ---------------------------------------------------------------------------
 void PrintRow(const char* name, const ScenarioResult& r) {
   std::printf("%-14s %12" PRIu64 " %10.3f %14.0f %16.1f\n", name, r.events, r.wall_s,
@@ -382,6 +406,12 @@ int RunAll(const Options& opt) {
   const int tes = 64;
   const double replay_rps = opt.smoke ? 24.0 : 48.0;
   const double replay_duration_s = opt.smoke ? 20.0 : 60.0;
+  // 2.5k / 5k / 10k requests in smoke mode, 25k / 50k / 100k in full.
+  const double scale_base_s = opt.smoke ? 12.5 : 125.0;
+  // A JE that walks its whole prompt tree per dispatch grows ~2.7x here. What
+  // growth remains is mostly the RTC swap scan passing over leaves already
+  // demoted to DRAM.
+  const double max_scale_growth = 2.2;
 
   bench::PrintHeader("perf_sim: DES core throughput (events/sec, sim-s per wall-s)");
   std::printf("%-14s %12s %10s %14s %16s\n", "scenario", "events", "wall(s)", "events/sec",
@@ -421,6 +451,14 @@ int RunAll(const Options& opt) {
               replay.completed, replay.requests, replay.timeline_hash,
               replay_identical ? "bit-identical replay" : "REPLAY DIVERGED");
 
+  std::vector<ScalePoint> scale = RunReplayScale(tes, scale_base_s, opt.seed);
+  double scale_growth = scale.back().us_per_request / std::max(scale.front().us_per_request, 1e-9);
+  for (const ScalePoint& point : scale) {
+    std::printf("replay_scale: %6zu requests  %8.1f us/request\n", point.requests,
+                point.us_per_request);
+  }
+  std::printf("replay_scale: growth %.2fx (x4 trace over x1, cost per request)\n", scale_growth);
+
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "perf_sim: cannot open %s\n", opt.out.c_str());
@@ -450,10 +488,16 @@ int RunAll(const Options& opt) {
                "\"events_fired\": %" PRIu64
                ", \"wall_seconds\": %.6f, \"events_per_sec\": %.1f, "
                "\"sim_seconds_per_wall_second\": %.3f, \"timeline_hash\": \"%016" PRIx64
-               "\", \"replay_identical\": %s}\n",
+               "\", \"replay_identical\": %s},\n",
                tes, replay.requests, replay.completed, replay.perf.events, replay.perf.wall_s,
                replay.perf.events_per_sec(), replay.perf.sim_per_wall(), replay.timeline_hash,
                replay_identical ? "true" : "false");
+  std::fprintf(f, "    \"replay_scale\": {\"tes\": %d, \"rps\": 200, \"points\": [", tes);
+  for (size_t i = 0; i < scale.size(); ++i) {
+    std::fprintf(f, "%s{\"requests\": %zu, \"us_per_request\": %.1f}", i > 0 ? ", " : "",
+                 scale[i].requests, scale[i].us_per_request);
+  }
+  std::fprintf(f, "], \"growth\": %.3f}\n", scale_growth);
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::fprintf(stderr, "perf_sim: wrote %s\n", opt.out.c_str());
@@ -476,8 +520,17 @@ int RunAll(const Options& opt) {
                    storm_speedup, storm.events_per_sec(), storm_legacy.events_per_sec());
       return 1;
     }
-    std::fprintf(stderr, "smoke OK: replay bit-identical, cancel_storm %.2fx vs legacy\n",
-                 storm_speedup);
+    if (scale_growth > max_scale_growth) {
+      std::fprintf(stderr,
+                   "SMOKE FAIL: replay_scale cost per request grew %.2fx from %zu to %zu "
+                   "requests (limit %.1fx)\n",
+                   scale_growth, scale.front().requests, scale.back().requests, max_scale_growth);
+      return 1;
+    }
+    std::fprintf(stderr,
+                 "smoke OK: replay bit-identical, cancel_storm %.2fx vs legacy, replay_scale "
+                 "growth %.2fx\n",
+                 storm_speedup, scale_growth);
   }
   return 0;
 }
@@ -490,8 +543,9 @@ int main(int argc, char** argv) {
   registry.Flag("out", &opt.out, "machine-readable result JSON path");
   registry.Flag("seed", &opt.seed, "workload seed");
   registry.Flag("smoke", &opt.smoke,
-                "fast run; exits non-zero unless replay is bit-identical and the "
-                "slab core beats the legacy heap on cancel_storm");
+                "fast run; exits non-zero unless replay is bit-identical, the slab "
+                "core beats the legacy heap on cancel_storm, and replay_scale stays "
+                "near-flat");
   std::vector<char*> obs_args = registry.Parse(argc, argv);
   bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
   return RunAll(opt);

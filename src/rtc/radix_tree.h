@@ -6,15 +6,23 @@
 // different payload, backs the Job Executor's global prompt trees (§5.2): the
 // paper notes the TE-local tree "shares an index with its corresponding
 // global tree", which here is literal — both are RadixTree<V> over the same
-// BlockKey stream.
+// BlockKey stream, with the same LRU index.
 //
 // Node children live in a ChildMap: a sorted inline array for the common
 // low-fanout case (radix nodes overwhelmingly have a handful of children),
 // spilling to a std::map only past kInlineChildren — the root of a global
 // prompt tree can fan out to one child per distinct opening block. Both modes
-// look up by exact key and iterate in ascending key order, so traversal order
-// (and with it eviction tie-breaking and replay determinism) is identical to
-// the previous pure-std::map representation.
+// look up by exact key and iterate in ascending key order.
+//
+// LRU index. Every non-root node sits on an intrusive doubly-linked list
+// ordered by last_access (ties in any order), and the tree keeps its node
+// count incrementally, so eviction never walks the tree. The eviction order is
+// ascending last_access, ties broken by pre-order position (ascending key
+// path) — the order a full depth-first walk with a strict `<` would produce.
+// Ties are resolved only when a scan reaches a time bucket holding more than
+// one leaf. A touch at a time no earlier than the newest in the tree (the
+// simulator's clock only moves forward) is O(1); an earlier time falls back
+// to a linear scan from the newest end.
 //
 // V is the per-node payload covering that node's span. It must be default-
 // constructible and provide:
@@ -24,9 +32,9 @@
 #ifndef DEEPSERVE_RTC_RADIX_TREE_H_
 #define DEEPSERVE_RTC_RADIX_TREE_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -68,6 +76,13 @@ inline std::vector<BlockKey> TokensToBlockKeys(std::span<const TokenId> tokens, 
   }
   return keys;
 }
+
+// What a ScanLruLeaves visitor does with the leaf it was handed.
+enum class LruStep {
+  kNext,    // keep the leaf and move on to the next one
+  kRemove,  // remove the leaf (RemoveLeaf) and move on
+  kStop,    // end the scan
+};
 
 template <typename V>
 class RadixTree {
@@ -188,13 +203,21 @@ class RadixTree {
   struct Node {
     std::vector<BlockKey> edge;  // symbols on the edge from the parent
     V value{};                   // payload covering this node's edge span
-    TimeNs last_access = 0;
     Node* parent = nullptr;
     ChildMap children;  // keyed by first edge symbol
 
     bool is_leaf() const { return children.empty(); }
+    // Last Insert/Touch through this node. Written only by the tree, which
+    // keeps the LRU index in step with it.
+    TimeNs last_access() const { return last_access_; }
     // Depth in symbols from the root to the END of this node's edge.
     size_t depth = 0;
+
+   private:
+    friend class RadixTree;
+    TimeNs last_access_ = 0;
+    Node* lru_prev_ = nullptr;  // older neighbour on the LRU list
+    Node* lru_next_ = nullptr;  // newer neighbour on the LRU list
   };
 
   struct MatchResult {
@@ -236,14 +259,14 @@ class RadixTree {
   }
 
   // Ensures a path spelling exactly `keys` exists, splitting edges as needed.
-  // `on_new` is called once for every node whose span is newly created, with
-  // the [begin, end) symbol range it covers, so the caller can attach payload.
-  // Returns the deepest node. Touches last_access along the path.
-  Node* Insert(std::span<const BlockKey> keys, TimeNs now,
-               const std::function<void(Node&, size_t begin, size_t end)>& on_new = nullptr) {
+  // `on_new(node, begin, end)` is called once for every node whose span is
+  // newly created, with the [begin, end) symbol range it covers, so the caller
+  // can attach payload. Returns the deepest node. Touches every node on the
+  // path.
+  template <typename OnNew>
+  Node* Insert(std::span<const BlockKey> keys, TimeNs now, const OnNew& on_new) {
     Node* node = root_.get();
     size_t pos = 0;
-    node->last_access = now;
     while (pos < keys.size()) {
       Node* child = node->children.Find(keys[pos]);
       if (child == nullptr) {
@@ -251,11 +274,11 @@ class RadixTree {
         fresh->edge.assign(keys.begin() + static_cast<ptrdiff_t>(pos), keys.end());
         fresh->parent = node;
         fresh->depth = node->depth + fresh->edge.size();
-        fresh->last_access = now;
+        fresh->last_access_ = now;
         Node* raw = node->children.Emplace(keys[pos], std::move(fresh));
-        if (on_new) {
-          on_new(*raw, pos, keys.size());
-        }
+        ++node_count_;
+        LinkByTime(raw);
+        on_new(*raw, pos, keys.size());
         return raw;
       }
       size_t i = 0;
@@ -265,11 +288,26 @@ class RadixTree {
       if (i < child->edge.size()) {
         SplitChild(child, i);
       }
-      child->last_access = now;
+      Touch(child, now);
       pos += i;
       node = child;
     }
     return node;
+  }
+
+  Node* Insert(std::span<const BlockKey> keys, TimeNs now) {
+    return Insert(keys, now, [](Node&, size_t, size_t) {});
+  }
+
+  // Marks every node a Match covered as used at `now`, the partially-matched
+  // one included.
+  void Touch(const MatchResult& match, TimeNs now) {
+    for (Node* node : match.path) {
+      Touch(node, now);
+    }
+    if (match.partial != nullptr) {
+      Touch(match.partial, now);
+    }
   }
 
   // Removes a leaf node entirely (merging is skipped: keeps bookkeeping
@@ -281,43 +319,140 @@ class RadixTree {
     Node* parent = node->parent;
     DS_CHECK_EQ(parent->children.Find(node->edge.front()), node)
         << "child map key does not lead back to the node";
+    Unlink(node);
+    --node_count_;
     parent->children.Remove(node->edge.front());
   }
 
+  // Hands every leaf to `fn(Node&) -> LruStep` in eviction order (see the
+  // file comment) until it returns kStop. On kRemove the leaf is removed, and
+  // if that makes its parent a leaf no newer than the time bucket being
+  // scanned, the parent is handed over next, at the removed leaf's rank —
+  // exactly where a fresh scan would find it. `fn` must not modify the tree itself, and must leave
+  // every leaf it has passed over no more eligible than it was: the scan never
+  // revisits a leaf, so a visitor that picks eligible leaves sees the same
+  // sequence as repeated FindLruLeaf calls.
+  template <typename Fn>
+  void ScanLruLeaves(const Fn& fn) {
+    std::vector<Node*> ties;
+    Node* cursor = lru_head_;
+    while (cursor != nullptr) {
+      TimeNs bucket = cursor->last_access_;
+      Node* first_leaf = nullptr;
+      ties.clear();
+      // Nodes newer than this bucket are never removed while it is visited,
+      // so `cursor` stays valid.
+      for (; cursor != nullptr && cursor->last_access_ == bucket; cursor = cursor->lru_next_) {
+        if (!cursor->is_leaf()) {
+          continue;
+        }
+        if (first_leaf == nullptr) {
+          first_leaf = cursor;
+          continue;
+        }
+        if (ties.empty()) {
+          ties.push_back(first_leaf);
+        }
+        ties.push_back(cursor);
+      }
+      if (ties.empty()) {
+        if (first_leaf != nullptr && !VisitLeaf(first_leaf, bucket, fn)) {
+          return;
+        }
+        continue;
+      }
+      std::sort(ties.begin(), ties.end(), PreorderLess);
+      for (Node* leaf : ties) {
+        if (!VisitLeaf(leaf, bucket, fn)) {
+          return;
+        }
+      }
+    }
+  }
+
   // Least-recently-used leaf for which `evictable` holds; nullptr if none.
-  Node* FindLruLeaf(const std::function<bool(const Node&)>& evictable) {
-    Node* best = nullptr;
-    VisitLeaves(root_.get(), [&](Node* leaf) {
-      if (leaf == root_.get() || !evictable(*leaf)) {
-        return;
+  template <typename Pred>
+  Node* FindLruLeaf(const Pred& evictable) {
+    Node* found = nullptr;
+    ScanLruLeaves([&](Node& leaf) {
+      if (!evictable(static_cast<const Node&>(leaf))) {
+        return LruStep::kNext;
       }
-      if (best == nullptr || leaf->last_access < best->last_access) {
-        best = leaf;
-      }
+      found = &leaf;
+      return LruStep::kStop;
     });
-    return best;
+    return found;
   }
 
   // Pre-order traversal over all non-root nodes.
-  void Visit(const std::function<void(Node*)>& fn) { VisitSubtree(root_.get(), fn); }
+  template <typename Fn>
+  void Visit(const Fn& fn) {
+    VisitSubtree(root_.get(), fn);
+  }
 
   Node* root() { return root_.get(); }
   const Node* root() const { return root_.get(); }
 
-  size_t NodeCount() const {
-    size_t n = 0;
-    const_cast<RadixTree*>(this)->VisitSubtree(root_.get(), [&](Node*) { ++n; });
-    return n;
-  }
+  // Non-root nodes currently in the tree.
+  size_t NodeCount() const { return node_count_; }
 
  private:
+  // Marks a non-root node as used at `now`.
+  void Touch(Node* node, TimeNs now) {
+    if (node->last_access_ == now) {
+      return;  // already in its time bucket; order within a bucket is free
+    }
+    Unlink(node);
+    node->last_access_ = now;
+    LinkByTime(node);
+  }
+
+  // Hands `leaf` to `fn`, then each ancestor its removals expose (see
+  // ScanLruLeaves). Returns false once `fn` asks to stop.
+  template <typename Fn>
+  bool VisitLeaf(Node* leaf, TimeNs bucket, const Fn& fn) {
+    while (leaf != nullptr) {
+      LruStep step = fn(*leaf);
+      if (step == LruStep::kStop) {
+        return false;
+      }
+      if (step == LruStep::kNext) {
+        return true;
+      }
+      Node* parent = leaf->parent;
+      RemoveLeaf(leaf);
+      bool exposed = parent != root_.get() && parent->is_leaf() && parent->last_access_ <= bucket;
+      leaf = exposed ? parent : nullptr;
+    }
+    return true;
+  }
+
+  // Pre-order comparison of two distinct leaves: below their lowest common
+  // ancestor, the branch with the smaller first edge symbol comes first.
+  static bool PreorderLess(const Node* a, const Node* b) {
+    const Node* a_branch = a;
+    const Node* b_branch = b;
+    // `depth` grows strictly downwards, so the deeper of two distinct nodes
+    // is never an ancestor of the other and can safely be lifted.
+    while (a != b) {
+      if (a->depth >= b->depth) {
+        a_branch = a;
+        a = a->parent;
+      } else {
+        b_branch = b;
+        b = b->parent;
+      }
+    }
+    return a_branch->edge.front() < b_branch->edge.front();
+  }
+
   void SplitChild(Node* child, size_t offset) {
     DS_CHECK_GT(offset, 0u);
     DS_CHECK_LT(offset, child->edge.size());
     auto tail = std::make_unique<Node>();
     tail->edge.assign(child->edge.begin() + static_cast<ptrdiff_t>(offset), child->edge.end());
     tail->value = child->value.SplitTail(offset);
-    tail->last_access = child->last_access;
+    tail->last_access_ = child->last_access_;
     tail->children = std::move(child->children);
     tail->depth = child->depth;
     tail->children.ForEach([&](BlockKey, Node* grandchild) { grandchild->parent = tail.get(); });
@@ -325,26 +460,50 @@ class RadixTree {
     child->depth = child->depth - tail->edge.size();
     child->children = ChildMap{};
     tail->parent = child;
+    // Same time bucket as the head it was cut from.
+    LinkAfter(child, tail.get());
+    ++node_count_;
     BlockKey tail_first = tail->edge.front();
     child->children.Emplace(tail_first, std::move(tail));
   }
 
-  void VisitSubtree(Node* node, const std::function<void(Node*)>& fn) {
+  template <typename Fn>
+  void VisitSubtree(Node* node, const Fn& fn) {
     node->children.ForEach([&](BlockKey, Node* child) {
       fn(child);
       VisitSubtree(child, fn);
     });
   }
 
-  void VisitLeaves(Node* node, const std::function<void(Node*)>& fn) {
-    if (node->is_leaf()) {
-      fn(node);
-      return;
+  // Links `node` after the newest node no newer than it.
+  void LinkByTime(Node* node) {
+    Node* after = lru_tail_;
+    while (after != nullptr && after->last_access_ > node->last_access_) {
+      after = after->lru_prev_;
     }
-    node->children.ForEach([&](BlockKey, Node* child) { VisitLeaves(child, fn); });
+    LinkAfter(after, node);
+  }
+
+  // Links `node` right after `after` (at the head when `after` is null).
+  void LinkAfter(Node* after, Node* node) {
+    Node* next = after != nullptr ? after->lru_next_ : lru_head_;
+    node->lru_prev_ = after;
+    node->lru_next_ = next;
+    (after != nullptr ? after->lru_next_ : lru_head_) = node;
+    (next != nullptr ? next->lru_prev_ : lru_tail_) = node;
+  }
+
+  void Unlink(Node* node) {
+    (node->lru_prev_ != nullptr ? node->lru_prev_->lru_next_ : lru_head_) = node->lru_next_;
+    (node->lru_next_ != nullptr ? node->lru_next_->lru_prev_ : lru_tail_) = node->lru_prev_;
+    node->lru_prev_ = nullptr;
+    node->lru_next_ = nullptr;
   }
 
   std::unique_ptr<Node> root_;
+  size_t node_count_ = 0;
+  Node* lru_head_ = nullptr;  // oldest
+  Node* lru_tail_ = nullptr;  // newest
 };
 
 }  // namespace deepserve::rtc

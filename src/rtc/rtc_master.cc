@@ -70,12 +70,11 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt) {
   auto match = tree_.Match(keys);
   std::vector<BlockId> blocks;
   TimeNs now = sim_->Now();
+  tree_.Touch(match, now);
   for (auto* node : match.path) {
-    node->last_access = now;
     blocks.insert(blocks.end(), node->value.blocks.begin(), node->value.blocks.end());
   }
   if (match.partial != nullptr) {
-    match.partial->last_access = now;
     size_t take = std::min(match.partial_len, match.partial->value.blocks.size());
     blocks.insert(blocks.end(), match.partial->value.blocks.begin(),
                   match.partial->value.blocks.begin() + static_cast<ptrdiff_t>(take));
@@ -299,8 +298,7 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
   }
   auto block_pinned = [this](BlockId id) { return populate_pins_.count(id) > 0; };
   // Pass 1: drop NPU residency of cold blocks that already have a lower-tier
-  // copy (no data loss). Walk LRU leaves repeatedly.
-  // ds-lint: allow(deferred-capture, RadixTree::FindLruLeaf invokes the predicate synchronously during its walk and does not retain it)
+  // copy (no data loss), coldest leaf first.
   auto droppable = [&](const Tree::Node& node) {
     if (node.value.blocks.empty()) {
       return false;
@@ -314,20 +312,21 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
     }
     return true;
   };
-  while (pool_.free_blocks(Tier::kNpu) < n) {
-    Tree::Node* victim = tree_.FindLruLeaf(droppable);
-    if (victim == nullptr) {
-      break;
+  tree_.ScanLruLeaves([&](Tree::Node& node) {
+    if (pool_.free_blocks(Tier::kNpu) >= n) {
+      return LruStep::kStop;
     }
-    for (BlockId id : victim->value.blocks) {
-      pool_.DropResidency(id, Tier::kNpu);
-      ++stats_.evicted_blocks;
+    if (droppable(node)) {
+      for (BlockId id : node.value.blocks) {
+        pool_.DropResidency(id, Tier::kNpu);
+        ++stats_.evicted_blocks;
+      }
     }
-    // Node stays: its blocks remain matchable (and populatable) from DRAM/SSD.
-    // Mark cold so pass 1 doesn't re-pick it (it no longer qualifies anyway).
-  }
+    // The node stays: its blocks remain matchable (and populatable) from
+    // DRAM/SSD.
+    return LruStep::kNext;
+  });
   // Pass 2: discard cold NPU-only cache entries entirely.
-  // ds-lint: allow(deferred-capture, RadixTree::FindLruLeaf invokes the predicate synchronously during its walk and does not retain it)
   auto discardable = [&](const Tree::Node& node) {
     if (node.value.blocks.empty()) {
       return false;
@@ -340,17 +339,19 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
     }
     return true;
   };
-  while (pool_.free_blocks(Tier::kNpu) < n) {
-    Tree::Node* victim = tree_.FindLruLeaf(discardable);
-    if (victim == nullptr) {
-      break;
+  tree_.ScanLruLeaves([&](Tree::Node& node) {
+    if (pool_.free_blocks(Tier::kNpu) >= n) {
+      return LruStep::kStop;
     }
-    for (BlockId id : victim->value.blocks) {
+    if (!discardable(node)) {
+      return LruStep::kNext;
+    }
+    for (BlockId id : node.value.blocks) {
       pool_.Destroy(id);
       ++stats_.discarded_blocks;
     }
-    tree_.RemoveLeaf(victim);
-  }
+    return LruStep::kRemove;
+  });
   SyncListeners();
   if (pool_.free_blocks(Tier::kNpu) < n) {
     return ResourceExhaustedError("NPU blocks exhausted: need " + std::to_string(n) + ", free " +
@@ -515,27 +516,18 @@ void RtcMaster::SwapScan() {
     return true;
   };
   std::vector<Tree::Node*> victims;
-  while (budget > 0) {
-    Tree::Node* victim = tree_.FindLruLeaf(swappable);
-    if (victim == nullptr) {
-      break;
+  tree_.ScanLruLeaves([&](Tree::Node& node) {
+    if (budget <= 0) {
+      return LruStep::kStop;
     }
-    // Temporarily pin so FindLruLeaf does not return it again this scan.
-    for (BlockId id : victim->value.blocks) {
-      ++populate_pins_[id];
+    if (swappable(node)) {
+      victims.push_back(&node);
+      budget -= static_cast<int64_t>(node.value.blocks.size());
     }
-    victims.push_back(victim);
-    budget -= static_cast<int64_t>(victim->value.blocks.size());
-  }
+    return LruStep::kNext;
+  });
   for (Tree::Node* victim : victims) {
     std::vector<BlockId> blocks = victim->value.blocks;
-    // Release the scan pins; Copy() takes its own.
-    for (BlockId id : blocks) {
-      auto pin = populate_pins_.find(id);
-      if (pin != populate_pins_.end() && --pin->second == 0) {
-        populate_pins_.erase(pin);
-      }
-    }
     stats_.swapped_out_blocks += static_cast<int64_t>(blocks.size());
     Copy(blocks, Tier::kDram, [this, blocks] {
       for (BlockId id : blocks) {

@@ -231,11 +231,10 @@ TaskExecutor* JobExecutor::LoadAware(const std::vector<TaskExecutor*>& tes) {
   return best;
 }
 
-TaskExecutor* JobExecutor::LocalityAware(const workload::RequestSpec& spec, PromptTree& tree,
+TaskExecutor* JobExecutor::LocalityAware(std::span<const rtc::BlockKey> keys, PromptTree& tree,
                                          const std::vector<TaskExecutor*>& tes) {
   // select_tes_prefix_match: deepest global-tree node tagged with each TE
   // along the prompt's key path = that TE's preserved-prefix length.
-  auto keys = rtc::TokensToBlockKeys(spec.prompt, config_.block_size);
   auto match = tree.Match(keys);
   std::map<TeId, size_t> depth_by_te;
   auto tally = [&](PromptTree::Node* node, size_t depth) {
@@ -267,7 +266,7 @@ TaskExecutor* JobExecutor::LocalityAware(const workload::RequestSpec& spec, Prom
   return best;
 }
 
-TaskExecutor* JobExecutor::SelectFrom(const workload::RequestSpec& spec, PromptTree& tree,
+TaskExecutor* JobExecutor::SelectFrom(std::span<const rtc::BlockKey> keys, PromptTree& tree,
                                       const std::vector<TaskExecutor*>& tes) {
   DS_CHECK(!tes.empty());
   switch (config_.policy) {
@@ -279,14 +278,14 @@ TaskExecutor* JobExecutor::SelectFrom(const workload::RequestSpec& spec, PromptT
       return LoadAware(tes);
     case SchedulingPolicy::kLocalityOnly:
       ++stats_.locality_decisions;
-      return LocalityAware(spec, tree, tes);
+      return LocalityAware(keys, tree, tes);
     case SchedulingPolicy::kPdAware:
       ++stats_.load_decisions;
       return LoadAware(tes);
     case SchedulingPolicy::kCombined:
       if (IsLoadBalanced(tes)) {
         ++stats_.locality_decisions;
-        return LocalityAware(spec, tree, tes);
+        return LocalityAware(keys, tree, tes);
       }
       ++stats_.load_decisions;
       return LoadAware(tes);
@@ -295,17 +294,16 @@ TaskExecutor* JobExecutor::SelectFrom(const workload::RequestSpec& spec, PromptT
 }
 
 void JobExecutor::TrimTree(PromptTree& tree) {
-  while (tree.NodeCount() > config_.max_tree_nodes) {
-    auto* lru = tree.FindLruLeaf([](const PromptTree::Node&) { return true; });
-    if (lru == nullptr) {
-      break;
-    }
-    tree.RemoveLeaf(lru);
+  if (tree.NodeCount() <= config_.max_tree_nodes) {
+    return;
   }
+  tree.ScanLruLeaves([&](PromptTree::Node&) {
+    return tree.NodeCount() > config_.max_tree_nodes ? rtc::LruStep::kRemove
+                                                     : rtc::LruStep::kStop;
+  });
 }
 
-void JobExecutor::RecordRoute(const workload::RequestSpec& spec, PromptTree& tree, TeId te) {
-  auto keys = rtc::TokensToBlockKeys(spec.prompt, config_.block_size);
+void JobExecutor::RecordRoute(std::span<const rtc::BlockKey> keys, PromptTree& tree, TeId te) {
   if (keys.empty()) {
     return;
   }
@@ -607,10 +605,12 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     RunOrDefer([this, job_id, status] { FailJob(job_id, status); });
   };
 
+  // The prompt's block-key chain, hashed once for both tree lookups.
+  std::vector<rtc::BlockKey> keys = rtc::TokensToBlockKeys(spec.prompt, config_.block_size);
   if (use_disagg) {
     ++stats_.routed_disaggregated;
-    TaskExecutor* p = SelectFrom(spec, prefill_tree_, prefill);
-    RecordRoute(spec, prefill_tree_, p->id());
+    TaskExecutor* p = SelectFrom(keys, prefill_tree_, prefill);
+    RecordRoute(keys, prefill_tree_, p->id());
     AppendJob(ctrl::JobTable::kJobTeBound,
               {static_cast<int64_t>(job_id), static_cast<int64_t>(p->id())});
     if (obs::Tracer* t = sim_->tracer()) {
@@ -622,8 +622,8 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     DispatchDisaggregated(p, spec, std::move(te_handler));
   } else {
     ++stats_.routed_colocated;
-    TaskExecutor* te = SelectFrom(spec, colocated_tree_, coloc);
-    RecordRoute(spec, colocated_tree_, te->id());
+    TaskExecutor* te = SelectFrom(keys, colocated_tree_, coloc);
+    RecordRoute(keys, colocated_tree_, te->id());
     AppendJob(ctrl::JobTable::kJobTeBound,
               {static_cast<int64_t>(job_id), static_cast<int64_t>(te->id())});
     if (obs::Tracer* t = sim_->tracer()) {

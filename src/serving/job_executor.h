@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -205,13 +206,13 @@ class JobExecutor {
   // Algorithm 1 pieces.
   bool PreferDisaggregated(const workload::RequestSpec& spec);
   bool IsLoadBalanced(const std::vector<TaskExecutor*>& tes) const;
-  TaskExecutor* LocalityAware(const workload::RequestSpec& spec, PromptTree& tree,
+  TaskExecutor* LocalityAware(std::span<const rtc::BlockKey> keys, PromptTree& tree,
                               const std::vector<TaskExecutor*>& tes);
   static TaskExecutor* LoadAware(const std::vector<TaskExecutor*>& tes);
-  TaskExecutor* SelectFrom(const workload::RequestSpec& spec, PromptTree& tree,
+  TaskExecutor* SelectFrom(std::span<const rtc::BlockKey> keys, PromptTree& tree,
                            const std::vector<TaskExecutor*>& tes);
 
-  void RecordRoute(const workload::RequestSpec& spec, PromptTree& tree, TeId te);
+  void RecordRoute(std::span<const rtc::BlockKey> keys, PromptTree& tree, TeId te);
   void TrimTree(PromptTree& tree);
   std::vector<TaskExecutor*> ReadyTes(const std::vector<TaskExecutor*>& tes) const;
   // The cost_aware narrowing pass (see JeConfig::cost_aware).

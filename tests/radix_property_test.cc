@@ -174,7 +174,7 @@ TEST(RadixPropertyTest, LruEvictionKeepsMatchConsistent) {
         // FindLruLeaf returns a minimal-last_access leaf.
         tree.Visit([&](Tree::Node* node) {
           if (node->is_leaf()) {
-            EXPECT_LE(leaf->last_access, node->last_access);
+            EXPECT_LE(leaf->last_access(), node->last_access());
           }
         });
         Seq full = FullString(leaf);
@@ -192,6 +192,132 @@ TEST(RadixPropertyTest, LruEvictionKeepsMatchConsistent) {
       }
     }
   }
+}
+
+// Reference eviction order: every leaf in pre-order, stably sorted by
+// last_access — the order of a full depth-first walk that keeps the first
+// leaf seen among equals.
+std::vector<Tree::Node*> ReferenceLruOrder(Tree& tree) {
+  std::vector<Tree::Node*> leaves;
+  tree.Visit([&](Tree::Node* node) {
+    if (node->is_leaf()) {
+      leaves.push_back(node);
+    }
+  });
+  std::stable_sort(leaves.begin(), leaves.end(), [](const Tree::Node* a, const Tree::Node* b) {
+    return a->last_access() < b->last_access();
+  });
+  return leaves;
+}
+
+std::vector<Tree::Node*> ScannedLruOrder(Tree& tree) {
+  std::vector<Tree::Node*> leaves;
+  tree.ScanLruLeaves([&](Tree::Node& leaf) {
+    leaves.push_back(&leaf);
+    return LruStep::kNext;
+  });
+  return leaves;
+}
+
+size_t WalkedNodeCount(Tree& tree) {
+  size_t n = 0;
+  tree.Visit([&](Tree::Node*) { ++n; });
+  return n;
+}
+
+// A fixed per-node eligibility, so acting on one leaf never changes another's.
+bool Eligible(const Tree::Node& node) { return node.edge.back() % 3 != 0; }
+
+TEST(RadixPropertyTest, LruIndexMatchesPreorderReferenceUnderTiesAndOutOfOrderTouches) {
+  for (uint64_t seed : {2ull, 11ull, 29ull, 71ull}) {
+    Rng rng(seed);
+    Tree tree;
+    for (int round = 0; round < 400; ++round) {
+      // A narrow time range makes ties common and touches often move a node
+      // backwards in time.
+      TimeNs now = rng.UniformInt(0, 12);
+      double op = rng.NextDouble();
+      if (round < 40 || op < 0.45) {
+        tree.Insert(RandomSeq(rng, 10), now);
+      } else if (op < 0.7) {
+        auto match = tree.Match(RandomSeq(rng, 10));
+        tree.Touch(match, now);
+      } else if (op < 0.85) {
+        Tree::Node* leaf = tree.FindLruLeaf(Eligible);
+        std::vector<Tree::Node*> reference = ReferenceLruOrder(tree);
+        auto first = std::find_if(reference.begin(), reference.end(),
+                                  [](const Tree::Node* n) { return Eligible(*n); });
+        ASSERT_EQ(leaf, first == reference.end() ? nullptr : *first) << "seed " << seed;
+        if (leaf != nullptr) {
+          tree.RemoveLeaf(leaf);
+        }
+      } else {
+        // Evict a few leaves in one scan; parents the scan exposes are
+        // handed over too.
+        int budget = static_cast<int>(rng.UniformInt(1, 4));
+        tree.ScanLruLeaves([&](Tree::Node&) {
+          return budget-- > 0 ? LruStep::kRemove : LruStep::kStop;
+        });
+      }
+      ASSERT_EQ(tree.NodeCount(), WalkedNodeCount(tree)) << "seed " << seed << " round " << round;
+      ASSERT_EQ(ScannedLruOrder(tree), ReferenceLruOrder(tree))
+          << "seed " << seed << " round " << round;
+      AuditStructure(tree);
+    }
+  }
+}
+
+TEST(RadixPropertyTest, OneScanEvictsLikeRepeatedFindLruLeaf) {
+  for (uint64_t seed : {4ull, 13ull, 57ull}) {
+    Rng rng(seed);
+    std::vector<std::pair<Seq, TimeNs>> inserts;
+    for (int i = 0; i < 120; ++i) {
+      Seq seq = RandomSeq(rng, 8);
+      inserts.emplace_back(seq, rng.UniformInt(0, 30));
+    }
+    Tree repeated;
+    Tree scanned;
+    for (const auto& [seq, now] : inserts) {
+      repeated.Insert(seq, now);
+      scanned.Insert(seq, now);
+    }
+    // Removing eligible leaves exposes parents, which may be eligible in turn.
+    std::vector<Seq> by_find;
+    while (Tree::Node* leaf = repeated.FindLruLeaf(Eligible)) {
+      by_find.push_back(FullString(leaf));
+      repeated.RemoveLeaf(leaf);
+    }
+    std::vector<Seq> by_scan;
+    scanned.ScanLruLeaves([&](Tree::Node& leaf) {
+      if (!Eligible(leaf)) {
+        return LruStep::kNext;
+      }
+      by_scan.push_back(FullString(&leaf));
+      return LruStep::kRemove;
+    });
+    EXPECT_FALSE(by_find.empty());
+    EXPECT_EQ(by_scan, by_find) << "seed " << seed;
+    EXPECT_EQ(scanned.NodeCount(), repeated.NodeCount());
+  }
+}
+
+TEST(RadixPropertyTest, ScanHandsOverExposedParentAtTheRemovedLeafsRank) {
+  Tree tree;
+  tree.Insert(Seq{1, 2, 3}, 5);
+  tree.Insert(Seq{1, 2, 4}, 5);  // splits into [1 2] -> {[3], [4]}
+  tree.Insert(Seq{6}, 5);
+  tree.Insert(Seq{7}, 9);
+  ASSERT_EQ(tree.NodeCount(), 5u);
+  std::vector<Seq> removed;
+  tree.ScanLruLeaves([&](Tree::Node& leaf) {
+    removed.push_back(FullString(&leaf));
+    return removed.size() < 4 ? LruStep::kRemove : LruStep::kStop;
+  });
+  // All of time 5 in pre-order; [1 2] becomes a leaf once both children go
+  // and precedes [6]. [7] is newer and is never reached.
+  EXPECT_EQ(removed, (std::vector<Seq>{{1, 2, 3}, {1, 2, 4}, {1, 2}, {6}}));
+  EXPECT_EQ(tree.NodeCount(), 2u);
+  EXPECT_EQ(ScannedLruOrder(tree), ReferenceLruOrder(tree));
 }
 
 TEST(RadixPropertyTest, TokensToBlockKeysDropsPartialTailAndChains) {

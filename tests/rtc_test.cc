@@ -141,7 +141,7 @@ TEST(RadixTreeTest, LruLeafSelection) {
   tree.Insert(b, /*now=*/20);
   auto* lru = tree.FindLruLeaf([](const auto&) { return true; });
   ASSERT_NE(lru, nullptr);
-  EXPECT_EQ(lru->last_access, 10);
+  EXPECT_EQ(lru->last_access(), 10);
   tree.RemoveLeaf(lru);
   EXPECT_EQ(tree.NodeCount(), 1u);
 }
@@ -305,6 +305,29 @@ TEST_F(RtcMasterTest, EvictionDiscardsLruEntry) {
   EXPECT_FALSE(master_->MatchByPrefixToken(a).hit());
   EXPECT_TRUE(master_->MatchByPrefixToken(b).hit());
   EXPECT_GT(master_->stats().discarded_blocks, 0);
+}
+
+TEST_F(RtcMasterTest, DiscardTakesExposedSharedPrefixBeforeNewerEntries) {
+  Reset(12);
+  auto a = Iota(64, 0);  // 4 blocks
+  auto b = a;            // shares a's first 2 blocks, then diverges
+  for (size_t i = 32; i < b.size(); ++i) {
+    b[i] = static_cast<TokenId>(70000 + i);
+  }
+  PrefillAndPreserve(a);
+  PrefillAndPreserve(b);  // splits a: shared [2 blocks] -> two 2-block tails
+  sim_.RunUntil(sim_.Now() + 100);
+  auto c = Iota(64, 30000);
+  PrefillAndPreserve(c);
+  ASSERT_EQ(master_->npu_blocks_used(), 10);
+  ASSERT_EQ(master_->index_nodes(), 4u);
+  // Freeing 6 blocks discards both old tails; that leaves the shared prefix a
+  // leaf exactly as old as they were, so it goes next — not the newer c.
+  ASSERT_TRUE(master_->AllocBlocks(8).ok());
+  EXPECT_EQ(master_->stats().discarded_blocks, 6);
+  EXPECT_EQ(master_->index_nodes(), 1u);
+  EXPECT_EQ(master_->MatchByPrefixToken(c).matched_tokens, 64);
+  EXPECT_FALSE(master_->MatchByPrefixToken(a).hit());
 }
 
 TEST_F(RtcMasterTest, MatchByIdRoundTrip) {

@@ -4,6 +4,8 @@
 #ifndef DEEPSERVE_BENCH_COMMON_H_
 #define DEEPSERVE_BENCH_COMMON_H_
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +14,8 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "common/time_units.h"
@@ -31,27 +35,44 @@
 
 namespace deepserve::bench {
 
+// Strict number parsing for flag and list values: all of `text` must be one
+// number that fits T (no sign on unsigned, no leading space, no trailing
+// characters, finite). On failure `*out` is left as it was.
+template <typename T>
+bool ParseNumber(const std::string& text, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    return false;
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) {
+      return false;
+    }
+  }
+  *out = value;
+  return true;
+}
+
 // Uniform command-line parsing for the benches. Register typed flags up
 // front, then Parse() consumes the matching argv entries and returns the
 // leftovers (argv[0] plus anything unrecognized) ready to hand to ObsSession.
 // `--help` prints every registered flag plus the ObsSession ones and exits.
 //
 // Value flags are spelled --name=VALUE; bool flags are bare --name switches.
+// A numeric value that ParseNumber rejects prints a message and exits 2.
 // Help order is registration order, so related flags group naturally.
 class OptionRegistry {
  public:
   void Flag(const std::string& name, double* out, const std::string& help) {
-    Add(name, help, /*is_switch=*/false,
-        [out](const std::string& value) { *out = std::atof(value.c_str()); });
+    NumberFlag(name, out, help);
   }
   void Flag(const std::string& name, int* out, const std::string& help) {
-    Add(name, help, /*is_switch=*/false,
-        [out](const std::string& value) { *out = std::atoi(value.c_str()); });
+    NumberFlag(name, out, help);
   }
   void Flag(const std::string& name, uint64_t* out, const std::string& help) {
-    Add(name, help, /*is_switch=*/false, [out](const std::string& value) {
-      *out = std::strtoull(value.c_str(), nullptr, 10);
-    });
+    NumberFlag(name, out, help);
   }
   void Flag(const std::string& name, std::string* out, const std::string& help) {
     Add(name, help, /*is_switch=*/false, [out](const std::string& value) { *out = value; });
@@ -98,6 +119,18 @@ class OptionRegistry {
   void Add(const std::string& name, const std::string& help, bool is_switch,
            std::function<void(const std::string&)> set) {
     entries_.push_back(Entry{name, help, is_switch, std::move(set)});
+  }
+
+  template <typename T>
+  void NumberFlag(const std::string& name, T* out, const std::string& help) {
+    Add(name, help, /*is_switch=*/false, [name, out](const std::string& value) {
+      if (!ParseNumber(value, out)) {
+        std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n", name.c_str(),
+                     value.c_str(),
+                     std::is_floating_point_v<T> ? "a finite number" : "an integer in range");
+        std::exit(2);
+      }
+    });
   }
 
   bool Consume(const std::string& arg) {

@@ -79,7 +79,14 @@ std::vector<double> ParseRpsList(const std::string& csv) {
     size_t comma = csv.find(',', start);
     size_t end = comma == std::string::npos ? csv.size() : comma;
     if (end > start) {
-      out.push_back(std::atof(csv.substr(start, end - start).c_str()));
+      const std::string entry = csv.substr(start, end - start);
+      double rps = 0.0;
+      if (!bench::ParseNumber(entry, &rps) || rps <= 0.0) {
+        std::fprintf(stderr, "invalid --rps-list entry '%s': need a positive number\n",
+                     entry.c_str());
+        std::exit(2);
+      }
+      out.push_back(rps);
     }
     if (comma == std::string::npos) {
       break;
@@ -206,11 +213,11 @@ int main(int argc, char** argv) {
     options.rps_list = "0.6";
     options.duration_s = 40.0;
   }
+  std::vector<double> rps_points = ParseRpsList(options.rps_list);
   bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
 
   bench::PrintHeader("Heterogeneous Gen1/Gen2 cluster: cost-aware vs "
                      "generation-blind placement");
-  std::vector<double> rps_points = ParseRpsList(options.rps_list);
   std::printf("mix %s, %d TEs (tp%d), %.0fs per point (seed %" PRIu64 ")\n",
               options.mix.c_str(), options.tes, options.tp, options.duration_s,
               options.seed);

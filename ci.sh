@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Static analysis, tier-1 verification, and a sanitizer pass over the suite.
 #
-#   ./ci.sh          # lint, release-ish build + ctest, then ASan/UBSan pass
-#   ./ci.sh --fast   # lint + tier-1 only (skip the sanitizer build)
+#   ./ci.sh          # lint, release-ish build + ctest, Release compile, ASan/UBSan pass
+#   ./ci.sh --fast   # lint + tier-1 only (skip the Release and sanitizer builds)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -79,9 +79,16 @@ echo "==> perf_sim smoke: DES core throughput, replay determinism, BENCH_perf.js
 ./build/bench/perf_sim --smoke --out=BENCH_perf.json >/dev/null
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "==> --fast: skipping sanitizer pass"
+  echo "==> --fast: skipping Release compile and sanitizer pass"
   exit 0
 fi
+
+echo "==> release: compile-only -O3 build (build-release/)"
+# -O3 inlining raises warnings (GCC 12's -Wrestrict, for one) that the
+# RelWithDebInfo build above never sees, and -Werror makes them fatal. Every
+# build type must compile.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j "${JOBS}"
 
 echo "==> sanitizers: ASan/UBSan build + ctest (build-asan/)"
 # The suite includes fault_test (chaos property tests), so the crash/recovery

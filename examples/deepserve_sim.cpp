@@ -189,6 +189,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--je-replicas must be >= 1\n");
     return 2;
   }
+  if (flags.rps <= 0 || flags.duration <= 0) {
+    std::fprintf(stderr, "--rps and --duration must be > 0\n");
+    return 2;
+  }
   sim::Simulator sim;
   hw::ClusterConfig cluster_config;
   int instances =

@@ -43,6 +43,16 @@ const LogRecord& ControlLog::Append(LogRecord record) {
   return stored;
 }
 
+void ControlLog::DropPayload(uint64_t seq, size_t keep_ints) {
+  DS_CHECK(seq < records_.size());
+  LogRecord& record = records_[seq];
+  DS_CHECK(record.seq == seq);
+  DS_CHECK(record.ints.size() >= keep_ints);
+  record.ints.resize(keep_ints);
+  record.ints.shrink_to_fit();
+  std::string().swap(record.str);
+}
+
 void ControlLog::ReplayInto(CtrlStateMachine* sm) const {
   DS_CHECK(sm != nullptr);
   for (const LogRecord& record : records_) {

@@ -85,6 +85,12 @@ class ControlLog {
   // reference is valid until the next Append.
   const LogRecord& Append(LogRecord record);
 
+  // Frees stored record `seq`'s ints past the first `keep_ints`, and its str.
+  // Only for a payload a later record of the same domain has made
+  // unobservable to replay (DESIGN #10). The record itself, its seq and its
+  // time stay, so counts, UnreplicatedAt and FailoverDelay do not change.
+  void DropPayload(uint64_t seq, size_t keep_ints);
+
   // Replays every stored record of sm->domain() into `sm`, oldest first.
   // Pair with Fingerprint() to prove log completeness (a late joiner built
   // from nothing must equal the live instance).

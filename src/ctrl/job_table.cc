@@ -8,15 +8,21 @@ namespace deepserve::ctrl {
 
 namespace {
 
+// The record with dense id `id` (see JobTable::jobs_).
+template <typename Record>
+Record& ById(std::vector<Record>& records, uint64_t id) {
+  DS_CHECK(id >= 1 && id <= records.size()) << "unknown id " << id;
+  return records[id - 1];
+}
+
 // Marks `job` and its not-yet-completed tasks with `state` at `time` —
 // the shared tail of the JobExecutor's complete/fail paths.
 void CloseJob(workload::JobRecord* job, std::vector<workload::TaskRecord>* tasks,
-              const std::map<workload::TaskId, size_t>& task_index,
               workload::JobState state, workload::TaskState task_state, TimeNs time) {
   job->state = state;
   job->completed = time;
   for (workload::TaskId task : job->tasks) {
-    workload::TaskRecord& t = (*tasks)[task_index.at(task)];
+    workload::TaskRecord& t = ById(*tasks, task);
     if (t.state != workload::TaskState::kCompleted) {
       t.state = task_state;
       t.completed = time;
@@ -27,8 +33,7 @@ void CloseJob(workload::JobRecord* job, std::vector<workload::TaskRecord>* tasks
 }  // namespace
 
 const workload::JobRecord* JobTable::FindJob(workload::JobId id) const {
-  auto it = job_index_.find(id);
-  return it == job_index_.end() ? nullptr : &jobs_[it->second];
+  return id >= 1 && id <= jobs_.size() ? &jobs_[id - 1] : nullptr;
 }
 
 void JobTable::Apply(const LogRecord& record) {
@@ -51,7 +56,7 @@ void JobTable::Apply(const LogRecord& record) {
       break;
     }
     case kJobCreated: {
-      DS_CHECK(record.ints.size() >= 7);
+      DS_CHECK(record.ints.size() >= kJobCreatedHeader);
       const auto job_id = static_cast<workload::JobId>(record.ints[0]);
       DS_CHECK(job_id == next_job_);
       ++next_job_;
@@ -61,7 +66,6 @@ void JobTable::Apply(const LogRecord& record) {
       job.type = workload::JobType::kChatCompletion;
       job.state = workload::JobState::kRunning;
       job.created = record.time;
-      job_index_[job.id] = jobs_.size();
       jobs_.push_back(std::move(job));
       Outstanding& outstanding = outstanding_[job_id];
       outstanding.retries = static_cast<int>(record.ints[2]);
@@ -70,8 +74,9 @@ void JobTable::Apply(const LogRecord& record) {
       outstanding.spec.decode_len = record.ints[4];
       outstanding.spec.priority = static_cast<int>(record.ints[5]);
       outstanding.spec.deadline = record.ints[6];
-      outstanding.spec.prompt.assign(record.ints.begin() + 7, record.ints.end());
+      outstanding.spec.prompt.assign(record.ints.begin() + kJobCreatedHeader, record.ints.end());
       outstanding.spec.context_id = record.str;
+      outstanding.created_seq = record.seq;
       break;
     }
     case kJobTeBound: {
@@ -94,15 +99,13 @@ void JobTable::Apply(const LogRecord& record) {
       task.state = workload::TaskState::kDispatched;
       task.created = record.time;
       task.dispatched = record.time;
-      task_index_[task.id] = tasks_.size();
-      jobs_[job_index_.at(task.job)].tasks.push_back(task.id);
+      ById(jobs_, task.job).tasks.push_back(task.id);
       tasks_.push_back(task);
       break;
     }
     case kTaskCompleted: {
       DS_CHECK(record.ints.size() == 1);
-      workload::TaskRecord& task =
-          tasks_[task_index_.at(static_cast<workload::TaskId>(record.ints[0]))];
+      workload::TaskRecord& task = ById(tasks_, static_cast<workload::TaskId>(record.ints[0]));
       task.state = workload::TaskState::kCompleted;
       task.completed = record.time;
       break;
@@ -110,16 +113,16 @@ void JobTable::Apply(const LogRecord& record) {
     case kJobCompleted: {
       DS_CHECK(record.ints.size() == 1);
       const auto job_id = static_cast<workload::JobId>(record.ints[0]);
-      CloseJob(&jobs_[job_index_.at(job_id)], &tasks_, task_index_,
-               workload::JobState::kCompleted, workload::TaskState::kCompleted, record.time);
+      CloseJob(&ById(jobs_, job_id), &tasks_, workload::JobState::kCompleted,
+               workload::TaskState::kCompleted, record.time);
       outstanding_.erase(job_id);
       break;
     }
     case kJobFailed: {
       DS_CHECK(record.ints.size() == 1);
       const auto job_id = static_cast<workload::JobId>(record.ints[0]);
-      CloseJob(&jobs_[job_index_.at(job_id)], &tasks_, task_index_,
-               workload::JobState::kFailed, workload::TaskState::kFailed, record.time);
+      CloseJob(&ById(jobs_, job_id), &tasks_, workload::JobState::kFailed,
+               workload::TaskState::kFailed, record.time);
       outstanding_.erase(job_id);
       break;
     }

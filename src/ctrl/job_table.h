@@ -41,12 +41,20 @@ class JobTable final : public CtrlStateMachine {
     kEpoch,          // ints: [] — a new leader took over this domain
   };
 
+  // kJobCreated's fixed ints before the prompt tokens. Once the job's
+  // kJobCompleted/kJobFailed record is in the log, only this header of its
+  // kJobCreated record is observable to replay (ControlLog::DropPayload).
+  static constexpr size_t kJobCreatedHeader = 7;
+
   enum Group : int64_t { kColocated = 0, kPrefill = 1, kDecode = 2 };
 
   struct Outstanding {
     workload::RequestSpec spec;
     std::vector<workload::TeId> tes;  // TEs this request has touched
     int retries = 0;
+    // Log position of this job's kJobCreated record. Not fingerprinted: it
+    // is the record's own seq, which every replay reproduces by construction.
+    uint64_t created_seq = 0;
   };
 
   explicit JobTable(int32_t domain = 0) : CtrlStateMachine(domain) {}
@@ -69,10 +77,9 @@ class JobTable final : public CtrlStateMachine {
   uint64_t applied() const { return applied_; }
 
  private:
+  // Ids are dense from 1 (Apply checks it), so id n is at index n - 1.
   std::vector<workload::JobRecord> jobs_;
   std::vector<workload::TaskRecord> tasks_;
-  std::map<workload::JobId, size_t> job_index_;
-  std::map<workload::TaskId, size_t> task_index_;
   std::map<workload::JobId, Outstanding> outstanding_;
   std::vector<workload::TeId> groups_[3];
   workload::JobId next_job_ = 1;

@@ -2,10 +2,27 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
+#include <string_view>
 
 #include "common/logging.h"
 
 namespace deepserve::hw {
+
+namespace {
+
+// "m<machine>.<link>", assembled by appending: GCC 12 at -O3 reports a false
+// -Wrestrict overlap inside `"m" + std::to_string(machine)`, and -Werror
+// makes it fatal.
+std::string LinkName(MachineId machine, std::string_view link) {
+  std::string name = "m";
+  name += std::to_string(machine);
+  name += '.';
+  name += link;
+  return name;
+}
+
+}  // namespace
 
 bool ClusterConfig::heterogeneous() const {
   for (const NpuSpec& spec : machine_specs) {
@@ -150,11 +167,13 @@ Machine::Machine(sim::Simulator* sim, MachineId id, const ClusterConfig& config,
   }
   int num_pcie = (config.npus_per_machine + npus_per_pcie_link_ - 1) / npus_per_pcie_link_;
   for (int i = 0; i < num_pcie; ++i) {
-    pcie_links_.push_back(std::make_unique<SharedLink>(
-        sim, "m" + std::to_string(id) + ".pcie" + std::to_string(i), LinkType::kPcie,
-        config.pcie_gbps * 1e9, config.pcie_latency));
+    std::string name = LinkName(id, "pcie");
+    name += std::to_string(i);
+    pcie_links_.push_back(std::make_unique<SharedLink>(sim, name, LinkType::kPcie,
+                                                       config.pcie_gbps * 1e9,
+                                                       config.pcie_latency));
   }
-  ssd_link_ = std::make_unique<SharedLink>(sim, "m" + std::to_string(id) + ".ssd", LinkType::kSsd,
+  ssd_link_ = std::make_unique<SharedLink>(sim, LinkName(id, "ssd"), LinkType::kSsd,
                                            config.ssd_gbps * 1e9, config.ssd_latency);
 }
 
@@ -173,15 +192,14 @@ Cluster::Cluster(sim::Simulator* sim, ClusterConfig config)
     machines_.push_back(
         std::make_unique<Machine>(sim, m, config_, m * config_.npus_per_machine));
     hccs_links_.push_back(std::make_unique<SharedLink>(
-        sim, "m" + std::to_string(m) + ".hccs", LinkType::kHccs, config_.hccs_gbps * 1e9,
+        sim, LinkName(m, "hccs"), LinkType::kHccs, config_.hccs_gbps * 1e9,
         config_.hccs_latency));
     roce_links_.push_back(std::make_unique<SharedLink>(
-        sim, "m" + std::to_string(m) + ".roce", LinkType::kRoce, config_.roce_gbps * 1e9,
+        sim, LinkName(m, "roce"), LinkType::kRoce, config_.roce_gbps * 1e9,
         config_.roce_latency));
     if (config_.enable_superpod) {
       ub_links_.push_back(std::make_unique<SharedLink>(
-          sim, "m" + std::to_string(m) + ".ub", LinkType::kUb, config_.ub_gbps * 1e9,
-          config_.ub_latency));
+          sim, LinkName(m, "ub"), LinkType::kUb, config_.ub_gbps * 1e9, config_.ub_latency));
     }
   }
 }

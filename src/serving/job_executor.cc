@@ -86,6 +86,24 @@ void JobExecutor::RunOrDefer(std::function<void()> op) {
   deferred_ops_.push_back(std::move(op));
 }
 
+template <typename Fn>
+JobExecutor::SeqCallback JobExecutor::Deferred(Fn fn) {
+  return [this, fn = std::move(fn)](const flowserve::Sequence& seq) {
+    if (!down_) {
+      fn(seq);
+      return;
+    }
+    // A parked op outlives both this callback and the engine's Sequence.
+    RunOrDefer([fn, seq] { fn(seq); });
+  };
+}
+
+void JobExecutor::CloseJob(JobId job_id, int32_t close_type) {
+  const uint64_t created = table_.outstanding().at(job_id).created_seq;
+  AppendJob(close_type, {static_cast<int64_t>(job_id)});
+  log_->DropPayload(created, ctrl::JobTable::kJobCreatedHeader);
+}
+
 void JobExecutor::AddColocatedTe(TaskExecutor* te) {
   DS_CHECK(te->role() == flowserve::EngineRole::kColocated);
   if (down_) {
@@ -403,7 +421,7 @@ size_t JobExecutor::CancelRequest(workload::RequestId request_id) {
   }
   for (JobId job_id : hits) {
     std::vector<TeId> tes = table_.outstanding().at(job_id).tes;
-    AppendJob(ctrl::JobTable::kJobFailed, {static_cast<int64_t>(job_id)});
+    CloseJob(job_id, ctrl::JobTable::kJobFailed);
     handlers_.erase(job_id);  // the handler dies here without firing
     for (TeId te_id : tes) {
       for (TaskExecutor* te : colocated_) {
@@ -465,7 +483,7 @@ void JobExecutor::FailJob(JobId job_id, const Status& status) {
     handler = std::move(it->second);
     handlers_.erase(it);
   }
-  AppendJob(ctrl::JobTable::kJobFailed, {static_cast<int64_t>(job_id)});
+  CloseJob(job_id, ctrl::JobTable::kJobFailed);
   ++stats_.errors;
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), 0, "je.error",
@@ -575,32 +593,29 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     use_disagg = true;
   }
 
-  // Completion races a leader outage: a sequence finishing while the leader
-  // is down parks here until the standby takes over. The IsOutstanding guard
-  // makes termination exactly-once even if the job was failed/cancelled in
-  // the interim (e.g. its TE died during the outage and the retry path took
-  // ownership).
-  ResponseHandler& stored = handlers_.at(job_id);
-  auto complete_job = [this, job_id,
-                       on_complete = stored.on_complete](const flowserve::Sequence& seq) {
-    RunOrDefer([this, job_id, on_complete, seq] {
-      if (!table_.IsOutstanding(job_id)) {
-        return;
-      }
-      AppendJob(ctrl::JobTable::kJobCompleted, {static_cast<int64_t>(job_id)});
-      handlers_.erase(job_id);
-      if (on_complete) {
-        on_complete(seq);
-      }
-    });
-  };
-
   // The TE-level handler: task bookkeeping plus this job's termination paths.
   // FailJob no-ops once the job completed or the retry path took ownership, so
   // exactly one of on_complete / on_error ever reaches the caller.
+  //
+  // Completion races a leader outage: a sequence finishing while the leader
+  // is down parks (Deferred) until the standby takes over. The IsOutstanding
+  // guard makes termination exactly-once even if the job was failed/cancelled
+  // in the interim (e.g. its TE died during the outage and the retry path
+  // took ownership).
+  ResponseHandler& stored = handlers_.at(job_id);
   ResponseHandler te_handler;
   te_handler.on_first_token = stored.on_first_token;
-  te_handler.on_complete = std::move(complete_job);
+  te_handler.on_complete = Deferred([this, job_id, on_complete = stored.on_complete](
+                                        const flowserve::Sequence& seq) {
+    if (!table_.IsOutstanding(job_id)) {
+      return;
+    }
+    CloseJob(job_id, ctrl::JobTable::kJobCompleted);
+    handlers_.erase(job_id);
+    if (on_complete) {
+      on_complete(seq);
+    }
+  });
   te_handler.on_error = [this, job_id](const Status& status) {
     RunOrDefer([this, job_id, status] { FailJob(job_id, status); });
   };
@@ -641,13 +656,11 @@ void JobExecutor::DispatchColocated(TaskExecutor* te, const workload::RequestSpe
                                     ResponseHandler handler) {
   JobId job_id = table_.jobs().back().id;
   TaskId task_id = NewTask(job_id, TaskType::kUnified, te->id());
-  handler.on_complete = [this, task_id, cb = std::move(handler.on_complete)](
-                            const flowserve::Sequence& seq) {
-    RunOrDefer([this, task_id, cb, seq] {
-      AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(task_id)});
-      cb(seq);
-    });
-  };
+  handler.on_complete = Deferred([this, task_id, cb = std::move(handler.on_complete)](
+                                     const flowserve::Sequence& seq) {
+    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(task_id)});
+    cb(seq);
+  });
   te->SubmitUnified(spec, std::move(handler));
 }
 
@@ -665,15 +678,14 @@ void JobExecutor::DispatchDisaggregated(TaskExecutor* prefill_te,
             {static_cast<int64_t>(job_id), static_cast<int64_t>(decode_te->id())});
   TaskId prefill_task_id = NewTask(job_id, TaskType::kPrefill, prefill_te->id());
   (void)NewTask(job_id, TaskType::kDecode, decode_te->id());
-  handler.on_first_token = [this, prefill_task_id, cb = std::move(handler.on_first_token)](
-                               const flowserve::Sequence& seq) {
-    RunOrDefer([this, prefill_task_id, cb, seq] {
-      AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(prefill_task_id)});
-      if (cb) {
-        cb(seq);
-      }
-    });
-  };
+  handler.on_first_token = Deferred([this, prefill_task_id,
+                                     cb = std::move(handler.on_first_token)](
+                                        const flowserve::Sequence& seq) {
+    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(prefill_task_id)});
+    if (cb) {
+      cb(seq);
+    }
+  });
   prefill_te->SubmitPrefill(spec, decode_te, std::move(handler));
 }
 
@@ -716,7 +728,7 @@ void JobExecutor::OnTeFailure(TeId id) {
       retry.handler = std::move(it->second);
       handlers_.erase(it);
     }
-    AppendJob(ctrl::JobTable::kJobFailed, {static_cast<int64_t>(job_id)});
+    CloseJob(job_id, ctrl::JobTable::kJobFailed);
     to_retry.push_back(std::move(retry));
   }
   for (auto& retry : to_retry) {

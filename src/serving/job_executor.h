@@ -226,6 +226,10 @@ class JobExecutor {
   // Terminates `job_id` through on_error (erasing it from the outstanding
   // map). No-op when the job already finished or the retry path owns it.
   void FailJob(JobId job_id, const Status& status);
+  // Appends outstanding `job_id`'s close record (kJobCompleted or
+  // kJobFailed), then drops its kJobCreated payload from the log: replay can
+  // no longer observe the prompt, so the log keeps only the record's header.
+  void CloseJob(JobId job_id, int32_t close_type);
 
   void DispatchColocated(TaskExecutor* te, const workload::RequestSpec& spec,
                          ResponseHandler handler);
@@ -239,6 +243,11 @@ class JobExecutor {
   // RecoverLeader() while this JE's leader is down. With a single-replica log
   // a parked op is dropped instead — no takeover will ever come.
   void RunOrDefer(std::function<void()> op);
+  // A Sequence callback that runs `fn` inline while the leader is up and
+  // parks it through RunOrDefer while it is down. Only a parked call copies
+  // the Sequence (prompt, block lists, callbacks).
+  template <typename Fn>
+  SeqCallback Deferred(Fn fn);
   // Lazily registers the JE's trace track; -1 when tracing is disabled.
   int TracePid();
 

@@ -47,6 +47,20 @@ workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64
   return spec;
 }
 
+// What `domain`'s kJobCreated records still hold beyond their fixed headers:
+// prompt tokens plus context-id bytes.
+int64_t CreatedPayload(const ctrl::ControlLog& log, int32_t domain) {
+  int64_t payload = 0;
+  for (const ctrl::LogRecord& record : log.records()) {
+    if (record.domain == domain && record.type == ctrl::JobTable::kJobCreated) {
+      EXPECT_GE(record.ints.size(), ctrl::JobTable::kJobCreatedHeader);
+      payload += static_cast<int64_t>(record.ints.size() - ctrl::JobTable::kJobCreatedHeader +
+                                      record.str.size());
+    }
+  }
+  return payload;
+}
+
 // ---------------- ControlLog: sequencing, apply, replay ----------------
 
 TEST(ControlLogTest, SequencesAcrossDomainsInAppendOrder) {
@@ -228,12 +242,17 @@ TEST_F(CtrlStackTest, JobTableReplayMatchesLiveAfterTraffic) {
   int completed = 0;
   for (int i = 1; i <= 6; ++i) {
     sim_.ScheduleAt(MsToNs(50 * i), [&, i] {
-      je.HandleRequest(MakeRequest(i, 128, 16),
+      workload::RequestSpec spec = MakeRequest(i, 128, 16);
+      spec.context_id = "ctx-" + std::to_string(i);
+      je.HandleRequest(spec,
                        {nullptr, [&](const flowserve::Sequence&) { ++completed; }, nullptr});
     });
   }
   sim_.Run();
   EXPECT_EQ(completed, 6);
+  // Every job terminated, so each kJobCreated record is down to its header:
+  // the log's payload is bounded by outstanding jobs, not requests served.
+  EXPECT_EQ(CreatedPayload(log, je.table().domain()), 0);
 
   ctrl::JobTable standby(je.table().domain());
   log.ReplayInto(&standby);
@@ -495,6 +514,83 @@ TEST_F(CtrlStackTest, JeFailoverLosesNoRequestsAndFiresHandlersExactlyOnce) {
     EXPECT_EQ(count, 1) << "request " << id << " terminated " << count << " times";
   }
   EXPECT_TRUE(je.table().outstanding().empty());
+}
+
+TEST_F(CtrlStackTest, JeCrashMidFlightReplaysOutstandingPromptsFromLog) {
+  ctrl::CtrlConfig config;
+  config.replicas = 3;
+  config.quorum = 2;
+  config.replication_latency = MsToNs(1);
+  config.lease_duration = SToNs(1);
+  ctrl::ControlLog log(&sim_, config);
+  serving::ClusterManager manager(&sim_, &cluster_, &transfer_, {}, {}, &log);
+  serving::JeConfig je_config;
+  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
+  serving::JobExecutor je(&sim_, je_config, serving::PdHeatmap::Default(),
+                          serving::MakeOraclePredictor());
+  je.AttachControl(&log, &manager);
+  je.AddColocatedTe(manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value());
+  je.AddColocatedTe(manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value());
+
+  // The first requests are short and finish before the crash; the rest are
+  // long, still in flight when it lands, and finish during the outage (their
+  // completions park until the standby takes over).
+  constexpr int kRequests = 8;
+  std::map<workload::RequestId, workload::RequestSpec> sent;
+  std::map<workload::RequestId, int> terminations;
+  int completed = 0, errored = 0;
+  for (int i = 1; i <= kRequests; ++i) {
+    workload::RequestSpec spec =
+        MakeRequest(i, 160 + 16 * i, i <= 3 ? 4 : 256, static_cast<TokenId>(1000 * i));
+    spec.context_id = "ctx-" + std::to_string(i);
+    sent[spec.id] = spec;
+    sim_.ScheduleAt(MsToNs(20 * i), [&, spec] {
+      je.HandleRequest(spec, {nullptr,
+                              [&, id = spec.id](const flowserve::Sequence&) {
+                                ++completed;
+                                ++terminations[id];
+                              },
+                              [&, id = spec.id](const Status&) {
+                                ++errored;
+                                ++terminations[id];
+                              }});
+    });
+  }
+  size_t closed_at_crash = 0;
+  size_t in_flight_at_crash = 0;
+  sim_.ScheduleAt(MsToNs(20 * kRequests + 50), [&] {
+    ASSERT_TRUE(je.CrashLeader().ok());
+    // What a standby rebuilds from the log: every outstanding job with its
+    // full prompt and context id, while the jobs closed before the crash
+    // left only their headers behind.
+    ctrl::JobTable standby(je.table().domain());
+    log.ReplayInto(&standby);
+    EXPECT_EQ(standby.Fingerprint(), je.table().Fingerprint());
+    in_flight_at_crash = standby.outstanding().size();
+    closed_at_crash = standby.jobs().size() - in_flight_at_crash;
+    int64_t outstanding_payload = 0;
+    for (const auto& [job_id, outstanding] : standby.outstanding()) {
+      const workload::RequestSpec& want = sent.at(outstanding.spec.id);
+      EXPECT_EQ(outstanding.spec.prompt, want.prompt) << "job " << job_id;
+      EXPECT_EQ(outstanding.spec.context_id, want.context_id) << "job " << job_id;
+      outstanding_payload += static_cast<int64_t>(want.prompt.size() + want.context_id.size());
+    }
+    EXPECT_EQ(CreatedPayload(log, je.table().domain()), outstanding_payload);
+  });
+  sim_.Run();
+
+  ASSERT_GT(closed_at_crash, 0u);
+  ASSERT_GT(in_flight_at_crash, 0u);
+  EXPECT_EQ(je.stats().je_failovers, 1);
+  EXPECT_GE(je.stats().deferred_ops, 1);
+  EXPECT_EQ(completed, kRequests);
+  EXPECT_EQ(errored, 0);
+  ASSERT_EQ(terminations.size(), static_cast<size_t>(kRequests));
+  for (const auto& [id, count] : terminations) {
+    EXPECT_EQ(count, 1) << "request " << id << " terminated " << count << " times";
+  }
+  EXPECT_TRUE(je.table().outstanding().empty());
+  EXPECT_EQ(CreatedPayload(log, je.table().domain()), 0);
 }
 
 TEST_F(CtrlStackTest, TeDeathDuringJeOutageReconciledAtTakeover) {

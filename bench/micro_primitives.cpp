@@ -1,6 +1,6 @@
 // Engine-primitive microbenchmarks (google-benchmark): the hot control-plane
 // data structures — RTC radix tree, block pool, chain hashing, the simulator
-// event queue, and DistFlow op submission.
+// event queue, DistFlow op submission, and the JE's locality pick.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include "rtc/block_pool.h"
 #include "rtc/radix_tree.h"
 #include "rtc/rtc_master.h"
+#include "serving/prompt_tree.h"
 #include "sim/simulator.h"
 
 namespace deepserve {
@@ -119,6 +120,90 @@ void BM_RadixTreeInsertEvictAtCap(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RadixTreeInsertEvictAtCap)->Arg(4096)->Arg(65536);
+
+// The RTC swap scan's search for its next victim when most cached leaves
+// are already demoted to DRAM and are the coldest (the shape a long replay
+// reaches). range(0) picks the list: 0 walks every leaf, skipping demoted
+// ones, as the scan did before retirement; 1 walks the active list, where the
+// demoted leaves were retired by an earlier pass. range(1) is the number of
+// leaves, 98% of them demoted. The active walk should not depend on it.
+void BM_SwapScanOverDemotedHistory(benchmark::State& state) {
+  struct V {
+    bool demoted = false;
+    V SplitTail(size_t) { return *this; }
+  };
+  using Tree = rtc::RadixTree<V>;
+  const auto list = static_cast<rtc::LruList>(state.range(0));
+  const auto leaves = static_cast<size_t>(state.range(1));
+  Tree tree;
+  for (size_t i = 0; i < leaves; ++i) {
+    std::vector<rtc::BlockKey> k = {i + 1, i + 1};
+    Tree::Node* leaf = tree.Insert(k, static_cast<TimeNs>(i));
+    leaf->value.demoted = i < leaves * 98 / 100;
+  }
+  auto find_victim = [&tree, list] {
+    Tree::Node* victim = nullptr;
+    tree.ScanLruLeaves(
+        [&](Tree::Node& leaf) {
+          if (leaf.value.demoted) {
+            return list == rtc::LruList::kActive ? rtc::LruStep::kRetire : rtc::LruStep::kNext;
+          }
+          victim = &leaf;
+          return rtc::LruStep::kStop;
+        },
+        list);
+    return victim;
+  };
+  find_victim();  // the pass that retires the demoted history
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(find_victim());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SwapScanOverDemotedHistory)
+    ->ArgsProduct({{0, 1}, {1024, 8192, 65536}});
+
+// The JE's locality pick (serving::LocalityPick) over a fully matched path
+// of range(0) nodes, each tagged with 30 of 64 candidate TEs: 300 tags at 10
+// nodes. The pick stops at the deepest tagged node, so its cost should not
+// depend on how many tags the shallower nodes hold.
+void BM_LocalityPickOverTaggedPath(benchmark::State& state) {
+  struct FakeTe {
+    workload::TeId te_id = 0;
+    int64_t depth = 0;
+    workload::TeId id() const { return te_id; }
+    int64_t queue_depth() const { return depth; }
+  };
+  const auto nodes = static_cast<size_t>(state.range(0));
+  Rng rng(9);
+  std::vector<FakeTe> fleet(64);
+  std::vector<FakeTe*> candidates;
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    fleet[i].te_id = static_cast<workload::TeId>(i);
+    fleet[i].depth = rng.UniformInt(0, 4);
+    candidates.push_back(&fleet[i]);
+  }
+  serving::PromptTree tree;
+  std::vector<rtc::BlockKey> keys;
+  for (size_t n = 0; n < nodes; ++n) {
+    // Each prompt extends the previous one by 4 blocks: one new path node.
+    for (int b = 0; b < 4; ++b) {
+      keys.push_back(keys.size() + 1);
+    }
+    serving::PromptTree::Node* leaf = tree.Insert(keys, 0);
+    while (leaf->value.tes.size() < 30) {
+      leaf->value.Add(static_cast<workload::TeId>(rng.UniformInt(0, 63)));
+    }
+  }
+  const serving::PromptTree::MatchResult match = tree.Match(keys);
+  for (auto _ : state) {
+    bool hit = false;
+    benchmark::DoNotOptimize(serving::LocalityPick(match, candidates, &hit));
+    benchmark::DoNotOptimize(hit);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LocalityPickOverTaggedPath)->Arg(10)->Arg(40)->Arg(160);
 
 void BM_BlockPoolAllocFree(benchmark::State& state) {
   rtc::BlockPool pool({.npu_capacity = 1 << 20, .dram_capacity = 0});

@@ -31,9 +31,10 @@
 //   --smoke      smaller sizes for CI; exits non-zero unless (a) the
 //                full-stack replay is bit-identical across both runs,
 //                (b) cancel_storm shows >= 3x events/sec over the legacy
-//                core replica, and (c) replay_scale's growth stays <= 2.2x.
+//                core replica, and (c) replay_scale's growth stays <= 1.8x.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -374,20 +375,24 @@ ReplayResult RunReplay(int tes, double rps, double duration_s, uint64_t seed) {
 // replay_scale: the replay_64te fleet at a fixed 200 rps over three trace
 // lengths (x1, x2, x4). Host cost per request must stay flat as the trace
 // grows; `growth` is the longest trace's cost per request over the shortest's.
+// Each point is the faster of two rounds over all three lengths, so a few
+// seconds of host slowdown cannot land on one length alone.
 struct ScalePoint {
   size_t requests = 0;
   double us_per_request = 0.0;
 };
 
 std::vector<ScalePoint> RunReplayScale(int tes, double base_duration_s, uint64_t seed) {
-  std::vector<ScalePoint> points;
-  for (double factor : {1.0, 2.0, 4.0}) {
-    ReplayResult r = RunReplay(tes, /*rps=*/200.0, base_duration_s * factor, seed);
-    ScalePoint point;
-    point.requests = r.requests;
-    point.us_per_request =
-        r.perf.wall_s * 1e6 / static_cast<double>(std::max<size_t>(r.requests, 1));
-    points.push_back(point);
+  constexpr std::array<double, 3> kFactors = {1.0, 2.0, 4.0};
+  std::vector<ScalePoint> points(kFactors.size());
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < kFactors.size(); ++i) {
+      ReplayResult r = RunReplay(tes, /*rps=*/200.0, base_duration_s * kFactors[i], seed);
+      double us = r.perf.wall_s * 1e6 / static_cast<double>(std::max<size_t>(r.requests, 1));
+      if (round == 0 || us < points[i].us_per_request) {
+        points[i] = {r.requests, us};
+      }
+    }
   }
   return points;
 }
@@ -408,10 +413,11 @@ int RunAll(const Options& opt) {
   const double replay_duration_s = opt.smoke ? 20.0 : 60.0;
   // 2.5k / 5k / 10k requests in smoke mode, 25k / 50k / 100k in full.
   const double scale_base_s = opt.smoke ? 12.5 : 125.0;
-  // A JE that walks its whole prompt tree per dispatch grows ~2.7x here. What
-  // growth remains is mostly the RTC swap scan passing over leaves already
-  // demoted to DRAM.
-  const double max_scale_growth = 2.2;
+  // A JE that walks its whole prompt tree per dispatch grows ~2.7x here; one
+  // that tallies every tag on the match path, with a swap scan that re-walks
+  // leaves already demoted to DRAM, ~1.5x. The deepest-first pick and the
+  // active-only swap scan measure ~1.3x.
+  const double max_scale_growth = 1.8;
 
   bench::PrintHeader("perf_sim: DES core throughput (events/sec, sim-s per wall-s)");
   std::printf("%-14s %12s %10s %14s %16s\n", "scenario", "events", "wall(s)", "events/sec",

@@ -75,7 +75,7 @@ echo "==> perf_sim smoke: DES core throughput, replay determinism, BENCH_perf.js
 # Exits non-zero unless the full-stack 64-TE replay is bit-identical across
 # two runs, the cancellation-heavy scenario beats the embedded pre-PR event
 # core by >= 3x events/sec, and replay_scale's cost per request grows at most
-# 2.2x over a 4x longer trace. Writes the tracked BENCH_perf.json.
+# 1.8x over a 4x longer trace. Writes the tracked BENCH_perf.json.
 ./build/bench/perf_sim --smoke --out=BENCH_perf.json >/dev/null
 
 if [[ "${1:-}" == "--fast" ]]; then

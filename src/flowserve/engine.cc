@@ -215,7 +215,7 @@ void Engine::SchedEnqueue(Sequence* seq) {
       match = group.rtc->MatchByID(seq->context_id);
     }
     if (!match.hit()) {
-      match = group.rtc->MatchByPrefixToken(seq->prompt);
+      match = group.rtc->MatchByPrefixToken(seq->prompt, &seq->prompt_keys);
     }
     // Never reuse the full prompt: at least the final token must run through
     // the model to produce the first output.

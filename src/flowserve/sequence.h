@@ -28,6 +28,10 @@ std::string_view SeqStateToString(SeqState state);
 struct Sequence {
   workload::RequestId request_id = 0;
   std::vector<TokenId> prompt;
+  // The RTC's block-key chain of `prompt`, kept from the prefix match so the
+  // cache commit at release does not hash the prompt again. Empty = not
+  // hashed yet.
+  std::vector<rtc::BlockKey> prompt_keys;
   int64_t decode_target = 0;
   std::string context_id;  // explicit-cache id ("" = implicit only)
   int priority = 1;        // 0 = interactive, 1 = normal, 2 = batch

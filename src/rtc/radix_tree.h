@@ -24,6 +24,16 @@
 // simulator's clock only moves forward) is O(1); an earlier time falls back
 // to a linear scan from the newest end.
 //
+// Retirement. A caller may Retire a node it knows a scan will never act on
+// again (the RTC retires leaves whose blocks all have a DRAM copy: residency
+// in DRAM is permanent, so such a leaf can never become a swap victim). A
+// second intrusive list, ordered exactly like the first, holds only the
+// non-retired nodes, and a scan over LruList::kActive walks it alone: it hands
+// over the same leaves in the same order as a full scan with the retired ones
+// filtered out, at a cost that no longer grows with the retired history. The
+// mark is permanent, and a split tail inherits it from the node it was cut
+// from.
+//
 // V is the per-node payload covering that node's span. It must be default-
 // constructible and provide:
 //   V SplitTail(size_t offset)  — split at `offset` symbols into this node's
@@ -81,7 +91,14 @@ inline std::vector<BlockKey> TokensToBlockKeys(std::span<const TokenId> tokens, 
 enum class LruStep {
   kNext,    // keep the leaf and move on to the next one
   kRemove,  // remove the leaf (RemoveLeaf) and move on
+  kRetire,  // retire the leaf (Retire) and move on
   kStop,    // end the scan
+};
+
+// Which time-ordered list a scan walks (see the file comment).
+enum class LruList : uint8_t {
+  kAll = 0,     // every non-root node
+  kActive = 1,  // only the nodes not yet retired
 };
 
 template <typename V>
@@ -210,14 +227,18 @@ class RadixTree {
     // Last Insert/Touch through this node. Written only by the tree, which
     // keeps the LRU index in step with it.
     TimeNs last_access() const { return last_access_; }
+    bool retired() const { return retired_; }
     // Depth in symbols from the root to the END of this node's edge.
     size_t depth = 0;
 
    private:
     friend class RadixTree;
     TimeNs last_access_ = 0;
-    Node* lru_prev_ = nullptr;  // older neighbour on the LRU list
-    Node* lru_next_ = nullptr;  // newer neighbour on the LRU list
+    bool retired_ = false;
+    // Neighbours on each LruList: older (prev) and newer (next). A retired
+    // node's kActive links are null.
+    std::array<Node*, 2> lru_prev_{};
+    std::array<Node*, 2> lru_next_{};
   };
 
   struct MatchResult {
@@ -324,25 +345,38 @@ class RadixTree {
     parent->children.Remove(node->edge.front());
   }
 
-  // Hands every leaf to `fn(Node&) -> LruStep` in eviction order (see the
-  // file comment) until it returns kStop. On kRemove the leaf is removed, and
-  // if that makes its parent a leaf no newer than the time bucket being
-  // scanned, the parent is handed over next, at the removed leaf's rank —
-  // exactly where a fresh scan would find it. `fn` must not modify the tree itself, and must leave
+  // Takes a non-root node off the kActive list for good (see the file
+  // comment). Idempotent.
+  void Retire(Node* node) {
+    DS_CHECK(node != nullptr && node->parent != nullptr) << "cannot retire the root";
+    if (node->retired_) {
+      return;
+    }
+    Unlink(node, LruList::kActive);
+    node->retired_ = true;
+  }
+
+  // Hands every leaf on `list` to `fn(Node&) -> LruStep` in eviction order
+  // (see the file comment) until it returns kStop. On kRemove the leaf is
+  // removed, and if that makes its parent a leaf on `list` no newer than the
+  // time bucket being scanned, the parent is handed over next, at the removed
+  // leaf's rank — exactly where a fresh scan would find it. On kRetire the
+  // leaf is retired. `fn` must not modify the tree itself, and must leave
   // every leaf it has passed over no more eligible than it was: the scan never
   // revisits a leaf, so a visitor that picks eligible leaves sees the same
   // sequence as repeated FindLruLeaf calls.
   template <typename Fn>
-  void ScanLruLeaves(const Fn& fn) {
+  void ScanLruLeaves(const Fn& fn, LruList list = LruList::kAll) {
+    const size_t l = static_cast<size_t>(list);
     std::vector<Node*> ties;
-    Node* cursor = lru_head_;
+    Node* cursor = lru_head_[l];
     while (cursor != nullptr) {
       TimeNs bucket = cursor->last_access_;
       Node* first_leaf = nullptr;
       ties.clear();
       // Nodes newer than this bucket are never removed while it is visited,
       // so `cursor` stays valid.
-      for (; cursor != nullptr && cursor->last_access_ == bucket; cursor = cursor->lru_next_) {
+      for (; cursor != nullptr && cursor->last_access_ == bucket; cursor = cursor->lru_next_[l]) {
         if (!cursor->is_leaf()) {
           continue;
         }
@@ -356,14 +390,14 @@ class RadixTree {
         ties.push_back(cursor);
       }
       if (ties.empty()) {
-        if (first_leaf != nullptr && !VisitLeaf(first_leaf, bucket, fn)) {
+        if (first_leaf != nullptr && !VisitLeaf(first_leaf, bucket, list, fn)) {
           return;
         }
         continue;
       }
       std::sort(ties.begin(), ties.end(), PreorderLess);
       for (Node* leaf : ties) {
-        if (!VisitLeaf(leaf, bucket, fn)) {
+        if (!VisitLeaf(leaf, bucket, list, fn)) {
           return;
         }
       }
@@ -407,10 +441,10 @@ class RadixTree {
     LinkByTime(node);
   }
 
-  // Hands `leaf` to `fn`, then each ancestor its removals expose (see
-  // ScanLruLeaves). Returns false once `fn` asks to stop.
+  // Hands `leaf` to `fn`, then each ancestor on `list` its removals expose
+  // (see ScanLruLeaves). Returns false once `fn` asks to stop.
   template <typename Fn>
-  bool VisitLeaf(Node* leaf, TimeNs bucket, const Fn& fn) {
+  bool VisitLeaf(Node* leaf, TimeNs bucket, LruList list, const Fn& fn) {
     while (leaf != nullptr) {
       LruStep step = fn(*leaf);
       if (step == LruStep::kStop) {
@@ -419,9 +453,15 @@ class RadixTree {
       if (step == LruStep::kNext) {
         return true;
       }
+      if (step == LruStep::kRetire) {
+        Retire(leaf);
+        return true;
+      }
       Node* parent = leaf->parent;
       RemoveLeaf(leaf);
-      bool exposed = parent != root_.get() && parent->is_leaf() && parent->last_access_ <= bucket;
+      bool exposed = parent != root_.get() && parent->is_leaf() &&
+                     parent->last_access_ <= bucket &&
+                     (list == LruList::kAll || !parent->retired_);
       leaf = exposed ? parent : nullptr;
     }
     return true;
@@ -453,6 +493,7 @@ class RadixTree {
     tail->edge.assign(child->edge.begin() + static_cast<ptrdiff_t>(offset), child->edge.end());
     tail->value = child->value.SplitTail(offset);
     tail->last_access_ = child->last_access_;
+    tail->retired_ = child->retired_;
     tail->children = std::move(child->children);
     tail->depth = child->depth;
     tail->children.ForEach([&](BlockKey, Node* grandchild) { grandchild->parent = tail.get(); });
@@ -460,8 +501,11 @@ class RadixTree {
     child->depth = child->depth - tail->edge.size();
     child->children = ChildMap{};
     tail->parent = child;
-    // Same time bucket as the head it was cut from.
-    LinkAfter(child, tail.get());
+    // Same time bucket (and lists) as the head it was cut from.
+    LinkAfter(child, tail.get(), LruList::kAll);
+    if (!tail->retired_) {
+      LinkAfter(child, tail.get(), LruList::kActive);
+    }
     ++node_count_;
     BlockKey tail_first = tail->edge.front();
     child->children.Emplace(tail_first, std::move(tail));
@@ -475,35 +519,57 @@ class RadixTree {
     });
   }
 
-  // Links `node` after the newest node no newer than it.
+  // Links `node` into each list it belongs to, after the newest node there
+  // no newer than it.
   void LinkByTime(Node* node) {
-    Node* after = lru_tail_;
-    while (after != nullptr && after->last_access_ > node->last_access_) {
-      after = after->lru_prev_;
+    LinkByTime(node, LruList::kAll);
+    if (!node->retired_) {
+      LinkByTime(node, LruList::kActive);
     }
-    LinkAfter(after, node);
   }
 
-  // Links `node` right after `after` (at the head when `after` is null).
-  void LinkAfter(Node* after, Node* node) {
-    Node* next = after != nullptr ? after->lru_next_ : lru_head_;
-    node->lru_prev_ = after;
-    node->lru_next_ = next;
-    (after != nullptr ? after->lru_next_ : lru_head_) = node;
-    (next != nullptr ? next->lru_prev_ : lru_tail_) = node;
+  void LinkByTime(Node* node, LruList list) {
+    const size_t l = static_cast<size_t>(list);
+    Node* after = lru_tail_[l];
+    while (after != nullptr && after->last_access_ > node->last_access_) {
+      after = after->lru_prev_[l];
+    }
+    LinkAfter(after, node, list);
   }
 
+  // Links `node` right after `after` on `list` (at the head when `after` is
+  // null).
+  void LinkAfter(Node* after, Node* node, LruList list) {
+    const size_t l = static_cast<size_t>(list);
+    Node* next = after != nullptr ? after->lru_next_[l] : lru_head_[l];
+    node->lru_prev_[l] = after;
+    node->lru_next_[l] = next;
+    (after != nullptr ? after->lru_next_[l] : lru_head_[l]) = node;
+    (next != nullptr ? next->lru_prev_[l] : lru_tail_[l]) = node;
+  }
+
+  // Unlinks `node` from every list it is on.
   void Unlink(Node* node) {
-    (node->lru_prev_ != nullptr ? node->lru_prev_->lru_next_ : lru_head_) = node->lru_next_;
-    (node->lru_next_ != nullptr ? node->lru_next_->lru_prev_ : lru_tail_) = node->lru_prev_;
-    node->lru_prev_ = nullptr;
-    node->lru_next_ = nullptr;
+    Unlink(node, LruList::kAll);
+    if (!node->retired_) {
+      Unlink(node, LruList::kActive);
+    }
+  }
+
+  void Unlink(Node* node, LruList list) {
+    const size_t l = static_cast<size_t>(list);
+    Node* prev = node->lru_prev_[l];
+    Node* next = node->lru_next_[l];
+    (prev != nullptr ? prev->lru_next_[l] : lru_head_[l]) = next;
+    (next != nullptr ? next->lru_prev_[l] : lru_tail_[l]) = prev;
+    node->lru_prev_[l] = nullptr;
+    node->lru_next_[l] = nullptr;
   }
 
   std::unique_ptr<Node> root_;
   size_t node_count_ = 0;
-  Node* lru_head_ = nullptr;  // oldest
-  Node* lru_tail_ = nullptr;  // newest
+  std::array<Node*, 2> lru_head_{};  // oldest on each LruList
+  std::array<Node*, 2> lru_tail_{};  // newest on each LruList
 };
 
 }  // namespace deepserve::rtc

@@ -60,7 +60,8 @@ MatchInfo RtcMaster::BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t 
   return info;
 }
 
-MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt) {
+MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
+                                        std::vector<BlockKey>* keys_out) {
   stats_.requested_tokens += static_cast<int64_t>(prompt.size());
   if (!config_.enable_prefix_caching) {
     ++stats_.match_misses;
@@ -68,6 +69,9 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt) {
   }
   std::vector<BlockKey> keys = TokensToBlockKeys(prompt, config_.block_size);
   auto match = tree_.Match(keys);
+  if (keys_out != nullptr) {
+    *keys_out = std::move(keys);
+  }
   std::vector<BlockId> blocks;
   TimeNs now = sim_->Now();
   tree_.Touch(match, now);
@@ -375,8 +379,8 @@ Result<BlockId> RtcMaster::AppendBlock() {
   return blocks.front();
 }
 
-void RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
-                     std::function<void()> on_complete) {
+int64_t RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
+                        std::function<void()> on_complete) {
   std::vector<BlockId> to_copy;
   for (BlockId id : blocks) {
     const BlockInfo& info = pool_.info(id);
@@ -388,9 +392,10 @@ void RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
     }
     to_copy.push_back(id);
   }
+  const auto started = static_cast<int64_t>(to_copy.size());
   if (to_copy.empty()) {
     sim_->ScheduleAfter(0, std::move(on_complete));
-    return;
+    return started;
   }
   for (BlockId id : to_copy) {
     ++populate_pins_[id];
@@ -408,6 +413,7 @@ void RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
                 cb();
               }
             });
+  return started;
 }
 
 void RtcMaster::Free(std::span<const BlockId> blocks) {
@@ -417,8 +423,10 @@ void RtcMaster::Free(std::span<const BlockId> blocks) {
   SyncListeners();
 }
 
-void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks) {
-  std::vector<BlockKey> keys = TokensToBlockKeys(tokens, config_.block_size);
+void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
+                             std::span<const BlockKey> keys) {
+  DS_CHECK_EQ(keys.size(), tokens.size() / static_cast<size_t>(config_.block_size))
+      << "key chain does not match the tokens";
   if (keys.empty()) {
     return;
   }
@@ -442,25 +450,34 @@ void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const Bl
   MaybeArmSwap();
 }
 
-void RtcMaster::Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks) {
+void RtcMaster::Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
+                         std::span<const BlockKey> keys) {
   if (!config_.enable_prefix_caching) {
     return;
   }
-  CommitBlocks(tokens, blocks);
+  if (keys.empty()) {
+    CommitBlocks(tokens, blocks, TokensToBlockKeys(tokens, config_.block_size));
+    return;
+  }
+  CommitBlocks(tokens, blocks, keys);
 }
 
 Status RtcMaster::PreserveById(const std::string& id, std::span<const TokenId> tokens,
-                               std::span<const BlockId> blocks) {
+                               std::span<const BlockId> blocks, std::span<const BlockKey> keys) {
   if (id.empty()) {
     return InvalidArgumentError("empty context-cache id");
   }
-  std::vector<BlockKey> keys = TokensToBlockKeys(tokens, config_.block_size);
+  std::vector<BlockKey> hashed;
+  if (keys.empty()) {
+    hashed = TokensToBlockKeys(tokens, config_.block_size);
+    keys = hashed;
+  }
   if (keys.empty()) {
     return InvalidArgumentError("context shorter than one block");
   }
   // Explicit entries also live in the prefix tree so implicit matching still
   // finds them (CommitBlocks is idempotent for existing spans).
-  CommitBlocks(tokens, blocks);
+  CommitBlocks(tokens, blocks, keys);
   id_index_[id].assign(blocks.begin(), blocks.begin() + static_cast<ptrdiff_t>(keys.size()));
   id_tokens_[id] =
       static_cast<int64_t>(keys.size()) * static_cast<int64_t>(config_.block_size);
@@ -500,8 +517,9 @@ void RtcMaster::SwapScan() {
   }
   // Demote the coldest unreferenced NPU-only leaf runs to DRAM, then release
   // their NPU copies once the (timed) copy lands. This keeps the synchronous
-  // eviction path (EnsureNpuFree pass 1) stocked with droppable blocks.
-  int64_t budget = config_.swap_batch_blocks;
+  // eviction path (EnsureNpuFree pass 1) stocked with droppable blocks. A
+  // full DRAM tier takes no victims: Copy would skip every block.
+  int64_t budget = std::min(config_.swap_batch_blocks, pool_.free_blocks(Tier::kDram));
   auto swappable = [this](const Tree::Node& node) {
     if (node.value.blocks.empty()) {
       return false;
@@ -515,21 +533,34 @@ void RtcMaster::SwapScan() {
     }
     return true;
   };
+  // Only Destroy drops a block's DRAM copy, and a destroyed block's leaf
+  // leaves the tree with it, so a leaf whose blocks all sit in DRAM can never
+  // be swappable again; neither can either half of it after a split. Such
+  // leaves are retired off the scan's list.
+  auto demoted = [this](const Tree::Node& node) {
+    return std::all_of(node.value.blocks.begin(), node.value.blocks.end(),
+                       [this](BlockId id) { return pool_.info(id).resident(Tier::kDram); });
+  };
   std::vector<Tree::Node*> victims;
-  tree_.ScanLruLeaves([&](Tree::Node& node) {
-    if (budget <= 0) {
-      return LruStep::kStop;
-    }
-    if (swappable(node)) {
-      victims.push_back(&node);
-      budget -= static_cast<int64_t>(node.value.blocks.size());
-    }
-    return LruStep::kNext;
-  });
+  tree_.ScanLruLeaves(
+      [&](Tree::Node& node) {
+        if (budget <= 0) {
+          return LruStep::kStop;
+        }
+        ++stats_.swap_scan_leaves;
+        if (demoted(node)) {
+          return LruStep::kRetire;
+        }
+        if (swappable(node)) {
+          victims.push_back(&node);
+          budget -= static_cast<int64_t>(node.value.blocks.size());
+        }
+        return LruStep::kNext;
+      },
+      LruList::kActive);
   for (Tree::Node* victim : victims) {
     std::vector<BlockId> blocks = victim->value.blocks;
-    stats_.swapped_out_blocks += static_cast<int64_t>(blocks.size());
-    Copy(blocks, Tier::kDram, [this, blocks] {
+    stats_.swapped_out_blocks += Copy(blocks, Tier::kDram, [this, blocks] {
       for (BlockId id : blocks) {
         if (pool_.Exists(id) && pool_.info(id).ref_count == 0 &&
             pool_.info(id).resident(Tier::kDram)) {

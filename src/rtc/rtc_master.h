@@ -105,7 +105,10 @@ struct RtcStats {
   int64_t populated_blocks = 0;
   int64_t evicted_blocks = 0;    // NPU residency drops under pressure
   int64_t discarded_blocks = 0;  // cache entries lost entirely
-  int64_t swapped_out_blocks = 0;
+  int64_t swapped_out_blocks = 0;  // blocks whose NPU->DRAM demotion started
+  // Leaves the background swap scans examined (host cost; leaves retired as
+  // fully demoted are not examined again).
+  int64_t swap_scan_leaves = 0;
 
   double TokenHitRate() const {
     return requested_tokens > 0
@@ -125,7 +128,10 @@ class RtcMaster {
   void AddListener(NpuBlockListener* listener) { listeners_.push_back(listener); }
 
   // ---- Table 1: match APIs -------------------------------------------------
-  MatchInfo MatchByPrefixToken(std::span<const TokenId> prompt);
+  // `keys`, when given, receives the prompt's block-key chain, so a later
+  // Preserve of the same prompt need not hash it again.
+  MatchInfo MatchByPrefixToken(std::span<const TokenId> prompt,
+                               std::vector<BlockKey>* keys = nullptr);
   MatchInfo MatchByID(const std::string& id);
 
   // Position-independent lookup over the prompt's full blocks starting at
@@ -156,8 +162,10 @@ class RtcMaster {
   // Allocates one more NPU block for a decoding sequence.
   [[nodiscard]] Result<BlockId> AppendBlock();
   // Copies blocks to `dst` (timed through the TransferFn); used by explicit
-  // checkpointing and by the background swapper.
-  void Copy(std::span<const BlockId> blocks, Tier dst, std::function<void()> on_complete);
+  // checkpointing and by the background swapper. Blocks already on `dst`, or
+  // that do not fit there, are skipped. Returns how many blocks it started
+  // copying.
+  int64_t Copy(std::span<const BlockId> blocks, Tier dst, std::function<void()> on_complete);
   // Releases a sequence's pins. Cached blocks stay preserved; private ones die.
   void Free(std::span<const BlockId> blocks);
 
@@ -166,11 +174,14 @@ class RtcMaster {
   // radix tree so future prompts can reuse them. `blocks` must cover at
   // least tokens.size()/block_size entries. Duplicate spans (e.g. two
   // concurrent identical prefills) keep the first commit; later private
-  // duplicates simply die on Free.
-  void Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks);
+  // duplicates simply die on Free. `keys`, when non-empty, is `tokens`' chain
+  // as MatchByPrefixToken returned it; empty = hash `tokens` here.
+  void Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
+                std::span<const BlockKey> keys = {});
   // Explicit context caching: additionally registers the prefix under `id`.
   [[nodiscard]] Status PreserveById(const std::string& id, std::span<const TokenId> tokens,
-                      std::span<const BlockId> blocks);
+                                    std::span<const BlockId> blocks,
+                                    std::span<const BlockKey> keys = {});
   bool DropById(const std::string& id);
 
   // ---- introspection -------------------------------------------------------
@@ -196,7 +207,9 @@ class RtcMaster {
   MatchInfo BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t matched_tokens);
   // Lazily registers this cache's trace track; -1 when tracing is disabled.
   int TracePid();
-  void CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks);
+  // `keys` is `tokens`' full block-key chain.
+  void CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
+                    std::span<const BlockKey> keys);
   void SyncListeners();
   void MaybeArmSwap();
   void SwapScan();

@@ -251,34 +251,9 @@ TaskExecutor* JobExecutor::LoadAware(const std::vector<TaskExecutor*>& tes) {
 
 TaskExecutor* JobExecutor::LocalityAware(std::span<const rtc::BlockKey> keys, PromptTree& tree,
                                          const std::vector<TaskExecutor*>& tes) {
-  // select_tes_prefix_match: deepest global-tree node tagged with each TE
-  // along the prompt's key path = that TE's preserved-prefix length.
-  auto match = tree.Match(keys);
-  std::map<TeId, size_t> depth_by_te;
-  auto tally = [&](PromptTree::Node* node, size_t depth) {
-    for (TeId te : node->value.tes) {
-      depth_by_te[te] = std::max(depth_by_te[te], depth);
-    }
-  };
-  for (PromptTree::Node* node : match.path) {
-    tally(node, node->depth);
-  }
-  if (match.partial != nullptr) {
-    size_t base = match.partial->depth - match.partial->edge.size();
-    tally(match.partial, base + match.partial_len);
-  }
-  TaskExecutor* best = nullptr;
-  size_t best_depth = 0;
-  for (TaskExecutor* te : tes) {
-    auto it = depth_by_te.find(te->id());
-    size_t depth = it == depth_by_te.end() ? 0 : it->second;
-    if (best == nullptr || depth > best_depth ||
-        (depth == best_depth && te->queue_depth() < best->queue_depth())) {
-      best = te;
-      best_depth = depth;
-    }
-  }
-  if (best_depth > 0) {
+  bool hit = false;
+  TaskExecutor* best = LocalityPick(tree.Match(keys), tes, &hit);
+  if (hit) {
     ++stats_.locality_hits;
   }
   return best;
@@ -329,7 +304,7 @@ void JobExecutor::RecordRoute(std::span<const rtc::BlockKey> keys, PromptTree& t
   // Tag the full path: every prefix of this prompt now lives on `te`.
   for (PromptTree::Node* cursor = node; cursor != nullptr && cursor->parent != nullptr;
        cursor = cursor->parent) {
-    cursor->value.tes.insert(te);
+    cursor->value.Add(te);
   }
   TrimTree(tree);
 }

@@ -28,7 +28,6 @@
 
 #include <map>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,6 +39,7 @@
 #include "serving/heatmap.h"
 #include "serving/job.h"
 #include "serving/predictor.h"
+#include "serving/prompt_tree.h"
 #include "serving/task_executor.h"
 #include "sim/simulator.h"
 #include "workload/request.h"
@@ -197,12 +197,6 @@ class JobExecutor {
   size_t decode_count() const { return decode_.size(); }
 
  private:
-  struct TePresence {
-    std::set<TeId> tes;
-    TePresence SplitTail(size_t) { return *this; }
-  };
-  using PromptTree = rtc::RadixTree<TePresence>;
-
   // Algorithm 1 pieces.
   bool PreferDisaggregated(const workload::RequestSpec& spec);
   bool IsLoadBalanced(const std::vector<TaskExecutor*>& tes) const;

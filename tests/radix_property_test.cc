@@ -210,12 +210,14 @@ std::vector<Tree::Node*> ReferenceLruOrder(Tree& tree) {
   return leaves;
 }
 
-std::vector<Tree::Node*> ScannedLruOrder(Tree& tree) {
+std::vector<Tree::Node*> ScannedLruOrder(Tree& tree, LruList list = LruList::kAll) {
   std::vector<Tree::Node*> leaves;
-  tree.ScanLruLeaves([&](Tree::Node& leaf) {
-    leaves.push_back(&leaf);
-    return LruStep::kNext;
-  });
+  tree.ScanLruLeaves(
+      [&](Tree::Node& leaf) {
+        leaves.push_back(&leaf);
+        return LruStep::kNext;
+      },
+      list);
   return leaves;
 }
 
@@ -318,6 +320,186 @@ TEST(RadixPropertyTest, ScanHandsOverExposedParentAtTheRemovedLeafsRank) {
   EXPECT_EQ(removed, (std::vector<Seq>{{1, 2, 3}, {1, 2, 4}, {1, 2}, {6}}));
   EXPECT_EQ(tree.NodeCount(), 2u);
   EXPECT_EQ(ScannedLruOrder(tree), ReferenceLruOrder(tree));
+}
+
+// Reference model for retirement: the symbol ranges retired so far, each
+// [begin, full.size()) along the root-to-end string `full`. A node is retired
+// exactly when its own span lies inside one of them, which stays true across
+// splits (both halves of a retired node stay inside its range) and leaf
+// removals (which shrink the range the leaf ended).
+struct RetiredSpan {
+  size_t begin = 0;
+  Seq full;
+};
+
+size_t SpanBegin(const Tree::Node* node) { return node->depth - node->edge.size(); }
+
+bool InsideRetiredSpan(const std::vector<RetiredSpan>& spans, const Tree::Node* node) {
+  Seq full = FullString(node);
+  return std::any_of(spans.begin(), spans.end(), [&](const RetiredSpan& span) {
+    return span.begin <= SpanBegin(node) && full.size() <= span.full.size() &&
+           std::equal(full.begin(), full.end(), span.full.begin());
+  });
+}
+
+// Mirrors RemoveLeaf(leaf) in the reference: a removed leaf is the deepest
+// piece of any retired range covering it, so that range now ends where the
+// leaf began.
+void ForgetLeaf(std::vector<RetiredSpan>* spans, const Seq& full, size_t begin) {
+  for (auto it = spans->begin(); it != spans->end();) {
+    if (it->full != full || it->begin > begin) {
+      ++it;
+    } else if (it->begin == begin) {
+      it = spans->erase(it);
+    } else {
+      it->full.resize(begin);
+      ++it;
+    }
+  }
+}
+
+TEST(RadixPropertyTest, ActiveListScansTheFullOrderWithRetiredNodesFilteredOut) {
+  for (uint64_t seed : {6ull, 19ull, 43ull, 88ull}) {
+    Rng rng(seed);
+    Tree tree;
+    std::vector<RetiredSpan> spans;
+    auto remove_leaf = [&](Tree::Node* leaf) {
+      ForgetLeaf(&spans, FullString(leaf), SpanBegin(leaf));
+    };
+    for (int round = 0; round < 400; ++round) {
+      TimeNs now = rng.UniformInt(0, 12);
+      double op = rng.NextDouble();
+      if (round < 40 || op < 0.35) {
+        tree.Insert(RandomSeq(rng, 10), now);  // splits retired nodes too
+      } else if (op < 0.55) {
+        tree.Touch(tree.Match(RandomSeq(rng, 10)), now);
+      } else if (op < 0.7) {
+        // Retire a random node, leaf or not.
+        std::vector<Tree::Node*> nodes;
+        tree.Visit([&](Tree::Node* node) { nodes.push_back(node); });
+        Tree::Node* node = nodes[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(nodes.size()) - 1))];
+        if (!node->retired()) {
+          spans.push_back({SpanBegin(node), FullString(node)});
+        }
+        tree.Retire(node);
+      } else if (op < 0.85) {
+        // Retire eligible leaves in one active scan, as the RTC swap scan does.
+        int budget = static_cast<int>(rng.UniformInt(1, 6));
+        tree.ScanLruLeaves(
+            [&](Tree::Node& leaf) {
+              if (budget-- <= 0) {
+                return LruStep::kStop;
+              }
+              if (!Eligible(leaf)) {
+                return LruStep::kNext;
+              }
+              spans.push_back({SpanBegin(&leaf), FullString(&leaf)});
+              return LruStep::kRetire;
+            },
+            LruList::kActive);
+      } else {
+        // Remove a few leaves from either list; exposed parents follow.
+        int budget = static_cast<int>(rng.UniformInt(1, 4));
+        LruList list = rng.NextDouble() < 0.5 ? LruList::kAll : LruList::kActive;
+        tree.ScanLruLeaves(
+            [&](Tree::Node& leaf) {
+              if (budget-- <= 0) {
+                return LruStep::kStop;
+              }
+              remove_leaf(&leaf);
+              return LruStep::kRemove;
+            },
+            list);
+      }
+      tree.Visit([&](Tree::Node* node) {
+        ASSERT_EQ(node->retired(), InsideRetiredSpan(spans, node))
+            << "seed " << seed << " round " << round;
+      });
+      std::vector<Tree::Node*> expected = ReferenceLruOrder(tree);
+      std::erase_if(expected, [](const Tree::Node* n) { return n->retired(); });
+      ASSERT_EQ(ScannedLruOrder(tree, LruList::kActive), expected)
+          << "seed " << seed << " round " << round;
+      ASSERT_EQ(ScannedLruOrder(tree), ReferenceLruOrder(tree))
+          << "seed " << seed << " round " << round;
+      ASSERT_EQ(tree.NodeCount(), WalkedNodeCount(tree));
+      AuditStructure(tree);
+    }
+  }
+}
+
+TEST(RadixPropertyTest, SplitTailInheritsRetirement) {
+  Tree tree;
+  Tree::Node* leaf = tree.Insert(Seq{1, 2, 3, 4}, 5);
+  tree.Insert(Seq{9}, 5);
+  tree.Retire(leaf);
+  ASSERT_EQ(ScannedLruOrder(tree, LruList::kActive).size(), 1u);
+  // Diverging after [1 2] cuts the retired leaf into [1 2] -> [3 4]; the new
+  // branch [5] is fresh.
+  tree.Insert(Seq{1, 2, 5}, 7);
+  Tree::MatchResult m = tree.Match(Seq{1, 2, 3, 4});
+  ASSERT_EQ(m.path.size(), 2u);
+  EXPECT_TRUE(m.path[0]->retired());
+  EXPECT_TRUE(m.path[1]->retired()) << "the split tail must inherit the mark";
+  EXPECT_FALSE(tree.Match(Seq{1, 2, 5}).path.back()->retired());
+  std::vector<Seq> active;
+  for (Tree::Node* node : ScannedLruOrder(tree, LruList::kActive)) {
+    active.push_back(FullString(node));
+  }
+  EXPECT_EQ(active, (std::vector<Seq>{{9}, {1, 2, 5}}));
+  // Removing the retired tail exposes the retired head only to a full scan.
+  std::vector<Seq> removed;
+  tree.ScanLruLeaves([&](Tree::Node& node) {
+    removed.push_back(FullString(&node));
+    return node.retired() ? LruStep::kRemove : LruStep::kNext;
+  });
+  EXPECT_EQ(removed, (std::vector<Seq>{{1, 2, 3, 4}, {9}, {1, 2, 5}}));
+  EXPECT_EQ(ScannedLruOrder(tree, LruList::kActive).size(), 2u);
+}
+
+TEST(RadixPropertyTest, ActiveScanEvictsLikeRepeatedFindLruLeafOverNonRetired) {
+  for (uint64_t seed : {8ull, 31ull, 64ull}) {
+    Rng rng(seed);
+    std::vector<std::pair<Seq, TimeNs>> inserts;
+    for (int i = 0; i < 120; ++i) {
+      inserts.emplace_back(RandomSeq(rng, 8), rng.UniformInt(0, 30));
+    }
+    Tree repeated;
+    Tree scanned;
+    for (const auto& [seq, now] : inserts) {
+      repeated.Insert(seq, now);
+      scanned.Insert(seq, now);
+    }
+    // Same structure, so the same nodes retire in both trees.
+    auto retire_some = [](Tree& tree) {
+      tree.Visit([&](Tree::Node* node) {
+        if (node->edge.front() % 4 == 0) {
+          tree.Retire(node);
+        }
+      });
+    };
+    retire_some(repeated);
+    retire_some(scanned);
+    std::vector<Seq> by_find;
+    while (Tree::Node* leaf = repeated.FindLruLeaf(
+               [](const Tree::Node& n) { return !n.retired() && Eligible(n); })) {
+      by_find.push_back(FullString(leaf));
+      repeated.RemoveLeaf(leaf);
+    }
+    std::vector<Seq> by_scan;
+    scanned.ScanLruLeaves(
+        [&](Tree::Node& leaf) {
+          if (!Eligible(leaf)) {
+            return LruStep::kNext;
+          }
+          by_scan.push_back(FullString(&leaf));
+          return LruStep::kRemove;
+        },
+        LruList::kActive);
+    EXPECT_FALSE(by_find.empty());
+    EXPECT_EQ(by_scan, by_find) << "seed " << seed;
+    EXPECT_EQ(scanned.NodeCount(), repeated.NodeCount());
+  }
 }
 
 TEST(RadixPropertyTest, TokensToBlockKeysDropsPartialTailAndChains) {

@@ -471,6 +471,125 @@ TEST_F(RtcMasterTest, BackgroundSwapDemotesColdBlocks) {
   EXPECT_TRUE(master_->MatchByPrefixToken(Iota(16 * 7, 0)).hit());
 }
 
+// A fleet-shaped swap setup: `cold` single-block cached leaves plus enough
+// held private blocks to keep NPU usage above the swap watermark after the
+// cold leaves are demoted, so the swapper keeps scanning every interval.
+class SwapScanTest : public ::testing::Test {
+ protected:
+  void Build(int64_t dram_blocks, int cold) {
+    RtcConfig config;
+    config.block_size = 16;
+    config.pool.npu_capacity = 40;
+    config.pool.dram_capacity = dram_blocks;
+    config.enable_background_swap = true;
+    master_ = std::make_unique<RtcMaster>(&sim_, config);
+    for (int i = 0; i < cold; ++i) {
+      auto blocks = master_->AllocBlocks(1).value();
+      master_->Preserve(Iota(16, 1000 * (i + 1)), blocks);
+      master_->Free(blocks);
+    }
+  }
+
+  // Runs one swap interval (scans fire at multiples of 50 ms).
+  void NextScan() {
+    next_ += master_->config().swap_interval;
+    sim_.RunUntil(next_);
+  }
+
+  int64_t Scanned() const { return master_->stats().swap_scan_leaves; }
+
+  sim::Simulator sim_;
+  std::unique_ptr<RtcMaster> master_;
+  TimeNs next_ = MsToNs(25);
+};
+
+TEST_F(SwapScanTest, DemotedLeafIsNeverHandedToALaterSwapScan) {
+  Build(/*dram_blocks=*/256, /*cold=*/3);
+  // One more cached leaf, pinned by a live sequence: not swappable yet.
+  std::vector<TokenId> pinned_tokens = Iota(16, 9000);
+  auto pinned = master_->AllocBlocks(1).value();
+  master_->Preserve(pinned_tokens, pinned);
+  auto held = master_->AllocBlocks(35).value();  // 39 of 40 NPU blocks used
+
+  // Scan 1 demotes the three cold leaves; the pinned one stays.
+  NextScan();
+  EXPECT_EQ(Scanned(), 4);
+  EXPECT_EQ(master_->stats().swapped_out_blocks, 3);
+  EXPECT_EQ(master_->pool().used(Tier::kDram), 3);
+  // Scan 2 passes the demoted leaves once more and retires them; from then
+  // on a scan sees only the pinned leaf.
+  NextScan();
+  EXPECT_EQ(Scanned(), 8);
+  NextScan();
+  NextScan();
+  EXPECT_EQ(Scanned(), 10);
+  EXPECT_EQ(master_->stats().swapped_out_blocks, 3);
+
+  // Unpinned, the leaf is still on the scan's list and gets demoted.
+  master_->Free(pinned);
+  NextScan();
+  EXPECT_EQ(master_->stats().swapped_out_blocks, 4);
+  NextScan();
+  NextScan();
+  EXPECT_EQ(Scanned(), 12) << "only the newly demoted leaf's retiring pass";
+  // Demoted entries stay matchable from DRAM.
+  rtc::MatchInfo info = master_->MatchByPrefixToken(pinned_tokens);
+  EXPECT_EQ(info.matched_tokens, 16);
+  EXPECT_EQ(info.offnpu_tokens, 16);
+  master_->Free(held);
+}
+
+TEST_F(SwapScanTest, SplitHalfWithoutADramCopyStaysSwappable) {
+  Build(/*dram_blocks=*/256, /*cold=*/0);
+  std::vector<TokenId> head = Iota(16, 5000);
+  std::vector<TokenId> leaf_tokens = head;
+  std::vector<TokenId> tail = Iota(16, 6000);
+  leaf_tokens.insert(leaf_tokens.end(), tail.begin(), tail.end());
+  auto leaf = master_->AllocBlocks(2).value();
+  master_->Preserve(leaf_tokens, leaf);
+  master_->Free(leaf);
+  // An explicit checkpoint of the first block only: the leaf is partly in
+  // DRAM, so no swap can take it, but it is not fully demoted either.
+  EXPECT_EQ(master_->Copy(std::span<const BlockId>(leaf.data(), 1), Tier::kDram, nullptr), 1);
+  auto held = master_->AllocBlocks(36).value();  // 38 of 40 NPU blocks used
+  NextScan();
+  EXPECT_EQ(Scanned(), 1);
+  EXPECT_EQ(master_->stats().swapped_out_blocks, 0);
+  // A prompt that shares only the first block splits the leaf; its second
+  // half has no DRAM copy and is swappable again.
+  std::vector<TokenId> fork = head;
+  std::vector<TokenId> other = Iota(16, 7000);
+  fork.insert(fork.end(), other.begin(), other.end());
+  auto fork_blocks = master_->AllocBlocks(2).value();
+  master_->Preserve(fork, fork_blocks);
+  master_->Free(fork_blocks);
+  NextScan();
+  EXPECT_TRUE(master_->pool().info(leaf[1]).resident(Tier::kDram));
+  EXPECT_EQ(master_->stats().swapped_out_blocks, 2) << "the split-off half and the fork's leaf";
+  master_->Free(held);
+}
+
+TEST_F(SwapScanTest, FullDramTakesNoVictimsAndCountsOnlyStartedCopies) {
+  Build(/*dram_blocks=*/2, /*cold=*/3);
+  auto held = master_->AllocBlocks(35).value();  // 38 of 40 NPU blocks used
+  NextScan();
+  EXPECT_EQ(master_->stats().swapped_out_blocks, 2);
+  EXPECT_EQ(master_->pool().used(Tier::kDram), 2);
+  // DRAM is full: the third cold leaf stays NPU-only, and later scans
+  // neither pick it nor count it; they do not even look.
+  const int64_t scanned = Scanned();
+  for (int i = 0; i < 4; ++i) {
+    NextScan();
+  }
+  EXPECT_EQ(Scanned(), scanned);
+  EXPECT_EQ(master_->stats().swapped_out_blocks, 2);
+  EXPECT_EQ(master_->pool().used(Tier::kDram), 2);
+  EXPECT_EQ(master_->npu_blocks_used(), 36);
+  // Copy reports the blocks it started: none fit.
+  EXPECT_EQ(master_->Copy(held, Tier::kDram, nullptr), 0);
+  master_->Free(held);
+}
+
 TEST_F(RtcMasterTest, TokenHitRateTracksReuse) {
   auto tokens = Iota(64);
   master_->MatchByPrefixToken(tokens);  // cold miss: 64 requested, 0 matched

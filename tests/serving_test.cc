@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/time_units.h"
 #include "common/types.h"
 #include "distflow/distflow.h"
@@ -12,6 +15,7 @@
 #include "serving/heatmap.h"
 #include "serving/job_executor.h"
 #include "serving/predictor.h"
+#include "serving/prompt_tree.h"
 #include "serving/task_executor.h"
 #include "sim/simulator.h"
 #include "workload/tracegen.h"
@@ -301,6 +305,123 @@ TEST_F(ServingTest, LocalityAwareRoutesSharedPrefixToSameTe) {
   EXPECT_GT(te1->engine().stats().submitted, 0);
   EXPECT_GT(te2->engine().stats().submitted, 0);
   EXPECT_GT(te1->engine().stats().reused_tokens + te2->engine().stats().reused_tokens, 0);
+}
+
+// ---------------- Locality pick ----------------
+
+struct FakeTe {
+  TeId te_id = 0;
+  int64_t depth = 0;
+  TeId id() const { return te_id; }
+  int64_t queue_depth() const { return depth; }
+};
+
+// The locality pick as a full tally: every TE's deepest tagged node on the
+// match path, then the deepest TE, ties to the lower queue depth and then to
+// the earlier candidate. Returns the pick and whether its depth is non-zero.
+std::pair<FakeTe*, bool> TallyPick(const PromptTree::MatchResult& match,
+                                   const std::vector<FakeTe*>& tes) {
+  std::map<TeId, size_t> depth_by_te;
+  auto tally = [&](const PromptTree::Node* node, size_t depth) {
+    for (TeId te : node->value.tes) {
+      depth_by_te[te] = std::max(depth_by_te[te], depth);
+    }
+  };
+  for (const PromptTree::Node* node : match.path) {
+    tally(node, node->depth);
+  }
+  if (match.partial != nullptr) {
+    tally(match.partial, match.partial->depth - match.partial->edge.size() + match.partial_len);
+  }
+  FakeTe* best = nullptr;
+  size_t best_depth = 0;
+  for (FakeTe* te : tes) {
+    auto it = depth_by_te.find(te->id());
+    size_t depth = it == depth_by_te.end() ? 0 : it->second;
+    if (best == nullptr || depth > best_depth ||
+        (depth == best_depth && te->queue_depth() < best->queue_depth())) {
+      best = te;
+      best_depth = depth;
+    }
+  }
+  return {best, best_depth > 0};
+}
+
+std::vector<rtc::BlockKey> RandomKeys(Rng& rng, size_t max_len) {
+  std::vector<rtc::BlockKey> keys(
+      static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(max_len))));
+  for (rtc::BlockKey& k : keys) {
+    k = static_cast<rtc::BlockKey>(rng.UniformInt(1, 4));
+  }
+  return keys;
+}
+
+TEST(LocalityPickTest, DeepestTaggedNodeAgreesWithFullTally) {
+  for (uint64_t seed : {1ull, 12ull, 77ull, 250ull}) {
+    Rng rng(seed);
+    PromptTree tree;
+    std::vector<FakeTe> fleet(12);
+    for (size_t i = 0; i < fleet.size(); ++i) {
+      fleet[i].te_id = static_cast<TeId>(i);
+    }
+    int hits = 0;
+    int misses = 0;
+    int partials = 0;
+    for (int round = 0; round < 600; ++round) {
+      // Route a prompt: tag its whole path, as the JE does. Ids 10 and 11
+      // never show up among the candidates below (stale tags).
+      std::vector<rtc::BlockKey> routed = RandomKeys(rng, 9);
+      if (!routed.empty()) {
+        TeId te = static_cast<TeId>(rng.UniformInt(0, 11));
+        for (PromptTree::Node* n = tree.Insert(routed, round); n->parent != nullptr;
+             n = n->parent) {
+          n->value.Add(te);
+        }
+      }
+      if (tree.NodeCount() > 40) {
+        tree.ScanLruLeaves([&](PromptTree::Node&) {
+          return tree.NodeCount() > 30 ? rtc::LruStep::kRemove : rtc::LruStep::kStop;
+        });
+      }
+      // A random candidate subset in random order, with queue-depth ties.
+      std::vector<FakeTe*> candidates;
+      for (size_t i = 0; i < 10; ++i) {
+        fleet[i].depth = rng.UniformInt(0, 2);
+        if (rng.NextDouble() < 0.5) {
+          candidates.push_back(&fleet[i]);
+        }
+      }
+      if (candidates.empty()) {
+        candidates.push_back(&fleet[static_cast<size_t>(rng.UniformInt(0, 9))]);
+      }
+      for (size_t i = candidates.size(); i > 1; --i) {
+        std::swap(candidates[i - 1],
+                  candidates[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
+      }
+      PromptTree::MatchResult match = tree.Match(RandomKeys(rng, 11));
+      bool hit = false;
+      FakeTe* picked = LocalityPick(match, candidates, &hit);
+      auto [expected, expected_hit] = TallyPick(match, candidates);
+      ASSERT_EQ(picked, expected) << "seed " << seed << " round " << round;
+      ASSERT_EQ(hit, expected_hit) << "seed " << seed << " round " << round;
+      (hit ? hits : misses) += 1;
+      partials += match.partial != nullptr ? 1 : 0;
+    }
+    // Both outcomes, and partial-edge matches, are exercised.
+    EXPECT_GT(hits, 100) << "seed " << seed;
+    EXPECT_GT(misses, 20) << "seed " << seed;
+    EXPECT_GT(partials, 20) << "seed " << seed;
+  }
+}
+
+TEST(LocalityPickTest, TePresenceStaysSortedAndDistinct) {
+  TePresence presence;
+  for (TeId te : {5, 2, 9, 2, 5, 0}) {
+    presence.Add(te);
+  }
+  EXPECT_EQ(presence.tes, (std::vector<TeId>{0, 2, 5, 9}));
+  EXPECT_TRUE(presence.Has(9));
+  EXPECT_FALSE(presence.Has(3));
 }
 
 TEST_F(ServingTest, LoadAwareKicksInWhenUnbalanced) {

@@ -1,12 +1,15 @@
 // Engine-primitive microbenchmarks (google-benchmark): the hot control-plane
 // data structures — RTC radix tree, block pool, chain hashing, the simulator
-// event queue, DistFlow op submission, and the JE's locality pick.
+// event queue, DistFlow op submission, the JE's locality pick, and the
+// engine's decode step.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
+#include "flowserve/engine.h"
 #include "rtc/block_pool.h"
 #include "rtc/radix_tree.h"
 #include "rtc/rtc_master.h"
@@ -208,7 +211,7 @@ BENCHMARK(BM_LocalityPickOverTaggedPath)->Arg(10)->Arg(40)->Arg(160);
 void BM_BlockPoolAllocFree(benchmark::State& state) {
   rtc::BlockPool pool({.npu_capacity = 1 << 20, .dram_capacity = 0});
   for (auto _ : state) {
-    auto blocks = pool.Allocate(64, rtc::Tier::kNpu, 0).value();
+    auto blocks = pool.Allocate(64, rtc::Tier::kNpu).value();
     for (auto id : blocks) {
       pool.Unref(id);
     }
@@ -246,6 +249,51 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SimulatorEventThroughput);
+
+// One tiny-1b engine with `batch` sequences past prefill, decoding.
+struct DecodeRig {
+  static constexpr int64_t kDecodeLen = 2048;
+
+  explicit DecodeRig(int64_t batch) {
+    flowserve::EngineConfig config;
+    config.model = model::ModelSpec::Tiny1B();
+    config.parallelism = {1, 1, 1};
+    config.kv_block_capacity_override = 1 << 14;
+    engine = std::make_unique<flowserve::Engine>(&sim, config);
+    for (int64_t i = 0; i < batch; ++i) {
+      workload::RequestSpec spec;
+      spec.id = static_cast<workload::RequestId>(i + 1);
+      spec.prompt = RandomTokens(64, static_cast<uint64_t>(i + 100));
+      spec.decode_len = kDecodeLen;
+      engine->Submit(spec, nullptr, [](const flowserve::Sequence&) {});
+    }
+    while (engine->stats().steps < 4 && sim.Step()) {
+    }
+  }
+
+  sim::Simulator sim;
+  std::unique_ptr<flowserve::Engine> engine;
+};
+
+// Host cost of one steady-state decode step (build, schedule, complete) at
+// batch 1/8/32; KV block boundaries are crossed as in a real decode.
+void BM_EngineDecodeStep(benchmark::State& state) {
+  const int64_t batch = state.range(0);
+  auto rig = std::make_unique<DecodeRig>(batch);
+  int64_t steps_left = DecodeRig::kDecodeLen / 2;
+  for (auto _ : state) {
+    if (steps_left == 0) {
+      state.PauseTiming();
+      rig = std::make_unique<DecodeRig>(batch);
+      steps_left = DecodeRig::kDecodeLen / 2;
+      state.ResumeTiming();
+    }
+    rig->sim.Step();
+    --steps_left;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineDecodeStep)->Arg(1)->Arg(8)->Arg(32);
 
 }  // namespace
 }  // namespace deepserve

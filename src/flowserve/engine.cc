@@ -153,13 +153,9 @@ rtc::RtcMaster& Engine::rtc(int dp_group) {
 int Engine::PickDpGroup() const {
   // Count every live sequence already assigned to each group (including ones
   // still in the tokenizer), so a burst of simultaneous submits spreads.
-  std::vector<size_t> loads(groups_.size(), 0);
-  for (const auto& seq : sequences_) {
-    ++loads[static_cast<size_t>(seq->dp_group)];
-  }
   int best = 0;
-  for (size_t g = 1; g < loads.size(); ++g) {
-    if (loads[g] < loads[static_cast<size_t>(best)]) {
+  for (size_t g = 1; g < groups_.size(); ++g) {
+    if (groups_[g]->assigned < groups_[static_cast<size_t>(best)]->assigned) {
       best = static_cast<int>(g);
     }
   }
@@ -169,8 +165,8 @@ int Engine::PickDpGroup() const {
 void Engine::Submit(const workload::RequestSpec& spec, SeqCallback on_first_token,
                     SeqCallback on_complete, SeqErrorCallback on_error) {
   DS_CHECK(!draining_) << "Submit() on a draining engine; the TE stopped admitting";
-  auto owned = std::make_unique<Sequence>();
-  Sequence* seq = owned.get();
+  const int dp_group = PickDpGroup();
+  Sequence* seq = sequences_.Add();
   seq->request_id = spec.id;
   seq->prompt = spec.prompt;
   seq->decode_target = std::max<int64_t>(1, spec.decode_len);
@@ -180,7 +176,8 @@ void Engine::Submit(const workload::RequestSpec& spec, SeqCallback on_first_toke
   seq->prefill_target = seq->prompt_len();
   seq->arrival = spec.arrival;
   seq->submit_time = sim_->Now();
-  seq->dp_group = PickDpGroup();
+  seq->dp_group = dp_group;
+  ++GroupFor(*seq).assigned;
   seq->on_first_token = std::move(on_first_token);
   seq->on_complete = std::move(on_complete);
   seq->on_error = std::move(on_error);
@@ -188,8 +185,6 @@ void Engine::Submit(const workload::RequestSpec& spec, SeqCallback on_first_toke
   DS_CHECK_LE((seq->prompt_len() + seq->decode_target) / config_.block_size + 1,
               kv_block_capacity_)
       << "request context cannot ever fit in this engine's KV capacity";
-  sequences_.push_back(std::move(owned));
-  live_.insert(seq);
   ++stats_.submitted;
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), seq->dp_group, "seq.submit",
@@ -200,9 +195,9 @@ void Engine::Submit(const workload::RequestSpec& spec, SeqCallback on_first_toke
   }
   // The tokenizer module runs independently ahead of sched-enqueue (§4.1).
   DurationNs tokenize = tokenizer_.EncodeDuration(static_cast<size_t>(seq->prompt_len()));
-  sim_->ScheduleAfter(tokenize, [this, seq] {
-    if (Alive(seq)) {
-      SchedEnqueue(seq);
+  sim_->ScheduleAfter(tokenize, [this, ref = SeqRef(seq)] {
+    if (ref.Alive()) {
+      SchedEnqueue(ref.seq);
     }
   });
 }
@@ -243,9 +238,9 @@ void Engine::SchedEnqueue(Sequence* seq) {
         ++stats_.populates_started;
         seq->state = SeqState::kWaitingPopulate;
         seq->reused_tokens = match.matched_tokens;
-        group.rtc->OnPopulateReady(*ticket, [this, seq] {
-          if (Alive(seq)) {
-            FinishEnqueue(seq);
+        group.rtc->OnPopulateReady(*ticket, [this, ref = SeqRef(seq)] {
+          if (ref.Alive()) {
+            FinishEnqueue(ref.seq);
           }
         });
         return;
@@ -297,8 +292,15 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on
                                SeqErrorCallback on_error) {
   DS_CHECK(config_.role != EngineRole::kPrefillOnly)
       << "prefill-only engines cannot accept prefilled sequences";
-  auto owned = std::make_unique<Sequence>();
-  Sequence* seq = owned.get();
+  const int dp_group = PickDpGroup();
+  DpGroup& group = *groups_[static_cast<size_t>(dp_group)];
+  // The prefill TE produced the prompt's KV and the first token: the context
+  // is the prompt plus that token.
+  const int64_t context = static_cast<int64_t>(spec.prompt.size()) + 1;
+  std::vector<rtc::BlockId> blocks;
+  DS_RETURN_IF_ERROR(
+      group.rtc->AllocBlocks((context + config_.block_size - 1) / config_.block_size, &blocks));
+  Sequence* seq = sequences_.Add();
   seq->request_id = spec.id;
   seq->prompt = spec.prompt;
   seq->decode_target = std::max<int64_t>(1, spec.decode_len);
@@ -310,23 +312,15 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on
   seq->generated = 1;  // the prefill TE produced the first token
   seq->arrival = spec.arrival;
   seq->submit_time = sim_->Now();
-  seq->dp_group = PickDpGroup();
+  seq->dp_group = dp_group;
+  ++group.assigned;
   seq->on_complete = std::move(on_complete);
   seq->on_error = std::move(on_error);
-  DpGroup& group = GroupFor(*seq);
-  int64_t blocks_needed =
-      (seq->context_len() + config_.block_size - 1) / config_.block_size;
-  auto blocks = group.rtc->AllocBlocks(blocks_needed);
-  if (!blocks.ok()) {
-    return blocks.status();
-  }
-  seq->blocks = std::move(blocks).value();
+  seq->blocks = std::move(blocks);
   seq->block_tokens =
       static_cast<int64_t>(seq->blocks.size()) * static_cast<int64_t>(config_.block_size);
   seq->state = SeqState::kDecoding;
   ++stats_.submitted;
-  sequences_.push_back(std::move(owned));
-  live_.insert(seq);
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), seq->dp_group, "seq.submit",
                {obs::Arg("req", static_cast<int64_t>(seq->request_id)),
@@ -335,9 +329,9 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on
                 obs::Arg("priority", seq->priority), obs::Arg("prefilled", true)});
   }
   if (seq->decode_done()) {
-    sim_->ScheduleAfter(0, [this, seq, gi = group.index] {
-      if (Alive(seq)) {
-        FinishSequence(*groups_[static_cast<size_t>(gi)], seq, 0);
+    sim_->ScheduleAfter(0, [this, ref = SeqRef(seq), gi = group.index] {
+      if (ref.Alive()) {
+        FinishSequence(*groups_[static_cast<size_t>(gi)], ref.seq, 0);
       }
     });
     return Status::Ok();

@@ -24,7 +24,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -141,6 +140,9 @@ class Engine {
 
   // Introspection --------------------------------------------------------------
   LoadInfo load() const;
+  // Sequences accepted and not yet terminated (= load().waiting +
+  // load().running), without load()'s per-sequence token sum.
+  int64_t live_sequences() const { return static_cast<int64_t>(sequences_.size()); }
   const EngineStats& stats() const { return stats_; }
   const EngineConfig& config() const { return config_; }
   const sched::SchedPolicy& policy() const { return *policy_; }
@@ -166,7 +168,27 @@ class Engine {
   void NotifyWhenIdle(std::function<void()> cb);
 
  private:
-  struct PendingKick;
+  // One step's composition, captured at schedule time and applied at
+  // completion time. Sequences are held by generation-checked reference: one
+  // may be cancelled (and its slot reused) while the step runs.
+  struct StepPlan {
+    model::StepShape shape;
+    std::vector<std::pair<SeqRef, int64_t>> prefill_chunks;  // seq, tokens
+    std::vector<SeqRef> decode_seqs;
+    DurationNs npu_time = 0;
+    DurationNs cpu_time = 0;
+    DurationNs pipeline_drain = 0;  // (pp-1) * stage time, latency adder
+
+    // Empties the plan; the vectors keep their capacity.
+    void clear() {
+      shape = model::StepShape{};
+      prefill_chunks.clear();
+      decode_seqs.clear();
+      npu_time = 0;
+      cpu_time = 0;
+      pipeline_drain = 0;
+    }
+  };
 
   struct DpGroup {
     int index = 0;
@@ -174,22 +196,20 @@ class Engine {
     std::deque<Sequence*> ready;
     std::vector<Sequence*> prefilling;
     std::vector<Sequence*> decoding;
+    // Live sequences assigned to this group, tokenizing ones included.
+    int64_t assigned = 0;
+    // At most one step per group is in flight: `loop_running` gates KickLoop,
+    // and CompleteStep re-enters RunStep only as its last statement. So the
+    // group owns that step's plan, which RunStep refills in place.
     bool loop_running = false;
+    StepPlan plan;
+    // BuildStep's snapshot of `decoding`, reused across steps.
+    std::vector<Sequence*> decode_scratch;
+    // SweepSheds' candidate list, reused across steps.
+    std::vector<SeqRef> shed_scratch;
     int current_mb = 0;         // PP micro-batch rotation
     int next_admit_mb = 0;      // round-robin micro-batch assignment
     int64_t current_chunk = 0;  // adaptive chunk budget (0 = uninitialized)
-    TimeNs cpu_ready_at = 0;    // async scheduling pipeline state
-  };
-
-  // One step's composition, captured at schedule time and applied at
-  // completion time.
-  struct StepPlan {
-    model::StepShape shape;
-    std::vector<std::pair<Sequence*, int64_t>> prefill_chunks;  // seq, tokens
-    std::vector<Sequence*> decode_seqs;
-    DurationNs npu_time = 0;
-    DurationNs cpu_time = 0;
-    DurationNs pipeline_drain = 0;  // (pp-1) * stage time, latency adder
   };
 
   // Submit/enqueue paths (engine.cc).
@@ -199,7 +219,7 @@ class Engine {
   void KickLoop(DpGroup& group);
   void RunStep(DpGroup& group);
   bool BuildStep(DpGroup& group, StepPlan* plan);
-  void CompleteStep(DpGroup& group, StepPlan plan);
+  void CompleteStep(DpGroup& group);
   // Shared iteration-cost arithmetic: BuildStep/RunStep and the policy's
   // ChunkCostFn all go through these, so a policy's predicted step duration is
   // exactly what RunStep will charge.
@@ -235,9 +255,6 @@ class Engine {
   void CountFirstToken(const Sequence& seq);
   DpGroup& GroupFor(const Sequence& seq) { return *groups_[static_cast<size_t>(seq.dp_group)]; }
   int PickDpGroup() const;
-  // Deferred callbacks (tokenizer, populate, KV-send, step completion) may
-  // outlive a cancelled sequence; they must re-validate through this.
-  bool Alive(const Sequence* seq) const { return live_.count(seq) > 0; }
   void DetachFromGroup(DpGroup& group, Sequence* seq);
   // Lazily registers this engine's trace track (one Chrome "process", one
   // lane per DP group). Returns -1 when no tracer is attached, so call sites
@@ -255,8 +272,10 @@ class Engine {
 
   std::vector<std::unique_ptr<DpGroup>> groups_;
   std::vector<std::unique_ptr<rtc::RtcExecutor>> rtc_executors_;
-  std::vector<SequencePtr> sequences_;  // owns all live sequences
-  std::unordered_set<const Sequence*> live_;
+  // Owns all live sequences. Deferred callbacks (tokenizer, populate,
+  // KV-send, step completion) may outlive a cancelled sequence; they hold a
+  // SeqRef and re-validate it.
+  SequenceSlab sequences_;
   KvSendFn kv_send_;
   double step_time_multiplier_ = 1.0;
   bool draining_ = false;

@@ -72,27 +72,28 @@ void Engine::FinishPrefill(DpGroup& group, Sequence* seq, DurationNs extra_laten
     }
     // Captures the group by stable index, not reference: kv_send_ may hold
     // the callback past this frame, and the event fires after it unwinds.
-    auto deliver = [this, gi = group.index, seq, req_id] {
+    auto deliver = [this, gi = group.index, ref = SeqRef(seq), req_id] {
       if (obs::Tracer* t = sim_->tracer()) {
         t->AsyncEnd(sim_->Now(), TracePid(), static_cast<uint64_t>(req_id), "kv_send");
       }
-      if (!Alive(seq)) {
+      if (!ref.Alive()) {
         return;
       }
-      seq->finish_time = sim_->Now();
-      seq->state = SeqState::kFinished;
-      if (MissedDeadline(*seq)) {
+      Sequence* sent = ref.seq;
+      sent->finish_time = sim_->Now();
+      sent->state = SeqState::kFinished;
+      if (MissedDeadline(*sent)) {
         ++stats_.deadline_misses;
         EnsureMetrics();
         if (m_deadline_misses_ != nullptr) {
           m_deadline_misses_->Inc();
         }
       }
-      if (seq->on_complete) {
-        seq->on_complete(*seq);
+      if (sent->on_complete) {
+        sent->on_complete(*sent);
       }
       ++stats_.completed;
-      ReleaseSequence(*groups_[static_cast<size_t>(gi)], seq, /*preserve=*/true);
+      ReleaseSequence(*groups_[static_cast<size_t>(gi)], sent, /*preserve=*/true);
     };
     if (kv_send_) {
       kv_send_(*seq, kv_bytes, deliver);
@@ -190,11 +191,8 @@ void Engine::ReleaseSequence(DpGroup& group, Sequence* seq, bool preserve) {
     group.rtc->Free(seq->pic_blocks);
     seq->pic_blocks.clear();
   }
-  live_.erase(seq);
-  auto owned = std::find_if(sequences_.begin(), sequences_.end(),
-                            [seq](const SequencePtr& p) { return p.get() == seq; });
-  DS_CHECK(owned != sequences_.end());
-  sequences_.erase(owned);
+  --group.assigned;
+  sequences_.Release(seq);
   if (sequences_.empty() && !idle_waiters_.empty()) {
     // Fire as 0-delay events: waiters (e.g. the drain completion path) run
     // after the current completion fully unwinds, and re-validate state
@@ -220,8 +218,7 @@ void Engine::DetachFromGroup(DpGroup& group, Sequence* seq) {
 }
 
 Status Engine::Cancel(workload::RequestId request_id) {
-  for (const auto& owned : sequences_) {
-    Sequence* seq = owned.get();
+  for (Sequence* seq = sequences_.front(); seq != nullptr; seq = seq->next_live) {
     if (seq->request_id != request_id || seq->state == SeqState::kFinished) {
       continue;
     }
@@ -244,7 +241,7 @@ size_t Engine::Abort() {
   size_t aborted = 0;
   int64_t lost_tokens = 0;
   while (!sequences_.empty()) {
-    Sequence* seq = sequences_.back().get();
+    Sequence* seq = sequences_.back();
     lost_tokens += std::max<int64_t>(0, seq->context_len());
     DpGroup& group = GroupFor(*seq);
     DetachFromGroup(group, seq);

@@ -84,15 +84,23 @@ void Engine::SweepSheds(DpGroup& group) {
   if (!policy_->WantsShedChecks()) {
     return;
   }
-  std::vector<Sequence*> candidates;
-  candidates.insert(candidates.end(), group.ready.begin(), group.ready.end());
-  candidates.insert(candidates.end(), group.prefilling.begin(), group.prefilling.end());
-  candidates.insert(candidates.end(), group.decoding.begin(), group.decoding.end());
+  std::vector<SeqRef>& candidates = group.shed_scratch;
+  candidates.clear();
+  for (Sequence* seq : group.ready) {
+    candidates.emplace_back(seq);
+  }
+  for (Sequence* seq : group.prefilling) {
+    candidates.emplace_back(seq);
+  }
+  for (Sequence* seq : group.decoding) {
+    candidates.emplace_back(seq);
+  }
   const TimeNs now = sim_->Now();
-  for (Sequence* seq : candidates) {
-    if (!Alive(seq)) {
+  for (SeqRef ref : candidates) {
+    if (!ref.Alive()) {
       continue;  // a previous shed's on_error may have cancelled it
     }
+    Sequence* seq = ref.seq;
     if (seq->state != SeqState::kQueued && seq->state != SeqState::kPrefilling &&
         seq->state != SeqState::kDecoding) {
       continue;
@@ -113,11 +121,7 @@ bool Engine::EnsureBlocks(DpGroup& group, Sequence* seq, int64_t tokens, bool al
     return true;
   }
   while (true) {
-    auto blocks = group.rtc->AllocBlocks(needed);
-    if (blocks.ok()) {
-      for (rtc::BlockId id : *blocks) {
-        seq->blocks.push_back(id);
-      }
+    if (group.rtc->AllocBlocks(needed, &seq->blocks).ok()) {
       seq->block_tokens += needed * config_.block_size;
       return true;
     }
@@ -140,8 +144,8 @@ bool Engine::PreemptVictim(DpGroup& group, Sequence* keep, StepPlan* plan,
     if (plan == nullptr) {
       return false;
     }
-    for (const auto& [s, chunk] : plan->prefill_chunks) {
-      if (s == candidate) {
+    for (const auto& [ref, chunk] : plan->prefill_chunks) {
+      if (ref.seq == candidate) {
         return true;
       }
     }
@@ -151,8 +155,8 @@ bool Engine::PreemptVictim(DpGroup& group, Sequence* keep, StepPlan* plan,
     if (plan == nullptr) {
       return false;
     }
-    for (const Sequence* s : plan->decode_seqs) {
-      if (s == candidate) {
+    for (SeqRef ref : plan->decode_seqs) {
+      if (ref.seq == candidate) {
         return true;
       }
     }
@@ -186,7 +190,8 @@ bool Engine::PreemptVictim(DpGroup& group, Sequence* keep, StepPlan* plan,
   if (plan != nullptr) {
     // Admission preemption may evict a decode sequence already captured in
     // this step's plan: undo its contribution so the step runs without it.
-    auto it = std::find(plan->decode_seqs.begin(), plan->decode_seqs.end(), victim);
+    auto it = std::find_if(plan->decode_seqs.begin(), plan->decode_seqs.end(),
+                           [victim](SeqRef ref) { return ref.seq == victim; });
     if (it != plan->decode_seqs.end()) {
       plan->decode_seqs.erase(it);
       plan->shape.decode_seqs -= 1;
@@ -237,7 +242,9 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
   group.current_mb = (mb + 1) % std::max(1, pp);
 
   // ---- decode side: every decoding sequence of this micro-batch -----------
-  std::vector<Sequence*> decode_snapshot = group.decoding;
+  // Snapshot: preemption below may erase from group.decoding.
+  std::vector<Sequence*>& decode_snapshot = group.decode_scratch;
+  decode_snapshot.assign(group.decoding.begin(), group.decoding.end());
   for (Sequence* seq : decode_snapshot) {
     if (seq->state != SeqState::kDecoding) {
       continue;  // preempted earlier in this very build
@@ -252,7 +259,7 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
                       sched::PreemptReason::kDecodeGrowth)) {
       continue;  // stalls this step; retried next iteration
     }
-    plan->decode_seqs.push_back(seq);
+    plan->decode_seqs.emplace_back(seq);
     plan->shape.decode_seqs += 1;
     plan->shape.decode_context_tokens += seq->context_len();
   }
@@ -295,7 +302,7 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
       return;
     }
     int64_t effective = EffectiveChunkTokens(*seq, chunk);
-    plan->prefill_chunks.emplace_back(seq, chunk);
+    plan->prefill_chunks.emplace_back(SeqRef(seq), chunk);
     plan->shape.prefill_tokens += effective;
     // The PIC discount shrinks the compute volume (effective < chunk), but the
     // tokens that do run still attend over the full physical past context.
@@ -350,7 +357,7 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
     if (chunk > 0 &&
         EnsureBlocks(group, oldest, oldest->prefilled + chunk, /*allow_preempt=*/true, plan,
                      sched::PreemptReason::kDecodeGrowth)) {
-      plan->prefill_chunks.emplace_back(oldest, chunk);
+      plan->prefill_chunks.emplace_back(SeqRef(oldest), chunk);
       plan->shape.prefill_tokens += chunk;
       plan->shape.prefill_attended_tokens += model::AttendedTokens(oldest->prefilled, chunk);
     }
@@ -366,12 +373,15 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
 
 // ds-lint: allow(span-pairing, the "step" slice spans the step's sim-time duration and closes in CompleteStep)
 void Engine::RunStep(DpGroup& group) {
+  // Marked running while it builds, so a callback fired by a shed cannot start
+  // a second step for this group.
+  group.loop_running = true;
+  StepPlan& plan = group.plan;
   // Under PP, an empty micro-batch slot is a pipeline bubble: skip forward to
   // the next micro-batch with work rather than stalling the whole engine.
-  StepPlan plan;
   bool have_work = false;
   for (int attempt = 0; attempt < std::max(1, config_.parallelism.pp); ++attempt) {
-    plan = StepPlan{};
+    plan.clear();
     if (BuildStep(group, &plan)) {
       have_work = true;
       break;
@@ -381,7 +391,6 @@ void Engine::RunStep(DpGroup& group) {
     group.loop_running = false;
     return;
   }
-  group.loop_running = true;
   EnsureMetrics();
   ++stats_.steps;
   stats_.prefill_attended_tokens += plan.shape.prefill_attended_tokens;
@@ -435,15 +444,17 @@ void Engine::RunStep(DpGroup& group) {
               obs::Arg("cpu_ms", NsToMs(plan.cpu_time))});
   }
   ++busy_groups_;
-  sim_->ScheduleAfter(iteration, [this, gi = group.index,
-                                  plan = std::move(plan)]() mutable {
+  // Scheduled once per step, so the capture must fit SmallFn's inline buffer
+  // (tests/alloc_test.cc): the plan stays on the group.
+  sim_->ScheduleAfter(iteration, [this, gi = group.index] {
     --busy_groups_;
-    CompleteStep(*groups_[static_cast<size_t>(gi)], std::move(plan));
+    CompleteStep(*groups_[static_cast<size_t>(gi)]);
   });
 }
 
 // ds-lint: allow(span-pairing, closes the "step" slice opened in RunStep at the step's sim-time start)
-void Engine::CompleteStep(DpGroup& group, StepPlan plan) {
+void Engine::CompleteStep(DpGroup& group) {
+  const StepPlan& plan = group.plan;
   if (obs::Tracer* t = sim_->tracer()) {
     t->End(sim_->Now(), TracePid(), group.index, "step");
   }
@@ -451,8 +462,9 @@ void Engine::CompleteStep(DpGroup& group, StepPlan plan) {
     m_prefill_tokens_->Inc(plan.shape.prefill_tokens);
     m_decode_tokens_->Inc(plan.shape.decode_seqs);
   }
-  for (auto& [seq, chunk] : plan.prefill_chunks) {
-    if (!Alive(seq) || seq->state != SeqState::kPrefilling) {
+  for (const auto& [ref, chunk] : plan.prefill_chunks) {
+    Sequence* seq = ref.seq;
+    if (!ref.Alive() || seq->state != SeqState::kPrefilling) {
       continue;  // cancelled, shed, or preempted while this step ran
     }
     seq->prefilled += chunk;
@@ -461,8 +473,9 @@ void Engine::CompleteStep(DpGroup& group, StepPlan plan) {
       FinishPrefill(group, seq, plan.pipeline_drain);
     }
   }
-  for (Sequence* seq : plan.decode_seqs) {
-    if (!Alive(seq) || seq->state != SeqState::kDecoding) {
+  for (SeqRef ref : plan.decode_seqs) {
+    Sequence* seq = ref.seq;
+    if (!ref.Alive() || seq->state != SeqState::kDecoding) {
       continue;  // cancelled, shed, preempted, or finished while this step ran
     }
     seq->generated += 1;

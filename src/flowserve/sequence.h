@@ -2,6 +2,7 @@
 #ifndef DEEPSERVE_FLOWSERVE_SEQUENCE_H_
 #define DEEPSERVE_FLOWSERVE_SEQUENCE_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -74,6 +75,12 @@ struct Sequence {
   std::function<void(const Sequence&)> on_complete;
   std::function<void(const Sequence&, const Status&)> on_error;
 
+  // SequenceSlab bookkeeping: the slot's generation (bumped on release) and
+  // the live list in submission order.
+  uint32_t generation = 0;
+  Sequence* prev_live = nullptr;
+  Sequence* next_live = nullptr;
+
   int64_t prompt_len() const { return static_cast<int64_t>(prompt.size()); }
   // Context the KV cache must hold: processed prefix plus generated tokens
   // not already covered by a (post-preemption) recompute target.
@@ -84,7 +91,66 @@ struct Sequence {
   bool decode_done() const { return generated >= decode_target; }
 };
 
-using SequencePtr = std::unique_ptr<Sequence>;
+// A generation-checked reference to a slab-owned Sequence. Anything that
+// outlives the current call (a deferred callback, a step plan) holds one of
+// these rather than a bare pointer, and re-validates it with Alive().
+struct SeqRef {
+  Sequence* seq;
+  uint32_t generation;
+
+  explicit SeqRef(Sequence* s) : seq(s), generation(s->generation) {}
+  bool Alive() const { return seq->generation == generation; }
+};
+
+// Owns an engine's sequences. Slots are never freed, so a SeqRef's pointer
+// always addresses a Sequence. Release bumps the slot's generation, so a
+// reference taken before it stops resolving even after a new request reuses
+// the slot. Live sequences also form an intrusive list in submission order:
+// release is O(1), and iteration order matches submission order.
+class SequenceSlab {
+ public:
+  // A fresh sequence, appended to the live list.
+  Sequence* Add() {
+    Sequence* seq;
+    if (free_.empty()) {
+      slots_.push_back(std::make_unique<Sequence>());
+      seq = slots_.back().get();
+    } else {
+      seq = free_.back();
+      free_.pop_back();
+    }
+    seq->prev_live = tail_;
+    (tail_ != nullptr ? tail_->next_live : head_) = seq;
+    tail_ = seq;
+    ++size_;
+    return seq;
+  }
+
+  // Unlinks `seq`, drops its buffers and callbacks, and recycles its slot
+  // under the next generation.
+  void Release(Sequence* seq) {
+    (seq->prev_live != nullptr ? seq->prev_live->next_live : head_) = seq->next_live;
+    (seq->next_live != nullptr ? seq->next_live->prev_live : tail_) = seq->prev_live;
+    const uint32_t next_generation = seq->generation + 1;
+    *seq = Sequence{};
+    seq->generation = next_generation;
+    free_.push_back(seq);
+    --size_;
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  // Oldest and newest live sequences; walk with Sequence::next_live.
+  Sequence* front() const { return head_; }
+  Sequence* back() const { return tail_; }
+
+ private:
+  std::vector<std::unique_ptr<Sequence>> slots_;
+  std::vector<Sequence*> free_;  // LIFO
+  Sequence* head_ = nullptr;
+  Sequence* tail_ = nullptr;
+  size_t size_ = 0;
+};
 
 }  // namespace deepserve::flowserve
 

@@ -127,6 +127,9 @@ class CostModel {
   CommModel comm_;
   AeDisaggConfig ae_;
   DurationNs step_overhead_ = UsToNs(400);
+  // Fixed by the model spec, so computed once instead of on every step.
+  double active_params_ = 0.0;
+  double dense_weight_bytes_ = 0.0;
 };
 
 }  // namespace deepserve::model

@@ -44,15 +44,13 @@ int64_t BlockPool::capacity(Tier tier) const {
   return 0;
 }
 
-Result<std::vector<BlockId>> BlockPool::Allocate(int64_t n, Tier tier, TimeNs now) {
+Status BlockPool::Allocate(int64_t n, Tier tier, std::vector<BlockId>* out) {
   DS_CHECK_GE(n, 0);
   if (used(tier) + n > capacity(tier)) {
     return ResourceExhaustedError("tier " + std::string(TierToString(tier)) + " needs " +
                                   std::to_string(n) + " blocks, has " +
                                   std::to_string(free_blocks(tier)));
   }
-  std::vector<BlockId> ids;
-  ids.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     size_t idx;
     if (!free_slots_.empty()) {
@@ -68,12 +66,32 @@ Result<std::vector<BlockId>> BlockPool::Allocate(int64_t n, Tier tier, TimeNs no
     slot.info = BlockInfo{};
     slot.info.ref_count = 1;
     slot.info.residency = TierBit(tier);
-    slot.info.last_access = now;
-    ids.push_back(MakeId(idx, slot.gen));
+    out->push_back(MakeId(idx, slot.gen));
   }
   live_count_ += static_cast<size_t>(n);
   used_[static_cast<size_t>(tier)] += n;
+  return Status::Ok();
+}
+
+Result<std::vector<BlockId>> BlockPool::Allocate(int64_t n, Tier tier) {
+  std::vector<BlockId> ids;
+  DS_RETURN_IF_ERROR(Allocate(n, tier, &ids));
   return ids;
+}
+
+void BlockPool::Pin(BlockId id) {
+  BlockInfo& info = mutable_info(id);
+  DS_CHECK_LT(info.pins, UINT16_MAX) << "too many in-flight copies of block " << id;
+  ++info.pins;
+}
+
+void BlockPool::Unpin(BlockId id) {
+  if (!Exists(id)) {
+    return;
+  }
+  BlockInfo& info = slots_[IndexOf(id)].info;
+  DS_CHECK_GT(info.pins, 0) << "unpin of unpinned block " << id;
+  --info.pins;
 }
 
 BlockInfo& BlockPool::mutable_info(BlockId id) {

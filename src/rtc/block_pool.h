@@ -2,16 +2,18 @@
 //
 // RTC manages KV data at fixed token granularity ("blocks", after vLLM's
 // block table). A block record tracks reference count (active sequences
-// pinning it), tier residency (a block may be resident on NPU HBM and in
-// DRAM simultaneously), a content key once the block is committed to the
-// cache index, and LRU metadata. The pool enforces per-tier capacity and is
-// purely logical — byte-level HBM effects are applied by RtcExecutors.
+// pinning it), in-flight copy pins (populate/swap transfers touching it),
+// tier residency (a block may be resident on NPU HBM and in DRAM
+// simultaneously) and a content key once the block is committed to the cache
+// index. Blocks carry no LRU time: recency lives on the radix-tree nodes that
+// index them. The pool enforces per-tier capacity and is purely logical —
+// byte-level HBM effects are applied by RtcExecutors.
 //
 // Storage is a dense slot vector indexed by the low 32 bits of the BlockId,
 // with destroyed slots recycled through a free list. The high bits carry a
 // per-slot generation, so a stale id (a block destroyed and its slot reused)
 // never aliases the new occupant: Exists() is a bounds check plus a
-// generation compare, and every Ref/Unref/Touch on the engine's per-token hot
+// generation compare, and every Ref/Unref/Pin on the engine's per-token hot
 // path is a direct index instead of an unordered_map lookup.
 #ifndef DEEPSERVE_RTC_BLOCK_POOL_H_
 #define DEEPSERVE_RTC_BLOCK_POOL_H_
@@ -39,10 +41,11 @@ struct BlockInfo {
   BlockKey key = 0;        // content hash; 0 while block is private to a sequence
   int32_t ref_count = 0;   // sequences currently pinning the block
   uint8_t residency = 0;   // bitmask of TierBit()s
-  TimeNs last_access = 0;
+  uint16_t pins = 0;       // in-flight copies touching the block
 
   bool resident(Tier tier) const { return (residency & TierBit(tier)) != 0; }
   bool cached() const { return key != 0; }
+  bool pinned() const { return pins > 0; }
 };
 
 struct BlockPoolConfig {
@@ -55,10 +58,13 @@ class BlockPool {
  public:
   explicit BlockPool(BlockPoolConfig config);
 
-  // Creates `n` fresh private blocks resident on `tier`, each with ref 1.
-  // Fails with RESOURCE_EXHAUSTED without allocating anything if the tier
-  // lacks capacity (caller evicts and retries).
-  [[nodiscard]] Result<std::vector<BlockId>> Allocate(int64_t n, Tier tier, TimeNs now);
+  // Creates `n` fresh private blocks resident on `tier`, each with ref 1,
+  // and appends their ids to `*out`. Fails with RESOURCE_EXHAUSTED without
+  // allocating anything if the tier lacks capacity (caller evicts and
+  // retries).
+  [[nodiscard]] Status Allocate(int64_t n, Tier tier, std::vector<BlockId>* out);
+  // By-value convenience for tests and benches.
+  [[nodiscard]] Result<std::vector<BlockId>> Allocate(int64_t n, Tier tier);
 
   void Ref(BlockId id) { ++mutable_info(id).ref_count; }
   // Drops one reference. Blocks are never destroyed here — an unreferenced
@@ -75,7 +81,12 @@ class BlockPool {
   void Destroy(BlockId id);
 
   void SetKey(BlockId id, BlockKey key) { mutable_info(id).key = key; }
-  void Touch(BlockId id, TimeNs now) { mutable_info(id).last_access = now; }
+
+  // In-flight copy pins: a pinned block is never evicted or swapped. Pin
+  // needs a live block; Unpin of a block destroyed since (its slot possibly
+  // reused) is a no-op, so a transfer may complete after its block died.
+  void Pin(BlockId id);
+  void Unpin(BlockId id);
 
   const BlockInfo& info(BlockId id) const;
   bool Exists(BlockId id) const {
@@ -95,6 +106,7 @@ class BlockPool {
     uint32_t gen = 1;
     bool live = false;
   };
+  static_assert(sizeof(Slot) == 24, "a block slot is 24 bytes");
 
   static size_t IndexOf(BlockId id) {
     return static_cast<size_t>(static_cast<uint64_t>(id) & 0xffffffffull);

@@ -46,10 +46,8 @@ MatchInfo RtcMaster::BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t 
   MatchInfo info;
   info.matched_tokens = matched_tokens;
   info.blocks = blocks;
-  TimeNs now = sim_->Now();
   bool npu_prefix = true;
   for (BlockId id : blocks) {
-    pool_.Touch(id, now);
     if (npu_prefix && pool_.info(id).resident(Tier::kNpu)) {
       info.npu_tokens += config_.block_size;
     } else {
@@ -135,10 +133,8 @@ MatchInfo RtcMaster::MatchByID(const std::string& id) {
 }
 
 void RtcMaster::Acquire(std::span<const BlockId> blocks) {
-  TimeNs now = sim_->Now();
   for (BlockId id : blocks) {
     pool_.Ref(id);
-    pool_.Touch(id, now);
   }
 }
 
@@ -185,16 +181,13 @@ Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
     // pin the blocks so eviction cannot race the in-flight copy.
     for (BlockId id : blocks) {
       DS_CHECK_OK(pool_.AddResidency(id, Tier::kNpu));
-      ++populate_pins_[id];
+      pool_.Pin(id);
     }
     SyncListeners();
     Bytes bytes = static_cast<Bytes>(blocks.size()) * config_.bytes_per_block;
     transfer_(src, Tier::kNpu, bytes, [this, ticket, blocks = std::move(blocks)] {
       for (BlockId id : blocks) {
-        auto pin = populate_pins_.find(id);
-        if (pin != populate_pins_.end() && --pin->second == 0) {
-          populate_pins_.erase(pin);
-        }
+        pool_.Unpin(id);
       }
       auto it = inflight_populates_.find(ticket);
       DS_CHECK(it != inflight_populates_.end());
@@ -262,7 +255,6 @@ PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
   size_t bs = static_cast<size_t>(config_.block_size);
   size_t first_block = static_cast<size_t>(std::max<int64_t>(0, skip_tokens)) / bs;
   size_t full = prompt.size() / bs;
-  TimeNs now = sim_->Now();
   for (size_t b = first_block; b < full; ++b) {
     BlockKey content = ChainHash(0, prompt.subspan(b * bs, bs));
     auto it = pic_index_.find(content);
@@ -277,7 +269,6 @@ PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
     if (!info.resident(Tier::kNpu)) {
       continue;  // off-NPU PIC blocks are not worth fetching
     }
-    pool_.Touch(it->second, now);
     match.blocks.push_back(it->second);
     match.matched_tokens += config_.block_size;
   }
@@ -300,7 +291,6 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
   if (pool_.free_blocks(Tier::kNpu) >= n) {
     return Status::Ok();
   }
-  auto block_pinned = [this](BlockId id) { return populate_pins_.count(id) > 0; };
   // Pass 1: drop NPU residency of cold blocks that already have a lower-tier
   // copy (no data loss), coldest leaf first.
   auto droppable = [&](const Tree::Node& node) {
@@ -309,7 +299,7 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
     }
     for (BlockId id : node.value.blocks) {
       const BlockInfo& info = pool_.info(id);
-      if (info.ref_count > 0 || block_pinned(id) || !info.resident(Tier::kNpu) ||
+      if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu) ||
           info.residency == TierBit(Tier::kNpu)) {
         return false;
       }
@@ -337,7 +327,7 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
     }
     for (BlockId id : node.value.blocks) {
       const BlockInfo& info = pool_.info(id);
-      if (info.ref_count > 0 || block_pinned(id) || !info.resident(Tier::kNpu)) {
+      if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu)) {
         return false;
       }
     }
@@ -364,24 +354,24 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
   return Status::Ok();
 }
 
-Result<std::vector<BlockId>> RtcMaster::AllocBlocks(int64_t n) {
+Status RtcMaster::AllocBlocks(int64_t n, std::vector<BlockId>* out) {
   DS_RETURN_IF_ERROR(EnsureNpuFree(n));
-  auto result = pool_.Allocate(n, Tier::kNpu, sim_->Now());
-  if (result.ok()) {
-    SyncListeners();
-    MaybeArmSwap();
-  }
-  return result;
+  DS_RETURN_IF_ERROR(pool_.Allocate(n, Tier::kNpu, out));
+  SyncListeners();
+  MaybeArmSwap();
+  return Status::Ok();
 }
 
-Result<BlockId> RtcMaster::AppendBlock() {
-  DS_ASSIGN_OR_RETURN(std::vector<BlockId> blocks, AllocBlocks(1));
-  return blocks.front();
+Result<std::vector<BlockId>> RtcMaster::AllocBlocks(int64_t n) {
+  std::vector<BlockId> blocks;
+  DS_RETURN_IF_ERROR(AllocBlocks(n, &blocks));
+  return blocks;
 }
 
 int64_t RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
                         std::function<void()> on_complete) {
   std::vector<BlockId> to_copy;
+  to_copy.reserve(blocks.size());
   for (BlockId id : blocks) {
     const BlockInfo& info = pool_.info(id);
     if (info.resident(dst)) {
@@ -398,16 +388,13 @@ int64_t RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
     return started;
   }
   for (BlockId id : to_copy) {
-    ++populate_pins_[id];
+    pool_.Pin(id);
   }
   Bytes bytes = static_cast<Bytes>(to_copy.size()) * config_.bytes_per_block;
   transfer_(Tier::kNpu, dst, bytes,
             [this, to_copy = std::move(to_copy), cb = std::move(on_complete)]() mutable {
               for (BlockId id : to_copy) {
-                auto pin = populate_pins_.find(id);
-                if (pin != populate_pins_.end() && --pin->second == 0) {
-                  populate_pins_.erase(pin);
-                }
+                pool_.Unpin(id);
               }
               if (cb) {
                 cb();
@@ -526,7 +513,7 @@ void RtcMaster::SwapScan() {
     }
     for (BlockId id : node.value.blocks) {
       const BlockInfo& info = pool_.info(id);
-      if (info.ref_count > 0 || populate_pins_.count(id) > 0 || !info.resident(Tier::kNpu) ||
+      if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu) ||
           info.resident(Tier::kDram)) {
         return false;
       }
@@ -541,7 +528,8 @@ void RtcMaster::SwapScan() {
     return std::all_of(node.value.blocks.begin(), node.value.blocks.end(),
                        [this](BlockId id) { return pool_.info(id).resident(Tier::kDram); });
   };
-  std::vector<Tree::Node*> victims;
+  std::vector<Tree::Node*>& victims = swap_victims_;
+  victims.clear();
   tree_.ScanLruLeaves(
       [&](Tree::Node& node) {
         if (budget <= 0) {
@@ -559,7 +547,7 @@ void RtcMaster::SwapScan() {
       },
       LruList::kActive);
   for (Tree::Node* victim : victims) {
-    std::vector<BlockId> blocks = victim->value.blocks;
+    const std::vector<BlockId>& blocks = victim->value.blocks;
     stats_.swapped_out_blocks += Copy(blocks, Tier::kDram, [this, blocks] {
       for (BlockId id : blocks) {
         if (pool_.Exists(id) && pool_.info(id).ref_count == 0 &&

@@ -155,12 +155,13 @@ class RtcMaster {
   MatchInfo TruncateMatch(const MatchInfo& info, int64_t max_tokens) const;
 
   // ---- Table 1: block APIs -------------------------------------------------
-  // Pins matched blocks for a sequence (one ref each) and refreshes LRU.
+  // Pins matched blocks for a sequence (one ref each).
   void Acquire(std::span<const BlockId> blocks);
-  // Allocates n fresh NPU blocks for prefill, evicting cold cache as needed.
+  // Allocates n fresh NPU blocks, evicting cold cache as needed, and appends
+  // their ids to `*out` (a sequence's block table grows in place).
+  [[nodiscard]] Status AllocBlocks(int64_t n, std::vector<BlockId>* out);
+  // By-value convenience for tests and benches.
   [[nodiscard]] Result<std::vector<BlockId>> AllocBlocks(int64_t n);
-  // Allocates one more NPU block for a decoding sequence.
-  [[nodiscard]] Result<BlockId> AppendBlock();
   // Copies blocks to `dst` (timed through the TransferFn); used by explicit
   // checkpointing and by the background swapper. Blocks already on `dst`, or
   // that do not fit there, are skipped. Returns how many blocks it started
@@ -230,7 +231,7 @@ class RtcMaster {
   PopulateTicket next_ticket_ = 1;
   std::unordered_map<PopulateTicket, int> inflight_populates_;  // remaining groups
   std::unordered_map<PopulateTicket, std::function<void()>> populate_callbacks_;
-  std::unordered_map<BlockId, int> populate_pins_;  // blocks mid-flight
+  std::vector<Tree::Node*> swap_victims_;  // SwapScan's victim list, reused
 
   RtcStats stats_;
   int64_t last_npu_used_ = 0;

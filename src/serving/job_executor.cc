@@ -167,14 +167,14 @@ bool JobExecutor::RemoveTe(TeId id) {
   return removed;
 }
 
-std::vector<TaskExecutor*> JobExecutor::ReadyTes(const std::vector<TaskExecutor*>& tes) const {
-  std::vector<TaskExecutor*> ready;
+void JobExecutor::ReadyTes(const std::vector<TaskExecutor*>& tes,
+                           std::vector<TaskExecutor*>* ready) {
+  ready->clear();
   for (TaskExecutor* te : tes) {
     if (te->ready()) {
-      ready.push_back(te);
+      ready->push_back(te);
     }
   }
-  return ready;
 }
 
 std::vector<TaskExecutor*> JobExecutor::CostAwareFilter(
@@ -498,9 +498,12 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     return;
   }
 
-  std::vector<TaskExecutor*> coloc = ReadyTes(colocated_);
-  std::vector<TaskExecutor*> prefill = ReadyTes(prefill_);
-  std::vector<TaskExecutor*> decode = ReadyTes(decode_);
+  std::vector<TaskExecutor*>& coloc = ready_coloc_;
+  std::vector<TaskExecutor*>& prefill = ready_prefill_;
+  std::vector<TaskExecutor*>& decode = ready_decode_;
+  ReadyTes(colocated_, &coloc);
+  ReadyTes(prefill_, &prefill);
+  ReadyTes(decode_, &decode);
   if (config_.cost_aware) {
     int64_t predicted = spec.prefill_len() + predictor_->Predict(spec);
     coloc = CostAwareFilter(predicted, coloc);
@@ -643,7 +646,8 @@ void JobExecutor::DispatchDisaggregated(TaskExecutor* prefill_te,
                                         const workload::RequestSpec& spec,
                                         ResponseHandler handler) {
   JobId job_id = table_.jobs().back().id;
-  std::vector<TaskExecutor*> decode = ReadyTes(decode_);
+  std::vector<TaskExecutor*>& decode = ready_decode_;
+  ReadyTes(decode_, &decode);
   if (config_.cost_aware) {
     decode = CostAwareFilter(spec.prefill_len() + predictor_->Predict(spec), decode);
   }

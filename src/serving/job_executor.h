@@ -208,7 +208,8 @@ class JobExecutor {
 
   void RecordRoute(std::span<const rtc::BlockKey> keys, PromptTree& tree, TeId te);
   void TrimTree(PromptTree& tree);
-  std::vector<TaskExecutor*> ReadyTes(const std::vector<TaskExecutor*>& tes) const;
+  // Fills `*ready` with the ready TEs of `tes`, in order.
+  static void ReadyTes(const std::vector<TaskExecutor*>& tes, std::vector<TaskExecutor*>* ready);
   // The cost_aware narrowing pass (see JeConfig::cost_aware).
   // `predicted_tokens` = prefill + predicted decode for the request.
   std::vector<TaskExecutor*> CostAwareFilter(int64_t predicted_tokens,
@@ -260,6 +261,10 @@ class JobExecutor {
   std::vector<TaskExecutor*> colocated_;
   std::vector<TaskExecutor*> prefill_;
   std::vector<TaskExecutor*> decode_;
+  // Dispatch's ready-TE lists, refilled per request instead of reallocated.
+  std::vector<TaskExecutor*> ready_coloc_;
+  std::vector<TaskExecutor*> ready_prefill_;
+  std::vector<TaskExecutor*> ready_decode_;
   std::map<JobId, ResponseHandler> handlers_;
 
   PromptTree colocated_tree_;

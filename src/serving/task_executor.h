@@ -119,10 +119,8 @@ class TaskExecutor {
 
   // TE-shell health surface for the cluster manager.
   flowserve::LoadInfo load() const { return engine_->load(); }
-  int64_t queue_depth() const {
-    auto info = engine_->load();
-    return info.waiting + info.running;
-  }
+  // Waiting + running sequences; O(1), read per TE on every JE dispatch.
+  int64_t queue_depth() const { return engine_->live_sequences(); }
 
  private:
   void AcceptPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,

@@ -159,7 +159,8 @@ void EventQueue::CompactOverflow() {
 }
 
 void EventQueue::MigrateOverflow() {
-  std::vector<uint32_t> moved;
+  std::vector<uint32_t>& moved = migrate_scratch_;
+  moved.clear();
   moved.reserve(overflow_live_);
   for (uint32_t idx : overflow_) {
     Record& r = Rec(idx);
@@ -290,7 +291,8 @@ bool EventQueue::PopIfDue(TimeNs limit, TimeNs* t, common::SmallFn* fn) {
 
 void EventQueue::Rehash(size_t new_nbuckets, std::vector<uint32_t>* extra) {
   // Drain every chain, dropping tombstones for good.
-  std::vector<uint32_t> live;
+  std::vector<uint32_t>& live = rehash_scratch_;
+  live.clear();
   live.reserve(ring_live_);
   for (size_t b = 0; b < nbuckets_; ++b) {
     uint32_t idx = buckets_[b];
@@ -338,7 +340,7 @@ void EventQueue::Rehash(size_t new_nbuckets, std::vector<uint32_t>* extra) {
   }
 }
 
-TimeNs EventQueue::SampleWidth(const std::vector<uint32_t>& sorted_live) const {
+TimeNs EventQueue::SampleWidth(const std::vector<uint32_t>& sorted_live) {
   if (sorted_live.size() < 2) {
     return width_;
   }
@@ -351,7 +353,8 @@ TimeNs EventQueue::SampleWidth(const std::vector<uint32_t>& sorted_live) const {
   // inserts and extractions actually concentrate.
   size_t n = sorted_live.size();
   size_t stride = std::max<size_t>(1, (n - 1) / 255);
-  std::vector<TimeNs> gaps;
+  std::vector<TimeNs>& gaps = gap_scratch_;
+  gaps.clear();
   gaps.reserve((n - 1) / stride + 1);
   for (size_t i = stride; i < n; i += stride) {
     gaps.push_back((Rec(sorted_live[i]).time - Rec(sorted_live[i - stride]).time) /

@@ -160,7 +160,7 @@ class EventQueue {
   // lower bound; amortized O(1) per cancel by the > half-dead trigger.
   void CompactOverflow();
   void Rehash(size_t new_nbuckets, std::vector<uint32_t>* extra = nullptr);
-  TimeNs SampleWidth(const std::vector<uint32_t>& sorted_live) const;
+  TimeNs SampleWidth(const std::vector<uint32_t>& sorted_live);
 
   // ---- slab ----------------------------------------------------------------
   std::vector<std::unique_ptr<Record[]>> chunks_;
@@ -189,6 +189,12 @@ class EventQueue {
   // strictly earlier than this bound is the global minimum: strict, because
   // an equal-time overflow record could carry the smaller seq.
   TimeNs overflow_lb_ = kTimeNever;
+
+  // Working buffers of MigrateOverflow, Rehash and SampleWidth, kept across
+  // calls: a sparse queue migrates its overflow on nearly every pop.
+  std::vector<uint32_t> migrate_scratch_;
+  std::vector<uint32_t> rehash_scratch_;
+  std::vector<TimeNs> gap_scratch_;
 };
 
 }  // namespace deepserve::sim

@@ -416,6 +416,24 @@ TEST_F(EngineTest, CancelDuringWaitingPopulate) {
   EXPECT_EQ(third.reused, 15 * 16);
 }
 
+TEST_F(EngineTest, StaleTokenizeEventIgnoresRecycledSequenceSlot) {
+  Start(TestConfig());
+  // Request 1 is cancelled while its tokenize event is still queued; request
+  // 2 then takes over its sequence slot. The stale event must not enqueue
+  // request 2 a second time.
+  engine_->Submit(MakeRequest(1, 512, 8), nullptr, [](const Sequence&) {});
+  ASSERT_TRUE(engine_->Cancel(1).ok());
+  int completions = 0;
+  engine_->Submit(MakeRequest(2, 512, 8, /*base=*/3000), nullptr,
+                  [&](const Sequence&) { ++completions; });
+  sim_.Run();
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(engine_->stats().completed, 1);
+  EXPECT_TRUE(engine_->idle());
+  // A double enqueue would leak the first copy's block pins.
+  EXPECT_TRUE(engine_->rtc().EnsureNpuFree(engine_->kv_block_capacity()).ok());
+}
+
 // Parameterized sweep: engines complete all work across batch-size and
 // prompt-length combinations without deadlock or leak.
 class EngineSweepTest : public ::testing::TestWithParam<std::tuple<int, int64_t, int64_t>> {};

@@ -157,23 +157,23 @@ TEST(RadixTreeTest, MatchDoesNotCreateNodes) {
 
 TEST(BlockPoolTest, AllocateRespectsCapacity) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 2});
-  auto a = pool.Allocate(4, Tier::kNpu, 0);
+  auto a = pool.Allocate(4, Tier::kNpu);
   ASSERT_TRUE(a.ok());
   EXPECT_EQ(pool.free_blocks(Tier::kNpu), 0);
-  EXPECT_FALSE(pool.Allocate(1, Tier::kNpu, 0).ok());
-  EXPECT_TRUE(pool.Allocate(2, Tier::kDram, 0).ok());
+  EXPECT_FALSE(pool.Allocate(1, Tier::kNpu).ok());
+  EXPECT_TRUE(pool.Allocate(2, Tier::kDram).ok());
 }
 
 TEST(BlockPoolTest, FailedAllocateIsAtomic) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 0});
-  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu, 0).ok());
-  EXPECT_FALSE(pool.Allocate(2, Tier::kNpu, 0).ok());
+  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu).ok());
+  EXPECT_FALSE(pool.Allocate(2, Tier::kNpu).ok());
   EXPECT_EQ(pool.used(Tier::kNpu), 3);
 }
 
 TEST(BlockPoolTest, UnrefDestroysPrivateBlocks) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  auto blocks = pool.Allocate(2, Tier::kNpu, 0).value();
+  auto blocks = pool.Allocate(2, Tier::kNpu).value();
   pool.Unref(blocks[0]);
   EXPECT_FALSE(pool.Exists(blocks[0]));
   EXPECT_EQ(pool.used(Tier::kNpu), 1);
@@ -181,7 +181,7 @@ TEST(BlockPoolTest, UnrefDestroysPrivateBlocks) {
 
 TEST(BlockPoolTest, UnrefKeepsCachedBlocks) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  auto blocks = pool.Allocate(1, Tier::kNpu, 0).value();
+  auto blocks = pool.Allocate(1, Tier::kNpu).value();
   pool.SetKey(blocks[0], 0xabc);
   pool.Unref(blocks[0]);
   EXPECT_TRUE(pool.Exists(blocks[0]));
@@ -190,7 +190,7 @@ TEST(BlockPoolTest, UnrefKeepsCachedBlocks) {
 
 TEST(BlockPoolTest, ResidencyBitmaskAndCounters) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  BlockId id = pool.Allocate(1, Tier::kNpu, 0).value()[0];
+  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
   ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
   EXPECT_TRUE(pool.info(id).resident(Tier::kNpu));
   EXPECT_TRUE(pool.info(id).resident(Tier::kDram));
@@ -206,7 +206,7 @@ TEST(BlockPoolTest, ResidencyBitmaskAndCounters) {
 
 TEST(BlockPoolTest, DestroyReleasesAllTiers) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  BlockId id = pool.Allocate(1, Tier::kNpu, 0).value()[0];
+  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
   ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
   pool.SetKey(id, 7);
   pool.Unref(id);
@@ -216,9 +216,29 @@ TEST(BlockPoolTest, DestroyReleasesAllTiers) {
   EXPECT_FALSE(pool.Exists(id));
 }
 
+TEST(BlockPoolTest, CopyPinsCountAndStaleUnpinIsANoOp) {
+  BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
+  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
+  pool.Pin(id);
+  pool.Pin(id);
+  pool.Unpin(id);
+  EXPECT_TRUE(pool.info(id).pinned());
+  // A private block dies with its last ref even mid-copy; its slot is reused.
+  pool.Unref(id);
+  ASSERT_FALSE(pool.Exists(id));
+  BlockId reused = pool.Allocate(1, Tier::kNpu).value()[0];
+  EXPECT_FALSE(pool.info(reused).pinned());
+  // The copy's completion unpins the dead id: the new occupant is untouched.
+  pool.Pin(reused);
+  pool.Unpin(id);
+  EXPECT_TRUE(pool.info(reused).pinned());
+  pool.Unpin(reused);
+  EXPECT_FALSE(pool.info(reused).pinned());
+}
+
 TEST(BlockPoolTest, SsdIsUnbounded) {
   BlockPool pool({.npu_capacity = 1, .dram_capacity = 1});
-  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd, 0).ok());
+  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd).ok());
 }
 
 // ---------------- RtcMaster ----------------

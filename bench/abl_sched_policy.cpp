@@ -32,7 +32,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,10 +54,7 @@ struct Options {
 };
 
 struct RunResult {
-  int64_t submitted = 0;
-  int64_t completed = 0;
-  int64_t errored = 0;  // on_error terminations (sheds + pre-dispatch rejects)
-  int64_t double_terminated = 0;
+  bench::ReplayCounts counts;
   int64_t shed = 0;             // engine-level policy sheds
   int64_t deadline_misses = 0;  // engine-level (late finishes + expired sheds)
   int64_t tbt_violations = 0;
@@ -74,8 +70,12 @@ struct RunResult {
   double goodput() const {
     return makespan_s > 0 ? static_cast<double>(goodput_tokens) / makespan_s : 0.0;
   }
+  // Error terminations: sheds plus pre-dispatch rejects.
+  int64_t errored() const { return counts.errored + counts.rejected; }
   double shed_rate() const {
-    return submitted > 0 ? static_cast<double>(shed) / static_cast<double>(submitted) : 0.0;
+    return counts.submitted > 0
+               ? static_cast<double>(shed) / static_cast<double>(counts.submitted)
+               : 0.0;
   }
 };
 
@@ -104,37 +104,12 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
   frontend.RegisterServingJe("yi-34b", &bed.je());
 
   RunResult result;
-  result.submitted = static_cast<int64_t>(trace.size());
-  uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](uint64_t v) {
-    hash ^= v;
-    hash *= 1099511628211ull;
-  };
-  auto terminations = std::make_shared<std::map<workload::RequestId, int>>();
-  auto first_tokens = std::make_shared<std::map<workload::RequestId, TimeNs>>();
-  for (const auto& spec : trace) {
-    bed.sim().ScheduleAt(spec.arrival, [&, first_tokens, terminations, spec] {
-      serving::ChatRequest request;
-      request.model = "yi-34b";
-      request.spec = spec;
-      request.deadline = spec.deadline;
-      serving::ResponseHandler handler;
-      handler.on_first_token = [first_tokens, id = spec.id](const flowserve::Sequence& seq) {
-        (*first_tokens)[id] = seq.first_token_time;
-      };
-      handler.on_complete = [&result, &mix, first_tokens, terminations,
-                             spec](const flowserve::Sequence& seq) {
-        ++result.completed;
-        if (++(*terminations)[spec.id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(spec.id * 2);
-        mix(static_cast<uint64_t>(seq.finish_time));
+  bench::TraceReplay replay(
+      &bed.sim(), trace,
+      [&result](const workload::RequestSpec& spec, TimeNs first, const flowserve::Sequence& seq) {
         if (spec.deadline == 0 || seq.finish_time <= spec.deadline) {
           result.goodput_tokens += spec.decode_len;
         }
-        auto it = first_tokens->find(spec.id);
-        TimeNs first = it != first_tokens->end() ? it->second : seq.finish_time;
         double ttft = NsToMs(first - spec.arrival);
         result.ttft_ms.Add(ttft);
         if (spec.priority == 0) {
@@ -144,26 +119,8 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
           result.tbt_ms.Add(NsToMs(seq.finish_time - first) /
                             static_cast<double>(spec.decode_len - 1));
         }
-      };
-      handler.on_error = [&result, &mix, terminations, id = spec.id](const Status&) {
-        ++result.errored;
-        if (++(*terminations)[id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(id * 2 + 1);
-      };
-      // A pre-dispatch rejection reports through the returned Status alone
-      // (the handler never fires): fold it into the error terminations.
-      Status status = frontend.ChatCompletion(std::move(request), std::move(handler));
-      if (!status.ok()) {
-        ++result.errored;
-        if (++(*terminations)[spec.id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(spec.id * 2 + 1);
-      }
-    });
-  }
+      });
+  replay.ScheduleOnto(&frontend, "yi-34b");
   bed.sim().Run();
 
   const flowserve::EngineStats& stats = te->engine().stats();
@@ -173,9 +130,10 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
   result.max_decode_step = stats.max_decode_step;
   result.end_time = bed.sim().Now();
   result.makespan_s = NsToS(result.end_time);
-  mix(static_cast<uint64_t>(result.shed));
-  mix(static_cast<uint64_t>(result.end_time));
-  result.timeline_hash = hash;
+  replay.Mix(static_cast<uint64_t>(result.shed));
+  replay.Mix(static_cast<uint64_t>(result.end_time));
+  result.counts = replay.counts();
+  result.timeline_hash = replay.timeline_hash();
   return result;
 }
 
@@ -193,13 +151,14 @@ int main(int argc, char** argv) {
                 "run only one policy: fcfs | slo | priority-preempt (default: all)");
   registry.Flag("smoke", &options.smoke,
                 "small fixed run that exits non-zero on conservation/TBT/replay failures");
-  std::vector<char*> obs_args = registry.Parse(argc, argv);
+  bench::ObsSession obs;
+  obs.Register(registry);
+  registry.Parse(argc, argv);
   if (options.smoke) {
     options.rps = 2.5;
     options.duration_s = 8.0;
     options.deadline_ms = 8000.0;
   }
-  bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
 
   bench::PrintHeader("Ablation: engine scheduling policy under overload "
                      "(fcfs vs slo vs priority-preempt)");
@@ -252,8 +211,8 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   };
-  row_i("completed", [](const RunResult& r) { return r.completed; });
-  row_i("errored (on_error)", [](const RunResult& r) { return r.errored; });
+  row_i("completed", [](const RunResult& r) { return r.counts.completed; });
+  row_i("errored (on_error)", [](const RunResult& r) { return r.errored(); });
   row_i("shed by policy", [](const RunResult& r) { return r.shed; });
   row_f("shed rate (%)", [](const RunResult& r) { return 100.0 * r.shed_rate(); });
   row_i("deadline misses", [](const RunResult& r) { return r.deadline_misses; });
@@ -271,12 +230,7 @@ int main(int argc, char** argv) {
   if (options.smoke) {
     bool ok = true;
     for (const std::string& policy : policies) {
-      const RunResult& r = results.at(policy);
-      if (r.completed + r.errored != r.submitted || r.double_terminated != 0) {
-        std::fprintf(stderr,
-                     "CONSERVATION VIOLATED (%s): submitted=%" PRId64 " completed=%" PRId64
-                     " errored=%" PRId64 " double_terminated=%" PRId64 "\n",
-                     policy.c_str(), r.submitted, r.completed, r.errored, r.double_terminated);
+      if (!bench::CheckConservation(policy, results.at(policy).counts)) {
         ok = false;
       }
     }
@@ -288,11 +242,11 @@ int main(int argc, char** argv) {
                      NsToMs(slo.max_decode_step), options.tbt_ms);
         ok = false;
       }
-      if (slo.shed == 0 || slo.shed != slo.errored) {
+      if (slo.shed == 0 || slo.shed != slo.errored()) {
         std::fprintf(stderr,
                      "SHED PATH NOT EXERCISED: shed=%" PRId64 " errored=%" PRId64
                      " (every shed must surface via on_error)\n",
-                     slo.shed, slo.errored);
+                     slo.shed, slo.errored());
         ok = false;
       }
       RunResult replay = RunPolicy(options, "slo", trace);

@@ -1,17 +1,17 @@
-// Shared scaffolding for the figure-reproduction benches: fleet construction
-// (colocated TEs and PD pairs on a simulated cluster), trace replay through a
-// Job Executor, and table formatting.
+// Shared scaffolding for the figure-reproduction benches and examples: flag
+// parsing, the observability session, fleet construction (colocated TEs and
+// PD pairs on a simulated cluster), the one trace-replay driver and its
+// conservation check, and table formatting.
 #ifndef DEEPSERVE_BENCH_COMMON_H_
 #define DEEPSERVE_BENCH_COMMON_H_
 
 #include <charconv>
+#include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <system_error>
@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/cluster_manager.h"
+#include "serving/frontend.h"
 #include "serving/job_executor.h"
 #include "serving/predictor.h"
 #include "serving/route_policy.h"
@@ -55,14 +56,14 @@ bool ParseNumber(const std::string& text, T* out) {
   return true;
 }
 
-// Uniform command-line parsing for the benches. Register typed flags up
-// front, then Parse() consumes the matching argv entries and returns the
-// leftovers (argv[0] plus anything unrecognized) ready to hand to ObsSession.
-// `--help` prints every registered flag plus the ObsSession ones and exits.
+// The one command-line parser for the benches and examples. Register typed
+// flags up front (ObsSession::Register adds the observability ones), then
+// Parse() consumes argv. `--help` prints every registered flag and exits 0.
 //
 // Value flags are spelled --name=VALUE; bool flags are bare --name switches.
-// A numeric value that ParseNumber rejects prints a message and exits 2.
-// Help order is registration order, so related flags group naturally.
+// An unknown flag, or a numeric value that ParseNumber rejects, prints a
+// message and exits 2. Help order is registration order, so related flags
+// group naturally.
 class OptionRegistry {
  public:
   void Flag(const std::string& name, double* out, const std::string& help) {
@@ -81,8 +82,7 @@ class OptionRegistry {
     Add(name, help, /*is_switch=*/true, [out](const std::string&) { *out = true; });
   }
 
-  std::vector<char*> Parse(int argc, char** argv) {
-    std::vector<char*> rest{argv[0]};
+  void Parse(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
       if (arg == "--help" || arg == "-h") {
@@ -90,10 +90,10 @@ class OptionRegistry {
         std::exit(0);
       }
       if (!Consume(arg)) {
-        rest.push_back(argv[i]);
+        std::fprintf(stderr, "unknown flag %s (see --help)\n", argv[i]);
+        std::exit(2);
       }
     }
-    return rest;
   }
 
   void PrintHelp(const char* argv0) const {
@@ -102,10 +102,6 @@ class OptionRegistry {
       std::printf("  --%s%s\n        %s\n", entry.name.c_str(), entry.is_switch ? "" : "=VALUE",
                   entry.help.c_str());
     }
-    std::printf(
-        "  --trace-out=PATH\n        Chrome trace_event JSON (chrome://tracing, Perfetto)\n"
-        "  --trace-jsonl=PATH\n        one trace event per line, for scripted analysis\n"
-        "  --metrics-out=PATH\n        metrics-registry dump (counters/gauges/stats)\n");
   }
 
  private:
@@ -243,36 +239,31 @@ inline flowserve::EngineConfig Engine34BTp4Paper(flowserve::EngineRole role) {
   return config;
 }
 
-// Command-line observability session for the benches. Parses
+// Command-line observability session for the benches. Register() adds
 //   --trace-out=<path>     Chrome trace_event JSON (chrome://tracing, Perfetto)
 //   --trace-jsonl=<path>   one event per line, for scripted analysis
 //   --metrics-out=<path>   metrics-registry dump (counters/gauges/stats)
-// and attaches its tracer/registry to every Testbed simulator built while it
-// is alive (raw-sim benches call Attach() themselves). Outputs are written
-// when the session is destroyed. With no flags given, nothing attaches and
-// the run is bit-identical to an uninstrumented one.
+// to the binary's OptionRegistry. The session attaches its tracer/registry
+// to every Testbed simulator built while it is alive (raw-sim benches call
+// Attach() themselves). Outputs are written when the session is destroyed.
+// With no flags given, nothing attaches and the run is bit-identical to an
+// uninstrumented one.
 class ObsSession {
  public:
-  ObsSession(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      auto take = [&arg](const char* prefix, std::string* out) {
-        size_t n = std::strlen(prefix);
-        if (arg.compare(0, n, prefix) == 0) {
-          *out = arg.substr(n);
-          return true;
-        }
-        return false;
-      };
-      if (!take("--trace-out=", &chrome_path_) && !take("--trace-jsonl=", &jsonl_path_) &&
-          !take("--metrics-out=", &metrics_path_)) {
-        std::fprintf(stderr,
-                     "warning: ignoring unknown flag %s (supported: --trace-out=, "
-                     "--trace-jsonl=, --metrics-out=)\n",
-                     arg.c_str());
-      }
-    }
-    active_ = this;
+  ObsSession() { active_ = this; }
+
+  // For benches whose only flags are the observability ones.
+  ObsSession(int argc, char** argv) : ObsSession() {
+    OptionRegistry options;
+    Register(options);
+    options.Parse(argc, argv);
+  }
+
+  void Register(OptionRegistry& options) {
+    options.Flag("trace-out", &chrome_path_,
+                 "Chrome trace_event JSON (chrome://tracing, Perfetto)");
+    options.Flag("trace-jsonl", &jsonl_path_, "one trace event per line, for scripted analysis");
+    options.Flag("metrics-out", &metrics_path_, "metrics-registry dump (counters/gauges/stats)");
   }
 
   ~ObsSession() {
@@ -346,11 +337,182 @@ class ObsSession {
   static inline ObsSession* active_ = nullptr;
 };
 
+// Request outcomes of one replay: every submitted request should end in
+// exactly one of completed / errored / rejected.
+struct ReplayCounts {
+  int64_t submitted = 0;
+  int64_t completed = 0;          // on_complete
+  int64_t errored = 0;            // on_error after dispatch
+  int64_t rejected = 0;           // pre-dispatch non-OK Status (Frontend only)
+  int64_t double_terminated = 0;  // terminations past a request's first
+
+  int64_t terminated() const { return completed + errored + rejected; }
+};
+
+// The one request-replay driver for the benches and examples. It schedules
+// a trace's arrivals (absolute sim times) onto a JE or a Frontend, joins each
+// request's first-token time with its completion, counts outcomes, and mixes
+// every termination into one timeline hash. The caller runs the simulator;
+// `trace` and the driver must outlive the run. See DESIGN.md ("One replay
+// driver").
+class TraceReplay {
+ public:
+  // Bench-specific statistics for one completion: the request as replayed,
+  // its first-token time, and the finished sequence.
+  using CompletionHook = std::function<void(const workload::RequestSpec& spec,
+                                            TimeNs first_token, const flowserve::Sequence& seq)>;
+
+  TraceReplay(sim::Simulator* sim, const std::vector<workload::RequestSpec>& trace,
+              CompletionHook on_complete = nullptr)
+      : sim_(sim),
+        trace_(trace),
+        on_complete_(std::move(on_complete)),
+        first_token_(trace.size(), kNoFirstToken),
+        terminated_(trace.size(), 0) {
+    counts_.submitted = static_cast<int64_t>(trace.size());
+  }
+
+  TraceReplay(const TraceReplay&) = delete;
+  TraceReplay& operator=(const TraceReplay&) = delete;
+
+  void ScheduleOnto(serving::JobExecutor* je) {
+    je_ = je;
+    ScheduleArrivals();
+  }
+
+  // Chat completions for `model`, each with request.deadline = spec.deadline.
+  void ScheduleOnto(serving::Frontend* frontend, std::string model) {
+    frontend_ = frontend;
+    model_ = std::move(model);
+    ScheduleArrivals();
+  }
+
+  // FNV-1a over 64-bit words; benches fold their post-run stats in too.
+  void Mix(uint64_t value) {
+    hash_ ^= value;
+    hash_ *= 1099511628211ull;
+  }
+
+  const ReplayCounts& counts() const { return counts_; }
+  uint64_t timeline_hash() const { return hash_; }
+
+ private:
+  static constexpr TimeNs kNoFirstToken = -1;
+
+  // Per-request state lives in vectors indexed by trace position, and every
+  // callback captures `this` and that index (small enough for std::function's
+  // inline buffer): no per-request map, no copied spec.
+  void ScheduleArrivals() {
+    for (size_t i = 0; i < trace_.size(); ++i) {
+      sim_->ScheduleAt(trace_[i].arrival, [this, i] { Arrive(i); });
+    }
+  }
+
+  void Arrive(size_t i) {
+    // On a disaggregated route the first token comes from the prefill TE and
+    // the completion from the decode TE, which never saw the first token.
+    serving::ResponseHandler handler{
+        [this, i](const flowserve::Sequence& seq) { first_token_[i] = seq.first_token_time; },
+        [this, i](const flowserve::Sequence& seq) { Complete(i, seq); },
+        [this, i](const Status&) { Fail(i, &counts_.errored); }};
+    const workload::RequestSpec& spec = trace_[i];
+    if (frontend_ == nullptr) {
+      je_->HandleRequest(spec, std::move(handler));
+      return;
+    }
+    serving::ChatRequest request;
+    request.model = model_;
+    request.spec = spec;
+    request.deadline = spec.deadline;
+    // A pre-dispatch rejection reports through the returned Status alone (the
+    // handler never fires): it is this request's one termination.
+    if (!frontend_->ChatCompletion(request, std::move(handler)).ok()) {
+      Fail(i, &counts_.rejected);
+    }
+  }
+
+  void Terminate(size_t i, int64_t* outcome) {
+    ++*outcome;
+    if (terminated_[i] != 0) {
+      ++counts_.double_terminated;
+    }
+    terminated_[i] = 1;
+  }
+
+  void Complete(size_t i, const flowserve::Sequence& seq) {
+    const workload::RequestSpec& spec = trace_[i];
+    Terminate(i, &counts_.completed);
+    Mix(spec.id * 2);
+    Mix(static_cast<uint64_t>(seq.finish_time));
+    if (on_complete_) {
+      TimeNs first = first_token_[i] != kNoFirstToken ? first_token_[i] : seq.first_token_time;
+      on_complete_(spec, first, seq);
+    }
+  }
+
+  void Fail(size_t i, int64_t* outcome) {
+    Terminate(i, outcome);
+    Mix(trace_[i].id * 2 + 1);
+  }
+
+  sim::Simulator* sim_;
+  const std::vector<workload::RequestSpec>& trace_;
+  CompletionHook on_complete_;
+  serving::JobExecutor* je_ = nullptr;
+  serving::Frontend* frontend_ = nullptr;
+  std::string model_;
+  std::vector<TimeNs> first_token_;
+  std::vector<uint8_t> terminated_;
+  ReplayCounts counts_;
+  uint64_t hash_ = 1469598103934665603ull;
+};
+
+// A completion hook that records every completion into `metrics`.
+inline TraceReplay::CompletionHook RecordInto(workload::MetricsCollector* metrics) {
+  return [metrics](const workload::RequestSpec& spec, TimeNs first_token,
+                   const flowserve::Sequence& seq) {
+    workload::RequestRecord record;
+    record.id = spec.id;
+    record.arrival = spec.arrival;
+    record.first_token = first_token;
+    record.completion = seq.finish_time;
+    record.prefill_len = spec.prefill_len();
+    record.decode_len = spec.decode_len;
+    metrics->Record(record);
+  };
+}
+
+// The one request-conservation check. It holds when every submitted request
+// terminated exactly once, apart from exactly `hung` requests known never to
+// terminate (losses no failure detector saw), and, given the Frontend's
+// stats, when every chat request was either dispatched or rejected. On a
+// violation it prints the counts on stderr and returns false.
+inline bool CheckConservation(const std::string& label, const ReplayCounts& counts,
+                              const serving::FrontendStats* frontend = nullptr,
+                              int64_t hung = 0) {
+  const bool frontend_ok =
+      frontend == nullptr ||
+      frontend->requests == frontend->chat_dispatched + frontend->rejected_total();
+  if (counts.terminated() + hung == counts.submitted && counts.double_terminated == 0 &&
+      frontend_ok) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "CONSERVATION VIOLATED (%s): submitted=%" PRId64 " completed=%" PRId64
+               " errored=%" PRId64 " rejected=%" PRId64 " double_terminated=%" PRId64
+               " expected_hung=%" PRId64 "%s\n",
+               label.c_str(), counts.submitted, counts.completed, counts.errored,
+               counts.rejected, counts.double_terminated, hung,
+               frontend_ok ? "" : " (frontend: requests != dispatched + rejected)");
+  return false;
+}
+
 // A self-contained serving testbed: simulator, cluster, DistFlow, manager,
 // TEs, and one JE.
 class Testbed {
  public:
-  // `ctrl`: when non-null, the CM's TeDirectory (and any JE that calls
+  // Homogeneous `num_machines` cluster and a JE running `policy`. `ctrl`:
+  // when non-null, the CM's TeDirectory (and any JE that calls
   // AttachControl(ctrl_log(), ...)) lives on a shared control log with this
   // replication config; null keeps the CM's internal degenerate log.
   explicit Testbed(int num_machines = 4,
@@ -358,13 +520,20 @@ class Testbed {
                    serving::PdHeatmap heatmap = serving::PdHeatmap::Default(),
                    std::unique_ptr<serving::DecodeLengthPredictor> predictor =
                        serving::MakeOraclePredictor(),
-                   const ctrl::CtrlConfig* ctrl = nullptr) {
+                   const ctrl::CtrlConfig* ctrl = nullptr)
+      : Testbed(HomogeneousCluster(num_machines), JeWithPolicy(policy), std::move(predictor),
+                std::move(heatmap), ctrl) {}
+
+  // Custom-cluster testbed (heterogeneous fleets, SuperPod fabric): the
+  // caller supplies the full ClusterConfig and JeConfig.
+  Testbed(const hw::ClusterConfig& cluster_config, const serving::JeConfig& je_config,
+          std::unique_ptr<serving::DecodeLengthPredictor> predictor =
+              serving::MakeOraclePredictor(),
+          serving::PdHeatmap heatmap = serving::PdHeatmap::Default(),
+          const ctrl::CtrlConfig* ctrl = nullptr) {
     if (ObsSession* obs = ObsSession::active()) {
       obs->Attach(sim_);
     }
-    hw::ClusterConfig cluster_config;
-    cluster_config.num_machines = num_machines;
-    cluster_config.machines_per_scaleup_domain = std::max(4, num_machines);
     cluster_ = std::make_unique<hw::Cluster>(&sim_, cluster_config);
     transfer_ = std::make_unique<distflow::TransferEngine>(&sim_, cluster_.get(),
                                                            distflow::DistFlowConfig{});
@@ -375,29 +544,7 @@ class Testbed {
                                                          serving::ScalingOptimizations{},
                                                          serving::ScalingLatencyModel{},
                                                          ctrl_log_.get());
-    serving::JeConfig je_config;
-    je_config.policy = policy;
     je_ = std::make_unique<serving::JobExecutor>(&sim_, je_config, std::move(heatmap),
-                                                 std::move(predictor));
-  }
-
-  // Custom-cluster testbed (heterogeneous fleets, SuperPod fabric): the
-  // caller supplies the full ClusterConfig and JeConfig instead of the
-  // homogeneous defaults above.
-  Testbed(const hw::ClusterConfig& cluster_config, const serving::JeConfig& je_config,
-          std::unique_ptr<serving::DecodeLengthPredictor> predictor =
-              serving::MakeOraclePredictor()) {
-    if (ObsSession* obs = ObsSession::active()) {
-      obs->Attach(sim_);
-    }
-    cluster_ = std::make_unique<hw::Cluster>(&sim_, cluster_config);
-    transfer_ = std::make_unique<distflow::TransferEngine>(&sim_, cluster_.get(),
-                                                           distflow::DistFlowConfig{});
-    manager_ = std::make_unique<serving::ClusterManager>(&sim_, cluster_.get(), transfer_.get(),
-                                                         serving::ScalingOptimizations{},
-                                                         serving::ScalingLatencyModel{},
-                                                         nullptr);
-    je_ = std::make_unique<serving::JobExecutor>(&sim_, je_config, serving::PdHeatmap::Default(),
                                                  std::move(predictor));
   }
 
@@ -443,31 +590,10 @@ class Testbed {
   }
 
   // Replays a trace through the JE and runs the simulation to completion.
-  // First-token times come from the prefill side (for disaggregated routes
-  // the completion callback fires on the decode TE, which never saw the
-  // first token).
   workload::MetricsCollector Replay(const std::vector<workload::RequestSpec>& trace) {
     workload::MetricsCollector metrics;
-    auto first_tokens = std::make_shared<std::map<workload::RequestId, TimeNs>>();
-    for (const auto& spec : trace) {
-      sim_.ScheduleAt(spec.arrival, [this, &metrics, first_tokens, spec] {
-        je_->HandleRequest(
-            spec, {[first_tokens, id = spec.id](const flowserve::Sequence& seq) {
-              (*first_tokens)[id] = seq.first_token_time;
-            }, [&metrics, first_tokens, spec](const flowserve::Sequence& seq) {
-              workload::RequestRecord record;
-              record.id = spec.id;
-              record.arrival = spec.arrival;
-              auto it = first_tokens->find(spec.id);
-              record.first_token =
-                  it != first_tokens->end() ? it->second : seq.first_token_time;
-              record.completion = seq.finish_time;
-              record.prefill_len = spec.prefill_len();
-              record.decode_len = spec.decode_len;
-              metrics.Record(record);
-            }, nullptr});
-      });
-    }
+    TraceReplay replay(&sim_, trace, RecordInto(&metrics));
+    replay.ScheduleOnto(je_.get());
     sim_.Run();
     return metrics;
   }
@@ -482,6 +608,19 @@ class Testbed {
   ctrl::ControlLog* ctrl_log() { return ctrl_log_.get(); }
 
  private:
+  static hw::ClusterConfig HomogeneousCluster(int num_machines) {
+    hw::ClusterConfig config;
+    config.num_machines = num_machines;
+    config.machines_per_scaleup_domain = std::max(4, num_machines);
+    return config;
+  }
+
+  static serving::JeConfig JeWithPolicy(serving::SchedulingPolicy policy) {
+    serving::JeConfig config;
+    config.policy = policy;
+    return config;
+  }
+
   sim::Simulator sim_;
   std::unique_ptr<hw::Cluster> cluster_;
   std::unique_ptr<distflow::TransferEngine> transfer_;

@@ -38,7 +38,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,10 +65,7 @@ struct Options {
 };
 
 struct RunResult {
-  int64_t submitted = 0;
-  int64_t completed = 0;
-  int64_t errored = 0;
-  int64_t double_terminated = 0;
+  bench::ReplayCounts counts;
   int64_t ttft_slo_violations = 0;  // bench-side: TTFT > --ttft-slo-ms
   SampleStats ttft_ms;
   double te_seconds = 0.0;  // ready+draining TE-time over the trace window
@@ -85,7 +81,7 @@ struct RunResult {
 };
 
 RunResult RunPolicy(const Options& options, const std::string& policy,
-                    const std::vector<workload::RequestSpec>& trace) {
+                    std::vector<workload::RequestSpec> trace) {
   bench::Testbed bed(/*num_machines=*/3, serving::SchedulingPolicy::kLoadOnly);
   // The paper's online-serving instance (34B TP4 on Gen1, saturating around
   // 1 RPS per TE) so the burst genuinely outruns one TE's capacity.
@@ -119,50 +115,21 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
   const TimeNs t0 = bed.sim().Now();
   const TimeNs horizon = t0 + SToNs(options.duration_s);
 
-  RunResult result;
-  result.submitted = static_cast<int64_t>(trace.size());
-  uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](uint64_t v) {
-    hash ^= v;
-    hash *= 1099511628211ull;
-  };
-  auto terminations = std::make_shared<std::map<workload::RequestId, int>>();
-  auto first_tokens = std::make_shared<std::map<workload::RequestId, TimeNs>>();
-  const TimeNs slo = MsToNs(options.ttft_slo_ms);
-  for (const auto& spec : trace) {
-    workload::RequestSpec shifted = spec;
-    shifted.arrival += t0;
-    bed.sim().ScheduleAt(shifted.arrival, [&, first_tokens, terminations, shifted] {
-      bed.je().HandleRequest(
-          shifted,
-          {[first_tokens, id = shifted.id](const flowserve::Sequence& seq) {
-             (*first_tokens)[id] = seq.first_token_time;
-           },
-           [&result, &mix, first_tokens, terminations, shifted,
-            slo](const flowserve::Sequence& seq) {
-             ++result.completed;
-             if (++(*terminations)[shifted.id] > 1) {
-               ++result.double_terminated;
-             }
-             mix(shifted.id * 2);
-             mix(static_cast<uint64_t>(seq.finish_time));
-             auto it = first_tokens->find(shifted.id);
-             TimeNs first = it != first_tokens->end() ? it->second : seq.finish_time;
-             TimeNs ttft = first - shifted.arrival;
-             result.ttft_ms.Add(NsToMs(ttft));
-             if (ttft > slo) {
-               ++result.ttft_slo_violations;
-             }
-           },
-           [&result, &mix, terminations, id = shifted.id](const Status&) {
-             ++result.errored;
-             if (++(*terminations)[id] > 1) {
-               ++result.double_terminated;
-             }
-             mix(id * 2 + 1);
-           }});
-    });
+  for (workload::RequestSpec& spec : trace) {
+    spec.arrival += t0;
   }
+  RunResult result;
+  const TimeNs slo = MsToNs(options.ttft_slo_ms);
+  bench::TraceReplay replay(&bed.sim(), trace,
+                            [&result, slo](const workload::RequestSpec& spec, TimeNs first,
+                                           const flowserve::Sequence&) {
+                              TimeNs ttft = first - spec.arrival;
+                              result.ttft_ms.Add(NsToMs(ttft));
+                              if (ttft > slo) {
+                                ++result.ttft_slo_violations;
+                              }
+                            });
+  replay.ScheduleOnto(&bed.je());
   // Capacity-cost sampling: ready + draining TEs, every 500 ms over the
   // trace window (a draining TE still holds its NPUs).
   const DurationNs sample = MsToNs(500);
@@ -194,10 +161,11 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
   result.mean_drain_ms = as.mean_drain_ms();
   result.mean_forecast_err = as.mean_forecast_abs_err();
   result.end_time = bed.sim().Now();
-  mix(static_cast<uint64_t>(result.scale_ups));
-  mix(static_cast<uint64_t>(result.scale_downs));
-  mix(static_cast<uint64_t>(result.end_time));
-  result.timeline_hash = hash;
+  replay.Mix(static_cast<uint64_t>(result.scale_ups));
+  replay.Mix(static_cast<uint64_t>(result.scale_downs));
+  replay.Mix(static_cast<uint64_t>(result.end_time));
+  result.counts = replay.counts();
+  result.timeline_hash = replay.timeline_hash();
   return result;
 }
 
@@ -219,7 +187,9 @@ int main(int argc, char** argv) {
   registry.Flag("dump-timeline", &options.dump_timeline, "per-sample held-TE trace on stderr");
   registry.Flag("smoke", &options.smoke,
                 "sharp-spike fixed run; exits non-zero unless predictive beats reactive");
-  std::vector<char*> obs_args = registry.Parse(argc, argv);
+  bench::ObsSession obs;
+  obs.Register(registry);
+  registry.Parse(argc, argv);
   if (options.smoke) {
     // Sharp-spike geometry: crests saturate max_tes, so reactive's
     // serialized late scale-ups land post-crest and clear backlog into the
@@ -230,7 +200,6 @@ int main(int argc, char** argv) {
     options.sharpness = 12.0;
     options.duration_s = 80.0;
   }
-  bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
 
   bench::PrintHeader("Autoscaling under a bursty diurnal trace "
                      "(reactive vs predictive vs slo ScalePolicy)");
@@ -279,8 +248,8 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   };
-  row_i("completed", [](const RunResult& r) { return r.completed; });
-  row_i("errored", [](const RunResult& r) { return r.errored; });
+  row_i("completed", [](const RunResult& r) { return r.counts.completed; });
+  row_i("errored", [](const RunResult& r) { return r.counts.errored; });
   row_f("p50 TTFT (ms)", [](const RunResult& r) { return r.ttft_ms.p50(); });
   row_f("p99 TTFT (ms)", [](const RunResult& r) { return r.ttft_ms.p99(); });
   row_i("TTFT SLO violations", [](const RunResult& r) { return r.ttft_slo_violations; });
@@ -298,14 +267,13 @@ int main(int argc, char** argv) {
     bool ok = true;
     for (const std::string& policy : policies) {
       const RunResult& r = results.at(policy);
-      if (r.completed + r.errored != r.submitted || r.double_terminated != 0 ||
-          r.errored != 0) {
+      if (!bench::CheckConservation(policy, r.counts)) {
+        ok = false;
+      } else if (r.counts.errored != 0) {
         std::fprintf(stderr,
-                     "CONSERVATION VIOLATED (%s): submitted=%" PRId64 " completed=%" PRId64
-                     " errored=%" PRId64 " double_terminated=%" PRId64
-                     " (graceful drain must lose nothing)\n",
-                     policy.c_str(), r.submitted, r.completed, r.errored,
-                     r.double_terminated);
+                     "REQUESTS LOST (%s): %" PRId64 " errored (graceful drain must lose "
+                     "nothing)\n",
+                     policy.c_str(), r.counts.errored);
         ok = false;
       }
     }

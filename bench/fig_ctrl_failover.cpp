@@ -29,7 +29,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -52,10 +51,7 @@ struct Options {
 };
 
 struct RunResult {
-  int64_t submitted = 0;
-  int64_t completed = 0;
-  int64_t errored = 0;
-  int64_t double_terminated = 0;
+  bench::ReplayCounts counts;
   int64_t goodput_tokens = 0;
   uint64_t timeline_hash = 0;
   double makespan_s = 0.0;
@@ -63,8 +59,9 @@ struct RunResult {
   serving::JeStats je;
 
   bool Replays(const RunResult& other) const {
-    return submitted == other.submitted && completed == other.completed &&
-           errored == other.errored && timeline_hash == other.timeline_hash &&
+    return counts.submitted == other.counts.submitted &&
+           counts.completed == other.counts.completed &&
+           counts.errored == other.counts.errored && timeline_hash == other.timeline_hash &&
            cm.cm_failovers == other.cm.cm_failovers &&
            cm.replacements == other.cm.replacements;
   }
@@ -126,37 +123,20 @@ RunResult RunOnce(const Options& options, int replicas) {
   }
   injector.ScheduleAll(*plan);
 
-  RunResult result;
-  result.submitted = static_cast<int64_t>(trace.size());
-  std::map<workload::RequestId, int> terminations;
-  uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](uint64_t v) {
-    hash ^= v;
-    hash *= 1099511628211ull;
-  };
-  for (auto& spec : trace) {
+  for (workload::RequestSpec& spec : trace) {
     spec.arrival += t0;
-    bed.sim().ScheduleAt(spec.arrival, [&, spec] {
-      je.HandleRequest(spec, {nullptr,
-                              [&, id = spec.id, decode = spec.decode_len](
-                                  const flowserve::Sequence& seq) {
-                                ++result.completed;
-                                result.goodput_tokens += decode;
-                                if (++terminations[id] > 1) ++result.double_terminated;
-                                mix(id);
-                                mix(static_cast<uint64_t>(seq.first_token_time));
-                                mix(static_cast<uint64_t>(seq.finish_time));
-                              },
-                              [&, id = spec.id](const Status&) {
-                                ++result.errored;
-                                if (++terminations[id] > 1) ++result.double_terminated;
-                                mix(id * 2 + 1);
-                              }});
-    });
   }
+  RunResult result;
+  bench::TraceReplay replay(
+      &bed.sim(), trace,
+      [&result](const workload::RequestSpec& spec, TimeNs, const flowserve::Sequence&) {
+        result.goodput_tokens += spec.decode_len;
+      });
+  replay.ScheduleOnto(&je);
   bed.sim().Run();
 
-  result.timeline_hash = hash;
+  result.counts = replay.counts();
+  result.timeline_hash = replay.timeline_hash();
   result.makespan_s = NsToS(bed.sim().Now() - t0);
   result.cm = manager.stats();
   result.je = je.stats();
@@ -166,9 +146,9 @@ RunResult RunOnce(const Options& options, int replicas) {
 void PrintRun(const char* label, const RunResult& r) {
   std::printf("%-34s %14s\n", label, "");
   bench::PrintRule();
-  std::printf("%-34s %14" PRId64 "\n", "requests submitted", r.submitted);
-  std::printf("%-34s %14" PRId64 "\n", "completed", r.completed);
-  std::printf("%-34s %14" PRId64 "\n", "errored (on_error)", r.errored);
+  std::printf("%-34s %14" PRId64 "\n", "requests submitted", r.counts.submitted);
+  std::printf("%-34s %14" PRId64 "\n", "completed", r.counts.completed);
+  std::printf("%-34s %14" PRId64 "\n", "errored (on_error)", r.counts.errored);
   std::printf("%-34s %14" PRId64 "\n", "CM leader crashes", r.cm.cm_crashes);
   std::printf("%-34s %14" PRId64 "\n", "CM failovers", r.cm.cm_failovers);
   std::printf("%-34s %14.1f\n", "CM outage total (ms)", NsToMs(r.cm.cm_outage_total));
@@ -181,23 +161,11 @@ void PrintRun(const char* label, const RunResult& r) {
   std::printf("%-34s %14.1f\n", "TE replacement MTTR (ms)", r.cm.mean_mttr_ms());
   std::printf("%-34s %14" PRId64 "\n", "in-flight requests lost", r.cm.lost_requests);
   std::printf("%-34s %14" PRId64 "\n", "hung (lost, never detected)",
-              r.submitted - r.completed - r.errored);
+              r.counts.submitted - r.counts.terminated());
   std::printf("%-34s %14.1f\n", "makespan (s)", r.makespan_s);
   std::printf("%-34s %14.1f\n", "goodput (completed tok/s)",
               r.makespan_s > 0 ? static_cast<double>(r.goodput_tokens) / r.makespan_s : 0.0);
   bench::PrintRule();
-}
-
-bool Conserved(const RunResult& r) {
-  return r.completed + r.errored == r.submitted && r.double_terminated == 0;
-}
-
-// The single-replica invariant: requests may hang (their TE died while the
-// control plane was down for good, so no failure handler ever fires), but
-// only those — the hung count must equal the undetected in-flight losses.
-bool AccountedFor(const RunResult& r) {
-  return r.completed + r.errored + r.cm.lost_requests == r.submitted &&
-         r.double_terminated == 0;
 }
 
 }  // namespace
@@ -215,14 +183,15 @@ int main(int argc, char** argv) {
   registry.Flag("duration-s", &options.duration_s, "trace duration in seconds");
   registry.Flag("smoke", &options.smoke,
                 "small fixed run; non-zero exit on conservation/failover/replay failure");
-  std::vector<char*> obs_args = registry.Parse(argc, argv);
+  bench::ObsSession obs;
+  obs.Register(registry);
+  registry.Parse(argc, argv);
   if (options.smoke) {
     options.rps = 2.0;
     options.peak_rps = 8.0;
     options.duration_s = 12.0;
     options.schedule = "cm@4;npu@6";
   }
-  bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
 
   bench::PrintHeader("Control-plane failover: CM leader crash mid-flash-crowd "
                      "(replicated vs single replica)");
@@ -250,14 +219,12 @@ int main(int argc, char** argv) {
   if (options.smoke) {
     RunResult replay = RunOnce(options, options.ctrl.replicas);
     bool ok = true;
-    if (!Conserved(replicated) || !AccountedFor(single)) {
-      std::fprintf(stderr,
-                   "CONSERVATION VIOLATED: replicated %" PRId64 "+%" PRId64 "/%" PRId64
-                   " (x2 %" PRId64 "), single %" PRId64 "+%" PRId64 "/%" PRId64
-                   " (x2 %" PRId64 ")\n",
-                   replicated.completed, replicated.errored, replicated.submitted,
-                   replicated.double_terminated, single.completed, single.errored,
-                   single.submitted, single.double_terminated);
+    // The single-replica run may hang requests (their TE died while the
+    // control plane was down for good, so no failure handler ever fires), but
+    // only those: the hung count must equal the undetected in-flight losses.
+    if (!bench::CheckConservation("replicated", replicated.counts) ||
+        !bench::CheckConservation("single replica", single.counts, nullptr,
+                                  single.cm.lost_requests)) {
       ok = false;
     }
     if (replicated.cm.cm_crashes < 1 ||
@@ -279,7 +246,7 @@ int main(int argc, char** argv) {
     if (!ok) return 1;
     std::printf("smoke: conservation + failover + bit-identical replay hold "
                 "(%" PRId64 " requests, hash %016" PRIx64 ")\n",
-                replicated.submitted, replicated.timeline_hash);
+                replicated.counts.submitted, replicated.timeline_hash);
   }
   return 0;
 }

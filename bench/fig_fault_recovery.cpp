@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -62,12 +61,13 @@ int main(int argc, char** argv) {
   registry.Flag("no-faults", &options.no_faults, "disable injection (baseline run)");
   registry.Flag("smoke", &options.smoke,
                 "small fixed run that exits non-zero on a conservation violation");
-  std::vector<char*> obs_args = registry.Parse(argc, argv);
+  bench::ObsSession obs;
+  obs.Register(registry);
+  registry.Parse(argc, argv);
   if (options.smoke) {
     options.rps = 4.0;
     options.duration_s = 10.0;
   }
-  bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
 
   bench::PrintHeader("Fault recovery: goodput under chaos (detection -> "
                      "re-dispatch -> re-scale)");
@@ -125,43 +125,13 @@ int main(int argc, char** argv) {
       workload::TraceGenerator::InternalTrace(options.rps, options.duration_s);
   std::vector<workload::RequestSpec> trace = workload::TraceGenerator(trace_config).Generate();
 
-  int64_t completed = 0;
-  int64_t errored = 0;
-  int64_t rejected = 0;
-  int64_t double_terminated = 0;
   int64_t goodput_tokens = 0;
-  std::map<workload::RequestId, int> terminations;
-  for (const auto& spec : trace) {
-    bed.sim().ScheduleAt(spec.arrival, [&, spec] {
-      serving::ChatRequest request;
-      request.model = "yi-34b";
-      request.spec = spec;
-      serving::ResponseHandler handler;
-      handler.on_complete = [&, id = spec.id,
-                             decode = spec.decode_len](const flowserve::Sequence&) {
-        ++completed;
-        goodput_tokens += decode;
-        if (++terminations[id] > 1) {
-          ++double_terminated;
-        }
-      };
-      handler.on_error = [&, id = spec.id](const Status&) {
-        ++errored;
-        if (++terminations[id] > 1) {
-          ++double_terminated;
-        }
-      };
-      // A pre-dispatch rejection reports through the returned Status alone
-      // (the handler never fires), so it is this request's one termination.
-      Status status = frontend.ChatCompletion(std::move(request), std::move(handler));
-      if (!status.ok()) {
-        ++rejected;
-        if (++terminations[spec.id] > 1) {
-          ++double_terminated;
-        }
-      }
-    });
-  }
+  bench::TraceReplay replay(
+      &bed.sim(), trace,
+      [&goodput_tokens](const workload::RequestSpec& spec, TimeNs, const flowserve::Sequence&) {
+        goodput_tokens += spec.decode_len;
+      });
+  replay.ScheduleOnto(&frontend, "yi-34b");
   bed.sim().Run();
 
   double makespan_s = NsToS(bed.sim().Now());
@@ -185,8 +155,9 @@ int main(int argc, char** argv) {
   std::printf("%-34s %12" PRId64 "\n", "requests submitted", fe.requests);
   std::printf("%-34s %12" PRId64 "\n", "dispatched", fe.chat_dispatched);
   std::printf("%-34s %12" PRId64 "\n", "rejected pre-dispatch", fe.rejected_total());
-  std::printf("%-34s %12" PRId64 "\n", "completed", completed);
-  std::printf("%-34s %12" PRId64 "\n", "errored (on_error)", errored);
+  const bench::ReplayCounts& counts = replay.counts();
+  std::printf("%-34s %12" PRId64 "\n", "completed", counts.completed);
+  std::printf("%-34s %12" PRId64 "\n", "errored (on_error)", counts.errored);
   std::printf("%-34s %12" PRId64 "\n", "JE re-dispatches", je.stats().retries);
   std::printf("%-34s %12" PRId64 "\n", "TE crashes", cm.crashes);
   std::printf("%-34s %12" PRId64 "\n", "crashes detected", cm.detections);
@@ -200,19 +171,12 @@ int main(int argc, char** argv) {
   bench::PrintRule();
 
   if (options.smoke) {
-    int64_t submitted = static_cast<int64_t>(trace.size());
-    bool conserved = completed + errored + rejected == submitted && double_terminated == 0 &&
-                     fe.requests == fe.chat_dispatched + fe.rejected_total();
-    if (!conserved) {
-      std::fprintf(stderr,
-                   "CONSERVATION VIOLATED: submitted=%" PRId64 " completed=%" PRId64
-                   " errored=%" PRId64 " rejected=%" PRId64 " double_terminated=%" PRId64 "\n",
-                   submitted, completed, errored, rejected, double_terminated);
+    if (!bench::CheckConservation("fault recovery", counts, &fe)) {
       return 1;
     }
     std::printf("smoke: conservation holds (%" PRId64 " completed + %" PRId64 " errored + %" PRId64
                 " rejected == %" PRId64 " submitted, 0 double-terminations)\n",
-                completed, errored, rejected, submitted);
+                counts.completed, counts.errored, counts.rejected, counts.submitted);
   }
   return 0;
 }

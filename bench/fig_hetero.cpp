@@ -58,10 +58,7 @@ struct Options {
 };
 
 struct RunResult {
-  int64_t submitted = 0;
-  int64_t completed = 0;
-  int64_t errored = 0;
-  int64_t double_terminated = 0;
+  bench::ReplayCounts counts;
   SampleStats ttft_ms;
   int gen1_tes = 0;
   int gen2_tes = 0;
@@ -96,8 +93,7 @@ std::vector<double> ParseRpsList(const std::string& csv) {
   return out;
 }
 
-RunResult Run(const Options& options, bool aware,
-              const std::vector<workload::RequestSpec>& trace) {
+RunResult Run(const Options& options, bool aware, std::vector<workload::RequestSpec> trace) {
   auto mix = hw::ParseNpuMix(options.mix);
   if (!mix.ok()) {
     std::fprintf(stderr, "%s\n", mix.status().ToString().c_str());
@@ -137,49 +133,21 @@ RunResult Run(const Options& options, bool aware,
   }
 
   const TimeNs t0 = bed.sim().Now();
-  result.submitted = static_cast<int64_t>(trace.size());
-  uint64_t hash = 1469598103934665603ull;
-  auto mix_hash = [&hash](uint64_t v) {
-    hash ^= v;
-    hash *= 1099511628211ull;
-  };
-  auto terminations = std::make_shared<std::map<workload::RequestId, int>>();
-  auto first_tokens = std::make_shared<std::map<workload::RequestId, TimeNs>>();
-  for (const auto& spec : trace) {
-    workload::RequestSpec shifted = spec;
-    shifted.arrival += t0;
-    bed.sim().ScheduleAt(shifted.arrival, [&, first_tokens, terminations, shifted] {
-      bed.je().HandleRequest(
-          shifted,
-          {[first_tokens, id = shifted.id](const flowserve::Sequence& seq) {
-             (*first_tokens)[id] = seq.first_token_time;
-           },
-           [&result, &mix_hash, first_tokens, terminations,
-            shifted](const flowserve::Sequence& seq) {
-             ++result.completed;
-             if (++(*terminations)[shifted.id] > 1) {
-               ++result.double_terminated;
-             }
-             result.tokens += static_cast<double>(shifted.decode_len);
-             mix_hash(shifted.id * 2);
-             mix_hash(static_cast<uint64_t>(seq.finish_time));
-             auto it = first_tokens->find(shifted.id);
-             TimeNs first = it != first_tokens->end() ? it->second : seq.finish_time;
-             result.ttft_ms.Add(NsToMs(first - shifted.arrival));
-           },
-           [&result, &mix_hash, terminations, id = shifted.id](const Status&) {
-             ++result.errored;
-             if (++(*terminations)[id] > 1) {
-               ++result.double_terminated;
-             }
-             mix_hash(id * 2 + 1);
-           }});
-    });
+  for (workload::RequestSpec& spec : trace) {
+    spec.arrival += t0;
   }
+  bench::TraceReplay replay(
+      &bed.sim(), trace,
+      [&result](const workload::RequestSpec& spec, TimeNs first, const flowserve::Sequence&) {
+        result.tokens += static_cast<double>(spec.decode_len);
+        result.ttft_ms.Add(NsToMs(first - spec.arrival));
+      });
+  replay.ScheduleOnto(&bed.je());
   bed.sim().Run();
   result.end_time = bed.sim().Now();
-  mix_hash(static_cast<uint64_t>(result.end_time));
-  result.timeline_hash = hash;
+  replay.Mix(static_cast<uint64_t>(result.end_time));
+  result.counts = replay.counts();
+  result.timeline_hash = replay.timeline_hash();
 
   // Fleet cost: the static fleet holds its NPUs from t0 until the last event
   // drains, at each TE's own generation list price.
@@ -208,13 +176,14 @@ int main(int argc, char** argv) {
   registry.Flag("seed", &options.seed, "trace seed");
   registry.Flag("smoke", &options.smoke,
                 "fixed run; exits non-zero unless the hetero-aware win holds");
-  std::vector<char*> obs_args = registry.Parse(argc, argv);
+  bench::ObsSession obs;
+  obs.Register(registry);
+  registry.Parse(argc, argv);
   if (options.smoke) {
     options.rps_list = "0.6";
     options.duration_s = 40.0;
   }
   std::vector<double> rps_points = ParseRpsList(options.rps_list);
-  bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
 
   bench::PrintHeader("Heterogeneous Gen1/Gen2 cluster: cost-aware vs "
                      "generation-blind placement");
@@ -244,8 +213,8 @@ int main(int argc, char** argv) {
     std::snprintf(aware_tes, sizeof(aware_tes), "%dg1+%dg2", aware.gen1_tes, aware.gen2_tes);
     std::snprintf(blind_tes, sizeof(blind_tes), "%dg1+%dg2", blind.gen1_tes, blind.gen2_tes);
     std::printf("%-24s %14s %14s\n", "TE placement", aware_tes, blind_tes);
-    row_i("completed", aware.completed, blind.completed);
-    row_i("errored", aware.errored, blind.errored);
+    row_i("completed", aware.counts.completed, blind.counts.completed);
+    row_i("errored", aware.counts.errored, blind.counts.errored);
     row_f("p50 TTFT (ms)", aware.ttft_ms.p50(), blind.ttft_ms.p50());
     row_f("p99 TTFT (ms)", aware.ttft_ms.p99(), blind.ttft_ms.p99());
     row_f("fleet cost ($)", aware.cost_dollars, blind.cost_dollars);
@@ -253,15 +222,14 @@ int main(int argc, char** argv) {
 
     if (options.smoke) {
       for (const RunResult* r : {&aware, &blind}) {
-        const char* mode = r == &aware ? "aware" : "blind";
-        if (r->completed + r->errored != r->submitted || r->double_terminated != 0 ||
-            r->errored != 0) {
-          std::fprintf(stderr,
-                       "CONSERVATION VIOLATED (%s @ %.2f rps): submitted=%" PRId64
-                       " completed=%" PRId64 " errored=%" PRId64 " double_terminated=%" PRId64
-                       "\n",
-                       mode, rps, r->submitted, r->completed, r->errored,
-                       r->double_terminated);
+        char label[48];
+        std::snprintf(label, sizeof(label), "%s @ %.2f rps", r == &aware ? "aware" : "blind",
+                      rps);
+        if (!bench::CheckConservation(label, r->counts)) {
+          ok = false;
+        } else if (r->counts.errored != 0) {
+          std::fprintf(stderr, "REQUESTS LOST (%s): %" PRId64 " errored on a static fleet\n",
+                       label, r->counts.errored);
           ok = false;
         }
       }

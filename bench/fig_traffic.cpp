@@ -68,10 +68,8 @@ constexpr Variant kVariants[] = {
 };
 
 struct RunResult {
-  int64_t completed = 0;
-  int64_t errored = 0;   // post-dispatch on_error (sheds on the slow TE)
-  int64_t rejected = 0;  // pre-dispatch non-OK Status
-  int64_t double_terminated = 0;
+  bench::ReplayCounts counts;  // errored = sheds on the slow TE
+  bool conserved = false;
   int64_t goodput_tokens = 0;  // decode tokens from in-deadline completions
   int64_t ejections = 0;
   int64_t readmissions = 0;
@@ -79,7 +77,7 @@ struct RunResult {
   int64_t hedge_wins = 0;
   double makespan_s = 0.0;
   SampleStats ttft_ms;
-  uint64_t timeline_hash = 1469598103934665603ull;
+  uint64_t timeline_hash = 0;
 
   double goodput() const {
     return makespan_s > 0 ? static_cast<double>(goodput_tokens) / makespan_s : 0.0;
@@ -161,60 +159,15 @@ RunResult RunVariant(const Options& options, const Variant& variant,
   injector.ScheduleAll(*plan);
 
   RunResult result;
-  uint64_t* hash = &result.timeline_hash;
-  auto mix = [hash](uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-      *hash ^= (value >> (8 * i)) & 0xff;
-      *hash *= 1099511628211ull;
-    }
-  };
-  auto terminations = std::make_shared<std::map<workload::RequestId, int>>();
-  auto first_tokens = std::make_shared<std::map<workload::RequestId, TimeNs>>();
-  for (const auto& spec : trace) {
-    sim.ScheduleAt(spec.arrival, [&, first_tokens, terminations, spec] {
-      serving::ChatRequest request;
-      request.model = "yi-34b";
-      request.spec = spec;
-      request.deadline = spec.arrival + MsToNs(options.deadline_ms);
-      TimeNs deadline = request.deadline;
-      serving::ResponseHandler handler;
-      handler.on_first_token = [first_tokens, id = spec.id](const flowserve::Sequence& seq) {
-        (*first_tokens)[id] = seq.first_token_time;
-      };
-      handler.on_complete = [&result, &mix, first_tokens, terminations, spec,
-                             deadline](const flowserve::Sequence& seq) {
-        ++result.completed;
-        if (++(*terminations)[spec.id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(spec.id * 2);
-        mix(static_cast<uint64_t>(seq.finish_time));
-        if (seq.finish_time <= deadline) {
+  bench::TraceReplay replay(
+      &sim, trace,
+      [&result](const workload::RequestSpec& spec, TimeNs first, const flowserve::Sequence& seq) {
+        if (seq.finish_time <= spec.deadline) {
           result.goodput_tokens += spec.decode_len;
         }
-        auto it = first_tokens->find(spec.id);
-        TimeNs first = it != first_tokens->end() ? it->second : seq.finish_time;
         result.ttft_ms.Add(NsToMs(first - spec.arrival));
-      };
-      handler.on_error = [&result, &mix, terminations, id = spec.id](const Status&) {
-        ++result.errored;
-        if (++(*terminations)[id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(id * 2 + 1);
-      };
-      // A pre-dispatch rejection reports through the returned Status alone
-      // (the handler never fires): it is this request's one termination.
-      Status status = frontend.ChatCompletion(std::move(request), std::move(handler));
-      if (!status.ok()) {
-        ++result.rejected;
-        if (++(*terminations)[spec.id] > 1) {
-          ++result.double_terminated;
-        }
-        mix(spec.id * 2 + 1);
-      }
-    });
-  }
+      });
+  replay.ScheduleOnto(&frontend, "yi-34b");
   sim.Run();
 
   const serving::FrontendStats& fe = frontend.stats();
@@ -223,13 +176,12 @@ RunResult RunVariant(const Options& options, const Variant& variant,
   result.hedges = fe.hedges_launched;
   result.hedge_wins = fe.hedge_wins;
   result.makespan_s = NsToS(sim.Now());
-  mix(static_cast<uint64_t>(fe.ejections));
-  mix(static_cast<uint64_t>(fe.hedges_launched));
-  mix(static_cast<uint64_t>(sim.Now()));
-  if (fe.requests != fe.chat_dispatched + fe.rejected_total()) {
-    std::fprintf(stderr, "%s: frontend accounting violated\n", variant.label);
-    std::abort();
-  }
+  replay.Mix(static_cast<uint64_t>(fe.ejections));
+  replay.Mix(static_cast<uint64_t>(fe.hedges_launched));
+  replay.Mix(static_cast<uint64_t>(sim.Now()));
+  result.counts = replay.counts();
+  result.timeline_hash = replay.timeline_hash();
+  result.conserved = bench::CheckConservation(variant.label, result.counts, &fe);
   return result;
 }
 
@@ -252,7 +204,9 @@ int main(int argc, char** argv) {
                 "beat rr on goodput and p99 TTFT, and rr+eject replays bit-identically");
   options.route.hedge_ms = 2000.0;  // hedge only true stragglers at this scale
   options.route.Register(registry);
-  std::vector<char*> obs_args = registry.Parse(argc, argv);
+  bench::ObsSession obs;
+  obs.Register(registry);
+  registry.Parse(argc, argv);
   if (options.smoke) {
     options.base_rps = 1.0;
     options.peak_rps = 5.0;
@@ -262,7 +216,6 @@ int main(int argc, char** argv) {
     options.slow_factor = 3.0;            // slow enough to hurt, not to shed everything
     options.route.outlier_base_s = 15.0;  // keep the slow TE benched once caught
   }
-  bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
 
   bench::PrintHeader("Traffic management: flash crowd + one slow TE, routing "
                      "policies ablated");
@@ -274,6 +227,9 @@ int main(int argc, char** argv) {
       workload::TraceGenerator(trace_config)
           .GenerateBursty(options.base_rps, options.peak_rps, options.period_s,
                           /*sharpness=*/3.0);
+  for (workload::RequestSpec& spec : trace) {
+    spec.deadline = spec.arrival + MsToNs(options.deadline_ms);
+  }
 
   std::printf("workload: %zu requests, %.1f->%.1f RPS bursts over %.0fs; replica 0 "
               "runs %.1fx slow; deadline %.0fms (seed %" PRIu64 ")\n",
@@ -287,26 +243,23 @@ int main(int argc, char** argv) {
   bench::PrintRule();
 
   std::map<std::string, RunResult> results;
-  int64_t submitted = static_cast<int64_t>(trace.size());
   bool conserved = true;
   for (const Variant& variant : kVariants) {
     RunResult result = RunVariant(options, variant, trace);
     std::printf("%-16s %5" PRId64 " %5" PRId64 " %5" PRId64 " %10.1f %10.1f %7" PRId64
                 " %7" PRId64 "\n",
-                variant.label, result.completed, result.errored, result.rejected,
-                result.goodput(), result.ttft_ms.p99(), result.ejections, result.hedges);
-    conserved = conserved &&
-                result.completed + result.errored + result.rejected == submitted &&
-                result.double_terminated == 0;
+                variant.label, result.counts.completed, result.counts.errored,
+                result.counts.rejected, result.goodput(), result.ttft_ms.p99(),
+                result.ejections, result.hedges);
+    conserved = conserved && result.conserved;
     results[variant.label] = result;
   }
   bench::PrintRule();
+  if (!conserved) {
+    return 1;
+  }
 
   if (options.smoke) {
-    if (!conserved) {
-      std::fprintf(stderr, "CONSERVATION VIOLATED in at least one variant\n");
-      return 1;
-    }
     const RunResult& rr = results["rr"];
     const RunResult& p2c = results["p2c+eject"];
     const RunResult& wlc = results["wlc+eject"];

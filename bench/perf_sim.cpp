@@ -552,7 +552,8 @@ int main(int argc, char** argv) {
                 "fast run; exits non-zero unless replay is bit-identical, the slab "
                 "core beats the legacy heap on cancel_storm, and replay_scale stays "
                 "near-flat");
-  std::vector<char*> obs_args = registry.Parse(argc, argv);
-  bench::ObsSession obs(static_cast<int>(obs_args.size()), obs_args.data());
+  bench::ObsSession obs;
+  obs.Register(registry);
+  registry.Parse(argc, argv);
   return RunAll(opt);
 }

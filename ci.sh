@@ -78,6 +78,21 @@ echo "==> perf_sim smoke: DES core throughput, replay determinism, BENCH_perf.js
 # 1.8x over a 4x longer trace. Writes the tracked BENCH_perf.json.
 ./build/bench/perf_sim --smoke --out=BENCH_perf.json >/dev/null
 
+echo "==> deepserve_sim obs smoke: obs flags write their files, report unchanged"
+# Exits non-zero unless --trace-out and --metrics-out each write a non-empty
+# file and the traced run's stdout is byte-identical to an untraced run.
+SIM_ARGS=(--model=tiny-1b --colocated=2 --rps=5 --duration=5)
+OBS_DIR="$(mktemp -d)"
+./build/examples/deepserve_sim "${SIM_ARGS[@]}" >"${OBS_DIR}/plain.out"
+./build/examples/deepserve_sim "${SIM_ARGS[@]}" --trace-out="${OBS_DIR}/trace.json" \
+  --metrics-out="${OBS_DIR}/metrics.txt" >"${OBS_DIR}/traced.out" 2>/dev/null
+if [[ ! -s "${OBS_DIR}/trace.json" || ! -s "${OBS_DIR}/metrics.txt" ]]; then
+  echo "deepserve_sim wrote no trace or metrics file" >&2
+  exit 1
+fi
+cmp "${OBS_DIR}/plain.out" "${OBS_DIR}/traced.out"
+rm -rf "${OBS_DIR}"
+
 if [[ "${1:-}" == "--fast" ]]; then
   echo "==> --fast: skipping Release compile and sanitizer pass"
   exit 0

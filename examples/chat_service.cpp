@@ -4,8 +4,8 @@
 // Prints the request/job/task ledger and fleet-level statistics.
 
 #include <cstdio>
-#include <map>
 
+#include "bench/common.h"
 #include "common/time_units.h"
 #include "distflow/distflow.h"
 #include "hw/cluster.h"
@@ -59,25 +59,8 @@ int main() {
   auto trace = workload::TraceGenerator(workload::TraceGenerator::CodeGenTrace(1.0, 90.0))
                    .Generate();
   workload::MetricsCollector metrics;
-  std::map<workload::RequestId, TimeNs> first_tokens;
-  for (const auto& spec : trace) {
-    sim.ScheduleAt(spec.arrival, [&, spec] {
-      je.HandleRequest(
-          spec, {[&first_tokens, id = spec.id](const flowserve::Sequence& seq) {
-            first_tokens[id] = seq.first_token_time;
-          }, [&metrics, &first_tokens, spec](const flowserve::Sequence& seq) {
-            workload::RequestRecord record;
-            record.id = spec.id;
-            record.arrival = spec.arrival;
-            auto it = first_tokens.find(spec.id);
-            record.first_token = it != first_tokens.end() ? it->second : seq.first_token_time;
-            record.completion = seq.finish_time;
-            record.prefill_len = spec.prefill_len();
-            record.decode_len = spec.decode_len;
-            metrics.Record(record);
-          }, nullptr});
-    });
-  }
+  bench::TraceReplay replay(&sim, trace, bench::RecordInto(&metrics));
+  replay.ScheduleOnto(&je);
   sim.Run();
 
   std::printf("chat service summary: %s\n\n", metrics.Summary().c_str());

@@ -25,6 +25,11 @@
 // replicas (--ctrl-latency-ms / --ctrl-lease-ms tune replication lag and the
 // leader lease). The default (1) keeps the historical unreplicated control
 // plane, bit-identical to builds without the flag.
+//
+// Observability: --trace-out=<path> (Chrome trace_event JSON),
+// --trace-jsonl=<path> and --metrics-out=<path> write the run's trace and
+// metrics dump; the printed report is byte-identical with or without them.
+// An unknown flag is a usage error (exit 2).
 
 #include <cstdio>
 #include <cstdlib>
@@ -91,7 +96,7 @@ struct Flags {
   bench::CtrlOptions ctrl;    // --ctrl-replicas / --ctrl-latency-ms / --ctrl-lease-ms
 };
 
-bool ParseFlags(int argc, char** argv, Flags* flags) {
+void ParseFlags(int argc, char** argv, Flags* flags, bench::ObsSession* obs) {
   bench::OptionRegistry registry;
   registry.Flag("model", &flags->model, "model preset (yi-34b, tiny-1b, ...)");
   registry.Flag("tp", &flags->tp, "tensor-parallel degree per TE");
@@ -136,12 +141,8 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
   registry.Flag("max-tes", &flags->max_tes, "autoscaler ceiling");
   flags->route.Register(registry);
   flags->ctrl.Register(registry);
-  std::vector<char*> rest = registry.Parse(argc, argv);
-  for (size_t i = 1; i < rest.size(); ++i) {
-    std::fprintf(stderr, "unknown flag %s (see --help)\n", rest[i]);
-    return false;
-  }
-  return true;
+  obs->Register(registry);
+  registry.Parse(argc, argv);
 }
 
 Result<serving::SchedulingPolicy> ParsePolicy(const std::string& name) {
@@ -164,9 +165,8 @@ Result<serving::SchedulingPolicy> ParsePolicy(const std::string& name) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  if (!ParseFlags(argc, argv, &flags)) {
-    return 2;
-  }
+  bench::ObsSession obs;
+  ParseFlags(argc, argv, &flags, &obs);
   auto model = model::ModelSpec::Preset(flags.model);
   if (!model.ok()) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
@@ -194,6 +194,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   sim::Simulator sim;
+  obs.Attach(sim);
   hw::ClusterConfig cluster_config;
   int instances =
       flags.je_replicas * (flags.colocated + flags.prefill_tes + flags.decode_tes);
@@ -385,38 +386,8 @@ int main(int argc, char** argv) {
   }
 
   workload::MetricsCollector metrics;
-  std::map<workload::RequestId, TimeNs> first_tokens;
-  int64_t errored = 0;
-  int64_t rejected = 0;
-  for (const auto& spec : trace) {
-    sim.ScheduleAt(spec.arrival, [&, spec] {
-      serving::ChatRequest request;
-      request.model = flags.model;
-      request.spec = spec;
-      request.deadline = spec.deadline;
-      serving::ResponseHandler handler{
-          [&first_tokens, id = spec.id](const flowserve::Sequence& seq) {
-            first_tokens[id] = seq.first_token_time;
-          },
-          [&metrics, &first_tokens, spec](const flowserve::Sequence& seq) {
-            workload::RequestRecord record;
-            record.id = spec.id;
-            record.arrival = spec.arrival;
-            auto it = first_tokens.find(spec.id);
-            record.first_token = it != first_tokens.end() ? it->second : seq.first_token_time;
-            record.completion = seq.finish_time;
-            record.prefill_len = spec.prefill_len();
-            record.decode_len = spec.decode_len;
-            metrics.Record(record);
-          },
-          [&errored](const Status&) { ++errored; }};
-      // Pre-dispatch rejections report through the Status; the handler never
-      // fires for them.
-      if (!frontend.ChatCompletion(std::move(request), std::move(handler)).ok()) {
-        ++rejected;
-      }
-    });
-  }
+  bench::TraceReplay replay(&sim, trace, bench::RecordInto(&metrics));
+  replay.ScheduleOnto(&frontend, flags.model);
   if (autoscale) {
     // The autoscaler's periodic tick keeps the queue non-empty: run to the
     // trace horizon, stop it, then drain the remaining in-flight work.
@@ -438,10 +409,11 @@ int main(int argc, char** argv) {
                 static_cast<long long>(as.drains_aborted),
                 static_cast<long long>(as.drain_timeouts));
   }
-  if (errored > 0 || rejected > 0) {
+  const bench::ReplayCounts& counts = replay.counts();
+  if (counts.errored > 0 || counts.rejected > 0) {
     std::printf("errored (shed / deadline exceeded): %lld, rejected pre-dispatch: %lld "
                 "of %zu\n",
-                static_cast<long long>(errored), static_cast<long long>(rejected),
+                static_cast<long long>(counts.errored), static_cast<long long>(counts.rejected),
                 trace.size());
   }
   int64_t routed_colocated = 0;

@@ -4,7 +4,9 @@
 // effect on queueing.
 
 #include <cstdio>
+#include <vector>
 
+#include "bench/common.h"
 #include "common/time_units.h"
 #include "distflow/distflow.h"
 #include "hw/cluster.h"
@@ -54,30 +56,21 @@ int main() {
   manager.StartAutoscaler(&je, as, request);
 
   // Baseline load for 20 s, then a 5x burst for 60 s.
-  workload::MetricsCollector metrics;
-  auto replay = [&](double rps, double start_s, double duration_s, uint64_t seed) {
+  std::vector<workload::RequestSpec> trace;
+  auto append = [&](double rps, double start_s, double duration_s, uint64_t seed) {
     auto config = workload::TraceGenerator::InternalTrace(rps, duration_s, seed);
     config.prefill = workload::LengthDistribution{1024, 0.25, 128, 4096};
-    auto trace = workload::TraceGenerator(config).Generate();
-    for (auto& spec : trace) {
+    for (auto& spec : workload::TraceGenerator(config).Generate()) {
       spec.arrival += t0 + SToNs(start_s);
       spec.id += seed * 1000000;
-      sim.ScheduleAt(spec.arrival, [&, spec] {
-        je.HandleRequest(spec, {nullptr, [&metrics, spec](const flowserve::Sequence& seq) {
-          workload::RequestRecord record;
-          record.id = spec.id;
-          record.arrival = spec.arrival;
-          record.first_token = seq.first_token_time;
-          record.completion = seq.finish_time;
-          record.prefill_len = spec.prefill_len();
-          record.decode_len = spec.decode_len;
-          metrics.Record(record);
-        }, nullptr});
-      });
+      trace.push_back(std::move(spec));
     }
   };
-  replay(0.5, 0, 20, 1);
-  replay(4.0, 20, 60, 2);
+  append(0.5, 0, 20, 1);
+  append(4.0, 20, 60, 2);
+  workload::MetricsCollector metrics;
+  bench::TraceReplay replay(&sim, trace, bench::RecordInto(&metrics));
+  replay.ScheduleOnto(&je);
 
   // Observe fleet size every 5 s.
   std::printf("time   ready-TEs  scale-ups  (burst arrives at t=20s)\n");

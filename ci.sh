@@ -93,6 +93,17 @@ fi
 cmp "${OBS_DIR}/plain.out" "${OBS_DIR}/traced.out"
 rm -rf "${OBS_DIR}"
 
+echo "==> ctrl-replica parity: a 3-replica control log changes no simulated output"
+# Exits non-zero unless a mixed colocated + 1P1D run prints byte-identical
+# stdout with and without --ctrl-replicas=3: replication is observable only
+# at failover, and this run has none (DESIGN #10).
+PARITY_ARGS=(--model=tiny-1b --colocated=2 --prefill-tes=1 --decode-tes=1 --rps=5 --duration=5)
+PARITY_DIR="$(mktemp -d)"
+./build/examples/deepserve_sim "${PARITY_ARGS[@]}" >"${PARITY_DIR}/one.out"
+./build/examples/deepserve_sim "${PARITY_ARGS[@]}" --ctrl-replicas=3 >"${PARITY_DIR}/three.out"
+cmp "${PARITY_DIR}/one.out" "${PARITY_DIR}/three.out"
+rm -rf "${PARITY_DIR}"
+
 if [[ "${1:-}" == "--fast" ]]; then
   echo "==> --fast: skipping Release compile and sanitizer pass"
   exit 0

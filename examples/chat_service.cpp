@@ -4,9 +4,11 @@
 // Prints the request/job/task ledger and fleet-level statistics.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/common.h"
 #include "common/time_units.h"
+#include "ctrl/job_table.h"
 #include "distflow/distflow.h"
 #include "hw/cluster.h"
 #include "serving/cluster_manager.h"
@@ -73,20 +75,59 @@ int main() {
               static_cast<long long>(je.stats().load_decisions),
               static_cast<long long>(je.stats().locality_hits));
 
-  // The request-job-task ledger: show the first disaggregated job's tasks.
-  for (const auto& job : je.jobs()) {
-    if (job.tasks.size() == 2) {
-      std::printf("\njob %llu (request %llu) ran as two tasks:\n",
-                  static_cast<unsigned long long>(job.id),
-                  static_cast<unsigned long long>(job.request));
-      for (serving::TaskId task_id : job.tasks) {
-        const auto& task = je.tasks()[task_id - 1];
-        std::printf("  task %llu [%s] on TE %d: %.1f ms\n",
-                    static_cast<unsigned long long>(task.id),
-                    std::string(serving::TaskTypeToString(task.type)).c_str(), task.te,
-                    NsToMs(task.completed - task.dispatched));
+  // The request-job-task ledger is the JE's control-log records: show the
+  // first disaggregated job's tasks. A task completes at its kTaskCompleted
+  // record, else (the decode task) at its job's close record.
+  struct LedgerTask {
+    uint64_t id;
+    serving::TaskType type;
+    int te;
+    TimeNs dispatched;
+    TimeNs completed;  // 0 = still open
+  };
+  uint64_t job = 0;  // the first job with a prefill task
+  uint64_t request = 0;
+  std::vector<LedgerTask> tasks;
+  for (const ctrl::LogRecord& record : je.control_log().records()) {
+    if (record.domain != je.table().domain()) {
+      continue;
+    }
+    const std::vector<int64_t>& ints = record.ints;
+    if (record.type == ctrl::JobTable::kJobCreated && job == 0) {
+      request = static_cast<uint64_t>(ints[1]);
+    } else if (record.type == ctrl::JobTable::kTaskCreated) {
+      const auto type = static_cast<serving::TaskType>(ints[2]);
+      if (job == 0 && type == serving::TaskType::kPrefill) {
+        job = static_cast<uint64_t>(ints[1]);
+      }
+      if (static_cast<uint64_t>(ints[1]) == job) {
+        tasks.push_back({static_cast<uint64_t>(ints[0]), type, static_cast<int>(ints[3]),
+                         record.time, 0});
+      }
+    } else if (record.type == ctrl::JobTable::kTaskCompleted) {
+      for (LedgerTask& task : tasks) {
+        if (task.id == static_cast<uint64_t>(ints[0])) {
+          task.completed = record.time;
+        }
+      }
+    } else if ((record.type == ctrl::JobTable::kJobCompleted ||
+                record.type == ctrl::JobTable::kJobFailed) &&
+               job != 0 && static_cast<uint64_t>(ints[0]) == job) {
+      for (LedgerTask& task : tasks) {
+        if (task.completed == 0) {
+          task.completed = record.time;
+        }
       }
       break;
+    }
+  }
+  if (job != 0) {
+    std::printf("\njob %llu (request %llu) ran as two tasks:\n",
+                static_cast<unsigned long long>(job), static_cast<unsigned long long>(request));
+    for (const LedgerTask& task : tasks) {
+      std::printf("  task %llu [%s] on TE %d: %.1f ms\n", static_cast<unsigned long long>(task.id),
+                  std::string(serving::TaskTypeToString(task.type)).c_str(), task.te,
+                  NsToMs(task.completed - task.dispatched));
     }
   }
 

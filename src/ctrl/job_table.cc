@@ -8,33 +8,13 @@ namespace deepserve::ctrl {
 
 namespace {
 
-// The record with dense id `id` (see JobTable::jobs_).
-template <typename Record>
-Record& ById(std::vector<Record>& records, uint64_t id) {
-  DS_CHECK(id >= 1 && id <= records.size()) << "unknown id " << id;
-  return records[id - 1];
-}
-
-// Marks `job` and its not-yet-completed tasks with `state` at `time` —
-// the shared tail of the JobExecutor's complete/fail paths.
-void CloseJob(workload::JobRecord* job, std::vector<workload::TaskRecord>* tasks,
-              workload::JobState state, workload::TaskState task_state, TimeNs time) {
-  job->state = state;
-  job->completed = time;
-  for (workload::TaskId task : job->tasks) {
-    workload::TaskRecord& t = ById(*tasks, task);
-    if (t.state != workload::TaskState::kCompleted) {
-      t.state = task_state;
-      t.completed = time;
-    }
-  }
+// Ids are dense from 1 and `next` is the one the next create record takes,
+// so a record may only name an id in [1, next).
+void CheckKnownId(uint64_t id, uint64_t next) {
+  DS_CHECK(id >= 1 && id < next) << "unknown id " << id;
 }
 
 }  // namespace
-
-const workload::JobRecord* JobTable::FindJob(workload::JobId id) const {
-  return id >= 1 && id <= jobs_.size() ? &jobs_[id - 1] : nullptr;
-}
 
 void JobTable::Apply(const LogRecord& record) {
   DS_CHECK(record.domain == domain());
@@ -60,13 +40,6 @@ void JobTable::Apply(const LogRecord& record) {
       const auto job_id = static_cast<workload::JobId>(record.ints[0]);
       DS_CHECK(job_id == next_job_);
       ++next_job_;
-      workload::JobRecord job;
-      job.id = job_id;
-      job.request = static_cast<workload::RequestId>(record.ints[1]);
-      job.type = workload::JobType::kChatCompletion;
-      job.state = workload::JobState::kRunning;
-      job.created = record.time;
-      jobs_.push_back(std::move(job));
       Outstanding& outstanding = outstanding_[job_id];
       outstanding.retries = static_cast<int>(record.ints[2]);
       outstanding.spec.id = static_cast<workload::RequestId>(record.ints[1]);
@@ -91,38 +64,19 @@ void JobTable::Apply(const LogRecord& record) {
       const auto task_id = static_cast<workload::TaskId>(record.ints[0]);
       DS_CHECK(task_id == next_task_);
       ++next_task_;
-      workload::TaskRecord task;
-      task.id = task_id;
-      task.job = static_cast<workload::JobId>(record.ints[1]);
-      task.type = static_cast<workload::TaskType>(record.ints[2]);
-      task.te = static_cast<workload::TeId>(record.ints[3]);
-      task.state = workload::TaskState::kDispatched;
-      task.created = record.time;
-      task.dispatched = record.time;
-      ById(jobs_, task.job).tasks.push_back(task.id);
-      tasks_.push_back(task);
+      CheckKnownId(static_cast<uint64_t>(record.ints[1]), next_job_);
       break;
     }
     case kTaskCompleted: {
       DS_CHECK(record.ints.size() == 1);
-      workload::TaskRecord& task = ById(tasks_, static_cast<workload::TaskId>(record.ints[0]));
-      task.state = workload::TaskState::kCompleted;
-      task.completed = record.time;
+      CheckKnownId(static_cast<uint64_t>(record.ints[0]), next_task_);
       break;
     }
-    case kJobCompleted: {
-      DS_CHECK(record.ints.size() == 1);
-      const auto job_id = static_cast<workload::JobId>(record.ints[0]);
-      CloseJob(&ById(jobs_, job_id), &tasks_, workload::JobState::kCompleted,
-               workload::TaskState::kCompleted, record.time);
-      outstanding_.erase(job_id);
-      break;
-    }
+    case kJobCompleted:
     case kJobFailed: {
       DS_CHECK(record.ints.size() == 1);
       const auto job_id = static_cast<workload::JobId>(record.ints[0]);
-      CloseJob(&ById(jobs_, job_id), &tasks_, workload::JobState::kFailed,
-               workload::TaskState::kFailed, record.time);
+      CheckKnownId(job_id, next_job_);
       outstanding_.erase(job_id);
       break;
     }
@@ -150,29 +104,6 @@ uint64_t JobTable::Fingerprint() const {
     for (workload::TeId id : group) {
       Mix(&hash, static_cast<uint64_t>(id));
     }
-  }
-  Mix(&hash, jobs_.size());
-  for (const workload::JobRecord& job : jobs_) {
-    Mix(&hash, static_cast<uint64_t>(job.id));
-    Mix(&hash, static_cast<uint64_t>(job.request));
-    Mix(&hash, static_cast<uint64_t>(job.state));
-    Mix(&hash, static_cast<uint64_t>(job.created));
-    Mix(&hash, static_cast<uint64_t>(job.completed));
-    Mix(&hash, job.tasks.size());
-    for (workload::TaskId task : job.tasks) {
-      Mix(&hash, static_cast<uint64_t>(task));
-    }
-  }
-  Mix(&hash, tasks_.size());
-  for (const workload::TaskRecord& task : tasks_) {
-    Mix(&hash, static_cast<uint64_t>(task.id));
-    Mix(&hash, static_cast<uint64_t>(task.job));
-    Mix(&hash, static_cast<uint64_t>(task.type));
-    Mix(&hash, static_cast<uint64_t>(task.state));
-    Mix(&hash, static_cast<uint64_t>(task.te));
-    Mix(&hash, static_cast<uint64_t>(task.created));
-    Mix(&hash, static_cast<uint64_t>(task.dispatched));
-    Mix(&hash, static_cast<uint64_t>(task.completed));
   }
   Mix(&hash, outstanding_.size());
   for (const auto& [job_id, outstanding] : outstanding_) {

@@ -1,16 +1,15 @@
 // JobTable: the JobExecutor's replicated control-plane state as a
 // deterministic state machine (ctrl_state_machine.h).
 //
-// Holds everything a standby JE needs to resume: the job/task records, the
-// outstanding map (spec + TEs touched + retry count — enough to re-dispatch
-// or fail a request exactly once), the id counters, the round-robin cursor,
-// and the TE group membership (as ids). Runtime-only artifacts stay in the
+// Holds only what a standby JE needs to resume: the outstanding map (spec +
+// TEs touched + retry count — enough to re-dispatch or fail a request exactly
+// once), the id counters, the round-robin cursor, the epoch, and the TE group
+// membership (as ids). The job/task ledger is the log itself: kJobCreated,
+// kTaskCreated, kTaskCompleted and the close records carry it, and readers
+// decode it from ControlLog::records(). Runtime-only artifacts stay in the
 // JobExecutor: ResponseHandlers (re-established connections on takeover),
 // TaskExecutor pointers (re-bound from ids via the ClusterManager), and the
 // prompt-tree caches (rebuildable, affect only routing quality).
-//
-// workload/job.h holds the leaf record types (JobRecord/TaskRecord), so the
-// control plane carries no dependency on the serving layer.
 #ifndef DEEPSERVE_CTRL_JOB_TABLE_H_
 #define DEEPSERVE_CTRL_JOB_TABLE_H_
 
@@ -64,9 +63,6 @@ class JobTable final : public CtrlStateMachine {
   uint64_t Fingerprint() const override;
 
   // ---- const views the leader decides from ----------------------------------
-  const std::vector<workload::JobRecord>& jobs() const { return jobs_; }
-  const std::vector<workload::TaskRecord>& tasks() const { return tasks_; }
-  const workload::JobRecord* FindJob(workload::JobId id) const;
   const std::map<workload::JobId, Outstanding>& outstanding() const { return outstanding_; }
   bool IsOutstanding(workload::JobId id) const { return outstanding_.count(id) != 0; }
   const std::vector<workload::TeId>& group(Group g) const { return groups_[g]; }
@@ -77,9 +73,6 @@ class JobTable final : public CtrlStateMachine {
   uint64_t applied() const { return applied_; }
 
  private:
-  // Ids are dense from 1 (Apply checks it), so id n is at index n - 1.
-  std::vector<workload::JobRecord> jobs_;
-  std::vector<workload::TaskRecord> tasks_;
   std::map<workload::JobId, Outstanding> outstanding_;
   std::vector<workload::TeId> groups_[3];
   workload::JobId next_job_ = 1;

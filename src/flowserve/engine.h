@@ -207,9 +207,8 @@ class Engine {
     std::vector<Sequence*> decode_scratch;
     // SweepSheds' candidate list, reused across steps.
     std::vector<SeqRef> shed_scratch;
-    int current_mb = 0;         // PP micro-batch rotation
-    int next_admit_mb = 0;      // round-robin micro-batch assignment
-    int64_t current_chunk = 0;  // adaptive chunk budget (0 = uninitialized)
+    int current_mb = 0;     // PP micro-batch rotation
+    int next_admit_mb = 0;  // round-robin micro-batch assignment
   };
 
   // Submit/enqueue paths (engine.cc).

@@ -90,12 +90,6 @@ struct EngineConfig {
   int64_t max_tokens_per_step = 8192;   // token budget per step
   bool enable_chunked_prefill = true;
   int64_t prefill_chunk_tokens = 512;
-  // SLA-aware chunk sizing: shrink the chunk budget when decode-bearing
-  // steps exceed the TPOT target, grow it back when there is headroom
-  // (Sarathi-style chunked prefill with a feedback controller).
-  bool adaptive_chunking = false;
-  double chunk_target_tpot_ms = 50.0;
-  int64_t min_chunk_tokens = 128;
   // Micro-batch chunk placement under PP (§4.2): spread across consecutive
   // micro-batches (the paper's design, >=20% TTFT win) vs sticky-to-one.
   bool pp_spread_chunks = true;

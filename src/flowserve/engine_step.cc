@@ -274,11 +274,8 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
     if (remaining <= 0) {
       return;
     }
-    int64_t chunk_budget =
-        config_.adaptive_chunking && group.current_chunk > 0 ? group.current_chunk
-                                                             : config_.prefill_chunk_tokens;
     int64_t chunk = config_.enable_chunked_prefill
-                        ? std::min({remaining, chunk_budget, budget})
+                        ? std::min({remaining, config_.prefill_chunk_tokens, budget})
                         : remaining;  // unchunked: whole prompt in one step
     // The policy may shrink the chunk (e.g. slo's TBT bound). The cost
     // functor predicts the full iteration duration were this chunk added,
@@ -412,22 +409,6 @@ void Engine::RunStep(DpGroup& group) {
       if (m_tbt_violations_ != nullptr) {
         m_tbt_violations_->Inc();
       }
-    }
-  }
-  if (config_.adaptive_chunking && plan.shape.decode_seqs > 0 &&
-      !plan.prefill_chunks.empty()) {
-    // Feedback controller: decode-bearing mixed steps should stay under the
-    // TPOT target; shrink the chunk budget when they don't, recover slowly.
-    if (group.current_chunk == 0) {
-      group.current_chunk = config_.prefill_chunk_tokens;
-    }
-    double iter_ms = NsToMs(iteration);
-    if (iter_ms > config_.chunk_target_tpot_ms) {
-      group.current_chunk =
-          std::max(config_.min_chunk_tokens, group.current_chunk * 7 / 10);
-    } else if (iter_ms < 0.8 * config_.chunk_target_tpot_ms) {
-      group.current_chunk =
-          std::min(config_.prefill_chunk_tokens, group.current_chunk * 11 / 10 + 1);
     }
   }
   if (m_steps_ != nullptr) {

@@ -16,9 +16,8 @@ namespace deepserve::serving {
 
 namespace {
 
-// Historical queue-depth thresholding, bit-identical to the old
-// ClusterManager::AutoscalerTick (including the else-if precedence and the
-// single-scale-up-in-flight cap via pending_scale_ups == 0).
+// Queue-depth thresholding: scale-up takes precedence over scale-down, and
+// at most one scale-up is in flight (pending_scale_ups == 0).
 class ReactivePolicy final : public ScalePolicy {
  public:
   explicit ReactivePolicy(const AutoscalerConfig& config) : config_(config) {}
@@ -30,18 +29,11 @@ class ReactivePolicy final : public ScalePolicy {
     if (s.live_tes <= 0) {
       return d;
     }
-    bool up_trigger;
-    bool down_trigger;
-    if (config_.legacy_floor_average) {
-      // avg = floor(total/live) under-reports by up to (live-1)/live of a
-      // request per TE; kept only so the parity test can pin the old runs.
-      int64_t avg = s.total_queue_depth / s.live_tes;
-      up_trigger = avg >= config_.scale_up_queue_depth;
-      down_trigger = avg <= config_.scale_down_queue_depth;
-    } else {
-      up_trigger = s.total_queue_depth >= config_.scale_up_queue_depth * s.live_tes;
-      down_trigger = s.total_queue_depth <= config_.scale_down_queue_depth * s.live_tes;
-    }
+    // Exact average comparison: total vs. threshold * live, never the
+    // integer floor of total / live (which under-reports load).
+    const bool up_trigger = s.total_queue_depth >= config_.scale_up_queue_depth * s.live_tes;
+    const bool down_trigger =
+        s.total_queue_depth <= config_.scale_down_queue_depth * s.live_tes;
     if (up_trigger && s.live_tes < config_.max_tes && s.pending_scale_ups == 0) {
       d.scale_up = 1;
     } else if (down_trigger && s.live_tes > config_.min_tes) {

@@ -6,10 +6,10 @@
 //     ScaleSignals (queue depths, admission/completion/SLO-violation
 //     counters, the current scale-up lead time) and returns how many TEs to
 //     add or retire.
-//       "reactive"   instantaneous average queue depth vs. thresholds — the
-//                    historical ClusterManager::AutoscalerTick behaviour,
-//                    bit-identical under legacy_floor_average +
-//                    graceful_drain=false (pinned by the golden parity test).
+//       "reactive"   instantaneous average queue depth vs. thresholds
+//                    (exact: total vs. threshold*live); with
+//                    graceful_drain=false victims stop immediately (pinned
+//                    by the golden parity test).
 //       "predictive" EWMA + trend forecast of the arrival rate, evaluated at
 //                    now + the scaling pipeline's current lead time, so
 //                    capacity *arrives* when the load does (Fig. 8's point);
@@ -59,12 +59,6 @@ struct AutoscalerConfig {
   int max_tes = 64;
 
   std::string policy = "reactive";  // reactive | predictive | slo
-
-  // Reproduces the historical integer-floor of the average queue depth
-  // (total/live), which under-reports load by up to one TE's worth and delays
-  // scale-up. Off = the fixed exact comparison (total vs. threshold*live).
-  // Only the golden parity test should turn this on.
-  bool legacy_floor_average = false;
 
   // Graceful scale-down: victims drain (finish in-flight work) before
   // stopping. Off = the historical immediate StopTe of an idle TE.

@@ -297,13 +297,17 @@ Result<TaskExecutor*> ClusterManager::CreateReadyTe(
   DS_ASSIGN_OR_RETURN(std::vector<hw::NpuId> npus, AllocateNpusForEngine(engine_config));
   const TeId id = directory_.next_te_id();
   std::vector<int64_t> ints = {id};
-  for (hw::NpuId npu : npus) {
-    ints.push_back(npu);
-  }
+  ints.insert(ints.end(), npus.begin(), npus.end());
   AppendDir(ctrl::TeDirectory::kTeCreated, std::move(ints));
+  flowserve::EngineConfig placed = PlacedEngine(engine_config, npus);
+  return BindTe(id, std::move(placed), std::move(npus));
+}
+
+Result<TaskExecutor*> ClusterManager::BindTe(TeId id, flowserve::EngineConfig engine,
+                                             std::vector<hw::NpuId> npus) {
   TeConfig config;
   config.id = id;
-  config.engine = PlacedEngine(engine_config, npus);
+  config.engine = std::move(engine);
   config.npus = std::move(npus);
   auto te = std::make_unique<TaskExecutor>(sim_, std::move(config));
   if (transfer_ != nullptr) {
@@ -311,7 +315,7 @@ Result<TaskExecutor*> ClusterManager::CreateReadyTe(
   }
   te->set_state(TeState::kReady);
   TaskExecutor* raw = te.get();
-  bindings_[raw->id()] = raw;
+  bindings_[id] = raw;
   tes_.push_back(std::move(te));
   return raw;
 }
@@ -499,35 +503,32 @@ void ClusterManager::DetectTeFailure(TeId id) {
   for (const auto& [handler_id, handler] : failure_handlers_) {
     handler(id);
   }
-  if (!replace_enabled_) {
-    // No replacement policy: recovery ends with re-dispatch, which the
-    // handlers above run synchronously.
-    stats_.mttr_total += detect_latency;
+  // Recovery is over: `mttr` is the crash -> recovered time.
+  auto close_outage = [this, id](DurationNs mttr) {
+    stats_.mttr_total += mttr;
     ++stats_.mttr_count;
     if (obs::Tracer* t = sim_->tracer()) {
       t->AsyncEnd(sim_->Now(), TracePid(), static_cast<uint64_t>(id), "outage");
     }
+  };
+  if (!replace_enabled_) {
+    // No replacement policy: recovery ends with re-dispatch, which the
+    // handlers above run synchronously.
+    close_outage(detect_latency);
     return;
   }
   Result<TeId> launched =
-      ScaleUp(replace_template_, [this, id, crashed](TaskExecutor* replacement,
-                                                     const ScalingBreakdown&) {
+      ScaleUp(replace_template_, [this, id, crashed, close_outage](TaskExecutor* replacement,
+                                                                   const ScalingBreakdown&) {
+        const DurationNs mttr = sim_->Now() - crashed;
+        close_outage(mttr);
         if (replacement == nullptr) {
           // The replacement pipeline was itself killed mid-flight: recovery
           // for the original outage stalls at re-dispatch.
-          stats_.mttr_total += sim_->Now() - crashed;
-          ++stats_.mttr_count;
-          if (obs::Tracer* t = sim_->tracer()) {
-            t->AsyncEnd(sim_->Now(), TracePid(), static_cast<uint64_t>(id), "outage");
-          }
           return;
         }
         ++stats_.replacements;
-        DurationNs mttr = sim_->Now() - crashed;
-        stats_.mttr_total += mttr;
-        ++stats_.mttr_count;
         if (obs::Tracer* t = sim_->tracer()) {
-          t->AsyncEnd(sim_->Now(), TracePid(), static_cast<uint64_t>(id), "outage");
           t->Instant(sim_->Now(), TracePid(), 0, "fault.recover",
                      {obs::Arg("te", static_cast<int64_t>(id)),
                       obs::Arg("replacement", static_cast<int64_t>(replacement->id())),
@@ -544,11 +545,7 @@ void ClusterManager::DetectTeFailure(TeId id) {
   if (!launched.ok()) {
     // Replacement could not even start (e.g. no free NPUs): recovery stalls
     // at re-dispatch, same as the no-policy path.
-    stats_.mttr_total += detect_latency;
-    ++stats_.mttr_count;
-    if (obs::Tracer* t = sim_->tracer()) {
-      t->AsyncEnd(sim_->Now(), TracePid(), static_cast<uint64_t>(id), "outage");
-    }
+    close_outage(detect_latency);
   }
 }
 
@@ -687,81 +684,112 @@ Result<TeId> ClusterManager::ScaleUp(const ScaleRequest& request, ScaleCallback 
   state->pipe = directory_.next_pipeline();
   state->te_id = directory_.next_te_id();
   std::vector<int64_t> ints = {state->pipe, state->te_id};
-  for (hw::NpuId id : state->npus) {
-    ints.push_back(id);
-  }
+  ints.insert(ints.end(), state->npus.begin(), state->npus.end());
   AppendDir(ctrl::TeDirectory::kPipelineStarted, std::move(ints));
   live_pipelines_[state->pipe] = state;
   ++stats_.scale_ups;
   const TeId reserved = state->te_id;
+  state->stage_start = sim_->Now();
   RunScalerPre(std::move(state));
   return reserved;
 }
 
-void ClusterManager::RunScalerPre(std::shared_ptr<PipelineState> state) {
+DurationNs ClusterManager::ScalerPreCost(bool prewarmed_pod) const {
+  return prewarmed_pod ? latency_.pod_adapt_prewarmed : latency_.pod_create_cold;
+}
+
+DurationNs ClusterManager::TePreLoadCost(bool prewarmed_te) const {
+  if (prewarmed_te) {
+    // Model- and parallelism-agnostic pre-warmed SPMD master/executor pools:
+    // adapting one to this model is quick config repacking.
+    return latency_.te_adapt_prewarmed;
+  }
+  DurationNs cost = latency_.te_preload_cold;
+  if (opts_.optimized_preload) {
+    cost = static_cast<DurationNs>(static_cast<double>(cost) *
+                                   latency_.te_preload_optimized_factor);
+  }
+  return cost;
+}
+
+DurationNs ClusterManager::PostLoadDuration() const {
+  DurationNs cost = 0;
+  if (opts_.offline_profiling) {
+    // HBM budget comes from offline-profiled configuration; a dummy request
+    // absorbs the first-request slowdown.
+    if (opts_.dummy_warmup) {
+      cost += latency_.dummy_request;
+    }
+  } else {
+    cost += latency_.warmup_profile;
+  }
+  cost += opts_.async_block_alloc ? latency_.block_alloc_async : latency_.block_alloc_sync;
+  return cost;
+}
+
+DurationNs ClusterManager::ScalerPostCost() const {
+  return opts_.proactive_push ? latency_.push_latency : latency_.te_list_poll;
+}
+
+void ClusterManager::EndStageAfter(DurationNs delay, std::shared_ptr<PipelineState> state,
+                                   int stage) {
+  sim_->ScheduleAfter(delay, [this, state = std::move(state), stage]() mutable {
+    StageContinue(state, [this, state, stage] { EndStage(state, stage); });
+  });
+}
+
+void ClusterManager::EndStage(const std::shared_ptr<PipelineState>& state, int stage) {
+  struct Stage {
+    std::string_view phase;
+    DurationNs ScalingBreakdown::*took;
+    void (ClusterManager::*next)(std::shared_ptr<PipelineState>);
+  };
+  static constexpr Stage kStages[] = {
+      {"scaler-pre", &ScalingBreakdown::scaler_pre, &ClusterManager::RunTePreLoad},
+      {"te-pre-load", &ScalingBreakdown::te_pre_load, &ClusterManager::RunTeLoad},
+      {"te-load", &ScalingBreakdown::te_load, &ClusterManager::RunTePostLoad},
+      {"te-post-load", &ScalingBreakdown::te_post_load, &ClusterManager::RunScalerPost},
+      {"scaler-post", &ScalingBreakdown::scaler_post, &ClusterManager::FinishPipeline},
+  };
+  const Stage& done = kStages[stage - 1];
+  DurationNs& took = state->breakdown.*done.took;
+  took = sim_->Now() - state->stage_start;
+  TraceScalePhase(done.phase, took);
+  if (stage < 5) {
+    AppendDir(ctrl::TeDirectory::kStageDone, {state->pipe, stage});
+  } else {
+    AppendDir(ctrl::TeDirectory::kPipelineDone, {state->pipe});
+  }
   state->stage_start = sim_->Now();
-  DurationNs cost;
-  if (opts_.prewarmed_pods && directory_.prewarmed_pods() > 0) {
+  (this->*done.next)(state);
+}
+
+void ClusterManager::RunScalerPre(std::shared_ptr<PipelineState> state) {
+  const bool hit = opts_.prewarmed_pods && directory_.prewarmed_pods() > 0;
+  if (hit) {
     AppendDir(ctrl::TeDirectory::kPodsConsumed, {1});
     ++stats_.prewarmed_pod_hits;
     state->breakdown.used_prewarmed_pod = true;
-    cost = latency_.pod_adapt_prewarmed;
-  } else {
-    cost = latency_.pod_create_cold;
   }
-  sim_->ScheduleAfter(cost, [this, state = std::move(state)]() mutable {
-    StageContinue(state, [this, state] {
-      state->breakdown.scaler_pre = sim_->Now() - state->stage_start;
-      TraceScalePhase("scaler-pre", state->breakdown.scaler_pre);
-      AppendDir(ctrl::TeDirectory::kStageDone, {state->pipe, 1});
-      RunTePreLoad(state);
-    });
-  });
+  EndStageAfter(ScalerPreCost(hit), std::move(state), 1);
 }
 
 void ClusterManager::RunTePreLoad(std::shared_ptr<PipelineState> state) {
-  state->stage_start = sim_->Now();
-  DurationNs cost;
-  if (opts_.prewarmed_tes && directory_.prewarmed_tes() > 0) {
-    // Model- and parallelism-agnostic pre-warmed SPMD master/executor pools:
-    // adapting one to this model is quick config repacking.
+  const bool hit = opts_.prewarmed_tes && directory_.prewarmed_tes() > 0;
+  if (hit) {
     AppendDir(ctrl::TeDirectory::kWarmTesConsumed, {1});
     ++stats_.prewarmed_te_hits;
     state->breakdown.used_prewarmed_te = true;
-    cost = latency_.te_adapt_prewarmed;
-  } else {
-    cost = latency_.te_preload_cold;
-    if (opts_.optimized_preload) {
-      cost = static_cast<DurationNs>(static_cast<double>(cost) *
-                                     latency_.te_preload_optimized_factor);
-    }
   }
-  sim_->ScheduleAfter(cost, [this, state = std::move(state)]() mutable {
-    StageContinue(state, [this, state] {
-      state->breakdown.te_pre_load = sim_->Now() - state->stage_start;
-      TraceScalePhase("te-pre-load", state->breakdown.te_pre_load);
-      AppendDir(ctrl::TeDirectory::kStageDone, {state->pipe, 2});
-      RunTeLoad(state);
-    });
-  });
+  EndStageAfter(TePreLoadCost(hit), std::move(state), 2);
 }
 
 void ClusterManager::RunTeLoad(std::shared_ptr<PipelineState> state) {
-  state->stage_start = sim_->Now();
   const model::ModelSpec& model = state->request.engine.model;
   Bytes per_npu = model::WeightBytesPerNpu(model, state->request.engine.parallelism);
 
-  auto finish_stage = [this, state]() {
-    // PyTorch tensor initialization happens once the bytes are local.
-    sim_->ScheduleAfter(latency_.tensor_init, [this, state]() mutable {
-      StageContinue(state, [this, state] {
-        state->breakdown.te_load = sim_->Now() - state->stage_start;
-        TraceScalePhase("te-load", state->breakdown.te_load);
-        AppendDir(ctrl::TeDirectory::kStageDone, {state->pipe, 3});
-        RunTePostLoad(state);
-      });
-    });
-  };
+  // PyTorch tensor initialization happens once the bytes are local.
+  auto finish_stage = [this, state]() { EndStageAfter(latency_.tensor_init, state, 3); };
 
   TaskExecutor* source =
       state->request.fork_source != kInvalidTe ? te(state->request.fork_source) : nullptr;
@@ -816,60 +844,21 @@ void ClusterManager::RunTeLoad(std::shared_ptr<PipelineState> state) {
   }
 }
 
-DurationNs ClusterManager::PostLoadDuration() const {
-  DurationNs cost = 0;
-  if (opts_.offline_profiling) {
-    // HBM budget comes from offline-profiled configuration; a dummy request
-    // absorbs the first-request slowdown.
-    if (opts_.dummy_warmup) {
-      cost += latency_.dummy_request;
-    }
-  } else {
-    cost += latency_.warmup_profile;
-  }
-  cost += opts_.async_block_alloc ? latency_.block_alloc_async : latency_.block_alloc_sync;
-  return cost;
-}
-
 void ClusterManager::RunTePostLoad(std::shared_ptr<PipelineState> state) {
-  state->stage_start = sim_->Now();
-  sim_->ScheduleAfter(PostLoadDuration(), [this, state = std::move(state)]() mutable {
-    StageContinue(state, [this, state] {
-      state->breakdown.te_post_load = sim_->Now() - state->stage_start;
-      TraceScalePhase("te-post-load", state->breakdown.te_post_load);
-      AppendDir(ctrl::TeDirectory::kStageDone, {state->pipe, 4});
-      RunScalerPost(state);
-    });
-  });
+  EndStageAfter(PostLoadDuration(), std::move(state), 4);
 }
 
 void ClusterManager::RunScalerPost(std::shared_ptr<PipelineState> state) {
-  state->stage_start = sim_->Now();
-  DurationNs cost = opts_.proactive_push ? latency_.push_latency : latency_.te_list_poll;
-  sim_->ScheduleAfter(cost, [this, state = std::move(state)]() mutable {
-    StageContinue(state, [this, state] {
-      state->breakdown.scaler_post = sim_->Now() - state->stage_start;
-      TraceScalePhase("scaler-post", state->breakdown.scaler_post);
-      AppendDir(ctrl::TeDirectory::kPipelineDone, {state->pipe});
-      TeConfig config;
-      config.id = state->te_id;
-      config.engine = state->request.engine;
-      config.npus = state->npus;
-      auto te = std::make_unique<TaskExecutor>(sim_, std::move(config));
-      if (transfer_ != nullptr) {
-        Status attached = te->AttachFabric(cluster_, transfer_);
-        DS_CHECK(attached.ok()) << attached.ToString();
-      }
-      te->set_state(TeState::kReady);
-      TaskExecutor* raw = te.get();
-      bindings_[raw->id()] = raw;
-      tes_.push_back(std::move(te));
-      live_pipelines_.erase(state->pipe);
-      if (state->on_ready) {
-        state->on_ready(raw, state->breakdown);
-      }
-    });
-  });
+  EndStageAfter(ScalerPostCost(), std::move(state), 5);
+}
+
+void ClusterManager::FinishPipeline(std::shared_ptr<PipelineState> state) {
+  Result<TaskExecutor*> bound = BindTe(state->te_id, state->request.engine, state->npus);
+  DS_CHECK(bound.ok()) << bound.status().ToString();
+  live_pipelines_.erase(state->pipe);
+  if (state->on_ready) {
+    state->on_ready(*bound, state->breakdown);
+  }
 }
 
 Status ClusterManager::ScaleUpMany(
@@ -886,17 +875,13 @@ Status ClusterManager::ScaleUpMany(
   TimeNs start = sim_->Now();
   // Steps 1/2/4/5 proceed per-TE in parallel; TE-Load is one broadcast.
   const bool pod_hit = opts_.prewarmed_pods && directory_.prewarmed_pods() >= count;
-  DurationNs pre = pod_hit ? latency_.pod_adapt_prewarmed : latency_.pod_create_cold;
+  const DurationNs pre = ScalerPreCost(pod_hit);
   if (pod_hit) {
     AppendDir(ctrl::TeDirectory::kPodsConsumed, {count});
     stats_.prewarmed_pod_hits += count;
   }
   const bool te_hit = opts_.prewarmed_tes && directory_.prewarmed_tes() >= count;
-  DurationNs preload = te_hit ? latency_.te_adapt_prewarmed
-                              : static_cast<DurationNs>(
-                                    static_cast<double>(latency_.te_preload_cold) *
-                                    (opts_.optimized_preload ? latency_.te_preload_optimized_factor
-                                                             : 1.0));
+  const DurationNs preload = TePreLoadCost(te_hit);
   if (te_hit) {
     AppendDir(ctrl::TeDirectory::kWarmTesConsumed, {count});
     stats_.prewarmed_te_hits += count;
@@ -915,36 +900,19 @@ Status ClusterManager::ScaleUpMany(
     hccl_.Broadcast(
         source->primary_npu(), count, payload, request.fork_link,
         [this, request, count, start, cb = std::move(cb)]() mutable {
-          DurationNs tail = latency_.tensor_init + PostLoadDuration() +
-                            (opts_.proactive_push ? latency_.push_latency
-                                                  : latency_.te_list_poll);
+          DurationNs tail = latency_.tensor_init + PostLoadDuration() + ScalerPostCost();
           sim_->ScheduleAfter(tail, [this, request, count, start, cb = std::move(cb)] {
             DeferUntilRecovery([this, request, count, start, cb] {
               std::vector<TaskExecutor*> created;
               for (int i = 0; i < count; ++i) {
-                auto npus = AllocateNpusForEngine(request.engine);
-                if (!npus.ok()) {
-                  break;  // cluster exhausted: report what we got
+                Result<TaskExecutor*> te = CreateReadyTe(request.engine);
+                if (!te.ok()) {
+                  // Cluster exhausted: report what we got.
+                  DS_CHECK(te.status().code() == StatusCode::kResourceExhausted)
+                      << te.status().ToString();
+                  break;
                 }
-                const TeId id = directory_.next_te_id();
-                std::vector<int64_t> ints = {id};
-                for (hw::NpuId npu : npus.value()) {
-                  ints.push_back(npu);
-                }
-                AppendDir(ctrl::TeDirectory::kTeCreated, std::move(ints));
-                TeConfig config;
-                config.id = id;
-                config.engine = PlacedEngine(request.engine, npus.value());
-                config.npus = std::move(npus).value();
-                auto te = std::make_unique<TaskExecutor>(sim_, std::move(config));
-                if (transfer_ != nullptr) {
-                  Status attached = te->AttachFabric(cluster_, transfer_);
-                  DS_CHECK(attached.ok()) << attached.ToString();
-                }
-                te->set_state(TeState::kReady);
-                bindings_[te->id()] = te.get();
-                created.push_back(te.get());
-                tes_.push_back(std::move(te));
+                created.push_back(*te);
               }
               if (cb) {
                 cb(std::move(created), sim_->Now() - start);
@@ -975,22 +943,8 @@ void ClusterManager::StopAutoscaler() {
 }
 
 DurationNs ClusterManager::EstimateScaleUpLead(const ScaleRequest& request) const {
-  DurationNs lead = 0;
-  // Scaler-Pre.
-  lead += (opts_.prewarmed_pods && directory_.prewarmed_pods() > 0)
-              ? latency_.pod_adapt_prewarmed
-              : latency_.pod_create_cold;
-  // TE-Pre-Load.
-  if (opts_.prewarmed_tes && directory_.prewarmed_tes() > 0) {
-    lead += latency_.te_adapt_prewarmed;
-  } else {
-    DurationNs cost = latency_.te_preload_cold;
-    if (opts_.optimized_preload) {
-      cost = static_cast<DurationNs>(static_cast<double>(cost) *
-                                     latency_.te_preload_optimized_factor);
-    }
-    lead += cost;
-  }
+  DurationNs lead = ScalerPreCost(opts_.prewarmed_pods && directory_.prewarmed_pods() > 0) +
+                    TePreLoadCost(opts_.prewarmed_tes && directory_.prewarmed_tes() > 0);
   // TE-Load: contention-free transfer estimates (actual runs share links).
   const model::ModelSpec& model = request.engine.model;
   Bytes per_npu = model::WeightBytesPerNpu(model, request.engine.parallelism);
@@ -1013,8 +967,7 @@ DurationNs ClusterManager::EstimateScaleUpLead(const ScaleRequest& request) cons
   }
   lead += latency_.tensor_init;
   // TE-Post-Load + Scaler-Post.
-  lead += PostLoadDuration();
-  lead += opts_.proactive_push ? latency_.push_latency : latency_.te_list_poll;
+  lead += PostLoadDuration() + ScalerPostCost();
   return lead;
 }
 

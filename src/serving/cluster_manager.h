@@ -340,12 +340,31 @@ class ClusterManager {
   // Applies npu_spec_from_placement: the engine a TE placed on `npus` runs.
   flowserve::EngineConfig PlacedEngine(const flowserve::EngineConfig& engine,
                                        const std::vector<hw::NpuId>& npus) const;
+  // Builds TE `id` on `npus`, wires it to the fabric, marks it ready and
+  // binds it — the one construction path behind CreateReadyTe and the
+  // pipeline's end. The caller has already recorded the TE's creation.
+  Result<TaskExecutor*> BindTe(TeId id, flowserve::EngineConfig engine,
+                               std::vector<hw::NpuId> npus);
+  // Pipeline stages 1-5. Each starts its stage's work and hands the end of
+  // it to EndStageAfter; FinishPipeline binds the TE after stage 5.
   void RunScalerPre(std::shared_ptr<PipelineState> state);
   void RunTePreLoad(std::shared_ptr<PipelineState> state);
   void RunTeLoad(std::shared_ptr<PipelineState> state);
   void RunTePostLoad(std::shared_ptr<PipelineState> state);
   void RunScalerPost(std::shared_ptr<PipelineState> state);
+  void FinishPipeline(std::shared_ptr<PipelineState> state);
+  // Ends stage `stage` after `delay`, behind StageContinue.
+  void EndStageAfter(DurationNs delay, std::shared_ptr<PipelineState> state, int stage);
+  // The one stage tail: times the stage into its ScalingBreakdown field,
+  // traces it, records kStageDone (kPipelineDone after stage 5) and runs
+  // the next stage.
+  void EndStage(const std::shared_ptr<PipelineState>& state, int stage);
+  // Stage costs, shared by the pipeline, ScaleUpMany and EstimateScaleUpLead
+  // (TE-Load depends on placement and links, so each computes its own).
+  DurationNs ScalerPreCost(bool prewarmed_pod) const;
+  DurationNs TePreLoadCost(bool prewarmed_te) const;
   DurationNs PostLoadDuration() const;
+  DurationNs ScalerPostCost() const;
   // Runs a pipeline-stage continuation: dropped if the pipeline was aborted,
   // parked if the control leader is down (a standby resumes it at takeover).
   void StageContinue(const std::shared_ptr<PipelineState>& state, std::function<void()> body);

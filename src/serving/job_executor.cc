@@ -104,67 +104,49 @@ void JobExecutor::CloseJob(JobId job_id, int32_t close_type) {
   log_->DropPayload(created, ctrl::JobTable::kJobCreatedHeader);
 }
 
-void JobExecutor::AddColocatedTe(TaskExecutor* te) {
-  DS_CHECK(te->role() == flowserve::EngineRole::kColocated);
+void JobExecutor::AddTe(ctrl::JobTable::Group group, TaskExecutor* te) {
+  static constexpr flowserve::EngineRole kRole[3] = {flowserve::EngineRole::kColocated,
+                                                     flowserve::EngineRole::kPrefillOnly,
+                                                     flowserve::EngineRole::kDecodeOnly};
+  DS_CHECK(te->role() == kRole[group]);
   if (down_) {
-    RunOrDefer([this, te] { AddColocatedTe(te); });
+    RunOrDefer([this, group, te] { AddTe(group, te); });
     return;
   }
-  AppendJob(ctrl::JobTable::kTeAdded,
-            {ctrl::JobTable::kColocated, static_cast<int64_t>(te->id())});
-  colocated_.push_back(te);
+  AppendJob(ctrl::JobTable::kTeAdded, {group, static_cast<int64_t>(te->id())});
+  groups_[group].push_back(te);
 }
 
-void JobExecutor::AddPrefillTe(TaskExecutor* te) {
-  DS_CHECK(te->role() == flowserve::EngineRole::kPrefillOnly);
-  if (down_) {
-    RunOrDefer([this, te] { AddPrefillTe(te); });
-    return;
-  }
-  AppendJob(ctrl::JobTable::kTeAdded,
-            {ctrl::JobTable::kPrefill, static_cast<int64_t>(te->id())});
-  prefill_.push_back(te);
-}
+void JobExecutor::AddColocatedTe(TaskExecutor* te) { AddTe(ctrl::JobTable::kColocated, te); }
+void JobExecutor::AddPrefillTe(TaskExecutor* te) { AddTe(ctrl::JobTable::kPrefill, te); }
+void JobExecutor::AddDecodeTe(TaskExecutor* te) { AddTe(ctrl::JobTable::kDecode, te); }
 
-void JobExecutor::AddDecodeTe(TaskExecutor* te) {
-  DS_CHECK(te->role() == flowserve::EngineRole::kDecodeOnly);
-  if (down_) {
-    RunOrDefer([this, te] { AddDecodeTe(te); });
-    return;
+TaskExecutor* JobExecutor::Member(TeId id) const {
+  for (const auto& group : groups_) {
+    for (TaskExecutor* te : group) {
+      if (te->id() == id) {
+        return te;
+      }
+    }
   }
-  AppendJob(ctrl::JobTable::kTeAdded,
-            {ctrl::JobTable::kDecode, static_cast<int64_t>(te->id())});
-  decode_.push_back(te);
+  return nullptr;
 }
 
 bool JobExecutor::RemoveTe(TeId id) {
-  auto member = [this, id] {
-    auto has = [id](const std::vector<TaskExecutor*>& tes) {
-      return std::any_of(tes.begin(), tes.end(),
-                         [id](TaskExecutor* te) { return te->id() == id; });
-    };
-    return has(colocated_) || has(prefill_) || has(decode_);
-  };
+  const bool member = Member(id) != nullptr;
   if (down_) {
-    bool removed = member();
     RunOrDefer([this, id] { RemoveTe(id); });
-    return removed;
+    return member;
   }
-  bool removed = false;
-  auto drop = [id, &removed](std::vector<TaskExecutor*>& tes) {
-    auto tail = std::remove_if(tes.begin(), tes.end(),
-                               [id](TaskExecutor* te) { return te->id() == id; });
-    removed = removed || tail != tes.end();
-    tes.erase(tail, tes.end());
-  };
-  drop(colocated_);
-  drop(prefill_);
-  drop(decode_);
-  if (removed) {
-    AppendJob(ctrl::JobTable::kTeRemoved, {static_cast<int64_t>(id)});
+  if (!member) {
+    return false;
   }
+  for (auto& group : groups_) {
+    std::erase_if(group, [id](TaskExecutor* te) { return te->id() == id; });
+  }
+  AppendJob(ctrl::JobTable::kTeRemoved, {static_cast<int64_t>(id)});
   // Prompt-tree tags for the departed TE are cleaned lazily during matching.
-  return removed;
+  return true;
 }
 
 void JobExecutor::ReadyTes(const std::vector<TaskExecutor*>& tes,
@@ -329,56 +311,17 @@ TaskId JobExecutor::NewTask(JobId job, TaskType type, TeId te) {
   return task_id;
 }
 
-bool JobExecutor::HasReadyCapacity() const {
-  if (down_) {
-    return false;
-  }
-  for (TaskExecutor* te : colocated_) {
-    if (te->ready()) {
-      return true;
-    }
-  }
-  bool prefill_ready = false;
-  for (TaskExecutor* te : prefill_) {
-    if (te->ready()) {
-      prefill_ready = true;
-      break;
-    }
-  }
-  if (!prefill_ready) {
-    return false;
-  }
-  for (TaskExecutor* te : decode_) {
-    if (te->ready()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 int JobExecutor::ReadyCapacityWeight() const {
   if (down_) {
     return 0;
   }
-  int coloc = 0;
-  for (TaskExecutor* te : colocated_) {
-    if (te->ready()) {
-      ++coloc;
-    }
+  int ready[3] = {};
+  for (int g = 0; g < 3; ++g) {
+    ready[g] = static_cast<int>(std::count_if(groups_[g].begin(), groups_[g].end(),
+                                              [](TaskExecutor* te) { return te->ready(); }));
   }
-  int prefill = 0;
-  for (TaskExecutor* te : prefill_) {
-    if (te->ready()) {
-      ++prefill;
-    }
-  }
-  int decode = 0;
-  for (TaskExecutor* te : decode_) {
-    if (te->ready()) {
-      ++decode;
-    }
-  }
-  return coloc + std::min(prefill, decode);
+  return ready[ctrl::JobTable::kColocated] +
+         std::min(ready[ctrl::JobTable::kPrefill], ready[ctrl::JobTable::kDecode]);
 }
 
 size_t JobExecutor::CancelRequest(workload::RequestId request_id) {
@@ -399,20 +342,8 @@ size_t JobExecutor::CancelRequest(workload::RequestId request_id) {
     CloseJob(job_id, ctrl::JobTable::kJobFailed);
     handlers_.erase(job_id);  // the handler dies here without firing
     for (TeId te_id : tes) {
-      for (TaskExecutor* te : colocated_) {
-        if (te->id() == te_id) {
-          te->CancelRequest(request_id);
-        }
-      }
-      for (TaskExecutor* te : prefill_) {
-        if (te->id() == te_id) {
-          te->CancelRequest(request_id);
-        }
-      }
-      for (TaskExecutor* te : decode_) {
-        if (te->id() == te_id) {
-          te->CancelRequest(request_id);
-        }
+      if (TaskExecutor* te = Member(te_id)) {
+        te->CancelRequest(request_id);
       }
     }
     ++stats_.cancelled;
@@ -501,9 +432,9 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
   std::vector<TaskExecutor*>& coloc = ready_coloc_;
   std::vector<TaskExecutor*>& prefill = ready_prefill_;
   std::vector<TaskExecutor*>& decode = ready_decode_;
-  ReadyTes(colocated_, &coloc);
-  ReadyTes(prefill_, &prefill);
-  ReadyTes(decode_, &decode);
+  ReadyTes(groups_[ctrl::JobTable::kColocated], &coloc);
+  ReadyTes(groups_[ctrl::JobTable::kPrefill], &prefill);
+  ReadyTes(groups_[ctrl::JobTable::kDecode], &decode);
   if (config_.cost_aware) {
     int64_t predicted = spec.prefill_len() + predictor_->Predict(spec);
     coloc = CostAwareFilter(predicted, coloc);
@@ -612,7 +543,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
                   obs::Arg("route", "disaggregated"),
                   obs::Arg("prefill_te", static_cast<int64_t>(p->id()))});
     }
-    DispatchDisaggregated(p, spec, std::move(te_handler));
+    DispatchDisaggregated(job_id, p, spec, std::move(te_handler));
   } else {
     ++stats_.routed_colocated;
     TaskExecutor* te = SelectFrom(keys, colocated_tree_, coloc);
@@ -625,14 +556,13 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
                   obs::Arg("route", "colocated"),
                   obs::Arg("te", static_cast<int64_t>(te->id()))});
     }
-    DispatchColocated(te, spec, std::move(te_handler));
+    DispatchColocated(job_id, te, spec, std::move(te_handler));
   }
   AppendJob(ctrl::JobTable::kRrAdvanced);
 }
 
-void JobExecutor::DispatchColocated(TaskExecutor* te, const workload::RequestSpec& spec,
-                                    ResponseHandler handler) {
-  JobId job_id = table_.jobs().back().id;
+void JobExecutor::DispatchColocated(JobId job_id, TaskExecutor* te,
+                                    const workload::RequestSpec& spec, ResponseHandler handler) {
   TaskId task_id = NewTask(job_id, TaskType::kUnified, te->id());
   handler.on_complete = Deferred([this, task_id, cb = std::move(handler.on_complete)](
                                      const flowserve::Sequence& seq) {
@@ -642,12 +572,11 @@ void JobExecutor::DispatchColocated(TaskExecutor* te, const workload::RequestSpe
   te->SubmitUnified(spec, std::move(handler));
 }
 
-void JobExecutor::DispatchDisaggregated(TaskExecutor* prefill_te,
+void JobExecutor::DispatchDisaggregated(JobId job_id, TaskExecutor* prefill_te,
                                         const workload::RequestSpec& spec,
                                         ResponseHandler handler) {
-  JobId job_id = table_.jobs().back().id;
   std::vector<TaskExecutor*>& decode = ready_decode_;
-  ReadyTes(decode_, &decode);
+  ReadyTes(groups_[ctrl::JobTable::kDecode], &decode);
   if (config_.cost_aware) {
     decode = CostAwareFilter(spec.prefill_len() + predictor_->Predict(spec), decode);
   }
@@ -717,23 +646,8 @@ void JobExecutor::OnTeFailure(TeId id) {
     // Cancel Status is intentionally discarded: kNotFound just means that
     // side of the pair never admitted (or already finished) the sequence.
     for (TeId te_id : retry.tes) {
-      if (te_id == id) {
-        continue;
-      }
-      for (TaskExecutor* te : colocated_) {
-        if (te->id() == te_id) {
-          (void)te->engine().Cancel(retry.spec.id);
-        }
-      }
-      for (TaskExecutor* te : prefill_) {
-        if (te->id() == te_id) {
-          (void)te->engine().Cancel(retry.spec.id);
-        }
-      }
-      for (TaskExecutor* te : decode_) {
-        if (te->id() == te_id) {
-          (void)te->engine().Cancel(retry.spec.id);
-        }
+      if (TaskExecutor* te = Member(te_id)) {  // the dead TE already left
+        (void)te->engine().Cancel(retry.spec.id);
       }
     }
     bool budget_ok = true;
@@ -803,20 +717,8 @@ Status JobExecutor::CrashLeader() {
       workload::RequestId request = outstanding.spec.id;
       std::vector<TeId> tes = outstanding.tes;
       for (TeId te_id : tes) {
-        for (TaskExecutor* te : colocated_) {
-          if (te->id() == te_id) {
-            (void)te->engine().Cancel(request);
-          }
-        }
-        for (TaskExecutor* te : prefill_) {
-          if (te->id() == te_id) {
-            (void)te->engine().Cancel(request);
-          }
-        }
-        for (TaskExecutor* te : decode_) {
-          if (te->id() == te_id) {
-            (void)te->engine().Cancel(request);
-          }
+        if (TaskExecutor* te = Member(te_id)) {
+          (void)te->engine().Cancel(request);
         }
       }
       FailJob(job_id, UnavailableError("request " + std::to_string(request) +
@@ -860,13 +762,12 @@ void JobExecutor::RecoverLeader() {
   // failure subscription the dead leader held.
   std::vector<TeId> unbound;
   if (cm_ != nullptr) {
-    std::vector<TaskExecutor*>* groups[3] = {&colocated_, &prefill_, &decode_};
     for (int g = 0; g < 3; ++g) {
-      groups[g]->clear();
+      groups_[g].clear();
       for (TeId id : table_.group(static_cast<ctrl::JobTable::Group>(g))) {
         TaskExecutor* te = cm_->te(id);
         if (te != nullptr) {
-          groups[g]->push_back(te);
+          groups_[g].push_back(te);
         } else {
           unbound.push_back(id);
         }
@@ -887,8 +788,8 @@ void JobExecutor::RecoverLeader() {
   for (TeId id : unbound) {
     OnTeFailure(id);
   }
-  for (auto* group : {&colocated_, &prefill_, &decode_}) {
-    std::vector<TaskExecutor*> members = *group;  // handlers mutate the groups
+  for (const auto& group : groups_) {
+    std::vector<TaskExecutor*> members = group;  // handlers mutate the groups
     for (TaskExecutor* te : members) {
       if (te->state() == TeState::kFailed) {
         OnTeFailure(te->id());

@@ -15,14 +15,16 @@
 // corresponding global tree"). Round-robin and single-factor policies are
 // also provided as the baselines the paper compares against.
 //
-// Control-plane state vs. runtime bindings: the job/task records, outstanding
-// map, retry counts, id counters, round-robin cursor, and TE group membership
-// (as ids) live in a ctrl::JobTable state machine mutating only through
+// Control-plane state vs. runtime bindings: the outstanding map, retry
+// counts, id counters, round-robin cursor, and TE group membership (as ids)
+// live in a ctrl::JobTable state machine mutating only through
 // ctrl::ControlLog records, so a standby JE leader replaying the log can take
-// over (CrashLeader / RecoverLeader). Runtime-only artifacts stay here:
-// ResponseHandlers (modeled as connections the standby re-establishes),
-// TaskExecutor pointers (re-bound from ids via the ClusterManager), and the
-// prompt-tree caches (rebuildable; affect only routing quality).
+// over (CrashLeader / RecoverLeader). The job/task ledger is those records
+// (control_log()); nothing keeps a second copy of it. Runtime-only artifacts
+// stay here: ResponseHandlers (modeled as connections the standby
+// re-establishes), TaskExecutor pointers (re-bound from ids via the
+// ClusterManager), and the prompt-tree caches (rebuildable; affect only
+// routing quality).
 #ifndef DEEPSERVE_SERVING_JOB_EXECUTOR_H_
 #define DEEPSERVE_SERVING_JOB_EXECUTOR_H_
 
@@ -145,14 +147,10 @@ class JobExecutor {
   using SeqCallback = TaskExecutor::SeqCallback;
   void HandleRequest(const workload::RequestSpec& spec, ResponseHandler handler);
 
-  // True when at least one route can serve a request right now: a ready
-  // colocated TE, or a ready prefill + ready decode pair. Unlike the group
-  // counts this consults TeState, so mid-scale-up or failed TEs don't count.
-  // Always false while this JE's leader is down.
-  bool HasReadyCapacity() const;
-
   // Ready serving slots for weighted load balancing: ready colocated TEs plus
-  // min(ready prefill, ready decode) PD pairs. 0 iff !HasReadyCapacity().
+  // min(ready prefill, ready decode) PD pairs. Unlike the group counts this
+  // consults TeState, so mid-scale-up or failed TEs don't count. > 0 iff some
+  // route can serve a request right now; always 0 while the leader is down.
   int ReadyCapacityWeight() const;
 
   // Drops every outstanding job carrying this request id WITHOUT firing its
@@ -188,15 +186,20 @@ class JobExecutor {
   bool leader_up() const { return !down_; }
   int64_t control_epoch() const { return table_.epoch(); }
   const ctrl::JobTable& table() const { return table_; }
+  // The log holding table()'s domain: its records are the job/task ledger.
+  const ctrl::ControlLog& control_log() const { return *log_; }
 
   const JeStats& stats() const { return stats_; }
-  const std::vector<JobRecord>& jobs() const { return table_.jobs(); }
-  const std::vector<TaskRecord>& tasks() const { return table_.tasks(); }
-  size_t colocated_count() const { return colocated_.size(); }
-  size_t prefill_count() const { return prefill_.size(); }
-  size_t decode_count() const { return decode_.size(); }
+  size_t colocated_count() const { return groups_[ctrl::JobTable::kColocated].size(); }
+  size_t prefill_count() const { return groups_[ctrl::JobTable::kPrefill].size(); }
+  size_t decode_count() const { return groups_[ctrl::JobTable::kDecode].size(); }
 
  private:
+  // The one membership write behind AddColocatedTe/AddPrefillTe/AddDecodeTe.
+  void AddTe(ctrl::JobTable::Group group, TaskExecutor* te);
+  // The member TE with this id in any group, or nullptr.
+  TaskExecutor* Member(TeId id) const;
+
   // Algorithm 1 pieces.
   bool PreferDisaggregated(const workload::RequestSpec& spec);
   bool IsLoadBalanced(const std::vector<TaskExecutor*>& tes) const;
@@ -226,10 +229,10 @@ class JobExecutor {
   // no longer observe the prompt, so the log keeps only the record's header.
   void CloseJob(JobId job_id, int32_t close_type);
 
-  void DispatchColocated(TaskExecutor* te, const workload::RequestSpec& spec,
+  void DispatchColocated(JobId job_id, TaskExecutor* te, const workload::RequestSpec& spec,
                          ResponseHandler handler);
-  void DispatchDisaggregated(TaskExecutor* prefill_te, const workload::RequestSpec& spec,
-                             ResponseHandler handler);
+  void DispatchDisaggregated(JobId job_id, TaskExecutor* prefill_te,
+                             const workload::RequestSpec& spec, ResponseHandler handler);
 
   TaskId NewTask(JobId job, TaskType type, TeId te);
   // Appends one JobTable record to the control log.
@@ -257,10 +260,9 @@ class JobExecutor {
   ctrl::ControlLog* log_ = nullptr;
   ctrl::JobTable table_;
 
-  // Runtime bindings (data plane / per-leader artifacts).
-  std::vector<TaskExecutor*> colocated_;
-  std::vector<TaskExecutor*> prefill_;
-  std::vector<TaskExecutor*> decode_;
+  // Runtime bindings (data plane / per-leader artifacts): the live TEs of
+  // each group, indexed by ctrl::JobTable::Group.
+  std::vector<TaskExecutor*> groups_[3];
   // Dispatch's ready-TE lists, refilled per request instead of reallocated.
   std::vector<TaskExecutor*> ready_coloc_;
   std::vector<TaskExecutor*> ready_prefill_;

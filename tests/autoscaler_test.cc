@@ -1,7 +1,6 @@
 // Autoscaler tests: the pluggable ScalePolicy layer (unit-driven with
 // synthetic ScaleSignals), the 3-seed reactive golden parity pin (the
-// refactored autoscaler must reproduce the pre-refactor ClusterManager tick
-// bit-for-bit under legacy_floor_average + graceful_drain=false), and the
+// reactive policy under graceful_drain=false, pinned bit-for-bit), and the
 // graceful-drain mechanism properties: drains lose nothing, crashes racing a
 // drain abort it cleanly, and drain timeouts force-kill into the re-dispatch
 // path.
@@ -55,34 +54,20 @@ TEST(ScalePolicyFactoryTest, MakesAllThree) {
   }
 }
 
-// The historical bug the refactor fixes: floor(total/live) under-reports the
-// average queue depth. On the down side the floor makes `avg <= D` true for
-// any total < (D+1)*live, so the legacy tick sheds capacity while the exact
-// comparison (total <= D*live) correctly holds it.
-TEST(ReactivePolicyTest, LegacyFloorShedsWhereExactAverageHolds) {
+// The historical bug the policy avoids: floor(total/live) under-reports the
+// average queue depth, so `floor(avg) <= D` holds for any total < (D+1)*live
+// and would shed capacity. The exact comparison (total <= D*live) holds it.
+TEST(ReactivePolicyTest, ExactAverageHoldsWhereFloorWouldShed) {
   serving::AutoscalerConfig config;
   config.policy = "reactive";
   config.scale_up_queue_depth = 4;
   config.scale_down_queue_depth = 1;
   config.min_tes = 1;
   config.max_tes = 8;
-
-  config.legacy_floor_average = true;
-  auto legacy = serving::MakeScalePolicy(config).value();
-  config.legacy_floor_average = false;
   auto exact = serving::MakeScalePolicy(config).value();
 
-  // live=4, total=7: true average 1.75 > 1, but floor(7/4) = 1 <= 1.
-  serving::ScaleDecision from_legacy = legacy->Tick(Sig(4, 7));
-  serving::ScaleDecision from_exact = exact->Tick(Sig(4, 7));
-  EXPECT_EQ(from_legacy.scale_down, 1);
-  EXPECT_EQ(from_exact.scale_down, 0);
-
-  // Up-side the two are equivalent: floor(total/live) >= U iff total >= U*live.
-  EXPECT_EQ(legacy->Tick(Sig(4, 16)).scale_up, 1);
-  EXPECT_EQ(exact->Tick(Sig(4, 16)).scale_up, 1);
-  EXPECT_EQ(legacy->Tick(Sig(4, 15)).scale_up, 0);
-  EXPECT_EQ(exact->Tick(Sig(4, 15)).scale_up, 0);
+  // live=4, total=7: true average 1.75 > 1, though floor(7/4) = 1 <= 1.
+  EXPECT_EQ(exact->Tick(Sig(4, 7)).scale_down, 0);
 }
 
 TEST(ReactivePolicyTest, SingleScaleUpInFlightCap) {
@@ -249,11 +234,11 @@ TEST(SloPolicyTest, ScalesOnViolationRateNotQueueDepth) {
 
 // ---------------- Reactive golden parity ----------------
 //
-// Replays the exact pre-refactor harness: the numbers below were captured
-// from the seed commit's hand-rolled ClusterManager::AutoscalerTick loop.
-// The extracted ReactivePolicy under legacy_floor_average=true and
-// graceful_drain=false must reproduce every field, including the FNV-1a hash
-// over (id, first_token_time, finish_time) of each completion.
+// Replays the pre-refactor harness under graceful_drain=false. The numbers
+// below were captured with the exact-average ReactivePolicy once the
+// integer-floor average it replaced was removed; every field must reproduce,
+// including the FNV-1a hash over (id, first_token_time, finish_time) of each
+// completion.
 
 struct GoldenRun {
   int64_t scale_ups = 0;
@@ -298,7 +283,6 @@ GoldenRun RunReactiveGolden(uint64_t seed) {
   as.min_tes = 1;
   as.max_tes = 4;
   as.policy = "reactive";
-  as.legacy_floor_average = true;
   as.graceful_drain = false;
   serving::ScaleRequest request;
   request.engine = engine;
@@ -358,11 +342,10 @@ TEST(ReactiveGoldenParityTest, BitIdenticalToPreRefactorAutoscaler) {
     TimeNs end_time;
     uint64_t timeline_hash;
   };
-  // Captured from the pre-ScalePolicy ClusterManager autoscaler loop.
   const GoldenRow kGolden[] = {
-      {11ull, 6, 6, 373, 0, 1, 180560063275, 0x4d1b75db833b121dull},
-      {23ull, 5, 5, 396, 0, 1, 180560063275, 0xeb878e9f32f7f2edull},
-      {47ull, 5, 5, 347, 0, 1, 180560063275, 0x734b3141df4b37cull},
+      {11ull, 3, 3, 373, 0, 1, 180560063275, 0xd32e9d71f92081ebull},
+      {23ull, 4, 4, 396, 0, 1, 180560063275, 0x6d7a5ab5c0739cacull},
+      {47ull, 3, 3, 347, 0, 1, 180560063275, 0x77e0392219d85b05ull},
   };
   for (const GoldenRow& row : kGolden) {
     GoldenRun run = RunReactiveGolden(row.seed);

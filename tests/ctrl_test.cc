@@ -258,7 +258,7 @@ TEST_F(CtrlStackTest, JobTableReplayMatchesLiveAfterTraffic) {
   log.ReplayInto(&standby);
   EXPECT_EQ(standby.Fingerprint(), je.table().Fingerprint());
   EXPECT_EQ(standby.applied(), je.table().applied());
-  EXPECT_EQ(standby.jobs().size(), je.table().jobs().size());
+  EXPECT_EQ(standby.next_job(), je.table().next_job());
   EXPECT_TRUE(standby.outstanding().empty());
 }
 
@@ -494,7 +494,6 @@ TEST_F(CtrlStackTest, JeFailoverLosesNoRequestsAndFiresHandlersExactlyOnce) {
   sim_.ScheduleAt(MsToNs(650), [&] {
     ASSERT_TRUE(je.CrashLeader().ok());
     EXPECT_FALSE(je.leader_up());
-    EXPECT_FALSE(je.HasReadyCapacity());
     EXPECT_EQ(je.ReadyCapacityWeight(), 0);
     EXPECT_FALSE(je.CrashLeader().ok());  // already down
   });
@@ -567,7 +566,7 @@ TEST_F(CtrlStackTest, JeCrashMidFlightReplaysOutstandingPromptsFromLog) {
     log.ReplayInto(&standby);
     EXPECT_EQ(standby.Fingerprint(), je.table().Fingerprint());
     in_flight_at_crash = standby.outstanding().size();
-    closed_at_crash = standby.jobs().size() - in_flight_at_crash;
+    closed_at_crash = standby.next_job() - 1 - in_flight_at_crash;
     int64_t outstanding_payload = 0;
     for (const auto& [job_id, outstanding] : standby.outstanding()) {
       const workload::RequestSpec& want = sent.at(outstanding.spec.id);
@@ -687,6 +686,119 @@ TEST_F(CtrlStackTest, SingleReplicaJeCrashFailsOutstandingAndRejectsArrivals) {
   EXPECT_EQ(je.stats().je_crashes, 1);
   EXPECT_EQ(je.stats().je_failovers, 0);
   EXPECT_FALSE(je.leader_up());
+}
+
+// ---------------- Control-log stream pin ----------------
+
+// FNV-1a over every record's (domain, type, time, ints) as the log holds
+// them at the end of the run, i.e. after terminated jobs' payload drops.
+uint64_t LogStreamHash(const ctrl::ControlLog& log) {
+  uint64_t hash = 1469598103934665603ull;
+  auto mix = [&hash](uint64_t v) {
+    hash ^= v;
+    hash *= 1099511628211ull;
+  };
+  mix(log.records().size());
+  for (const ctrl::LogRecord& record : log.records()) {
+    mix(static_cast<uint64_t>(record.domain));
+    mix(static_cast<uint64_t>(record.type));
+    mix(static_cast<uint64_t>(record.time));
+    mix(record.ints.size());
+    for (int64_t v : record.ints) {
+      mix(static_cast<uint64_t>(v));
+    }
+  }
+  return hash;
+}
+
+// One mixed run on a 3-replica log: colocated and 1P1D TEs, a ScaleUp and a
+// ScaleUpMany, a TE crash whose jobs re-dispatch, then a JE and a CM leader
+// crash, each failing over. The hash pins the append order of both domains'
+// records, which no other test does.
+TEST_F(CtrlStackTest, MixedRunLogStreamIsPinned) {
+  ctrl::CtrlConfig config;
+  config.replicas = 3;
+  config.quorum = 2;
+  config.replication_latency = MsToNs(1);
+  config.lease_duration = MsToNs(100);
+  ctrl::ControlLog log(&sim_, config);
+  serving::ClusterManager manager(&sim_, &cluster_, &transfer_, {}, {}, &log);
+  manager.ReservePrewarmedPods(4);
+  manager.ReservePrewarmedTes(4);
+  for (int m = 0; m < cluster_.num_machines(); ++m) {
+    manager.PreloadModelToDram(m, model::ModelSpec::Tiny1B());
+  }
+  sim_.Run();
+
+  serving::JobExecutor je(&sim_, serving::JeConfig{}, serving::PdHeatmap::Default(),
+                          serving::MakeOraclePredictor());
+  je.AttachControl(&log, &manager);
+  auto* coloc_a = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value();
+  auto* coloc_b = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value();
+  auto* prefill = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kPrefillOnly)).value();
+  auto* decode = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kDecodeOnly)).value();
+  je.AddColocatedTe(coloc_a);
+  je.AddColocatedTe(coloc_b);
+  je.AddPrefillTe(prefill);
+  je.AddDecodeTe(decode);
+  ASSERT_TRUE(transfer_.LinkCluster({prefill->id(), decode->id()}, nullptr).ok());
+  sim_.Run();
+  const TimeNs t0 = sim_.Now();
+
+  serving::ScaleRequest request;
+  request.engine = SmallEngine(flowserve::EngineRole::kColocated);
+  int scaled = 0;
+  ASSERT_TRUE(manager
+                  .ScaleUp(request,
+                           [&](serving::TaskExecutor* te, const serving::ScalingBreakdown&) {
+                             ASSERT_NE(te, nullptr);
+                             ++scaled;
+                             je.AddColocatedTe(te);
+                           })
+                  .ok());
+  request.fork_source = coloc_b->id();
+  ASSERT_TRUE(manager
+                  .ScaleUpMany(request, 2,
+                               [&](std::vector<serving::TaskExecutor*> tes, DurationNs) {
+                                 for (serving::TaskExecutor* te : tes) {
+                                   ++scaled;
+                                   je.AddColocatedTe(te);
+                                 }
+                               })
+                  .ok());
+
+  // Short prompts route colocated, long-prefill/short-decode ones to the pair.
+  constexpr int kRequests = 40;
+  std::map<workload::RequestId, int> terminations;
+  for (int i = 1; i <= kRequests; ++i) {
+    const bool long_prefill = i % 3 == 0;
+    workload::RequestSpec spec = MakeRequest(i, long_prefill ? 3072 : 192 + 8 * i,
+                                             long_prefill ? 8 : 96, static_cast<TokenId>(500 * i));
+    spec.context_id = "ctx-" + std::to_string(i);
+    sim_.ScheduleAt(t0 + MsToNs(60 * i), [&, spec] {
+      je.HandleRequest(spec, {nullptr,
+                              [&, id = spec.id](const flowserve::Sequence&) { ++terminations[id]; },
+                              [&, id = spec.id](const Status&) { ++terminations[id]; }});
+    });
+  }
+  sim_.ScheduleAt(t0 + MsToNs(400), [&] {
+    ASSERT_TRUE(manager.CrashTe(coloc_a->id(), serving::CrashKind::kTeShell).ok());
+  });
+  sim_.ScheduleAt(t0 + MsToNs(900), [&] { ASSERT_TRUE(je.CrashLeader().ok()); });
+  sim_.ScheduleAt(t0 + MsToNs(1500), [&] { ASSERT_TRUE(manager.CrashControlLeader().ok()); });
+  sim_.Run();
+
+  EXPECT_EQ(scaled, 3);
+  EXPECT_GE(je.stats().retries, 1);
+  EXPECT_GE(je.stats().routed_disaggregated, 1);
+  EXPECT_EQ(je.stats().je_failovers, 1);
+  EXPECT_EQ(manager.stats().cm_failovers, 1);
+  ASSERT_EQ(terminations.size(), static_cast<size_t>(kRequests));
+  for (const auto& [id, count] : terminations) {
+    EXPECT_EQ(count, 1) << "request " << id << " terminated " << count << " times";
+  }
+  EXPECT_TRUE(je.table().outstanding().empty());
+  EXPECT_EQ(LogStreamHash(log), 0xcccf9e14d894cdefull);
 }
 
 // ---------------- Golden parity: degenerate log == pre-log tree ----------------

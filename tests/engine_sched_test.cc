@@ -51,15 +51,13 @@ struct GoldenResult {
   TimeNs end_time = 0;
 };
 
-GoldenResult RunGoldenWorkload(uint64_t seed, bool adaptive, bool pic) {
+GoldenResult RunGoldenWorkload(uint64_t seed, bool pic) {
   sim::Simulator sim;
   flowserve::EngineConfig config;
   config.model = model::ModelSpec::Tiny1B();
   config.parallelism = {1, 1, 1};
   config.kv_block_capacity_override = 160;  // tight KV: preemptions happen
   config.enable_chunked_prefill = true;
-  config.adaptive_chunking = adaptive;
-  config.chunk_target_tpot_ms = 30.0;
   config.enable_pic = pic;
   flowserve::Engine engine(&sim, config);
 
@@ -118,31 +116,29 @@ GoldenResult RunGoldenWorkload(uint64_t seed, bool adaptive, bool pic) {
 
 struct GoldenCase {
   uint64_t seed;
-  bool adaptive;
   bool pic;
   GoldenResult expect;
 };
 
-// Captured from the pre-refactor engine at commit ed15be4 (see /tmp note in
-// the PR description): three seeds covering static chunking, the adaptive
-// chunk controller, and position-independent caching.
+// Seed 1 was captured from the pre-refactor engine at commit ed15be4; seeds
+// 42 and 1337 with static chunking at the commit that removed the adaptive
+// chunk controller. Seed 1337 covers position-independent caching.
 const GoldenCase kGoldenCases[] = {
-    {1ull, false, false,
+    {1ull, false,
      {1980, 33852, 17324365, 3282, 1472, 8, 40, 19036812, 5523138010, 0x358423cef76c9a98ull,
       6713015462}},
-    {42ull, true, false,
+    {42ull, false,
      {1872, 32643, 16701199, 2887, 1328, 7, 40, 16740723, 5227001412, 0x865bca279ab76d73ull,
       6624205926}},
-    {1337ull, true, true,
+    {1337ull, true,
      {2168, 37115, 19204159, 3496, 560, 13, 40, 18449702, 6055942013, 0x33aa4ed1e8c0a975ull,
       7254044811}},
 };
 
 TEST(EngineSchedGoldenTest, FcfsParityIsBitIdentical) {
   for (const GoldenCase& c : kGoldenCases) {
-    SCOPED_TRACE("seed=" + std::to_string(c.seed) + " adaptive=" + std::to_string(c.adaptive) +
-                 " pic=" + std::to_string(c.pic));
-    GoldenResult r = RunGoldenWorkload(c.seed, c.adaptive, c.pic);
+    SCOPED_TRACE("seed=" + std::to_string(c.seed) + " pic=" + std::to_string(c.pic));
+    GoldenResult r = RunGoldenWorkload(c.seed, c.pic);
     EXPECT_EQ(r.steps, c.expect.steps);
     EXPECT_EQ(r.prefill_tokens, c.expect.prefill_tokens);
     EXPECT_EQ(r.attended_tokens, c.expect.attended_tokens);
@@ -459,7 +455,6 @@ TEST(EngineSchedTest, SloShedsRequestThatExpiresMidDecode) {
 EngineStats RunTbtWorkload(const std::string& policy, double tbt_budget_ms) {
   sim::Simulator sim;
   EngineConfig config = TinyEngineConfig();
-  config.adaptive_chunking = false;
   config.prefill_chunk_tokens = 8192;  // no mechanical chunk cap to hide behind
   config.max_tokens_per_step = 16384;
   config.sched.policy = policy;

@@ -20,6 +20,7 @@
 #include "serving/predictor.h"
 #include "sim/simulator.h"
 #include "workload/tracegen.h"
+#include "job_ledger.h"
 
 namespace deepserve {
 namespace {
@@ -282,7 +283,7 @@ TEST_F(FaultToleranceTest, FailedJobsMarkedInLedger) {
   sim_.Run();
   int failed = 0;
   int completed = 0;
-  for (const auto& job : je_->jobs()) {
+  for (const auto& job : ReadJobLedger(*je_).jobs) {
     if (job.state == serving::JobState::kFailed) {
       ++failed;
     }

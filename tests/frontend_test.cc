@@ -206,8 +206,8 @@ TEST_F(FrontendTest, AllReplicasDownMeansUnavailable) {
 }
 
 TEST_F(FrontendTest, CapacityConsultsTeStateNotGroupMembership) {
-  // A JE whose only TE has failed still *has* the TE in its group; the old
-  // group-membership check would have routed to it. HasReadyCapacity must
+  // A JE whose only TE has failed still *has* the TE in its group; a
+  // group-membership check would route to it. ReadyCapacityWeight must
   // consult TeState instead.
   serving::Frontend frontend;
   auto je = MakeJeWithTe();
@@ -374,80 +374,6 @@ TEST(PriorityTest, PreemptionVictimizesBatchClassFirst) {
   EXPECT_GT(vip_done, 0);
   EXPECT_GT(batch_done, 0);
   EXPECT_LT(vip_done, batch_done);  // the interactive request never yielded
-}
-
-// ---------------- Adaptive chunking ----------------
-
-TEST(AdaptiveChunkTest, ControllerBoundsWorstTokenStallUnderMixedLoad) {
-  auto run = [&](bool adaptive) {
-    sim::Simulator sim;
-    flowserve::EngineConfig config;
-    config.model = model::ModelSpec::Yi34B();
-    config.npu_spec = hw::NpuSpec::Gen1();
-    config.parallelism = {4, 1, 1};
-    config.enable_prefix_caching = false;
-    config.prefill_chunk_tokens = 2048;
-    config.adaptive_chunking = adaptive;
-    config.chunk_target_tpot_ms = 45.0;
-    flowserve::Engine engine(&sim, config);
-    // Long-lived decodes...
-    workload::MetricsCollector metrics;
-    Rng rng(2);
-    for (int i = 0; i < 8; ++i) {
-      workload::RequestSpec spec;
-      spec.id = static_cast<workload::RequestId>(i + 1);
-      spec.decode_len = 512;
-      for (int j = 0; j < 256; ++j) {
-        spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 50000)));
-      }
-      engine.Submit(spec, nullptr, [&metrics, spec](const flowserve::Sequence& seq) {
-        workload::RequestRecord record;
-        record.id = spec.id;
-        record.arrival = 0;
-        record.first_token = seq.first_token_time;
-        record.completion = seq.finish_time;
-        record.prefill_len = spec.prefill_len();
-        record.decode_len = spec.decode_len;
-        metrics.Record(record);
-      });
-    }
-    // ...joined by a stream of big prefills that would starve them.
-    for (int i = 0; i < 10; ++i) {
-      sim.ScheduleAt(SToNs(0.5 + 0.8 * i), [&engine, i] {
-        workload::RequestSpec spec;
-        spec.id = static_cast<workload::RequestId>(100 + i);
-        spec.decode_len = 4;
-        for (int j = 0; j < 6144; ++j) {
-          spec.prompt.push_back(static_cast<TokenId>(2000 + 77 * i + j % 5000));
-        }
-        engine.Submit(spec, nullptr, nullptr);
-      });
-    }
-    sim.Run();
-    return NsToMs(engine.stats().max_decode_step);
-  };
-  // Chunking conserves total prefill work, so per-request mean TPOT barely
-  // moves; what the controller bounds is the WORST inter-token stall.
-  double fixed_worst = run(false);
-  double adaptive_worst = run(true);
-  EXPECT_LT(adaptive_worst, 0.5 * fixed_worst);
-}
-
-TEST(AdaptiveChunkTest, NoRegressionWithoutDecodeLoad) {
-  // Pure prefill workloads should see full-size chunks (no false shrinking).
-  sim::Simulator sim;
-  auto config = SmallEngine(flowserve::EngineRole::kColocated);
-  config.adaptive_chunking = true;
-  config.chunk_target_tpot_ms = 10.0;
-  flowserve::Engine engine(&sim, config);
-  bool done = false;
-  engine.Submit(MakeRequest(1, 4096, 2), nullptr,
-                [&](const flowserve::Sequence&) { done = true; });
-  sim.Run();
-  EXPECT_TRUE(done);
-  // 4096 tokens at 512/chunk = 8 prefill steps (plus the decode step): the
-  // controller never engaged because no step mixed decode with prefill.
-  EXPECT_LE(engine.stats().steps, 10);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "sim/simulator.h"
 #include "workload/metrics.h"
 #include "workload/tracegen.h"
+#include "job_ledger.h"
 
 namespace deepserve {
 namespace {
@@ -138,14 +139,15 @@ TEST_F(PlatformTest, JobLedgerConsistentAfterRun) {
                    workload::TraceGenerator::CodeGenTrace(2.0, 20.0, 3))
                    .Generate();
   Replay(trace);
-  EXPECT_EQ(je_->jobs().size(), trace.size());
-  for (const auto& job : je_->jobs()) {
+  const JobLedger ledger = ReadJobLedger(*je_);
+  EXPECT_EQ(ledger.jobs.size(), trace.size());
+  for (const auto& job : ledger.jobs) {
     EXPECT_EQ(job.state, serving::JobState::kCompleted);
     EXPECT_GE(job.completed, job.created);
     ASSERT_FALSE(job.tasks.empty());
     ASSERT_LE(job.tasks.size(), 2u);
     for (serving::TaskId task_id : job.tasks) {
-      const auto& task = je_->tasks()[task_id - 1];
+      const auto& task = ledger.tasks[task_id - 1];
       EXPECT_EQ(task.state, serving::TaskState::kCompleted);
       EXPECT_EQ(task.job, job.id);
       EXPECT_GE(task.completed, task.dispatched);

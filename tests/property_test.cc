@@ -252,20 +252,24 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HeatmapPropertyTest, ::testing::Values(2, 22, 22
 
 // ---------------- Whole-engine sweeps ----------------
 
-// Dimensions: (model preset, chunked?, adaptive?, pic?, priority mix?).
+// Dimensions: (model preset, chunked?, slo policy with a TBT budget (else
+// fcfs)?, pic?).
 using EngineSweepParam = std::tuple<const char*, bool, bool, bool>;
 
 class EnginePropertySweep : public ::testing::TestWithParam<EngineSweepParam> {};
 
 TEST_P(EnginePropertySweep, RandomWorkloadAlwaysDrainsCleanly) {
-  auto [model_name, chunked, adaptive, pic] = GetParam();
+  auto [model_name, chunked, slo, pic] = GetParam();
   sim::Simulator sim;
   flowserve::EngineConfig config;
   config.model = model::ModelSpec::Preset(model_name).value();
   config.parallelism = {1, 1, 1};
   config.kv_block_capacity_override = 2048;
   config.enable_chunked_prefill = chunked;
-  config.adaptive_chunking = adaptive;
+  if (slo) {
+    config.sched.policy = "slo";
+    config.sched.tbt_budget_ms = 50.0;
+  }
   config.enable_pic = pic;
   flowserve::Engine engine(&sim, config);
   Rng rng(0x5eed ^ std::hash<std::string>{}(model_name));

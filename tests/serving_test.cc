@@ -19,6 +19,7 @@
 #include "serving/task_executor.h"
 #include "sim/simulator.h"
 #include "workload/tracegen.h"
+#include "job_ledger.h"
 
 namespace deepserve::serving {
 namespace {
@@ -228,11 +229,12 @@ TEST_F(ServingTest, JobAndTaskRecordsForColocatedRoute) {
   je.HandleRequest(MakeRequest(1, 256, 8), {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
   sim_.Run();
   EXPECT_TRUE(done);
-  ASSERT_EQ(je.jobs().size(), 1u);
-  EXPECT_EQ(je.jobs()[0].state, JobState::kCompleted);
-  ASSERT_EQ(je.tasks().size(), 1u);
-  EXPECT_EQ(je.tasks()[0].type, TaskType::kUnified);
-  EXPECT_EQ(je.tasks()[0].state, TaskState::kCompleted);
+  const JobLedger ledger = ReadJobLedger(je);
+  ASSERT_EQ(ledger.jobs.size(), 1u);
+  EXPECT_EQ(ledger.jobs[0].state, JobState::kCompleted);
+  ASSERT_EQ(ledger.tasks.size(), 1u);
+  EXPECT_EQ(ledger.tasks[0].type, TaskType::kUnified);
+  EXPECT_EQ(ledger.tasks[0].state, TaskState::kCompleted);
 }
 
 TEST_F(ServingTest, DisaggregatedJobCreatesTwoTasks) {
@@ -247,11 +249,12 @@ TEST_F(ServingTest, DisaggregatedJobCreatesTwoTasks) {
   sim_.Run();
   EXPECT_TRUE(done);
   EXPECT_EQ(je.stats().routed_disaggregated, 1);
-  ASSERT_EQ(je.tasks().size(), 2u);
-  EXPECT_EQ(je.tasks()[0].type, TaskType::kPrefill);
-  EXPECT_EQ(je.tasks()[1].type, TaskType::kDecode);
-  EXPECT_EQ(je.tasks()[0].state, TaskState::kCompleted);
-  EXPECT_EQ(je.tasks()[1].state, TaskState::kCompleted);
+  const JobLedger ledger = ReadJobLedger(je);
+  ASSERT_EQ(ledger.tasks.size(), 2u);
+  EXPECT_EQ(ledger.tasks[0].type, TaskType::kPrefill);
+  EXPECT_EQ(ledger.tasks[1].type, TaskType::kDecode);
+  EXPECT_EQ(ledger.tasks[0].state, TaskState::kCompleted);
+  EXPECT_EQ(ledger.tasks[1].state, TaskState::kCompleted);
 }
 
 TEST_F(ServingTest, PdAwareRoutesByShape) {
@@ -459,6 +462,31 @@ TEST_F(ServingTest, RemoveTeStopsRouting) {
   EXPECT_EQ(te2->engine().stats().submitted, 4);
 }
 
+// Membership spans all three groups: RemoveTe finds a TE whichever group it
+// joined, and ReadyCapacityWeight counts ready colocated TEs plus ready PD
+// pairs (the scarcer side bounds the pairs).
+TEST_F(ServingTest, RemoveTeAndCapacityWeightSpanEveryGroup) {
+  auto je = MakeJe(SchedulingPolicy::kRoundRobin);
+  auto coloc = MakeTe(1, flowserve::EngineRole::kColocated);
+  auto prefill1 = MakeTe(2, flowserve::EngineRole::kPrefillOnly);
+  auto prefill2 = MakeTe(3, flowserve::EngineRole::kPrefillOnly);
+  auto decode = MakeTe(4, flowserve::EngineRole::kDecodeOnly);
+  je.AddColocatedTe(coloc.get());
+  je.AddPrefillTe(prefill1.get());
+  je.AddPrefillTe(prefill2.get());
+  je.AddDecodeTe(decode.get());
+  EXPECT_EQ(je.ReadyCapacityWeight(), 2);
+  prefill1->set_state(TeState::kLoading);
+  EXPECT_EQ(je.ReadyCapacityWeight(), 2);
+  EXPECT_TRUE(je.RemoveTe(4));
+  EXPECT_EQ(je.ReadyCapacityWeight(), 1);
+  EXPECT_FALSE(je.RemoveTe(4));
+  EXPECT_FALSE(je.RemoveTe(99));
+  EXPECT_TRUE(je.RemoveTe(3));
+  EXPECT_TRUE(je.RemoveTe(1));
+  EXPECT_EQ(je.ReadyCapacityWeight(), 0);
+}
+
 TEST_F(ServingTest, NonReadyTesAreSkipped) {
   auto je = MakeJe(SchedulingPolicy::kRoundRobin);
   auto te1 = MakeTe(1, flowserve::EngineRole::kColocated);
@@ -636,6 +664,51 @@ TEST_F(ScalingTest, ScaleUpManyForksInParallel) {
   for (TaskExecutor* te : created) {
     EXPECT_TRUE(te->ready());
   }
+}
+
+// EstimateScaleUpLead shares the pipeline's stage costs, so on an idle
+// cluster (no link contention) it predicts the pipeline's actual total in
+// each mode: cold with nothing optimized, pre-warmed with a DRAM hit, and
+// NPU-fork.
+TEST_F(ScalingTest, EstimateScaleUpLeadMatchesIdlePipeline) {
+  auto run = [&](ScalingOptimizations opts, bool prewarm_and_preload, bool fork) {
+    sim::Simulator sim;
+    hw::Cluster cluster(&sim, MakeClusterConfig());
+    distflow::TransferEngine transfer(&sim, &cluster, {});
+    ClusterManager manager(&sim, &cluster, &transfer, opts);
+    if (prewarm_and_preload) {
+      manager.ReservePrewarmedPods(1);
+      manager.ReservePrewarmedTes(1);
+      manager.PreloadModelToDram(0, model::ModelSpec::Tiny1B());
+      sim.Run();
+    }
+    ScaleRequest request;
+    request.engine = SmallEngine(flowserve::EngineRole::kColocated);
+    if (fork) {
+      auto source = manager.CreateReadyTe(request.engine);
+      EXPECT_TRUE(source.ok());
+      request.fork_source = (*source)->id();
+    }
+    const DurationNs estimate = manager.EstimateScaleUpLead(request);
+    ScalingBreakdown breakdown;
+    EXPECT_TRUE(manager
+                    .ScaleUp(request,
+                             [&](TaskExecutor*, const ScalingBreakdown& b) { breakdown = b; })
+                    .ok());
+    sim.Run();
+    EXPECT_EQ(breakdown.used_npu_fork, fork);
+    EXPECT_EQ(breakdown.used_prewarmed_pod, prewarm_and_preload);
+    // The pipeline's flows complete on whole nanoseconds, so each load hop
+    // (SSD, PCIe) may land one nanosecond after its isolated duration.
+    EXPECT_GE(breakdown.total(), estimate);
+    EXPECT_LE(breakdown.total(), estimate + 2);
+    return estimate;
+  };
+  const DurationNs cold = run(ScalingOptimizations::AllOff(), false, false);
+  const DurationNs warm = run(ScalingOptimizations{}, true, false);
+  const DurationNs forked = run(ScalingOptimizations{}, false, true);
+  EXPECT_GT(cold, warm);
+  EXPECT_GT(forked, 0);
 }
 
 TEST_F(ScalingTest, ScaleUpManyRequiresSource) {

@@ -34,9 +34,11 @@ double MeasureTpot(bool ae, int batch, double link_gbps = 90.0) {
     workload::RequestSpec spec;
     spec.id = static_cast<workload::RequestId>(i + 1);
     spec.decode_len = 129;
+    std::vector<TokenId> tokens;
     for (int j = 0; j < 1024; ++j) {
-      spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 30000)));
+      tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 30000)));
     }
+    spec.prompt = std::move(tokens);
     engine.Submit(spec, nullptr, [&metrics, spec](const flowserve::Sequence& seq) {
       workload::RequestRecord record;
       record.id = spec.id;

@@ -29,9 +29,11 @@ void RunLevel(const char* name, const flowserve::EngineFeatures& features, int b
     workload::RequestSpec spec;
     spec.id = static_cast<workload::RequestId>(i + 1);
     spec.decode_len = 129;
+    std::vector<TokenId> tokens;
     for (int j = 0; j < 512; ++j) {
-      spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 50000)));
+      tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 50000)));
     }
+    spec.prompt = std::move(tokens);
     engine.Submit(spec, nullptr, [&](const flowserve::Sequence&) { ++done; });
   }
   sim.Run();

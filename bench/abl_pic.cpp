@@ -58,13 +58,15 @@ RagResult RunRag(bool prefix_caching, bool pic) {
   for (int q = 0; q < 32; ++q) {
     workload::RequestSpec spec;
     spec.id = next_id++;
+    std::vector<TokenId> tokens;
     for (int k = 0; k < 4; ++k) {
       const auto& doc = docs[static_cast<size_t>(rng.UniformInt(0, 15))];
-      spec.prompt.insert(spec.prompt.end(), doc.begin(), doc.end());
+      tokens.insert(tokens.end(), doc.begin(), doc.end());
     }
     for (int j = 0; j < 64; ++j) {
-      spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 120000)));
+      tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 120000)));
     }
+    spec.prompt = std::move(tokens);
     spec.decode_len = 32;
     TimeNs submit = sim.Now();
     TimeNs first = 0;

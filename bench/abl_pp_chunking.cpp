@@ -33,18 +33,22 @@ double MeasureTtftMs(bool spread, int64_t prompt_len, int64_t chunk) {
     workload::RequestSpec bg;
     bg.id = static_cast<workload::RequestId>(100 + i);
     bg.decode_len = 2048;
+    std::vector<TokenId> tokens;
     for (int j = 0; j < 64; ++j) {
-      bg.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 50000)));
+      tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 50000)));
     }
+    bg.prompt = std::move(tokens);
     engine.Submit(bg, nullptr, nullptr);
   }
   TimeNs first = 0;
   workload::RequestSpec spec;
   spec.id = 1;
   spec.decode_len = 2;
+  std::vector<TokenId> tokens;
   for (int64_t j = 0; j < prompt_len; ++j) {
-    spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 50000)));
+    tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 50000)));
   }
+  spec.prompt = std::move(tokens);
   TimeNs submit_at = MsToNs(200);  // after the pipeline fills
   sim.ScheduleAt(submit_at, [&] {
     engine.Submit(spec, [&](const flowserve::Sequence& seq) { first = seq.first_token_time; },

@@ -45,10 +45,12 @@ Point RunOffline(const flowserve::EngineFeatures& features, int batch, int64_t p
     spec.id = static_cast<workload::RequestId>(i + 1);
     spec.arrival = 0;
     spec.decode_len = decode_iters + 1;  // first token comes from prefill
-    spec.prompt.reserve(static_cast<size_t>(prefill_len));
+    std::vector<TokenId> tokens;
+    tokens.reserve(static_cast<size_t>(prefill_len));
     for (int64_t j = 0; j < prefill_len; ++j) {
-      spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 60000)));
+      tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 60000)));
     }
+    spec.prompt = std::move(tokens);
     engine.Submit(spec, nullptr, [&metrics, spec](const flowserve::Sequence& seq) {
       workload::RequestRecord record;
       record.id = spec.id;

@@ -57,9 +57,11 @@ ForkResult RunFork(int count, int64_t busy_prefill, int busy_decode_batch) {
     static workload::RequestId next_id = 1;
     spec.id = next_id++;
     spec.decode_len = decode;
+    std::vector<TokenId> tokens;
     for (int64_t i = 0; i < prefill; ++i) {
-      spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 100000)));
+      tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 100000)));
     }
+    spec.prompt = std::move(tokens);
     (*source)->SubmitUnified(spec, {nullptr, nullptr, nullptr});
   };
   if (busy_prefill > 0) {

@@ -1,7 +1,7 @@
 // Engine-primitive microbenchmarks (google-benchmark): the hot control-plane
 // data structures — RTC radix tree, block pool, chain hashing, the simulator
-// event queue, DistFlow op submission, the JE's locality pick, and the
-// engine's decode step.
+// event queue, DistFlow op submission, the JE's locality pick and dispatch,
+// and the engine's decode step.
 
 #include <benchmark/benchmark.h>
 
@@ -13,8 +13,13 @@
 #include "rtc/block_pool.h"
 #include "rtc/radix_tree.h"
 #include "rtc/rtc_master.h"
+#include "serving/heatmap.h"
+#include "serving/job_executor.h"
+#include "serving/predictor.h"
 #include "serving/prompt_tree.h"
+#include "serving/task_executor.h"
 #include "sim/simulator.h"
+#include "workload/tracegen.h"
 
 namespace deepserve {
 namespace {
@@ -227,10 +232,11 @@ void BM_RtcMatchPopulateCycle(benchmark::State& state) {
   rtc::RtcMaster master(&sim, config);
   auto tokens = RandomTokens(2048, 7);
   auto blocks = master.AllocBlocks(128).value();
-  master.Preserve(tokens, blocks);
+  auto keys = rtc::TokensToBlockKeys(tokens, config.block_size);
+  master.Preserve(tokens, blocks, keys);
   master.Free(blocks);
   for (auto _ : state) {
-    auto info = master.MatchByPrefixToken(tokens);
+    auto info = master.MatchByPrefixToken(tokens, keys);
     benchmark::DoNotOptimize(info.matched_tokens);
   }
 }
@@ -294,6 +300,42 @@ void BM_EngineDecodeStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EngineDecodeStep)->Arg(1)->Arg(8)->Arg(32);
+
+// Host cost of the JE's dispatch of one request, from
+// JobExecutor::HandleRequest through Engine::Submit: 64 colocated TEs behind
+// one JE, InternalTrace prompts (~2k tokens, a 25% shared prefix drawn from
+// a Zipf-popular pool). Each request is cancelled and the simulator drained
+// outside the timed region, so TE queues stay empty while the JE's prompt
+// tree and control log grow as in a replay.
+void BM_JeDispatch(benchmark::State& state) {
+  sim::Simulator sim;
+  serving::JobExecutor je(&sim, serving::JeConfig{}, serving::PdHeatmap::Default(),
+                          serving::MakeOraclePredictor());
+  std::vector<std::unique_ptr<serving::TaskExecutor>> tes;
+  for (int i = 0; i < 64; ++i) {
+    serving::TeConfig config;
+    config.id = static_cast<serving::TeId>(i + 1);
+    config.engine.model = model::ModelSpec::Tiny1B();
+    config.engine.parallelism = {1, 1, 1};
+    config.engine.kv_block_capacity_override = 4096;
+    tes.push_back(std::make_unique<serving::TaskExecutor>(&sim, std::move(config)));
+    je.AddColocatedTe(tes.back().get());
+  }
+  const std::vector<workload::RequestSpec> trace =
+      workload::TraceGenerator(workload::TraceGenerator::InternalTrace(200.0, 50.0, 1)).Generate();
+  size_t next = 0;
+  for (auto _ : state) {
+    const workload::RequestSpec& spec = trace[next];
+    je.HandleRequest(spec, {});
+    state.PauseTiming();
+    je.CancelRequest(spec.id);
+    sim.Run();
+    next = (next + 1) % trace.size();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JeDispatch);
 
 }  // namespace
 }  // namespace deepserve

@@ -35,6 +35,11 @@ echo "==> tier-1: configure + build + ctest (build/)"
 cmake --build build -j "${JOBS}"
 (cd build && ctest --output-on-failure -j "${JOBS}")
 
+echo "==> micro_primitives: every per-layer microbenchmark builds and runs"
+# A short minimum time per case (~2 s in all): this checks that each micro
+# still runs, not what it measures.
+./build/bench/micro_primitives --benchmark_min_time=0.01 >/dev/null
+
 echo "==> fault-recovery smoke: fixed-seed chaos run, conservation asserted"
 # Exits non-zero if any accepted request terminates in neither (or both) of
 # on_complete / on_error.

@@ -48,11 +48,12 @@ std::vector<TurnResult> RunSession(bool use_context_cache) {
     if (use_context_cache) {
       spec.context_id = "agent-session";
     }
-    spec.prompt = context;
     // The agent framework stamps the current time into the system prompt:
     // the token prefix changes every turn, so implicit prefix matching dies
     // while the explicit ID still resolves the preserved context.
-    spec.prompt[0] = static_cast<TokenId>(256 + turn);
+    std::vector<TokenId> tokens = context;
+    tokens[0] = static_cast<TokenId>(256 + turn);
+    spec.prompt = std::move(tokens);
     spec.decode_len = 96;  // the model decides the next tool call
     TurnResult result{0, 0};
     engine.Submit(spec,
@@ -69,9 +70,11 @@ std::vector<TurnResult> RunSession(bool use_context_cache) {
       workload::RequestSpec filler;
       filler.id = next_id++;
       filler.decode_len = 8;
+      std::vector<TokenId> filler_tokens;
       for (int j = 0; j < 4096; ++j) {
-        filler.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 100000)));
+        filler_tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 100000)));
       }
+      filler.prompt = std::move(filler_tokens);
       engine.Submit(filler, nullptr, nullptr);
     }
     sim.RunUntil(sim.Now() + SToNs(5));  // tool latency

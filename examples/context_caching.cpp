@@ -34,10 +34,11 @@ int main() {
     spec.id = id;
     spec.arrival = sim.Now();
     spec.context_id = "agent-session-7";
-    spec.prompt = context;
+    std::vector<TokenId> tokens = context;
     for (int i = 0; i < question_tokens; ++i) {
-      spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 100000)));
+      tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 100000)));
     }
+    spec.prompt = std::move(tokens);
     spec.decode_len = 64;
     engine.Submit(spec,
                   [](const flowserve::Sequence& seq) {

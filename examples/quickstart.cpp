@@ -43,7 +43,6 @@ int main() {
     // earlier ones (the shared system prompt).
     arrival += SToNs(3.0);
     spec.arrival = arrival;
-    spec.prompt = engine.tokenizer().Encode(text);
     // Pad the prompt to a realistic context (pretend there is a long system
     // prompt ahead of the user text). The first two prompts share it, so the
     // second request hits the prefix cache.
@@ -52,7 +51,8 @@ int main() {
     for (int i = 0; i < 40; ++i) {
       padded.insert(padded.end(), padded.begin(), padded.begin() + 8);
     }
-    padded.insert(padded.end(), spec.prompt.begin(), spec.prompt.end());
+    std::vector<TokenId> text_tokens = engine.tokenizer().Encode(text);
+    padded.insert(padded.end(), text_tokens.begin(), text_tokens.end());
     spec.prompt = std::move(padded);
     spec.decode_len = 96;
 

@@ -43,13 +43,11 @@ const LogRecord& ControlLog::Append(LogRecord record) {
   return stored;
 }
 
-void ControlLog::DropPayload(uint64_t seq, size_t keep_ints) {
+void ControlLog::DropPayload(uint64_t seq) {
   DS_CHECK(seq < records_.size());
   LogRecord& record = records_[seq];
   DS_CHECK(record.seq == seq);
-  DS_CHECK(record.ints.size() >= keep_ints);
-  record.ints.resize(keep_ints);
-  record.ints.shrink_to_fit();
+  record.prompt = {};
   std::string().swap(record.str);
 }
 

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "workload/request.h"
 
 namespace deepserve::ctrl {
 
@@ -34,6 +35,9 @@ namespace deepserve::ctrl {
 // `domain` routes the record to one state machine; `type` is domain-specific.
 // Payload is deliberately lowest-common-denominator — a flat int vector plus
 // one string — so records are trivially comparable, hashable, and replayable.
+// A record that carries a request's prompt holds it by shared reference
+// rather than as ints: the tokens are immutable, so sharing them is replay-
+// equivalent to a copy.
 struct LogRecord {
   uint64_t seq = 0;   // assigned by ControlLog::Append
   TimeNs time = 0;    // sim time at append (replay uses this, never Now())
@@ -41,6 +45,7 @@ struct LogRecord {
   int32_t type = 0;   // domain-specific record type
   std::vector<int64_t> ints;
   std::string str;
+  workload::Prompt prompt = {};
 };
 
 class CtrlStateMachine {

@@ -36,7 +36,7 @@ void JobTable::Apply(const LogRecord& record) {
       break;
     }
     case kJobCreated: {
-      DS_CHECK(record.ints.size() >= kJobCreatedHeader);
+      DS_CHECK(record.ints.size() == 7);
       const auto job_id = static_cast<workload::JobId>(record.ints[0]);
       DS_CHECK(job_id == next_job_);
       ++next_job_;
@@ -47,7 +47,7 @@ void JobTable::Apply(const LogRecord& record) {
       outstanding.spec.decode_len = record.ints[4];
       outstanding.spec.priority = static_cast<int>(record.ints[5]);
       outstanding.spec.deadline = record.ints[6];
-      outstanding.spec.prompt.assign(record.ints.begin() + kJobCreatedHeader, record.ints.end());
+      outstanding.spec.prompt = record.prompt;
       outstanding.spec.context_id = record.str;
       outstanding.created_seq = record.seq;
       break;

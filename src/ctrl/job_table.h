@@ -30,7 +30,7 @@ class JobTable final : public CtrlStateMachine {
     kTeAdded = 1,    // ints: [group, te_id]
     kTeRemoved,      // ints: [te_id] — removed from every group
     kJobCreated,     // ints: [job_id, request_id, retries, arrival, decode_len,
-                     //        priority, deadline, prompt...]; str = context_id
+                     //        priority, deadline]; prompt; str = context_id
     kJobTeBound,     // ints: [job_id, te_id] — outstanding request touches this TE
     kTaskCreated,    // ints: [task_id, job_id, task_type, te_id]
     kTaskCompleted,  // ints: [task_id]
@@ -40,15 +40,10 @@ class JobTable final : public CtrlStateMachine {
     kEpoch,          // ints: [] — a new leader took over this domain
   };
 
-  // kJobCreated's fixed ints before the prompt tokens. Once the job's
-  // kJobCompleted/kJobFailed record is in the log, only this header of its
-  // kJobCreated record is observable to replay (ControlLog::DropPayload).
-  static constexpr size_t kJobCreatedHeader = 7;
-
   enum Group : int64_t { kColocated = 0, kPrefill = 1, kDecode = 2 };
 
   struct Outstanding {
-    workload::RequestSpec spec;
+    workload::RequestSpec spec;  // the prompt shared with the kJobCreated record
     std::vector<workload::TeId> tes;  // TEs this request has touched
     int retries = 0;
     // Log position of this job's kJobCreated record. Not fingerprinted: it

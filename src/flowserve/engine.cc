@@ -162,13 +162,12 @@ int Engine::PickDpGroup() const {
   return best;
 }
 
-void Engine::Submit(const workload::RequestSpec& spec, SeqCallback on_first_token,
-                    SeqCallback on_complete, SeqErrorCallback on_error) {
-  DS_CHECK(!draining_) << "Submit() on a draining engine; the TE stopped admitting";
-  const int dp_group = PickDpGroup();
+Sequence* Engine::AddSequence(const workload::RequestSpec& spec, int dp_group,
+                              rtc::KeyChain keys) {
   Sequence* seq = sequences_.Add();
   seq->request_id = spec.id;
   seq->prompt = spec.prompt;
+  seq->keys = std::move(keys);
   seq->decode_target = std::max<int64_t>(1, spec.decode_len);
   seq->context_id = spec.context_id;
   seq->priority = spec.priority;
@@ -178,6 +177,21 @@ void Engine::Submit(const workload::RequestSpec& spec, SeqCallback on_first_toke
   seq->submit_time = sim_->Now();
   seq->dp_group = dp_group;
   ++GroupFor(*seq).assigned;
+  return seq;
+}
+
+std::span<const rtc::BlockKey> Engine::PromptKeys(Sequence* seq) {
+  if (seq->keys.block_size() != config_.block_size) {
+    seq->keys = rtc::KeyChain::Hash(seq->prompt, config_.block_size);
+    ++stats_.prompt_hashes;
+  }
+  return seq->keys.span();
+}
+
+void Engine::Submit(const workload::RequestSpec& spec, SeqCallback on_first_token,
+                    SeqCallback on_complete, SeqErrorCallback on_error, rtc::KeyChain keys) {
+  DS_CHECK(!draining_) << "Submit() on a draining engine; the TE stopped admitting";
+  Sequence* seq = AddSequence(spec, PickDpGroup(), std::move(keys));
   seq->on_first_token = std::move(on_first_token);
   seq->on_complete = std::move(on_complete);
   seq->on_error = std::move(on_error);
@@ -210,7 +224,7 @@ void Engine::SchedEnqueue(Sequence* seq) {
       match = group.rtc->MatchByID(seq->context_id);
     }
     if (!match.hit()) {
-      match = group.rtc->MatchByPrefixToken(seq->prompt, &seq->prompt_keys);
+      match = group.rtc->MatchByPrefixToken(seq->prompt, PromptKeys(seq));
     }
     // Never reuse the full prompt: at least the final token must run through
     // the model to produce the first output.
@@ -289,7 +303,7 @@ void Engine::FinishEnqueue(Sequence* seq) {
 }
 
 Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,
-                               SeqErrorCallback on_error) {
+                               SeqErrorCallback on_error, rtc::KeyChain keys) {
   DS_CHECK(config_.role != EngineRole::kPrefillOnly)
       << "prefill-only engines cannot accept prefilled sequences";
   const int dp_group = PickDpGroup();
@@ -300,20 +314,9 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on
   std::vector<rtc::BlockId> blocks;
   DS_RETURN_IF_ERROR(
       group.rtc->AllocBlocks((context + config_.block_size - 1) / config_.block_size, &blocks));
-  Sequence* seq = sequences_.Add();
-  seq->request_id = spec.id;
-  seq->prompt = spec.prompt;
-  seq->decode_target = std::max<int64_t>(1, spec.decode_len);
-  seq->context_id = spec.context_id;
-  seq->priority = spec.priority;
-  seq->deadline = spec.deadline;
-  seq->prefill_target = seq->prompt_len();
+  Sequence* seq = AddSequence(spec, dp_group, std::move(keys));
   seq->prefilled = seq->prompt_len();
   seq->generated = 1;  // the prefill TE produced the first token
-  seq->arrival = spec.arrival;
-  seq->submit_time = sim_->Now();
-  seq->dp_group = dp_group;
-  ++group.assigned;
   seq->on_complete = std::move(on_complete);
   seq->on_error = std::move(on_error);
   seq->blocks = std::move(blocks);

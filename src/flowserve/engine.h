@@ -23,6 +23,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -52,6 +53,9 @@ struct EngineStats {
   int64_t decode_tokens_generated = 0;
   int64_t reused_tokens = 0;
   int64_t pic_reused_tokens = 0;
+  // Prompts this engine hashed into a block-key chain itself because the
+  // request came without a usable one (see Submit).
+  int64_t prompt_hashes = 0;
   int64_t populates_started = 0;
   int64_t populates_rejected = 0;  // cost model said recompute instead
   int64_t preemptions = 0;
@@ -118,16 +122,23 @@ class Engine {
   double step_time_multiplier() const { return step_time_multiplier_; }
 
   // Request paths -------------------------------------------------------------
+  // Both paths share spec.prompt's storage and take `keys`, the caller's
+  // block-key chain of it (the JE's), for the RTC match and cache commit. A
+  // chain hashed at another block size, or none, makes the engine hash the
+  // prompt itself when it first needs the chain.
+  //
   // Full path: tokenizer -> sched-enqueue (RTC match / populate) -> batch.
   // `on_error` fires (exactly once, instead of on_complete) when the
   // scheduling policy sheds the sequence — e.g. DEADLINE_EXCEEDED under "slo".
   void Submit(const workload::RequestSpec& spec, SeqCallback on_first_token,
-              SeqCallback on_complete, SeqErrorCallback on_error = nullptr);
+              SeqCallback on_complete, SeqErrorCallback on_error = nullptr,
+              rtc::KeyChain keys = {});
   // Decode-only TEs: admit a request whose prefill (and first token) happened
   // on a prefill TE; KV for the whole prompt is allocated here as arrived.
   // Fails when this engine cannot hold the context.
   [[nodiscard]] Status SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,
-                         SeqErrorCallback on_error = nullptr);
+                                       SeqErrorCallback on_error = nullptr,
+                                       rtc::KeyChain keys = {});
 
   // Lifecycle -------------------------------------------------------------------
   // Cancels one in-flight request: its KV pins are released (nothing is
@@ -212,6 +223,11 @@ class Engine {
   };
 
   // Submit/enqueue paths (engine.cc).
+  // The fields every submitted sequence takes from its request.
+  Sequence* AddSequence(const workload::RequestSpec& spec, int dp_group, rtc::KeyChain keys);
+  // seq->keys, hashed here first (once) when the request brought no chain at
+  // this engine's block size.
+  std::span<const rtc::BlockKey> PromptKeys(Sequence* seq);
   void SchedEnqueue(Sequence* seq);
   void FinishEnqueue(Sequence* seq);
   // Step loop (engine_step.cc).

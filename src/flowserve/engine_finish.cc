@@ -177,12 +177,12 @@ void Engine::ShedSequence(DpGroup& group, Sequence* seq, const Status& status) {
 
 void Engine::ReleaseSequence(DpGroup& group, Sequence* seq, bool preserve) {
   if (preserve && config_.enable_prefix_caching && !seq->blocks.empty()) {
-    group.rtc->Preserve(seq->prompt, seq->blocks, seq->prompt_keys);
+    std::span<const rtc::BlockKey> keys = PromptKeys(seq);
+    group.rtc->Preserve(seq->prompt, seq->blocks, keys);
     if (!seq->context_id.empty()) {
       // Intentional discard: a duplicate context id means another sequence
       // already committed this prefix; the private copy simply dies on Free.
-      (void)group.rtc->PreserveById(seq->context_id, seq->prompt, seq->blocks,
-                                    seq->prompt_keys);
+      (void)group.rtc->PreserveById(seq->context_id, seq->prompt, seq->blocks, keys);
     }
   }
   group.rtc->Free(seq->blocks);

@@ -280,7 +280,7 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
     // The policy may shrink the chunk (e.g. slo's TBT bound). The cost
     // functor predicts the full iteration duration were this chunk added,
     // using the exact arithmetic RunStep will apply.
-    sched::ChunkCostFn chunk_cost = [this, plan, seq](int64_t c) {
+    auto chunk_cost = [this, plan, seq](int64_t c) {
       model::StepShape shape = plan->shape;
       int64_t effective = EffectiveChunkTokens(*seq, c);
       shape.prefill_tokens += effective;

@@ -19,9 +19,9 @@
 #define DEEPSERVE_FLOWSERVE_SCHED_SCHED_POLICY_H_
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -43,7 +43,27 @@ enum class PreemptReason {
 // sequence contributes `chunk` more prefill tokens. Built by the engine so
 // it reflects the exact cost model + feature-level arithmetic RunStep uses
 // (PIC discounts, attended tokens, CPU overheads, async overlap).
-using ChunkCostFn = std::function<DurationNs(int64_t chunk)>;
+//
+// A non-owning reference to a callable (a function pointer plus the
+// callable's address): it is valid only while the callable it was built
+// from lives, which for BoundChunk's argument is the call. Building one
+// never allocates, unlike a std::function over the engine's capture.
+class ChunkCostFn {
+ public:
+  template <typename F, typename = std::enable_if_t<!std::is_same_v<F, ChunkCostFn> &&
+                                                    std::is_invocable_r_v<DurationNs, const F&,
+                                                                          int64_t>>>
+  ChunkCostFn(const F& fn)  // NOLINT(google-explicit-constructor): callable reference
+      : fn_(&fn), call_([](const void* target, int64_t chunk) -> DurationNs {
+          return (*static_cast<const F*>(target))(chunk);
+        }) {}
+
+  DurationNs operator()(int64_t chunk) const { return call_(fn_, chunk); }
+
+ private:
+  const void* fn_;
+  DurationNs (*call_)(const void*, int64_t);
+};
 
 class SchedPolicy {
  public:

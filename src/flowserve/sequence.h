@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "rtc/block_pool.h"
+#include "rtc/radix_tree.h"
 #include "workload/request.h"
 
 namespace deepserve::flowserve {
@@ -28,11 +29,11 @@ std::string_view SeqStateToString(SeqState state);
 
 struct Sequence {
   workload::RequestId request_id = 0;
-  std::vector<TokenId> prompt;
-  // The RTC's block-key chain of `prompt`, kept from the prefix match so the
-  // cache commit at release does not hash the prompt again. Empty = not
-  // hashed yet.
-  std::vector<rtc::BlockKey> prompt_keys;
+  workload::Prompt prompt;  // shares the request's token storage
+  // `prompt`'s block-key chain at this engine's block size, for the RTC
+  // prefix match and the cache commit at release. Usually the JE's chain,
+  // shared; empty until the engine needs it when none came with the request.
+  rtc::KeyChain keys;
   int64_t decode_target = 0;
   std::string context_id;  // explicit-cache id ("" = implicit only)
   int priority = 1;        // 0 = interactive, 1 = normal, 2 = batch

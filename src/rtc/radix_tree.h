@@ -87,6 +87,39 @@ inline std::vector<BlockKey> TokensToBlockKeys(std::span<const TokenId> tokens, 
   return keys;
 }
 
+// One prompt's block-key chain, hashed once and shared read-only by every
+// layer that keys on it: the JE's prompt tree, then the RTC match and cache
+// commit of each TE the request runs on. The chain records the block size it
+// was hashed at, so a holder with another block size can tell it does not
+// apply.
+class KeyChain {
+ public:
+  KeyChain() = default;
+
+  static KeyChain Hash(std::span<const TokenId> tokens, int block_size) {
+    KeyChain chain;
+    chain.chain_ =
+        std::make_shared<const Chain>(Chain{block_size, TokensToBlockKeys(tokens, block_size)});
+    return chain;
+  }
+
+  // 0 for an empty handle.
+  int block_size() const { return chain_ != nullptr ? chain_->block_size : 0; }
+  std::span<const BlockKey> span() const {
+    return chain_ != nullptr ? std::span<const BlockKey>(chain_->keys)
+                             : std::span<const BlockKey>();
+  }
+  // Whether both handles refer to one hashed chain.
+  bool SharesStorage(const KeyChain& other) const { return chain_ == other.chain_; }
+
+ private:
+  struct Chain {
+    int block_size;
+    std::vector<BlockKey> keys;
+  };
+  std::shared_ptr<const Chain> chain_;
+};
+
 // What a ScanLruLeaves visitor does with the leaf it was handed.
 enum class LruStep {
   kNext,    // keep the leaf and move on to the next one

@@ -59,17 +59,14 @@ MatchInfo RtcMaster::BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t 
 }
 
 MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
-                                        std::vector<BlockKey>* keys_out) {
+                                        std::span<const BlockKey> keys) {
+  CheckChain(prompt, keys);
   stats_.requested_tokens += static_cast<int64_t>(prompt.size());
   if (!config_.enable_prefix_caching) {
     ++stats_.match_misses;
     return MatchInfo{};
   }
-  std::vector<BlockKey> keys = TokensToBlockKeys(prompt, config_.block_size);
   auto match = tree_.Match(keys);
-  if (keys_out != nullptr) {
-    *keys_out = std::move(keys);
-  }
   std::vector<BlockId> blocks;
   TimeNs now = sim_->Now();
   tree_.Touch(match, now);
@@ -410,10 +407,15 @@ void RtcMaster::Free(std::span<const BlockId> blocks) {
   SyncListeners();
 }
 
-void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
-                             std::span<const BlockKey> keys) {
+void RtcMaster::CheckChain(std::span<const TokenId> tokens,
+                           std::span<const BlockKey> keys) const {
   DS_CHECK_EQ(keys.size(), tokens.size() / static_cast<size_t>(config_.block_size))
       << "key chain does not match the tokens";
+}
+
+void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
+                             std::span<const BlockKey> keys) {
+  CheckChain(tokens, keys);
   if (keys.empty()) {
     return;
   }
@@ -442,10 +444,6 @@ void RtcMaster::Preserve(std::span<const TokenId> tokens, std::span<const BlockI
   if (!config_.enable_prefix_caching) {
     return;
   }
-  if (keys.empty()) {
-    CommitBlocks(tokens, blocks, TokensToBlockKeys(tokens, config_.block_size));
-    return;
-  }
   CommitBlocks(tokens, blocks, keys);
 }
 
@@ -454,11 +452,7 @@ Status RtcMaster::PreserveById(const std::string& id, std::span<const TokenId> t
   if (id.empty()) {
     return InvalidArgumentError("empty context-cache id");
   }
-  std::vector<BlockKey> hashed;
-  if (keys.empty()) {
-    hashed = TokensToBlockKeys(tokens, config_.block_size);
-    keys = hashed;
-  }
+  CheckChain(tokens, keys);
   if (keys.empty()) {
     return InvalidArgumentError("context shorter than one block");
   }

@@ -128,10 +128,9 @@ class RtcMaster {
   void AddListener(NpuBlockListener* listener) { listeners_.push_back(listener); }
 
   // ---- Table 1: match APIs -------------------------------------------------
-  // `keys`, when given, receives the prompt's block-key chain, so a later
-  // Preserve of the same prompt need not hash it again.
-  MatchInfo MatchByPrefixToken(std::span<const TokenId> prompt,
-                               std::vector<BlockKey>* keys = nullptr);
+  // `keys` is `prompt`'s block-key chain at this cache's block size
+  // (TokensToBlockKeys / KeyChain): the caller hashes the prompt, once.
+  MatchInfo MatchByPrefixToken(std::span<const TokenId> prompt, std::span<const BlockKey> keys);
   MatchInfo MatchByID(const std::string& id);
 
   // Position-independent lookup over the prompt's full blocks starting at
@@ -175,14 +174,14 @@ class RtcMaster {
   // radix tree so future prompts can reuse them. `blocks` must cover at
   // least tokens.size()/block_size entries. Duplicate spans (e.g. two
   // concurrent identical prefills) keep the first commit; later private
-  // duplicates simply die on Free. `keys`, when non-empty, is `tokens`' chain
-  // as MatchByPrefixToken returned it; empty = hash `tokens` here.
+  // duplicates simply die on Free. `keys` is `tokens`' block-key chain, as
+  // for MatchByPrefixToken.
   void Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
-                std::span<const BlockKey> keys = {});
+                std::span<const BlockKey> keys);
   // Explicit context caching: additionally registers the prefix under `id`.
   [[nodiscard]] Status PreserveById(const std::string& id, std::span<const TokenId> tokens,
                                     std::span<const BlockId> blocks,
-                                    std::span<const BlockKey> keys = {});
+                                    std::span<const BlockKey> keys);
   bool DropById(const std::string& id);
 
   // ---- introspection -------------------------------------------------------
@@ -208,6 +207,8 @@ class RtcMaster {
   MatchInfo BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t matched_tokens);
   // Lazily registers this cache's trace track; -1 when tracing is disabled.
   int TracePid();
+  // DS_CHECKs that `keys` is a full chain of `tokens` at this block size.
+  void CheckChain(std::span<const TokenId> tokens, std::span<const BlockKey> keys) const;
   // `keys` is `tokens`' full block-key chain.
   void CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
                     std::span<const BlockKey> keys);

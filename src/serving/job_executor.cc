@@ -63,12 +63,14 @@ void JobExecutor::AttachControl(ctrl::ControlLog* log, ClusterManager* cm) {
   }
 }
 
-void JobExecutor::AppendJob(int32_t type, std::vector<int64_t> ints, std::string str) {
+void JobExecutor::AppendJob(int32_t type, std::vector<int64_t> ints, std::string str,
+                            workload::Prompt prompt) {
   ctrl::LogRecord record;
   record.domain = table_.domain();
   record.type = type;
   record.ints = std::move(ints);
   record.str = std::move(str);
+  record.prompt = std::move(prompt);
   log_->Append(std::move(record));
 }
 
@@ -101,7 +103,7 @@ JobExecutor::SeqCallback JobExecutor::Deferred(Fn fn) {
 void JobExecutor::CloseJob(JobId job_id, int32_t close_type) {
   const uint64_t created = table_.outstanding().at(job_id).created_seq;
   AppendJob(close_type, {static_cast<int64_t>(job_id)});
-  log_->DropPayload(created, ctrl::JobTable::kJobCreatedHeader);
+  log_->DropPayload(created);
 }
 
 void JobExecutor::AddTe(ctrl::JobTable::Group group, TaskExecutor* te) {
@@ -404,19 +406,13 @@ void JobExecutor::FailJob(JobId job_id, const Status& status) {
 void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler handler,
                            int retries) {
   const JobId job_id = table_.next_job();
-  {
-    // kJobCreated carries the full spec: a standby replaying the log can
-    // re-dispatch or fail this request without the leader's memory.
-    std::vector<int64_t> ints = {static_cast<int64_t>(job_id),
-                                 static_cast<int64_t>(spec.id),
-                                 retries,
-                                 spec.arrival,
-                                 spec.decode_len,
-                                 spec.priority,
-                                 spec.deadline};
-    ints.insert(ints.end(), spec.prompt.begin(), spec.prompt.end());
-    AppendJob(ctrl::JobTable::kJobCreated, std::move(ints), spec.context_id);
-  }
+  // kJobCreated carries the full spec, its prompt by shared reference: a
+  // standby replaying the log can re-dispatch or fail this request without
+  // the leader's memory.
+  AppendJob(ctrl::JobTable::kJobCreated,
+            {static_cast<int64_t>(job_id), static_cast<int64_t>(spec.id), retries, spec.arrival,
+             spec.decode_len, spec.priority, spec.deadline},
+            spec.context_id, spec.prompt);
   handlers_[job_id] = std::move(handler);
 
   if (config_.enforce_deadlines && spec.deadline > 0 && sim_->Now() > spec.deadline) {
@@ -529,8 +525,10 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     RunOrDefer([this, job_id, status] { FailJob(job_id, status); });
   };
 
-  // The prompt's block-key chain, hashed once for both tree lookups.
-  std::vector<rtc::BlockKey> keys = rtc::TokensToBlockKeys(spec.prompt, config_.block_size);
+  // The prompt's block-key chain, hashed once: it keys the prompt-tree lookup
+  // and rides with the request to the RTC of every TE it runs on.
+  rtc::KeyChain chain = rtc::KeyChain::Hash(spec.prompt, config_.block_size);
+  std::span<const rtc::BlockKey> keys = chain.span();
   if (use_disagg) {
     ++stats_.routed_disaggregated;
     TaskExecutor* p = SelectFrom(keys, prefill_tree_, prefill);
@@ -543,7 +541,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
                   obs::Arg("route", "disaggregated"),
                   obs::Arg("prefill_te", static_cast<int64_t>(p->id()))});
     }
-    DispatchDisaggregated(job_id, p, spec, std::move(te_handler));
+    DispatchDisaggregated(job_id, p, spec, std::move(chain), std::move(te_handler));
   } else {
     ++stats_.routed_colocated;
     TaskExecutor* te = SelectFrom(keys, colocated_tree_, coloc);
@@ -556,24 +554,25 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
                   obs::Arg("route", "colocated"),
                   obs::Arg("te", static_cast<int64_t>(te->id()))});
     }
-    DispatchColocated(job_id, te, spec, std::move(te_handler));
+    DispatchColocated(job_id, te, spec, std::move(chain), std::move(te_handler));
   }
   AppendJob(ctrl::JobTable::kRrAdvanced);
 }
 
 void JobExecutor::DispatchColocated(JobId job_id, TaskExecutor* te,
-                                    const workload::RequestSpec& spec, ResponseHandler handler) {
+                                    const workload::RequestSpec& spec, rtc::KeyChain keys,
+                                    ResponseHandler handler) {
   TaskId task_id = NewTask(job_id, TaskType::kUnified, te->id());
   handler.on_complete = Deferred([this, task_id, cb = std::move(handler.on_complete)](
                                      const flowserve::Sequence& seq) {
     AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(task_id)});
     cb(seq);
   });
-  te->SubmitUnified(spec, std::move(handler));
+  te->SubmitUnified(spec, std::move(handler), std::move(keys));
 }
 
 void JobExecutor::DispatchDisaggregated(JobId job_id, TaskExecutor* prefill_te,
-                                        const workload::RequestSpec& spec,
+                                        const workload::RequestSpec& spec, rtc::KeyChain keys,
                                         ResponseHandler handler) {
   std::vector<TaskExecutor*>& decode = ready_decode_;
   ReadyTes(groups_[ctrl::JobTable::kDecode], &decode);
@@ -594,7 +593,7 @@ void JobExecutor::DispatchDisaggregated(JobId job_id, TaskExecutor* prefill_te,
       cb(seq);
     }
   });
-  prefill_te->SubmitPrefill(spec, decode_te, std::move(handler));
+  prefill_te->SubmitPrefill(spec, decode_te, std::move(handler), std::move(keys));
 }
 
 void JobExecutor::OnTeFailure(TeId id) {

@@ -226,24 +226,28 @@ class JobExecutor {
   void FailJob(JobId job_id, const Status& status);
   // Appends outstanding `job_id`'s close record (kJobCompleted or
   // kJobFailed), then drops its kJobCreated payload from the log: replay can
-  // no longer observe the prompt, so the log keeps only the record's header.
+  // no longer observe the prompt, so the log releases the record's prompt
+  // reference and context id.
   void CloseJob(JobId job_id, int32_t close_type);
 
+  // `keys` is the chain Dispatch hashed; it rides to the TE(s).
   void DispatchColocated(JobId job_id, TaskExecutor* te, const workload::RequestSpec& spec,
-                         ResponseHandler handler);
+                         rtc::KeyChain keys, ResponseHandler handler);
   void DispatchDisaggregated(JobId job_id, TaskExecutor* prefill_te,
-                             const workload::RequestSpec& spec, ResponseHandler handler);
+                             const workload::RequestSpec& spec, rtc::KeyChain keys,
+                             ResponseHandler handler);
 
   TaskId NewTask(JobId job, TaskType type, TeId te);
   // Appends one JobTable record to the control log.
-  void AppendJob(int32_t type, std::vector<int64_t> ints = {}, std::string str = {});
+  void AppendJob(int32_t type, std::vector<int64_t> ints = {}, std::string str = {},
+                 workload::Prompt prompt = {});
   // Runs a completion/failure continuation now, or parks it until the next
   // RecoverLeader() while this JE's leader is down. With a single-replica log
   // a parked op is dropped instead — no takeover will ever come.
   void RunOrDefer(std::function<void()> op);
   // A Sequence callback that runs `fn` inline while the leader is up and
   // parks it through RunOrDefer while it is down. Only a parked call copies
-  // the Sequence (prompt, block lists, callbacks).
+  // the Sequence (block lists, callbacks; the prompt and chain are shared).
   template <typename Fn>
   SeqCallback Deferred(Fn fn);
   // Lazily registers the JE's trace track; -1 when tracing is disabled.

@@ -81,7 +81,8 @@ void TaskExecutor::InstallKvSend() {
   });
 }
 
-void TaskExecutor::SubmitUnified(const workload::RequestSpec& spec, ResponseHandler handler) {
+void TaskExecutor::SubmitUnified(const workload::RequestSpec& spec, ResponseHandler handler,
+                                 rtc::KeyChain keys) {
   DS_CHECK(role() == flowserve::EngineRole::kColocated)
       << "unified tasks need a PD-colocated engine";
   flowserve::Engine::SeqErrorCallback on_error;
@@ -92,15 +93,15 @@ void TaskExecutor::SubmitUnified(const workload::RequestSpec& spec, ResponseHand
                                                    const Status& status) { err(status); };
   }
   engine_->Submit(spec, std::move(handler.on_first_token), std::move(handler.on_complete),
-                  std::move(on_error));
+                  std::move(on_error), std::move(keys));
 }
 
 void TaskExecutor::SubmitPrefill(const workload::RequestSpec& spec, TaskExecutor* decode_te,
-                                 ResponseHandler handler) {
+                                 ResponseHandler handler, rtc::KeyChain keys) {
   DS_CHECK(role() == flowserve::EngineRole::kPrefillOnly);
   DS_CHECK(decode_te != nullptr);
   DS_CHECK(decode_te->role() == flowserve::EngineRole::kDecodeOnly);
-  handoffs_[spec.id] = PendingHandoff{decode_te, spec, std::move(handler.on_complete),
+  handoffs_[spec.id] = PendingHandoff{decode_te, spec, keys, std::move(handler.on_complete),
                                       std::move(handler.on_error)};
   engine_->Submit(
       spec, std::move(handler.on_first_token),
@@ -110,7 +111,8 @@ void TaskExecutor::SubmitPrefill(const workload::RequestSpec& spec, TaskExecutor
         DS_CHECK(it != handoffs_.end());
         PendingHandoff handoff = std::move(it->second);
         handoffs_.erase(it);
-        handoff.decode_te->AcceptPrefilled(handoff.spec, std::move(handoff.on_complete),
+        handoff.decode_te->AcceptPrefilled(handoff.spec, std::move(handoff.keys),
+                                           std::move(handoff.on_complete),
                                            std::move(handoff.on_error));
       },
       [this](const flowserve::Sequence& seq, const Status& status) {
@@ -125,7 +127,8 @@ void TaskExecutor::SubmitPrefill(const workload::RequestSpec& spec, TaskExecutor
         if (on_error) {
           on_error(status);
         }
-      });
+      },
+      std::move(keys));
 }
 
 bool TaskExecutor::CancelRequest(workload::RequestId request_id) {
@@ -173,7 +176,8 @@ void TaskExecutor::ArmDrainWait() {
   });
 }
 
-void TaskExecutor::AcceptPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,
+void TaskExecutor::AcceptPrefilled(const workload::RequestSpec& spec, rtc::KeyChain keys,
+                                   SeqCallback on_complete,
                                    ResponseHandler::ErrorCallback on_error) {
   if (!ready() && state_ != TeState::kDraining) {
     return;  // decode TE died mid-hand-off; the JE failure path retries
@@ -186,13 +190,14 @@ void TaskExecutor::AcceptPrefilled(const workload::RequestSpec& spec, SeqCallbac
       err(status);
     };
   }
-  Status status = engine_->SubmitPrefilled(spec, on_complete, std::move(shed_error));
+  Status status = engine_->SubmitPrefilled(spec, on_complete, std::move(shed_error), keys);
   if (status.code() == StatusCode::kResourceExhausted) {
     // Decode side momentarily out of KV: retry shortly (simple backpressure).
-    sim_->ScheduleAfter(MsToNs(10),
-                        [this, spec, cb = std::move(on_complete), err = std::move(on_error)] {
-                          AcceptPrefilled(spec, std::move(cb), std::move(err));
-                        });  // ready() is re-checked on entry, so a dead TE stops the retry loop
+    // The retry shares the spec's prompt and the chain; it copies no tokens.
+    sim_->ScheduleAfter(MsToNs(10), [this, spec, keys = std::move(keys),
+                                     cb = std::move(on_complete), err = std::move(on_error)] {
+      AcceptPrefilled(spec, keys, cb, err);
+    });  // ready() is re-checked on entry, so a dead TE stops the retry loop
   } else if (!status.ok() && on_error) {
     on_error(status);  // non-retryable rejection: surface it instead of dropping
   }

@@ -103,13 +103,16 @@ class TaskExecutor {
   size_t Fail();
 
   // ---- task entry points -----------------------------------------------------
+  // `keys` is the dispatcher's block-key chain of spec.prompt; it rides to
+  // every engine the request runs on (see Engine::Submit).
   using SeqCallback = flowserve::Engine::SeqCallback;
   // PD-colocated: one unified task runs the whole request here.
-  void SubmitUnified(const workload::RequestSpec& spec, ResponseHandler handler);
+  void SubmitUnified(const workload::RequestSpec& spec, ResponseHandler handler,
+                     rtc::KeyChain keys = {});
   // PD-disaggregated: prefill here, then KV hand-off to `decode_te`, where the
   // decode task finishes the request. `on_complete` fires from the decode TE.
   void SubmitPrefill(const workload::RequestSpec& spec, TaskExecutor* decode_te,
-                     ResponseHandler handler);
+                     ResponseHandler handler, rtc::KeyChain keys = {});
 
   // Drops this request's work on this TE without firing any callback: a
   // pending PD hand-off (if any) is discarded and the engine-side sequence is
@@ -123,8 +126,8 @@ class TaskExecutor {
   int64_t queue_depth() const { return engine_->live_sequences(); }
 
  private:
-  void AcceptPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,
-                       ResponseHandler::ErrorCallback on_error);
+  void AcceptPrefilled(const workload::RequestSpec& spec, rtc::KeyChain keys,
+                       SeqCallback on_complete, ResponseHandler::ErrorCallback on_error);
   void InstallKvSend();
   void ArmDrainWait();
 
@@ -139,6 +142,7 @@ class TaskExecutor {
   struct PendingHandoff {
     TaskExecutor* decode_te = nullptr;
     workload::RequestSpec spec;
+    rtc::KeyChain keys;
     SeqCallback on_complete;
     ResponseHandler::ErrorCallback on_error;
   };

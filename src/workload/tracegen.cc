@@ -126,10 +126,12 @@ std::vector<RequestSpec> TraceGenerator::FixedBatch(int count, int64_t prefill_l
     req.id = static_cast<RequestId>(i + 1);
     req.arrival = 0;
     req.decode_len = decode_len;
-    req.prompt.reserve(static_cast<size_t>(prefill_len));
+    std::vector<TokenId> prompt;
+    prompt.reserve(static_cast<size_t>(prefill_len));
     for (int64_t j = 0; j < prefill_len; ++j) {
-      req.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 127999)));
+      prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 127999)));
     }
+    req.prompt = std::move(prompt);
     out.push_back(std::move(req));
   }
   return out;

@@ -1,10 +1,11 @@
 // Heap-allocation regression tests for the simulator's hot paths.
 //
-// This binary replaces the global operator new with one that counts calls,
-// so a test can assert how many allocations a window of simulated work made.
-// The engine's steady-state decode step and the RTC's swap scan are the two
-// paths that run per step and per cached block; both must stay free of
-// per-step and per-block heap traffic (DESIGN #8 and #12).
+// This binary replaces the global operator new with one that counts calls
+// and bytes, so a test can assert how much a window of simulated work
+// allocated. The engine's steady-state decode step and the RTC's swap scan
+// are the two paths that run per step and per cached block; both must stay
+// free of per-step and per-block heap traffic (DESIGN #8 and #12). A request's
+// dispatch must not copy its prompt (DESIGN #14).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,14 +16,20 @@
 #include "common/time_units.h"
 #include "flowserve/engine.h"
 #include "rtc/rtc_master.h"
+#include "serving/heatmap.h"
+#include "serving/job_executor.h"
+#include "serving/predictor.h"
+#include "serving/task_executor.h"
 #include "sim/simulator.h"
 #include "workload/request.h"
 
 namespace {
 int64_t g_allocations = 0;
+int64_t g_bytes = 0;
 
 void* CountedAlloc(std::size_t size, std::size_t align) {
   ++g_allocations;
+  g_bytes += static_cast<int64_t>(size);
   size = size == 0 ? 1 : size;
   void* p = align <= alignof(std::max_align_t)
                 ? std::malloc(size)
@@ -50,10 +57,12 @@ workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64
   workload::RequestSpec spec;
   spec.id = id;
   spec.decode_len = decode;
+  std::vector<TokenId> tokens;
   for (int64_t i = 0; i < prefill; ++i) {
     // Distinct content per request: no prefix reuse between them.
-    spec.prompt.push_back(static_cast<TokenId>(1000 * id + i));
+    tokens.push_back(static_cast<TokenId>(1000 * id + i));
   }
+  spec.prompt = std::move(tokens);
   return spec;
 }
 
@@ -107,7 +116,7 @@ int64_t SwapScanAllocations(int64_t leaf_blocks) {
     tokens.push_back(static_cast<TokenId>(i + 1));
   }
   auto leaf = master.AllocBlocks(leaf_blocks).value();
-  master.Preserve(tokens, leaf);
+  master.Preserve(tokens, leaf, rtc::TokensToBlockKeys(tokens, config.block_size));
   master.Free(leaf);
   // Private blocks keep NPU usage above the swap watermark; allocating them
   // arms the first scan.
@@ -123,6 +132,43 @@ int64_t SwapScanAllocations(int64_t leaf_blocks) {
 
 TEST(AllocTest, SwapScanMakesNoPerBlockAllocation) {
   EXPECT_EQ(SwapScanAllocations(8), SwapScanAllocations(2));
+}
+
+// Bytes allocated by one JobExecutor::HandleRequest of a `prompt_len`-token
+// request, through TaskExecutor::SubmitUnified and Engine::Submit. An
+// earlier request with the same prompt has already put its path in the JE's
+// prompt tree, so the tree adds no nodes: what is counted is the request's
+// own dispatch.
+int64_t DispatchBytes(int64_t prompt_len) {
+  sim::Simulator sim;
+  serving::JobExecutor je(&sim, serving::JeConfig{}, serving::PdHeatmap::Default(),
+                          serving::MakeOraclePredictor());
+  serving::TeConfig te_config;
+  te_config.id = 1;
+  te_config.engine.model = model::ModelSpec::Tiny1B();
+  te_config.engine.parallelism = {1, 1, 1};
+  te_config.engine.kv_block_capacity_override = 4096;
+  serving::TaskExecutor te(&sim, te_config);
+  je.AddColocatedTe(&te);
+  const workload::RequestSpec first = MakeRequest(1, prompt_len, 4);
+  workload::RequestSpec second = first;
+  second.id = 2;
+  je.HandleRequest(first, {});
+  const int64_t before = g_bytes;
+  je.HandleRequest(second, {});
+  const int64_t made = g_bytes - before;
+  sim.Run();
+  EXPECT_EQ(te.engine().stats().completed, 2);
+  return made;
+}
+
+TEST(AllocTest, DispatchDoesNotCopyThePrompt) {
+  // Only the JE's block-key chain grows with the prompt: one key per block.
+  // The slack covers the event queue, whose bucket layout depends on when
+  // the tokenizer event fires, and so on the prompt's length; a copy of the
+  // 3840 extra tokens anywhere on the path would take 15 KB.
+  const int64_t chain_growth = (4096 - 256) / 16 * static_cast<int64_t>(sizeof(rtc::BlockKey));
+  EXPECT_LE(DispatchBytes(4096) - DispatchBytes(256), chain_growth + 64);
 }
 
 }  // namespace

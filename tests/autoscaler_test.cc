@@ -365,9 +365,11 @@ workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64
   workload::RequestSpec spec;
   spec.id = id;
   spec.decode_len = decode;
+  std::vector<TokenId> tokens;
   for (int64_t i = 0; i < prefill; ++i) {
-    spec.prompt.push_back(600 + static_cast<TokenId>((id * 131 + i) % 8000));
+    tokens.push_back(600 + static_cast<TokenId>((id * 131 + i) % 8000));
   }
+  spec.prompt = std::move(tokens);
   return spec;
 }
 

@@ -41,21 +41,22 @@ workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64
   workload::RequestSpec spec;
   spec.id = id;
   spec.decode_len = decode;
+  std::vector<TokenId> tokens;
   for (int64_t i = 0; i < prefill; ++i) {
-    spec.prompt.push_back(base + static_cast<TokenId>(i % 8000));
+    tokens.push_back(base + static_cast<TokenId>(i % 8000));
   }
+  spec.prompt = std::move(tokens);
   return spec;
 }
 
-// What `domain`'s kJobCreated records still hold beyond their fixed headers:
-// prompt tokens plus context-id bytes.
+// What `domain`'s kJobCreated records still hold beyond their fixed ints:
+// the tokens of the prompts they reference plus context-id bytes.
 int64_t CreatedPayload(const ctrl::ControlLog& log, int32_t domain) {
   int64_t payload = 0;
   for (const ctrl::LogRecord& record : log.records()) {
     if (record.domain == domain && record.type == ctrl::JobTable::kJobCreated) {
-      EXPECT_GE(record.ints.size(), ctrl::JobTable::kJobCreatedHeader);
-      payload += static_cast<int64_t>(record.ints.size() - ctrl::JobTable::kJobCreatedHeader +
-                                      record.str.size());
+      EXPECT_EQ(record.ints.size(), 7u);
+      payload += static_cast<int64_t>(record.prompt.size() + record.str.size());
     }
   }
   return payload;
@@ -116,6 +117,29 @@ TEST(ControlLogTest, ReplayFromNothingMatchesLiveFingerprint) {
   log.ReplayInto(&standby);
   EXPECT_EQ(standby.Fingerprint(), live.Fingerprint());
   EXPECT_EQ(standby.applied(), live.applied());
+}
+
+// kJobCreated references the request's prompt instead of copying it: the
+// applied outstanding entry shares the record's storage, and DropPayload
+// releases the record's reference while keeping its ints.
+TEST(ControlLogTest, JobCreatedSharesPromptAndDropPayloadReleasesIt) {
+  sim::Simulator sim;
+  ctrl::ControlLog log(&sim);
+  ctrl::JobTable table(log.RegisterDomain("job-table"));
+  log.Attach(&table);
+  const workload::Prompt prompt(std::vector<TokenId>{11, 12, 13, 14});
+  log.Append({0, 0, table.domain(), ctrl::JobTable::kJobCreated, {1, 42, 0, 5, 8, 1, 0}, "ctx",
+              prompt});
+  const ctrl::LogRecord& record = log.records().front();
+  EXPECT_TRUE(record.prompt.SharesStorage(prompt));
+  EXPECT_TRUE(table.outstanding().at(1).spec.prompt.SharesStorage(prompt));
+  EXPECT_EQ(table.outstanding().at(1).spec.context_id, "ctx");
+
+  log.DropPayload(record.seq);
+  EXPECT_TRUE(log.records().front().prompt.empty());
+  EXPECT_FALSE(log.records().front().prompt.SharesStorage(prompt));
+  EXPECT_TRUE(log.records().front().str.empty());
+  EXPECT_EQ(log.records().front().ints.size(), 7u);
 }
 
 TEST(ControlLogTest, SnapshotPlusRangeReplayMatchesLive) {
@@ -571,6 +595,8 @@ TEST_F(CtrlStackTest, JeCrashMidFlightReplaysOutstandingPromptsFromLog) {
     for (const auto& [job_id, outstanding] : standby.outstanding()) {
       const workload::RequestSpec& want = sent.at(outstanding.spec.id);
       EXPECT_EQ(outstanding.spec.prompt, want.prompt) << "job " << job_id;
+      // Replay shares the logged prompt; nothing on the way copied its tokens.
+      EXPECT_TRUE(outstanding.spec.prompt.SharesStorage(want.prompt)) << "job " << job_id;
       EXPECT_EQ(outstanding.spec.context_id, want.context_id) << "job " << job_id;
       outstanding_payload += static_cast<int64_t>(want.prompt.size() + want.context_id.size());
     }

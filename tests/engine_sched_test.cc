@@ -370,10 +370,12 @@ workload::RequestSpec MakeSpec(workload::RequestId id, int64_t prompt_len, int64
   spec.decode_len = decode_len;
   spec.deadline = deadline;
   spec.priority = priority;
-  spec.prompt.reserve(static_cast<size_t>(prompt_len));
+  std::vector<TokenId> tokens;
+  tokens.reserve(static_cast<size_t>(prompt_len));
   for (int64_t i = 0; i < prompt_len; ++i) {
-    spec.prompt.push_back(static_cast<TokenId>(1000 + (id * 7919 + i * 31) % 20000));
+    tokens.push_back(static_cast<TokenId>(1000 + (id * 7919 + i * 31) % 20000));
   }
+  spec.prompt = std::move(tokens);
   return spec;
 }
 

@@ -39,9 +39,11 @@ workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64
   workload::RequestSpec spec;
   spec.id = id;
   spec.decode_len = decode;
+  std::vector<TokenId> tokens;
   for (int64_t i = 0; i < prefill; ++i) {
-    spec.prompt.push_back(base + static_cast<TokenId>(i % 8000));
+    tokens.push_back(base + static_cast<TokenId>(i % 8000));
   }
+  spec.prompt = std::move(tokens);
   return spec;
 }
 
@@ -103,7 +105,8 @@ TEST_F(CancelTest, CancelDuringPopulateWait) {
   sim_.Run();
   ASSERT_TRUE(done);
   auto& rtc = engine_.rtc();
-  auto info = rtc.MatchByPrefixToken(first.prompt);
+  auto info = rtc.MatchByPrefixToken(
+      first.prompt, rtc::TokensToBlockKeys(first.prompt, rtc.config().block_size));
   ASSERT_TRUE(info.hit());
   rtc.Acquire(info.blocks);
   rtc.Copy(info.blocks, rtc::Tier::kDram, nullptr);

@@ -33,10 +33,12 @@ RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64_t decode,
   spec.id = id;
   spec.arrival = 0;
   spec.decode_len = decode;
-  spec.prompt.reserve(static_cast<size_t>(prefill));
+  std::vector<TokenId> tokens;
+  tokens.reserve(static_cast<size_t>(prefill));
   for (int64_t i = 0; i < prefill; ++i) {
-    spec.prompt.push_back(base + static_cast<TokenId>(i % 7000));
+    tokens.push_back(base + static_cast<TokenId>(i % 7000));
   }
+  spec.prompt = std::move(tokens);
   return spec;
 }
 
@@ -327,8 +329,9 @@ TEST_F(EngineTest, DpGroupsHaveIsolatedCaches) {
   Run(MakeRequest(1, 1024, 4));
   // The entry lives in exactly one group's RTC replica.
   auto tokens = MakeRequest(1, 1024, 4).prompt;
-  bool g0 = engine_->rtc(0).MatchByPrefixToken(tokens).hit();
-  bool g1 = engine_->rtc(1).MatchByPrefixToken(tokens).hit();
+  auto keys = rtc::TokensToBlockKeys(tokens, config.block_size);
+  bool g0 = engine_->rtc(0).MatchByPrefixToken(tokens, keys).hit();
+  bool g1 = engine_->rtc(1).MatchByPrefixToken(tokens, keys).hit();
   EXPECT_NE(g0, g1);
 }
 
@@ -386,7 +389,8 @@ TEST_F(EngineTest, CancelDuringWaitingPopulate) {
   auto spec = MakeRequest(1, 256, 2);
   ASSERT_TRUE(Run(spec).completed);  // warm the prefix cache
   // Demote the cached prompt: copy to DRAM, then drop its NPU residency.
-  auto match = engine_->rtc().MatchByPrefixToken(spec.prompt);
+  auto match = engine_->rtc().MatchByPrefixToken(
+      spec.prompt, rtc::TokensToBlockKeys(spec.prompt, config.block_size));
   ASSERT_GT(match.matched_tokens, 0);
   engine_->rtc().Copy(match.blocks, rtc::Tier::kDram, [] {});
   sim_.Run();

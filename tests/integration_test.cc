@@ -291,9 +291,11 @@ TEST_F(PlatformTest, PopulatePathExercisedUnderTierPressure) {
     spec.id = id++;
     spec.arrival = at;
     spec.decode_len = 4;
+    std::vector<TokenId> tokens;
     for (int64_t i = 0; i < len; ++i) {
-      spec.prompt.push_back(base + static_cast<TokenId>(i % 3000));
+      tokens.push_back(base + static_cast<TokenId>(i % 3000));
     }
+    spec.prompt = std::move(tokens);
     trace.push_back(spec);
   };
   make(1000, 2048, 0);  // the hot prefix

@@ -111,9 +111,11 @@ TEST(MoeEngineTest, AeEngineServesRequests) {
     workload::RequestSpec spec;
     spec.id = static_cast<workload::RequestId>(i + 1);
     spec.decode_len = 64;
+    std::vector<TokenId> tokens;
     for (int j = 0; j < 1024; ++j) {
-      spec.prompt.push_back(static_cast<TokenId>(300 + 701 * i + j % 4000));
+      tokens.push_back(static_cast<TokenId>(300 + 701 * i + j % 4000));
     }
+    spec.prompt = std::move(tokens);
     engine.Submit(spec, nullptr, [&](const flowserve::Sequence&) { ++done; });
   }
   sim.Run();

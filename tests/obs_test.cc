@@ -147,9 +147,11 @@ TEST(TraceGoldenTest, SingleRequestEventOrder) {
   workload::RequestSpec spec;
   spec.id = 9;
   spec.decode_len = 4;
+  std::vector<TokenId> tokens;
   for (int i = 0; i < 1024; ++i) {
-    spec.prompt.push_back(100 + i);
+    tokens.push_back(100 + i);
   }
+  spec.prompt = std::move(tokens);
   bool done = false;
   engine.Submit(spec, nullptr, [&](const flowserve::Sequence&) { done = true; });
   sim.Run();
@@ -216,9 +218,11 @@ TEST(TraceGoldenTest, TracerDoesNotPerturbTiming) {
     workload::RequestSpec spec;
     spec.id = 1;
     spec.decode_len = 16;
+    std::vector<TokenId> tokens;
     for (int i = 0; i < 700; ++i) {
-      spec.prompt.push_back(3000 + i);
+      tokens.push_back(3000 + i);
     }
+    spec.prompt = std::move(tokens);
     TimeNs finish = 0;
     engine.Submit(spec, nullptr,
                   [&](const flowserve::Sequence& seq) { finish = seq.finish_time; });

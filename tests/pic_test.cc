@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "flowserve/engine.h"
@@ -19,6 +20,11 @@ std::vector<TokenId> Iota(int n, int start) {
   return out;
 }
 
+std::vector<TokenId> Concat(std::vector<TokenId> head, std::span<const TokenId> tail) {
+  head.insert(head.end(), tail.begin(), tail.end());
+  return head;
+}
+
 class RtcPicTest : public ::testing::Test {
  protected:
   RtcPicTest() {
@@ -32,7 +38,7 @@ class RtcPicTest : public ::testing::Test {
   void PreserveTokens(const std::vector<TokenId>& tokens) {
     int64_t n = static_cast<int64_t>(tokens.size()) / 16;
     auto blocks = master_->AllocBlocks(n).value();
-    master_->Preserve(tokens, blocks);
+    master_->Preserve(tokens, blocks, rtc::TokensToBlockKeys(tokens, 16));
     master_->Free(blocks);
   }
 
@@ -48,7 +54,7 @@ TEST_F(RtcPicTest, FindsChunkAtDifferentPosition) {
   // prefix matching finds nothing, PIC finds the document blocks.
   auto prompt = Iota(64, 90000);
   prompt.insert(prompt.end(), doc.begin(), doc.end());
-  EXPECT_FALSE(master_->MatchByPrefixToken(prompt).hit());
+  EXPECT_FALSE(master_->MatchByPrefixToken(prompt, rtc::TokensToBlockKeys(prompt, 16)).hit());
   auto pic = master_->MatchPositionIndependent(prompt, 0);
   EXPECT_EQ(pic.matched_tokens, 128);
   EXPECT_EQ(pic.blocks.size(), 8u);
@@ -91,7 +97,7 @@ TEST_F(RtcPicTest, DisabledByDefault) {
   rtc::RtcMaster master(&sim_, config);
   auto doc = Iota(64, 5000);
   auto blocks = master.AllocBlocks(4).value();
-  master.Preserve(doc, blocks);
+  master.Preserve(doc, blocks, rtc::TokensToBlockKeys(doc, config.block_size));
   master.Free(blocks);
   EXPECT_EQ(master.MatchPositionIndependent(doc, 0).matched_tokens, 0);
 }
@@ -129,11 +135,12 @@ class EnginePicTest : public ::testing::Test {
     // past the first token, PIC matches every document block).
     workload::RequestSpec spec;
     spec.id = 100;
-    spec.prompt = Iota(64, 99000);
+    std::vector<TokenId> tokens = Iota(64, 99000);
     for (int d = 3; d >= 0; --d) {
-      spec.prompt.insert(spec.prompt.end(), docs[static_cast<size_t>(d)].begin(),
-                         docs[static_cast<size_t>(d)].end());
+      tokens.insert(tokens.end(), docs[static_cast<size_t>(d)].begin(),
+                    docs[static_cast<size_t>(d)].end());
     }
+    spec.prompt = std::move(tokens);
     spec.decode_len = 2;
     TimeNs submit = sim.Now();
     TimeNs first = 0;
@@ -167,8 +174,7 @@ TEST_F(EnginePicTest, PicBlocksReleasedAfterCompletion) {
   sim.Run();
   workload::RequestSpec spec;
   spec.id = 2;
-  spec.prompt = Iota(32, 90000);
-  spec.prompt.insert(spec.prompt.end(), warm.prompt.begin(), warm.prompt.end());
+  spec.prompt = Concat(Iota(32, 90000), warm.prompt);
   spec.decode_len = 2;
   engine.Submit(spec, nullptr, nullptr);
   sim.Run();
@@ -205,8 +211,7 @@ TEST_F(EnginePicTest, StepShapeAttendedTokensPinned) {
   int64_t base = engine.stats().prefill_attended_tokens;
   workload::RequestSpec spec;
   spec.id = 2;
-  spec.prompt = Iota(64, 90000);
-  spec.prompt.insert(spec.prompt.end(), plain.prompt.begin(), plain.prompt.end());
+  spec.prompt = Concat(Iota(64, 90000), plain.prompt);
   spec.decode_len = 2;
   engine.Submit(spec, nullptr, nullptr);
   sim.Run();
@@ -251,8 +256,7 @@ TEST_F(EnginePicTest, PreemptionReleasesPicPins) {
   // at preemption and the post-resume prefill ran undiscounted.
   workload::RequestSpec spec;
   spec.id = 3;
-  spec.prompt = Iota(64, 90000);
-  spec.prompt.insert(spec.prompt.end(), warm.prompt.begin(), warm.prompt.end());
+  spec.prompt = Concat(Iota(64, 90000), warm.prompt);
   spec.decode_len = 2;
   spec.priority = 1;
   int64_t pic_tokens_at_completion = -1;

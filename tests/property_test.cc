@@ -283,9 +283,11 @@ TEST_P(EnginePropertySweep, RandomWorkloadAlwaysDrainsCleanly) {
     spec.decode_len = rng.UniformInt(1, 96);
     spec.priority = static_cast<int>(rng.UniformInt(0, 2));
     int64_t prefill = rng.UniformInt(16, 2048);
+    std::vector<TokenId> tokens;
     for (int64_t j = 0; j < prefill; ++j) {
-      spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 20000)));
+      tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 20000)));
     }
+    spec.prompt = std::move(tokens);
     sim.ScheduleAt(spec.arrival, [&engine, &completed, &first_tokens, spec] {
       engine.Submit(spec, [&first_tokens](const flowserve::Sequence&) { ++first_tokens; },
                     [&completed](const flowserve::Sequence&) { ++completed; });
@@ -323,9 +325,11 @@ TEST_P(CancelStormTest, RandomCancelsLeaveEngineConsistent) {
     spec.id = static_cast<workload::RequestId>(i + 1);
     spec.decode_len = rng.UniformInt(8, 128);
     int64_t prefill = rng.UniformInt(64, 1024);
+    std::vector<TokenId> tokens;
     for (int64_t j = 0; j < prefill; ++j) {
-      spec.prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 9000)));
+      tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 9000)));
     }
+    spec.prompt = std::move(tokens);
     TimeNs at = SToNs(rng.Uniform(0, 2));
     sim.ScheduleAt(at, [&engine, &completed, spec] {
       engine.Submit(spec, nullptr, [&completed, id = spec.id](const flowserve::Sequence&) {

@@ -350,9 +350,11 @@ TEST(HedgingTest, HedgeWinsOverSlowPrimaryAndLoserIsCancelled) {
     request.model = "tiny-1b";
     request.spec.id = 1;
     request.spec.decode_len = 64;
+    std::vector<TokenId> tokens;
     for (int i = 0; i < 512; ++i) {
-      request.spec.prompt.push_back(700 + static_cast<TokenId>(i % 800));
+      tokens.push_back(700 + static_cast<TokenId>(i % 800));
     }
+    request.spec.prompt = std::move(tokens);
     serving::ResponseHandler handler;
     handler.on_complete = [&completions](const flowserve::Sequence&) { ++completions; };
     handler.on_error = [&errors](const Status&) { ++errors; };

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "common/time_units.h"
@@ -27,6 +29,23 @@ std::vector<TokenId> Iota(int n, int start = 1000) {
   std::vector<TokenId> out(static_cast<size_t>(n));
   std::iota(out.begin(), out.end(), static_cast<TokenId>(start));
   return out;
+}
+
+// The RTC takes the caller's block-key chain of a prompt; these hash it at the
+// cache's block size.
+MatchInfo Match(RtcMaster& master, std::span<const TokenId> tokens) {
+  return master.MatchByPrefixToken(tokens, TokensToBlockKeys(tokens, master.config().block_size));
+}
+
+void Preserve(RtcMaster& master, std::span<const TokenId> tokens,
+              std::span<const BlockId> blocks) {
+  master.Preserve(tokens, blocks, TokensToBlockKeys(tokens, master.config().block_size));
+}
+
+Status PreserveById(RtcMaster& master, const std::string& id, std::span<const TokenId> tokens,
+                    std::span<const BlockId> blocks) {
+  return master.PreserveById(id, tokens, blocks,
+                             TokensToBlockKeys(tokens, master.config().block_size));
 }
 
 // ---------------- ChainHash / TokensToBlockKeys ----------------
@@ -260,7 +279,7 @@ class RtcMasterTest : public ::testing::Test {
   std::vector<BlockId> PrefillAndPreserve(const std::vector<TokenId>& tokens) {
     int64_t n = static_cast<int64_t>(tokens.size()) / 16;
     auto blocks = master_->AllocBlocks(n).value();
-    master_->Preserve(tokens, blocks);
+    Preserve(*master_, tokens, blocks);
     master_->Free(blocks);
     return blocks;
   }
@@ -270,7 +289,7 @@ class RtcMasterTest : public ::testing::Test {
 };
 
 TEST_F(RtcMasterTest, MissOnEmptyCache) {
-  auto info = master_->MatchByPrefixToken(Iota(64));
+  auto info = Match(*master_, Iota(64));
   EXPECT_FALSE(info.hit());
   EXPECT_EQ(master_->stats().match_misses, 1);
 }
@@ -278,7 +297,7 @@ TEST_F(RtcMasterTest, MissOnEmptyCache) {
 TEST_F(RtcMasterTest, HitAfterPreserve) {
   auto tokens = Iota(64);
   PrefillAndPreserve(tokens);
-  auto info = master_->MatchByPrefixToken(tokens);
+  auto info = Match(*master_, tokens);
   EXPECT_EQ(info.matched_tokens, 64);
   EXPECT_EQ(info.npu_tokens, 64);
   EXPECT_FALSE(info.needs_populate());
@@ -288,7 +307,7 @@ TEST_F(RtcMasterTest, HitAfterPreserve) {
 TEST_F(RtcMasterTest, PartialPrefixHit) {
   PrefillAndPreserve(Iota(64));
   auto longer = Iota(128);  // same first 64 tokens
-  auto info = master_->MatchByPrefixToken(longer);
+  auto info = Match(*master_, longer);
   EXPECT_EQ(info.matched_tokens, 64);
 }
 
@@ -297,14 +316,14 @@ TEST_F(RtcMasterTest, DivergentPromptsShareOnlyCommonBlocks) {
   PrefillAndPreserve(a);
   auto b = a;
   b[40] = 7;  // diverges inside block 2
-  auto info = master_->MatchByPrefixToken(b);
+  auto info = Match(*master_, b);
   EXPECT_EQ(info.matched_tokens, 32);  // blocks 0 and 1 only
 }
 
 TEST_F(RtcMasterTest, AcquirePinsAgainstEviction) {
   auto tokens = Iota(16 * 60);
   PrefillAndPreserve(tokens);
-  auto info = master_->MatchByPrefixToken(tokens);
+  auto info = Match(*master_, tokens);
   master_->Acquire(info.blocks);
   // Now demand more blocks than remain: eviction cannot touch pinned blocks.
   EXPECT_FALSE(master_->AllocBlocks(10).ok());
@@ -322,8 +341,8 @@ TEST_F(RtcMasterTest, EvictionDiscardsLruEntry) {
   // Pool full of cached blocks; allocating forces eviction of LRU entry (a).
   auto blocks = master_->AllocBlocks(4);
   ASSERT_TRUE(blocks.ok());
-  EXPECT_FALSE(master_->MatchByPrefixToken(a).hit());
-  EXPECT_TRUE(master_->MatchByPrefixToken(b).hit());
+  EXPECT_FALSE(Match(*master_, a).hit());
+  EXPECT_TRUE(Match(*master_, b).hit());
   EXPECT_GT(master_->stats().discarded_blocks, 0);
 }
 
@@ -346,14 +365,14 @@ TEST_F(RtcMasterTest, DiscardTakesExposedSharedPrefixBeforeNewerEntries) {
   ASSERT_TRUE(master_->AllocBlocks(8).ok());
   EXPECT_EQ(master_->stats().discarded_blocks, 6);
   EXPECT_EQ(master_->index_nodes(), 1u);
-  EXPECT_EQ(master_->MatchByPrefixToken(c).matched_tokens, 64);
-  EXPECT_FALSE(master_->MatchByPrefixToken(a).hit());
+  EXPECT_EQ(Match(*master_, c).matched_tokens, 64);
+  EXPECT_FALSE(Match(*master_, a).hit());
 }
 
 TEST_F(RtcMasterTest, MatchByIdRoundTrip) {
   auto tokens = Iota(48);
   auto blocks = master_->AllocBlocks(3).value();
-  ASSERT_TRUE(master_->PreserveById("ctx-1", tokens, blocks).ok());
+  ASSERT_TRUE(PreserveById(*master_, "ctx-1", tokens, blocks).ok());
   master_->Free(blocks);
   auto info = master_->MatchByID("ctx-1");
   EXPECT_EQ(info.matched_tokens, 48);
@@ -366,11 +385,11 @@ TEST_F(RtcMasterTest, CacheEntriesAreSortedById) {
   auto blocks = master_->AllocBlocks(3).value();
   // Insert in non-sorted id order; the snapshot must come back sorted
   // regardless of unordered_map hash order.
-  ASSERT_TRUE(master_->PreserveById("ctx-b", Iota(48, 100), blocks).ok());
+  ASSERT_TRUE(PreserveById(*master_, "ctx-b", Iota(48, 100), blocks).ok());
   ASSERT_TRUE(
-      master_->PreserveById("ctx-a", Iota(32, 2000), std::span(blocks).subspan(0, 2)).ok());
+      PreserveById(*master_, "ctx-a", Iota(32, 2000), std::span(blocks).subspan(0, 2)).ok());
   ASSERT_TRUE(
-      master_->PreserveById("ctx-c", Iota(16, 40000), std::span(blocks).subspan(0, 1)).ok());
+      PreserveById(*master_, "ctx-c", Iota(16, 40000), std::span(blocks).subspan(0, 1)).ok());
   master_->Free(blocks);
   auto entries = master_->CacheEntries();
   ASSERT_EQ(entries.size(), 3u);
@@ -383,24 +402,24 @@ TEST_F(RtcMasterTest, CacheEntriesAreSortedById) {
 
 TEST_F(RtcMasterTest, PreserveByIdRejectsBadInput) {
   auto blocks = master_->AllocBlocks(1).value();
-  EXPECT_FALSE(master_->PreserveById("", Iota(16), blocks).ok());
-  EXPECT_FALSE(master_->PreserveById("x", Iota(5), blocks).ok());  // < 1 block
+  EXPECT_FALSE(PreserveById(*master_, "", Iota(16), blocks).ok());
+  EXPECT_FALSE(PreserveById(*master_, "x", Iota(5), blocks).ok());  // < 1 block
   master_->Free(blocks);
 }
 
 TEST_F(RtcMasterTest, IdEntrySurvivesImplicitMatchToo) {
   auto tokens = Iota(48);
   auto blocks = master_->AllocBlocks(3).value();
-  ASSERT_TRUE(master_->PreserveById("ctx", tokens, blocks).ok());
+  ASSERT_TRUE(PreserveById(*master_, "ctx", tokens, blocks).ok());
   master_->Free(blocks);
-  EXPECT_TRUE(master_->MatchByPrefixToken(tokens).hit());
+  EXPECT_TRUE(Match(*master_, tokens).hit());
 }
 
 TEST_F(RtcMasterTest, CopyToDramThenEvictKeepsEntryMatchable) {
   Reset(8);
   auto tokens = Iota(64);
   auto blocks = master_->AllocBlocks(4).value();
-  master_->Preserve(tokens, blocks);
+  Preserve(*master_, tokens, blocks);
   bool copied = false;
   master_->Copy(blocks, Tier::kDram, [&] { copied = true; });
   sim_.Run();
@@ -408,7 +427,7 @@ TEST_F(RtcMasterTest, CopyToDramThenEvictKeepsEntryMatchable) {
   master_->Free(blocks);
   // Fill the NPU: the DRAM-backed entry gets demoted, not discarded.
   ASSERT_TRUE(master_->AllocBlocks(8).ok());
-  auto info = master_->MatchByPrefixToken(tokens);
+  auto info = Match(*master_, tokens);
   EXPECT_EQ(info.matched_tokens, 64);
   EXPECT_TRUE(info.needs_populate());
   EXPECT_EQ(info.npu_tokens, 0);
@@ -420,13 +439,13 @@ TEST_F(RtcMasterTest, PopulateBringsBlocksBack) {
   Reset(8);
   auto tokens = Iota(64);
   auto blocks = master_->AllocBlocks(4).value();
-  master_->Preserve(tokens, blocks);
+  Preserve(*master_, tokens, blocks);
   master_->Copy(blocks, Tier::kDram, nullptr);
   sim_.Run();
   master_->Free(blocks);
   auto filler = master_->AllocBlocks(8).value();  // forces NPU drop
   master_->Free(filler);
-  auto info = master_->MatchByPrefixToken(tokens);
+  auto info = Match(*master_, tokens);
   ASSERT_TRUE(info.needs_populate());
   master_->Acquire(info.blocks);
   auto ticket = master_->Populate(info);
@@ -437,7 +456,7 @@ TEST_F(RtcMasterTest, PopulateBringsBlocksBack) {
   sim_.Run();
   EXPECT_TRUE(ready);
   EXPECT_EQ(master_->QueryPopulate(*ticket), PopulateState::kReady);
-  auto again = master_->MatchByPrefixToken(tokens);
+  auto again = Match(*master_, tokens);
   EXPECT_EQ(again.npu_tokens, 64);
   master_->Free(info.blocks);
 }
@@ -445,7 +464,7 @@ TEST_F(RtcMasterTest, PopulateBringsBlocksBack) {
 TEST_F(RtcMasterTest, PopulateOfResidentBlocksIsInstantlyReady) {
   auto tokens = Iota(64);
   PrefillAndPreserve(tokens);
-  auto info = master_->MatchByPrefixToken(tokens);
+  auto info = Match(*master_, tokens);
   master_->Acquire(info.blocks);
   auto ticket = master_->Populate(info);
   ASSERT_TRUE(ticket.ok());
@@ -460,7 +479,7 @@ TEST_F(RtcMasterTest, QueryUnknownTicket) {
 TEST_F(RtcMasterTest, TruncateMatchRecomputesResidency) {
   auto tokens = Iota(64);
   PrefillAndPreserve(tokens);
-  auto info = master_->MatchByPrefixToken(tokens);
+  auto info = Match(*master_, tokens);
   auto cut = master_->TruncateMatch(info, 40);  // not block aligned -> 32
   EXPECT_EQ(cut.matched_tokens, 32);
   EXPECT_EQ(cut.blocks.size(), 2u);
@@ -475,9 +494,9 @@ TEST_F(RtcMasterTest, PrefixCachingDisabled) {
   RtcMaster master(&sim_, config);
   auto tokens = Iota(64);
   auto blocks = master.AllocBlocks(4).value();
-  master.Preserve(tokens, blocks);
+  Preserve(master, tokens, blocks);
   master.Free(blocks);
-  EXPECT_FALSE(master.MatchByPrefixToken(tokens).hit());
+  EXPECT_FALSE(Match(master, tokens).hit());
 }
 
 TEST_F(RtcMasterTest, BackgroundSwapDemotesColdBlocks) {
@@ -488,7 +507,7 @@ TEST_F(RtcMasterTest, BackgroundSwapDemotesColdBlocks) {
   sim_.RunUntil(sim_.Now() + SToNs(2));
   EXPECT_GT(master_->stats().swapped_out_blocks, 0);
   // Entries remain matchable after demotion.
-  EXPECT_TRUE(master_->MatchByPrefixToken(Iota(16 * 7, 0)).hit());
+  EXPECT_TRUE(Match(*master_, Iota(16 * 7, 0)).hit());
 }
 
 // A fleet-shaped swap setup: `cold` single-block cached leaves plus enough
@@ -505,7 +524,7 @@ class SwapScanTest : public ::testing::Test {
     master_ = std::make_unique<RtcMaster>(&sim_, config);
     for (int i = 0; i < cold; ++i) {
       auto blocks = master_->AllocBlocks(1).value();
-      master_->Preserve(Iota(16, 1000 * (i + 1)), blocks);
+      Preserve(*master_, Iota(16, 1000 * (i + 1)), blocks);
       master_->Free(blocks);
     }
   }
@@ -528,7 +547,7 @@ TEST_F(SwapScanTest, DemotedLeafIsNeverHandedToALaterSwapScan) {
   // One more cached leaf, pinned by a live sequence: not swappable yet.
   std::vector<TokenId> pinned_tokens = Iota(16, 9000);
   auto pinned = master_->AllocBlocks(1).value();
-  master_->Preserve(pinned_tokens, pinned);
+  Preserve(*master_, pinned_tokens, pinned);
   auto held = master_->AllocBlocks(35).value();  // 39 of 40 NPU blocks used
 
   // Scan 1 demotes the three cold leaves; the pinned one stays.
@@ -553,7 +572,7 @@ TEST_F(SwapScanTest, DemotedLeafIsNeverHandedToALaterSwapScan) {
   NextScan();
   EXPECT_EQ(Scanned(), 12) << "only the newly demoted leaf's retiring pass";
   // Demoted entries stay matchable from DRAM.
-  rtc::MatchInfo info = master_->MatchByPrefixToken(pinned_tokens);
+  rtc::MatchInfo info = Match(*master_, pinned_tokens);
   EXPECT_EQ(info.matched_tokens, 16);
   EXPECT_EQ(info.offnpu_tokens, 16);
   master_->Free(held);
@@ -566,7 +585,7 @@ TEST_F(SwapScanTest, SplitHalfWithoutADramCopyStaysSwappable) {
   std::vector<TokenId> tail = Iota(16, 6000);
   leaf_tokens.insert(leaf_tokens.end(), tail.begin(), tail.end());
   auto leaf = master_->AllocBlocks(2).value();
-  master_->Preserve(leaf_tokens, leaf);
+  Preserve(*master_, leaf_tokens, leaf);
   master_->Free(leaf);
   // An explicit checkpoint of the first block only: the leaf is partly in
   // DRAM, so no swap can take it, but it is not fully demoted either.
@@ -581,7 +600,7 @@ TEST_F(SwapScanTest, SplitHalfWithoutADramCopyStaysSwappable) {
   std::vector<TokenId> other = Iota(16, 7000);
   fork.insert(fork.end(), other.begin(), other.end());
   auto fork_blocks = master_->AllocBlocks(2).value();
-  master_->Preserve(fork, fork_blocks);
+  Preserve(*master_, fork, fork_blocks);
   master_->Free(fork_blocks);
   NextScan();
   EXPECT_TRUE(master_->pool().info(leaf[1]).resident(Tier::kDram));
@@ -612,9 +631,9 @@ TEST_F(SwapScanTest, FullDramTakesNoVictimsAndCountsOnlyStartedCopies) {
 
 TEST_F(RtcMasterTest, TokenHitRateTracksReuse) {
   auto tokens = Iota(64);
-  master_->MatchByPrefixToken(tokens);  // cold miss: 64 requested, 0 matched
+  Match(*master_, tokens);  // cold miss: 64 requested, 0 matched
   PrefillAndPreserve(tokens);
-  master_->MatchByPrefixToken(tokens);  // hit: 64 requested, 64 matched
+  Match(*master_, tokens);  // hit: 64 requested, 64 matched
   EXPECT_NEAR(master_->stats().TokenHitRate(), 0.5, 0.01);
 }
 

@@ -141,9 +141,11 @@ RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64_t decode,
   RequestSpec spec;
   spec.id = id;
   spec.decode_len = decode;
+  std::vector<TokenId> tokens;
   for (int64_t i = 0; i < prefill; ++i) {
-    spec.prompt.push_back(base + static_cast<TokenId>(i % 9001));
+    tokens.push_back(base + static_cast<TokenId>(i % 9001));
   }
+  spec.prompt = std::move(tokens);
   return spec;
 }
 
@@ -255,6 +257,103 @@ TEST_F(ServingTest, DisaggregatedJobCreatesTwoTasks) {
   EXPECT_EQ(ledger.tasks[1].type, TaskType::kDecode);
   EXPECT_EQ(ledger.tasks[0].state, TaskState::kCompleted);
   EXPECT_EQ(ledger.tasks[1].state, TaskState::kCompleted);
+}
+
+// One prompt, one key chain: the JE hashes each prompt once, and the Sequence
+// a request runs as shares the spec's token storage and that chain. No
+// engine hashes the prompt again (prompt_hashes), so the chain it holds is
+// the JE's.
+TEST_F(ServingTest, ColocatedSequenceSharesPromptAndJeChain) {
+  auto je = MakeJe(SchedulingPolicy::kCombined);
+  auto te = MakeTe(1, flowserve::EngineRole::kColocated);
+  je.AddColocatedTe(te.get());
+  const RequestSpec spec = MakeRequest(1, 256, 8);
+  workload::Prompt prompt;
+  rtc::KeyChain keys;
+  bool done = false;
+  je.HandleRequest(spec, {[&](const flowserve::Sequence& seq) {
+                            prompt = seq.prompt;
+                            keys = seq.keys;
+                          },
+                          [&](const flowserve::Sequence&) { done = true; }, nullptr});
+  sim_.Run();
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(prompt.SharesStorage(spec.prompt));
+  EXPECT_EQ(keys.block_size(), JeConfig{}.block_size);
+  EXPECT_EQ(keys.span().size(), 256u / 16);
+  EXPECT_EQ(te->engine().stats().prompt_hashes, 0);
+  EXPECT_GT(te->engine().rtc().index_nodes(), 0u);
+}
+
+TEST_F(ServingTest, PdSequencesSharePromptAndJeChain) {
+  auto je = MakeJe(SchedulingPolicy::kCombined);
+  auto prefill = MakeTe(1, flowserve::EngineRole::kPrefillOnly);
+  auto decode = MakeTe(2, flowserve::EngineRole::kDecodeOnly);
+  je.AddPrefillTe(prefill.get());
+  je.AddDecodeTe(decode.get());
+  const RequestSpec spec = MakeRequest(1, 4096, 32);
+  flowserve::Sequence prefilled;
+  flowserve::Sequence decoded;
+  je.HandleRequest(spec, {[&](const flowserve::Sequence& seq) {
+                            prefilled.prompt = seq.prompt;
+                            prefilled.keys = seq.keys;
+                          },
+                          [&](const flowserve::Sequence& seq) {
+                            decoded.prompt = seq.prompt;
+                            decoded.keys = seq.keys;
+                          },
+                          nullptr});
+  sim_.Run();
+  ASSERT_EQ(je.stats().routed_disaggregated, 1);
+  ASSERT_EQ(decode->engine().stats().completed, 1);
+  EXPECT_TRUE(prefilled.prompt.SharesStorage(spec.prompt));
+  EXPECT_TRUE(decoded.prompt.SharesStorage(spec.prompt));
+  EXPECT_EQ(prefilled.keys.span().size(), 4096u / 16);
+  EXPECT_TRUE(decoded.keys.SharesStorage(prefilled.keys));
+  EXPECT_EQ(prefill->engine().stats().prompt_hashes, 0);
+  EXPECT_EQ(decode->engine().stats().prompt_hashes, 0);
+  // Both sides committed the prompt under the shared chain.
+  EXPECT_GT(prefill->engine().rtc().index_nodes(), 0u);
+  EXPECT_GT(decode->engine().rtc().index_nodes(), 0u);
+}
+
+// An engine whose block size differs from the JE's cannot use the JE's chain:
+// it hashes the prompt itself, and its RTC matches come out exactly as when
+// the JE hashes at the engine's block size.
+TEST(JeChainTest, BlockSizeMismatchMatchesLikeMatchingChain) {
+  struct Outcome {
+    int64_t match_hits, matched_tokens, reused_tokens, prompt_hashes;
+  };
+  auto run = [](int je_block_size) {
+    sim::Simulator sim;
+    JeConfig je_config;
+    je_config.block_size = je_block_size;
+    JobExecutor je(&sim, je_config, PdHeatmap::Default(), MakeOraclePredictor());
+    TeConfig te_config;
+    te_config.id = 1;
+    te_config.engine = SmallEngine(flowserve::EngineRole::kColocated);
+    te_config.engine.block_size = 32;
+    TaskExecutor te(&sim, te_config);
+    je.AddColocatedTe(&te);
+    for (int i = 0; i < 8; ++i) {
+      // Growing prompts over one base: each request reuses its predecessors.
+      RequestSpec spec = MakeRequest(static_cast<workload::RequestId>(i + 1), 300 + 40 * i, 4);
+      sim.ScheduleAt(MsToNs(200 * i), [&je, spec] { je.HandleRequest(spec, {}); });
+    }
+    sim.Run();
+    EXPECT_EQ(te.engine().stats().completed, 8);
+    const rtc::RtcStats& rtc = te.engine().rtc().stats();
+    return Outcome{rtc.match_hits, rtc.matched_tokens, te.engine().stats().reused_tokens,
+                   te.engine().stats().prompt_hashes};
+  };
+  const Outcome matching = run(32);
+  const Outcome mismatched = run(16);
+  EXPECT_GT(matching.match_hits, 0);
+  EXPECT_EQ(mismatched.match_hits, matching.match_hits);
+  EXPECT_EQ(mismatched.matched_tokens, matching.matched_tokens);
+  EXPECT_EQ(mismatched.reused_tokens, matching.reused_tokens);
+  EXPECT_EQ(matching.prompt_hashes, 0);
+  EXPECT_EQ(mismatched.prompt_hashes, 8);
 }
 
 TEST_F(ServingTest, PdAwareRoutesByShape) {

@@ -39,7 +39,7 @@ double MeasureTpot(bool ae, int batch, double link_gbps = 90.0) {
       tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 30000)));
     }
     spec.prompt = std::move(tokens);
-    engine.Submit(spec, nullptr, [&metrics, spec](const flowserve::Sequence& seq) {
+    engine.Submit(spec, {nullptr, [&metrics, spec](const flowserve::Sequence& seq) {
       workload::RequestRecord record;
       record.id = spec.id;
       record.arrival = 0;
@@ -48,7 +48,7 @@ double MeasureTpot(bool ae, int batch, double link_gbps = 90.0) {
       record.prefill_len = spec.prefill_len();
       record.decode_len = spec.decode_len;
       metrics.Record(record);
-    });
+    }});
   }
   sim.Run();
   return metrics.tpot_ms().mean();

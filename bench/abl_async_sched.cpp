@@ -34,7 +34,7 @@ void RunLevel(const char* name, const flowserve::EngineFeatures& features, int b
       tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 50000)));
     }
     spec.prompt = std::move(tokens);
-    engine.Submit(spec, nullptr, [&](const flowserve::Sequence&) { ++done; });
+    engine.Submit(spec, {nullptr, [&](const flowserve::Sequence&) { ++done; }});
   }
   sim.Run();
   const auto& stats = engine.stats();

@@ -49,7 +49,7 @@ RagResult RunRag(bool prefix_caching, bool pic) {
     warm.id = next_id++;
     warm.prompt = doc;
     warm.decode_len = 4;
-    engine.Submit(warm, nullptr, nullptr);
+    engine.Submit(warm, {});
   }
   sim.Run();
 
@@ -70,8 +70,7 @@ RagResult RunRag(bool prefix_caching, bool pic) {
     spec.decode_len = 32;
     TimeNs submit = sim.Now();
     TimeNs first = 0;
-    engine.Submit(spec, [&](const flowserve::Sequence& seq) { first = seq.first_token_time; },
-                  nullptr);
+    engine.Submit(spec, {[&](const flowserve::Sequence& seq) { first = seq.first_token_time; }});
     sim.Run();
     ttft.Add(NsToMs(first - submit));
   }

@@ -38,7 +38,7 @@ double MeasureTtftMs(bool spread, int64_t prompt_len, int64_t chunk) {
       tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 50000)));
     }
     bg.prompt = std::move(tokens);
-    engine.Submit(bg, nullptr, nullptr);
+    engine.Submit(bg, {});
   }
   TimeNs first = 0;
   workload::RequestSpec spec;
@@ -51,8 +51,7 @@ double MeasureTtftMs(bool spread, int64_t prompt_len, int64_t chunk) {
   spec.prompt = std::move(tokens);
   TimeNs submit_at = MsToNs(200);  // after the pipeline fills
   sim.ScheduleAt(submit_at, [&] {
-    engine.Submit(spec, [&](const flowserve::Sequence& seq) { first = seq.first_token_time; },
-                  nullptr);
+    engine.Submit(spec, {[&](const flowserve::Sequence& seq) { first = seq.first_token_time; }});
   });
   sim.RunUntil(SToNs(600));
   return first > 0 ? NsToMs(first - submit_at) : -1.0;

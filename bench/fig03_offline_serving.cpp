@@ -51,7 +51,7 @@ Point RunOffline(const flowserve::EngineFeatures& features, int batch, int64_t p
       tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 60000)));
     }
     spec.prompt = std::move(tokens);
-    engine.Submit(spec, nullptr, [&metrics, spec](const flowserve::Sequence& seq) {
+    engine.Submit(spec, {nullptr, [&metrics, spec](const flowserve::Sequence& seq) {
       workload::RequestRecord record;
       record.id = spec.id;
       record.arrival = 0;
@@ -60,7 +60,7 @@ Point RunOffline(const flowserve::EngineFeatures& features, int batch, int64_t p
       record.prefill_len = spec.prefill_len();
       record.decode_len = spec.decode_len;
       metrics.Record(record);
-    });
+    }});
   }
   sim.Run();
   Point point;

@@ -271,7 +271,7 @@ struct DecodeRig {
       spec.id = static_cast<workload::RequestId>(i + 1);
       spec.prompt = RandomTokens(64, static_cast<uint64_t>(i + 100));
       spec.decode_len = kDecodeLen;
-      engine->Submit(spec, nullptr, [](const flowserve::Sequence&) {});
+      engine->Submit(spec, {nullptr, [](const flowserve::Sequence&) {}});
     }
     while (engine->stats().steps < 4 && sim.Step()) {
     }

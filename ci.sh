@@ -109,6 +109,14 @@ PARITY_DIR="$(mktemp -d)"
 cmp "${PARITY_DIR}/one.out" "${PARITY_DIR}/three.out"
 rm -rf "${PARITY_DIR}"
 
+echo "==> perfbench self-tests: the repo benchmark builds, conserves and repeats"
+# Nothing else here builds perfbench/perfbench.cc, which drives the public
+# request API (ResponseHandler, JobExecutor::HandleRequest,
+# Frontend::ChatCompletion). Exits non-zero unless it builds and its tiny-trace
+# replays conserve requests and repeat exactly. About 4 s with a warm
+# .bench_build/, about a minute cold.
+python3 perfbench/test_perfbench.py
+
 if [[ "${1:-}" == "--fast" ]]; then
   echo "==> --fast: skipping Release compile and sanitizer pass"
   exit 0

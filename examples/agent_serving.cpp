@@ -57,11 +57,10 @@ std::vector<TurnResult> RunSession(bool use_context_cache) {
     spec.decode_len = 96;  // the model decides the next tool call
     TurnResult result{0, 0};
     engine.Submit(spec,
-                  [&](const flowserve::Sequence& seq) {
+                  {[&](const flowserve::Sequence& seq) {
                     result.ttft_ms = NsToMs(seq.first_token_time - seq.arrival);
                     result.reused = seq.reused_tokens;
-                  },
-                  nullptr);
+                  }});
     sim.Run();
     turns.push_back(result);
     // Tool execution: the agent is away for a while; other tenants churn the
@@ -75,7 +74,7 @@ std::vector<TurnResult> RunSession(bool use_context_cache) {
         filler_tokens.push_back(static_cast<TokenId>(rng.UniformInt(256, 100000)));
       }
       filler.prompt = std::move(filler_tokens);
-      engine.Submit(filler, nullptr, nullptr);
+      engine.Submit(filler, {});
     }
     sim.RunUntil(sim.Now() + SToNs(5));  // tool latency
     sim.Run();

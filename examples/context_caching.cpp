@@ -41,14 +41,13 @@ int main() {
     spec.prompt = std::move(tokens);
     spec.decode_len = 64;
     engine.Submit(spec,
-                  [](const flowserve::Sequence& seq) {
+                  {[](const flowserve::Sequence& seq) {
                     std::printf("turn %llu: TTFT %.0f ms, reused %lld / %lld prompt tokens\n",
                                 static_cast<unsigned long long>(seq.request_id),
                                 NsToMs(seq.first_token_time - seq.arrival),
                                 static_cast<long long>(seq.reused_tokens),
                                 static_cast<long long>(seq.prompt_len()));
-                  },
-                  nullptr);
+                  }});
     sim.Run();
   };
 

@@ -59,19 +59,19 @@ int main() {
     sim.ScheduleAt(arrival, [&engine, spec] {
       engine.Submit(
         spec,
-        [](const flowserve::Sequence& seq) {
-          std::printf("req %llu: first token at %.1f ms (reused %lld cached tokens)\n",
-                      static_cast<unsigned long long>(seq.request_id),
-                      NsToMs(seq.first_token_time - seq.arrival),
-                      static_cast<long long>(seq.reused_tokens));
-        },
-        [](const flowserve::Sequence& seq) {
-          double tpot = NsToMs(seq.finish_time - seq.first_token_time) /
-                        static_cast<double>(seq.decode_target - 1);
-          std::printf("req %llu: done at %.1f ms, TPOT %.2f ms\n",
-                      static_cast<unsigned long long>(seq.request_id),
-                      NsToMs(seq.finish_time - seq.arrival), tpot);
-          });
+        {[](const flowserve::Sequence& seq) {
+           std::printf("req %llu: first token at %.1f ms (reused %lld cached tokens)\n",
+                       static_cast<unsigned long long>(seq.request_id),
+                       NsToMs(seq.first_token_time - seq.arrival),
+                       static_cast<long long>(seq.reused_tokens));
+         },
+         [](const flowserve::Sequence& seq) {
+           double tpot = NsToMs(seq.finish_time - seq.first_token_time) /
+                         static_cast<double>(seq.decode_target - 1);
+           std::printf("req %llu: done at %.1f ms, TPOT %.2f ms\n",
+                       static_cast<unsigned long long>(seq.request_id),
+                       NsToMs(seq.finish_time - seq.arrival), tpot);
+         }});
     });
   }
 

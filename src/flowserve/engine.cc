@@ -188,17 +188,25 @@ std::span<const rtc::BlockKey> Engine::PromptKeys(Sequence* seq) {
   return seq->keys.span();
 }
 
-void Engine::Submit(const workload::RequestSpec& spec, SeqCallback on_first_token,
-                    SeqCallback on_complete, SeqErrorCallback on_error, rtc::KeyChain keys) {
+void Engine::Submit(const workload::RequestSpec& spec, ResponseHandler handler,
+                    rtc::KeyChain keys) {
   DS_CHECK(!draining_) << "Submit() on a draining engine; the TE stopped admitting";
+  const int64_t context =
+      static_cast<int64_t>(spec.prompt.size()) + std::max<int64_t>(1, spec.decode_len);
+  if (context / config_.block_size + 1 > kv_block_capacity_) {
+    // Never admissible here. The error fires from an event, so a caller that
+    // is still inside its own dispatch is not re-entered.
+    if (handler.on_error) {
+      sim_->ScheduleAfter(0, [on_error = std::move(handler.on_error), id = spec.id] {
+        on_error(InvalidArgumentError("request " + std::to_string(id) +
+                                      " context can never fit this engine's KV capacity"));
+      });
+    }
+    return;
+  }
   Sequence* seq = AddSequence(spec, PickDpGroup(), std::move(keys));
-  seq->on_first_token = std::move(on_first_token);
-  seq->on_complete = std::move(on_complete);
-  seq->on_error = std::move(on_error);
+  seq->handler = std::move(handler);
   seq->state = SeqState::kTokenizing;
-  DS_CHECK_LE((seq->prompt_len() + seq->decode_target) / config_.block_size + 1,
-              kv_block_capacity_)
-      << "request context cannot ever fit in this engine's KV capacity";
   ++stats_.submitted;
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), seq->dp_group, "seq.submit",
@@ -302,8 +310,8 @@ void Engine::FinishEnqueue(Sequence* seq) {
   KickLoop(group);
 }
 
-Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,
-                               SeqErrorCallback on_error, rtc::KeyChain keys) {
+Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, ResponseHandler handler,
+                               rtc::KeyChain keys) {
   DS_CHECK(config_.role != EngineRole::kPrefillOnly)
       << "prefill-only engines cannot accept prefilled sequences";
   const int dp_group = PickDpGroup();
@@ -317,8 +325,7 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on
   Sequence* seq = AddSequence(spec, dp_group, std::move(keys));
   seq->prefilled = seq->prompt_len();
   seq->generated = 1;  // the prefill TE produced the first token
-  seq->on_complete = std::move(on_complete);
-  seq->on_error = std::move(on_error);
+  seq->handler = std::move(handler);
   seq->blocks = std::move(blocks);
   seq->block_tokens =
       static_cast<int64_t>(seq->blocks.size()) * static_cast<int64_t>(config_.block_size);

@@ -97,8 +97,6 @@ struct LoadInfo {
 
 class Engine {
  public:
-  using SeqCallback = std::function<void(const Sequence&)>;
-  using SeqErrorCallback = std::function<void(const Sequence&, const Status&)>;
   // (sequence, kv_bytes_to_move, on_delivered) — installed on prefill-only
   // engines by the TE layer; routes through DistFlow.
   using KvSendFn = std::function<void(const Sequence&, Bytes, std::function<void()>)>;
@@ -128,17 +126,19 @@ class Engine {
   // prompt itself when it first needs the chain.
   //
   // Full path: tokenizer -> sched-enqueue (RTC match / populate) -> batch.
-  // `on_error` fires (exactly once, instead of on_complete) when the
-  // scheduling policy sheds the sequence — e.g. DEADLINE_EXCEEDED under "slo".
-  void Submit(const workload::RequestSpec& spec, SeqCallback on_first_token,
-              SeqCallback on_complete, SeqErrorCallback on_error = nullptr,
+  // `handler.on_error` fires (exactly once, instead of on_complete) when the
+  // scheduling policy sheds the sequence — e.g. DEADLINE_EXCEEDED under "slo"
+  // — or, as INVALID_ARGUMENT from a 0-delay event and with nothing
+  // admitted, when the request's context can never fit this engine's KV.
+  void Submit(const workload::RequestSpec& spec, ResponseHandler handler,
               rtc::KeyChain keys = {});
   // Decode-only TEs: admit a request whose prefill (and first token) happened
   // on a prefill TE; KV for the whole prompt is allocated here as arrived.
-  // Fails when this engine cannot hold the context.
-  [[nodiscard]] Status SubmitPrefilled(const workload::RequestSpec& spec, SeqCallback on_complete,
-                                       SeqErrorCallback on_error = nullptr,
-                                       rtc::KeyChain keys = {});
+  // `handler.on_first_token` never fires here: a resumed prefill emits no
+  // first token. Fails, with the handler unused, when this engine cannot hold
+  // the context.
+  [[nodiscard]] Status SubmitPrefilled(const workload::RequestSpec& spec,
+                                       ResponseHandler handler, rtc::KeyChain keys = {});
 
   // Lifecycle -------------------------------------------------------------------
   // Cancels one in-flight request: its KV pins are released (nothing is

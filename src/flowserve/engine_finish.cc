@@ -50,8 +50,8 @@ void Engine::FinishPrefill(DpGroup& group, Sequence* seq, DurationNs extra_laten
     if (seq->first_token_time == 0) {
       seq->first_token_time = sim_->Now() + extra_latency;
       CountFirstToken(*seq);
-      if (seq->on_first_token) {
-        seq->on_first_token(*seq);
+      if (seq->handler.on_first_token) {
+        seq->handler.on_first_token(*seq);
       }
     }
   }
@@ -89,8 +89,8 @@ void Engine::FinishPrefill(DpGroup& group, Sequence* seq, DurationNs extra_laten
           m_deadline_misses_->Inc();
         }
       }
-      if (sent->on_complete) {
-        sent->on_complete(*sent);
+      if (sent->handler.on_complete) {
+        sent->handler.on_complete(*sent);
       }
       ++stats_.completed;
       ReleaseSequence(*groups_[static_cast<size_t>(gi)], sent, /*preserve=*/true);
@@ -137,8 +137,8 @@ void Engine::FinishSequence(DpGroup& group, Sequence* seq, DurationNs extra_late
                {obs::Arg("req", static_cast<int64_t>(seq->request_id)),
                 obs::Arg("generated", seq->generated)});
   }
-  if (seq->on_complete) {
-    seq->on_complete(*seq);
+  if (seq->handler.on_complete) {
+    seq->handler.on_complete(*seq);
   }
   ++stats_.completed;
   ReleaseSequence(group, seq, /*preserve=*/true);
@@ -167,8 +167,8 @@ void Engine::ShedSequence(DpGroup& group, Sequence* seq, const Status& status) {
   }
   seq->finish_time = sim_->Now();
   seq->state = SeqState::kFinished;
-  if (seq->on_error) {
-    seq->on_error(*seq, status);
+  if (seq->handler.on_error) {
+    seq->handler.on_error(status);
   }
   // No preservation: a shed request's partial KV dies with its pins (the
   // request will not be resumed, and its suffix is off the reuse path).

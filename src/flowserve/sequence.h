@@ -27,6 +27,21 @@ enum class SeqState {
 
 std::string_view SeqStateToString(SeqState state);
 
+struct Sequence;
+
+// How a request reports back, from the Frontend down to the engine's
+// Sequence. Every accepted request terminates in exactly one of on_complete
+// or on_error; on_first_token fires at most once before either. Any member
+// may be null. on_error carries the reason a request was dropped after
+// acceptance (a policy shed, a context that can never fit, a TE crash with
+// the retry budget exhausted, no ready TEs at re-dispatch time). The member
+// initializers let a caller brace-initialize just a prefix: {nullptr, done}.
+struct ResponseHandler {
+  std::function<void(const Sequence&)> on_first_token{};
+  std::function<void(const Sequence&)> on_complete{};
+  std::function<void(const Status&)> on_error{};
+};
+
 struct Sequence {
   workload::RequestId request_id = 0;
   workload::Prompt prompt;  // shares the request's token storage
@@ -69,12 +84,10 @@ struct Sequence {
   TimeNs first_token_time = 0;  // end of prefill
   TimeNs finish_time = 0;
 
-  // Fired once when the first token is produced, and once on termination:
-  // exactly one of on_complete (success) or on_error (shed / deadline
-  // exceeded) runs for every accepted sequence.
-  std::function<void(const Sequence&)> on_first_token;
-  std::function<void(const Sequence&)> on_complete;
-  std::function<void(const Sequence&, const Status&)> on_error;
+  // The request's callbacks: on_first_token once when the first token is
+  // produced, then exactly one of on_complete (success) or on_error (shed /
+  // deadline exceeded) for every accepted sequence.
+  ResponseHandler handler;
 
   // SequenceSlab bookkeeping: the slot's generation (bumped on release) and
   // the live list in submission order.

@@ -88,22 +88,12 @@ void JobExecutor::RunOrDefer(std::function<void()> op) {
   deferred_ops_.push_back(std::move(op));
 }
 
-template <typename Fn>
-JobExecutor::SeqCallback JobExecutor::Deferred(Fn fn) {
-  return [this, fn = std::move(fn)](const flowserve::Sequence& seq) {
-    if (!down_) {
-      fn(seq);
-      return;
-    }
-    // A parked op outlives both this callback and the engine's Sequence.
-    RunOrDefer([fn, seq] { fn(seq); });
-  };
-}
-
-void JobExecutor::CloseJob(JobId job_id, int32_t close_type) {
+ResponseHandler JobExecutor::CloseJob(JobId job_id, int32_t close_type) {
   const uint64_t created = table_.outstanding().at(job_id).created_seq;
   AppendJob(close_type, {static_cast<int64_t>(job_id)});
   log_->DropPayload(created);
+  auto caller = handlers_.extract(job_id);
+  return caller.empty() ? ResponseHandler{} : std::move(caller.mapped().handler);
 }
 
 void JobExecutor::AddTe(ctrl::JobTable::Group group, TaskExecutor* te) {
@@ -341,8 +331,7 @@ size_t JobExecutor::CancelRequest(workload::RequestId request_id) {
   }
   for (JobId job_id : hits) {
     std::vector<TeId> tes = table_.outstanding().at(job_id).tes;
-    CloseJob(job_id, ctrl::JobTable::kJobFailed);
-    handlers_.erase(job_id);  // the handler dies here without firing
+    (void)CloseJob(job_id, ctrl::JobTable::kJobFailed);  // the handler dies unfired
     for (TeId te_id : tes) {
       if (TaskExecutor* te = Member(te_id)) {
         te->CancelRequest(request_id);
@@ -385,13 +374,7 @@ void JobExecutor::FailJob(JobId job_id, const Status& status) {
     return;  // already completed, already failed, or owned by the retry path
   }
   workload::RequestId request = table_.outstanding().at(job_id).spec.id;
-  ResponseHandler handler;
-  auto it = handlers_.find(job_id);
-  if (it != handlers_.end()) {
-    handler = std::move(it->second);
-    handlers_.erase(it);
-  }
-  CloseJob(job_id, ctrl::JobTable::kJobFailed);
+  ResponseHandler handler = CloseJob(job_id, ctrl::JobTable::kJobFailed);
   ++stats_.errors;
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), 0, "je.error",
@@ -413,7 +396,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
             {static_cast<int64_t>(job_id), static_cast<int64_t>(spec.id), retries, spec.arrival,
              spec.decode_len, spec.priority, spec.deadline},
             spec.context_id, spec.prompt);
-  handlers_[job_id] = std::move(handler);
+  handlers_[job_id].handler = std::move(handler);
 
   if (config_.enforce_deadlines && spec.deadline > 0 && sim_->Now() > spec.deadline) {
     // Already dead on arrival here — typically a crash re-dispatch of a
@@ -498,33 +481,6 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     use_disagg = true;
   }
 
-  // The TE-level handler: task bookkeeping plus this job's termination paths.
-  // FailJob no-ops once the job completed or the retry path took ownership, so
-  // exactly one of on_complete / on_error ever reaches the caller.
-  //
-  // Completion races a leader outage: a sequence finishing while the leader
-  // is down parks (Deferred) until the standby takes over. The IsOutstanding
-  // guard makes termination exactly-once even if the job was failed/cancelled
-  // in the interim (e.g. its TE died during the outage and the retry path
-  // took ownership).
-  ResponseHandler& stored = handlers_.at(job_id);
-  ResponseHandler te_handler;
-  te_handler.on_first_token = stored.on_first_token;
-  te_handler.on_complete = Deferred([this, job_id, on_complete = stored.on_complete](
-                                        const flowserve::Sequence& seq) {
-    if (!table_.IsOutstanding(job_id)) {
-      return;
-    }
-    CloseJob(job_id, ctrl::JobTable::kJobCompleted);
-    handlers_.erase(job_id);
-    if (on_complete) {
-      on_complete(seq);
-    }
-  });
-  te_handler.on_error = [this, job_id](const Status& status) {
-    RunOrDefer([this, job_id, status] { FailJob(job_id, status); });
-  };
-
   // The prompt's block-key chain, hashed once: it keys the prompt-tree lookup
   // and rides with the request to the RTC of every TE it runs on.
   rtc::KeyChain chain = rtc::KeyChain::Hash(spec.prompt, config_.block_size);
@@ -541,7 +497,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
                   obs::Arg("route", "disaggregated"),
                   obs::Arg("prefill_te", static_cast<int64_t>(p->id()))});
     }
-    DispatchDisaggregated(job_id, p, spec, std::move(chain), std::move(te_handler));
+    DispatchDisaggregated(job_id, p, spec, std::move(chain));
   } else {
     ++stats_.routed_colocated;
     TaskExecutor* te = SelectFrom(keys, colocated_tree_, coloc);
@@ -554,26 +510,19 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
                   obs::Arg("route", "colocated"),
                   obs::Arg("te", static_cast<int64_t>(te->id()))});
     }
-    DispatchColocated(job_id, te, spec, std::move(chain), std::move(te_handler));
+    DispatchColocated(job_id, te, spec, std::move(chain));
   }
   AppendJob(ctrl::JobTable::kRrAdvanced);
 }
 
 void JobExecutor::DispatchColocated(JobId job_id, TaskExecutor* te,
-                                    const workload::RequestSpec& spec, rtc::KeyChain keys,
-                                    ResponseHandler handler) {
-  TaskId task_id = NewTask(job_id, TaskType::kUnified, te->id());
-  handler.on_complete = Deferred([this, task_id, cb = std::move(handler.on_complete)](
-                                     const flowserve::Sequence& seq) {
-    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(task_id)});
-    cb(seq);
-  });
-  te->SubmitUnified(spec, std::move(handler), std::move(keys));
+                                    const workload::RequestSpec& spec, rtc::KeyChain keys) {
+  handlers_.at(job_id).task = NewTask(job_id, TaskType::kUnified, te->id());
+  te->SubmitUnified(spec, TeHandler(job_id), std::move(keys));
 }
 
 void JobExecutor::DispatchDisaggregated(JobId job_id, TaskExecutor* prefill_te,
-                                        const workload::RequestSpec& spec, rtc::KeyChain keys,
-                                        ResponseHandler handler) {
+                                        const workload::RequestSpec& spec, rtc::KeyChain keys) {
   std::vector<TaskExecutor*>& decode = ready_decode_;
   ReadyTes(groups_[ctrl::JobTable::kDecode], &decode);
   if (config_.cost_aware) {
@@ -583,17 +532,63 @@ void JobExecutor::DispatchDisaggregated(JobId job_id, TaskExecutor* prefill_te,
   TaskExecutor* decode_te = LoadAware(decode);
   AppendJob(ctrl::JobTable::kJobTeBound,
             {static_cast<int64_t>(job_id), static_cast<int64_t>(decode_te->id())});
-  TaskId prefill_task_id = NewTask(job_id, TaskType::kPrefill, prefill_te->id());
+  Caller& caller = handlers_.at(job_id);
+  caller.task = NewTask(job_id, TaskType::kPrefill, prefill_te->id());
+  caller.disaggregated = true;
   (void)NewTask(job_id, TaskType::kDecode, decode_te->id());
-  handler.on_first_token = Deferred([this, prefill_task_id,
-                                     cb = std::move(handler.on_first_token)](
-                                        const flowserve::Sequence& seq) {
-    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(prefill_task_id)});
-    if (cb) {
-      cb(seq);
+  prefill_te->SubmitPrefill(spec, decode_te, TeHandler(job_id), std::move(keys));
+}
+
+ResponseHandler JobExecutor::TeHandler(JobId job_id) {
+  return {[this, job_id](const flowserve::Sequence& seq) { OnTaskFirstToken(job_id, seq); },
+          [this, job_id](const flowserve::Sequence& seq) { OnTaskComplete(job_id, seq); },
+          [this, job_id](const Status& status) { OnTaskError(job_id, status); }};
+}
+
+// A TE callback for a job no longer outstanding (failed, cancelled or retried)
+// does nothing, so the caller hears exactly one of on_complete / on_error. A
+// parked call copies the Sequence, which the engine releases before takeover.
+void JobExecutor::OnTaskFirstToken(JobId job_id, const flowserve::Sequence& seq) {
+  auto it = handlers_.find(job_id);
+  if (it == handlers_.end()) {
+    return;
+  }
+  if (it->second.disaggregated) {
+    if (down_) {
+      RunOrDefer([this, job_id, seq] { OnTaskFirstToken(job_id, seq); });
+      return;
     }
-  });
-  prefill_te->SubmitPrefill(spec, decode_te, std::move(handler), std::move(keys));
+    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(it->second.task)});
+  }
+  if (it->second.handler.on_first_token) {
+    it->second.handler.on_first_token(seq);
+  }
+}
+
+void JobExecutor::OnTaskComplete(JobId job_id, const flowserve::Sequence& seq) {
+  if (down_) {
+    RunOrDefer([this, job_id, seq] { OnTaskComplete(job_id, seq); });
+    return;
+  }
+  auto it = handlers_.find(job_id);
+  if (it == handlers_.end()) {
+    return;
+  }
+  if (!it->second.disaggregated) {
+    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(it->second.task)});
+  }
+  ResponseHandler handler = CloseJob(job_id, ctrl::JobTable::kJobCompleted);
+  if (handler.on_complete) {
+    handler.on_complete(seq);
+  }
+}
+
+void JobExecutor::OnTaskError(JobId job_id, const Status& status) {
+  if (down_) {
+    RunOrDefer([this, job_id, status] { OnTaskError(job_id, status); });
+    return;
+  }
+  FailJob(job_id, status);
 }
 
 void JobExecutor::OnTeFailure(TeId id) {
@@ -630,12 +625,7 @@ void JobExecutor::OnTeFailure(TeId id) {
     retry.spec = outstanding.spec;
     retry.tes = outstanding.tes;
     retry.retries = outstanding.retries;
-    auto it = handlers_.find(job_id);
-    if (it != handlers_.end()) {
-      retry.handler = std::move(it->second);
-      handlers_.erase(it);
-    }
-    CloseJob(job_id, ctrl::JobTable::kJobFailed);
+    retry.handler = CloseJob(job_id, ctrl::JobTable::kJobFailed);
     to_retry.push_back(std::move(retry));
   }
   for (auto& retry : to_retry) {

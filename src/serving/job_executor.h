@@ -144,7 +144,6 @@ class JobExecutor {
   // handler's on_error fires (with the job marked failed) when no ready TE can
   // take the request or when the retry budget is exhausted after TE crashes;
   // otherwise on_complete fires exactly once when the request finishes.
-  using SeqCallback = TaskExecutor::SeqCallback;
   void HandleRequest(const workload::RequestSpec& spec, ResponseHandler handler);
 
   // Ready serving slots for weighted load balancing: ready colocated TEs plus
@@ -227,15 +226,24 @@ class JobExecutor {
   // Appends outstanding `job_id`'s close record (kJobCompleted or
   // kJobFailed), then drops its kJobCreated payload from the log: replay can
   // no longer observe the prompt, so the log releases the record's prompt
-  // reference and context id.
-  void CloseJob(JobId job_id, int32_t close_type);
+  // reference and context id. Returns the caller's handler, which the JE no
+  // longer holds.
+  ResponseHandler CloseJob(JobId job_id, int32_t close_type);
 
   // `keys` is the chain Dispatch hashed; it rides to the TE(s).
   void DispatchColocated(JobId job_id, TaskExecutor* te, const workload::RequestSpec& spec,
-                         rtc::KeyChain keys, ResponseHandler handler);
+                         rtc::KeyChain keys);
   void DispatchDisaggregated(JobId job_id, TaskExecutor* prefill_te,
-                             const workload::RequestSpec& spec, rtc::KeyChain keys,
-                             ResponseHandler handler);
+                             const workload::RequestSpec& spec, rtc::KeyChain keys);
+
+  // The handler the TE(s) run `job_id` under: each callback captures only
+  // (this, job_id), which std::function stores inline, and lands in the
+  // matching OnTask* member. Those park through RunOrDefer while the leader
+  // is down, except a colocated first token, which goes straight through.
+  ResponseHandler TeHandler(JobId job_id);
+  void OnTaskFirstToken(JobId job_id, const flowserve::Sequence& seq);
+  void OnTaskComplete(JobId job_id, const flowserve::Sequence& seq);
+  void OnTaskError(JobId job_id, const Status& status);
 
   TaskId NewTask(JobId job, TaskType type, TeId te);
   // Appends one JobTable record to the control log.
@@ -245,11 +253,6 @@ class JobExecutor {
   // RecoverLeader() while this JE's leader is down. With a single-replica log
   // a parked op is dropped instead — no takeover will ever come.
   void RunOrDefer(std::function<void()> op);
-  // A Sequence callback that runs `fn` inline while the leader is up and
-  // parks it through RunOrDefer while it is down. Only a parked call copies
-  // the Sequence (block lists, callbacks; the prompt and chain are shared).
-  template <typename Fn>
-  SeqCallback Deferred(Fn fn);
   // Lazily registers the JE's trace track; -1 when tracing is disabled.
   int TracePid();
 
@@ -271,7 +274,15 @@ class JobExecutor {
   std::vector<TaskExecutor*> ready_coloc_;
   std::vector<TaskExecutor*> ready_prefill_;
   std::vector<TaskExecutor*> ready_decode_;
-  std::map<JobId, ResponseHandler> handlers_;
+  // Per outstanding job: the caller's handler, held nowhere else, and the one
+  // task a TE callback closes — the prefill task at the first token (PD) or
+  // the unified task at completion (colocated).
+  struct Caller {
+    ResponseHandler handler;
+    TaskId task = 0;
+    bool disaggregated = false;
+  };
+  std::map<JobId, Caller> handlers_;
 
   PromptTree colocated_tree_;
   PromptTree prefill_tree_;

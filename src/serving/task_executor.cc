@@ -85,15 +85,7 @@ void TaskExecutor::SubmitUnified(const workload::RequestSpec& spec, ResponseHand
                                  rtc::KeyChain keys) {
   DS_CHECK(role() == flowserve::EngineRole::kColocated)
       << "unified tasks need a PD-colocated engine";
-  flowserve::Engine::SeqErrorCallback on_error;
-  if (handler.on_error) {
-    // Scheduling-policy sheds (deadline expired / unmeetable) surface as the
-    // request's error path, same as a crash with the retry budget exhausted.
-    on_error = [err = std::move(handler.on_error)](const flowserve::Sequence&,
-                                                   const Status& status) { err(status); };
-  }
-  engine_->Submit(spec, std::move(handler.on_first_token), std::move(handler.on_complete),
-                  std::move(on_error), std::move(keys));
+  engine_->Submit(spec, std::move(handler), std::move(keys));
 }
 
 void TaskExecutor::SubmitPrefill(const workload::RequestSpec& spec, TaskExecutor* decode_te,
@@ -101,34 +93,32 @@ void TaskExecutor::SubmitPrefill(const workload::RequestSpec& spec, TaskExecutor
   DS_CHECK(role() == flowserve::EngineRole::kPrefillOnly);
   DS_CHECK(decode_te != nullptr);
   DS_CHECK(decode_te->role() == flowserve::EngineRole::kDecodeOnly);
-  handoffs_[spec.id] = PendingHandoff{decode_te, spec, keys, std::move(handler.on_complete),
-                                      std::move(handler.on_error)};
-  engine_->Submit(
-      spec, std::move(handler.on_first_token),
-      [this](const flowserve::Sequence& seq) {
-        // Prefill finished and KV delivered: start the decode task.
-        auto it = handoffs_.find(seq.request_id);
-        DS_CHECK(it != handoffs_.end());
-        PendingHandoff handoff = std::move(it->second);
-        handoffs_.erase(it);
-        handoff.decode_te->AcceptPrefilled(handoff.spec, std::move(handoff.keys),
-                                           std::move(handoff.on_complete),
-                                           std::move(handoff.on_error));
-      },
-      [this](const flowserve::Sequence& seq, const Status& status) {
-        // Shed during prefill: drop the pending hand-off (the decode task
-        // never starts) and surface the error once.
-        auto it = handoffs_.find(seq.request_id);
-        if (it == handoffs_.end()) {
-          return;
-        }
-        auto on_error = std::move(it->second.on_error);
-        handoffs_.erase(it);
-        if (on_error) {
-          on_error(status);
-        }
-      },
-      std::move(keys));
+  ResponseHandler prefill;
+  prefill.on_first_token = std::move(handler.on_first_token);
+  prefill.on_complete = [this, id = spec.id](const flowserve::Sequence&) {
+    // Prefill finished and KV delivered: start the decode task.
+    auto it = handoffs_.find(id);
+    DS_CHECK(it != handoffs_.end());
+    PendingHandoff handoff = std::move(it->second);
+    handoffs_.erase(it);
+    handoff.decode_te->AcceptPrefilled(handoff.spec, std::move(handoff.keys),
+                                       std::move(handoff.handler));
+  };
+  prefill.on_error = [this, id = spec.id](const Status& status) {
+    // Shed during prefill: drop the pending hand-off (the decode task never
+    // starts) and surface the error once.
+    auto it = handoffs_.find(id);
+    if (it == handoffs_.end()) {
+      return;
+    }
+    auto on_error = std::move(it->second.handler.on_error);
+    handoffs_.erase(it);
+    if (on_error) {
+      on_error(status);
+    }
+  };
+  handoffs_[spec.id] = PendingHandoff{decode_te, spec, keys, std::move(handler)};
+  engine_->Submit(spec, std::move(prefill), std::move(keys));
 }
 
 bool TaskExecutor::CancelRequest(workload::RequestId request_id) {
@@ -177,29 +167,22 @@ void TaskExecutor::ArmDrainWait() {
 }
 
 void TaskExecutor::AcceptPrefilled(const workload::RequestSpec& spec, rtc::KeyChain keys,
-                                   SeqCallback on_complete,
-                                   ResponseHandler::ErrorCallback on_error) {
+                                   ResponseHandler handler) {
   if (!ready() && state_ != TeState::kDraining) {
     return;  // decode TE died mid-hand-off; the JE failure path retries
   }
   // kDraining still accepts: the hand-off was committed while this TE was
   // ready, and a drain must finish — not orphan — in-flight work.
-  flowserve::Engine::SeqErrorCallback shed_error;
-  if (on_error) {
-    shed_error = [err = on_error](const flowserve::Sequence&, const Status& status) {
-      err(status);
-    };
-  }
-  Status status = engine_->SubmitPrefilled(spec, on_complete, std::move(shed_error), keys);
+  Status status = engine_->SubmitPrefilled(spec, handler, keys);
   if (status.code() == StatusCode::kResourceExhausted) {
     // Decode side momentarily out of KV: retry shortly (simple backpressure).
     // The retry shares the spec's prompt and the chain; it copies no tokens.
     sim_->ScheduleAfter(MsToNs(10), [this, spec, keys = std::move(keys),
-                                     cb = std::move(on_complete), err = std::move(on_error)] {
-      AcceptPrefilled(spec, keys, cb, err);
+                                     handler = std::move(handler)] {
+      AcceptPrefilled(spec, keys, handler);
     });  // ready() is re-checked on entry, so a dead TE stops the retry loop
-  } else if (!status.ok() && on_error) {
-    on_error(status);  // non-retryable rejection: surface it instead of dropping
+  } else if (!status.ok() && handler.on_error) {
+    handler.on_error(status);  // non-retryable rejection: surface it instead of dropping
   }
 }
 

@@ -39,19 +39,8 @@ enum class TeState {
 
 std::string_view TeStateToString(TeState state);
 
-// How a request reports back. Every accepted request terminates in exactly one
-// of on_complete or on_error; on_first_token fires at most once before either.
-// Any member may be null. on_error carries the reason a request was dropped
-// after acceptance (TE crash with the retry budget exhausted, no ready TEs at
-// re-dispatch time, deadline missed).
-struct ResponseHandler {
-  using SeqCallback = flowserve::Engine::SeqCallback;
-  using ErrorCallback = std::function<void(const Status&)>;
-
-  SeqCallback on_first_token;
-  SeqCallback on_complete;
-  ErrorCallback on_error;
-};
+// The request callback type every layer shares (see flowserve/sequence.h).
+using flowserve::ResponseHandler;
 
 struct TeConfig {
   TeId id = 0;
@@ -104,13 +93,14 @@ class TaskExecutor {
 
   // ---- task entry points -----------------------------------------------------
   // `keys` is the dispatcher's block-key chain of spec.prompt; it rides to
-  // every engine the request runs on (see Engine::Submit).
-  using SeqCallback = flowserve::Engine::SeqCallback;
+  // every engine the request runs on (see Engine::Submit). The handler rides
+  // to the engine's Sequence as it is.
   // PD-colocated: one unified task runs the whole request here.
   void SubmitUnified(const workload::RequestSpec& spec, ResponseHandler handler,
                      rtc::KeyChain keys = {});
   // PD-disaggregated: prefill here, then KV hand-off to `decode_te`, where the
-  // decode task finishes the request. `on_complete` fires from the decode TE.
+  // decode task finishes the request. `on_first_token` fires from this TE,
+  // `on_complete` from the decode TE.
   void SubmitPrefill(const workload::RequestSpec& spec, TaskExecutor* decode_te,
                      ResponseHandler handler, rtc::KeyChain keys = {});
 
@@ -127,7 +117,7 @@ class TaskExecutor {
 
  private:
   void AcceptPrefilled(const workload::RequestSpec& spec, rtc::KeyChain keys,
-                       SeqCallback on_complete, ResponseHandler::ErrorCallback on_error);
+                       ResponseHandler handler);
   void InstallKvSend();
   void ArmDrainWait();
 
@@ -143,8 +133,7 @@ class TaskExecutor {
     TaskExecutor* decode_te = nullptr;
     workload::RequestSpec spec;
     rtc::KeyChain keys;
-    SeqCallback on_complete;
-    ResponseHandler::ErrorCallback on_error;
+    ResponseHandler handler;  // for the decode task; its first token is spent
   };
   std::map<workload::RequestId, PendingHandoff> handoffs_;
 

@@ -5,11 +5,13 @@
 // allocated. The engine's steady-state decode step and the RTC's swap scan
 // are the two paths that run per step and per cached block; both must stay
 // free of per-step and per-block heap traffic (DESIGN #8 and #12). A request's
-// dispatch must not copy its prompt (DESIGN #14).
+// dispatch must not copy its prompt (DESIGN #14), nor copy or wrap its
+// callbacks (DESIGN #15).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -75,7 +77,7 @@ TEST(AllocTest, SteadyStateDecodeStepsDoNotAllocate) {
   flowserve::Engine engine(&sim, config);
   constexpr int kBatch = 6;
   for (int i = 0; i < kBatch; ++i) {
-    engine.Submit(MakeRequest(i + 1, 100, 400), nullptr, [](const flowserve::Sequence&) {});
+    engine.Submit(MakeRequest(i + 1, 100, 400), {nullptr, [](const flowserve::Sequence&) {}});
   }
   // Past tokenize and prefill: every sequence decodes in every step.
   while (engine.stats().steps < 8 && sim.Step()) {
@@ -134,12 +136,17 @@ TEST(AllocTest, SwapScanMakesNoPerBlockAllocation) {
   EXPECT_EQ(SwapScanAllocations(8), SwapScanAllocations(2));
 }
 
-// Bytes allocated by one JobExecutor::HandleRequest of a `prompt_len`-token
-// request, through TaskExecutor::SubmitUnified and Engine::Submit. An
-// earlier request with the same prompt has already put its path in the JE's
-// prompt tree, so the tree adds no nodes: what is counted is the request's
-// own dispatch.
-int64_t DispatchBytes(int64_t prompt_len) {
+// Heap traffic of one JobExecutor::HandleRequest of a `prompt_len`-token
+// request carrying `handler`, through TaskExecutor::SubmitUnified and
+// Engine::Submit. An earlier request with the same prompt has already put its
+// path in the JE's prompt tree, so the tree adds no nodes: what is counted is
+// the request's own dispatch.
+struct DispatchCost {
+  int64_t allocations = 0;
+  int64_t bytes = 0;
+};
+
+DispatchCost Dispatch(int64_t prompt_len, serving::ResponseHandler handler = {}) {
   sim::Simulator sim;
   serving::JobExecutor je(&sim, serving::JeConfig{}, serving::PdHeatmap::Default(),
                           serving::MakeOraclePredictor());
@@ -154,12 +161,13 @@ int64_t DispatchBytes(int64_t prompt_len) {
   workload::RequestSpec second = first;
   second.id = 2;
   je.HandleRequest(first, {});
-  const int64_t before = g_bytes;
-  je.HandleRequest(second, {});
-  const int64_t made = g_bytes - before;
+  const int64_t allocations = g_allocations;
+  const int64_t bytes = g_bytes;
+  je.HandleRequest(second, std::move(handler));
+  const DispatchCost cost{g_allocations - allocations, g_bytes - bytes};
   sim.Run();
   EXPECT_EQ(te.engine().stats().completed, 2);
-  return made;
+  return cost;
 }
 
 TEST(AllocTest, DispatchDoesNotCopyThePrompt) {
@@ -168,7 +176,21 @@ TEST(AllocTest, DispatchDoesNotCopyThePrompt) {
   // the tokenizer event fires, and so on the prompt's length; a copy of the
   // 3840 extra tokens anywhere on the path would take 15 KB.
   const int64_t chain_growth = (4096 - 256) / 16 * static_cast<int64_t>(sizeof(rtc::BlockKey));
-  EXPECT_LE(DispatchBytes(4096) - DispatchBytes(256), chain_growth + 64);
+  EXPECT_LE(Dispatch(4096).bytes - Dispatch(256).bytes, chain_growth + 64);
+}
+
+TEST(AllocTest, DispatchNeitherCopiesNorWrapsTheCallbacks) {
+  // Callbacks that capture a shared_ptr do not fit std::function's inline
+  // buffer: any copy or wrapper of them on the way down would allocate.
+  auto fired = std::make_shared<int>(0);
+  serving::ResponseHandler handler;
+  handler.on_first_token = [fired](const flowserve::Sequence&) { ++*fired; };
+  handler.on_complete = [fired](const flowserve::Sequence&) { ++*fired; };
+  handler.on_error = [fired](const Status&) { ++*fired; };
+  const DispatchCost with_callbacks = Dispatch(256, std::move(handler));
+  const DispatchCost empty = Dispatch(256);
+  EXPECT_EQ(with_callbacks.allocations, empty.allocations);
+  EXPECT_EQ(*fired, 2);  // the first token and the completion
 }
 
 }  // namespace

@@ -675,6 +675,76 @@ TEST_F(CtrlStackTest, TeDeathDuringJeOutageReconciledAtTakeover) {
   EXPECT_TRUE(je.table().outstanding().empty());
 }
 
+// Pins which TE callbacks a JE leader outage parks. A colocated first token
+// reaches the caller during the outage; a PD first token (it closes the
+// prefill task in the log) and every completion wait for the standby.
+TEST_F(CtrlStackTest, JeOutageParksPdFirstTokenAndCompletionsButNotColocatedFirstToken) {
+  ctrl::CtrlConfig config;
+  config.replicas = 3;
+  config.quorum = 2;
+  config.replication_latency = MsToNs(1);
+  config.lease_duration = SToNs(1);
+  ctrl::ControlLog log(&sim_, config);
+  serving::ClusterManager manager(&sim_, &cluster_, &transfer_, {}, {}, &log);
+  serving::JeConfig je_config;
+  // Load-only sends the first request colocated (all pools idle) and the
+  // second to the idle prefill/decode pair (the colocated TE is busy).
+  je_config.policy = serving::SchedulingPolicy::kLoadOnly;
+  serving::JobExecutor je(&sim_, je_config, serving::PdHeatmap::Default(),
+                          serving::MakeOraclePredictor());
+  je.AttachControl(&log, &manager);
+  auto* prefill = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kPrefillOnly)).value();
+  auto* decode = manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kDecodeOnly)).value();
+  je.AddColocatedTe(manager.CreateReadyTe(SmallEngine(flowserve::EngineRole::kColocated)).value());
+  je.AddPrefillTe(prefill);
+  je.AddDecodeTe(decode);
+  ASSERT_TRUE(transfer_.LinkCluster({prefill->id(), decode->id()}, nullptr).ok());
+  sim_.Run();
+
+  // Per request: whether the leader was up at first token and at completion.
+  struct Seen {
+    int first_tokens = 0;
+    int terminations = 0;
+    bool first_token_leader_up = false;
+    bool complete_leader_up = false;
+  };
+  std::map<workload::RequestId, Seen> seen;
+  auto send = [&](workload::RequestId id, TokenId base) {
+    je.HandleRequest(MakeRequest(id, 128, 8, base),
+                     {[&, id](const flowserve::Sequence&) {
+                        ++seen[id].first_tokens;
+                        seen[id].first_token_leader_up = je.leader_up();
+                      },
+                      [&, id](const flowserve::Sequence&) {
+                        ++seen[id].terminations;
+                        seen[id].complete_leader_up = je.leader_up();
+                      },
+                      [&, id](const Status&) { ++seen[id].terminations; }});
+  };
+  const TimeNs t0 = sim_.Now();
+  sim_.ScheduleAt(t0, [&] {
+    send(1, 100);
+    send(2, 9000);
+    ASSERT_TRUE(je.CrashLeader().ok());
+  });
+  sim_.Run();
+
+  EXPECT_EQ(je.stats().routed_colocated, 1);
+  EXPECT_EQ(je.stats().routed_disaggregated, 1);
+  EXPECT_EQ(je.stats().je_failovers, 1);
+  // Parked: the PD first token, the PD completion and the colocated one.
+  EXPECT_EQ(je.stats().deferred_ops, 3);
+  ASSERT_EQ(seen.size(), 2u);
+  for (const auto& [id, s] : seen) {
+    EXPECT_EQ(s.first_tokens, 1) << "request " << id;
+    EXPECT_EQ(s.terminations, 1) << "request " << id;
+    EXPECT_TRUE(s.complete_leader_up) << "request " << id;
+  }
+  EXPECT_FALSE(seen[1].first_token_leader_up);  // colocated: straight to the caller
+  EXPECT_TRUE(seen[2].first_token_leader_up);   // PD: parked until takeover
+  EXPECT_TRUE(je.table().outstanding().empty());
+}
+
 TEST_F(CtrlStackTest, SingleReplicaJeCrashFailsOutstandingAndRejectsArrivals) {
   serving::ClusterManager manager(&sim_, &cluster_, &transfer_);
   serving::JeConfig je_config;

@@ -91,12 +91,12 @@ GoldenResult RunGoldenWorkload(uint64_t seed, bool pic) {
     history.push_back(prompt);
     spec.prompt = std::move(prompt);
     sim.ScheduleAt(spec.arrival, [&engine, &result, &mix, spec] {
-      engine.Submit(spec, nullptr, [&result, &mix](const flowserve::Sequence& seq) {
-        ++result.completed;
-        mix(seq.request_id);
-        mix(static_cast<uint64_t>(seq.first_token_time));
-        mix(static_cast<uint64_t>(seq.finish_time));
-      });
+      engine.Submit(spec, {nullptr, [&result, &mix](const flowserve::Sequence& seq) {
+                      ++result.completed;
+                      mix(seq.request_id);
+                      mix(static_cast<uint64_t>(seq.first_token_time));
+                      mix(static_cast<uint64_t>(seq.finish_time));
+                    }});
     });
   }
   sim.Run();
@@ -394,20 +394,17 @@ TEST(EngineSchedTest, SloShedsExpiredQueuedRequestExactlyOnce) {
   // queue. Request 2: generous deadline — must complete normally.
   workload::RequestSpec doomed = MakeSpec(1, 600, 30, /*deadline=*/1);
   workload::RequestSpec fine = MakeSpec(2, 200, 10, /*deadline=*/SToNs(300));
-  engine.Submit(
-      doomed, nullptr, [&](const Sequence&) { ++completions; },
-      [&](const Sequence& seq, const Status& status) {
-        ++errors;
-        last_error = status;
-        EXPECT_EQ(seq.request_id, 1);
-      });
-  engine.Submit(
-      fine, nullptr,
-      [&](const Sequence& seq) {
-        ++completions;
-        missed_completion_deadline = seq.finish_time > seq.deadline;
-      },
-      [&](const Sequence&, const Status&) { ++errors; });
+  engine.Submit(doomed, {nullptr, [&](const Sequence&) { ++completions; },
+                         [&](const Status& status) {
+                           ++errors;
+                           last_error = status;
+                         }});
+  engine.Submit(fine, {nullptr,
+                       [&](const Sequence& seq) {
+                         ++completions;
+                         missed_completion_deadline = seq.finish_time > seq.deadline;
+                       },
+                       [&](const Status&) { ++errors; }});
   sim.Run();
 
   EXPECT_EQ(errors, 1);
@@ -431,23 +428,22 @@ TEST(EngineSchedTest, SloShedsRequestThatExpiresMidDecode) {
 
   int completions = 0;
   int errors = 0;
-  int64_t generated_at_shed = -1;
+  int64_t decoded_at_shed = -1;
   // 5000 decode tokens cannot finish within 500 ms on Tiny1B; the sequence
   // must be shed while decoding.
   workload::RequestSpec spec = MakeSpec(1, 128, 5000, MsToNs(500));
-  engine.Submit(
-      spec, nullptr, [&](const Sequence&) { ++completions; },
-      [&](const Sequence& seq, const Status& status) {
-        ++errors;
-        generated_at_shed = seq.generated;
-        EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-      });
+  engine.Submit(spec, {nullptr, [&](const Sequence&) { ++completions; },
+                       [&](const Status& status) {
+                         ++errors;
+                         decoded_at_shed = engine.stats().decode_tokens_generated;
+                         EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
+                       }});
   sim.Run();
 
   EXPECT_EQ(errors, 1);
   EXPECT_EQ(completions, 0);
-  EXPECT_GT(generated_at_shed, 0) << "expected the shed to interrupt an in-flight decode";
-  EXPECT_LT(generated_at_shed, 5000);
+  EXPECT_GT(decoded_at_shed, 0) << "expected the shed to interrupt an in-flight decode";
+  EXPECT_LT(decoded_at_shed, 5000);
   EXPECT_EQ(engine.stats().shed, 1);
   EXPECT_TRUE(engine.idle());
 }
@@ -467,13 +463,13 @@ EngineStats RunTbtWorkload(const std::string& policy, double tbt_budget_ms) {
   workload::RequestSpec inter = MakeSpec(1, 64, 400);
   const int kLongPrompts = 4;
   sim.ScheduleAt(0, [&engine, &completions, inter] {
-    engine.Submit(inter, nullptr, [&](const Sequence&) { ++completions; });
+    engine.Submit(inter, {nullptr, [&](const Sequence&) { ++completions; }});
   });
   for (int i = 0; i < kLongPrompts; ++i) {
     workload::RequestSpec spec = MakeSpec(static_cast<workload::RequestId>(i + 2), 6000, 4);
     spec.arrival = MsToNs(200 + 150 * i);
     sim.ScheduleAt(spec.arrival, [&engine, &completions, spec] {
-      engine.Submit(spec, nullptr, [&](const Sequence&) { ++completions; });
+      engine.Submit(spec, {nullptr, [&](const Sequence&) { ++completions; }});
     });
   }
   sim.Run();
@@ -515,17 +511,16 @@ TEST(EngineSchedTest, SloRunsAreBitIdenticalPerSeed) {
           MakeSpec(static_cast<workload::RequestId>(i + 1), rng.UniformInt(64, 900),
                    rng.UniformInt(4, 80), /*deadline=*/SToNs(rng.Uniform(0.2, 4.0)));
       spec.arrival = SToNs(rng.Uniform(0, 2));
-      sim.ScheduleAt(spec.arrival, [&engine, &mix, spec] {
-        engine.Submit(
-            spec, nullptr,
-            [&mix](const Sequence& seq) {
-              mix(seq.request_id * 2);
-              mix(static_cast<uint64_t>(seq.finish_time));
-            },
-            [&mix](const Sequence& seq, const Status&) {
-              mix(seq.request_id * 2 + 1);
-              mix(static_cast<uint64_t>(seq.finish_time));
-            });
+      sim.ScheduleAt(spec.arrival, [&sim, &engine, &mix, spec] {
+        engine.Submit(spec, {nullptr,
+                             [&mix](const Sequence& seq) {
+                               mix(seq.request_id * 2);
+                               mix(static_cast<uint64_t>(seq.finish_time));
+                             },
+                             [&sim, &mix, id = spec.id](const Status&) {
+                               mix(id * 2 + 1);
+                               mix(static_cast<uint64_t>(sim.Now()));  // the shed's finish_time
+                             }});
       });
     }
     sim.Run();
@@ -547,12 +542,12 @@ TEST(EngineSchedTest, PriorityPreemptEvictsLowerClassOnAdmission) {
     workload::RequestSpec batch = MakeSpec(1, 400, 100, 0, /*priority=*/2);
     workload::RequestSpec inter = MakeSpec(2, 300, 20, 0, /*priority=*/0);
     inter.arrival = MsToNs(100);
-    engine.Submit(batch, nullptr, [&](const Sequence&) { ++completions; });
+    engine.Submit(batch, {nullptr, [&](const Sequence&) { ++completions; }});
     sim.ScheduleAt(inter.arrival, [&engine, &completions, inter, inter_first_token] {
       engine.Submit(
           inter,
-          [inter_first_token](const Sequence& seq) { *inter_first_token = seq.first_token_time; },
-          [&completions](const Sequence&) { ++completions; });
+          {[inter_first_token](const Sequence& seq) { *inter_first_token = seq.first_token_time; },
+            [&completions](const Sequence&) { ++completions; }});
     });
     sim.Run();
     EXPECT_EQ(completions, 2);

@@ -63,8 +63,8 @@ TEST_F(CancelTest, CancelUnknownRequestFails) {
 TEST_F(CancelTest, CancelQueuedRequestFiresNoCallbacks) {
   bool any_callback = false;
   engine_.Submit(MakeRequest(1, 2048, 128),
-                 [&](const flowserve::Sequence&) { any_callback = true; },
-                 [&](const flowserve::Sequence&) { any_callback = true; });
+                 {[&](const flowserve::Sequence&) { any_callback = true; },
+                  [&](const flowserve::Sequence&) { any_callback = true; }});
   // Cancel while still in the tokenizer (no events have run).
   EXPECT_TRUE(engine_.Cancel(1).ok());
   sim_.Run();
@@ -74,7 +74,7 @@ TEST_F(CancelTest, CancelQueuedRequestFiresNoCallbacks) {
 }
 
 TEST_F(CancelTest, CancelMidPrefillReleasesKv) {
-  engine_.Submit(MakeRequest(1, 4096, 128), nullptr, nullptr);
+  engine_.Submit(MakeRequest(1, 4096, 128), {});
   sim_.RunUntil(MsToNs(120));  // some chunks done, prefill ongoing
   EXPECT_GT(engine_.rtc().npu_blocks_used(), 0);
   ASSERT_TRUE(engine_.Cancel(1).ok());
@@ -86,10 +86,10 @@ TEST_F(CancelTest, CancelMidPrefillReleasesKv) {
 
 TEST_F(CancelTest, CancelMidDecodeLeavesOthersRunning) {
   int completed = 0;
-  engine_.Submit(MakeRequest(1, 512, 512), nullptr,
-                 [&](const flowserve::Sequence&) { ++completed; });
-  engine_.Submit(MakeRequest(2, 512, 64, 30000), nullptr,
-                 [&](const flowserve::Sequence&) { ++completed; });
+  engine_.Submit(MakeRequest(1, 512, 512),
+                 {nullptr, [&](const flowserve::Sequence&) { ++completed; }});
+  engine_.Submit(MakeRequest(2, 512, 64, 30000),
+                 {nullptr, [&](const flowserve::Sequence&) { ++completed; }});
   sim_.RunUntil(SToNs(1.0));  // both decoding
   ASSERT_TRUE(engine_.Cancel(1).ok());
   sim_.Run();
@@ -101,7 +101,7 @@ TEST_F(CancelTest, CancelDuringPopulateWait) {
   // Build a cached entry, demote it, then cancel a request mid-populate.
   auto first = MakeRequest(1, 2048, 2);
   bool done = false;
-  engine_.Submit(first, nullptr, [&](const flowserve::Sequence&) { done = true; });
+  engine_.Submit(first, {nullptr, [&](const flowserve::Sequence&) { done = true; }});
   sim_.Run();
   ASSERT_TRUE(done);
   auto& rtc = engine_.rtc();
@@ -120,7 +120,7 @@ TEST_F(CancelTest, CancelDuringPopulateWait) {
   });
   auto second = MakeRequest(2, 2048, 4);
   bool second_done = false;
-  engine_.Submit(second, nullptr, [&](const flowserve::Sequence&) { second_done = true; });
+  engine_.Submit(second, {nullptr, [&](const flowserve::Sequence&) { second_done = true; }});
   sim_.RunUntil(sim_.Now() + MsToNs(100));  // inside the populate
   ASSERT_TRUE(engine_.Cancel(2).ok());
   sim_.Run();
@@ -133,7 +133,7 @@ TEST_F(CancelTest, AbortDropsEverything) {
   for (int i = 0; i < 6; ++i) {
     engine_.Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), 1024, 256,
                                static_cast<TokenId>(100 + 999 * i)),
-                   nullptr, [&](const flowserve::Sequence&) { ++callbacks; });
+                   {nullptr, [&](const flowserve::Sequence&) { ++callbacks; }});
   }
   sim_.RunUntil(MsToNs(300));
   size_t dropped = engine_.Abort();
@@ -146,12 +146,12 @@ TEST_F(CancelTest, AbortDropsEverything) {
 }
 
 TEST_F(CancelTest, EngineUsableAfterAbort) {
-  engine_.Submit(MakeRequest(1, 1024, 128), nullptr, nullptr);
+  engine_.Submit(MakeRequest(1, 1024, 128), {});
   sim_.RunUntil(MsToNs(100));
   engine_.Abort();
   bool done = false;
-  engine_.Submit(MakeRequest(2, 512, 16, 40000), nullptr,
-                 [&](const flowserve::Sequence&) { done = true; });
+  engine_.Submit(MakeRequest(2, 512, 16, 40000),
+                 {nullptr, [&](const flowserve::Sequence&) { done = true; }});
   sim_.Run();
   EXPECT_TRUE(done);
 }
@@ -492,8 +492,8 @@ TEST_F(FaultToleranceTest, StragglerStretchesCompletionTime) {
     flowserve::Engine engine(&sim, SmallEngine(flowserve::EngineRole::kColocated));
     engine.SetStepTimeMultiplier(factor);
     TimeNs done = 0;
-    engine.Submit(MakeRequest(1, 1024, 256), nullptr,
-                  [&](const flowserve::Sequence& seq) { done = seq.finish_time; });
+    engine.Submit(MakeRequest(1, 1024, 256),
+                  {nullptr, [&](const flowserve::Sequence& seq) { done = seq.finish_time; }});
     sim.Run();
     return done;
   };

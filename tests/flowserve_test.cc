@@ -56,12 +56,12 @@ class EngineTest : public ::testing::Test {
   Outcome Run(const RequestSpec& spec) {
     Outcome out;
     engine_->Submit(
-        spec, [&](const Sequence& seq) { out.first_token = seq.first_token_time; },
-        [&](const Sequence& seq) {
-          out.finish = seq.finish_time;
-          out.reused = seq.reused_tokens;
-          out.completed = true;
-        });
+        spec, {[&](const Sequence& seq) { out.first_token = seq.first_token_time; },
+               [&](const Sequence& seq) {
+                 out.finish = seq.finish_time;
+                 out.reused = seq.reused_tokens;
+                 out.completed = true;
+               }});
     sim_.Run();
     return out;
   }
@@ -103,8 +103,8 @@ TEST_F(EngineTest, TtftGrowsWithPromptLength) {
   Engine engine2(&sim2, TestConfig());
   TimeNs big_first = 0;
   engine2.Submit(MakeRequest(2, 4096, 2, 30000),
-                 [&](const Sequence& seq) { big_first = seq.first_token_time; },
-                 [](const Sequence&) {});
+                 {[&](const Sequence& seq) { big_first = seq.first_token_time; },
+                  [](const Sequence&) {}});
   sim2.Run();
   EXPECT_GT(big_first, small.first_token);
 }
@@ -137,7 +137,7 @@ TEST_F(EngineTest, ContinuousBatchingOverlapsRequests) {
   for (int i = 0; i < 8; ++i) {
     engine_->Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), 512, 64,
                                 static_cast<TokenId>(100 + 8000 * i)),
-                    nullptr, [&](const Sequence&) { ++completed; });
+                    {nullptr, [&](const Sequence&) { ++completed; }});
   }
   sim_.Run();
   EXPECT_EQ(completed, 8);
@@ -164,7 +164,7 @@ TEST_F(EngineTest, AsyncSchedulingBeatsSyncOnCpuBoundBatches) {
     for (int i = 0; i < 16; ++i) {
       engine.Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), 128, 128,
                                 static_cast<TokenId>(100 + 500 * i)),
-                    nullptr, [&](const Sequence&) { ++done; });
+                    {nullptr, [&](const Sequence&) { ++done; }});
     }
     sim.Run();
     EXPECT_EQ(done, 16);
@@ -185,7 +185,7 @@ TEST_F(EngineTest, PreemptionRecoversFromKvPressure) {
   for (int i = 0; i < 4; ++i) {
     engine_->Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), 512, 256,
                                 static_cast<TokenId>(100 + 900 * i)),
-                    nullptr, [&](const Sequence&) { ++completed; });
+                    {nullptr, [&](const Sequence&) { ++completed; }});
   }
   sim_.Run();
   EXPECT_EQ(completed, 4);
@@ -221,7 +221,7 @@ TEST_F(EngineTest, ByLayerTransferMovesLessResidualKv) {
       sent = bytes;
       sim.ScheduleAfter(0, std::move(done));
     });
-    engine.Submit(MakeRequest(1, 512, 10), nullptr, [](const Sequence&) {});
+    engine.Submit(MakeRequest(1, 512, 10), {nullptr, [](const Sequence&) {}});
     sim.Run();
     return sent;
   };
@@ -237,7 +237,7 @@ TEST_F(EngineTest, DecodeOnlyRoleAcceptsPrefilled) {
   bool completed = false;
   ASSERT_TRUE(engine_
                   ->SubmitPrefilled(MakeRequest(1, 512, 64),
-                                    [&](const Sequence&) { completed = true; })
+                                    {nullptr, [&](const Sequence&) { completed = true; }})
                   .ok());
   sim_.Run();
   EXPECT_TRUE(completed);
@@ -250,7 +250,27 @@ TEST_F(EngineTest, SubmitPrefilledFailsWhenContextCannotFit) {
   config.role = EngineRole::kDecodeOnly;
   config.kv_block_capacity_override = 8;
   Start(config);
-  EXPECT_FALSE(engine_->SubmitPrefilled(MakeRequest(1, 512, 4), nullptr).ok());
+  EXPECT_FALSE(engine_->SubmitPrefilled(MakeRequest(1, 512, 4), {}).ok());
+}
+
+TEST_F(EngineTest, SubmitFailsOnceWhenContextCanNeverFit) {
+  auto config = TestConfig();
+  config.kv_block_capacity_override = 8;  // 128 tokens; the request needs 516
+  Start(config);
+  int callbacks = 0;
+  std::vector<Status> errors;
+  engine_->Submit(MakeRequest(1, 512, 4), {[&](const Sequence&) { ++callbacks; },
+                                           [&](const Sequence&) { ++callbacks; },
+                                           [&](const Status& status) { errors.push_back(status); }});
+  EXPECT_TRUE(errors.empty());  // from an event, never inside Submit
+  sim_.Run();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_TRUE(engine_->idle());
+  EXPECT_EQ(engine_->stats().submitted, 0);
+  EXPECT_EQ(engine_->stats().steps, 0);
+  EXPECT_EQ(engine_->rtc().npu_blocks_used(), 0);
 }
 
 TEST_F(EngineTest, ExplicitContextCaching) {
@@ -273,7 +293,7 @@ TEST_F(EngineTest, PipelineParallelStepsRotateMicroBatches) {
   for (int i = 0; i < 8; ++i) {
     engine_->Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), 512, 32,
                                 static_cast<TokenId>(100 + 3000 * i)),
-                    nullptr, [&](const Sequence&) { ++completed; });
+                    {nullptr, [&](const Sequence&) { ++completed; }});
   }
   sim_.Run();
   EXPECT_EQ(completed, 8);
@@ -288,13 +308,14 @@ TEST_F(EngineTest, PpChunkSpreadingImprovesTtft) {
     config.pp_spread_chunks = spread;
     Engine engine(&sim, config);
     TimeNs first = 0;
-    engine.Submit(MakeRequest(1, 4096, 4), [&](const Sequence& seq) { first = seq.first_token_time; },
-                  [](const Sequence&) {});
+    engine.Submit(MakeRequest(1, 4096, 4),
+                  {[&](const Sequence& seq) { first = seq.first_token_time; },
+                   [](const Sequence&) {}});
     // Background decodes keep all micro-batches busy.
     for (int i = 0; i < 8; ++i) {
       engine.Submit(MakeRequest(static_cast<workload::RequestId>(100 + i), 64, 256,
                                 static_cast<TokenId>(20000 + 700 * i)),
-                    nullptr, [](const Sequence&) {});
+                    {nullptr, [](const Sequence&) {}});
     }
     sim.Run();
     return first;
@@ -313,7 +334,7 @@ TEST_F(EngineTest, DataParallelGroupsShareLoad) {
   for (int i = 0; i < 8; ++i) {
     engine_->Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), 256, 32,
                                 static_cast<TokenId>(100 + 2000 * i)),
-                    nullptr, [&](const Sequence&) { ++completed; });
+                    {nullptr, [&](const Sequence&) { ++completed; }});
   }
   sim_.Run();
   EXPECT_EQ(completed, 8);
@@ -337,7 +358,7 @@ TEST_F(EngineTest, DpGroupsHaveIsolatedCaches) {
 
 TEST_F(EngineTest, LoadInfoReflectsRunningWork) {
   Start(TestConfig());
-  engine_->Submit(MakeRequest(1, 2048, 512), nullptr, [](const Sequence&) {});
+  engine_->Submit(MakeRequest(1, 2048, 512), {nullptr, [](const Sequence&) {}});
   sim_.RunUntil(MsToNs(400));
   auto load = engine_->load();
   EXPECT_EQ(load.waiting + load.running, 1);
@@ -360,8 +381,8 @@ TEST_F(EngineTest, StatsAccounting) {
 TEST_F(EngineTest, CancelDuringInFlightStep) {
   Start(TestConfig());
   bool completed = false;
-  engine_->Submit(MakeRequest(7, 512, 50), nullptr,
-                  [&](const Sequence&) { completed = true; });
+  engine_->Submit(MakeRequest(7, 512, 50),
+                  {nullptr, [&](const Sequence&) { completed = true; }});
   // Advance until the first step has been issued but not yet completed.
   while (engine_->stats().steps < 1 && sim_.Step()) {
   }
@@ -399,8 +420,8 @@ TEST_F(EngineTest, CancelDuringWaitingPopulate) {
   // Same prompt again: the match is off-NPU and cheap to fetch, so the
   // request parks in kWaitingPopulate while the (slow) transfer runs.
   bool completed = false;
-  engine_->Submit(MakeRequest(2, 256, 2), nullptr,
-                  [&](const Sequence&) { completed = true; });
+  engine_->Submit(MakeRequest(2, 256, 2),
+                  {nullptr, [&](const Sequence&) { completed = true; }});
   while (engine_->stats().populates_started < 1 && sim_.Step()) {
   }
   ASSERT_EQ(engine_->stats().populates_started, 1);
@@ -425,11 +446,11 @@ TEST_F(EngineTest, StaleTokenizeEventIgnoresRecycledSequenceSlot) {
   // Request 1 is cancelled while its tokenize event is still queued; request
   // 2 then takes over its sequence slot. The stale event must not enqueue
   // request 2 a second time.
-  engine_->Submit(MakeRequest(1, 512, 8), nullptr, [](const Sequence&) {});
+  engine_->Submit(MakeRequest(1, 512, 8), {nullptr, [](const Sequence&) {}});
   ASSERT_TRUE(engine_->Cancel(1).ok());
   int completions = 0;
-  engine_->Submit(MakeRequest(2, 512, 8, /*base=*/3000), nullptr,
-                  [&](const Sequence&) { ++completions; });
+  engine_->Submit(MakeRequest(2, 512, 8, /*base=*/3000),
+                  {nullptr, [&](const Sequence&) { ++completions; }});
   sim_.Run();
   EXPECT_EQ(completions, 1);
   EXPECT_EQ(engine_->stats().completed, 1);
@@ -450,7 +471,7 @@ TEST_P(EngineSweepTest, AllRequestsComplete) {
   for (int i = 0; i < count; ++i) {
     engine.Submit(MakeRequest(static_cast<workload::RequestId>(i + 1), prefill, decode,
                               static_cast<TokenId>(100 + 997 * i)),
-                  nullptr, [&](const Sequence&) { ++completed; });
+                  {nullptr, [&](const Sequence&) { ++completed; }});
   }
   sim.Run();
   EXPECT_EQ(completed, count);

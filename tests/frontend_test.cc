@@ -328,25 +328,25 @@ TEST(PriorityTest, InteractiveJumpsTheQueue) {
     auto spec = MakeRequest(static_cast<workload::RequestId>(i + 1), 1024, 256,
                             static_cast<TokenId>(100 + 501 * i));
     spec.priority = 2;
-    engine.Submit(spec, nullptr, nullptr);
+    engine.Submit(spec, {});
   }
   // ...then one interactive request arrives late.
   TimeNs vip_first = 0;
   sim.ScheduleAt(MsToNs(50), [&] {
     auto vip = MakeRequest(100, 1024, 8, 30000);
     vip.priority = 0;
-    engine.Submit(vip, [&](const flowserve::Sequence& seq) {
+    engine.Submit(vip, {[&](const flowserve::Sequence& seq) {
       vip_first = seq.first_token_time;
-    }, nullptr);
+    }});
   });
   // An equally-late batch request for comparison.
   TimeNs batch_first = 0;
   sim.ScheduleAt(MsToNs(50), [&] {
     auto late = MakeRequest(101, 1024, 8, 50000);
     late.priority = 2;
-    engine.Submit(late, [&](const flowserve::Sequence& seq) {
+    engine.Submit(late, {[&](const flowserve::Sequence& seq) {
       batch_first = seq.first_token_time;
-    }, nullptr);
+    }});
   });
   sim.Run();
   EXPECT_GT(vip_first, 0);
@@ -364,13 +364,13 @@ TEST(PriorityTest, PreemptionVictimizesBatchClassFirst) {
   auto vip = MakeRequest(1, 512, 512, 1000);
   vip.priority = 0;
   TimeNs vip_done = 0;
-  engine.Submit(vip, nullptr,
-                [&](const flowserve::Sequence& seq) { vip_done = seq.finish_time; });
+  engine.Submit(vip,
+                {nullptr, [&](const flowserve::Sequence& seq) { vip_done = seq.finish_time; }});
   auto batch = MakeRequest(2, 512, 512, 40000);
   batch.priority = 2;
   TimeNs batch_done = 0;
-  engine.Submit(batch, nullptr,
-                [&](const flowserve::Sequence& seq) { batch_done = seq.finish_time; });
+  engine.Submit(batch,
+                {nullptr, [&](const flowserve::Sequence& seq) { batch_done = seq.finish_time; }});
   sim.Run();
   EXPECT_GT(engine.stats().preemptions, 0);
   EXPECT_GT(vip_done, 0);

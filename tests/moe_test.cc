@@ -116,7 +116,7 @@ TEST(MoeEngineTest, AeEngineServesRequests) {
       tokens.push_back(static_cast<TokenId>(300 + 701 * i + j % 4000));
     }
     spec.prompt = std::move(tokens);
-    engine.Submit(spec, nullptr, [&](const flowserve::Sequence&) { ++done; });
+    engine.Submit(spec, {nullptr, [&](const flowserve::Sequence&) { ++done; }});
   }
   sim.Run();
   EXPECT_EQ(done, 4);

@@ -153,7 +153,7 @@ TEST(TraceGoldenTest, SingleRequestEventOrder) {
   }
   spec.prompt = std::move(tokens);
   bool done = false;
-  engine.Submit(spec, nullptr, [&](const flowserve::Sequence&) { done = true; });
+  engine.Submit(spec, {nullptr, [&](const flowserve::Sequence&) { done = true; }});
   sim.Run();
   ASSERT_TRUE(done);
 
@@ -224,8 +224,8 @@ TEST(TraceGoldenTest, TracerDoesNotPerturbTiming) {
     }
     spec.prompt = std::move(tokens);
     TimeNs finish = 0;
-    engine.Submit(spec, nullptr,
-                  [&](const flowserve::Sequence& seq) { finish = seq.finish_time; });
+    engine.Submit(spec,
+                  {nullptr, [&](const flowserve::Sequence& seq) { finish = seq.finish_time; }});
     sim.Run();
     return finish;
   };

@@ -128,7 +128,7 @@ class EnginePicTest : public ::testing::Test {
       warm.id = static_cast<workload::RequestId>(d + 1);
       warm.prompt = docs[static_cast<size_t>(d)];
       warm.decode_len = 2;
-      engine.Submit(warm, nullptr, nullptr);
+      engine.Submit(warm, {});
     }
     sim.Run();
     // The served prompt: header + docs in reversed order (prefix match fails
@@ -144,8 +144,7 @@ class EnginePicTest : public ::testing::Test {
     spec.decode_len = 2;
     TimeNs submit = sim.Now();
     TimeNs first = 0;
-    engine.Submit(spec, [&](const flowserve::Sequence& seq) { first = seq.first_token_time; },
-                  nullptr);
+    engine.Submit(spec, {[&](const flowserve::Sequence& seq) { first = seq.first_token_time; }});
     sim.Run();
     pic_reused_ = engine.stats().pic_reused_tokens;
     return first - submit;
@@ -170,13 +169,13 @@ TEST_F(EnginePicTest, PicBlocksReleasedAfterCompletion) {
   warm.id = 1;
   warm.prompt = Iota(256, 5000);
   warm.decode_len = 2;
-  engine.Submit(warm, nullptr, nullptr);
+  engine.Submit(warm, {});
   sim.Run();
   workload::RequestSpec spec;
   spec.id = 2;
   spec.prompt = Concat(Iota(32, 90000), warm.prompt);
   spec.decode_len = 2;
-  engine.Submit(spec, nullptr, nullptr);
+  engine.Submit(spec, {});
   sim.Run();
   EXPECT_TRUE(engine.idle());
   // All PIC pins released: every cached block is unreferenced again.
@@ -200,7 +199,7 @@ TEST_F(EnginePicTest, StepShapeAttendedTokensPinned) {
   plain.id = 1;
   plain.prompt = Iota(128, 5000);
   plain.decode_len = 2;
-  engine.Submit(plain, nullptr, nullptr);
+  engine.Submit(plain, {});
   sim.Run();
   EXPECT_EQ(engine.stats().prefill_attended_tokens, 8256);
 
@@ -213,7 +212,7 @@ TEST_F(EnginePicTest, StepShapeAttendedTokensPinned) {
   spec.id = 2;
   spec.prompt = Concat(Iota(64, 90000), plain.prompt);
   spec.decode_len = 2;
-  engine.Submit(spec, nullptr, nullptr);
+  engine.Submit(spec, {});
   sim.Run();
   EXPECT_EQ(engine.stats().pic_reused_tokens, 128);
   EXPECT_EQ(engine.stats().prefill_attended_tokens - base, 6318);
@@ -236,7 +235,7 @@ TEST_F(EnginePicTest, PreemptionReleasesPicPins) {
   warm.id = 1;
   warm.prompt = Iota(128, 5000);
   warm.decode_len = 1;
-  engine.Submit(warm, nullptr, nullptr);
+  engine.Submit(warm, {});
   sim.Run();
 
   // A long-decoding competitor (service class 0) claims the pool first.
@@ -246,7 +245,7 @@ TEST_F(EnginePicTest, PreemptionReleasesPicPins) {
   hog.decode_len = 40;
   hog.priority = 0;
   bool hog_done = false;
-  engine.Submit(hog, nullptr, [&](const flowserve::Sequence&) { hog_done = true; });
+  engine.Submit(hog, {nullptr, [&](const flowserve::Sequence&) { hog_done = true; }});
   while (engine.stats().decode_tokens_generated < 1 && sim.Step()) {
   }
 
@@ -260,9 +259,9 @@ TEST_F(EnginePicTest, PreemptionReleasesPicPins) {
   spec.decode_len = 2;
   spec.priority = 1;
   int64_t pic_tokens_at_completion = -1;
-  engine.Submit(spec, nullptr, [&](const flowserve::Sequence& seq) {
+  engine.Submit(spec, {nullptr, [&](const flowserve::Sequence& seq) {
     pic_tokens_at_completion = seq.pic_tokens;
-  });
+  }});
   sim.Run();
 
   EXPECT_TRUE(hog_done);

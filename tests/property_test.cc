@@ -289,8 +289,8 @@ TEST_P(EnginePropertySweep, RandomWorkloadAlwaysDrainsCleanly) {
     }
     spec.prompt = std::move(tokens);
     sim.ScheduleAt(spec.arrival, [&engine, &completed, &first_tokens, spec] {
-      engine.Submit(spec, [&first_tokens](const flowserve::Sequence&) { ++first_tokens; },
-                    [&completed](const flowserve::Sequence&) { ++completed; });
+      engine.Submit(spec, {[&first_tokens](const flowserve::Sequence&) { ++first_tokens; },
+                     [&completed](const flowserve::Sequence&) { ++completed; }});
     });
   }
   sim.Run();
@@ -332,9 +332,9 @@ TEST_P(CancelStormTest, RandomCancelsLeaveEngineConsistent) {
     spec.prompt = std::move(tokens);
     TimeNs at = SToNs(rng.Uniform(0, 2));
     sim.ScheduleAt(at, [&engine, &completed, spec] {
-      engine.Submit(spec, nullptr, [&completed, id = spec.id](const flowserve::Sequence&) {
+      engine.Submit(spec, {nullptr, [&completed, id = spec.id](const flowserve::Sequence&) {
         completed.insert(id);
-      });
+      }});
     });
     // Randomly cancel ~1/3 of them at a random later moment.
     if (rng.Bernoulli(0.33)) {

@@ -239,6 +239,35 @@ TEST_F(ServingTest, JobAndTaskRecordsForColocatedRoute) {
   EXPECT_EQ(ledger.tasks[0].state, TaskState::kCompleted);
 }
 
+// A request whose context can never fit its TE's KV terminates through the
+// caller's on_error, once and after HandleRequest returns, and its job
+// closes as failed.
+TEST_F(ServingTest, ContextThatCanNeverFitFailsTheJob) {
+  auto je = MakeJe(SchedulingPolicy::kCombined);
+  TeConfig config;
+  config.id = 1;
+  config.engine = SmallEngine(flowserve::EngineRole::kColocated);
+  config.engine.kv_block_capacity_override = 8;  // 128 tokens
+  TaskExecutor te(&sim_, config);
+  je.AddColocatedTe(&te);
+  int completions = 0;
+  std::vector<Status> errors;
+  je.HandleRequest(MakeRequest(1, 512, 8),
+                   {nullptr, [&](const flowserve::Sequence&) { ++completions; },
+                    [&](const Status& status) { errors.push_back(status); }});
+  EXPECT_TRUE(errors.empty());
+  sim_.Run();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(completions, 0);
+  EXPECT_EQ(je.stats().errors, 1);
+  EXPECT_TRUE(je.table().outstanding().empty());
+  const JobLedger ledger = ReadJobLedger(je);
+  ASSERT_EQ(ledger.jobs.size(), 1u);
+  EXPECT_EQ(ledger.jobs[0].state, JobState::kFailed);
+  EXPECT_TRUE(te.engine().idle());
+}
+
 TEST_F(ServingTest, DisaggregatedJobCreatesTwoTasks) {
   auto je = MakeJe(SchedulingPolicy::kCombined);
   auto prefill = MakeTe(1, flowserve::EngineRole::kPrefillOnly);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/rng.h"
 #include "flowserve/engine.h"
 #include "rtc/block_pool.h"
@@ -215,8 +216,10 @@ BENCHMARK(BM_LocalityPickOverTaggedPath)->Arg(10)->Arg(40)->Arg(160);
 
 void BM_BlockPoolAllocFree(benchmark::State& state) {
   rtc::BlockPool pool({.npu_capacity = 1 << 20, .dram_capacity = 0});
+  std::vector<rtc::BlockId> blocks;
   for (auto _ : state) {
-    auto blocks = pool.Allocate(64, rtc::Tier::kNpu).value();
+    blocks.clear();
+    DS_CHECK_OK(pool.Allocate(64, rtc::Tier::kNpu, &blocks));
     for (auto id : blocks) {
       pool.Unref(id);
     }
@@ -224,6 +227,35 @@ void BM_BlockPoolAllocFree(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_BlockPoolAllocFree);
+
+// Grows a fresh pool to 2^16 live blocks one block at a time, as a decoding
+// sequence's block table does: every Allocate takes a never-used slot, so this
+// times the first-touch path (slot construction and slab growth) that the
+// warm free-list cycle above never reaches.
+void BM_BlockPoolColdGrowth(benchmark::State& state) {
+  constexpr int64_t kBlocks = int64_t{1} << 16;
+  std::vector<rtc::BlockId> blocks;
+  blocks.reserve(kBlocks);
+  size_t slab_bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    blocks.clear();
+    auto pool = std::make_unique<rtc::BlockPool>(
+        rtc::BlockPoolConfig{.npu_capacity = kBlocks, .dram_capacity = 0});
+    state.ResumeTiming();
+    for (int64_t i = 0; i < kBlocks; ++i) {
+      DS_CHECK_OK(pool->Allocate(1, rtc::Tier::kNpu, &blocks));
+    }
+    state.PauseTiming();
+    slab_bytes = pool->slab_bytes();
+    pool.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kBlocks);
+  state.counters["bytes_per_slot"] =
+      static_cast<double>(slab_bytes) / static_cast<double>(kBlocks);
+}
+BENCHMARK(BM_BlockPoolColdGrowth);
 
 void BM_RtcMatchPopulateCycle(benchmark::State& state) {
   sim::Simulator sim;

@@ -109,6 +109,17 @@ PARITY_DIR="$(mktemp -d)"
 cmp "${PARITY_DIR}/one.out" "${PARITY_DIR}/three.out"
 rm -rf "${PARITY_DIR}"
 
+echo "==> deepserve_sim boundary: a model that does not fit exits 2, not with an abort"
+# yi-34b's weights overflow one Gen2 NPU's HBM at tp1. deepserve_sim must
+# refuse the config with an INVALID_ARGUMENT message (exit 2) before it builds
+# any TE, rather than die on the engine's capacity check.
+FIT_STATUS=0
+./build/examples/deepserve_sim --model=yi-34b --tp=1 >/dev/null 2>&1 || FIT_STATUS=$?
+if [[ "${FIT_STATUS}" -ne 2 ]]; then
+  echo "deepserve_sim --model=yi-34b --tp=1 exited ${FIT_STATUS}, want 2" >&2
+  exit 1
+fi
+
 echo "==> perfbench self-tests: the repo benchmark builds, conserves and repeats"
 # Nothing else here builds perfbench/perfbench.cc, which drives the public
 # request API (ResponseHandler, JobExecutor::HandleRequest,

@@ -272,6 +272,28 @@ int main(int argc, char** argv) {
   engine.sched.policy = flags.sched_policy;
   engine.sched.tbt_budget_ms = flags.tbt_ms;
   engine.sched.ttft_budget_ms = flags.ttft_ms;
+  // Refuse a model that does not fit on its NPUs before building any TE. A
+  // mixed fleet needs it to fit on one of its generations; placement puts
+  // each TE on silicon it fits.
+  {
+    std::vector<hw::NpuSpec> specs = {engine.npu_spec};
+    if (!flags.npu_mix.empty()) {
+      specs = cluster_config.machine_specs;
+    }
+    Status fits = Status::Ok();
+    for (const hw::NpuSpec& spec : specs) {
+      flowserve::EngineConfig probe = engine;
+      probe.npu_spec = spec;
+      fits = flowserve::KvBlockCapacity(probe).status();
+      if (fits.ok()) {
+        break;
+      }
+    }
+    if (!fits.ok()) {
+      std::fprintf(stderr, "%s\n", fits.ToString().c_str());
+      return 2;
+    }
+  }
   std::vector<distflow::EndpointId> endpoints;
   auto add_te = [&](serving::JobExecutor* je, flowserve::EngineRole role) -> bool {
     engine.role = role;

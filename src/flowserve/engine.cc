@@ -43,6 +43,26 @@ std::string_view SeqStateToString(SeqState state) {
   return "?";
 }
 
+Result<int64_t> KvBlockCapacity(const EngineConfig& config) {
+  if (config.kv_block_capacity_override > 0) {
+    return config.kv_block_capacity_override;
+  }
+  DS_CHECK_GT(config.block_size, 0);
+  model::CostModel cost(config.model, config.npu_spec,
+                        model::ParallelismConfig{config.parallelism.tp, config.parallelism.pp, 1});
+  if (config.ae_disagg.enabled) {
+    cost.SetAeDisagg(config.ae_disagg);
+  }
+  int64_t blocks = cost.MaxKvTokensPerNpu(config.hbm_utilization) / config.block_size;
+  if (blocks <= 0) {
+    return InvalidArgumentError("model " + config.model.name + " does not fit on " +
+                                config.npu_spec.name + " at " +
+                                config.parallelism.ToString() + ": no room for one " +
+                                std::to_string(config.block_size) + "-token KV block");
+  }
+  return blocks;
+}
+
 Engine::Engine(sim::Simulator* sim, EngineConfig config)
     : sim_(sim), config_(config),
       cost_(config.model, config.npu_spec,
@@ -57,13 +77,10 @@ Engine::Engine(sim::Simulator* sim, EngineConfig config)
     DS_CHECK(config_.model.is_moe()) << "AE disaggregation needs an MoE model";
     cost_.SetAeDisagg(config_.ae_disagg);
   }
-  kv_block_capacity_ = config_.kv_block_capacity_override > 0
-                           ? config_.kv_block_capacity_override
-                           : cost_.MaxKvTokensPerNpu(config_.hbm_utilization) /
-                                 config_.block_size;
-  DS_CHECK_GT(kv_block_capacity_, 0)
-      << "model " << config_.model.name << " does not fit on "
-      << config_.parallelism.ToString();
+  Result<int64_t> capacity = KvBlockCapacity(config_);
+  DS_CHECK(capacity.ok()) << capacity.status().ToString();
+  kv_block_capacity_ = *capacity;
+  DS_CHECK_GT(kv_block_capacity_, 0);
   for (int g = 0; g < config_.parallelism.dp; ++g) {
     auto group = std::make_unique<DpGroup>();
     group->index = g;

@@ -95,6 +95,13 @@ struct LoadInfo {
   double kv_usage = 0.0;        // fraction of NPU KV blocks in use
 };
 
+// KV blocks one DP group's NPU tier holds under `config`: the override when
+// set, else what HBM holds after the weights at the utilization target.
+// INVALID_ARGUMENT, naming the model and the parallelism, when that is not
+// one block, i.e. the model does not fit on its NPUs. The Engine sizes its
+// cache with this; a launcher calls it to refuse such a config up front.
+[[nodiscard]] Result<int64_t> KvBlockCapacity(const EngineConfig& config);
+
 class Engine {
  public:
   // (sequence, kv_bytes_to_move, on_delivered) — installed on prefill-only

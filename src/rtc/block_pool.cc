@@ -6,7 +6,8 @@ namespace deepserve::rtc {
 
 namespace {
 // Generations occupy the high 32 bits of the (signed) BlockId; keeping them
-// in [1, 2^31) keeps every id positive and never 0 or kInvalidBlock.
+// in [1, 2^31) keeps every id positive and never 0 or kInvalidBlock, and
+// leaves bit 31 of a slot's tag free for the live bit.
 constexpr uint32_t kMaxGen = 0x7fffffffu;
 
 constexpr BlockId MakeId(size_t idx, uint32_t gen) {
@@ -51,6 +52,7 @@ Status BlockPool::Allocate(int64_t n, Tier tier, std::vector<BlockId>* out) {
                                   std::to_string(n) + " blocks, has " +
                                   std::to_string(free_blocks(tier)));
   }
+  const BlockInfo fresh{.ref_count = 1, .residency = TierBit(tier)};
   for (int64_t i = 0; i < n; ++i) {
     size_t idx;
     if (!free_slots_.empty()) {
@@ -62,21 +64,19 @@ Status BlockPool::Allocate(int64_t n, Tier tier, std::vector<BlockId>* out) {
       slots_.emplace_back();
     }
     Slot& slot = slots_[idx];
-    slot.live = true;
-    slot.info = BlockInfo{};
-    slot.info.ref_count = 1;
-    slot.info.residency = TierBit(tier);
-    out->push_back(MakeId(idx, slot.gen));
+    slot.info = fresh;
+    slot.tag |= kLiveBit;
+    out->push_back(MakeId(idx, slot.tag & ~kLiveBit));
   }
   live_count_ += static_cast<size_t>(n);
   used_[static_cast<size_t>(tier)] += n;
   return Status::Ok();
 }
 
-Result<std::vector<BlockId>> BlockPool::Allocate(int64_t n, Tier tier) {
-  std::vector<BlockId> ids;
-  DS_RETURN_IF_ERROR(Allocate(n, tier, &ids));
-  return ids;
+BlockId BlockPool::IdAt(uint32_t slot) const {
+  DS_CHECK(slot < slots_.size() && (slots_[slot].tag & kLiveBit) != 0)
+      << "block slot " << slot << " is not live";
+  return MakeId(slot, slots_[slot].tag & ~kLiveBit);
 }
 
 void BlockPool::Pin(BlockId id) {
@@ -145,9 +145,9 @@ void BlockPool::Destroy(BlockId id) {
   }
   size_t idx = IndexOf(id);
   Slot& slot = slots_[idx];
-  slot.live = false;
   slot.info = BlockInfo{};
-  slot.gen = slot.gen == kMaxGen ? 1 : slot.gen + 1;
+  uint32_t gen = slot.tag & ~kLiveBit;
+  slot.tag = gen == kMaxGen ? 1 : gen + 1;
   free_slots_.push_back(static_cast<uint32_t>(idx));
   --live_count_;
 }

@@ -4,17 +4,21 @@
 // block table). A block record tracks reference count (active sequences
 // pinning it), in-flight copy pins (populate/swap transfers touching it),
 // tier residency (a block may be resident on NPU HBM and in DRAM
-// simultaneously) and a content key once the block is committed to the cache
-// index. Blocks carry no LRU time: recency lives on the radix-tree nodes that
-// index them. The pool enforces per-tier capacity and is purely logical —
-// byte-level HBM effects are applied by RtcExecutors.
+// simultaneously) and whether the block has been committed to the cache
+// index. The content key itself lives on the radix-tree edge that indexes the
+// block, not here. Blocks carry no LRU time: recency lives on the radix-tree
+// nodes that index them. The pool enforces per-tier capacity and is purely
+// logical — byte-level HBM effects are applied by RtcExecutors.
 //
-// Storage is a dense slot vector indexed by the low 32 bits of the BlockId,
-// with destroyed slots recycled through a free list. The high bits carry a
-// per-slot generation, so a stale id (a block destroyed and its slot reused)
-// never aliases the new occupant: Exists() is a bounds check plus a
-// generation compare, and every Ref/Unref/Pin on the engine's per-token hot
-// path is a direct index instead of an unordered_map lookup.
+// Storage is a dense vector of 12-byte slots indexed by the low 32 bits of
+// the BlockId, with destroyed slots recycled through a free list. The high
+// bits carry a per-slot generation, so a stale id (a block destroyed and its
+// slot reused) never aliases the new occupant. A slot keeps its generation
+// and a live bit in one word, so Exists() is a bounds check plus one compare,
+// and every Ref/Unref/Pin on the engine's per-token hot path is a direct
+// index instead of an unordered_map lookup. Holders that know a slot is live
+// (the RTC tree's block runs) may store just the 4-byte slot index and
+// rebuild the id with IdAt().
 #ifndef DEEPSERVE_RTC_BLOCK_POOL_H_
 #define DEEPSERVE_RTC_BLOCK_POOL_H_
 
@@ -38,15 +42,16 @@ std::string_view TierToString(Tier tier);
 inline constexpr uint8_t TierBit(Tier tier) { return static_cast<uint8_t>(1u << static_cast<uint8_t>(tier)); }
 
 struct BlockInfo {
-  BlockKey key = 0;        // content hash; 0 while block is private to a sequence
   int32_t ref_count = 0;   // sequences currently pinning the block
-  uint8_t residency = 0;   // bitmask of TierBit()s
   uint16_t pins = 0;       // in-flight copies touching the block
+  uint8_t residency = 0;   // bitmask of TierBit()s
+  bool committed = false;  // indexed by the cache; false while private to a sequence
 
   bool resident(Tier tier) const { return (residency & TierBit(tier)) != 0; }
-  bool cached() const { return key != 0; }
+  bool cached() const { return committed; }
   bool pinned() const { return pins > 0; }
 };
+static_assert(sizeof(BlockInfo) == 8, "a block record is 8 bytes");
 
 struct BlockPoolConfig {
   int64_t npu_capacity = 4096;   // blocks
@@ -63,8 +68,6 @@ class BlockPool {
   // allocating anything if the tier lacks capacity (caller evicts and
   // retries).
   [[nodiscard]] Status Allocate(int64_t n, Tier tier, std::vector<BlockId>* out);
-  // By-value convenience for tests and benches.
-  [[nodiscard]] Result<std::vector<BlockId>> Allocate(int64_t n, Tier tier);
 
   void Ref(BlockId id) { ++mutable_info(id).ref_count; }
   // Drops one reference. Blocks are never destroyed here — an unreferenced
@@ -80,7 +83,9 @@ class BlockPool {
   // recycled under a new generation, so the old id stops resolving.
   void Destroy(BlockId id);
 
-  void SetKey(BlockId id, BlockKey key) { mutable_info(id).key = key; }
+  // Marks the block as committed to the cache index: from now on its last
+  // Unref preserves it instead of destroying it.
+  void MarkCached(BlockId id) { mutable_info(id).committed = true; }
 
   // In-flight copy pins: a pinned block is never evicted or swapped. Pin
   // needs a live block; Unpin of a block destroyed since (its slot possibly
@@ -89,24 +94,36 @@ class BlockPool {
   void Unpin(BlockId id);
 
   const BlockInfo& info(BlockId id) const;
+  // Negative ids (kInvalidBlock, anything with bit 63 set) never resolve; a
+  // valid id's generation has bit 31 clear, so it can only equal the tag of
+  // a live slot of that generation.
   bool Exists(BlockId id) const {
     size_t idx = IndexOf(id);
-    return id != kInvalidBlock && idx < slots_.size() && slots_[idx].live &&
-           slots_[idx].gen == GenOf(id);
+    return id >= 0 && idx < slots_.size() && slots_[idx].tag == (GenOf(id) | kLiveBit);
   }
+
+  // Slot index of a live block, and back: IdAt rebuilds the full id of the
+  // block now in `slot`, which must be live.
+  static uint32_t SlotOf(BlockId id) { return static_cast<uint32_t>(IndexOf(id)); }
+  BlockId IdAt(uint32_t slot) const;
 
   int64_t used(Tier tier) const { return used_[static_cast<size_t>(tier)]; }
   int64_t capacity(Tier tier) const;
   int64_t free_blocks(Tier tier) const { return capacity(tier) - used(tier); }
   size_t total_blocks() const { return live_count_; }
+  // Heap bytes of the slot slab (its capacity, live or free).
+  size_t slab_bytes() const { return slots_.capacity() * sizeof(Slot); }
 
  private:
+  // Bit 31 of a slot's tag is set while a block occupies the slot; bits
+  // 0-30 hold the slot's generation, which an id carries in its high word.
+  static constexpr uint32_t kLiveBit = 0x80000000u;
+
   struct Slot {
     BlockInfo info;
-    uint32_t gen = 1;
-    bool live = false;
+    uint32_t tag = 1;  // generation 1, free
   };
-  static_assert(sizeof(Slot) == 24, "a block slot is 24 bytes");
+  static_assert(sizeof(Slot) == 12, "a block slot is 12 bytes");
 
   static size_t IndexOf(BlockId id) {
     return static_cast<size_t>(static_cast<uint64_t>(id) & 0xffffffffull);

@@ -42,12 +42,12 @@ void RtcMaster::SyncListeners() {
   }
 }
 
-MatchInfo RtcMaster::BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t matched_tokens) {
+MatchInfo RtcMaster::BuildMatchInfo(std::vector<BlockId> blocks, int64_t matched_tokens) {
   MatchInfo info;
   info.matched_tokens = matched_tokens;
-  info.blocks = blocks;
+  info.blocks = std::move(blocks);
   bool npu_prefix = true;
-  for (BlockId id : blocks) {
+  for (BlockId id : info.blocks) {
     if (npu_prefix && pool_.info(id).resident(Tier::kNpu)) {
       info.npu_tokens += config_.block_size;
     } else {
@@ -67,16 +67,17 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
     return MatchInfo{};
   }
   auto match = tree_.Match(keys);
-  std::vector<BlockId> blocks;
   TimeNs now = sim_->Now();
   tree_.Touch(match, now);
+  // Every edge symbol carries one block, so the match length is the count.
+  std::vector<BlockId> blocks;
+  blocks.reserve(match.matched);
   for (auto* node : match.path) {
-    blocks.insert(blocks.end(), node->value.blocks.begin(), node->value.blocks.end());
+    AppendIds(node->value.blocks, &blocks);
   }
   if (match.partial != nullptr) {
-    size_t take = std::min(match.partial_len, match.partial->value.blocks.size());
-    blocks.insert(blocks.end(), match.partial->value.blocks.begin(),
-                  match.partial->value.blocks.begin() + static_cast<ptrdiff_t>(take));
+    std::span<const uint32_t> slots(match.partial->value.blocks);
+    AppendIds(slots.first(std::min(match.partial_len, slots.size())), &blocks);
   }
   int64_t matched_tokens =
       static_cast<int64_t>(blocks.size()) * static_cast<int64_t>(config_.block_size);
@@ -92,7 +93,13 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
                 obs::Arg("matched_tokens", matched_tokens),
                 obs::Arg("requested_tokens", static_cast<int64_t>(prompt.size()))});
   }
-  return BuildMatchInfo(blocks, matched_tokens);
+  return BuildMatchInfo(std::move(blocks), matched_tokens);
+}
+
+void RtcMaster::AppendIds(std::span<const uint32_t> slots, std::vector<BlockId>* out) const {
+  for (uint32_t slot : slots) {
+    out->push_back(pool_.IdAt(slot));
+  }
 }
 
 MatchInfo RtcMaster::MatchByID(const std::string& id) {
@@ -294,8 +301,8 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
     if (node.value.blocks.empty()) {
       return false;
     }
-    for (BlockId id : node.value.blocks) {
-      const BlockInfo& info = pool_.info(id);
+    for (uint32_t slot : node.value.blocks) {
+      const BlockInfo& info = pool_.info(pool_.IdAt(slot));
       if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu) ||
           info.residency == TierBit(Tier::kNpu)) {
         return false;
@@ -308,8 +315,8 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
       return LruStep::kStop;
     }
     if (droppable(node)) {
-      for (BlockId id : node.value.blocks) {
-        pool_.DropResidency(id, Tier::kNpu);
+      for (uint32_t slot : node.value.blocks) {
+        pool_.DropResidency(pool_.IdAt(slot), Tier::kNpu);
         ++stats_.evicted_blocks;
       }
     }
@@ -322,8 +329,8 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
     if (node.value.blocks.empty()) {
       return false;
     }
-    for (BlockId id : node.value.blocks) {
-      const BlockInfo& info = pool_.info(id);
+    for (uint32_t slot : node.value.blocks) {
+      const BlockInfo& info = pool_.info(pool_.IdAt(slot));
       if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu)) {
         return false;
       }
@@ -337,8 +344,9 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
     if (!discardable(node)) {
       return LruStep::kNext;
     }
-    for (BlockId id : node.value.blocks) {
-      pool_.Destroy(id);
+    // The leaf leaves the tree with its blocks: no run keeps a freed slot.
+    for (uint32_t slot : node.value.blocks) {
+      pool_.Destroy(pool_.IdAt(slot));
       ++stats_.discarded_blocks;
     }
     return LruStep::kRemove;
@@ -423,10 +431,10 @@ void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const Bl
       << "Preserve needs one block per full " << config_.block_size << "-token chunk";
   // ds-lint: allow(deferred-capture, RadixTree::Insert runs the per-node visitor before returning; the name collides with the deferred EventQueue::Insert sink)
   tree_.Insert(keys, sim_->Now(), [&](Tree::Node& node, size_t begin, size_t end) {
-    node.value.blocks.assign(blocks.begin() + static_cast<ptrdiff_t>(begin),
-                             blocks.begin() + static_cast<ptrdiff_t>(end));
+    node.value.blocks.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      pool_.SetKey(blocks[i], keys[i]);
+      pool_.MarkCached(blocks[i]);
+      node.value.blocks.push_back(BlockPool::SlotOf(blocks[i]));
       if (config_.enable_pic) {
         // Content-only hash (chain seed 0): same tokens at any position map
         // to the same PIC key.
@@ -505,8 +513,8 @@ void RtcMaster::SwapScan() {
     if (node.value.blocks.empty()) {
       return false;
     }
-    for (BlockId id : node.value.blocks) {
-      const BlockInfo& info = pool_.info(id);
+    for (uint32_t slot : node.value.blocks) {
+      const BlockInfo& info = pool_.info(pool_.IdAt(slot));
       if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu) ||
           info.resident(Tier::kDram)) {
         return false;
@@ -520,7 +528,9 @@ void RtcMaster::SwapScan() {
   // leaves are retired off the scan's list.
   auto demoted = [this](const Tree::Node& node) {
     return std::all_of(node.value.blocks.begin(), node.value.blocks.end(),
-                       [this](BlockId id) { return pool_.info(id).resident(Tier::kDram); });
+                       [this](uint32_t slot) {
+                         return pool_.info(pool_.IdAt(slot)).resident(Tier::kDram);
+                       });
   };
   std::vector<Tree::Node*>& victims = swap_victims_;
   victims.clear();
@@ -541,8 +551,13 @@ void RtcMaster::SwapScan() {
       },
       LruList::kActive);
   for (Tree::Node* victim : victims) {
-    const std::vector<BlockId>& blocks = victim->value.blocks;
-    stats_.swapped_out_blocks += Copy(blocks, Tier::kDram, [this, blocks] {
+    // The completion may run after the leaf is gone, so it holds full ids.
+    std::vector<BlockId> blocks;
+    blocks.reserve(victim->value.blocks.size());
+    AppendIds(victim->value.blocks, &blocks);
+    // Moving the list into the closure keeps its buffer, so `ids` stays valid.
+    std::span<const BlockId> ids(blocks);
+    auto demote = [this, blocks = std::move(blocks)] {
       for (BlockId id : blocks) {
         if (pool_.Exists(id) && pool_.info(id).ref_count == 0 &&
             pool_.info(id).resident(Tier::kDram)) {
@@ -550,7 +565,8 @@ void RtcMaster::SwapScan() {
         }
       }
       SyncListeners();
-    });
+    };
+    stats_.swapped_out_blocks += Copy(ids, Tier::kDram, std::move(demote));
   }
   MaybeArmSwap();
 }

@@ -29,9 +29,19 @@
 
 namespace deepserve::rtc {
 
-// Payload of one radix-tree node: the cached blocks covering its edge span.
+// Payload of one radix-tree node: the cached blocks covering its edge span,
+// one BlockPool slot index per edge symbol (BlockPool::IdAt rebuilds the id).
+//
+// A run stores 4-byte slot indices rather than 8-byte ids because every slot
+// a run holds is live: only BlockPool::Destroy frees a slot, and the RTC
+// destroys a cached block only in EnsureNpuFree pass 2, which removes the
+// leaf holding it in the same step. A cached block is never Unref'd to death
+// (MarkCached precedes any Unref that could reach zero), so no slot can be
+// freed, and then reused, under a run. Anything that can outlive a block —
+// MatchInfo, a sequence's block table, the id and PIC indexes — keeps full
+// BlockIds and their generation check.
 struct BlockRun {
-  std::vector<BlockId> blocks;
+  std::vector<uint32_t> blocks;
 
   BlockRun SplitTail(size_t offset) {
     BlockRun tail;
@@ -204,7 +214,7 @@ class RtcMaster {
  private:
   using Tree = RadixTree<BlockRun>;
 
-  MatchInfo BuildMatchInfo(const std::vector<BlockId>& blocks, int64_t matched_tokens);
+  MatchInfo BuildMatchInfo(std::vector<BlockId> blocks, int64_t matched_tokens);
   // Lazily registers this cache's trace track; -1 when tracing is disabled.
   int TracePid();
   // DS_CHECKs that `keys` is a full chain of `tokens` at this block size.
@@ -215,6 +225,8 @@ class RtcMaster {
   void SyncListeners();
   void MaybeArmSwap();
   void SwapScan();
+  // Appends the full ids of the blocks in a run's `slots` to `*out`.
+  void AppendIds(std::span<const uint32_t> slots, std::vector<BlockId>* out) const;
   Tier LowestTierBelowNpu(const BlockInfo& info) const;
 
   sim::Simulator* sim_;

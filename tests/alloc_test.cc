@@ -4,7 +4,8 @@
 // and bytes, so a test can assert how much a window of simulated work
 // allocated. The engine's steady-state decode step and the RTC's swap scan
 // are the two paths that run per step and per cached block; both must stay
-// free of per-step and per-block heap traffic (DESIGN #8 and #12). A request's
+// free of per-step and per-block heap traffic (DESIGN #8 and #12), and a
+// committed block adds 12 bytes to the cache index (DESIGN #16). A request's
 // dispatch must not copy its prompt (DESIGN #14), nor copy or wrap its
 // callbacks (DESIGN #15).
 #include <gtest/gtest.h>
@@ -134,6 +135,34 @@ int64_t SwapScanAllocations(int64_t leaf_blocks) {
 
 TEST(AllocTest, SwapScanMakesNoPerBlockAllocation) {
   EXPECT_EQ(SwapScanAllocations(8), SwapScanAllocations(2));
+}
+
+TEST(AllocTest, CachedBlockCostsTwelveTreeBytes) {
+  // Committing a fresh 128-block run into an empty cache makes one tree node
+  // whose edge holds an 8-byte key and whose run holds a 4-byte slot index
+  // per block (DESIGN #16). With the BlockPool's 12-byte slot, that is 24
+  // bytes of metadata per cached block.
+  constexpr int64_t kBlocks = 128;
+  sim::Simulator sim;
+  rtc::RtcConfig config;
+  config.block_size = 16;
+  config.pool.npu_capacity = 4 * kBlocks;  // below the swap watermark
+  rtc::RtcMaster master(&sim, config);
+  std::vector<TokenId> tokens;
+  for (int64_t i = 0; i < config.block_size * kBlocks; ++i) {
+    tokens.push_back(static_cast<TokenId>(i + 1));
+  }
+  const std::vector<rtc::BlockKey> keys = rtc::TokensToBlockKeys(tokens, config.block_size);
+  auto blocks = master.AllocBlocks(kBlocks).value();
+  const int64_t bytes = g_bytes;
+  master.Preserve(tokens, blocks, keys);
+  const int64_t committed = g_bytes - bytes;
+  EXPECT_EQ(master.index_nodes(), 1u);
+  const auto per_block = static_cast<int64_t>(sizeof(rtc::BlockKey) + sizeof(uint32_t));
+  EXPECT_LE(committed,
+            kBlocks * per_block +
+                static_cast<int64_t>(sizeof(rtc::RadixTree<rtc::BlockRun>::Node)));
+  master.Free(blocks);
 }
 
 // Heap traffic of one JobExecutor::HandleRequest of a `prompt_len`-token

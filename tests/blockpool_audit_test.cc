@@ -7,7 +7,11 @@
 //     destroyed immediately, an unreferenced cached block is preserved until
 //     evicted;
 //   * failed Allocate/AddResidency calls leave the pool untouched (no
-//     partial allocation).
+//     partial allocation);
+//   * a destroyed block's id never resolves again, even once its slot holds
+//     a new block, and neither does any negative id;
+//   * under RtcMaster churn, every slot a radix-tree block run holds stays
+//     live (BlockPool::IdAt aborts otherwise).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +20,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/time_units.h"
 #include "rtc/block_pool.h"
+#include "rtc/radix_tree.h"
+#include "rtc/rtc_master.h"
+#include "sim/simulator.h"
 
 namespace deepserve::rtc {
 namespace {
@@ -84,7 +92,6 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
     std::map<BlockId, ShadowBlock> shadow;
     Audit audit(&pool, &shadow);
     Rng rng(seed);
-    BlockKey next_key = 1;
 
     for (int step = 0; step < 2000; ++step) {
       switch (rng.UniformInt(0, 6)) {
@@ -92,13 +99,15 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
           Tier tier = static_cast<Tier>(rng.UniformInt(0, 2));
           int64_t n = rng.UniformInt(1, 4);
           int64_t used_before = pool.used(tier);
-          auto result = pool.Allocate(n, tier);
-          if (result.ok()) {
-            for (BlockId id : *result) {
+          std::vector<BlockId> ids;
+          Status status = pool.Allocate(n, tier, &ids);
+          if (status.ok()) {
+            for (BlockId id : ids) {
               shadow[id] = ShadowBlock{1, TierBit(tier), false};
             }
           } else {
-            EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+            EXPECT_TRUE(ids.empty()) << "failed Allocate returned ids";
+            EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
             EXPECT_GT(pool.used(tier) + n, pool.capacity(tier));
             EXPECT_EQ(pool.used(tier), used_before) << "failed Allocate leaked blocks";
           }
@@ -127,9 +136,8 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
         case 3: {  // commit: private -> cached content block
           BlockId id = PickLive(rng, shadow);
           if (id != kInvalidBlock && !shadow[id].cached) {
-            pool.SetKey(id, next_key);
+            pool.MarkCached(id);
             shadow[id].cached = true;
-            ++next_key;
           }
           break;
         }
@@ -192,20 +200,23 @@ TEST(BlockPoolAuditTest, ExhaustedTierRejectsWithoutPartialAllocation) {
   config.npu_capacity = 4;
   config.dram_capacity = 4;
   BlockPool pool(config);
-  auto a = pool.Allocate(3, Tier::kNpu);
-  ASSERT_TRUE(a.ok());
-  auto b = pool.Allocate(2, Tier::kNpu);
+  std::vector<BlockId> ids;
+  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu, &ids).ok());
+  Status b = pool.Allocate(2, Tier::kNpu, &ids);
   ASSERT_FALSE(b.ok());
-  EXPECT_EQ(b.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(b.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(ids.size(), 3u) << "failed allocation returned ids";
   EXPECT_EQ(pool.used(Tier::kNpu), 3) << "failed allocation changed usage";
   EXPECT_EQ(pool.total_blocks(), 3u);
   // SSD is unbounded backing store.
-  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd).ok());
+  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd, &ids).ok());
 }
 
 TEST(BlockPoolAuditTest, PromoteThenDemoteKeepsOneCopyAccounted) {
   BlockPool pool(BlockPoolConfig{});
-  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
+  std::vector<BlockId> ids;
+  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &ids).ok());
+  BlockId id = ids[0];
   ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
   EXPECT_TRUE(pool.info(id).resident(Tier::kNpu));
   EXPECT_TRUE(pool.info(id).resident(Tier::kDram));
@@ -224,6 +235,165 @@ TEST(BlockPoolAuditTest, PromoteThenDemoteKeepsOneCopyAccounted) {
   pool.Unref(id);
   EXPECT_FALSE(pool.Exists(id));
   EXPECT_EQ(pool.used(Tier::kDram), 0);
+}
+
+// An id with bit 63 set: negative, so it must never resolve.
+BlockId WithBit63(BlockId id) {
+  return static_cast<BlockId>(static_cast<uint64_t>(id) | (uint64_t{1} << 63));
+}
+
+TEST(BlockPoolAuditTest, ReusedSlotNeverResolvesTheOldId) {
+  BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
+  std::vector<BlockId> ids;
+  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &ids).ok());
+  const BlockId old_id = ids[0];
+  EXPECT_EQ(pool.IdAt(BlockPool::SlotOf(old_id)), old_id);
+  pool.MarkCached(old_id);
+  pool.Unref(old_id);
+  ASSERT_TRUE(pool.Exists(old_id)) << "a cached block outlives its last ref";
+  pool.Destroy(old_id);
+  EXPECT_FALSE(pool.Exists(old_id));
+
+  ids.clear();
+  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &ids).ok());
+  const BlockId new_id = ids[0];
+  ASSERT_EQ(BlockPool::SlotOf(new_id), BlockPool::SlotOf(old_id)) << "the slot was not reused";
+  EXPECT_NE(new_id, old_id);
+  EXPECT_FALSE(pool.Exists(old_id));
+  EXPECT_TRUE(pool.Exists(new_id));
+  EXPECT_EQ(pool.IdAt(BlockPool::SlotOf(new_id)), new_id);
+  EXPECT_FALSE(pool.info(new_id).cached()) << "the new occupant inherited the cached flag";
+
+  // A copy of the old block completing now must not touch the new occupant.
+  pool.Pin(new_id);
+  pool.Unpin(old_id);
+  EXPECT_EQ(pool.info(new_id).pins, 1);
+  pool.Unpin(new_id);
+
+  // Negative ids never resolve, whatever the slot they point at holds.
+  EXPECT_FALSE(pool.Exists(kInvalidBlock));
+  EXPECT_FALSE(pool.Exists(WithBit63(new_id)));
+  EXPECT_FALSE(pool.Exists(WithBit63(old_id)));
+  ids.clear();
+  ASSERT_TRUE(pool.Allocate(2, Tier::kDram, &ids).ok());
+  pool.Unref(ids[1]);  // leaves a free slot at generation 2
+  EXPECT_FALSE(pool.Exists(WithBit63(ids[0])));
+  EXPECT_FALSE(pool.Exists(WithBit63(ids[1])));
+  EXPECT_EQ(pool.used(Tier::kNpu), 1);
+  EXPECT_EQ(pool.used(Tier::kDram), 1);
+}
+
+// Mirrors the master's NPU-block deltas, as an RtcExecutor does.
+class NpuMirror : public NpuBlockListener {
+ public:
+  void OnNpuBlocksChanged(int64_t delta_blocks) override { blocks += delta_blocks; }
+  int64_t blocks = 0;
+};
+
+// A prompt of `n_blocks` full blocks whose first `shared` blocks are common to
+// every prompt of `family`; the rest are drawn from `rng`.
+std::vector<TokenId> ChurnPrompt(Rng& rng, int block_size, int64_t family, int64_t shared,
+                                 int64_t n_blocks) {
+  std::vector<TokenId> tokens;
+  for (int64_t b = 0; b < n_blocks; ++b) {
+    for (int t = 0; t < block_size; ++t) {
+      int64_t token = b < shared ? family * 1000 + b * block_size + t : rng.UniformInt(1, 7);
+      tokens.push_back(static_cast<TokenId>(token));
+    }
+  }
+  return tokens;
+}
+
+// Seeded churn over an RtcMaster with a small NPU tier: sequences match a
+// shared prefix, pin and populate it, allocate the rest, commit, and die;
+// allocation pressure drives both EnsureNpuFree passes and the background
+// swapper runs as simulated time passes. Every tree walk resolves its run's
+// slots through BlockPool::IdAt, which aborts on a slot that is not live. After
+// every step the pool's ref counts match the sequences' pins and the NPU usage
+// matches what the listener was told.
+TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
+  for (uint64_t seed : {3ull, 17ull, 91ull}) {
+    sim::Simulator sim;
+    RtcConfig config;
+    config.block_size = 4;
+    config.pool.npu_capacity = 40;
+    config.pool.dram_capacity = 24;
+    config.swap_interval = MsToNs(1);
+    config.swap_high_watermark = 0.5;
+    config.swap_batch_blocks = 6;
+    RtcMaster master(&sim, config);
+    NpuMirror mirror;
+    master.AddListener(&mirror);
+    std::vector<std::vector<BlockId>> seqs;
+    std::map<BlockId, int32_t> refs;
+    Rng rng(seed);
+
+    auto pin = [&](std::span<const BlockId> blocks, int32_t delta) {
+      for (BlockId id : blocks) {
+        if ((refs[id] += delta) == 0) {
+          refs.erase(id);
+        }
+      }
+    };
+    for (int step = 0; step < 3000; ++step) {
+      int64_t op = rng.UniformInt(0, 4);
+      if (op <= 1 && seqs.size() < 6) {  // admit a sequence
+        std::vector<TokenId> prompt = ChurnPrompt(rng, config.block_size, rng.UniformInt(0, 3),
+                                                  rng.UniformInt(0, 6), rng.UniformInt(1, 8));
+        std::vector<BlockKey> keys = TokensToBlockKeys(prompt, config.block_size);
+        MatchInfo match = master.MatchByPrefixToken(prompt, keys);
+        master.Acquire(match.blocks);
+        pin(match.blocks, 1);
+        std::vector<BlockId> blocks = match.blocks;
+        bool ok = true;
+        if (match.needs_populate()) {
+          ok = master.Populate(match).ok();
+        }
+        ok = ok && master.AllocBlocks(static_cast<int64_t>(keys.size() - blocks.size()),
+                                      &blocks).ok();
+        pin(std::span<const BlockId>(blocks).subspan(match.blocks.size()), 1);
+        if (!ok) {
+          master.Free(blocks);
+          pin(blocks, -1);
+        } else {
+          master.Preserve(prompt, blocks, keys);
+          seqs.push_back(std::move(blocks));
+        }
+      } else if (op <= 2 && !seqs.empty()) {  // finish a sequence
+        size_t victim = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(seqs.size()) - 1));
+        master.Free(seqs[victim]);
+        pin(seqs[victim], -1);
+        seqs.erase(seqs.begin() + static_cast<ptrdiff_t>(victim));
+      } else {  // let copies land and the swapper run
+        sim.RunUntil(sim.Now() + MsToNs(static_cast<double>(rng.UniformInt(1, 3))));
+      }
+
+      for (const auto& [id, n] : refs) {
+        ASSERT_TRUE(master.pool().Exists(id)) << "seed " << seed << " step " << step;
+        EXPECT_EQ(master.pool().info(id).ref_count, n) << "block " << id;
+      }
+      EXPECT_EQ(mirror.blocks, master.pool().used(Tier::kNpu)) << "step " << step;
+      EXPECT_LE(master.pool().used(Tier::kNpu), master.pool().capacity(Tier::kNpu));
+      EXPECT_LE(master.pool().used(Tier::kDram), master.pool().capacity(Tier::kDram));
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "seed " << seed << " step " << step;
+      }
+    }
+    for (const std::vector<BlockId>& blocks : seqs) {
+      master.Free(blocks);
+      pin(blocks, -1);
+    }
+    sim.RunUntil(sim.Now() + MsToNs(100));
+    EXPECT_TRUE(refs.empty());
+    EXPECT_EQ(mirror.blocks, master.pool().used(Tier::kNpu));
+    // The churn reached every path that walks or frees tree slots.
+    const RtcStats& stats = master.stats();
+    EXPECT_GT(stats.match_hits, 0) << "seed " << seed;
+    EXPECT_GT(stats.populates, 0) << "seed " << seed;
+    EXPECT_GT(stats.swapped_out_blocks, 0) << "seed " << seed;
+    EXPECT_GT(stats.evicted_blocks, 0) << "seed " << seed << ": EnsureNpuFree pass 1";
+    EXPECT_GT(stats.discarded_blocks, 0) << "seed " << seed << ": EnsureNpuFree pass 2";
+  }
 }
 
 }  // namespace

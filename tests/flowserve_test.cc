@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/time_units.h"
@@ -457,6 +458,33 @@ TEST_F(EngineTest, StaleTokenizeEventIgnoresRecycledSequenceSlot) {
   EXPECT_TRUE(engine_->idle());
   // A double enqueue would leak the first copy's block pins.
   EXPECT_TRUE(engine_->rtc().EnsureNpuFree(engine_->kv_block_capacity()).ok());
+}
+
+TEST(KvBlockCapacityTest, ModelThatDoesNotFitIsAnError) {
+  EngineConfig config;
+  config.model = model::ModelSpec::Yi34B();
+  config.parallelism = {1, 1, 1};
+  Result<int64_t> capacity = KvBlockCapacity(config);
+  ASSERT_FALSE(capacity.ok());
+  EXPECT_EQ(capacity.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(capacity.status().message().find(config.model.name), std::string::npos);
+  EXPECT_NE(capacity.status().message().find("tp1"), std::string::npos);
+  // The same model fits once TP shards its weights.
+  config.parallelism = {4, 1, 1};
+  EXPECT_TRUE(KvBlockCapacity(config).ok());
+}
+
+TEST(KvBlockCapacityTest, MatchesWhatTheEngineUses) {
+  EngineConfig config = TestConfig();
+  config.kv_block_capacity_override = 0;
+  Result<int64_t> capacity = KvBlockCapacity(config);
+  ASSERT_TRUE(capacity.ok()) << capacity.status().ToString();
+  sim::Simulator sim;
+  Engine engine(&sim, config);
+  EXPECT_EQ(*capacity, engine.kv_block_capacity());
+  EXPECT_EQ(engine.rtc().pool().capacity(rtc::Tier::kNpu), *capacity);
+  config.kv_block_capacity_override = 4096;
+  EXPECT_EQ(KvBlockCapacity(config).value(), 4096);
 }
 
 // Parameterized sweep: engines complete all work across batch-size and

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/time_units.h"
 #include "common/types.h"
 #include "hw/npu.h"
@@ -176,23 +177,26 @@ TEST(RadixTreeTest, MatchDoesNotCreateNodes) {
 
 TEST(BlockPoolTest, AllocateRespectsCapacity) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 2});
-  auto a = pool.Allocate(4, Tier::kNpu);
-  ASSERT_TRUE(a.ok());
+  std::vector<BlockId> ids;
+  ASSERT_TRUE(pool.Allocate(4, Tier::kNpu, &ids).ok());
   EXPECT_EQ(pool.free_blocks(Tier::kNpu), 0);
-  EXPECT_FALSE(pool.Allocate(1, Tier::kNpu).ok());
-  EXPECT_TRUE(pool.Allocate(2, Tier::kDram).ok());
+  EXPECT_FALSE(pool.Allocate(1, Tier::kNpu, &ids).ok());
+  EXPECT_TRUE(pool.Allocate(2, Tier::kDram, &ids).ok());
 }
 
 TEST(BlockPoolTest, FailedAllocateIsAtomic) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 0});
-  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu).ok());
-  EXPECT_FALSE(pool.Allocate(2, Tier::kNpu).ok());
+  std::vector<BlockId> ids;
+  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu, &ids).ok());
+  EXPECT_FALSE(pool.Allocate(2, Tier::kNpu, &ids).ok());
   EXPECT_EQ(pool.used(Tier::kNpu), 3);
+  EXPECT_EQ(ids.size(), 3u);
 }
 
 TEST(BlockPoolTest, UnrefDestroysPrivateBlocks) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  auto blocks = pool.Allocate(2, Tier::kNpu).value();
+  std::vector<BlockId> blocks;
+  ASSERT_TRUE(pool.Allocate(2, Tier::kNpu, &blocks).ok());
   pool.Unref(blocks[0]);
   EXPECT_FALSE(pool.Exists(blocks[0]));
   EXPECT_EQ(pool.used(Tier::kNpu), 1);
@@ -200,16 +204,24 @@ TEST(BlockPoolTest, UnrefDestroysPrivateBlocks) {
 
 TEST(BlockPoolTest, UnrefKeepsCachedBlocks) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  auto blocks = pool.Allocate(1, Tier::kNpu).value();
-  pool.SetKey(blocks[0], 0xabc);
+  std::vector<BlockId> blocks;
+  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &blocks).ok());
+  pool.MarkCached(blocks[0]);
   pool.Unref(blocks[0]);
   EXPECT_TRUE(pool.Exists(blocks[0]));
   EXPECT_EQ(pool.info(blocks[0]).ref_count, 0);
 }
 
+// One fresh block's id, allocated on `tier`.
+BlockId AllocOne(BlockPool& pool, Tier tier) {
+  std::vector<BlockId> ids;
+  DS_CHECK_OK(pool.Allocate(1, tier, &ids));
+  return ids[0];
+}
+
 TEST(BlockPoolTest, ResidencyBitmaskAndCounters) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
+  BlockId id = AllocOne(pool, Tier::kNpu);
   ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
   EXPECT_TRUE(pool.info(id).resident(Tier::kNpu));
   EXPECT_TRUE(pool.info(id).resident(Tier::kDram));
@@ -225,9 +237,9 @@ TEST(BlockPoolTest, ResidencyBitmaskAndCounters) {
 
 TEST(BlockPoolTest, DestroyReleasesAllTiers) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
+  BlockId id = AllocOne(pool, Tier::kNpu);
   ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
-  pool.SetKey(id, 7);
+  pool.MarkCached(id);
   pool.Unref(id);
   pool.Destroy(id);
   EXPECT_EQ(pool.used(Tier::kNpu), 0);
@@ -237,7 +249,7 @@ TEST(BlockPoolTest, DestroyReleasesAllTiers) {
 
 TEST(BlockPoolTest, CopyPinsCountAndStaleUnpinIsANoOp) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  BlockId id = pool.Allocate(1, Tier::kNpu).value()[0];
+  BlockId id = AllocOne(pool, Tier::kNpu);
   pool.Pin(id);
   pool.Pin(id);
   pool.Unpin(id);
@@ -245,7 +257,7 @@ TEST(BlockPoolTest, CopyPinsCountAndStaleUnpinIsANoOp) {
   // A private block dies with its last ref even mid-copy; its slot is reused.
   pool.Unref(id);
   ASSERT_FALSE(pool.Exists(id));
-  BlockId reused = pool.Allocate(1, Tier::kNpu).value()[0];
+  BlockId reused = AllocOne(pool, Tier::kNpu);
   EXPECT_FALSE(pool.info(reused).pinned());
   // The copy's completion unpins the dead id: the new occupant is untouched.
   pool.Pin(reused);
@@ -257,7 +269,8 @@ TEST(BlockPoolTest, CopyPinsCountAndStaleUnpinIsANoOp) {
 
 TEST(BlockPoolTest, SsdIsUnbounded) {
   BlockPool pool({.npu_capacity = 1, .dram_capacity = 1});
-  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd).ok());
+  std::vector<BlockId> ids;
+  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd, &ids).ok());
 }
 
 // ---------------- RtcMaster ----------------

@@ -22,9 +22,12 @@
 //                         the crowd peak, TE crash during the outage)
 //   --seed=N              trace seed (default 42)
 //   --rps=R --peak-rps=P --duration-s=D   flash-crowd shape
-//   --smoke               fixed small run; exits non-zero unless both modes
-//                         conserve requests, the replicated run fails over,
-//                         and a second replicated run replays bit-identically
+//   --smoke               fixed small run with a CM and a JE leader crash
+//                         ("cm@4;je@5;npu@6"); exits non-zero unless both
+//                         modes conserve requests, every crash of either
+//                         leader fails over in the replicated run and none in
+//                         the single-replica run, and a second replicated run
+//                         replays bit-identically
 
 #include <cinttypes>
 #include <cstdio>
@@ -63,7 +66,8 @@ struct RunResult {
            counts.completed == other.counts.completed &&
            counts.errored == other.counts.errored && timeline_hash == other.timeline_hash &&
            cm.cm_failovers == other.cm.cm_failovers &&
-           cm.replacements == other.cm.replacements;
+           cm.replacements == other.cm.replacements &&
+           je.je_failovers == other.je.je_failovers;
   }
 };
 
@@ -190,7 +194,7 @@ int main(int argc, char** argv) {
     options.rps = 2.0;
     options.peak_rps = 8.0;
     options.duration_s = 12.0;
-    options.schedule = "cm@4;npu@6";
+    options.schedule = "cm@4;je@5;npu@6";
   }
 
   bench::PrintHeader("Control-plane failover: CM leader crash mid-flash-crowd "
@@ -233,9 +237,15 @@ int main(int argc, char** argv) {
                    replicated.cm.cm_crashes, replicated.cm.cm_failovers);
       ok = false;
     }
-    if (single.cm.cm_failovers != 0) {
-      std::fprintf(stderr, "single-replica run failed over (%" PRId64 ")?\n",
-                   single.cm.cm_failovers);
+    if (replicated.je.je_crashes < 1 ||
+        replicated.je.je_failovers != replicated.je.je_crashes) {
+      std::fprintf(stderr, "JE FAILOVER MISSING: %" PRId64 " crashes, %" PRId64 " failovers\n",
+                   replicated.je.je_crashes, replicated.je.je_failovers);
+      ok = false;
+    }
+    if (single.cm.cm_failovers != 0 || single.je.je_failovers != 0) {
+      std::fprintf(stderr, "single-replica run failed over (CM %" PRId64 ", JE %" PRId64 ")?\n",
+                   single.cm.cm_failovers, single.je.je_failovers);
       ok = false;
     }
     if (!replicated.Replays(replay)) {

@@ -45,11 +45,12 @@ echo "==> fault-recovery smoke: fixed-seed chaos run, conservation asserted"
 # on_complete / on_error.
 ./build/bench/fig_fault_recovery --smoke --fault-seed=42 >/dev/null
 
-echo "==> ctrl-failover smoke: CM leader crash, conservation + replay asserted"
+echo "==> ctrl-failover smoke: CM + JE leader crashes, conservation + replay asserted"
 # Exits non-zero unless the replicated run conserves every request across the
-# leader crash and replays bit-identically, the single-replica ablation
+# leader crashes and replays bit-identically, the single-replica ablation
 # accounts for every request (terminations + undetected losses == submitted),
-# and every CM crash in the replicated run failed over.
+# every CM and every JE crash in the replicated run failed over (at least one
+# of each), and no leader failed over in the single-replica run.
 ./build/bench/fig_ctrl_failover --smoke >/dev/null
 
 echo "==> traffic smoke: routing-policy ablation under a flash crowd + slow TE"

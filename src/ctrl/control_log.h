@@ -113,7 +113,6 @@ class ControlLog {
   const CtrlConfig& config() const { return config_; }
   const std::vector<LogRecord>& records() const { return records_; }
   uint64_t next_seq() const { return next_seq_; }
-  const std::map<int32_t, std::string>& domains() const { return domain_names_; }
 
  private:
   sim::Simulator* sim_;

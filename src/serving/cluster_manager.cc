@@ -47,51 +47,14 @@ ClusterManager::ClusterManager(sim::Simulator* sim, hw::Cluster* cluster,
                                distflow::TransferEngine* transfer, ScalingOptimizations opts,
                                ScalingLatencyModel latency, ctrl::ControlLog* ctrl_log)
     : sim_(sim), cluster_(cluster), transfer_(transfer), hccl_(cluster), opts_(opts),
-      latency_(latency) {
-  DS_CHECK(sim_ != nullptr);
+      latency_(latency),
+      leader_(sim_, ctrl_log,
+              {&stats_.cm_crashes, &stats_.cm_failovers, &stats_.deferred_ops,
+               &stats_.cm_outage_total},
+              {[this] { TraceLeaderCrash(); }, [this] { RecordBufferedCrashes(); },
+               [this] { HealthScan(); }}) {
   DS_CHECK(cluster_ != nullptr);
-  if (ctrl_log == nullptr) {
-    // Degenerate private log: single replica, zero latency. Every append
-    // applies inline and schedules nothing, so behavior is bit-identical to
-    // state held in plain members.
-    owned_log_ = std::make_unique<ctrl::ControlLog>(sim_);
-    ctrl_log = owned_log_.get();
-  }
-  log_ = ctrl_log;
-  directory_.set_domain(log_->RegisterDomain("te-directory"));
-  log_->Attach(&directory_);
-  AppendDir(ctrl::TeDirectory::kInit, {cluster_->total_npus()});
-}
-
-ClusterManager::~ClusterManager() {
-  log_->Detach(directory_.domain());
-}
-
-void ClusterManager::AppendDir(int32_t type, std::vector<int64_t> ints) {
-  ctrl::LogRecord record;
-  record.domain = directory_.domain();
-  record.type = type;
-  record.ints = std::move(ints);
-  log_->Append(std::move(record));
-}
-
-void ClusterManager::DeferUntilRecovery(std::function<void()> op) {
-  if (leader_up_) {
-    op();
-    return;
-  }
-  ++stats_.deferred_ops;
-  deferred_ops_.push_back(std::move(op));
-}
-
-void ClusterManager::StageContinue(const std::shared_ptr<PipelineState>& state,
-                                   std::function<void()> body) {
-  if (state->aborted) {
-    // The TE was killed mid-provisioning; AbortPipeline already released its
-    // NPUs and fired the callback. Pending flows/timers just drain.
-    return;
-  }
-  DeferUntilRecovery(std::move(body));
+  leader_.Append(ctrl::TeDirectory::kInit, {cluster_->total_npus()});
 }
 
 int ClusterManager::TracePid() {
@@ -120,13 +83,13 @@ Result<std::vector<hw::NpuId>> ClusterManager::AllocateNpus(int count) {
 Result<std::vector<hw::NpuId>> ClusterManager::AllocateNpusOn(
     int count, const std::vector<uint8_t>* machine_ok) {
   DS_CHECK_GT(count, 0);
-  if (!leader_up_) {
+  if (!leader_.up()) {
     return UnavailableError("control leader down: cannot place NPUs");
   }
   // Pack onto as few machines as possible: first machine with enough free
   // NPUs wins; otherwise span machines greedily. The in-use bitmap is
   // replicated state; the packing decision is made here and recorded.
-  const std::vector<uint8_t>& in_use = directory_.npu_in_use();
+  const std::vector<uint8_t>& in_use = directory().npu_in_use();
   const int per_machine = cluster_->config().npus_per_machine;
   std::vector<hw::NpuId> picked;
   for (int m = 0; m < cluster_->num_machines() && static_cast<int>(picked.size()) < count; ++m) {
@@ -154,7 +117,7 @@ Result<std::vector<hw::NpuId>> ClusterManager::AllocateNpusOn(
   if (static_cast<int>(picked.size()) < count) {
     return ResourceExhaustedError("cluster out of NPUs: need " + std::to_string(count));
   }
-  AppendDir(ctrl::TeDirectory::kNpusAllocated, NpuInts(picked));
+  leader_.Append(ctrl::TeDirectory::kNpusAllocated, NpuInts(picked));
   return picked;
 }
 
@@ -249,7 +212,7 @@ GenerationChoice ClusterManager::PreviewPlacement(const flowserve::EngineConfig&
 }
 
 const hw::NpuSpec& ClusterManager::TeSpec(TeId id) const {
-  const ctrl::TeDirectory::TeMeta* meta = directory_.Find(id);
+  const ctrl::TeDirectory::TeMeta* meta = directory().Find(id);
   if (meta == nullptr || meta->npus.empty()) {
     return cluster_->config().npu_spec;
   }
@@ -276,29 +239,29 @@ flowserve::EngineConfig ClusterManager::PlacedEngine(
 
 void ClusterManager::ReleaseNpus(const std::vector<hw::NpuId>& npus) {
   // Apply() checks each NPU was actually in use.
-  AppendDir(ctrl::TeDirectory::kNpusReleased, NpuInts(npus));
+  leader_.Append(ctrl::TeDirectory::kNpusReleased, NpuInts(npus));
 }
 
 void ClusterManager::ReservePrewarmedPods(int count) {
-  DS_CHECK(leader_up_);
-  AppendDir(ctrl::TeDirectory::kReservePods, {count});
+  DS_CHECK(leader_.up());
+  leader_.Append(ctrl::TeDirectory::kReservePods, {count});
 }
 
 void ClusterManager::ReservePrewarmedTes(int count) {
-  DS_CHECK(leader_up_);
-  AppendDir(ctrl::TeDirectory::kReserveTes, {count});
+  DS_CHECK(leader_.up());
+  leader_.Append(ctrl::TeDirectory::kReserveTes, {count});
 }
 
 Result<TaskExecutor*> ClusterManager::CreateReadyTe(
     const flowserve::EngineConfig& engine_config) {
-  if (!leader_up_) {
+  if (!leader_.up()) {
     return UnavailableError("control leader down: cannot create TE");
   }
   DS_ASSIGN_OR_RETURN(std::vector<hw::NpuId> npus, AllocateNpusForEngine(engine_config));
-  const TeId id = directory_.next_te_id();
+  const TeId id = directory().next_te_id();
   std::vector<int64_t> ints = {id};
   ints.insert(ints.end(), npus.begin(), npus.end());
-  AppendDir(ctrl::TeDirectory::kTeCreated, std::move(ints));
+  leader_.Append(ctrl::TeDirectory::kTeCreated, std::move(ints));
   flowserve::EngineConfig placed = PlacedEngine(engine_config, npus);
   return BindTe(id, std::move(placed), std::move(npus));
 }
@@ -326,10 +289,10 @@ TaskExecutor* ClusterManager::te(TeId id) {
 }
 
 Status ClusterManager::StopTe(TeId id) {
-  if (!leader_up_) {
+  if (!leader_.up()) {
     return UnavailableError("control leader down: cannot stop TE " + std::to_string(id));
   }
-  const ctrl::TeDirectory::TeMeta* meta = directory_.Find(id);
+  const ctrl::TeDirectory::TeMeta* meta = directory().Find(id);
   if (meta == nullptr) {
     return NotFoundError("no TE " + std::to_string(id));
   }
@@ -343,7 +306,7 @@ Status ClusterManager::StopTe(TeId id) {
     return FailedPreconditionError("TE " + std::to_string(id) + " already down");
   }
   TaskExecutor* target = bindings_.at(id);
-  AppendDir(ctrl::TeDirectory::kTeStopped, {id});
+  leader_.Append(ctrl::TeDirectory::kTeStopped, {id});
   target->set_state(TeState::kStopped);
   ReleaseNpus(target->config().npus);
   return Status::Ok();
@@ -374,12 +337,12 @@ Result<size_t> ClusterManager::CrashTe(TeId id, CrashKind kind) {
 }
 
 Result<size_t> ClusterManager::Crash(TeId id, CrashKind kind, bool defer_detection) {
-  const ctrl::TeDirectory::TeMeta* meta = directory_.Find(id);
+  const ctrl::TeDirectory::TeMeta* meta = directory().Find(id);
   if (meta == nullptr) {
     return NotFoundError("no TE " + std::to_string(id));
   }
   if (meta->lifecycle == ctrl::TeDirectory::Lifecycle::kProvisioning) {
-    if (!leader_up_) {
+    if (!leader_.up()) {
       return UnavailableError("control leader down: cannot abort pipeline of TE " +
                               std::to_string(id));
     }
@@ -400,8 +363,8 @@ Result<size_t> ClusterManager::Crash(TeId id, CrashKind kind, bool defer_detecti
   size_t dropped = target->Fail();
   stats_.lost_requests += static_cast<int64_t>(dropped);
   stats_.lost_kv_tokens += target->engine().stats().aborted_kv_tokens - kv_before;
-  if (leader_up_) {
-    AppendDir(ctrl::TeDirectory::kTeCrashed,
+  if (leader_.up()) {
+    leader_.Append(ctrl::TeDirectory::kTeCrashed,
               {id, static_cast<int64_t>(kind), sim_->Now()});
   } else {
     // The TE is dead either way (data plane), but no leader is listening: the
@@ -420,13 +383,10 @@ Result<size_t> ClusterManager::Crash(TeId id, CrashKind kind, bool defer_detecti
     m->counter("cm.faults.crashes")->Inc();
     m->counter("cm.faults.lost_requests")->Inc(static_cast<int64_t>(dropped));
   }
-  if (!defer_detection) {
-    DetectTeFailure(id);  // no-op while the leader is down: the takeover scan detects
-    return dropped;
-  }
-  if (!leader_up_) {
-    // Nothing watches heartbeats during the outage; the takeover scan picks
-    // this crash up via its buffered report.
+  if (!defer_detection || !leader_.up()) {
+    // Nothing watches heartbeats during an outage: DetectTeFailure is then a
+    // no-op and the takeover's health scan detects via the buffered report.
+    DetectTeFailure(id);
     return dropped;
   }
   // The platform notices via heartbeat lapse (NPU crash, quantized to the
@@ -448,7 +408,7 @@ Result<size_t> ClusterManager::Crash(TeId id, CrashKind kind, bool defer_detecti
 }
 
 Result<size_t> ClusterManager::AbortPipeline(TeId id, CrashKind kind) {
-  const ctrl::TeDirectory::TeMeta* meta = directory_.Find(id);
+  const ctrl::TeDirectory::TeMeta* meta = directory().Find(id);
   DS_CHECK(meta != nullptr);
   DS_CHECK(meta->lifecycle == ctrl::TeDirectory::Lifecycle::kProvisioning);
   auto it = live_pipelines_.find(meta->pipeline);
@@ -458,7 +418,7 @@ Result<size_t> ClusterManager::AbortPipeline(TeId id, CrashKind kind) {
   state->aborted = true;
   ++stats_.crashes;
   ++stats_.scale_aborts;
-  AppendDir(ctrl::TeDirectory::kPipelineAborted, {state->pipe});
+  leader_.Append(ctrl::TeDirectory::kPipelineAborted, {state->pipe});
   ReleaseNpus(state->npus);
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), 0, "fault.crash",
@@ -479,15 +439,15 @@ Result<size_t> ClusterManager::AbortPipeline(TeId id, CrashKind kind) {
 }
 
 void ClusterManager::DetectTeFailure(TeId id) {
-  if (!leader_up_) {
+  if (!leader_.up()) {
     return;  // the takeover health scan re-runs detection
   }
-  const ctrl::TeDirectory::TeMeta* meta = directory_.Find(id);
+  const ctrl::TeDirectory::TeMeta* meta = directory().Find(id);
   DS_CHECK(meta != nullptr);
   if (meta->detected) {
     return;  // a detection timer firing after the takeover scan already did this
   }
-  AppendDir(ctrl::TeDirectory::kTeDetected, {id});
+  leader_.Append(ctrl::TeDirectory::kTeDetected, {id});
   ++stats_.detections;
   TimeNs crashed = meta->crash_time >= 0 ? meta->crash_time : sim_->Now();
   DurationNs detect_latency = sim_->Now() - crashed;
@@ -553,78 +513,35 @@ void ClusterManager::DetectTeFailure(TeId id) {
 // Control-plane leader failover.
 // ---------------------------------------------------------------------------
 
-Status ClusterManager::CrashControlLeader() {
-  if (!leader_up_) {
-    return FailedPreconditionError("control leader already down");
-  }
-  leader_up_ = false;
-  leader_crash_time_ = sim_->Now();
-  ++stats_.cm_crashes;
+void ClusterManager::TraceLeaderCrash() {
   if (obs::Tracer* t = sim_->tracer()) {
+    const ctrl::ControlLog& log = *leader_.log();
     t->Instant(sim_->Now(), TracePid(), 0, "fault.cm_crash",
-               {obs::Arg("replicated", log_->replicated()),
-                obs::Arg("log_records", static_cast<int64_t>(log_->records().size()))});
+               {obs::Arg("replicated", log.replicated()),
+                obs::Arg("log_records", static_cast<int64_t>(log.records().size()))});
   }
-  if (obs::MetricsRegistry* m = sim_->metrics()) {
-    m->counter("cm.ctrl.crashes")->Inc();
-  }
-  if (log_->replicated()) {
-    // A standby waits out the lease, fetches the sealed tail, replays it,
-    // and takes over. With a single replica the outage is permanent unless
-    // RecoverControlLeader() is invoked by hand.
-    const int64_t epoch_at_crash = directory_.epoch();
-    sim_->ScheduleAfter(log_->FailoverDelay(sim_->Now()), [this, epoch_at_crash] {
-      if (!leader_up_ && directory_.epoch() == epoch_at_crash) {
-        RecoverControlLeader();
-      }
-    });
-  }
-  return Status::Ok();
 }
 
-void ClusterManager::RecoverControlLeader() {
-  DS_CHECK(!leader_up_);
-  // Standby proof-of-completeness: a fresh directory built from nothing but
-  // the log must reconstruct the live state bit-for-bit. Then swap it in —
-  // the log's attachment points at &directory_, which assignment preserves.
-  ctrl::TeDirectory standby(directory_.domain());
-  log_->ReplayInto(&standby);
-  DS_CHECK(standby.Fingerprint() == directory_.Fingerprint())
-      << "control-log replay diverged from live TE directory";
-  directory_ = std::move(standby);
-  leader_up_ = true;
-  AppendDir(ctrl::TeDirectory::kEpoch);
-  ++stats_.cm_failovers;
-  const DurationNs outage = sim_->Now() - leader_crash_time_;
-  stats_.cm_outage_total += outage;
+void ClusterManager::RecordBufferedCrashes() {
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), 0, "fault.cm_failover",
-               {obs::Arg("epoch", directory_.epoch()),
-                obs::Arg("outage_ms", NsToMs(outage))});
+               {obs::Arg("epoch", directory().epoch()),
+                obs::Arg("outage_ms", NsToMs(sim_->Now() - leader_.crash_time()))});
   }
-  if (obs::MetricsRegistry* m = sim_->metrics()) {
-    m->counter("cm.ctrl.failovers")->Inc();
-    m->stats("cm.ctrl.outage_ms")->Add(NsToMs(outage));
+  // Pod-runtime backlog: TE crashes observed while no leader was listening
+  // become records now (stamped with their original times).
+  for (const PendingCrash& pc : pending_crashes_) {
+    leader_.Append(ctrl::TeDirectory::kTeCrashed,
+                   {pc.id, static_cast<int64_t>(pc.kind), pc.time});
   }
-  // 1. Pod-runtime backlog: TE crashes observed while no leader was
-  //    listening become records now (stamped with their original times).
-  std::vector<PendingCrash> crashes;
-  crashes.swap(pending_crashes_);
-  for (const PendingCrash& pc : crashes) {
-    AppendDir(ctrl::TeDirectory::kTeCrashed,
-              {pc.id, static_cast<int64_t>(pc.kind), pc.time});
-  }
-  // 2. Parked control ops (pipeline stage transitions, drain completions,
-  //    ScaleUpMany creations) resume in arrival order.
-  std::vector<std::function<void()>> ops;
-  ops.swap(deferred_ops_);
-  for (auto& op : ops) {
-    op();
-  }
-  // 3. Health scan: anything crashed and never detected (buffered reports
-  //    above, or detection timers that fired into the outage) recovers now.
+  pending_crashes_.clear();
+}
+
+void ClusterManager::HealthScan() {
+  // Anything crashed and never detected (buffered reports, or detection
+  // timers that fired into the outage) recovers now.
   std::vector<TeId> undetected;
-  for (const auto& [id, meta] : directory_.entries()) {
+  for (const auto& [id, meta] : directory().entries()) {
     if (meta.lifecycle == ctrl::TeDirectory::Lifecycle::kFailed && !meta.detected) {
       undetected.push_back(id);
     }
@@ -667,7 +584,7 @@ void ClusterManager::PredictivePreload(const std::vector<model::ModelSpec>& rank
 // ---------------------------------------------------------------------------
 
 Result<TeId> ClusterManager::ScaleUp(const ScaleRequest& request, ScaleCallback on_ready) {
-  if (!leader_up_) {
+  if (!leader_.up()) {
     return UnavailableError("control leader down: cannot scale up");
   }
   auto npus = AllocateNpusForEngine(request.engine);
@@ -681,11 +598,11 @@ Result<TeId> ClusterManager::ScaleUp(const ScaleRequest& request, ScaleCallback 
   state->request.engine = PlacedEngine(request.engine, state->npus);
   // Both the pipeline id and the TE id are reserved up front, so the TE is
   // addressable (e.g. by KillTe) while still provisioning.
-  state->pipe = directory_.next_pipeline();
-  state->te_id = directory_.next_te_id();
+  state->pipe = directory().next_pipeline();
+  state->te_id = directory().next_te_id();
   std::vector<int64_t> ints = {state->pipe, state->te_id};
   ints.insert(ints.end(), state->npus.begin(), state->npus.end());
-  AppendDir(ctrl::TeDirectory::kPipelineStarted, std::move(ints));
+  leader_.Append(ctrl::TeDirectory::kPipelineStarted, std::move(ints));
   live_pipelines_[state->pipe] = state;
   ++stats_.scale_ups;
   const TeId reserved = state->te_id;
@@ -733,8 +650,12 @@ DurationNs ClusterManager::ScalerPostCost() const {
 
 void ClusterManager::EndStageAfter(DurationNs delay, std::shared_ptr<PipelineState> state,
                                    int stage) {
-  sim_->ScheduleAfter(delay, [this, state = std::move(state), stage]() mutable {
-    StageContinue(state, [this, state, stage] { EndStage(state, stage); });
+  sim_->ScheduleAfter(delay, [this, state = std::move(state), stage] {
+    // A pipeline killed mid-provisioning (AbortPipeline released its NPUs and
+    // fired the callback) just drains its timers.
+    if (!state->aborted) {
+      leader_.RunOrPark([this, state, stage] { EndStage(state, stage); });
+    }
   });
 }
 
@@ -756,18 +677,18 @@ void ClusterManager::EndStage(const std::shared_ptr<PipelineState>& state, int s
   took = sim_->Now() - state->stage_start;
   TraceScalePhase(done.phase, took);
   if (stage < 5) {
-    AppendDir(ctrl::TeDirectory::kStageDone, {state->pipe, stage});
+    leader_.Append(ctrl::TeDirectory::kStageDone, {state->pipe, stage});
   } else {
-    AppendDir(ctrl::TeDirectory::kPipelineDone, {state->pipe});
+    leader_.Append(ctrl::TeDirectory::kPipelineDone, {state->pipe});
   }
   state->stage_start = sim_->Now();
   (this->*done.next)(state);
 }
 
 void ClusterManager::RunScalerPre(std::shared_ptr<PipelineState> state) {
-  const bool hit = opts_.prewarmed_pods && directory_.prewarmed_pods() > 0;
+  const bool hit = opts_.prewarmed_pods && directory().prewarmed_pods() > 0;
   if (hit) {
-    AppendDir(ctrl::TeDirectory::kPodsConsumed, {1});
+    leader_.Append(ctrl::TeDirectory::kPodsConsumed, {1});
     ++stats_.prewarmed_pod_hits;
     state->breakdown.used_prewarmed_pod = true;
   }
@@ -775,9 +696,9 @@ void ClusterManager::RunScalerPre(std::shared_ptr<PipelineState> state) {
 }
 
 void ClusterManager::RunTePreLoad(std::shared_ptr<PipelineState> state) {
-  const bool hit = opts_.prewarmed_tes && directory_.prewarmed_tes() > 0;
+  const bool hit = opts_.prewarmed_tes && directory().prewarmed_tes() > 0;
   if (hit) {
-    AppendDir(ctrl::TeDirectory::kWarmTesConsumed, {1});
+    leader_.Append(ctrl::TeDirectory::kWarmTesConsumed, {1});
     ++stats_.prewarmed_te_hits;
     state->breakdown.used_prewarmed_te = true;
   }
@@ -865,7 +786,7 @@ Status ClusterManager::ScaleUpMany(
     const ScaleRequest& request, int count,
     std::function<void(std::vector<TaskExecutor*>, DurationNs)> on_ready) {
   DS_CHECK_GT(count, 0);
-  if (!leader_up_) {
+  if (!leader_.up()) {
     return UnavailableError("control leader down: cannot scale up");
   }
   TaskExecutor* source = request.fork_source != kInvalidTe ? te(request.fork_source) : nullptr;
@@ -874,16 +795,16 @@ Status ClusterManager::ScaleUpMany(
   }
   TimeNs start = sim_->Now();
   // Steps 1/2/4/5 proceed per-TE in parallel; TE-Load is one broadcast.
-  const bool pod_hit = opts_.prewarmed_pods && directory_.prewarmed_pods() >= count;
+  const bool pod_hit = opts_.prewarmed_pods && directory().prewarmed_pods() >= count;
   const DurationNs pre = ScalerPreCost(pod_hit);
   if (pod_hit) {
-    AppendDir(ctrl::TeDirectory::kPodsConsumed, {count});
+    leader_.Append(ctrl::TeDirectory::kPodsConsumed, {count});
     stats_.prewarmed_pod_hits += count;
   }
-  const bool te_hit = opts_.prewarmed_tes && directory_.prewarmed_tes() >= count;
+  const bool te_hit = opts_.prewarmed_tes && directory().prewarmed_tes() >= count;
   const DurationNs preload = TePreLoadCost(te_hit);
   if (te_hit) {
-    AppendDir(ctrl::TeDirectory::kWarmTesConsumed, {count});
+    leader_.Append(ctrl::TeDirectory::kWarmTesConsumed, {count});
     stats_.prewarmed_te_hits += count;
   }
   Bytes per_npu =
@@ -943,8 +864,8 @@ void ClusterManager::StopAutoscaler() {
 }
 
 DurationNs ClusterManager::EstimateScaleUpLead(const ScaleRequest& request) const {
-  DurationNs lead = ScalerPreCost(opts_.prewarmed_pods && directory_.prewarmed_pods() > 0) +
-                    TePreLoadCost(opts_.prewarmed_tes && directory_.prewarmed_tes() > 0);
+  DurationNs lead = ScalerPreCost(opts_.prewarmed_pods && directory().prewarmed_pods() > 0) +
+                    TePreLoadCost(opts_.prewarmed_tes && directory().prewarmed_tes() > 0);
   // TE-Load: contention-free transfer estimates (actual runs share links).
   const model::ModelSpec& model = request.engine.model;
   Bytes per_npu = model::WeightBytesPerNpu(model, request.engine.parallelism);

@@ -17,14 +17,11 @@
 // Control-plane state vs. runtime bindings: the authoritative registry —
 // which TE ids exist, their lifecycle, NPU placement, the device-in-use
 // bitmap, pre-warm pool counters, crash bookkeeping, in-flight pipelines —
-// lives in a ctrl::TeDirectory state machine that mutates only through
-// ctrl::ControlLog records, so a standby leader replaying the log owns
-// bit-identical state. The live TaskExecutor objects, scheduled events, and
-// in-flight link flows are data plane: they keep running through a
-// control-plane outage, and a new leader re-binds to them at takeover
-// (CrashControlLeader / RecoverControlLeader). In the degenerate
-// single-replica zero-latency log config, every Append applies inline and
-// schedules nothing, so behavior is bit-identical to the pre-log tree.
+// lives in a ctrl::TeDirectory held by a ctrl::Leader (ctrl/leader.h). The
+// live TaskExecutor objects, scheduled events, and in-flight link flows are
+// data plane: they keep running through a control-plane outage, and a new
+// leader re-binds to them at takeover (CrashControlLeader /
+// RecoverControlLeader).
 #ifndef DEEPSERVE_SERVING_CLUSTER_MANAGER_H_
 #define DEEPSERVE_SERVING_CLUSTER_MANAGER_H_
 
@@ -38,6 +35,7 @@
 #include "common/status.h"
 #include "common/time_units.h"
 #include "ctrl/control_log.h"
+#include "ctrl/leader.h"
 #include "ctrl/te_directory.h"
 #include "distflow/distflow.h"
 #include "hw/cluster.h"
@@ -185,9 +183,6 @@ class ClusterManager {
                  ScalingOptimizations opts = {}, ScalingLatencyModel latency = {},
                  ctrl::ControlLog* ctrl_log = nullptr);
 
-  // Detaches the TeDirectory from a shared (externally owned) control log.
-  ~ClusterManager();
-
   ClusterManager(const ClusterManager&) = delete;
   ClusterManager& operator=(const ClusterManager&) = delete;
 
@@ -234,31 +229,27 @@ class ClusterManager {
   }
 
   // ---- control-plane failover -------------------------------------------------
-  // Crashes the CM leader: every mutating entry point returns UNAVAILABLE and
-  // in-flight pipeline transitions park until a standby takes over. With a
-  // replicated log the takeover is scheduled automatically after
-  // ControlLog::FailoverDelay (lease + replication gap + tail replay); with a
-  // single replica the outage is permanent unless RecoverControlLeader() is
-  // called by hand. Data-plane TEs keep serving throughout.
-  [[nodiscard]] Status CrashControlLeader();
-  // Standby takeover: replays the log into a fresh TeDirectory, checks it
-  // reconstructs the live state bit-identically, swaps it in, bumps the
-  // epoch, replays crash reports observed during the outage, resumes parked
-  // control ops, and re-detects undetected failures.
-  void RecoverControlLeader();
-  bool leader_up() const { return leader_up_; }
-  int64_t control_epoch() const { return directory_.epoch(); }
-  // Runs `op` now, or parks it until the next RecoverControlLeader() when the
-  // leader is down (used by pipeline stages and the autoscaler's drain path).
-  void DeferUntilRecovery(std::function<void()> op);
-  ctrl::ControlLog* ctrl_log() { return log_; }
-  const ctrl::TeDirectory& directory() const { return directory_; }
+  // The protocol is ctrl::Leader's. While the CM leader is down every
+  // mutating entry point returns UNAVAILABLE, pipeline transitions park and
+  // TE crash reports buffer; data-plane TEs keep serving. The CM's own steps
+  // at takeover: record the buffered crash reports before the parked ops
+  // run, then re-detect every undetected failure (the health scan).
+  [[nodiscard]] Status CrashControlLeader() { return leader_.Crash(); }
+  // FAILED_PRECONDITION on a live leader.
+  [[nodiscard]] Status RecoverControlLeader() { return leader_.Takeover(); }
+  bool leader_up() const { return leader_.up(); }
+  int64_t control_epoch() const { return directory().epoch(); }
+  // Runs `op` now, or parks it on the leader until the next takeover when it
+  // is down (used by pipeline stages and the autoscaler's drain path).
+  void DeferUntilRecovery(common::SmallFn op) { leader_.RunOrPark(std::move(op)); }
+  ctrl::ControlLog* ctrl_log() { return leader_.log(); }
+  const ctrl::TeDirectory& directory() const { return leader_.state(); }
 
   // ---- pre-warming & pre-loading ----------------------------------------------
   void ReservePrewarmedPods(int count);
   void ReservePrewarmedTes(int count);
-  int prewarmed_pods() const { return directory_.prewarmed_pods(); }
-  int prewarmed_tes() const { return directory_.prewarmed_tes(); }
+  int prewarmed_pods() const { return directory().prewarmed_pods(); }
+  int prewarmed_tes() const { return directory().prewarmed_tes(); }
 
   // Streams a model's safetensors file from SSD into a machine's DRAM page
   // cache (timed); `on_done` fires when resident.
@@ -353,7 +344,8 @@ class ClusterManager {
   void RunTePostLoad(std::shared_ptr<PipelineState> state);
   void RunScalerPost(std::shared_ptr<PipelineState> state);
   void FinishPipeline(std::shared_ptr<PipelineState> state);
-  // Ends stage `stage` after `delay`, behind StageContinue.
+  // Ends stage `stage` after `delay` unless the pipeline was aborted; parks
+  // it while the control leader is down (a standby resumes it at takeover).
   void EndStageAfter(DurationNs delay, std::shared_ptr<PipelineState> state, int stage);
   // The one stage tail: times the stage into its ScalingBreakdown field,
   // traces it, records kStageDone (kPipelineDone after stage 5) and runs
@@ -365,11 +357,10 @@ class ClusterManager {
   DurationNs TePreLoadCost(bool prewarmed_te) const;
   DurationNs PostLoadDuration() const;
   DurationNs ScalerPostCost() const;
-  // Runs a pipeline-stage continuation: dropped if the pipeline was aborted,
-  // parked if the control leader is down (a standby resumes it at takeover).
-  void StageContinue(const std::shared_ptr<PipelineState>& state, std::function<void()> body);
-  // Appends one TeDirectory record to the control log.
-  void AppendDir(int32_t type, std::vector<int64_t> ints = {});
+  // The CM's leader steps (see CrashControlLeader).
+  void TraceLeaderCrash();
+  void RecordBufferedCrashes();
+  void HealthScan();
   // Autoscaler scale-downs count in ClusterManagerStats like the historical
   // in-class tick's did.
   void RecordAutoscalerScaleDown() { ++stats_.scale_downs; }
@@ -395,10 +386,10 @@ class ClusterManager {
   ScalingOptimizations opts_;
   ScalingLatencyModel latency_;
 
-  // Replicated control-plane state (see file comment) + its log.
-  std::unique_ptr<ctrl::ControlLog> owned_log_;
-  ctrl::ControlLog* log_ = nullptr;
-  ctrl::TeDirectory directory_;
+  ClusterManagerStats stats_;
+  // Replicated control-plane state (see file comment), its log and the
+  // failover protocol.
+  ctrl::Leader<ctrl::TeDirectory> leader_;
 
   // Runtime bindings (data plane): the live TaskExecutor objects in creation
   // order, and the id -> object map a re-elected leader re-binds through.
@@ -420,13 +411,8 @@ class ClusterManager {
   ScaleRequest replace_template_;
   std::function<void(TaskExecutor*)> replace_on_ready_;
 
-  // Leader failover state.
-  bool leader_up_ = true;
-  TimeNs leader_crash_time_ = 0;
-  std::vector<std::function<void()>> deferred_ops_;
   std::vector<PendingCrash> pending_crashes_;  // pod-runtime backlog during outage
 
-  ClusterManagerStats stats_;
   int trace_pid_ = -1;
 };
 

@@ -30,68 +30,33 @@ std::string_view SchedulingPolicyToString(SchedulingPolicy policy) {
 JobExecutor::JobExecutor(sim::Simulator* sim, JeConfig config, PdHeatmap heatmap,
                          std::unique_ptr<DecodeLengthPredictor> predictor)
     : sim_(sim), config_(config), heatmap_(std::move(heatmap)),
-      predictor_(std::move(predictor)) {
-  DS_CHECK(sim_ != nullptr);
+      predictor_(std::move(predictor)),
+      leader_(sim_, /*log=*/nullptr,  // until AttachControl
+              {&stats_.je_crashes, &stats_.je_failovers, &stats_.deferred_ops,
+               &stats_.je_outage_total},
+              {[this] { OnLeaderCrash(); }, [this] { RebindTes(); },
+               [this] { ReconcileAfterTakeover(); }}) {
   DS_CHECK(predictor_ != nullptr);
-  // Default control plane: a private degenerate log (single replica, zero
-  // latency) — bit-identical behavior to unreplicated bookkeeping.
-  owned_log_ = std::make_unique<ctrl::ControlLog>(sim_);
-  log_ = owned_log_.get();
-  table_.set_domain(log_->RegisterDomain("job-table"));
-  log_->Attach(&table_);
 }
 
 JobExecutor::~JobExecutor() {
   if (cm_ != nullptr && failure_handler_id_ != 0) {
     cm_->RemoveFailureHandler(failure_handler_id_);
   }
-  log_->Detach(table_.domain());
 }
 
 void JobExecutor::AttachControl(ctrl::ControlLog* log, ClusterManager* cm) {
-  DS_CHECK(log != nullptr);
-  DS_CHECK(table_.applied() == 0)
-      << "AttachControl must precede any JE state (TEs, requests)";
-  log_->Detach(table_.domain());
-  table_.set_domain(log->RegisterDomain("job-table"));
-  log_ = log;
-  owned_log_.reset();
-  log_->Attach(&table_);
+  leader_.MoveTo(log);
   cm_ = cm;
   if (cm_ != nullptr) {
     failure_handler_id_ = cm_->AddFailureHandler([this](TeId id) { OnTeFailure(id); });
   }
 }
 
-void JobExecutor::AppendJob(int32_t type, std::vector<int64_t> ints, std::string str,
-                            workload::Prompt prompt) {
-  ctrl::LogRecord record;
-  record.domain = table_.domain();
-  record.type = type;
-  record.ints = std::move(ints);
-  record.str = std::move(str);
-  record.prompt = std::move(prompt);
-  log_->Append(std::move(record));
-}
-
-void JobExecutor::RunOrDefer(std::function<void()> op) {
-  if (!down_) {
-    op();
-    return;
-  }
-  if (!log_->replicated()) {
-    // No standby will ever take over; the op targets state that was already
-    // failed out in CrashLeader (or is moot), so it is dropped.
-    return;
-  }
-  ++stats_.deferred_ops;
-  deferred_ops_.push_back(std::move(op));
-}
-
 ResponseHandler JobExecutor::CloseJob(JobId job_id, int32_t close_type) {
-  const uint64_t created = table_.outstanding().at(job_id).created_seq;
-  AppendJob(close_type, {static_cast<int64_t>(job_id)});
-  log_->DropPayload(created);
+  const uint64_t created = table().outstanding().at(job_id).created_seq;
+  leader_.Append(close_type, {static_cast<int64_t>(job_id)});
+  leader_.log()->DropPayload(created);
   auto caller = handlers_.extract(job_id);
   return caller.empty() ? ResponseHandler{} : std::move(caller.mapped().handler);
 }
@@ -101,11 +66,11 @@ void JobExecutor::AddTe(ctrl::JobTable::Group group, TaskExecutor* te) {
                                                      flowserve::EngineRole::kPrefillOnly,
                                                      flowserve::EngineRole::kDecodeOnly};
   DS_CHECK(te->role() == kRole[group]);
-  if (down_) {
-    RunOrDefer([this, group, te] { AddTe(group, te); });
+  if (!leader_.up()) {
+    leader_.Park([this, group, te] { AddTe(group, te); });
     return;
   }
-  AppendJob(ctrl::JobTable::kTeAdded, {group, static_cast<int64_t>(te->id())});
+  leader_.Append(ctrl::JobTable::kTeAdded, {group, static_cast<int64_t>(te->id())});
   groups_[group].push_back(te);
 }
 
@@ -126,8 +91,8 @@ TaskExecutor* JobExecutor::Member(TeId id) const {
 
 bool JobExecutor::RemoveTe(TeId id) {
   const bool member = Member(id) != nullptr;
-  if (down_) {
-    RunOrDefer([this, id] { RemoveTe(id); });
+  if (!leader_.up()) {
+    leader_.Park([this, id] { RemoveTe(id); });
     return member;
   }
   if (!member) {
@@ -136,7 +101,7 @@ bool JobExecutor::RemoveTe(TeId id) {
   for (auto& group : groups_) {
     std::erase_if(group, [id](TaskExecutor* te) { return te->id() == id; });
   }
-  AppendJob(ctrl::JobTable::kTeRemoved, {static_cast<int64_t>(id)});
+  leader_.Append(ctrl::JobTable::kTeRemoved, {static_cast<int64_t>(id)});
   // Prompt-tree tags for the departed TE are cleaned lazily during matching.
   return true;
 }
@@ -239,7 +204,7 @@ TaskExecutor* JobExecutor::SelectFrom(std::span<const rtc::BlockKey> keys, Promp
   switch (config_.policy) {
     case SchedulingPolicy::kRoundRobin:
       // The cursor advances once per request (kRrAdvanced) in Dispatch.
-      return tes[table_.rr_cursor() % tes.size()];
+      return tes[table().rr_cursor() % tes.size()];
     case SchedulingPolicy::kLoadOnly:
       ++stats_.load_decisions;
       return LoadAware(tes);
@@ -296,15 +261,15 @@ int JobExecutor::TracePid() {
 }
 
 TaskId JobExecutor::NewTask(JobId job, TaskType type, TeId te) {
-  const TaskId task_id = table_.next_task();
-  AppendJob(ctrl::JobTable::kTaskCreated,
+  const TaskId task_id = table().next_task();
+  leader_.Append(ctrl::JobTable::kTaskCreated,
             {static_cast<int64_t>(task_id), static_cast<int64_t>(job),
              static_cast<int64_t>(type), static_cast<int64_t>(te)});
   return task_id;
 }
 
 int JobExecutor::ReadyCapacityWeight() const {
-  if (down_) {
+  if (!leader_.up()) {
     return 0;
   }
   int ready[3] = {};
@@ -317,20 +282,18 @@ int JobExecutor::ReadyCapacityWeight() const {
 }
 
 size_t JobExecutor::CancelRequest(workload::RequestId request_id) {
-  if (down_) {
-    // Parked until takeover (or dropped when no standby exists — the crash
-    // already failed every outstanding job, so there is nothing to cancel).
-    RunOrDefer([this, request_id] { CancelRequest(request_id); });
+  if (!leader_.up()) {
+    leader_.Park([this, request_id] { CancelRequest(request_id); });
     return 0;
   }
   std::vector<JobId> hits;
-  for (const auto& [job_id, outstanding] : table_.outstanding()) {
+  for (const auto& [job_id, outstanding] : table().outstanding()) {
     if (outstanding.spec.id == request_id) {
       hits.push_back(job_id);
     }
   }
   for (JobId job_id : hits) {
-    std::vector<TeId> tes = table_.outstanding().at(job_id).tes;
+    std::vector<TeId> tes = table().outstanding().at(job_id).tes;
     (void)CloseJob(job_id, ctrl::JobTable::kJobFailed);  // the handler dies unfired
     for (TeId te_id : tes) {
       if (TaskExecutor* te = Member(te_id)) {
@@ -348,8 +311,8 @@ size_t JobExecutor::CancelRequest(workload::RequestId request_id) {
 
 void JobExecutor::HandleRequest(const workload::RequestSpec& spec, ResponseHandler handler) {
   ++stats_.requests;
-  if (down_) {
-    if (log_->replicated()) {
+  if (!leader_.up()) {
+    if (leader_.log()->replicated()) {
       // The standby picks these up at takeover.
       ++stats_.queued_arrivals;
       pending_arrivals_.push_back({spec, std::move(handler)});
@@ -370,10 +333,10 @@ void JobExecutor::HandleRequest(const workload::RequestSpec& spec, ResponseHandl
 }
 
 void JobExecutor::FailJob(JobId job_id, const Status& status) {
-  if (!table_.IsOutstanding(job_id)) {
+  if (!table().IsOutstanding(job_id)) {
     return;  // already completed, already failed, or owned by the retry path
   }
-  workload::RequestId request = table_.outstanding().at(job_id).spec.id;
+  workload::RequestId request = table().outstanding().at(job_id).spec.id;
   ResponseHandler handler = CloseJob(job_id, ctrl::JobTable::kJobFailed);
   ++stats_.errors;
   if (obs::Tracer* t = sim_->tracer()) {
@@ -388,11 +351,11 @@ void JobExecutor::FailJob(JobId job_id, const Status& status) {
 
 void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler handler,
                            int retries) {
-  const JobId job_id = table_.next_job();
+  const JobId job_id = table().next_job();
   // kJobCreated carries the full spec, its prompt by shared reference: a
   // standby replaying the log can re-dispatch or fail this request without
   // the leader's memory.
-  AppendJob(ctrl::JobTable::kJobCreated,
+  leader_.Append(ctrl::JobTable::kJobCreated,
             {static_cast<int64_t>(job_id), static_cast<int64_t>(spec.id), retries, spec.arrival,
              spec.decode_len, spec.priority, spec.deadline},
             spec.context_id, spec.prompt);
@@ -435,7 +398,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
       // Baseline: alternate over routing slots (each colocated TE and the
       // disaggregated pool each count as one slot).
       size_t slots = coloc.size() + (disagg_available ? 1 : 0);
-      size_t slot = table_.rr_cursor() % std::max<size_t>(1, slots);
+      size_t slot = table().rr_cursor() % std::max<size_t>(1, slots);
       use_disagg = disagg_available && slot == coloc.size();
       break;
     }
@@ -489,7 +452,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     ++stats_.routed_disaggregated;
     TaskExecutor* p = SelectFrom(keys, prefill_tree_, prefill);
     RecordRoute(keys, prefill_tree_, p->id());
-    AppendJob(ctrl::JobTable::kJobTeBound,
+    leader_.Append(ctrl::JobTable::kJobTeBound,
               {static_cast<int64_t>(job_id), static_cast<int64_t>(p->id())});
     if (obs::Tracer* t = sim_->tracer()) {
       t->Instant(sim_->Now(), TracePid(), 0, "je.route",
@@ -502,7 +465,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     ++stats_.routed_colocated;
     TaskExecutor* te = SelectFrom(keys, colocated_tree_, coloc);
     RecordRoute(keys, colocated_tree_, te->id());
-    AppendJob(ctrl::JobTable::kJobTeBound,
+    leader_.Append(ctrl::JobTable::kJobTeBound,
               {static_cast<int64_t>(job_id), static_cast<int64_t>(te->id())});
     if (obs::Tracer* t = sim_->tracer()) {
       t->Instant(sim_->Now(), TracePid(), 0, "je.route",
@@ -512,7 +475,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     }
     DispatchColocated(job_id, te, spec, std::move(chain));
   }
-  AppendJob(ctrl::JobTable::kRrAdvanced);
+  leader_.Append(ctrl::JobTable::kRrAdvanced);
 }
 
 void JobExecutor::DispatchColocated(JobId job_id, TaskExecutor* te,
@@ -530,7 +493,7 @@ void JobExecutor::DispatchDisaggregated(JobId job_id, TaskExecutor* prefill_te,
   }
   DS_CHECK(!decode.empty());
   TaskExecutor* decode_te = LoadAware(decode);
-  AppendJob(ctrl::JobTable::kJobTeBound,
+  leader_.Append(ctrl::JobTable::kJobTeBound,
             {static_cast<int64_t>(job_id), static_cast<int64_t>(decode_te->id())});
   Caller& caller = handlers_.at(job_id);
   caller.task = NewTask(job_id, TaskType::kPrefill, prefill_te->id());
@@ -554,11 +517,11 @@ void JobExecutor::OnTaskFirstToken(JobId job_id, const flowserve::Sequence& seq)
     return;
   }
   if (it->second.disaggregated) {
-    if (down_) {
-      RunOrDefer([this, job_id, seq] { OnTaskFirstToken(job_id, seq); });
+    if (!leader_.up()) {
+      leader_.Park([this, job_id, seq] { OnTaskFirstToken(job_id, seq); });
       return;
     }
-    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(it->second.task)});
+    leader_.Append(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(it->second.task)});
   }
   if (it->second.handler.on_first_token) {
     it->second.handler.on_first_token(seq);
@@ -566,8 +529,8 @@ void JobExecutor::OnTaskFirstToken(JobId job_id, const flowserve::Sequence& seq)
 }
 
 void JobExecutor::OnTaskComplete(JobId job_id, const flowserve::Sequence& seq) {
-  if (down_) {
-    RunOrDefer([this, job_id, seq] { OnTaskComplete(job_id, seq); });
+  if (!leader_.up()) {
+    leader_.Park([this, job_id, seq] { OnTaskComplete(job_id, seq); });
     return;
   }
   auto it = handlers_.find(job_id);
@@ -575,7 +538,7 @@ void JobExecutor::OnTaskComplete(JobId job_id, const flowserve::Sequence& seq) {
     return;
   }
   if (!it->second.disaggregated) {
-    AppendJob(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(it->second.task)});
+    leader_.Append(ctrl::JobTable::kTaskCompleted, {static_cast<int64_t>(it->second.task)});
   }
   ResponseHandler handler = CloseJob(job_id, ctrl::JobTable::kJobCompleted);
   if (handler.on_complete) {
@@ -584,18 +547,18 @@ void JobExecutor::OnTaskComplete(JobId job_id, const flowserve::Sequence& seq) {
 }
 
 void JobExecutor::OnTaskError(JobId job_id, const Status& status) {
-  if (down_) {
-    RunOrDefer([this, job_id, status] { OnTaskError(job_id, status); });
+  if (!leader_.up()) {
+    leader_.Park([this, job_id, status] { OnTaskError(job_id, status); });
     return;
   }
   FailJob(job_id, status);
 }
 
 void JobExecutor::OnTeFailure(TeId id) {
-  if (down_) {
+  if (!leader_.up()) {
     // Parked: the standby reconciles dead TEs at takeover, and this handler
     // re-runs first so membership and retries aren't double-processed.
-    RunOrDefer([this, id] { OnTeFailure(id); });
+    leader_.Park([this, id] { OnTeFailure(id); });
     return;
   }
   ++stats_.failed_tes_handled;
@@ -612,7 +575,7 @@ void JobExecutor::OnTeFailure(TeId id) {
     ResponseHandler handler;
   };
   std::vector<JobId> hit_jobs;
-  for (const auto& [job_id, outstanding] : table_.outstanding()) {
+  for (const auto& [job_id, outstanding] : table().outstanding()) {
     if (std::find(outstanding.tes.begin(), outstanding.tes.end(), id) !=
         outstanding.tes.end()) {
       hit_jobs.push_back(job_id);
@@ -620,7 +583,7 @@ void JobExecutor::OnTeFailure(TeId id) {
   }
   std::vector<Retry> to_retry;
   for (JobId job_id : hit_jobs) {
-    const ctrl::JobTable::Outstanding& outstanding = table_.outstanding().at(job_id);
+    const ctrl::JobTable::Outstanding& outstanding = table().outstanding().at(job_id);
     Retry retry;
     retry.spec = outstanding.spec;
     retry.tes = outstanding.tes;
@@ -675,16 +638,12 @@ void JobExecutor::OnTeFailure(TeId id) {
   }
 }
 
-Status JobExecutor::CrashLeader() {
-  if (down_) {
-    return FailedPreconditionError("job executor leader already down");
-  }
-  ++stats_.je_crashes;
-  crash_time_ = sim_->Now();
+void JobExecutor::OnLeaderCrash() {
+  const ctrl::ControlLog& log = control_log();
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), 0, "je.crash",
-               {obs::Arg("replicated", static_cast<int64_t>(log_->replicated())),
-                obs::Arg("log_records", log_->CountDomain(table_.domain()))});
+               {obs::Arg("replicated", static_cast<int64_t>(log.replicated())),
+                obs::Arg("log_records", log.CountDomain(table().domain()))});
   }
   // The dead leader's failure subscription must not fire into a down JE's
   // retry path; the standby re-subscribes at takeover.
@@ -692,91 +651,62 @@ Status JobExecutor::CrashLeader() {
     cm_->RemoveFailureHandler(failure_handler_id_);
     failure_handler_id_ = 0;
   }
-  if (!log_->replicated()) {
-    // Permanent outage: the crash destroys all in-flight scheduling state and
-    // no standby will replay it. Clients observe severed connections — every
-    // outstanding job fails, and engine-side sequences are cancelled so their
-    // KV pins release (token conservation).
-    std::vector<JobId> doomed;
-    for (const auto& [job_id, outstanding] : table_.outstanding()) {
-      doomed.push_back(job_id);
-    }
-    for (JobId job_id : doomed) {
-      const ctrl::JobTable::Outstanding& outstanding = table_.outstanding().at(job_id);
-      workload::RequestId request = outstanding.spec.id;
-      std::vector<TeId> tes = outstanding.tes;
-      for (TeId te_id : tes) {
-        if (TaskExecutor* te = Member(te_id)) {
-          (void)te->engine().Cancel(request);
-        }
-      }
-      FailJob(job_id, UnavailableError("request " + std::to_string(request) +
-                                       " severed by job executor crash (no standby)"));
-    }
-    down_ = true;
-    return Status::Ok();
+  if (log.replicated()) {
+    return;
   }
-  down_ = true;
-  const int64_t epoch_at_crash = table_.epoch();
-  sim_->ScheduleAfter(log_->FailoverDelay(crash_time_), [this, epoch_at_crash] {
-    // Guard against a manual RecoverLeader (or a crash/recover cycle) that
-    // already bumped the epoch before this timer fired.
-    if (down_ && table_.epoch() == epoch_at_crash) {
-      RecoverLeader();
+  // Permanent outage: the crash destroys all in-flight scheduling state and
+  // no standby will replay it. Clients observe severed connections — every
+  // outstanding job fails, and engine-side sequences are cancelled so their
+  // KV pins release (token conservation).
+  std::vector<JobId> doomed;
+  for (const auto& [job_id, outstanding] : table().outstanding()) {
+    doomed.push_back(job_id);
+  }
+  for (JobId job_id : doomed) {
+    const ctrl::JobTable::Outstanding& outstanding = table().outstanding().at(job_id);
+    const workload::RequestId request = outstanding.spec.id;
+    for (TeId te_id : std::vector<TeId>(outstanding.tes)) {
+      if (TaskExecutor* te = Member(te_id)) {
+        (void)te->engine().Cancel(request);
+      }
     }
-  });
-  return Status::Ok();
+    FailJob(job_id, UnavailableError("request " + std::to_string(request) +
+                                     " severed by job executor crash (no standby)"));
+  }
 }
 
-void JobExecutor::RecoverLeader() {
-  DS_CHECK(down_) << "RecoverLeader on a live job executor leader";
-  // Standby takeover: rebuild the job table purely from the shared log and
-  // prove the replay converged before swapping it in.
-  ctrl::JobTable standby(table_.domain());
-  log_->ReplayInto(&standby);
-  DS_CHECK(standby.Fingerprint() == table_.Fingerprint())
-      << "control-log replay diverged from live job table — a mutation "
-         "bypassed the log";
-  table_ = std::move(standby);
-  down_ = false;
-  AppendJob(ctrl::JobTable::kEpoch);
-  ++stats_.je_failovers;
-  stats_.je_outage_total += sim_->Now() - crash_time_;
+void JobExecutor::RebindTes() {
   if (obs::Tracer* t = sim_->tracer()) {
     t->Instant(sim_->Now(), TracePid(), 0, "je.failover",
-               {obs::Arg("epoch", table_.epoch()),
-                obs::Arg("outage_ms", NsToMs(sim_->Now() - crash_time_))});
+               {obs::Arg("epoch", table().epoch()),
+                obs::Arg("outage_ms", NsToMs(sim_->Now() - leader_.crash_time()))});
   }
   // Re-establish runtime bindings: TE pointers from replicated ids, and the
   // failure subscription the dead leader held.
-  std::vector<TeId> unbound;
-  if (cm_ != nullptr) {
-    for (int g = 0; g < 3; ++g) {
-      groups_[g].clear();
-      for (TeId id : table_.group(static_cast<ctrl::JobTable::Group>(g))) {
-        TaskExecutor* te = cm_->te(id);
-        if (te != nullptr) {
-          groups_[g].push_back(te);
-        } else {
-          unbound.push_back(id);
-        }
+  if (cm_ == nullptr) {
+    return;
+  }
+  for (int g = 0; g < 3; ++g) {
+    groups_[g].clear();
+    for (TeId id : table().group(static_cast<ctrl::JobTable::Group>(g))) {
+      if (TaskExecutor* te = cm_->te(id)) {
+        groups_[g].push_back(te);
+      } else {
+        unbound_.push_back(id);
       }
     }
-    failure_handler_id_ = cm_->AddFailureHandler([this](TeId id) { OnTeFailure(id); });
   }
-  // Drain order matters: (1) parked completions/failures/TE events first (so
-  // membership changes and retries that predate the outage's end aren't
-  // double-processed by the reconcile scan), (2) reconcile TEs that died or
-  // stopped during the outage, (3) buffered arrivals last, against the
-  // reconciled fleet.
-  std::vector<std::function<void()>> ops = std::move(deferred_ops_);
-  deferred_ops_.clear();
-  for (auto& op : ops) {
-    op();
-  }
-  for (TeId id : unbound) {
+  failure_handler_id_ = cm_->AddFailureHandler([this](TeId id) { OnTeFailure(id); });
+}
+
+void JobExecutor::ReconcileAfterTakeover() {
+  // After the parked ops (so membership changes and retries that predate the
+  // outage's end aren't double-processed): reconcile TEs that died or stopped
+  // during the outage, then dispatch the buffered arrivals against them.
+  for (TeId id : unbound_) {
     OnTeFailure(id);
   }
+  unbound_.clear();
   for (const auto& group : groups_) {
     std::vector<TaskExecutor*> members = group;  // handlers mutate the groups
     for (TaskExecutor* te : members) {

@@ -17,10 +17,9 @@
 //
 // Control-plane state vs. runtime bindings: the outstanding map, retry
 // counts, id counters, round-robin cursor, and TE group membership (as ids)
-// live in a ctrl::JobTable state machine mutating only through
-// ctrl::ControlLog records, so a standby JE leader replaying the log can take
-// over (CrashLeader / RecoverLeader). The job/task ledger is those records
-// (control_log()); nothing keeps a second copy of it. Runtime-only artifacts
+// live in a ctrl::JobTable held by a ctrl::Leader (ctrl/leader.h). The
+// job/task ledger is the JobTable records (control_log()); nothing keeps a
+// second copy of it. Runtime-only artifacts
 // stay here: ResponseHandlers (modeled as connections the standby
 // re-establishes), TaskExecutor pointers (re-bound from ids via the
 // ClusterManager), and the prompt-tree caches (rebuildable; affect only
@@ -37,6 +36,7 @@
 #include "common/types.h"
 #include "ctrl/control_log.h"
 #include "ctrl/job_table.h"
+#include "ctrl/leader.h"
 #include "rtc/radix_tree.h"
 #include "serving/heatmap.h"
 #include "serving/job.h"
@@ -116,7 +116,7 @@ class JobExecutor {
  public:
   JobExecutor(sim::Simulator* sim, JeConfig config, PdHeatmap heatmap,
               std::unique_ptr<DecodeLengthPredictor> predictor);
-  // Detaches the JobTable from a shared (externally owned) control log.
+  // Drops the failure subscription AttachControl made.
   ~JobExecutor();
 
   JobExecutor(const JobExecutor&) = delete;
@@ -171,22 +171,20 @@ class JobExecutor {
   void OnTeFailure(TeId id);
 
   // ---- control-plane failover -------------------------------------------------
-  // Crashes this JE's leader. With a replicated log, a standby replays the
-  // job table and takes over after ControlLog::FailoverDelay: completions
-  // that arrive meanwhile are parked, new arrivals are buffered, and recovery
-  // reconciles TEs that died during the outage. With a single replica the
-  // outage is permanent: every outstanding job fails with UNAVAILABLE and
-  // subsequent arrivals are rejected immediately.
-  [[nodiscard]] Status CrashLeader();
-  // Standby takeover: replay + fingerprint check + swap, epoch bump, handler
-  // re-registration, TE re-binding, parked-op drain, dead-TE reconciliation,
-  // then buffered-arrival dispatch.
-  void RecoverLeader();
-  bool leader_up() const { return !down_; }
-  int64_t control_epoch() const { return table_.epoch(); }
-  const ctrl::JobTable& table() const { return table_; }
+  // The protocol is ctrl::Leader's. The JE's own steps: at a crash it drops
+  // its failure subscription and, with a single replica (no standby), severs
+  // every outstanding job with UNAVAILABLE; while down it buffers arrivals
+  // (replicated) or rejects them (single replica). At takeover it re-binds
+  // TEs and re-subscribes before the parked ops run, then reconciles TEs that
+  // died during the outage and dispatches the buffered arrivals.
+  [[nodiscard]] Status CrashLeader() { return leader_.Crash(); }
+  // FAILED_PRECONDITION on a live leader.
+  [[nodiscard]] Status RecoverLeader() { return leader_.Takeover(); }
+  bool leader_up() const { return leader_.up(); }
+  int64_t control_epoch() const { return table().epoch(); }
+  const ctrl::JobTable& table() const { return leader_.state(); }
   // The log holding table()'s domain: its records are the job/task ledger.
-  const ctrl::ControlLog& control_log() const { return *log_; }
+  const ctrl::ControlLog& control_log() const { return *leader_.log(); }
 
   const JeStats& stats() const { return stats_; }
   size_t colocated_count() const { return groups_[ctrl::JobTable::kColocated].size(); }
@@ -238,21 +236,18 @@ class JobExecutor {
 
   // The handler the TE(s) run `job_id` under: each callback captures only
   // (this, job_id), which std::function stores inline, and lands in the
-  // matching OnTask* member. Those park through RunOrDefer while the leader
-  // is down, except a colocated first token, which goes straight through.
+  // matching OnTask* member. Those park on the leader while it is down,
+  // except a colocated first token, which goes straight through.
   ResponseHandler TeHandler(JobId job_id);
   void OnTaskFirstToken(JobId job_id, const flowserve::Sequence& seq);
   void OnTaskComplete(JobId job_id, const flowserve::Sequence& seq);
   void OnTaskError(JobId job_id, const Status& status);
 
   TaskId NewTask(JobId job, TaskType type, TeId te);
-  // Appends one JobTable record to the control log.
-  void AppendJob(int32_t type, std::vector<int64_t> ints = {}, std::string str = {},
-                 workload::Prompt prompt = {});
-  // Runs a completion/failure continuation now, or parks it until the next
-  // RecoverLeader() while this JE's leader is down. With a single-replica log
-  // a parked op is dropped instead — no takeover will ever come.
-  void RunOrDefer(std::function<void()> op);
+  // The JE's leader steps (see CrashLeader).
+  void OnLeaderCrash();
+  void RebindTes();
+  void ReconcileAfterTakeover();
   // Lazily registers the JE's trace track; -1 when tracing is disabled.
   int TracePid();
 
@@ -262,10 +257,10 @@ class JobExecutor {
   std::unique_ptr<DecodeLengthPredictor> predictor_;
   RetryBudget* retry_budget_ = nullptr;
 
-  // Replicated control-plane state (see file comment) + its log.
-  std::unique_ptr<ctrl::ControlLog> owned_log_;
-  ctrl::ControlLog* log_ = nullptr;
-  ctrl::JobTable table_;
+  JeStats stats_;
+  // Replicated control-plane state (see file comment), its log and the
+  // failover protocol.
+  ctrl::Leader<ctrl::JobTable> leader_;
 
   // Runtime bindings (data plane / per-leader artifacts): the live TEs of
   // each group, indexed by ctrl::JobTable::Group.
@@ -287,19 +282,16 @@ class JobExecutor {
   PromptTree colocated_tree_;
   PromptTree prefill_tree_;
 
-  // Leader failover state.
+  // Per-leader runtime bindings for failover.
   ClusterManager* cm_ = nullptr;
   int64_t failure_handler_id_ = 0;  // 0 = not registered via AttachControl
-  bool down_ = false;
-  TimeNs crash_time_ = 0;
-  std::vector<std::function<void()>> deferred_ops_;
+  std::vector<TeId> unbound_;  // group ids with no live TE at the last takeover
   struct PendingArrival {
     workload::RequestSpec spec;
     ResponseHandler handler;
   };
   std::vector<PendingArrival> pending_arrivals_;
 
-  JeStats stats_;
   int trace_pid_ = -1;
 };
 

@@ -472,7 +472,7 @@ TEST_F(CtrlStackTest, SingleReplicaOutageIsPermanentUntilManualRecovery) {
             StatusCode::kUnavailable);
   EXPECT_FALSE(manager.StopTe(te->id()).ok());
 
-  manager.RecoverControlLeader();
+  ASSERT_TRUE(manager.RecoverControlLeader().ok());
   EXPECT_TRUE(manager.leader_up());
   EXPECT_EQ(manager.control_epoch(), 1);
   EXPECT_TRUE(manager.StopTe(te->id()).ok());
@@ -782,6 +782,129 @@ TEST_F(CtrlStackTest, SingleReplicaJeCrashFailsOutstandingAndRejectsArrivals) {
   EXPECT_EQ(je.stats().je_crashes, 1);
   EXPECT_EQ(je.stats().je_failovers, 0);
   EXPECT_FALSE(je.leader_up());
+}
+
+// ---------------- One leader protocol, both owners ----------------
+
+// The JE and the CM run the same ctrl::Leader. Each owner type below drives
+// its leader through the owner's public API, so one test body covers both.
+struct JeLeaderOwner {
+  JeLeaderOwner(sim::Simulator* sim, hw::Cluster*, distflow::TransferEngine*,
+                ctrl::ControlLog* log)
+      : je(sim, serving::JeConfig{}, serving::PdHeatmap::Default(),
+           serving::MakeOraclePredictor()) {
+    je.AttachControl(log);
+  }
+  Status Crash() { return je.CrashLeader(); }
+  Status Recover() { return je.RecoverLeader(); }
+  bool up() const { return je.leader_up(); }
+  int64_t epoch() const { return je.control_epoch(); }
+  int64_t crashes() const { return je.stats().je_crashes; }
+  int64_t failovers() const { return je.stats().je_failovers; }
+  DurationNs outage_total() const { return je.stats().je_outage_total; }
+  static obs::Counter* Crashes(obs::MetricsRegistry& m) { return m.counter("je.ctrl.crashes"); }
+  static obs::Counter* Failovers(obs::MetricsRegistry& m) {
+    return m.counter("je.ctrl.failovers");
+  }
+  static OnlineStats* OutageMs(obs::MetricsRegistry& m) { return m.stats("je.ctrl.outage_ms"); }
+  serving::JobExecutor je;
+};
+
+struct CmLeaderOwner {
+  CmLeaderOwner(sim::Simulator* sim, hw::Cluster* cluster, distflow::TransferEngine* transfer,
+                ctrl::ControlLog* log)
+      : manager(sim, cluster, transfer, {}, {}, log) {}
+  Status Crash() { return manager.CrashControlLeader(); }
+  Status Recover() { return manager.RecoverControlLeader(); }
+  bool up() const { return manager.leader_up(); }
+  int64_t epoch() const { return manager.control_epoch(); }
+  int64_t crashes() const { return manager.stats().cm_crashes; }
+  int64_t failovers() const { return manager.stats().cm_failovers; }
+  DurationNs outage_total() const { return manager.stats().cm_outage_total; }
+  static obs::Counter* Crashes(obs::MetricsRegistry& m) { return m.counter("cm.ctrl.crashes"); }
+  static obs::Counter* Failovers(obs::MetricsRegistry& m) {
+    return m.counter("cm.ctrl.failovers");
+  }
+  static OnlineStats* OutageMs(obs::MetricsRegistry& m) { return m.stats("cm.ctrl.outage_ms"); }
+  serving::ClusterManager manager;
+};
+
+template <typename Owner>
+class LeaderOwnerTest : public CtrlStackTest {
+ protected:
+  static ctrl::CtrlConfig Replicated() {
+    ctrl::CtrlConfig config;
+    config.replicas = 3;
+    config.quorum = 2;
+    config.replication_latency = MsToNs(1);
+    config.lease_duration = SToNs(1);
+    return config;
+  }
+};
+
+using LeaderOwners = ::testing::Types<JeLeaderOwner, CmLeaderOwner>;
+TYPED_TEST_SUITE(LeaderOwnerTest, LeaderOwners);
+
+TYPED_TEST(LeaderOwnerTest, RecoverOnALiveLeaderIsAFailedPrecondition) {
+  ctrl::ControlLog log(&this->sim_, this->Replicated());
+  TypeParam owner(&this->sim_, &this->cluster_, &this->transfer_, &log);
+  const size_t records = log.records().size();
+  EXPECT_EQ(owner.Recover().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(owner.up());
+  EXPECT_EQ(owner.epoch(), 0);
+  EXPECT_EQ(owner.failovers(), 0);
+  EXPECT_EQ(log.records().size(), records);  // no epoch record
+
+  ASSERT_TRUE(owner.Crash().ok());
+  ASSERT_TRUE(owner.Recover().ok());
+  EXPECT_EQ(owner.Recover().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(owner.epoch(), 1);
+  EXPECT_EQ(owner.failovers(), 1);
+}
+
+// Crash, recover by hand inside the failover delay, crash again before the
+// first crash's takeover timer fires. That timer finds the leader down but
+// the epoch moved on, so it does nothing; the one automatic takeover lands
+// at the second crash plus its own FailoverDelay.
+TYPED_TEST(LeaderOwnerTest, StaleTakeoverTimerIsInert) {
+  obs::MetricsRegistry metrics;
+  this->sim_.SetMetrics(&metrics);
+  ctrl::ControlLog log(&this->sim_, this->Replicated());
+  TypeParam owner(&this->sim_, &this->cluster_, &this->transfer_, &log);
+
+  const TimeNs t0 = this->sim_.Now();
+  ASSERT_TRUE(owner.Crash().ok());
+  const DurationNs first_delay = log.FailoverDelay(t0);
+  const DurationNs manual_gap = MsToNs(200);
+  this->sim_.RunUntil(t0 + manual_gap);
+  ASSERT_FALSE(owner.up());
+  ASSERT_TRUE(owner.Recover().ok());
+  EXPECT_EQ(owner.epoch(), 1);
+
+  this->sim_.RunUntil(t0 + MsToNs(400));
+  const TimeNs t1 = this->sim_.Now();
+  ASSERT_TRUE(owner.Crash().ok());
+  const DurationNs second_delay = log.FailoverDelay(t1);
+  ASSERT_LT(t0 + first_delay, t1 + second_delay);
+
+  // Past the first timer, short of the second: still down, nothing taken over.
+  this->sim_.RunUntil(t1 + second_delay - 1);
+  EXPECT_FALSE(owner.up());
+  EXPECT_EQ(owner.epoch(), 1);
+  EXPECT_EQ(owner.failovers(), 1);
+
+  this->sim_.Run();
+  EXPECT_TRUE(owner.up());
+  EXPECT_EQ(owner.epoch(), 2);
+  EXPECT_EQ(owner.crashes(), 2);
+  EXPECT_EQ(owner.failovers(), 2);
+  EXPECT_EQ(owner.outage_total(), manual_gap + second_delay);
+  // Both owners report the same control-plane metrics through the leader.
+  EXPECT_EQ(TypeParam::Crashes(metrics)->value(), 2);
+  EXPECT_EQ(TypeParam::Failovers(metrics)->value(), 2);
+  EXPECT_EQ(TypeParam::OutageMs(metrics)->count(), 2u);
+  EXPECT_DOUBLE_EQ(TypeParam::OutageMs(metrics)->sum(),
+                   NsToMs(manual_gap) + NsToMs(second_delay));
 }
 
 // ---------------- Control-log stream pin ----------------

@@ -190,6 +190,10 @@ int main(int argc, char** argv) {
   bench::ObsSession obs;
   obs.Register(registry);
   registry.Parse(argc, argv);
+  if (Status ctrl = options.ctrl.ToConfig().Validate(); !ctrl.ok()) {
+    std::fprintf(stderr, "%s\n", ctrl.ToString().c_str());
+    return 2;
+  }
   if (options.smoke) {
     options.rps = 2.0;
     options.peak_rps = 8.0;

@@ -110,16 +110,29 @@ PARITY_DIR="$(mktemp -d)"
 cmp "${PARITY_DIR}/one.out" "${PARITY_DIR}/three.out"
 rm -rf "${PARITY_DIR}"
 
-echo "==> deepserve_sim boundary: a model that does not fit exits 2, not with an abort"
+echo "==> deepserve_sim boundary: bad configs exit 2, not with an abort"
 # yi-34b's weights overflow one Gen2 NPU's HBM at tp1. deepserve_sim must
 # refuse the config with an INVALID_ARGUMENT message (exit 2) before it builds
-# any TE, rather than die on the engine's capacity check.
-FIT_STATUS=0
-./build/examples/deepserve_sim --model=yi-34b --tp=1 >/dev/null 2>&1 || FIT_STATUS=$?
-if [[ "${FIT_STATUS}" -ne 2 ]]; then
-  echo "deepserve_sim --model=yi-34b --tp=1 exited ${FIT_STATUS}, want 2" >&2
-  exit 1
-fi
+# any TE, rather than die on the engine's capacity check. The same holds for a
+# parallelism degree below 1, a negative TE count and a control-log config
+# that ctrl::CtrlConfig::Validate refuses (each line is one run's flags).
+while read -r -a BAD_FLAGS; do
+  BAD_STATUS=0
+  ./build/examples/deepserve_sim "${BAD_FLAGS[@]}" >/dev/null 2>&1 || BAD_STATUS=$?
+  if [[ "${BAD_STATUS}" -ne 2 ]]; then
+    echo "deepserve_sim ${BAD_FLAGS[*]} exited ${BAD_STATUS}, want 2" >&2
+    exit 1
+  fi
+done <<'BAD_CONFIGS'
+--model=yi-34b --tp=1
+--model=tiny-1b --tp=0
+--colocated=-2
+--prefill-tes=-1
+--decode-tes=-1
+--ctrl-replicas=3 --ctrl-latency-ms=-1
+--ctrl-replicas=3 --ctrl-lease-ms=-5
+--ctrl-replicas=0
+BAD_CONFIGS
 
 echo "==> perfbench self-tests: the repo benchmark builds, conserves and repeats"
 # Nothing else here builds perfbench/perfbench.cc, which drives the public

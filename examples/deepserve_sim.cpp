@@ -29,7 +29,9 @@
 // Observability: --trace-out=<path> (Chrome trace_event JSON),
 // --trace-jsonl=<path> and --metrics-out=<path> write the run's trace and
 // metrics dump; the printed report is byte-identical with or without them.
-// An unknown flag is a usage error (exit 2).
+// An unknown flag is a usage error (exit 2), and so is a value no run can use:
+// a tp below 1, a negative TE count, a control-log config that
+// ctrl::CtrlConfig::Validate refuses, or a model that does not fit its NPUs.
 
 #include <cstdio>
 #include <cstdlib>
@@ -187,6 +189,16 @@ int main(int argc, char** argv) {
 
   if (flags.je_replicas < 1) {
     std::fprintf(stderr, "--je-replicas must be >= 1\n");
+    return 2;
+  }
+  if (flags.colocated < 0 || flags.prefill_tes < 0 || flags.decode_tes < 0) {
+    std::fprintf(stderr, "--colocated, --prefill-tes and --decode-tes must be >= 0\n");
+    return 2;
+  }
+  // Checked for every replica count, so a bad value never goes unnoticed just
+  // because the unreplicated default builds no log.
+  if (Status ctrl = flags.ctrl.ToConfig().Validate(); !ctrl.ok()) {
+    std::fprintf(stderr, "%s\n", ctrl.ToString().c_str());
     return 2;
   }
   if (flags.rps <= 0 || flags.duration <= 0) {

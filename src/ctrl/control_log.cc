@@ -1,10 +1,27 @@
 #include "ctrl/control_log.h"
 
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
 
 namespace deepserve::ctrl {
+
+Status CtrlConfig::Validate() const {
+  if (replicas < 1) {
+    return InvalidArgumentError("control-log replicas must be >= 1, got " +
+                                std::to_string(replicas));
+  }
+  if (quorum < 1 || quorum > replicas) {
+    return InvalidArgumentError("control-log quorum must be in [1, " + std::to_string(replicas) +
+                                "], got " + std::to_string(quorum));
+  }
+  if (replication_latency < 0 || lease_duration < 0 || replay_cost_per_record < 0) {
+    return InvalidArgumentError(
+        "control-log replication latency, lease and replay cost must be >= 0");
+  }
+  return Status::Ok();
+}
 
 ControlLog::ControlLog(sim::Simulator* sim, CtrlConfig config)
     : sim_(sim), config_(config) {

@@ -62,6 +62,10 @@ struct CtrlConfig {
   DurationNs lease_duration = MsToNs(500);
   // Per-record cost of replaying the unreplicated tail at takeover.
   DurationNs replay_cost_per_record = UsToNs(2);
+
+  // INVALID_ARGUMENT unless replicas >= 1, 1 <= quorum <= replicas and no
+  // duration is negative. ControlLog requires a valid config.
+  [[nodiscard]] Status Validate() const;
 };
 
 class ControlLog {

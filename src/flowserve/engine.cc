@@ -44,10 +44,18 @@ std::string_view SeqStateToString(SeqState state) {
 }
 
 Result<int64_t> KvBlockCapacity(const EngineConfig& config) {
+  const model::ParallelismConfig& par = config.parallelism;
+  if (par.tp < 1 || par.pp < 1 || par.dp < 1) {
+    return InvalidArgumentError("parallelism " + par.ToString() +
+                                ": tp, pp and dp must each be >= 1");
+  }
+  if (config.block_size <= 0) {
+    return InvalidArgumentError("KV block size must be > 0, got " +
+                                std::to_string(config.block_size));
+  }
   if (config.kv_block_capacity_override > 0) {
     return config.kv_block_capacity_override;
   }
-  DS_CHECK_GT(config.block_size, 0);
   model::CostModel cost(config.model, config.npu_spec,
                         model::ParallelismConfig{config.parallelism.tp, config.parallelism.pp, 1});
   if (config.ae_disagg.enabled) {

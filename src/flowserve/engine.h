@@ -98,8 +98,9 @@ struct LoadInfo {
 // KV blocks one DP group's NPU tier holds under `config`: the override when
 // set, else what HBM holds after the weights at the utilization target.
 // INVALID_ARGUMENT, naming the model and the parallelism, when that is not
-// one block, i.e. the model does not fit on its NPUs. The Engine sizes its
-// cache with this; a launcher calls it to refuse such a config up front.
+// one block, i.e. the model does not fit on its NPUs, and for a tp, pp or dp
+// below 1 or a block size below 1. The Engine sizes its cache with this; a
+// launcher calls it to refuse such a config up front.
 [[nodiscard]] Result<int64_t> KvBlockCapacity(const EngineConfig& config);
 
 class Engine {

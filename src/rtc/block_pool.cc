@@ -54,28 +54,50 @@ Status BlockPool::Allocate(int64_t n, Tier tier, std::vector<BlockId>* out) {
   }
   const BlockInfo fresh{.ref_count = 1, .residency = TierBit(tier)};
   for (int64_t i = 0; i < n; ++i) {
-    size_t idx;
-    if (!free_slots_.empty()) {
-      idx = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      DS_CHECK_LT(slots_.size(), size_t{0xffffffff}) << "block slab exhausted";
-      idx = slots_.size();
-      slots_.emplace_back();
-    }
-    Slot& slot = slots_[idx];
-    slot.info = fresh;
-    slot.tag |= kLiveBit;
-    out->push_back(MakeId(idx, slot.tag & ~kLiveBit));
+    out->push_back(TakeSlot(fresh));
   }
-  live_count_ += static_cast<size_t>(n);
   used_[static_cast<size_t>(tier)] += n;
   return Status::Ok();
 }
 
+BlockId BlockPool::TakeSlot(const BlockInfo& info) {
+  size_t idx;
+  if (!free_slots_.empty()) {
+    idx = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    DS_CHECK_LT(slots_.size(), size_t{0xffffffff}) << "block slab exhausted";
+    idx = slots_.size();
+    slots_.emplace_back();
+  }
+  Slot& slot = slots_[idx];
+  slot.info = info;
+  slot.tag |= kLiveBit;
+  ++live_count_;
+  return MakeId(idx, slot.tag & ~kLiveBit);
+}
+
+void BlockPool::ReleaseSlot(size_t idx) {
+  Slot& slot = slots_[idx];
+  slot.info = BlockInfo{};
+  uint32_t gen = slot.tag & ~kLiveBit;
+  slot.tag = gen == kMaxGen ? 1 : gen + 1;
+  free_slots_.push_back(static_cast<uint32_t>(idx));
+  --live_count_;
+}
+
+void BlockPool::Park(uint32_t slot) {
+  DS_CHECK(InfoAt(slot).parkable()) << "parking block " << IdAt(slot)
+                                    << " that a holder still needs";
+  ReleaseSlot(slot);
+}
+
+BlockId BlockPool::Unpark() {
+  return TakeSlot(BlockInfo{.residency = TierBit(Tier::kDram), .flags = kBlockCommitted});
+}
+
 BlockId BlockPool::IdAt(uint32_t slot) const {
-  DS_CHECK(slot < slots_.size() && (slots_[slot].tag & kLiveBit) != 0)
-      << "block slot " << slot << " is not live";
+  InfoAt(slot);  // checks that the slot is live
   return MakeId(slot, slots_[slot].tag & ~kLiveBit);
 }
 
@@ -143,13 +165,7 @@ void BlockPool::Destroy(BlockId id) {
       --used_[static_cast<size_t>(tier)];
     }
   }
-  size_t idx = IndexOf(id);
-  Slot& slot = slots_[idx];
-  slot.info = BlockInfo{};
-  uint32_t gen = slot.tag & ~kLiveBit;
-  slot.tag = gen == kMaxGen ? 1 : gen + 1;
-  free_slots_.push_back(static_cast<uint32_t>(idx));
-  --live_count_;
+  ReleaseSlot(IndexOf(id));
 }
 
 }  // namespace deepserve::rtc

@@ -4,11 +4,13 @@
 // block table). A block record tracks reference count (active sequences
 // pinning it), in-flight copy pins (populate/swap transfers touching it),
 // tier residency (a block may be resident on NPU HBM and in DRAM
-// simultaneously) and whether the block has been committed to the cache
-// index. The content key itself lives on the radix-tree edge that indexes the
-// block, not here. Blocks carry no LRU time: recency lives on the radix-tree
-// nodes that index them. The pool enforces per-tier capacity and is purely
-// logical — byte-level HBM effects are applied by RtcExecutors.
+// simultaneously), whether the block has been committed to the cache index
+// and whether an index outside the radix tree (the explicit id index, the PIC
+// index) holds its id. The content key itself lives on the radix-tree edge
+// that indexes the block, not here. Blocks carry no LRU time: recency lives
+// on the radix-tree nodes that index them. The pool enforces per-tier
+// capacity and is purely logical — byte-level HBM effects are applied by
+// RtcExecutors.
 //
 // Storage is a dense vector of 12-byte slots indexed by the low 32 bits of
 // the BlockId, with destroyed slots recycled through a free list. The high
@@ -19,6 +21,11 @@
 // index instead of an unordered_map lookup. Holders that know a slot is live
 // (the RTC tree's block runs) may store just the 4-byte slot index and
 // rebuild the id with IdAt().
+//
+// Parking. A committed block that no sequence, copy or outside index holds
+// and whose only copy sits in DRAM needs no slot: Park frees its slot but
+// keeps it counted in used(kDram), and Unpark gives such a block a fresh
+// slot without counting it again. Tier capacity never sees the difference.
 #ifndef DEEPSERVE_RTC_BLOCK_POOL_H_
 #define DEEPSERVE_RTC_BLOCK_POOL_H_
 
@@ -26,6 +33,7 @@
 #include <span>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "rtc/radix_tree.h"
@@ -41,15 +49,25 @@ std::string_view TierToString(Tier tier);
 
 inline constexpr uint8_t TierBit(Tier tier) { return static_cast<uint8_t>(1u << static_cast<uint8_t>(tier)); }
 
+// BlockInfo::flags bits.
+inline constexpr uint8_t kBlockCommitted = 1;  // in the cache; unset while private to a sequence
+inline constexpr uint8_t kBlockIndexed = 2;    // an id or PIC index holds the block's id
+
 struct BlockInfo {
-  int32_t ref_count = 0;   // sequences currently pinning the block
-  uint16_t pins = 0;       // in-flight copies touching the block
-  uint8_t residency = 0;   // bitmask of TierBit()s
-  bool committed = false;  // indexed by the cache; false while private to a sequence
+  int32_t ref_count = 0;  // sequences currently pinning the block
+  uint16_t pins = 0;      // in-flight copies touching the block
+  uint8_t residency = 0;  // bitmask of TierBit()s
+  uint8_t flags = 0;      // kBlockCommitted | kBlockIndexed
 
   bool resident(Tier tier) const { return (residency & TierBit(tier)) != 0; }
-  bool cached() const { return committed; }
+  bool cached() const { return (flags & kBlockCommitted) != 0; }
   bool pinned() const { return pins > 0; }
+  // Whether Park may take the block's slot: committed, unreferenced,
+  // unpinned, outside every id index, and resident in DRAM alone.
+  bool parkable() const {
+    return flags == kBlockCommitted && ref_count == 0 && pins == 0 &&
+           residency == TierBit(Tier::kDram);
+  }
 };
 static_assert(sizeof(BlockInfo) == 8, "a block record is 8 bytes");
 
@@ -85,7 +103,18 @@ class BlockPool {
 
   // Marks the block as committed to the cache index: from now on its last
   // Unref preserves it instead of destroying it.
-  void MarkCached(BlockId id) { mutable_info(id).committed = true; }
+  void MarkCached(BlockId id) { mutable_info(id).flags |= kBlockCommitted; }
+  // Marks the block as held by an index that keeps its full id (the explicit
+  // id index, the PIC index): Park never takes its slot.
+  void MarkIndexed(BlockId id) { mutable_info(id).flags |= kBlockIndexed; }
+
+  // Frees `slot`, which holds a parkable() block (a run's entry). The block
+  // stays counted in used(kDram); its id stops resolving, as after Destroy.
+  void Park(uint32_t slot);
+  // Gives one parked block a fresh slot — committed, resident in DRAM,
+  // unreferenced — without counting it in used(kDram) again, and returns its
+  // id.
+  BlockId Unpark();
 
   // In-flight copy pins: a pinned block is never evicted or swapped. Pin
   // needs a live block; Unpin of a block destroyed since (its slot possibly
@@ -103,9 +132,14 @@ class BlockPool {
   }
 
   // Slot index of a live block, and back: IdAt rebuilds the full id of the
-  // block now in `slot`, which must be live.
+  // block now in `slot`, which must be live, and InfoAt reads its record.
   static uint32_t SlotOf(BlockId id) { return static_cast<uint32_t>(IndexOf(id)); }
   BlockId IdAt(uint32_t slot) const;
+  const BlockInfo& InfoAt(uint32_t slot) const {
+    DS_CHECK(slot < slots_.size() && (slots_[slot].tag & kLiveBit) != 0)
+        << "block slot " << slot << " is not live";
+    return slots_[slot].info;
+  }
 
   int64_t used(Tier tier) const { return used_[static_cast<size_t>(tier)]; }
   int64_t capacity(Tier tier) const;
@@ -131,6 +165,11 @@ class BlockPool {
   static uint32_t GenOf(BlockId id) { return static_cast<uint32_t>(static_cast<uint64_t>(id) >> 32); }
 
   BlockInfo& mutable_info(BlockId id);
+  // Takes a free slot (recycled or new), marks it live, stores `info` and
+  // returns the new occupant's id; ReleaseSlot frees it under the next
+  // generation.
+  BlockId TakeSlot(const BlockInfo& info);
+  void ReleaseSlot(size_t idx);
 
   BlockPoolConfig config_;
   std::vector<Slot> slots_;

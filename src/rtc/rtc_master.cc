@@ -70,12 +70,20 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
   TimeNs now = sim_->Now();
   tree_.Touch(match, now);
   // Every edge symbol carries one block, so the match length is the count.
+  // A parked run on the way gets its slots back first, so the match reports
+  // its blocks exactly as if they had never given them up.
   std::vector<BlockId> blocks;
   blocks.reserve(match.matched);
   for (auto* node : match.path) {
+    if (node->value.parked()) {
+      Unpark(*node);
+    }
     AppendIds(node->value.blocks, &blocks);
   }
   if (match.partial != nullptr) {
+    if (match.partial->value.parked()) {
+      Unpark(*match.partial);
+    }
     std::span<const uint32_t> slots(match.partial->value.blocks);
     AppendIds(slots.first(std::min(match.partial_len, slots.size())), &blocks);
   }
@@ -100,6 +108,30 @@ void RtcMaster::AppendIds(std::span<const uint32_t> slots, std::vector<BlockId>*
   for (uint32_t slot : slots) {
     out->push_back(pool_.IdAt(slot));
   }
+}
+
+bool RtcMaster::MaybePark(Tree::Node& node) {
+  std::vector<uint32_t>& slots = node.value.blocks;
+  for (uint32_t slot : slots) {
+    if (!pool_.InfoAt(slot).parkable()) {
+      return false;
+    }
+  }
+  for (uint32_t slot : slots) {
+    pool_.Park(slot);
+  }
+  stats_.parked_blocks += static_cast<int64_t>(slots.size());
+  slots = std::vector<uint32_t>();  // hands the buffer back too
+  return true;
+}
+
+void RtcMaster::Unpark(Tree::Node& node) {
+  std::vector<uint32_t>& slots = node.value.blocks;
+  slots.reserve(node.edge.size());
+  for (size_t i = 0; i < node.edge.size(); ++i) {
+    slots.push_back(BlockPool::SlotOf(pool_.Unpark()));
+  }
+  stats_.unparked_blocks += static_cast<int64_t>(node.edge.size());
 }
 
 MatchInfo RtcMaster::MatchByID(const std::string& id) {
@@ -302,7 +334,7 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
       return false;
     }
     for (uint32_t slot : node.value.blocks) {
-      const BlockInfo& info = pool_.info(pool_.IdAt(slot));
+      const BlockInfo& info = pool_.InfoAt(slot);
       if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu) ||
           info.residency == TierBit(Tier::kNpu)) {
         return false;
@@ -319,6 +351,7 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
         pool_.DropResidency(pool_.IdAt(slot), Tier::kNpu);
         ++stats_.evicted_blocks;
       }
+      MaybePark(node);
     }
     // The node stays: its blocks remain matchable (and populatable) from
     // DRAM/SSD.
@@ -330,7 +363,7 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
       return false;
     }
     for (uint32_t slot : node.value.blocks) {
-      const BlockInfo& info = pool_.info(pool_.IdAt(slot));
+      const BlockInfo& info = pool_.InfoAt(slot);
       if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu)) {
         return false;
       }
@@ -441,6 +474,7 @@ void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const Bl
         size_t bs = static_cast<size_t>(config_.block_size);
         BlockKey content = ChainHash(0, tokens.subspan(i * bs, bs));
         pic_index_[content] = blocks[i];
+        pool_.MarkIndexed(blocks[i]);
       }
     }
   });
@@ -467,7 +501,11 @@ Status RtcMaster::PreserveById(const std::string& id, std::span<const TokenId> t
   // Explicit entries also live in the prefix tree so implicit matching still
   // finds them (CommitBlocks is idempotent for existing spans).
   CommitBlocks(tokens, blocks, keys);
-  id_index_[id].assign(blocks.begin(), blocks.begin() + static_cast<ptrdiff_t>(keys.size()));
+  std::vector<BlockId>& indexed = id_index_[id];
+  indexed.assign(blocks.begin(), blocks.begin() + static_cast<ptrdiff_t>(keys.size()));
+  for (BlockId block : indexed) {
+    pool_.MarkIndexed(block);  // the entry keeps its id: never park it
+  }
   id_tokens_[id] =
       static_cast<int64_t>(keys.size()) * static_cast<int64_t>(config_.block_size);
   return Status::Ok();
@@ -514,7 +552,7 @@ void RtcMaster::SwapScan() {
       return false;
     }
     for (uint32_t slot : node.value.blocks) {
-      const BlockInfo& info = pool_.info(pool_.IdAt(slot));
+      const BlockInfo& info = pool_.InfoAt(slot);
       if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu) ||
           info.resident(Tier::kDram)) {
         return false;
@@ -523,13 +561,21 @@ void RtcMaster::SwapScan() {
     return true;
   };
   // Only Destroy drops a block's DRAM copy, and a destroyed block's leaf
-  // leaves the tree with it, so a leaf whose blocks all sit in DRAM can never
-  // be swappable again; neither can either half of it after a split. Such
-  // leaves are retired off the scan's list.
+  // leaves the tree with it, so a leaf whose blocks all sit in DRAM (a parked
+  // one included) can never be swappable again; neither can either half of it
+  // after a split. Such leaves are parked if they can be and retired off the
+  // scan's list. One whose demote copy is still in flight is looked at again
+  // by the next scan, by when the copy has landed and it can park.
   auto demoted = [this](const Tree::Node& node) {
     return std::all_of(node.value.blocks.begin(), node.value.blocks.end(),
                        [this](uint32_t slot) {
-                         return pool_.info(pool_.IdAt(slot)).resident(Tier::kDram);
+                         return pool_.InfoAt(slot).resident(Tier::kDram);
+                       });
+  };
+  auto copying = [this](const Tree::Node& node) {
+    return std::any_of(node.value.blocks.begin(), node.value.blocks.end(),
+                       [this](uint32_t slot) {
+                         return pool_.InfoAt(slot).pinned();
                        });
   };
   std::vector<Tree::Node*>& victims = swap_victims_;
@@ -540,8 +586,11 @@ void RtcMaster::SwapScan() {
           return LruStep::kStop;
         }
         ++stats_.swap_scan_leaves;
-        if (demoted(node)) {
+        if (MaybePark(node)) {
           return LruStep::kRetire;
+        }
+        if (demoted(node)) {
+          return copying(node) ? LruStep::kNext : LruStep::kRetire;
         }
         if (swappable(node)) {
           victims.push_back(&node);

@@ -30,21 +30,33 @@
 namespace deepserve::rtc {
 
 // Payload of one radix-tree node: the cached blocks covering its edge span,
-// one BlockPool slot index per edge symbol (BlockPool::IdAt rebuilds the id).
+// one BlockPool slot index per edge symbol (BlockPool::IdAt rebuilds the id),
+// or none at all while the run is parked.
 //
-// A run stores 4-byte slot indices rather than 8-byte ids because every slot
-// a run holds is live: only BlockPool::Destroy frees a slot, and the RTC
-// destroys a cached block only in EnsureNpuFree pass 2, which removes the
-// leaf holding it in the same step. A cached block is never Unref'd to death
-// (MarkCached precedes any Unref that could reach zero), so no slot can be
-// freed, and then reused, under a run. Anything that can outlive a block —
-// MatchInfo, a sequence's block table, the id and PIC indexes — keeps full
-// BlockIds and their generation check.
+// A run holds a live slot for every block or for none. A run stores 4-byte
+// slot indices rather than 8-byte ids because every slot it holds is live:
+// the RTC frees a run's slots only in EnsureNpuFree pass 2, which removes the
+// leaf with them (BlockPool::Destroy), and when it parks the whole run
+// (BlockPool::Park). A cached block is never Unref'd to death (MarkCached
+// precedes any Unref that could reach zero), so no slot can be freed, and
+// then reused, under a run that still lists it. Anything that can outlive a
+// block — MatchInfo, a sequence's block table, the id and PIC indexes — keeps
+// full BlockIds and their generation check.
+//
+// Parked. A non-root run with no entries is parked: every block in it is
+// committed, unreferenced, unpinned, outside the id and PIC indexes, and
+// resident only in DRAM, where it still counts. Its block count is its
+// node's edge length. A match that reaches it gives it fresh slots first.
 struct BlockRun {
   std::vector<uint32_t> blocks;
 
+  bool parked() const { return blocks.empty(); }
+
   BlockRun SplitTail(size_t offset) {
     BlockRun tail;
+    if (parked()) {
+      return tail;  // both halves stay parked
+    }
     tail.blocks.assign(blocks.begin() + static_cast<ptrdiff_t>(offset), blocks.end());
     blocks.resize(offset);
     return tail;
@@ -119,6 +131,8 @@ struct RtcStats {
   // Leaves the background swap scans examined (host cost; leaves retired as
   // fully demoted are not examined again).
   int64_t swap_scan_leaves = 0;
+  int64_t parked_blocks = 0;    // blocks whose slot a parked run gave up
+  int64_t unparked_blocks = 0;  // blocks a match gave a fresh slot again
 
   double TokenHitRate() const {
     return requested_tokens > 0
@@ -227,6 +241,11 @@ class RtcMaster {
   void SwapScan();
   // Appends the full ids of the blocks in a run's `slots` to `*out`.
   void AppendIds(std::span<const uint32_t> slots, std::vector<BlockId>* out) const;
+  // Parks `node`'s run if every block in it is parkable (see BlockRun);
+  // returns whether the run is parked now.
+  bool MaybePark(Tree::Node& node);
+  // Gives a parked run one fresh slot per edge symbol.
+  void Unpark(Tree::Node& node);
   Tier LowestTierBelowNpu(const BlockInfo& info) const;
 
   sim::Simulator* sim_;

@@ -4,10 +4,10 @@
 // and bytes, so a test can assert how much a window of simulated work
 // allocated. The engine's steady-state decode step and the RTC's swap scan
 // are the two paths that run per step and per cached block; both must stay
-// free of per-step and per-block heap traffic (DESIGN #8 and #12), and a
-// committed block adds 12 bytes to the cache index (DESIGN #16). A request's
-// dispatch must not copy its prompt (DESIGN #14), nor copy or wrap its
-// callbacks (DESIGN #15).
+// free of per-step and per-block heap traffic (DESIGN #8 and #12), a
+// committed block adds 12 bytes to the cache index, and one left only in DRAM
+// gives its pool slot back (DESIGN #16). A request's dispatch must not copy
+// its prompt (DESIGN #14), nor copy or wrap its callbacks (DESIGN #15).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -163,6 +163,41 @@ TEST(AllocTest, CachedBlockCostsTwelveTreeBytes) {
             kBlocks * per_block +
                 static_cast<int64_t>(sizeof(rtc::RadixTree<rtc::BlockRun>::Node)));
   master.Free(blocks);
+}
+
+TEST(AllocTest, DramOnlyLeafGivesUpItsPoolSlots) {
+  // A cached leaf whose blocks sit only in DRAM, unreferenced, keeps nothing
+  // but its edge keys: the swap scan that retires it parks its run, which
+  // frees one 12-byte BlockPool slot and one 4-byte run entry per block. The
+  // DRAM tier still counts the blocks (DESIGN #16).
+  constexpr int64_t kBlocks = 128;
+  sim::Simulator sim;
+  rtc::RtcConfig config;
+  config.block_size = 16;
+  config.pool.npu_capacity = 2 * kBlocks;
+  config.pool.dram_capacity = 2 * kBlocks;
+  config.swap_high_watermark = 0.05;  // the held blocks alone keep the scans going
+  config.enable_background_swap = true;
+  rtc::RtcMaster master(&sim, config);
+  std::vector<TokenId> tokens;
+  for (int64_t i = 0; i < config.block_size * kBlocks; ++i) {
+    tokens.push_back(static_cast<TokenId>(i + 1));
+  }
+  auto leaf = master.AllocBlocks(kBlocks).value();
+  master.Preserve(tokens, leaf, rtc::TokensToBlockKeys(tokens, config.block_size));
+  master.Free(leaf);
+  auto held = master.AllocBlocks(16).value();
+  // Scan 1 demotes the leaf; its copy lands and drops the NPU copies.
+  sim.RunUntil(config.swap_interval + MsToNs(1));
+  ASSERT_EQ(master.stats().swapped_out_blocks, kBlocks);
+  ASSERT_FALSE(master.pool().info(leaf.front()).resident(rtc::Tier::kNpu));
+  const size_t slots = master.pool().total_blocks();
+  const int64_t dram = master.pool().used(rtc::Tier::kDram);
+  // Scan 2 retires the leaf and parks it.
+  sim.RunUntil(2 * config.swap_interval + MsToNs(1));
+  EXPECT_EQ(master.pool().total_blocks(), slots - static_cast<size_t>(kBlocks));
+  EXPECT_EQ(master.pool().used(rtc::Tier::kDram), dram);
+  master.Free(held);
 }
 
 // Heap traffic of one JobExecutor::HandleRequest of a `prompt_len`-token

@@ -11,7 +11,9 @@
 //   * a destroyed block's id never resolves again, even once its slot holds
 //     a new block, and neither does any negative id;
 //   * under RtcMaster churn, every slot a radix-tree block run holds stays
-//     live (BlockPool::IdAt aborts otherwise).
+//     live (BlockPool::IdAt aborts otherwise), a run holds a slot for every
+//     block or for none (parked), and a parked run's blocks stay counted in
+//     DRAM.
 
 #include <gtest/gtest.h>
 
@@ -305,12 +307,15 @@ std::vector<TokenId> ChurnPrompt(Rng& rng, int block_size, int64_t family, int64
 }
 
 // Seeded churn over an RtcMaster with a small NPU tier: sequences match a
-// shared prefix, pin and populate it, allocate the rest, commit, and die;
-// allocation pressure drives both EnsureNpuFree passes and the background
-// swapper runs as simulated time passes. Every tree walk resolves its run's
-// slots through BlockPool::IdAt, which aborts on a slot that is not live. After
-// every step the pool's ref counts match the sequences' pins and the NPU usage
-// matches what the listener was told.
+// shared prefix, pin and populate it, allocate the rest, commit, and die, and
+// earlier prompts come back to rematch their leaves, parked or not. Allocation
+// pressure and explicit EnsureNpuFree calls drive both of its passes (the drop
+// pass parks the runs it demotes), and the background swapper demotes,
+// retires and parks as simulated time passes. Every tree walk resolves its
+// run's slots through BlockPool::IdAt, which aborts on a slot that is not
+// live. After every step the pool's ref counts match the sequences' pins, the
+// NPU usage matches what the listener was told, and the DRAM tier still
+// counts every parked block.
 TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
   for (uint64_t seed : {3ull, 17ull, 91ull}) {
     sim::Simulator sim;
@@ -325,6 +330,7 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
     NpuMirror mirror;
     master.AddListener(&mirror);
     std::vector<std::vector<BlockId>> seqs;
+    std::vector<std::vector<TokenId>> committed;  // prompts to rematch
     std::map<BlockId, int32_t> refs;
     Rng rng(seed);
 
@@ -335,35 +341,50 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
         }
       }
     };
+    auto admit = [&](const std::vector<TokenId>& prompt) {
+      std::vector<BlockKey> keys = TokensToBlockKeys(prompt, config.block_size);
+      MatchInfo match = master.MatchByPrefixToken(prompt, keys);
+      master.Acquire(match.blocks);
+      pin(match.blocks, 1);
+      std::vector<BlockId> blocks = match.blocks;
+      bool ok = true;
+      if (match.needs_populate()) {
+        ok = master.Populate(match).ok();
+      }
+      ok = ok && master.AllocBlocks(static_cast<int64_t>(keys.size() - blocks.size()),
+                                    &blocks).ok();
+      pin(std::span<const BlockId>(blocks).subspan(match.blocks.size()), 1);
+      if (!ok) {
+        master.Free(blocks);
+        pin(blocks, -1);
+        return;
+      }
+      master.Preserve(prompt, blocks, keys);
+      seqs.push_back(std::move(blocks));
+      if (committed.size() < 32) {
+        committed.push_back(prompt);
+      } else {
+        committed[static_cast<size_t>(rng.UniformInt(0, 31))] = prompt;
+      }
+    };
     for (int step = 0; step < 3000; ++step) {
-      int64_t op = rng.UniformInt(0, 4);
+      int64_t op = rng.UniformInt(0, 6);
       if (op <= 1 && seqs.size() < 6) {  // admit a sequence
-        std::vector<TokenId> prompt = ChurnPrompt(rng, config.block_size, rng.UniformInt(0, 3),
-                                                  rng.UniformInt(0, 6), rng.UniformInt(1, 8));
-        std::vector<BlockKey> keys = TokensToBlockKeys(prompt, config.block_size);
-        MatchInfo match = master.MatchByPrefixToken(prompt, keys);
-        master.Acquire(match.blocks);
-        pin(match.blocks, 1);
-        std::vector<BlockId> blocks = match.blocks;
-        bool ok = true;
-        if (match.needs_populate()) {
-          ok = master.Populate(match).ok();
-        }
-        ok = ok && master.AllocBlocks(static_cast<int64_t>(keys.size() - blocks.size()),
-                                      &blocks).ok();
-        pin(std::span<const BlockId>(blocks).subspan(match.blocks.size()), 1);
-        if (!ok) {
-          master.Free(blocks);
-          pin(blocks, -1);
-        } else {
-          master.Preserve(prompt, blocks, keys);
-          seqs.push_back(std::move(blocks));
-        }
-      } else if (op <= 2 && !seqs.empty()) {  // finish a sequence
+        admit(ChurnPrompt(rng, config.block_size, rng.UniformInt(0, 3), rng.UniformInt(0, 6),
+                          rng.UniformInt(1, 8)));
+      } else if (op == 2 && seqs.size() < 6 && !committed.empty()) {  // rematch a prompt
+        size_t pick =
+            static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(committed.size()) - 1));
+        admit(std::vector<TokenId>(committed[pick]));
+      } else if (op == 3 && !seqs.empty()) {  // finish a sequence
         size_t victim = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(seqs.size()) - 1));
         master.Free(seqs[victim]);
         pin(seqs[victim], -1);
         seqs.erase(seqs.begin() + static_cast<ptrdiff_t>(victim));
+      } else if (op == 4) {  // demand NPU room: the drop pass parks what it demotes
+        int64_t n = rng.UniformInt(1, 8);
+        bool freed = master.EnsureNpuFree(n).ok();
+        EXPECT_EQ(freed, master.npu_blocks_free() >= n) << "step " << step;
       } else {  // let copies land and the swapper run
         sim.RunUntil(sim.Now() + MsToNs(static_cast<double>(rng.UniformInt(1, 3))));
       }
@@ -375,6 +396,9 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
       EXPECT_EQ(mirror.blocks, master.pool().used(Tier::kNpu)) << "step " << step;
       EXPECT_LE(master.pool().used(Tier::kNpu), master.pool().capacity(Tier::kNpu));
       EXPECT_LE(master.pool().used(Tier::kDram), master.pool().capacity(Tier::kDram));
+      const RtcStats& stats = master.stats();
+      EXPECT_GE(master.pool().used(Tier::kDram), stats.parked_blocks - stats.unparked_blocks)
+          << "step " << step;
       if (::testing::Test::HasFailure()) {
         FAIL() << "seed " << seed << " step " << step;
       }
@@ -386,13 +410,24 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
     sim.RunUntil(sim.Now() + MsToNs(100));
     EXPECT_TRUE(refs.empty());
     EXPECT_EQ(mirror.blocks, master.pool().used(Tier::kNpu));
-    // The churn reached every path that walks or frees tree slots.
+    // Every committed prompt still matches through live slots.
+    for (const std::vector<TokenId>& prompt : committed) {
+      MatchInfo match =
+          master.MatchByPrefixToken(prompt, TokensToBlockKeys(prompt, config.block_size));
+      for (BlockId id : match.blocks) {
+        EXPECT_TRUE(master.pool().Exists(id));
+        EXPECT_EQ(master.pool().info(id).ref_count, 0);
+      }
+    }
+    // The churn reached every path that walks, frees or parks tree slots.
     const RtcStats& stats = master.stats();
     EXPECT_GT(stats.match_hits, 0) << "seed " << seed;
     EXPECT_GT(stats.populates, 0) << "seed " << seed;
     EXPECT_GT(stats.swapped_out_blocks, 0) << "seed " << seed;
     EXPECT_GT(stats.evicted_blocks, 0) << "seed " << seed << ": EnsureNpuFree pass 1";
     EXPECT_GT(stats.discarded_blocks, 0) << "seed " << seed << ": EnsureNpuFree pass 2";
+    EXPECT_GT(stats.parked_blocks, 0) << "seed " << seed;
+    EXPECT_GT(stats.unparked_blocks, 0) << "seed " << seed << ": a rematch of a parked run";
   }
 }
 

@@ -203,6 +203,29 @@ TEST(ControlLogTest, DegenerateConfigIsNotReplicated) {
   EXPECT_EQ(degenerate.UnreplicatedAt(SToNs(1)), 0);
 }
 
+TEST(CtrlConfigTest, ValidateRefusesWhatNoLogCanRun) {
+  EXPECT_TRUE(ctrl::CtrlConfig{}.Validate().ok());
+  ctrl::CtrlConfig three;
+  three.replicas = 3;
+  three.quorum = 2;
+  three.replication_latency = 0;
+  three.lease_duration = 0;
+  three.replay_cost_per_record = 0;
+  EXPECT_TRUE(three.Validate().ok()) << "zero durations are allowed";
+  auto refused = [&three](auto mutate) {
+    ctrl::CtrlConfig config = three;
+    mutate(config);
+    return config.Validate().code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(refused([](ctrl::CtrlConfig& c) { c.replicas = 0; }));
+  EXPECT_TRUE(refused([](ctrl::CtrlConfig& c) { c.replicas = -1; }));
+  EXPECT_TRUE(refused([](ctrl::CtrlConfig& c) { c.quorum = 0; }));
+  EXPECT_TRUE(refused([](ctrl::CtrlConfig& c) { c.quorum = 4; }));
+  EXPECT_TRUE(refused([](ctrl::CtrlConfig& c) { c.replication_latency = -1; }));
+  EXPECT_TRUE(refused([](ctrl::CtrlConfig& c) { c.lease_duration = -1; }));
+  EXPECT_TRUE(refused([](ctrl::CtrlConfig& c) { c.replay_cost_per_record = -1; }));
+}
+
 // ---------------- State-machine replay through the real stack ----------------
 
 class CtrlStackTest : public ::testing::Test {

@@ -474,6 +474,26 @@ TEST(KvBlockCapacityTest, ModelThatDoesNotFitIsAnError) {
   EXPECT_TRUE(KvBlockCapacity(config).ok());
 }
 
+TEST(KvBlockCapacityTest, ParallelismOrBlockSizeBelowOneIsAnError) {
+  const model::ParallelismConfig bad[] = {{0, 1, 1}, {-2, 1, 1}, {1, 0, 1}, {1, 1, 0}};
+  for (const model::ParallelismConfig& parallelism : bad) {
+    EngineConfig config = TestConfig();
+    config.parallelism = parallelism;
+    Result<int64_t> capacity = KvBlockCapacity(config);
+    ASSERT_FALSE(capacity.ok()) << parallelism.ToString() << ": the override does not skip it";
+    EXPECT_EQ(capacity.status().code(), StatusCode::kInvalidArgument);
+    config.kv_block_capacity_override = 0;  // the path that builds a CostModel
+    EXPECT_EQ(KvBlockCapacity(config).status().code(), StatusCode::kInvalidArgument)
+        << parallelism.ToString();
+  }
+  for (int block_size : {0, -16}) {
+    EngineConfig config = TestConfig();
+    config.block_size = block_size;
+    EXPECT_EQ(KvBlockCapacity(config).status().code(), StatusCode::kInvalidArgument)
+        << block_size;
+  }
+}
+
 TEST(KvBlockCapacityTest, MatchesWhatTheEngineUses) {
   EngineConfig config = TestConfig();
   config.kv_block_capacity_override = 0;

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "common/time_units.h"
 #include "flowserve/engine.h"
 #include "rtc/rtc_master.h"
 #include "sim/simulator.h"
@@ -89,6 +90,39 @@ TEST_F(RtcPicTest, StaleEntriesPrunedAfterEviction) {
   prompt.insert(prompt.end(), doc.begin(), doc.end());
   auto pic = master_->MatchPositionIndependent(prompt, 0);
   EXPECT_EQ(pic.matched_tokens, 0);
+}
+
+TEST_F(RtcPicTest, DemotedAndPopulatedBlockIsStillFoundByContent) {
+  // The swapper takes the document down to DRAM (scan 1 demotes it, scan 2
+  // retires it); a prefix match populates it back. The PIC index still
+  // resolves its blocks by content afterwards.
+  rtc::RtcConfig config;
+  config.block_size = 16;
+  config.pool.npu_capacity = 40;
+  config.pool.dram_capacity = 256;
+  config.enable_pic = true;
+  config.enable_background_swap = true;
+  rtc::RtcMaster master(&sim_, config);
+  auto doc = Iota(64, 5000);
+  auto blocks = master.AllocBlocks(4).value();
+  master.Preserve(doc, blocks, rtc::TokensToBlockKeys(doc, 16));
+  master.Free(blocks);
+  auto held = master.AllocBlocks(35).value();  // 39 of 40; 35 once demoted
+  sim_.RunUntil(MsToNs(75));
+  sim_.RunUntil(MsToNs(125));
+  ASSERT_EQ(master.stats().swapped_out_blocks, 4);
+  auto match = master.MatchByPrefixToken(doc, rtc::TokensToBlockKeys(doc, 16));
+  ASSERT_EQ(match.offnpu_tokens, 64);
+  master.Acquire(match.blocks);
+  ASSERT_TRUE(master.Populate(match).ok());
+  sim_.RunUntil(sim_.Now() + 1);
+  master.Free(match.blocks);
+
+  auto prompt = Concat(Iota(64, 90000), doc);
+  auto pic = master.MatchPositionIndependent(prompt, 0);
+  EXPECT_EQ(pic.matched_tokens, 64);
+  EXPECT_EQ(pic.blocks, blocks);
+  master.Free(held);
 }
 
 TEST_F(RtcPicTest, DisabledByDefault) {

@@ -267,6 +267,52 @@ TEST(BlockPoolTest, CopyPinsCountAndStaleUnpinIsANoOp) {
   EXPECT_FALSE(pool.info(reused).pinned());
 }
 
+TEST(BlockPoolTest, ParkFreesTheSlotButKeepsTheDramCount) {
+  BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
+  BlockId id = AllocOne(pool, Tier::kNpu);
+  ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
+  pool.MarkCached(id);
+  pool.Unref(id);
+  EXPECT_FALSE(pool.info(id).parkable()) << "an NPU copy still lives";
+  pool.DropResidency(id, Tier::kNpu);
+  ASSERT_TRUE(pool.info(id).parkable());
+  pool.Park(BlockPool::SlotOf(id));
+  EXPECT_FALSE(pool.Exists(id));
+  EXPECT_EQ(pool.total_blocks(), 0u);
+  EXPECT_EQ(pool.used(Tier::kDram), 1);
+  EXPECT_EQ(pool.free_blocks(Tier::kDram), 3);
+  // Unpark gives the block a fresh slot without counting it again.
+  BlockId back = pool.Unpark();
+  EXPECT_NE(back, id);
+  EXPECT_EQ(pool.total_blocks(), 1u);
+  EXPECT_EQ(pool.used(Tier::kDram), 1);
+  EXPECT_EQ(pool.used(Tier::kNpu), 0);
+  const BlockInfo& info = pool.info(back);
+  EXPECT_EQ(info.flags, kBlockCommitted);
+  EXPECT_EQ(info.ref_count, 0);
+  EXPECT_EQ(info.residency, TierBit(Tier::kDram));
+  EXPECT_TRUE(info.parkable());
+}
+
+TEST(BlockPoolTest, HeldOrIndexedBlocksAreNotParkable) {
+  BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
+  BlockId id = AllocOne(pool, Tier::kDram);
+  EXPECT_FALSE(pool.info(id).parkable()) << "referenced and private";
+  pool.MarkCached(id);
+  pool.Unref(id);
+  ASSERT_TRUE(pool.info(id).parkable());
+  pool.Pin(id);
+  EXPECT_FALSE(pool.info(id).parkable()) << "a copy is in flight";
+  pool.Unpin(id);
+  pool.MarkIndexed(id);
+  EXPECT_TRUE(pool.info(id).cached());
+  EXPECT_FALSE(pool.info(id).parkable()) << "an id index holds the block";
+  BlockId ssd = AllocOne(pool, Tier::kSsd);
+  pool.MarkCached(ssd);
+  pool.Unref(ssd);
+  EXPECT_FALSE(pool.info(ssd).parkable()) << "not in DRAM";
+}
+
 TEST(BlockPoolTest, SsdIsUnbounded) {
   BlockPool pool({.npu_capacity = 1, .dram_capacity = 1});
   std::vector<BlockId> ids;
@@ -640,6 +686,128 @@ TEST_F(SwapScanTest, FullDramTakesNoVictimsAndCountsOnlyStartedCopies) {
   // Copy reports the blocks it started: none fit.
   EXPECT_EQ(master_->Copy(held, Tier::kDram, nullptr), 0);
   master_->Free(held);
+}
+
+// A cached 4-block leaf that the swapper takes down to DRAM: scan 1 demotes it
+// (its copy lands at once and drops the NPU copies), scan 2 retires it and
+// parks its run. 35 held private blocks keep the NPU above the watermark.
+class ParkTest : public SwapScanTest {
+ protected:
+  void SetUp() override {
+    Build(/*dram_blocks=*/256, /*cold=*/0);
+    leaf_ = master_->AllocBlocks(4).value();
+  }
+  void TearDown() override { master_->Free(held_); }
+
+  // Commits the leaf and holds the NPU above the watermark.
+  void CommitAndHold(bool by_id = false) {
+    if (by_id) {
+      ASSERT_TRUE(PreserveById(*master_, "ctx", tokens_, leaf_).ok());
+    } else {
+      Preserve(*master_, tokens_, leaf_);
+    }
+    master_->Free(leaf_);
+    held_ = master_->AllocBlocks(35).value();  // 39 of 40; 35 once demoted
+  }
+
+  // Runs the populate copies that are in flight, and nothing later.
+  void LandCopies() { sim_.RunUntil(sim_.Now() + 1); }
+
+  std::vector<TokenId> tokens_ = Iota(64, 5000);
+  std::vector<BlockId> leaf_;
+  std::vector<BlockId> held_;
+};
+
+TEST_F(ParkTest, ParkedLeafMatchesAsBeforeAndParksAgain) {
+  CommitAndHold();
+  NextScan();
+  ASSERT_EQ(master_->stats().swapped_out_blocks, 4);
+  const size_t slots = master_->pool().total_blocks();
+  const MatchInfo before = Match(*master_, tokens_);
+  EXPECT_EQ(before.offnpu_tokens, 64);
+
+  NextScan();
+  EXPECT_EQ(master_->stats().parked_blocks, 4);
+  EXPECT_EQ(master_->pool().total_blocks(), slots - 4);
+  EXPECT_EQ(master_->pool().used(Tier::kDram), 4);
+  EXPECT_FALSE(master_->pool().Exists(before.blocks.front())) << "the slot is gone";
+
+  // A match gives the run fresh slots and reports the same split.
+  const MatchInfo after = Match(*master_, tokens_);
+  EXPECT_EQ(master_->stats().unparked_blocks, 4);
+  EXPECT_EQ(after.matched_tokens, before.matched_tokens);
+  EXPECT_EQ(after.npu_tokens, before.npu_tokens);
+  EXPECT_EQ(after.offnpu_tokens, before.offnpu_tokens);
+  EXPECT_EQ(master_->pool().total_blocks(), slots);
+  EXPECT_EQ(master_->pool().used(Tier::kDram), 4) << "an unparked block is not counted twice";
+  // A second match finds the slots in place.
+  EXPECT_EQ(Match(*master_, tokens_).blocks, after.blocks);
+  EXPECT_EQ(master_->stats().unparked_blocks, 4);
+
+  // Populate lands the blocks on the NPU.
+  master_->Acquire(after.blocks);
+  auto ticket = master_->Populate(after);
+  ASSERT_TRUE(ticket.ok());
+  LandCopies();
+  EXPECT_EQ(master_->QueryPopulate(*ticket), PopulateState::kReady);
+  EXPECT_EQ(Match(*master_, tokens_).npu_tokens, 64);
+  master_->Free(after.blocks);
+
+  // Released and demoted again by the drop pass, the run parks again.
+  ASSERT_TRUE(master_->EnsureNpuFree(5).ok());
+  EXPECT_EQ(master_->stats().evicted_blocks, 4);
+  EXPECT_EQ(master_->stats().parked_blocks, 8);
+  EXPECT_EQ(master_->pool().total_blocks(), slots - 4);
+  EXPECT_EQ(master_->pool().used(Tier::kDram), 4);
+  EXPECT_EQ(Match(*master_, tokens_).offnpu_tokens, 64);
+  EXPECT_EQ(master_->stats().unparked_blocks, 8);
+}
+
+TEST_F(ParkTest, ParkedRunSplitsIntoTwoParkedHalves) {
+  CommitAndHold();
+  NextScan();
+  NextScan();
+  ASSERT_EQ(master_->stats().parked_blocks, 4);
+  // A commit that shares the first two blocks splits the parked leaf.
+  std::vector<TokenId> fork(tokens_.begin(), tokens_.begin() + 32);
+  for (TokenId t : Iota(32, 7000)) {
+    fork.push_back(t);
+  }
+  auto fork_blocks = master_->AllocBlocks(4).value();
+  Preserve(*master_, fork, fork_blocks);
+  master_->Free(fork_blocks);
+  EXPECT_EQ(master_->index_nodes(), 3u);
+  // Both halves were parked: the match unparks each of them.
+  const MatchInfo info = Match(*master_, tokens_);
+  EXPECT_EQ(info.matched_tokens, 64);
+  EXPECT_EQ(info.offnpu_tokens, 64);
+  EXPECT_EQ(master_->stats().unparked_blocks, 4);
+}
+
+TEST_F(ParkTest, PartialMatchUnparksTheWholeRun) {
+  CommitAndHold();
+  NextScan();
+  NextScan();
+  ASSERT_EQ(master_->stats().parked_blocks, 4);
+  std::vector<TokenId> head(tokens_.begin(), tokens_.begin() + 16);
+  const MatchInfo info = Match(*master_, head);
+  EXPECT_EQ(info.matched_tokens, 16);
+  EXPECT_EQ(info.offnpu_tokens, 16);
+  EXPECT_EQ(master_->stats().unparked_blocks, 4);
+  EXPECT_EQ(Match(*master_, tokens_).matched_tokens, 64);
+}
+
+TEST_F(ParkTest, ExplicitEntryDemotedToDramStillHitsById) {
+  CommitAndHold(/*by_id=*/true);
+  NextScan();
+  NextScan();
+  ASSERT_EQ(master_->stats().swapped_out_blocks, 4);
+  ASSERT_EQ(master_->npu_blocks_used(), 35) << "the entry's NPU copies are gone";
+  const MatchInfo info = master_->MatchByID("ctx");
+  EXPECT_EQ(info.matched_tokens, 64);
+  EXPECT_EQ(info.npu_tokens, 0);
+  EXPECT_EQ(info.offnpu_tokens, 64);
+  EXPECT_EQ(info.blocks, leaf_);
 }
 
 TEST_F(RtcMasterTest, TokenHitRateTracksReuse) {

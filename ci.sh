@@ -114,8 +114,11 @@ echo "==> deepserve_sim boundary: bad configs exit 2, not with an abort"
 # yi-34b's weights overflow one Gen2 NPU's HBM at tp1. deepserve_sim must
 # refuse the config with an INVALID_ARGUMENT message (exit 2) before it builds
 # any TE, rather than die on the engine's capacity check. The same holds for a
-# parallelism degree below 1, a negative TE count and a control-log config
-# that ctrl::CtrlConfig::Validate refuses (each line is one run's flags).
+# parallelism degree below 1, a negative TE count, a control-log config that
+# ctrl::CtrlConfig::Validate refuses, an unknown scale, sched or trace policy,
+# a predictor accuracy outside [0, 1], an autoscaler config that
+# serving::AutoscalerConfig::Validate refuses and an unknown flag (each line is
+# one run's flags).
 while read -r -a BAD_FLAGS; do
   BAD_STATUS=0
   ./build/examples/deepserve_sim "${BAD_FLAGS[@]}" >/dev/null 2>&1 || BAD_STATUS=$?
@@ -132,6 +135,12 @@ done <<'BAD_CONFIGS'
 --ctrl-replicas=3 --ctrl-latency-ms=-1
 --ctrl-replicas=3 --ctrl-lease-ms=-5
 --ctrl-replicas=0
+--scale-policy=bogus
+--sched-policy=bogus
+--predictor=-1
+--trace=bogus
+--scale-policy=reactive --max-tes=0
+--drain=0
 BAD_CONFIGS
 
 echo "==> perfbench self-tests: the repo benchmark builds, conserves and repeats"

@@ -30,8 +30,11 @@
 // --trace-jsonl=<path> and --metrics-out=<path> write the run's trace and
 // metrics dump; the printed report is byte-identical with or without them.
 // An unknown flag is a usage error (exit 2), and so is a value no run can use:
-// a tp below 1, a negative TE count, a control-log config that
-// ctrl::CtrlConfig::Validate refuses, or a model that does not fit its NPUs.
+// a tp below 1, a negative TE count, an unknown --sched-policy or --trace, a
+// --predictor outside [0, 1], a control-log config that
+// ctrl::CtrlConfig::Validate refuses, an autoscaler config that
+// serving::AutoscalerConfig::Validate refuses, or a model that does not fit
+// its NPUs.
 
 #include <cstdio>
 #include <cstdlib>
@@ -43,7 +46,9 @@
 #include "bench/common.h"
 #include "common/time_units.h"
 #include "distflow/distflow.h"
+#include "flowserve/sched/sched_policy.h"
 #include "hw/cluster.h"
+#include "serving/autoscaler.h"
 #include "serving/cluster_manager.h"
 #include "serving/frontend.h"
 #include "serving/job_executor.h"
@@ -92,7 +97,6 @@ struct Flags {
   // colocated group between min 1 and --max-tes TEs over the trace.
   std::string scale_policy;
   int headroom = 1;
-  int drain = 1;  // graceful drain on scale-down (0 = legacy instant stop)
   int max_tes = 8;
   bench::RouteOptions route;  // --lb-policy / --hedge-ms / --retry-budget / --outlier-*
   bench::CtrlOptions ctrl;    // --ctrl-replicas / --ctrl-latency-ms / --ctrl-lease-ms
@@ -139,7 +143,6 @@ void ParseFlags(int argc, char** argv, Flags* flags, bench::ObsSession* obs) {
   registry.Flag("scale-policy", &flags->scale_policy,
                 "autoscaler policy over replica 0 (empty = off): reactive|predictive|slo");
   registry.Flag("headroom", &flags->headroom, "autoscaler headroom TEs");
-  registry.Flag("drain", &flags->drain, "graceful drain on scale-down (0 = instant stop)");
   registry.Flag("max-tes", &flags->max_tes, "autoscaler ceiling");
   flags->route.Register(registry);
   flags->ctrl.Register(registry);
@@ -185,6 +188,36 @@ int main(int argc, char** argv) {
   if (!lb_policy.ok()) {
     std::fprintf(stderr, "%s\n", lb_policy.status().ToString().c_str());
     return 2;
+  }
+
+  flowserve::sched::SchedConfig sched_config;
+  sched_config.policy = flags.sched_policy;
+  sched_config.tbt_budget_ms = flags.tbt_ms;
+  sched_config.ttft_budget_ms = flags.ttft_ms;
+  if (auto sched_policy = flowserve::sched::MakeSchedPolicy(sched_config); !sched_policy.ok()) {
+    std::fprintf(stderr, "%s\n", sched_policy.status().ToString().c_str());
+    return 2;
+  }
+  if (flags.trace != "internal" && flags.trace != "codegen" && flags.trace != "bursty") {
+    std::fprintf(stderr, "unknown --trace %s (internal|codegen|bursty)\n", flags.trace.c_str());
+    return 2;
+  }
+  if (flags.predictor_accuracy < 0.0 || flags.predictor_accuracy > 1.0) {
+    std::fprintf(stderr, "--predictor must be in [0, 1]\n");
+    return 2;
+  }
+  // Autoscaler over replica 0's colocated group, when --scale-policy is set.
+  const bool autoscale = !flags.scale_policy.empty();
+  serving::AutoscalerConfig as_config;
+  as_config.policy = flags.scale_policy;
+  as_config.headroom_tes = flags.headroom;
+  as_config.min_tes = 1;
+  as_config.max_tes = flags.max_tes;
+  if (autoscale) {
+    if (Status as_valid = as_config.Validate(); !as_valid.ok()) {
+      std::fprintf(stderr, "%s\n", as_valid.ToString().c_str());
+      return 2;
+    }
   }
 
   if (flags.je_replicas < 1) {
@@ -281,9 +314,7 @@ int main(int argc, char** argv) {
     engine.npu_spec_from_placement = true;
   }
   engine.parallelism = {flags.tp, 1, 1};
-  engine.sched.policy = flags.sched_policy;
-  engine.sched.tbt_budget_ms = flags.tbt_ms;
-  engine.sched.ttft_budget_ms = flags.ttft_ms;
+  engine.sched = sched_config;
   // Refuse a model that does not fit on its NPUs before building any TE. A
   // mixed fleet needs it to fit on one of its generations; placement puts
   // each TE on silicon it fits.
@@ -353,7 +384,6 @@ int main(int argc, char** argv) {
     frontend.RegisterServingJe(flags.model, je.get());
   }
 
-  bool autoscale = !flags.scale_policy.empty();
   if (autoscale) {
     // Pre-warm pools + DRAM preload so mid-trace scale-ups ride the fast path.
     manager.ReservePrewarmedPods(flags.max_tes);
@@ -397,12 +427,6 @@ int main(int argc, char** argv) {
   }
 
   if (autoscale) {
-    serving::AutoscalerConfig as_config;
-    as_config.policy = flags.scale_policy;
-    as_config.headroom_tes = flags.headroom;
-    as_config.graceful_drain = flags.drain;
-    as_config.min_tes = 1;
-    as_config.max_tes = flags.max_tes;
     engine.role = flowserve::EngineRole::kColocated;
     manager.StartAutoscaler(jes[0].get(), as_config, serving::ScaleRequest{engine});
   }

@@ -10,6 +10,9 @@ namespace deepserve::distflow {
 
 namespace {
 
+// Control-plane cost of establishing one round of endpoint pairs.
+constexpr DurationNs kLinkSetupCost = MsToNs(2);
+
 std::pair<EndpointId, EndpointId> Canonical(EndpointId a, EndpointId b) {
   return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
 }
@@ -53,7 +56,7 @@ Status TransferEngine::LinkCluster(const std::vector<EndpointId>& group,
     }
   }
   // Pair setup is parallelized across the group; charge one setup round.
-  DurationNs cost = new_pairs > 0 ? config_.link_setup_cost : 0;
+  DurationNs cost = new_pairs > 0 ? kLinkSetupCost : 0;
   if (on_ready) {
     sim_->ScheduleAfter(cost, std::move(on_ready));
   }

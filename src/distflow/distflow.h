@@ -55,10 +55,9 @@ struct DistFlowConfig {
   int num_workers = 8;
   // CPU-side submission cost per op, serialized within a worker shard.
   DurationNs per_op_overhead = UsToNs(15);
-  // Control-plane cost of establishing one endpoint pair.
-  DurationNs link_setup_cost = MsToNs(2);
-  // Force all inter-NPU traffic onto one backend (kInvalid -> auto-select by
-  // topology). The NPU-fork benchmarks pin this to HCCS or RoCE.
+  // Force all inter-NPU traffic onto forced_backend (false = auto-select by
+  // topology). Only tests pin it; the NPU-fork benchmarks choose a fork's
+  // link per scale-up through ScaleRequest::fork_link instead.
   bool force_backend = false;
   hw::LinkType forced_backend = hw::LinkType::kHccs;
 };

@@ -11,6 +11,13 @@
 
 namespace deepserve::flowserve {
 
+namespace {
+
+// DRAM tier of each DP group's block pool, in blocks.
+constexpr int64_t kDramBlockCapacity = int64_t{1} << 20;
+
+}  // namespace
+
 std::string_view EngineRoleToString(EngineRole role) {
   switch (role) {
     case EngineRole::kColocated:
@@ -61,7 +68,7 @@ Result<int64_t> KvBlockCapacity(const EngineConfig& config) {
   if (config.ae_disagg.enabled) {
     cost.SetAeDisagg(config.ae_disagg);
   }
-  int64_t blocks = cost.MaxKvTokensPerNpu(config.hbm_utilization) / config.block_size;
+  int64_t blocks = cost.MaxKvTokensPerNpu() / config.block_size;
   if (blocks <= 0) {
     return InvalidArgumentError("model " + config.model.name + " does not fit on " +
                                 config.npu_spec.name + " at " +
@@ -95,10 +102,9 @@ Engine::Engine(sim::Simulator* sim, EngineConfig config)
     rtc::RtcConfig rtc_config;
     rtc_config.block_size = config_.block_size;
     rtc_config.pool.npu_capacity = kv_block_capacity_;
-    rtc_config.pool.dram_capacity = config_.dram_block_capacity;
+    rtc_config.pool.dram_capacity = kDramBlockCapacity;
     rtc_config.bytes_per_block =
         config_.model.KvBytesPerToken() * static_cast<Bytes>(config_.block_size);
-    rtc_config.enable_prefix_caching = config_.enable_prefix_caching;
     rtc_config.enable_pic = config_.enable_pic;
     group->rtc = std::make_unique<rtc::RtcMaster>(sim_, rtc_config);
     groups_.push_back(std::move(group));
@@ -264,20 +270,13 @@ void Engine::SchedEnqueue(Sequence* seq) {
     match = group.rtc->TruncateMatch(match, seq->prompt_len() - 1);
   }
   if (match.needs_populate()) {
-    bool fetch = false;
-    if (config_.enable_populate) {
-      // Fitted cost model (§4.2): fetch wins when moving the off-NPU KV is
-      // faster than recomputing it, by the configured margin.
-      Bytes fetch_bytes = static_cast<Bytes>(match.offnpu_tokens) *
-                          config_.model.KvBytesPerToken();
-      DurationNs fetch_time =
-          SToNs(static_cast<double>(fetch_bytes) /
-                      (config_.populate_bandwidth_gbps * 1e9));
-      DurationNs recompute_time = cost_.RecomputeDuration(match.offnpu_tokens);
-      fetch = static_cast<double>(recompute_time) >=
-              static_cast<double>(fetch_time) * config_.populate_speedup_threshold;
-    }
-    if (fetch) {
+    // Fitted cost model (§4.2): fetch when moving the off-NPU KV is no slower
+    // than recomputing it.
+    Bytes fetch_bytes =
+        static_cast<Bytes>(match.offnpu_tokens) * config_.model.KvBytesPerToken();
+    DurationNs fetch_time =
+        SToNs(static_cast<double>(fetch_bytes) / (config_.populate_bandwidth_gbps * 1e9));
+    if (cost_.RecomputeDuration(match.offnpu_tokens) >= fetch_time) {
       group.rtc->Acquire(match.blocks);
       seq->blocks = match.blocks;
       auto ticket = group.rtc->Populate(match);
@@ -305,14 +304,13 @@ void Engine::SchedEnqueue(Sequence* seq) {
   group.rtc->Acquire(match.blocks);
   seq->blocks = match.blocks;
   seq->reused_tokens = match.matched_tokens;
-  if (config_.enable_pic) {
-    auto pic = group.rtc->MatchPositionIndependent(seq->prompt, match.matched_tokens);
-    if (pic.matched_tokens > 0) {
-      group.rtc->Acquire(pic.blocks);
-      seq->pic_blocks = std::move(pic.blocks);
-      seq->pic_tokens = pic.matched_tokens;
-      stats_.pic_reused_tokens += pic.matched_tokens;
-    }
+  // The RTC owns the PIC switch: with PIC off this matches nothing.
+  auto pic = group.rtc->MatchPositionIndependent(seq->prompt, match.matched_tokens);
+  if (pic.matched_tokens > 0) {
+    group.rtc->Acquire(pic.blocks);
+    seq->pic_blocks = std::move(pic.blocks);
+    seq->pic_tokens = pic.matched_tokens;
+    stats_.pic_reused_tokens += pic.matched_tokens;
   }
   FinishEnqueue(seq);
 }

@@ -94,18 +94,14 @@ struct EngineConfig {
   // micro-batches (the paper's design, >=20% TTFT win) vs sticky-to-one.
   bool pp_spread_chunks = true;
 
-  double hbm_utilization = 0.90;        // offline-profiled KV budget
   bool enable_prefix_caching = true;
   // Position-independent caching (§4.3 / EPIC): reuse cached KV chunks found
   // anywhere in the prompt, paying a boundary-recompute fraction.
   bool enable_pic = false;
-  double pic_recompute_fraction = 0.15;
-  // Async KV-cache prefetch: only populate when the fitted cost model says
-  // fetching beats recomputing by this factor.
-  bool enable_populate = true;
-  double populate_speedup_threshold = 1.0;
-  // Assumed tiered-storage fetch bandwidth for the fitted populate cost model
-  // (the real system fits this from observed DistFlow transfers).
+  // Async KV-cache prefetch populates an off-NPU prefix when the fitted cost
+  // model says fetching it is no slower than recomputing it. This is the
+  // assumed tiered-storage fetch bandwidth of that model (the real system
+  // fits it from observed DistFlow transfers).
   double populate_bandwidth_gbps = 25.0;
 
   KvTransferMode kv_transfer_mode = KvTransferMode::kByLayer;
@@ -119,7 +115,6 @@ struct EngineConfig {
   // Cap on logical KV blocks; 0 = derive from HBM capacity via the cost
   // model (tests override to small values).
   int64_t kv_block_capacity_override = 0;
-  int64_t dram_block_capacity = 1 << 20;
 
   // Scheduling-policy selection and knobs (src/flowserve/sched/).
   sched::SchedConfig sched;

@@ -11,6 +11,14 @@
 
 namespace deepserve::flowserve {
 
+namespace {
+
+// PIC (§4.3 / EPIC): the share of a reused chunk's compute still paid to
+// recompute its boundary tokens.
+constexpr double kPicRecomputeFraction = 0.15;
+
+}  // namespace
+
 void Engine::KickLoop(DpGroup& group) {
   if (!group.loop_running) {
     RunStep(group);
@@ -47,7 +55,7 @@ int64_t Engine::EffectiveChunkTokens(const Sequence& seq, int64_t chunk) const {
     double coverage = std::min(1.0, static_cast<double>(seq.pic_tokens) /
                                         static_cast<double>(seq.prefill_target -
                                                             seq.reused_tokens));
-    double keep = 1.0 - coverage * (1.0 - config_.pic_recompute_fraction);
+    double keep = 1.0 - coverage * (1.0 - kPicRecomputeFraction);
     return std::max<int64_t>(1, static_cast<int64_t>(static_cast<double>(chunk) * keep));
   }
   return chunk;

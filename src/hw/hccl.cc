@@ -4,23 +4,10 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/time_units.h"
 
 namespace deepserve::hw {
 
 Hccl::Hccl(Cluster* cluster) : cluster_(cluster) { DS_CHECK(cluster != nullptr); }
-
-void Hccl::Send(NpuId src, NpuId dst, Bytes bytes, std::function<void()> on_complete) {
-  SharedLink* link = cluster_->InterNpuLink(src, dst);
-  link->StartFlow(bytes, std::move(on_complete));
-}
-
-void Hccl::SendVia(NpuId src, LinkType link_type, Bytes bytes,
-                   std::function<void()> on_complete) {
-  SharedLink* link = cluster_->LinkOfType(cluster_->machine_of(src), link_type);
-  DS_CHECK(link != nullptr);
-  link->StartFlow(bytes, std::move(on_complete));
-}
 
 void Hccl::Broadcast(NpuId src, int num_destinations, Bytes bytes, LinkType link_type,
                      std::function<void()> on_complete) {
@@ -39,20 +26,6 @@ void Hccl::Broadcast(NpuId src, int num_destinations, Bytes bytes, LinkType link
   src_link->StartFlow(bytes, [simulator, tail, cb = std::move(on_complete)]() mutable {
     simulator->ScheduleAfter(tail, std::move(cb));
   });
-}
-
-DurationNs Hccl::AllReduceDuration(int tp, Bytes bytes) const {
-  if (tp <= 1 || bytes == 0) {
-    return 0;
-  }
-  const ClusterConfig& config = cluster_->config();
-  double wire_bytes = 2.0 * static_cast<double>(tp - 1) / static_cast<double>(tp) *
-                      static_cast<double>(bytes);
-  // Intra-server TP traffic rides HCCS-class links; add per-step latency for
-  // the 2*(tp-1) ring phases.
-  DurationNs transfer = SToNs(wire_bytes / (config.hccs_gbps * 1e9));
-  DurationNs latency = static_cast<DurationNs>(2 * (tp - 1)) * config.hccs_latency;
-  return transfer + latency;
 }
 
 }  // namespace deepserve::hw

@@ -1,10 +1,11 @@
 // Facade over the Huawei Collective Communication Library (HCCL).
 //
-// Exposes the subset the paper's systems use: peer-to-peer send (DistFlow's
-// HCCL backend) and broadcast (NPU-fork fans model weights to many TEs at
-// once). Collectives inside a forward pass (TP all-reduce) are folded into
-// the model cost model instead, since they run on dedicated intra-server
-// links and only their latency matters for step time.
+// Exposes the one collective the paper's control plane issues itself:
+// broadcast (NPU-fork fans model weights to many TEs at once). Peer-to-peer
+// KV and weight moves go through DistFlow, and collectives inside a forward
+// pass (TP all-reduce) are folded into the model cost model, since they run
+// on dedicated intra-server links and only their latency matters for step
+// time.
 //
 // Broadcast is modelled as a binomial tree: ceil(log2(n+1)) rounds, each
 // copying the full payload. The first round runs as a real flow on the source
@@ -25,21 +26,10 @@ class Hccl {
  public:
   explicit Hccl(Cluster* cluster);
 
-  // Peer-to-peer send over whichever fabric connects src and dst (HCCS inside
-  // a scale-up domain, RoCE across domains).
-  void Send(NpuId src, NpuId dst, Bytes bytes, std::function<void()> on_complete);
-
-  // Peer-to-peer send over an explicitly chosen backend link type.
-  void SendVia(NpuId src, LinkType link_type, Bytes bytes, std::function<void()> on_complete);
-
   // Broadcasts `bytes` from src to `num_destinations` peers over `link_type`.
   // on_complete fires when the last destination holds the payload.
   void Broadcast(NpuId src, int num_destinations, Bytes bytes, LinkType link_type,
                  std::function<void()> on_complete);
-
-  // Duration of a TP all-reduce of `bytes` across `tp` ranks over HCCS (ring
-  // algorithm: 2*(tp-1)/tp of the payload crosses each link).
-  DurationNs AllReduceDuration(int tp, Bytes bytes) const;
 
  private:
   Cluster* cluster_;

@@ -152,8 +152,8 @@ Bytes CostModel::KvBytesPerTokenPerNpu() const {
   return model_.KvBytesPerToken() / static_cast<Bytes>(parallelism_.tp * parallelism_.pp);
 }
 
-int64_t CostModel::MaxKvTokensPerNpu(double hbm_utilization) const {
-  Bytes budget = static_cast<Bytes>(static_cast<double>(npu_.hbm_capacity) * hbm_utilization);
+int64_t CostModel::MaxKvTokensPerNpu() const {
+  Bytes budget = static_cast<Bytes>(static_cast<double>(npu_.hbm_capacity) * kHbmUtilization);
   Bytes weights = WeightBytesPerNpu(model_, parallelism_);
   if (ae_.enabled && model_.is_moe()) {
     // The attention TE holds only attention-side weights; expert weights live
@@ -203,14 +203,13 @@ double TokensPerSecondPerDollar(const ModelSpec& model, const hw::NpuSpec& npu,
 }
 
 bool FitsHbm(const ModelSpec& model, const hw::NpuSpec& npu,
-             const ParallelismConfig& parallelism, int64_t min_kv_tokens,
-             double hbm_utilization) {
-  Bytes budget = static_cast<Bytes>(static_cast<double>(npu.hbm_capacity) * hbm_utilization);
+             const ParallelismConfig& parallelism, int64_t min_kv_tokens) {
+  Bytes budget = static_cast<Bytes>(static_cast<double>(npu.hbm_capacity) * kHbmUtilization);
   if (WeightBytesPerNpu(model, parallelism) >= budget) {
     return false;
   }
   CostModel cost(model, npu, parallelism);
-  return cost.MaxKvTokensPerNpu(hbm_utilization) >= min_kv_tokens;
+  return cost.MaxKvTokensPerNpu() >= min_kv_tokens;
 }
 
 }  // namespace deepserve::model

@@ -66,12 +66,15 @@ double EstimateDecodeTokensPerSecond(const ModelSpec& model, const hw::NpuSpec& 
 // weights don't fit the NPU at all.
 double TokensPerSecondPerDollar(const ModelSpec& model, const hw::NpuSpec& npu,
                                 const ParallelismConfig& parallelism);
+// Share of each NPU's HBM that weights plus KV may fill: the paper's
+// offline-profiled utilization target.
+inline constexpr double kHbmUtilization = 0.90;
+
 // Whether `npu`'s HBM fits the per-NPU weight shard plus at least
-// `min_kv_tokens` of KV context at the utilization target — the feasibility
-// gate ahead of the score.
+// `min_kv_tokens` of KV context at kHbmUtilization — the feasibility gate
+// ahead of the score.
 bool FitsHbm(const ModelSpec& model, const hw::NpuSpec& npu,
-             const ParallelismConfig& parallelism, int64_t min_kv_tokens,
-             double hbm_utilization = 0.90);
+             const ParallelismConfig& parallelism, int64_t min_kv_tokens);
 
 class CostModel {
  public:
@@ -102,9 +105,8 @@ class CostModel {
   // Total KV bytes per token across the instance.
   Bytes KvBytesPerToken() const { return model_.KvBytesPerToken(); }
 
-  // How many KV tokens fit on each NPU after weights, at the given HBM
-  // utilization target (the paper's offline-profiled value).
-  int64_t MaxKvTokensPerNpu(double hbm_utilization = 0.90) const;
+  // How many KV tokens fit on each NPU after weights, at kHbmUtilization.
+  int64_t MaxKvTokensPerNpu() const;
 
   // Fixed NPU-side per-step overhead (kernel launches, sampling on device).
   void set_step_overhead(DurationNs overhead) { step_overhead_ = overhead; }

@@ -42,7 +42,8 @@ void RtcMaster::SyncListeners() {
   }
 }
 
-MatchInfo RtcMaster::BuildMatchInfo(std::vector<BlockId> blocks, int64_t matched_tokens) {
+MatchInfo RtcMaster::BuildMatchInfo(std::vector<BlockId> blocks,
+                                    int64_t matched_tokens) const {
   MatchInfo info;
   info.matched_tokens = matched_tokens;
   info.blocks = std::move(blocks);
@@ -62,10 +63,6 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
                                         std::span<const BlockKey> keys) {
   CheckChain(prompt, keys);
   stats_.requested_tokens += static_cast<int64_t>(prompt.size());
-  if (!config_.enable_prefix_caching) {
-    ++stats_.match_misses;
-    return MatchInfo{};
-  }
   auto match = tree_.Match(keys);
   TimeNs now = sim_->Now();
   tree_.Touch(match, now);
@@ -265,21 +262,10 @@ MatchInfo RtcMaster::TruncateMatch(const MatchInfo& info, int64_t max_tokens) co
   }
   size_t keep_blocks = static_cast<size_t>(std::max<int64_t>(0, max_tokens) /
                                            static_cast<int64_t>(config_.block_size));
-  MatchInfo out;
-  out.blocks.assign(info.blocks.begin(),
-                    info.blocks.begin() + static_cast<ptrdiff_t>(keep_blocks));
-  out.matched_tokens =
-      static_cast<int64_t>(keep_blocks) * static_cast<int64_t>(config_.block_size);
-  bool npu_prefix = true;
-  for (BlockId id : out.blocks) {
-    if (npu_prefix && pool_.info(id).resident(Tier::kNpu)) {
-      out.npu_tokens += config_.block_size;
-    } else {
-      npu_prefix = false;
-    }
-  }
-  out.offnpu_tokens = out.matched_tokens - out.npu_tokens;
-  return out;
+  return BuildMatchInfo(
+      std::vector<BlockId>(info.blocks.begin(),
+                           info.blocks.begin() + static_cast<ptrdiff_t>(keep_blocks)),
+      static_cast<int64_t>(keep_blocks) * static_cast<int64_t>(config_.block_size));
 }
 
 PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
@@ -483,9 +469,6 @@ void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const Bl
 
 void RtcMaster::Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
                          std::span<const BlockKey> keys) {
-  if (!config_.enable_prefix_caching) {
-    return;
-  }
   CommitBlocks(tokens, blocks, keys);
 }
 

@@ -105,7 +105,6 @@ struct RtcConfig {
   // Bytes of one block across the whole instance (all layers, all TP ranks);
   // sizes populate/swap transfers.
   Bytes bytes_per_block = 512 * 1024;
-  bool enable_prefix_caching = true;
   // Position-independent caching (content-hash index alongside the tree).
   bool enable_pic = false;
   bool enable_background_swap = true;
@@ -228,7 +227,8 @@ class RtcMaster {
  private:
   using Tree = RadixTree<BlockRun>;
 
-  MatchInfo BuildMatchInfo(std::vector<BlockId> blocks, int64_t matched_tokens);
+  // Counts the NPU-resident prefix of `blocks` into npu/offnpu tokens.
+  MatchInfo BuildMatchInfo(std::vector<BlockId> blocks, int64_t matched_tokens) const;
   // Lazily registers this cache's trace track; -1 when tracing is disabled.
   int TracePid();
   // DS_CHECKs that `keys` is a full chain of `tokens` at this block size.

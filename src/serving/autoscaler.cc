@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,6 +16,16 @@
 namespace deepserve::serving {
 
 namespace {
+
+// Upper bound on scale-ups in flight at once ("reactive" additionally
+// hard-caps itself at one).
+constexpr int kMaxConcurrentScaleUps = 4;
+// Predictive arrival-rate smoothing (higher = twitchier).
+constexpr double kEwmaAlpha = 0.35;
+// Predictive trend window: the EWMA's drift over this window rather than
+// tick-to-tick (Poisson samples at sub-second ticks are far too noisy to
+// difference directly).
+constexpr DurationNs kSlopeWindow = SToNs(5.0);
 
 // Queue-depth thresholding: scale-up takes precedence over scale-down, and
 // at most one scale-up is in flight (pending_scale_ups == 0).
@@ -85,12 +96,12 @@ class PredictivePolicy final : public ScalePolicy {
       have_ewma_ = true;
       ewma_ = sample;
     } else {
-      ewma_ = config_.ewma_alpha * sample + (1.0 - config_.ewma_alpha) * ewma_;
+      ewma_ = kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * ewma_;
     }
-    // Trend over slope_window, not tick-to-tick: differencing consecutive
+    // Trend over kSlopeWindow, not tick-to-tick: differencing consecutive
     // EWMA values of a Poisson sample stream amplifies noise by 1/dt.
     history_.push_back({s.now, ewma_});
-    while (history_.size() > 1 && history_.front().first < s.now - config_.slope_window) {
+    while (history_.size() > 1 && history_.front().first < s.now - kSlopeWindow) {
       history_.pop_front();
     }
     double slope = 0.0;
@@ -226,6 +237,24 @@ Result<std::unique_ptr<ScalePolicy>> MakeScalePolicy(const AutoscalerConfig& con
                               "\" (reactive|predictive|slo)");
 }
 
+Status AutoscalerConfig::Validate() const {
+  if (Result<std::unique_ptr<ScalePolicy>> policy_made = MakeScalePolicy(*this);
+      !policy_made.ok()) {
+    return policy_made.status();
+  }
+  if (min_tes < 1 || min_tes > max_tes) {
+    return InvalidArgumentError("autoscaler needs 1 <= min_tes <= max_tes, got min_tes=" +
+                                std::to_string(min_tes) + " max_tes=" + std::to_string(max_tes));
+  }
+  if (check_interval <= 0) {
+    return InvalidArgumentError("autoscaler check interval must be > 0");
+  }
+  if (headroom_tes < 0 || drain_timeout < 0) {
+    return InvalidArgumentError("autoscaler headroom and drain timeout must be >= 0");
+  }
+  return Status::Ok();
+}
+
 // ---------------------------------------------------------------------------
 // Autoscaler mechanism.
 // ---------------------------------------------------------------------------
@@ -331,7 +360,7 @@ void Autoscaler::Tick() {
   }
 
   int up = decision.scale_up;
-  up = std::min(up, config_.max_concurrent_scale_ups - pending_scale_ups_);
+  up = std::min(up, kMaxConcurrentScaleUps - pending_scale_ups_);
   up = std::min(up, config_.max_tes - (signals.live_tes + pending_scale_ups_));
   for (int i = 0; i < up; ++i) {
     LaunchScaleUp();
@@ -370,41 +399,28 @@ void Autoscaler::LaunchScaleUp() {
   ++stats_.scale_ups_launched;
 }
 
-TaskExecutor* Autoscaler::PickVictim(bool require_idle) const {
+TaskExecutor* Autoscaler::PickVictim() const {
   TaskExecutor* victim = nullptr;
   for (const auto& te : cm_->tes()) {
     if (!te->ready() || te->role() != flowserve::EngineRole::kColocated) {
       continue;
     }
-    if (require_idle) {
-      // Historical rule: only a perfectly idle TE, highest id wins.
-      if (te->queue_depth() == 0 && (victim == nullptr || te->id() > victim->id())) {
-        victim = te.get();
-      }
-    } else {
-      // Graceful drains can absorb in-flight work: least-loaded TE, ties
-      // toward the highest (newest) id.
-      if (victim == nullptr || te->queue_depth() < victim->queue_depth() ||
-          (te->queue_depth() == victim->queue_depth() && te->id() > victim->id())) {
-        victim = te.get();
-      }
+    // The drain absorbs in-flight work: least-loaded TE, ties toward the
+    // highest (newest) id.
+    if (victim == nullptr || te->queue_depth() < victim->queue_depth() ||
+        (te->queue_depth() == victim->queue_depth() && te->id() > victim->id())) {
+      victim = te.get();
     }
   }
   return victim;
 }
 
 bool Autoscaler::ScaleDownOne() {
-  TaskExecutor* victim = PickVictim(/*require_idle=*/!config_.graceful_drain);
+  TaskExecutor* victim = PickVictim();
   if (victim == nullptr) {
     return false;
   }
   je_->RemoveTe(victim->id());
-  if (!config_.graceful_drain) {
-    DS_CHECK_OK(cm_->StopTe(victim->id()));
-    ++stats_.legacy_stops;
-    RecordScaleDown(victim, /*drained=*/false);
-    return true;
-  }
   BeginDrain(victim);
   return true;
 }
@@ -461,8 +477,11 @@ void Autoscaler::FinishDrain(TeId id) {
   stats_.drained_seqs += te->drain_inflight();
   ++stats_.drains_completed;
   DS_CHECK_OK(cm_->StopTe(id));
-  RecordScaleDown(te, /*drained=*/true);
+  cm_->RecordAutoscalerScaleDown();
   EnsureMetrics();
+  if (m_scale_downs_ != nullptr) {
+    m_scale_downs_->Inc();
+  }
   if (m_drained_seqs_ != nullptr) {
     m_drained_seqs_->Inc(te->drain_inflight());
   }
@@ -491,16 +510,6 @@ void Autoscaler::OnDrainTimeout(TeId id) {
   // exactly-once termination is preserved through the retry path.
   auto killed = cm_->KillTe(id);
   (void)killed;
-}
-
-void Autoscaler::RecordScaleDown(TaskExecutor* te, bool drained) {
-  (void)te;
-  (void)drained;
-  cm_->RecordAutoscalerScaleDown();
-  EnsureMetrics();
-  if (m_scale_downs_ != nullptr) {
-    m_scale_downs_->Inc();
-  }
 }
 
 int Autoscaler::TracePid() {

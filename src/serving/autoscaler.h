@@ -7,9 +7,7 @@
 //     counters, the current scale-up lead time) and returns how many TEs to
 //     add or retire.
 //       "reactive"   instantaneous average queue depth vs. thresholds
-//                    (exact: total vs. threshold*live); with
-//                    graceful_drain=false victims stop immediately (pinned
-//                    by the golden parity test).
+//                    (exact: total vs. threshold*live).
 //       "predictive" EWMA + trend forecast of the arrival rate, evaluated at
 //                    now + the scaling pipeline's current lead time, so
 //                    capacity *arrives* when the load does (Fig. 8's point);
@@ -60,32 +58,27 @@ struct AutoscalerConfig {
 
   std::string policy = "reactive";  // reactive | predictive | slo
 
-  // Graceful scale-down: victims drain (finish in-flight work) before
-  // stopping. Off = the historical immediate StopTe of an idle TE.
-  bool graceful_drain = true;
+  // Scale-down drains its victim (finish in-flight work) before stopping it.
   // Safety valve: a drain still unfinished after this long is force-killed
   // (KillTe, synchronous detection, so the JE re-dispatches the stragglers).
   // 0 = wait forever.
   DurationNs drain_timeout = SToNs(120);
 
-  // Upper bound on scale-ups in flight at once ("reactive" additionally
-  // hard-caps itself at one, preserving the historical behaviour).
-  int max_concurrent_scale_ups = 4;
-
   // -- predictive knobs -------------------------------------------------------
-  double ewma_alpha = 0.35;     // arrival-rate smoothing (higher = twitchier)
   double te_capacity_rps = 4.0; // prior on one TE's throughput; refined online
   int headroom_tes = 1;         // spare TEs kept above the forecast requirement
   int down_stable_ticks = 6;    // surplus ticks required before a scale-down
-  // The trend is measured as the EWMA's drift over this window rather than
-  // tick-to-tick (Poisson samples at sub-second ticks are far too noisy to
-  // difference directly). 0 = one tick.
-  DurationNs slope_window = SToNs(5.0);
 
   // -- slo knobs --------------------------------------------------------------
   // Per-tick violation rate (violations / (completions + violations)).
   double slo_scale_up_violation_rate = 0.05;
   double slo_scale_down_violation_rate = 0.005;
+
+  // INVALID_ARGUMENT unless the policy is known (MakeScalePolicy), 1 <=
+  // min_tes <= max_tes, check_interval > 0, headroom_tes >= 0 and
+  // drain_timeout >= 0. The Autoscaler constructor still DS_CHECKs the
+  // policy; callers taking a config from outside validate it first.
+  [[nodiscard]] Status Validate() const;
 };
 
 // What a policy sees each tick. Counters are cumulative and monotone —
@@ -146,7 +139,6 @@ struct AutoscalerStats {
   int64_t drain_timeouts = 0;
   int64_t drained_seqs = 0;        // in-flight sequences drains waited out
   DurationNs drain_ns_total = 0;   // summed drain durations
-  int64_t legacy_stops = 0;        // immediate stops (graceful_drain off)
   double forecast_abs_err_sum = 0.0;
   int64_t forecast_samples = 0;
 
@@ -203,11 +195,9 @@ class Autoscaler {
   void BeginDrain(TaskExecutor* victim);
   void FinishDrain(TeId id);
   void OnDrainTimeout(TeId id);
-  // Scale-down victim among ready colocated TEs: with require_idle, the
-  // highest-id TE with an empty queue or nullptr (historical behaviour);
-  // otherwise the least-loaded TE, ties broken toward the highest id.
-  TaskExecutor* PickVictim(bool require_idle) const;
-  void RecordScaleDown(TaskExecutor* te, bool drained);
+  // Scale-down victim: the least-loaded ready colocated TE, ties broken
+  // toward the highest id; nullptr when none is ready.
+  TaskExecutor* PickVictim() const;
   // Lazily registers the autoscaler trace track; -1 when tracing is off.
   int TracePid();
   void EnsureMetrics();

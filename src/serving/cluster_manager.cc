@@ -134,8 +134,7 @@ struct GenGroup {
 };
 
 std::vector<GenGroup> ScoreGenerations(const hw::Cluster& cluster,
-                                       const flowserve::EngineConfig& engine,
-                                       int64_t min_kv_tokens) {
+                                       const flowserve::EngineConfig& engine) {
   std::vector<GenGroup> groups;
   for (int m = 0; m < cluster.num_machines(); ++m) {
     const hw::NpuSpec& spec = cluster.spec_of_machine(m);
@@ -151,7 +150,7 @@ std::vector<GenGroup> ScoreGenerations(const hw::Cluster& cluster,
                                 model::TokensPerSecondPerDollar(engine.model, spec,
                                                                 engine.parallelism),
                                 model::FitsHbm(engine.model, spec, engine.parallelism,
-                                               min_kv_tokens, engine.hbm_utilization),
+                                               kMinKvTokensPerNpu),
                                 std::vector<uint8_t>(static_cast<size_t>(cluster.num_machines()),
                                                      0)});
       group = &groups.back();
@@ -172,7 +171,7 @@ Result<std::vector<hw::NpuId>> ClusterManager::AllocateNpusForEngine(
     return AllocateNpus(count);
   }
   std::vector<GenGroup> groups =
-      ScoreGenerations(*cluster_, engine, placement_.min_kv_tokens_per_npu);
+      ScoreGenerations(*cluster_, engine);
   for (const GenGroup& group : groups) {
     if (!group.fits) {
       continue;
@@ -193,7 +192,7 @@ Result<std::vector<hw::NpuId>> ClusterManager::AllocateNpusForEngine(
 
 GenerationChoice ClusterManager::PreviewPlacement(const flowserve::EngineConfig& engine) const {
   std::vector<GenGroup> groups =
-      ScoreGenerations(*cluster_, engine, placement_.min_kv_tokens_per_npu);
+      ScoreGenerations(*cluster_, engine);
   GenerationChoice choice;
   for (const GenGroup& group : groups) {
     if (!group.fits) {

@@ -110,11 +110,12 @@ struct ScalingBreakdown {
 // machine-order first-fit bit-identically.
 struct PlacementConfig {
   bool hetero_aware = true;
-  // A generation is feasible only when its HBM fits the model's per-NPU
-  // weight shard plus at least this much KV context per NPU (the predicted
-  // context-load floor).
-  int64_t min_kv_tokens_per_npu = 1024;
 };
+
+// A generation is feasible only when its HBM fits the model's per-NPU weight
+// shard plus at least this much KV context per NPU (the predicted
+// context-load floor).
+inline constexpr int64_t kMinKvTokensPerNpu = 1024;
 
 // What a cost-aware placement would pick right now (autoscaler signal /
 // bench reporting): the best-scoring feasible generation and its score.

@@ -7,6 +7,15 @@
 
 namespace deepserve::serving {
 
+namespace {
+
+// Shared retry budget: re-dispatch tokens earned per admitted request.
+constexpr double kRetryRatio = 0.2;
+// Completion samples a route needs before its p95 sets the hedge delay.
+constexpr int64_t kHedgeMinSamples = 16;
+
+}  // namespace
+
 Frontend::Frontend(sim::Simulator* sim, RouteConfig config)
     : sim_(sim), config_(std::move(config)) {
   if (sim_ == nullptr) {
@@ -15,7 +24,7 @@ Frontend::Frontend(sim::Simulator* sim, RouteConfig config)
         << "outlier ejection needs a simulator for its backoff clock";
   }
   if (config_.retry_budget) {
-    retry_budget_ = std::make_unique<RetryBudget>(config_.retry_ratio, config_.retry_floor);
+    retry_budget_ = std::make_unique<RetryBudget>(kRetryRatio, config_.retry_floor);
   }
 }
 
@@ -232,7 +241,7 @@ void Frontend::DispatchTo(ModelRoute& route, size_t replica_index,
 void Frontend::ArmHedge(const std::shared_ptr<Flight>& flight) {
   ModelRoute& route = *flight->route;
   DurationNs delay = config_.hedge_floor;
-  if (route.latency.size() >= config_.hedge_min_samples) {
+  if (route.latency.size() >= kHedgeMinSamples) {
     delay = std::max(delay, route.latency.Percentile(0.95));
   }
   sim_->ScheduleAfter(delay, [this, flight] { HedgeFire(flight); });

@@ -11,6 +11,14 @@
 
 namespace deepserve::serving {
 
+namespace {
+
+// Fault tolerance: how many times one request may be re-dispatched after TE
+// failures before it errors out through ResponseHandler::on_error.
+constexpr int kMaxRetries = 3;
+
+}  // namespace
+
 std::string_view SchedulingPolicyToString(SchedulingPolicy policy) {
   switch (policy) {
     case SchedulingPolicy::kRoundRobin:
@@ -122,13 +130,11 @@ std::vector<TaskExecutor*> JobExecutor::CostAwareFilter(
     return tes;
   }
   // Feasibility: the TE's HBM must hold this request's predicted context at
-  // its engine's utilization target. npu_spec reflects the TE's own silicon
+  // the utilization target. The cost model reflects the TE's own silicon
   // (the ClusterManager applies npu_spec_from_placement at creation).
   std::vector<TaskExecutor*> fits;
   for (TaskExecutor* te : tes) {
-    const flowserve::EngineConfig& engine = te->config().engine;
-    if (te->engine().cost_model().MaxKvTokensPerNpu(engine.hbm_utilization) >=
-        predicted_tokens) {
+    if (te->engine().cost_model().MaxKvTokensPerNpu() >= predicted_tokens) {
       fits.push_back(te);
     }
   }
@@ -361,10 +367,10 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
             spec.context_id, spec.prompt);
   handlers_[job_id].handler = std::move(handler);
 
-  if (config_.enforce_deadlines && spec.deadline > 0 && sim_->Now() > spec.deadline) {
+  if (spec.deadline > 0 && sim_->Now() > spec.deadline) {
     // Already dead on arrival here — typically a crash re-dispatch of a
-    // request whose deadline lapsed while the fleet recovered. Don't queue
-    // work no one is waiting for.
+    // request whose deadline lapsed while the fleet recovered. Fail it with
+    // DEADLINE_EXCEEDED rather than queue work no one is waiting for.
     ++stats_.deadline_failures;
     FailJob(job_id, DeadlineExceededError("request " + std::to_string(spec.id) +
                                           " expired before dispatch"));
@@ -603,7 +609,7 @@ void JobExecutor::OnTeFailure(TeId id) {
       }
     }
     bool budget_ok = true;
-    if (retry.retries < config_.max_retries && retry_budget_ != nullptr &&
+    if (retry.retries < kMaxRetries && retry_budget_ != nullptr &&
         !retry_budget_->TryAcquire()) {
       // The fleet-wide retry budget (shared across every JE the frontend
       // registered) is dry: give up even though this request has per-request
@@ -611,7 +617,7 @@ void JobExecutor::OnTeFailure(TeId id) {
       budget_ok = false;
       ++stats_.budget_denied;
     }
-    if (retry.retries >= config_.max_retries || !budget_ok) {
+    if (retry.retries >= kMaxRetries || !budget_ok) {
       // Retry budget exhausted: the request is gone for good — report it
       // instead of redispatching forever.
       ++stats_.errors;

@@ -72,13 +72,6 @@ struct JeConfig {
   // the combined policy must not degrade badly there.
   double pd_overload_factor = 2.0;
   int64_t pd_overload_slack = 8;
-  // Fault tolerance: how many times one request may be re-dispatched after TE
-  // failures before it errors out through ResponseHandler::on_error.
-  int max_retries = 3;
-  // Fail requests whose deadline (spec.deadline > 0) has already passed at
-  // dispatch/re-dispatch time with DEADLINE_EXCEEDED instead of queueing dead
-  // work — in particular a crash-retry of an expired request.
-  bool enforce_deadlines = true;
   // Heterogeneous clusters: before the scheduling policy runs, narrow the
   // candidate TEs to those whose HBM fits the request's predicted context
   // (prefill + predicted decode), then to the generation with the best
@@ -160,7 +153,7 @@ class JobExecutor {
   size_t CancelRequest(workload::RequestId request_id);
 
   // Installs a shared retry budget (frontend-owned): beyond the per-request
-  // max_retries cap, each crash re-dispatch must also acquire a budget token
+  // retry cap, each crash re-dispatch must also acquire a budget token
   // or the request errors out. nullptr = per-request cap only.
   void SetRetryBudget(RetryBudget* budget) { retry_budget_ = budget; }
 

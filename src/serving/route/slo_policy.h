@@ -11,17 +11,12 @@ namespace deepserve::serving {
 
 class SloRoutePolicy : public RoutePolicy {
  public:
-  explicit SloRoutePolicy(const RouteConfig& config)
-      : batch_depth_(config.shed_batch_depth), normal_depth_(config.shed_normal_depth) {}
-
   std::string_view name() const override { return "slo"; }
   RouteDecision Pick(const RouteContext& ctx) override;
 
   int64_t sheds() const { return sheds_; }
 
  private:
-  double batch_depth_;
-  double normal_depth_;
   int64_t sheds_ = 0;
 };
 

@@ -39,7 +39,7 @@ Result<std::unique_ptr<RoutePolicy>> MakeRoutePolicy(const RouteConfig& config) 
     return std::unique_ptr<RoutePolicy>(std::make_unique<WlcRoutePolicy>());
   }
   if (config.policy == "slo") {
-    return std::unique_ptr<RoutePolicy>(std::make_unique<SloRoutePolicy>(config));
+    return std::unique_ptr<RoutePolicy>(std::make_unique<SloRoutePolicy>());
   }
   return InvalidArgumentError("unknown route policy \"" + config.policy +
                               "\" (rr|p2c|wlc|slo)");

@@ -56,13 +56,6 @@ struct RouteConfig {
   std::string policy = "rr";  // rr | p2c | wlc | slo
   uint64_t seed = 1;          // p2c's sampling stream
 
-  // -- slo shedding knobs -----------------------------------------------------
-  // Fleet pressure = outstanding requests / ready serving slots. A class is
-  // shed while pressure >= its depth: batch (priority >= 2) first, then
-  // normal (priority >= 1). Interactive (0) is never shed.
-  double shed_batch_depth = 4.0;
-  double shed_normal_depth = 8.0;
-
   // -- outlier ejection (0 = off) ---------------------------------------------
   // After this many consecutive post-dispatch errors a replica leaves the
   // rotation for eject_base * 2^(ejections-1), capped at eject_max; it then
@@ -73,20 +66,18 @@ struct RouteConfig {
 
   // -- shared retry budget (off unless retry_budget) --------------------------
   // Crash re-dispatches across every JE registered with the frontend may not
-  // exceed floor + ratio * requests-admitted; beyond that, failed requests
-  // error out instead of retrying (retry-storm protection).
+  // exceed retry_floor + 0.2 * requests-admitted; beyond that, failed
+  // requests error out instead of retrying (retry-storm protection).
   bool retry_budget = false;
-  double retry_ratio = 0.2;
   int64_t retry_floor = 8;
 
   // -- hedging (0 = off; needs a simulator) -----------------------------------
   // A request still unresolved hedge_delay() after dispatch is duplicated
   // onto a second replica; the first completion wins and the loser is
   // cancelled across TEs (its tokens are reclaimed, not double-counted).
-  // The delay is max(hedge_floor, observed p95 completion latency) once
-  // enough samples exist, hedge_floor until then.
+  // The delay is max(hedge_floor, observed p95 completion latency) once 16
+  // samples exist, hedge_floor until then.
   DurationNs hedge_floor = 0;
-  int hedge_min_samples = 16;
 
   bool hedging() const { return hedge_floor > 0; }
 };
@@ -177,7 +168,7 @@ class OutlierMonitor {
 
 // Shared crash-retry budget: re-dispatches across every consumer may not
 // exceed floor + ratio * requests-seen. Owned by the frontend, consulted by
-// each JE's failure path on top of the per-request max_retries cap.
+// each JE's failure path on top of the per-request JE retry cap.
 class RetryBudget {
  public:
   RetryBudget(double ratio, int64_t floor) : ratio_(ratio), floor_(floor) {}

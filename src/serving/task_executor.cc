@@ -9,14 +9,6 @@ namespace deepserve::serving {
 
 std::string_view TeStateToString(TeState state) {
   switch (state) {
-    case TeState::kProvisioning:
-      return "provisioning";
-    case TeState::kPreWarmed:
-      return "pre-warmed";
-    case TeState::kLoading:
-      return "loading";
-    case TeState::kPostLoading:
-      return "post-loading";
     case TeState::kReady:
       return "ready";
     case TeState::kDraining:

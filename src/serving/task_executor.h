@@ -25,12 +25,9 @@
 
 namespace deepserve::serving {
 
-// Lifecycle states mirroring the scaling pipeline (§6, Fig. 7).
+// Lifecycle of a built TE. The scaling pipeline's earlier stages (§6, Fig. 7)
+// run before any TaskExecutor exists; ctrl::TeDirectory tracks them.
 enum class TeState {
-  kProvisioning,  // Scaler-Pre: pod being created
-  kPreWarmed,     // TE-Pre-Load done, no model loaded (pre-warmed pool)
-  kLoading,       // TE-Load: weights moving onto the NPU
-  kPostLoading,   // TE-Post-Load: allocation + warmup
   kReady,
   kDraining,  // graceful scale-down: no new admissions, in-flight work finishing
   kStopped,   // stopped (scale-down complete)

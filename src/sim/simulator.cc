@@ -40,10 +40,10 @@ bool Simulator::Cancel(EventId id) {
   return true;
 }
 
-bool Simulator::Step() {
+bool Simulator::FireNext(TimeNs until) {
   TimeNs t = 0;
   EventFn fn;
-  if (!queue_.PopIfDue(kTimeNever, &t, &fn)) {
+  if (!queue_.PopIfDue(until, &t, &fn)) {
     return false;
   }
   DS_CHECK_GE(t, now_);
@@ -56,6 +56,8 @@ bool Simulator::Step() {
   return true;
 }
 
+bool Simulator::Step() { return FireNext(kTimeNever); }
+
 size_t Simulator::Run() {
   size_t fired = 0;
   while (Step()) {
@@ -67,18 +69,8 @@ size_t Simulator::Run() {
 size_t Simulator::RunUntil(TimeNs t) {
   DS_CHECK_GE(t, now_);
   size_t fired = 0;
-  TimeNs et = 0;
-  EventFn fn;
-  while (queue_.PopIfDue(t, &et, &fn)) {
-    DS_CHECK_GE(et, now_);
-    now_ = et;
-    ++fired_count_;
+  while (FireNext(t)) {
     ++fired;
-    if (m_fired_ != nullptr) {
-      m_fired_->Inc();
-    }
-    fn();
-    fn.Reset();  // destroy captures before the next pop reuses the slot
   }
   now_ = t;
   return fired;

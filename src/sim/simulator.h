@@ -90,6 +90,11 @@ class Simulator {
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
  private:
+  // The one fire step of Step, Run and RunUntil: pops the earliest event due
+  // at or before `until`, advances the clock to it and runs it. False when
+  // no such event exists.
+  bool FireNext(TimeNs until);
+
   TimeNs now_ = 0;
   uint64_t fired_count_ = 0;
   EventQueue queue_;

@@ -6,12 +6,8 @@ std::string_view JobTypeToString(JobType type) {
   switch (type) {
     case JobType::kChatCompletion:
       return "chat-completion";
-    case JobType::kBatchInference:
-      return "batch-inference";
     case JobType::kFineTune:
       return "fine-tune";
-    case JobType::kAgent:
-      return "agent";
   }
   return "?";
 }

@@ -29,7 +29,7 @@ using TeId = int32_t;
 
 inline constexpr TeId kInvalidTe = -1;
 
-enum class JobType { kChatCompletion, kBatchInference, kFineTune, kAgent };
+enum class JobType { kChatCompletion, kFineTune };
 enum class JobState { kPending, kRunning, kCompleted, kFailed };
 
 enum class TaskType { kUnified, kPrefill, kDecode, kPreprocess, kTrain, kEvaluate };

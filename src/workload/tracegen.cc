@@ -8,6 +8,13 @@
 
 namespace deepserve::workload {
 
+namespace {
+
+// Synthetic prompt token ids are drawn uniformly from [256, kVocabSize).
+constexpr int64_t kVocabSize = 128000;
+
+}  // namespace
+
 int64_t LengthDistribution::Sample(Rng& rng) const {
   if (cv <= 0.0) {
     return std::clamp(static_cast<int64_t>(mean), min, max);
@@ -32,7 +39,7 @@ TraceGenerator::TraceGenerator(TraceConfig config)
       prefix.reserve(static_cast<size_t>(len));
       for (int64_t i = 0; i < len; ++i) {
         prefix.push_back(
-            static_cast<TokenId>(pool_rng.UniformInt(256, config_.vocab_size - 1)));
+            static_cast<TokenId>(pool_rng.UniformInt(256, kVocabSize - 1)));
       }
     }
   }
@@ -52,33 +59,12 @@ std::vector<TokenId> TraceGenerator::MakePrompt(int64_t len, Rng& rng) {
     prompt.insert(prompt.end(), prefix.begin(), prefix.begin() + shared);
   }
   for (int64_t i = shared; i < len; ++i) {
-    prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, config_.vocab_size - 1)));
+    prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, kVocabSize - 1)));
   }
   return prompt;
 }
 
-std::vector<RequestSpec> TraceGenerator::Generate() {
-  std::vector<RequestSpec> out;
-  Rng arrivals = rng_.Fork();
-  Rng lengths = rng_.Fork();
-  Rng prompts = rng_.Fork();
-  double t = 0.0;
-  RequestId next_id = 1;
-  while (true) {
-    t += arrivals.Exponential(config_.rps);
-    if (t >= config_.duration_s) {
-      break;
-    }
-    RequestSpec req;
-    req.id = next_id++;
-    req.arrival = SToNs(t);
-    int64_t plen = config_.prefill.Sample(lengths);
-    req.decode_len = config_.decode.Sample(lengths);
-    req.prompt = MakePrompt(plen, prompts);
-    out.push_back(std::move(req));
-  }
-  return out;
-}
+std::vector<RequestSpec> TraceGenerator::Generate() { return GenerateArrivals(nullptr); }
 
 std::vector<RequestSpec> TraceGenerator::GenerateBursty(double base_rps, double peak_rps,
                                                         double period_s, double sharpness) {
@@ -86,24 +72,34 @@ std::vector<RequestSpec> TraceGenerator::GenerateBursty(double base_rps, double 
   DS_CHECK(base_rps >= 0.0 && base_rps <= peak_rps);
   DS_CHECK_GT(period_s, 0.0);
   DS_CHECK_GT(sharpness, 0.0);
+  const Envelope envelope{base_rps, peak_rps, period_s, sharpness};
+  return GenerateArrivals(&envelope);
+}
+
+std::vector<RequestSpec> TraceGenerator::GenerateArrivals(const Envelope* envelope) {
   constexpr double kTwoPi = 6.283185307179586;
+  const double poisson_rps = envelope != nullptr ? envelope->peak_rps : config_.rps;
   std::vector<RequestSpec> out;
   Rng arrivals = rng_.Fork();
   Rng lengths = rng_.Fork();
   Rng prompts = rng_.Fork();
-  Rng thinning = rng_.Fork();
+  // Forked only for bursty traces, so Generate's streams stay as they were.
+  Rng thinning = envelope != nullptr ? rng_.Fork() : Rng();
   double t = 0.0;
   RequestId next_id = 1;
   while (true) {
-    t += arrivals.Exponential(peak_rps);
+    t += arrivals.Exponential(poisson_rps);
     if (t >= config_.duration_s) {
       break;
     }
-    double rate =
-        base_rps + (peak_rps - base_rps) *
-                       std::pow(0.5 * (1.0 - std::cos(kTwoPi * t / period_s)), sharpness);
-    if (thinning.NextDouble() * peak_rps > rate) {
-      continue;  // thinned out: instantaneous rate is below the envelope
+    if (envelope != nullptr) {
+      const Envelope& e = *envelope;
+      double rate = e.base_rps + (e.peak_rps - e.base_rps) *
+                                     std::pow(0.5 * (1.0 - std::cos(kTwoPi * t / e.period_s)),
+                                              e.sharpness);
+      if (thinning.NextDouble() * e.peak_rps > rate) {
+        continue;  // thinned out: instantaneous rate is below the envelope
+      }
     }
     RequestSpec req;
     req.id = next_id++;
@@ -129,7 +125,7 @@ std::vector<RequestSpec> TraceGenerator::FixedBatch(int count, int64_t prefill_l
     std::vector<TokenId> prompt;
     prompt.reserve(static_cast<size_t>(prefill_len));
     for (int64_t j = 0; j < prefill_len; ++j) {
-      prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, 127999)));
+      prompt.push_back(static_cast<TokenId>(rng.UniformInt(256, kVocabSize - 1)));
     }
     req.prompt = std::move(prompt);
     out.push_back(std::move(req));

@@ -45,7 +45,6 @@ struct TraceConfig {
   double shared_fraction = 0.5;
   double prefix_zipf_s = 1.1;
 
-  int vocab_size = 128000;
   uint64_t seed = 42;
 };
 
@@ -80,6 +79,17 @@ class TraceGenerator {
   static TraceConfig CodeGenTrace(double rps, double duration_s, uint64_t seed = 42);
 
  private:
+  // GenerateBursty's rate curve (see there).
+  struct Envelope {
+    double base_rps;
+    double peak_rps;
+    double period_s;
+    double sharpness;
+  };
+  // The arrival loop of Generate (envelope == nullptr: Poisson at
+  // config_.rps) and GenerateBursty (Poisson at peak_rps, thinned down to
+  // the envelope by a fourth RNG stream forked after the other three).
+  std::vector<RequestSpec> GenerateArrivals(const Envelope* envelope);
   std::vector<TokenId> MakePrompt(int64_t len, Rng& rng);
 
   TraceConfig config_;

@@ -1,6 +1,6 @@
 // Autoscaler tests: the pluggable ScalePolicy layer (unit-driven with
 // synthetic ScaleSignals), the 3-seed reactive golden parity pin (the
-// reactive policy under graceful_drain=false, pinned bit-for-bit), and the
+// reactive policy with draining scale-down, pinned bit-for-bit), and the
 // graceful-drain mechanism properties: drains lose nothing, crashes racing a
 // drain abort it cleanly, and drain timeouts force-kill into the re-dispatch
 // path.
@@ -234,11 +234,11 @@ TEST(SloPolicyTest, ScalesOnViolationRateNotQueueDepth) {
 
 // ---------------- Reactive golden parity ----------------
 //
-// Replays the pre-refactor harness under graceful_drain=false. The numbers
-// below were captured with the exact-average ReactivePolicy once the
-// integer-floor average it replaced was removed; every field must reproduce,
-// including the FNV-1a hash over (id, first_token_time, finish_time) of each
-// completion.
+// Replays a fixed reactive-autoscaler harness with the exact-average
+// ReactivePolicy and draining scale-down. Its down-trigger
+// (scale_down_queue_depth = 0) fires only when every TE is idle, so each
+// victim drains nothing. Every field below must reproduce, including the
+// FNV-1a hash over (id, first_token_time, finish_time) of each completion.
 
 struct GoldenRun {
   int64_t scale_ups = 0;
@@ -283,7 +283,6 @@ GoldenRun RunReactiveGolden(uint64_t seed) {
   as.min_tes = 1;
   as.max_tes = 4;
   as.policy = "reactive";
-  as.graceful_drain = false;
   serving::ScaleRequest request;
   request.engine = engine;
   manager.StartAutoscaler(&je, as, request);
@@ -413,7 +412,6 @@ class DrainTest : public ::testing::Test {
     config.scale_down_queue_depth = 1 << 20;
     config.min_tes = 1;
     config.max_tes = 2;
-    config.graceful_drain = true;
     return config;
   }
 
@@ -467,23 +465,27 @@ TEST_F(DrainTest, GracefulDrainLosesNoInflightWork) {
   EXPECT_EQ(stopped, 1);
 }
 
-TEST_F(DrainTest, LegacyInstantStopSkipsBusyTes) {
-  constexpr int kRequests = 8;
-  SubmitAll(kRequests);
-  serving::AutoscalerConfig config = ShedConfig();
-  config.graceful_drain = false;
+TEST_F(DrainTest, ScaleDownDrainsTheLeastLoadedTe) {
+  SubmitAll(1);
+  serving::TaskExecutor* busy = tes_[0]->queue_depth() > 0 ? tes_[0] : tes_[1];
+  serving::TaskExecutor* idle = busy == tes_[0] ? tes_[1] : tes_[0];
+  ASSERT_EQ(busy->queue_depth(), 1);
+  ASSERT_EQ(idle->queue_depth(), 0);
   serving::ScaleRequest request;
   request.engine = engine_;
-  manager_.StartAutoscaler(&je_, config, request);
+  manager_.StartAutoscaler(&je_, ShedConfig(), request);
   sim_.RunUntil(SToNs(60));
   manager_.StopAutoscaler();
   sim_.Run();
 
-  EXPECT_EQ(completed_, kRequests);
+  EXPECT_EQ(completed_, 1);
   EXPECT_EQ(errored_, 0);
   const serving::AutoscalerStats& stats = manager_.autoscaler()->stats();
-  EXPECT_EQ(stats.drains_started, 0);
-  EXPECT_GE(stats.legacy_stops, 1) << "idle TE was never instantly stopped";
+  EXPECT_EQ(stats.drains_started, 1);
+  EXPECT_EQ(stats.drains_completed, 1);
+  EXPECT_EQ(stats.drained_seqs, 0) << "the loaded TE was drained";
+  EXPECT_EQ(idle->state(), serving::TeState::kStopped);
+  EXPECT_TRUE(busy->ready());
 }
 
 TEST_F(DrainTest, CrashRacingDrainAbortsItAndConservesRequests) {

@@ -18,6 +18,7 @@
 #include "faults/fault_injector.h"
 #include "hw/cluster.h"
 #include "obs/metrics.h"
+#include "serving/autoscaler.h"
 #include "serving/cluster_manager.h"
 #include "serving/job_executor.h"
 #include "serving/predictor.h"
@@ -224,6 +225,38 @@ TEST(CtrlConfigTest, ValidateRefusesWhatNoLogCanRun) {
   EXPECT_TRUE(refused([](ctrl::CtrlConfig& c) { c.replication_latency = -1; }));
   EXPECT_TRUE(refused([](ctrl::CtrlConfig& c) { c.lease_duration = -1; }));
   EXPECT_TRUE(refused([](ctrl::CtrlConfig& c) { c.replay_cost_per_record = -1; }));
+}
+
+TEST(AutoscalerConfigTest, ValidateRefusesWhatNoAutoscalerCanRun) {
+  EXPECT_TRUE(serving::AutoscalerConfig{}.Validate().ok());
+  for (const char* policy : {"reactive", "predictive", "slo"}) {
+    serving::AutoscalerConfig config;
+    config.policy = policy;
+    EXPECT_TRUE(config.Validate().ok()) << policy;
+  }
+  serving::AutoscalerConfig edge;
+  edge.min_tes = 3;
+  edge.max_tes = 3;
+  edge.headroom_tes = 0;
+  edge.drain_timeout = 0;
+  EXPECT_TRUE(edge.Validate().ok()) << "min == max, no headroom, no drain timeout";
+  auto refused = [&edge](auto mutate) {
+    serving::AutoscalerConfig config = edge;
+    mutate(config);
+    return config.Validate().code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(refused([](serving::AutoscalerConfig& c) { c.policy = "bogus"; }));
+  EXPECT_TRUE(refused([](serving::AutoscalerConfig& c) { c.policy = ""; }));
+  EXPECT_TRUE(refused([](serving::AutoscalerConfig& c) { c.min_tes = 0; }));
+  EXPECT_TRUE(refused([](serving::AutoscalerConfig& c) { c.max_tes = 2; }));
+  EXPECT_TRUE(refused([](serving::AutoscalerConfig& c) {
+    c.min_tes = 1;
+    c.max_tes = 0;
+  }));
+  EXPECT_TRUE(refused([](serving::AutoscalerConfig& c) { c.check_interval = 0; }));
+  EXPECT_TRUE(refused([](serving::AutoscalerConfig& c) { c.check_interval = -1; }));
+  EXPECT_TRUE(refused([](serving::AutoscalerConfig& c) { c.headroom_tes = -1; }));
+  EXPECT_TRUE(refused([](serving::AutoscalerConfig& c) { c.drain_timeout = -1; }));
 }
 
 // ---------------- State-machine replay through the real stack ----------------

@@ -461,7 +461,7 @@ TEST_F(FaultToleranceTest, RetryBudgetExhaustionDeliversAborted) {
   EXPECT_EQ(completions, 0);
   EXPECT_EQ(errors, 1);
   EXPECT_EQ(seen.code(), StatusCode::kAborted);
-  EXPECT_EQ(je_->stats().retries, 3);  // default JeConfig::max_retries
+  EXPECT_EQ(je_->stats().retries, 3);  // the JE's per-request retry cap
   EXPECT_EQ(je_->stats().errors, 1);
 }
 
@@ -864,7 +864,6 @@ ChaosOutcome RunChaos(uint64_t fault_seed, bool enable_faults, bool slo_deadline
     as.scale_down_queue_depth = 2;
     as.min_tes = 1;
     as.max_tes = 3;
-    as.graceful_drain = true;
     as.drain_timeout = SToNs(2);
     serving::ScaleRequest scale_request;
     scale_request.engine = engine_config;

@@ -283,9 +283,7 @@ TEST_P(HeteroPropertyTest, PreviewNeverPicksGenerationWhoseHbmCannotFit) {
           std::string::npos) {
         continue;  // generation not installed in this mix
       }
-      if (model::FitsHbm(pick.model, gen, engine.parallelism,
-                         bed.manager().placement().min_kv_tokens_per_npu,
-                         engine.hbm_utilization)) {
+      if (model::FitsHbm(pick.model, gen, engine.parallelism, serving::kMinKvTokensPerNpu)) {
         any_fits = true;
         fitting.insert(gen.name);
         best_fitting_score = std::max(

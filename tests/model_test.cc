@@ -110,7 +110,7 @@ TEST_F(CostModelTest, KvBytesPerNpuShards) {
 }
 
 TEST_F(CostModelTest, MaxKvTokensPositiveAndBounded) {
-  int64_t tokens = cost_.MaxKvTokensPerNpu(0.9);
+  int64_t tokens = cost_.MaxKvTokensPerNpu();
   EXPECT_GT(tokens, 10000);   // tens of thousands of tokens fit
   EXPECT_LT(tokens, 5000000);
 }
@@ -118,7 +118,21 @@ TEST_F(CostModelTest, MaxKvTokensPositiveAndBounded) {
 TEST_F(CostModelTest, MaxKvTokensZeroWhenWeightsDontFit) {
   // 70B on a single Gen1 NPU (32 GiB) cannot even hold its weights.
   CostModel tight(ModelSpec::Llama3_70B(), hw::NpuSpec::Gen1(), ParallelismConfig{1, 1, 1});
-  EXPECT_EQ(tight.MaxKvTokensPerNpu(0.9), 0);
+  EXPECT_EQ(tight.MaxKvTokensPerNpu(), 0);
+}
+
+// The KV budget is kHbmUtilization of HBM less the weight shard, in whole
+// tokens, and FitsHbm's gate agrees with it at the boundary.
+TEST_F(CostModelTest, MaxKvTokensFillsTheUtilizationTarget) {
+  const ModelSpec model = ModelSpec::Yi34B();
+  const hw::NpuSpec npu = hw::NpuSpec::Gen2();
+  const ParallelismConfig parallelism{4, 1, 1};
+  Bytes budget = static_cast<Bytes>(static_cast<double>(npu.hbm_capacity) * 0.90);
+  Bytes kv_room = budget - WeightBytesPerNpu(model, parallelism);
+  int64_t tokens = cost_.MaxKvTokensPerNpu();
+  EXPECT_EQ(tokens, static_cast<int64_t>(kv_room / cost_.KvBytesPerTokenPerNpu()));
+  EXPECT_TRUE(FitsHbm(model, npu, parallelism, tokens));
+  EXPECT_FALSE(FitsHbm(model, npu, parallelism, tokens + 1));
 }
 
 TEST_F(CostModelTest, ChunkedStepMixesPrefillAndDecode) {

@@ -95,8 +95,8 @@ TEST_F(MoeCostTest, AeFreesHbmForKv) {
   // The attention TE sheds the expert weights (~96% of Mixtral's bytes),
   // growing the KV budget substantially (bounded by how much of HBM the
   // weights occupied in the first place).
-  EXPECT_GT(ae.MaxKvTokensPerNpu(0.9),
-            static_cast<int64_t>(1.5 * static_cast<double>(moe_.MaxKvTokensPerNpu(0.9))));
+  EXPECT_GT(ae.MaxKvTokensPerNpu(),
+            static_cast<int64_t>(1.5 * static_cast<double>(moe_.MaxKvTokensPerNpu())));
 }
 
 TEST(MoeEngineTest, AeEngineServesRequests) {

@@ -546,18 +546,6 @@ TEST_F(RtcMasterTest, TruncateMatchRecomputesResidency) {
   EXPECT_EQ(cut.offnpu_tokens, 0);
 }
 
-TEST_F(RtcMasterTest, PrefixCachingDisabled) {
-  RtcConfig config;
-  config.pool.npu_capacity = 16;
-  config.enable_prefix_caching = false;
-  RtcMaster master(&sim_, config);
-  auto tokens = Iota(64);
-  auto blocks = master.AllocBlocks(4).value();
-  Preserve(master, tokens, blocks);
-  master.Free(blocks);
-  EXPECT_FALSE(Match(master, tokens).hit());
-}
-
 TEST_F(RtcMasterTest, BackgroundSwapDemotesColdBlocks) {
   Reset(16, /*background_swap=*/true);
   // Fill most of the NPU with cold cache (above the 0.85 watermark).

@@ -604,7 +604,7 @@ TEST_F(ServingTest, RemoveTeAndCapacityWeightSpanEveryGroup) {
   je.AddPrefillTe(prefill2.get());
   je.AddDecodeTe(decode.get());
   EXPECT_EQ(je.ReadyCapacityWeight(), 2);
-  prefill1->set_state(TeState::kLoading);
+  prefill1->set_state(TeState::kStopped);
   EXPECT_EQ(je.ReadyCapacityWeight(), 2);
   EXPECT_TRUE(je.RemoveTe(4));
   EXPECT_EQ(je.ReadyCapacityWeight(), 1);
@@ -619,7 +619,7 @@ TEST_F(ServingTest, NonReadyTesAreSkipped) {
   auto je = MakeJe(SchedulingPolicy::kRoundRobin);
   auto te1 = MakeTe(1, flowserve::EngineRole::kColocated);
   auto te2 = MakeTe(2, flowserve::EngineRole::kColocated);
-  te1->set_state(TeState::kLoading);
+  te1->set_state(TeState::kStopped);
   je.AddColocatedTe(te1.get());
   je.AddColocatedTe(te2.get());
   je.HandleRequest(MakeRequest(1, 64, 2), {nullptr, nullptr, nullptr});

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 
 namespace deepserve::sim {
@@ -100,6 +101,49 @@ TEST(SimulatorTest, RunUntilStopsAtBoundaryAndAdvancesClock) {
   EXPECT_EQ(sim.PendingEvents(), 1u);
   sim.Run();
   EXPECT_EQ(fired.back(), 30);
+}
+
+// Step, Run and RunUntil share one fire step: driving the same schedule by
+// single steps or by RunUntil windows fires the same events in the same order
+// at the same times, and counts them alike in TotalFired and the registry.
+TEST(SimulatorTest, StepAndRunUntilFireAndCountAlike) {
+  struct Driven {
+    Simulator sim;
+    obs::MetricsRegistry metrics;
+    std::vector<std::pair<int, TimeNs>> fired;
+    void Schedule() {
+      sim.SetMetrics(&metrics);
+      for (int i = 0; i < 6; ++i) {
+        sim.ScheduleAt(10 * (6 - i), [this, i] {
+          fired.emplace_back(i, sim.Now());
+          if (i % 2 == 0) {
+            sim.ScheduleAfter(5, [this, i] { fired.emplace_back(100 + i, sim.Now()); });
+          }
+        });
+      }
+      EventId dropped = sim.ScheduleAt(25, [this] { fired.emplace_back(-1, sim.Now()); });
+      EXPECT_TRUE(sim.Cancel(dropped));
+    }
+  };
+  Driven stepped;
+  stepped.Schedule();
+  size_t steps = 0;
+  while (stepped.sim.Step()) {
+    ++steps;
+  }
+  Driven windowed;
+  windowed.Schedule();
+  size_t in_windows = 0;
+  for (TimeNs t = 0; t <= 80; t += 15) {
+    in_windows += windowed.sim.RunUntil(t);
+    EXPECT_EQ(windowed.sim.Now(), t);
+  }
+  EXPECT_EQ(steps, 9u);  // 6 scheduled + 3 follow-ups, the cancelled one never
+  EXPECT_EQ(in_windows, steps);
+  EXPECT_EQ(windowed.fired, stepped.fired);
+  EXPECT_EQ(windowed.sim.TotalFired(), stepped.sim.TotalFired());
+  EXPECT_EQ(stepped.metrics.counter("sim.events_fired")->value(), 9);
+  EXPECT_EQ(windowed.metrics.counter("sim.events_fired")->value(), 9);
 }
 
 TEST(SimulatorTest, RunUntilAdvancesPastEmptyQueue) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/time_units.h"
@@ -133,6 +135,41 @@ TEST(TraceGeneratorTest, FixedBatchShape) {
     EXPECT_EQ(req.prefill_len(), 1024);
     EXPECT_EQ(req.decode_len, 128);
   }
+}
+
+// FNV-1a over every request's id, arrival, decode length, prompt length and
+// prompt tokens: any change to a generated trace changes the hash.
+uint64_t TraceHash(const std::vector<RequestSpec>& trace) {
+  uint64_t hash = 1469598103934665603ull;
+  auto fold = [&hash](int64_t v) {
+    hash ^= static_cast<uint64_t>(v);
+    hash *= 1099511628211ull;
+  };
+  for (const RequestSpec& req : trace) {
+    fold(static_cast<int64_t>(req.id));
+    fold(req.arrival);
+    fold(req.decode_len);
+    fold(req.prefill_len());
+    for (TokenId token : req.prompt) {
+      fold(token);
+    }
+  }
+  return hash;
+}
+
+// Pins the generated traces at fixed seeds, so a refactor of the generator
+// cannot shift any arrival, length or token unnoticed.
+TEST(TraceGeneratorTest, TraceContentIsPinned) {
+  TraceConfig internal = TraceGenerator::InternalTrace(2.0, 20.0, 11);
+  TraceConfig codegen = TraceGenerator::CodeGenTrace(2.0, 20.0, 12);
+  EXPECT_EQ(TraceHash(TraceGenerator(internal).Generate()), 0xc5195ff3a28c5375ull);
+  EXPECT_EQ(TraceHash(TraceGenerator(codegen).Generate()), 0x18e8150f7c349ac7ull);
+  EXPECT_EQ(TraceHash(TraceGenerator(internal).GenerateBursty(1.0, 4.0, 10.0)),
+            0x3686571f5e84f34dull);
+  EXPECT_EQ(TraceHash(TraceGenerator(codegen).GenerateBursty(0.5, 3.0, 8.0, 3.0)),
+            0xb7273fa902daf8e2ull);
+  EXPECT_EQ(TraceHash(TraceGenerator::FixedBatch(8, 512, 64)), 0xa590c7a39c97b909ull);
+  EXPECT_EQ(TraceHash(TraceGenerator::FixedBatch(4, 100, 10, 3)), 0x8a80ee45f264b318ull);
 }
 
 TEST(RequestRecordTest, DerivedMetrics) {

@@ -44,29 +44,33 @@ void BM_ChainHashBlockKeys(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainHashBlockKeys)->Arg(2048)->Arg(8192);
 
+// Inserts 256 prompts through their KeyChains, hashed beforehand as the JE
+// hashes each prompt once, so new nodes slice the chains and copy no key.
+// node_bytes is the size of one tree node.
 void BM_RadixTreeInsert(benchmark::State& state) {
   struct V {
     int x = 0;
     V SplitTail(size_t) { return V{}; }
   };
   Rng rng(2);
-  std::vector<std::vector<rtc::BlockKey>> keys;
+  std::vector<rtc::KeyChain> chains;
   for (int i = 0; i < 256; ++i) {
     std::vector<rtc::BlockKey> k(static_cast<size_t>(state.range(0)));
     // Shared 1/2 prefix across sequences to exercise splits.
     for (size_t j = 0; j < k.size(); ++j) {
       k[j] = j < k.size() / 2 ? j + 1 : rng.Next();
     }
-    keys.push_back(std::move(k));
+    chains.push_back(rtc::KeyChain::Of(k));
   }
   for (auto _ : state) {
     rtc::RadixTree<V> tree;
-    for (const auto& k : keys) {
-      tree.Insert(k, 0);
+    for (const rtc::KeyChain& chain : chains) {
+      tree.Insert(chain, 0);
     }
     benchmark::DoNotOptimize(tree.NodeCount());
   }
   state.SetItemsProcessed(state.iterations() * 256);
+  state.counters["node_bytes"] = static_cast<double>(sizeof(rtc::RadixTree<V>::Node));
 }
 BENCHMARK(BM_RadixTreeInsert)->Arg(64)->Arg(256);
 
@@ -83,7 +87,7 @@ void BM_RadixTreeMatch(benchmark::State& state) {
     for (size_t j = 0; j < k.size(); ++j) {
       k[j] = j < 64 ? j + 1 : rng.Next();
     }
-    tree.Insert(k, 0);
+    tree.Insert(rtc::KeyChain::Of(k), 0);
     keys.push_back(std::move(k));
   }
   size_t i = 0;
@@ -112,7 +116,7 @@ void BM_RadixTreeInsertEvictAtCap(benchmark::State& state) {
     for (size_t j = 1; j < k.size(); ++j) {
       k[j] = rng.Next();
     }
-    return k;
+    return rtc::KeyChain::Of(k);
   };
   Tree tree;
   TimeNs now = 0;
@@ -147,7 +151,7 @@ void BM_SwapScanOverDemotedHistory(benchmark::State& state) {
   Tree tree;
   for (size_t i = 0; i < leaves; ++i) {
     std::vector<rtc::BlockKey> k = {i + 1, i + 1};
-    Tree::Node* leaf = tree.Insert(k, static_cast<TimeNs>(i));
+    Tree::Node* leaf = tree.Insert(rtc::KeyChain::Of(k), static_cast<TimeNs>(i));
     leaf->value.demoted = i < leaves * 98 / 100;
   }
   auto find_victim = [&tree, list] {
@@ -199,7 +203,7 @@ void BM_LocalityPickOverTaggedPath(benchmark::State& state) {
     for (int b = 0; b < 4; ++b) {
       keys.push_back(keys.size() + 1);
     }
-    serving::PromptTree::Node* leaf = tree.Insert(keys, 0);
+    serving::PromptTree::Node* leaf = tree.Insert(rtc::KeyChain::Of(keys), 0);
     while (leaf->value.tes.size() < 30) {
       leaf->value.Add(static_cast<workload::TeId>(rng.UniformInt(0, 63)));
     }
@@ -264,11 +268,11 @@ void BM_RtcMatchPopulateCycle(benchmark::State& state) {
   rtc::RtcMaster master(&sim, config);
   auto tokens = RandomTokens(2048, 7);
   auto blocks = master.AllocBlocks(128).value();
-  auto keys = rtc::TokensToBlockKeys(tokens, config.block_size);
+  const rtc::KeyChain keys = rtc::KeyChain::Hash(tokens, config.block_size);
   master.Preserve(tokens, blocks, keys);
   master.Free(blocks);
   for (auto _ : state) {
-    auto info = master.MatchByPrefixToken(tokens, keys);
+    auto info = master.MatchByPrefixToken(tokens, keys.span());
     benchmark::DoNotOptimize(info.matched_tokens);
   }
 }

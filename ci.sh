@@ -86,7 +86,8 @@ echo "==> perf_sim smoke: DES core throughput, replay determinism, BENCH_perf.js
 
 echo "==> deepserve_sim obs smoke: obs flags write their files, report unchanged"
 # Exits non-zero unless --trace-out and --metrics-out each write a non-empty
-# file and the traced run's stdout is byte-identical to an untraced run.
+# file, the metrics dump carries the end-of-run rtc.index_nodes gauge, and the
+# traced run's stdout is byte-identical to an untraced run.
 SIM_ARGS=(--model=tiny-1b --colocated=2 --rps=5 --duration=5)
 OBS_DIR="$(mktemp -d)"
 ./build/examples/deepserve_sim "${SIM_ARGS[@]}" >"${OBS_DIR}/plain.out"
@@ -94,6 +95,10 @@ OBS_DIR="$(mktemp -d)"
   --metrics-out="${OBS_DIR}/metrics.txt" >"${OBS_DIR}/traced.out" 2>/dev/null
 if [[ ! -s "${OBS_DIR}/trace.json" || ! -s "${OBS_DIR}/metrics.txt" ]]; then
   echo "deepserve_sim wrote no trace or metrics file" >&2
+  exit 1
+fi
+if ! grep -q "rtc.index_nodes" "${OBS_DIR}/metrics.txt"; then
+  echo "deepserve_sim's metrics dump has no rtc.index_nodes gauge" >&2
   exit 1
 fi
 cmp "${OBS_DIR}/plain.out" "${OBS_DIR}/traced.out"

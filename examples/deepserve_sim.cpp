@@ -29,6 +29,9 @@
 // Observability: --trace-out=<path> (Chrome trace_event JSON),
 // --trace-jsonl=<path> and --metrics-out=<path> write the run's trace and
 // metrics dump; the printed report is byte-identical with or without them.
+// The dump ends with gauges of what the run left indexed: rtc.index_nodes,
+// rtc.parked_blocks and rtc.unparked_blocks summed over every TE's cache,
+// and je.prompt_tree_nodes over every JE's prompt trees.
 // An unknown flag is a usage error (exit 2), and so is a value no run can use:
 // a tp below 1, a negative TE count, an unknown --sched-policy or --trace, a
 // --predictor outside [0, 1], a control-log config that
@@ -46,8 +49,11 @@
 #include "bench/common.h"
 #include "common/time_units.h"
 #include "distflow/distflow.h"
+#include "flowserve/engine.h"
 #include "flowserve/sched/sched_policy.h"
 #include "hw/cluster.h"
+#include "obs/metrics.h"
+#include "rtc/rtc_master.h"
 #include "serving/autoscaler.h"
 #include "serving/cluster_manager.h"
 #include "serving/frontend.h"
@@ -453,6 +459,28 @@ int main(int argc, char** argv) {
     manager.StopAutoscaler();
   }
   sim.Run();
+  if (obs::MetricsRegistry* registry = sim.metrics()) {
+    int64_t index_nodes = 0;
+    int64_t parked = 0;
+    int64_t unparked = 0;
+    for (const auto& te : manager.tes()) {
+      flowserve::Engine& te_engine = te->engine();
+      for (int g = 0; g < te_engine.config().parallelism.dp; ++g) {
+        const rtc::RtcMaster& cache = te_engine.rtc(g);
+        index_nodes += static_cast<int64_t>(cache.index_nodes());
+        parked += cache.stats().parked_blocks;
+        unparked += cache.stats().unparked_blocks;
+      }
+    }
+    size_t tree_nodes = 0;
+    for (const auto& je : jes) {
+      tree_nodes += je->prompt_tree_nodes();
+    }
+    registry->gauge("rtc.index_nodes")->Set(static_cast<double>(index_nodes));
+    registry->gauge("rtc.parked_blocks")->Set(static_cast<double>(parked));
+    registry->gauge("rtc.unparked_blocks")->Set(static_cast<double>(unparked));
+    registry->gauge("je.prompt_tree_nodes")->Set(static_cast<double>(tree_nodes));
+  }
 
   std::printf("%s\n", metrics.Summary().c_str());
   if (autoscale) {

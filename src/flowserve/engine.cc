@@ -211,12 +211,12 @@ Sequence* Engine::AddSequence(const workload::RequestSpec& spec, int dp_group,
   return seq;
 }
 
-std::span<const rtc::BlockKey> Engine::PromptKeys(Sequence* seq) {
+const rtc::KeyChain& Engine::PromptKeys(Sequence* seq) {
   if (seq->keys.block_size() != config_.block_size) {
     seq->keys = rtc::KeyChain::Hash(seq->prompt, config_.block_size);
     ++stats_.prompt_hashes;
   }
-  return seq->keys.span();
+  return seq->keys;
 }
 
 void Engine::Submit(const workload::RequestSpec& spec, ResponseHandler handler,
@@ -263,7 +263,7 @@ void Engine::SchedEnqueue(Sequence* seq) {
       match = group.rtc->MatchByID(seq->context_id);
     }
     if (!match.hit()) {
-      match = group.rtc->MatchByPrefixToken(seq->prompt, PromptKeys(seq));
+      match = group.rtc->MatchByPrefixToken(seq->prompt, PromptKeys(seq).span());
     }
     // Never reuse the full prompt: at least the final token must run through
     // the model to produce the first output.

@@ -235,7 +235,7 @@ class Engine {
   Sequence* AddSequence(const workload::RequestSpec& spec, int dp_group, rtc::KeyChain keys);
   // seq->keys, hashed here first (once) when the request brought no chain at
   // this engine's block size.
-  std::span<const rtc::BlockKey> PromptKeys(Sequence* seq);
+  const rtc::KeyChain& PromptKeys(Sequence* seq);
   void SchedEnqueue(Sequence* seq);
   void FinishEnqueue(Sequence* seq);
   // Step loop (engine_step.cc).

@@ -177,7 +177,7 @@ void Engine::ShedSequence(DpGroup& group, Sequence* seq, const Status& status) {
 
 void Engine::ReleaseSequence(DpGroup& group, Sequence* seq, bool preserve) {
   if (preserve && config_.enable_prefix_caching && !seq->blocks.empty()) {
-    std::span<const rtc::BlockKey> keys = PromptKeys(seq);
+    const rtc::KeyChain& keys = PromptKeys(seq);
     group.rtc->Preserve(seq->prompt, seq->blocks, keys);
     if (!seq->context_id.empty()) {
       // Intentional discard: a duplicate context id means another sequence

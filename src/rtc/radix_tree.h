@@ -8,9 +8,16 @@
 // global tree", which here is literal — both are RadixTree<V> over the same
 // BlockKey stream, with the same LRU index.
 //
-// Node children live in a ChildMap: a sorted inline array for the common
-// low-fanout case (radix nodes overwhelmingly have a handful of children),
-// spilling to a std::map only past kInlineChildren — the root of a global
+// Edges. A node's edge is an Edge: a slice of the KeyChain of the prompt
+// whose Insert created the node, never a copy of its keys. A split re-slices
+// that chain for the tail and truncates the head, so both trees that index a
+// request (the JE's prompt tree and a TE's RTC tree) point into the one chain
+// the JE hashed, and each chain lives exactly as long as some node slices it.
+//
+// Node children live out of line in a ChildMap: a sorted vector for the
+// common low-fanout case (radix nodes overwhelmingly have a handful of
+// children, and most nodes are leaves with none, which allocate nothing),
+// spilling to a std::map only past kMaxSortedChildren — the root of a global
 // prompt tree can fan out to one child per distinct opening block. Both modes
 // look up by exact key and iterate in ascending key order.
 //
@@ -69,55 +76,115 @@ inline BlockKey ChainHash(BlockKey prev, std::span<const TokenId> tokens) {
   return h;
 }
 
-// Converts a token sequence into its full-block key chain (drops the partial
-// tail block — only complete blocks are cacheable).
-std::vector<BlockKey> TokensToBlockKeys(std::span<const TokenId> tokens, int block_size);
+// Writes the full-block key chain of `tokens` to `out`, which must have room
+// for tokens.size() / block_size keys (the partial tail block is dropped —
+// only complete blocks are cacheable).
+inline void HashBlocks(std::span<const TokenId> tokens, int block_size, BlockKey* out) {
+  DS_CHECK_GT(block_size, 0);
+  const size_t bs = static_cast<size_t>(block_size);
+  BlockKey prev = 0;
+  for (size_t b = 0; b < tokens.size() / bs; ++b) {
+    prev = ChainHash(prev, tokens.subspan(b * bs, bs));
+    out[b] = prev;
+  }
+}
 
+// Converts a token sequence into its full-block key chain.
 inline std::vector<BlockKey> TokensToBlockKeys(std::span<const TokenId> tokens, int block_size) {
   DS_CHECK_GT(block_size, 0);
-  std::vector<BlockKey> keys;
-  size_t full = tokens.size() / static_cast<size_t>(block_size);
-  keys.reserve(full);
-  BlockKey prev = 0;
-  for (size_t b = 0; b < full; ++b) {
-    prev = ChainHash(prev, tokens.subspan(b * static_cast<size_t>(block_size),
-                                          static_cast<size_t>(block_size)));
-    keys.push_back(prev);
-  }
+  std::vector<BlockKey> keys(tokens.size() / static_cast<size_t>(block_size));
+  HashBlocks(tokens, block_size, keys.data());
   return keys;
 }
 
+// A run of keys inside one KeyChain: a radix-tree node's edge. It holds an
+// aliasing pointer to its first key, which keeps the whole chain alive, and a
+// length, so cutting an edge in two re-slices the chain and copies no key.
+class Edge {
+ public:
+  Edge() = default;
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const BlockKey& operator[](size_t i) const { return keys_.get()[i]; }
+  const BlockKey& front() const { return keys_.get()[0]; }
+  const BlockKey& back() const { return keys_.get()[size_ - 1]; }
+  const BlockKey* begin() const { return keys_.get(); }
+  const BlockKey* end() const { return keys_.get() + size_; }
+
+  // The keys from `offset` on, in the same chain.
+  Edge Suffix(size_t offset) const {
+    DS_CHECK_LE(offset, size());
+    return Edge(std::shared_ptr<const BlockKey>(keys_, keys_.get() + offset), size() - offset);
+  }
+  // Keeps only the first `len` keys.
+  void Truncate(size_t len) {
+    DS_CHECK_LE(len, size());
+    size_ = static_cast<uint32_t>(len);
+  }
+  // Expires once nothing holds the chain this edge slices any more.
+  std::weak_ptr<const void> Watch() const { return keys_; }
+
+ private:
+  friend class KeyChain;
+
+  Edge(std::shared_ptr<const BlockKey> keys, size_t size)
+      : keys_(std::move(keys)), size_(static_cast<uint32_t>(size)) {}
+
+  std::shared_ptr<const BlockKey> keys_;
+  uint32_t size_ = 0;
+};
+static_assert(sizeof(Edge) == 24, "an edge is as small as the vector header it replaced");
+
 // One prompt's block-key chain, hashed once and shared read-only by every
 // layer that keys on it: the JE's prompt tree, then the RTC match and cache
-// commit of each TE the request runs on. The chain records the block size it
-// was hashed at, so a holder with another block size can tell it does not
+// commit of each TE the request runs on. Every radix-tree node a prompt
+// creates slices this chain (Edge), so the chain outlives the request for as
+// long as any such node does (DESIGN #14). The chain records the block size
+// it was hashed at, so a holder with another block size can tell it does not
 // apply.
 class KeyChain {
  public:
   KeyChain() = default;
 
   static KeyChain Hash(std::span<const TokenId> tokens, int block_size) {
-    KeyChain chain;
-    chain.chain_ =
-        std::make_shared<const Chain>(Chain{block_size, TokensToBlockKeys(tokens, block_size)});
-    return chain;
+    DS_CHECK_GT(block_size, 0);
+    const size_t full = tokens.size() / static_cast<size_t>(block_size);
+    auto keys = std::make_shared<BlockKey[]>(full);
+    HashBlocks(tokens, block_size, keys.get());
+    return KeyChain(std::move(keys), full, block_size);
+  }
+  // A chain over keys that were not hashed from tokens here (tests and
+  // benches that build key sequences directly). Its block size is 0.
+  static KeyChain Of(std::span<const BlockKey> keys) {
+    auto copy = std::make_shared<BlockKey[]>(keys.size());
+    std::copy(keys.begin(), keys.end(), copy.get());
+    return KeyChain(std::move(copy), keys.size(), 0);
   }
 
   // 0 for an empty handle.
-  int block_size() const { return chain_ != nullptr ? chain_->block_size : 0; }
-  std::span<const BlockKey> span() const {
-    return chain_ != nullptr ? std::span<const BlockKey>(chain_->keys)
-                             : std::span<const BlockKey>();
+  int block_size() const { return block_size_; }
+  size_t size() const { return size_; }
+  std::span<const BlockKey> span() const { return {keys_.get(), size_}; }
+  // The keys from `pos` on, as an edge that shares this chain.
+  Edge Slice(size_t pos) const {
+    DS_CHECK_LE(pos, static_cast<size_t>(size_));
+    return Edge(std::shared_ptr<const BlockKey>(keys_, keys_.get() + pos), size_ - pos);
   }
   // Whether both handles refer to one hashed chain.
-  bool SharesStorage(const KeyChain& other) const { return chain_ == other.chain_; }
+  bool SharesStorage(const KeyChain& other) const { return keys_ == other.keys_; }
+  // Expires once neither a handle nor a tree edge holds this chain any more.
+  std::weak_ptr<const void> Watch() const { return keys_; }
 
  private:
-  struct Chain {
-    int block_size;
-    std::vector<BlockKey> keys;
-  };
-  std::shared_ptr<const Chain> chain_;
+  KeyChain(std::shared_ptr<const BlockKey[]> keys, size_t size, int block_size)
+      : keys_(std::move(keys)), size_(static_cast<uint32_t>(size)), block_size_(block_size) {
+    DS_CHECK_LE(size, static_cast<size_t>(UINT32_MAX));
+  }
+
+  std::shared_ptr<const BlockKey[]> keys_;
+  uint32_t size_ = 0;
+  int block_size_ = 0;
 };
 
 // What a ScanLruLeaves visitor does with the leaf it was handed.
@@ -139,13 +206,14 @@ class RadixTree {
  public:
   struct Node;
 
-  // Children of one node, keyed by first edge symbol. Inline-sorted up to
-  // kInlineChildren entries (find = short linear scan, insert = memmove of a
-  // few 16-byte entries); larger fanouts migrate wholesale to a std::map and
+  // Children of one node, keyed by first edge symbol. A sorted vector up to
+  // kMaxSortedChildren entries (find = short linear scan, insert = memmove of
+  // a few 16-byte entries) that allocates only once the node has a child, so
+  // a leaf pays for none; larger fanouts migrate wholesale to a std::map and
   // stay there. Iteration is ascending by key in both modes.
   class ChildMap {
    public:
-    static constexpr size_t kInlineChildren = 8;
+    static constexpr size_t kMaxSortedChildren = 8;
 
     ChildMap() = default;
     ChildMap(ChildMap&&) noexcept = default;
@@ -153,7 +221,7 @@ class RadixTree {
     ChildMap(const ChildMap&) = delete;
     ChildMap& operator=(const ChildMap&) = delete;
 
-    size_t size() const { return spill_ != nullptr ? spill_->size() : inline_count_; }
+    size_t size() const { return spill_ != nullptr ? spill_->size() : sorted_.size(); }
     bool empty() const { return size() == 0; }
 
     Node* Find(BlockKey key) const {
@@ -161,9 +229,9 @@ class RadixTree {
         auto it = spill_->find(key);
         return it != spill_->end() ? it->second.get() : nullptr;
       }
-      for (size_t i = 0; i < inline_count_; ++i) {
-        if (inline_[i].key == key) {
-          return inline_[i].node.get();
+      for (const Entry& entry : sorted_) {
+        if (entry.key == key) {
+          return entry.node.get();
         }
       }
       return nullptr;
@@ -173,20 +241,16 @@ class RadixTree {
     Node* Emplace(BlockKey key, std::unique_ptr<Node> child) {
       DS_CHECK(Find(key) == nullptr) << "duplicate child key";
       Node* raw = child.get();
-      if (spill_ == nullptr && inline_count_ == kInlineChildren) {
+      if (spill_ == nullptr && sorted_.size() == kMaxSortedChildren) {
         Spill();
       }
       if (spill_ != nullptr) {
         spill_->emplace(key, std::move(child));
         return raw;
       }
-      size_t pos = inline_count_;
-      while (pos > 0 && inline_[pos - 1].key > key) {
-        inline_[pos] = std::move(inline_[pos - 1]);
-        --pos;
-      }
-      inline_[pos] = Entry{key, std::move(child)};
-      ++inline_count_;
+      auto pos = std::find_if(sorted_.begin(), sorted_.end(),
+                              [key](const Entry& entry) { return entry.key > key; });
+      sorted_.insert(pos, Entry{key, std::move(child)});
       return raw;
     }
 
@@ -199,19 +263,15 @@ class RadixTree {
         spill_->erase(it);
         return out;
       }
-      for (size_t i = 0; i < inline_count_; ++i) {
-        if (inline_[i].key == key) {
-          std::unique_ptr<Node> out = std::move(inline_[i].node);
-          for (size_t j = i + 1; j < inline_count_; ++j) {
-            inline_[j - 1] = std::move(inline_[j]);
-          }
-          --inline_count_;
-          inline_[inline_count_] = Entry{};
-          return out;
-        }
+      auto it = std::find_if(sorted_.begin(), sorted_.end(),
+                             [key](const Entry& entry) { return entry.key == key; });
+      DS_CHECK(it != sorted_.end()) << "removing absent child key";
+      std::unique_ptr<Node> out = std::move(it->node);
+      sorted_.erase(it);
+      if (sorted_.empty()) {
+        sorted_ = std::vector<Entry>();  // a node that became a leaf keeps no buffer
       }
-      DS_CHECK(false) << "removing absent child key";
-      return nullptr;
+      return out;
     }
 
     // Visits (key, child) pairs in ascending key order.
@@ -223,36 +283,35 @@ class RadixTree {
         }
         return;
       }
-      for (size_t i = 0; i < inline_count_; ++i) {
-        fn(inline_[i].key, inline_[i].node.get());
+      for (const Entry& entry : sorted_) {
+        fn(entry.key, entry.node.get());
       }
     }
 
     bool spilled() const { return spill_ != nullptr; }
 
-   private:
+    // One child in sorted mode: what a node's first child costs its parent.
     struct Entry {
       BlockKey key = 0;
       std::unique_ptr<Node> node;
     };
 
+   private:
     void Spill() {
       spill_ = std::make_unique<std::map<BlockKey, std::unique_ptr<Node>>>();
-      for (size_t i = 0; i < inline_count_; ++i) {
-        spill_->emplace(inline_[i].key, std::move(inline_[i].node));
-        inline_[i] = Entry{};
+      for (Entry& entry : sorted_) {
+        spill_->emplace(entry.key, std::move(entry.node));
       }
-      inline_count_ = 0;
+      sorted_ = std::vector<Entry>();
     }
 
-    std::array<Entry, kInlineChildren> inline_{};
-    size_t inline_count_ = 0;
+    std::vector<Entry> sorted_;
     std::unique_ptr<std::map<BlockKey, std::unique_ptr<Node>>> spill_;
   };
 
   struct Node {
-    std::vector<BlockKey> edge;  // symbols on the edge from the parent
-    V value{};                   // payload covering this node's edge span
+    Edge edge;  // symbols on the edge from the parent, a slice of a KeyChain
+    V value{};  // payload covering this node's edge span
     Node* parent = nullptr;
     ChildMap children;  // keyed by first edge symbol
 
@@ -312,20 +371,21 @@ class RadixTree {
     return result;
   }
 
-  // Ensures a path spelling exactly `keys` exists, splitting edges as needed.
-  // `on_new(node, begin, end)` is called once for every node whose span is
-  // newly created, with the [begin, end) symbol range it covers, so the caller
-  // can attach payload. Returns the deepest node. Touches every node on the
-  // path.
+  // Ensures a path spelling exactly `chain` exists, splitting edges as
+  // needed; a new node's edge slices `chain`. `on_new(node, begin, end)` is
+  // called once for every node whose span is newly created, with the
+  // [begin, end) symbol range it covers, so the caller can attach payload.
+  // Returns the deepest node. Touches every node on the path.
   template <typename OnNew>
-  Node* Insert(std::span<const BlockKey> keys, TimeNs now, const OnNew& on_new) {
+  Node* Insert(const KeyChain& chain, TimeNs now, const OnNew& on_new) {
+    const std::span<const BlockKey> keys = chain.span();
     Node* node = root_.get();
     size_t pos = 0;
     while (pos < keys.size()) {
       Node* child = node->children.Find(keys[pos]);
       if (child == nullptr) {
         auto fresh = std::make_unique<Node>();
-        fresh->edge.assign(keys.begin() + static_cast<ptrdiff_t>(pos), keys.end());
+        fresh->edge = chain.Slice(pos);
         fresh->parent = node;
         fresh->depth = node->depth + fresh->edge.size();
         fresh->last_access_ = now;
@@ -349,8 +409,8 @@ class RadixTree {
     return node;
   }
 
-  Node* Insert(std::span<const BlockKey> keys, TimeNs now) {
-    return Insert(keys, now, [](Node&, size_t, size_t) {});
+  Node* Insert(const KeyChain& chain, TimeNs now) {
+    return Insert(chain, now, [](Node&, size_t, size_t) {});
   }
 
   // Marks every node a Match covered as used at `now`, the partially-matched
@@ -523,14 +583,14 @@ class RadixTree {
     DS_CHECK_GT(offset, 0u);
     DS_CHECK_LT(offset, child->edge.size());
     auto tail = std::make_unique<Node>();
-    tail->edge.assign(child->edge.begin() + static_cast<ptrdiff_t>(offset), child->edge.end());
+    tail->edge = child->edge.Suffix(offset);
     tail->value = child->value.SplitTail(offset);
     tail->last_access_ = child->last_access_;
     tail->retired_ = child->retired_;
     tail->children = std::move(child->children);
     tail->depth = child->depth;
     tail->children.ForEach([&](BlockKey, Node* grandchild) { grandchild->parent = tail.get(); });
-    child->edge.resize(offset);
+    child->edge.Truncate(offset);
     child->depth = child->depth - tail->edge.size();
     child->children = ChildMap{};
     tail->parent = child;

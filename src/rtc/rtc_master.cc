@@ -441,9 +441,9 @@ void RtcMaster::CheckChain(std::span<const TokenId> tokens,
 }
 
 void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
-                             std::span<const BlockKey> keys) {
-  CheckChain(tokens, keys);
-  if (keys.empty()) {
+                             const KeyChain& keys) {
+  CheckChain(tokens, keys.span());
+  if (keys.size() == 0) {
     return;
   }
   DS_CHECK_GE(blocks.size(), keys.size())
@@ -468,17 +468,17 @@ void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const Bl
 }
 
 void RtcMaster::Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
-                         std::span<const BlockKey> keys) {
+                         const KeyChain& keys) {
   CommitBlocks(tokens, blocks, keys);
 }
 
 Status RtcMaster::PreserveById(const std::string& id, std::span<const TokenId> tokens,
-                               std::span<const BlockId> blocks, std::span<const BlockKey> keys) {
+                               std::span<const BlockId> blocks, const KeyChain& keys) {
   if (id.empty()) {
     return InvalidArgumentError("empty context-cache id");
   }
-  CheckChain(tokens, keys);
-  if (keys.empty()) {
+  CheckChain(tokens, keys.span());
+  if (keys.size() == 0) {
     return InvalidArgumentError("context shorter than one block");
   }
   // Explicit entries also live in the prefix tree so implicit matching still

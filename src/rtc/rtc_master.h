@@ -62,6 +62,8 @@ struct BlockRun {
     return tail;
   }
 };
+static_assert(sizeof(RadixTree<BlockRun>::Node) <= 144,
+              "an RTC node keeps its edge and children out of line");
 
 // Result of MatchByPrefixToken / MatchByID: which preserved blocks cover the
 // request, and where they live. `npu_tokens` counts the leading contiguous
@@ -198,13 +200,13 @@ class RtcMaster {
   // least tokens.size()/block_size entries. Duplicate spans (e.g. two
   // concurrent identical prefills) keep the first commit; later private
   // duplicates simply die on Free. `keys` is `tokens`' block-key chain, as
-  // for MatchByPrefixToken.
+  // for MatchByPrefixToken; every node the commit creates slices it, so
+  // the chain lives on with the cached blocks.
   void Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
-                std::span<const BlockKey> keys);
+                const KeyChain& keys);
   // Explicit context caching: additionally registers the prefix under `id`.
   [[nodiscard]] Status PreserveById(const std::string& id, std::span<const TokenId> tokens,
-                                    std::span<const BlockId> blocks,
-                                    std::span<const BlockKey> keys);
+                                    std::span<const BlockId> blocks, const KeyChain& keys);
   bool DropById(const std::string& id);
 
   // ---- introspection -------------------------------------------------------
@@ -214,6 +216,7 @@ class RtcMaster {
   int64_t npu_blocks_used() const { return pool_.used(Tier::kNpu); }
   int64_t npu_blocks_free() const { return pool_.free_blocks(Tier::kNpu); }
   size_t index_nodes() const { return tree_.NodeCount(); }
+  const RadixTree<BlockRun>& index() const { return tree_; }
   // Deterministic snapshot of the explicit context cache: (id, cached token
   // count) sorted by id. The backing index is an unordered_map, so callers
   // (dumps, audits, tests) must come through this sorted view rather than
@@ -235,7 +238,7 @@ class RtcMaster {
   void CheckChain(std::span<const TokenId> tokens, std::span<const BlockKey> keys) const;
   // `keys` is `tokens`' full block-key chain.
   void CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
-                    std::span<const BlockKey> keys);
+                    const KeyChain& keys);
   void SyncListeners();
   void MaybeArmSwap();
   void SwapScan();

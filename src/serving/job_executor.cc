@@ -35,6 +35,20 @@ std::string_view SchedulingPolicyToString(SchedulingPolicy policy) {
   return "?";
 }
 
+Status JeConfig::Validate() const {
+  if (block_size < 1) {
+    return InvalidArgumentError("JE block_size must be >= 1, got " + std::to_string(block_size));
+  }
+  if (max_tree_nodes < 1) {
+    return InvalidArgumentError("JE max_tree_nodes must be >= 1");
+  }
+  if (load_balance_slack < 0 || pd_overload_factor < 0 || pd_overload_slack < 0) {
+    return InvalidArgumentError(
+        "JE load_balance_slack, pd_overload_factor and pd_overload_slack must be >= 0");
+  }
+  return Status::Ok();
+}
+
 JobExecutor::JobExecutor(sim::Simulator* sim, JeConfig config, PdHeatmap heatmap,
                          std::unique_ptr<DecodeLengthPredictor> predictor)
     : sim_(sim), config_(config), heatmap_(std::move(heatmap)),
@@ -45,6 +59,7 @@ JobExecutor::JobExecutor(sim::Simulator* sim, JeConfig config, PdHeatmap heatmap
               {[this] { OnLeaderCrash(); }, [this] { RebindTes(); },
                [this] { ReconcileAfterTakeover(); }}) {
   DS_CHECK(predictor_ != nullptr);
+  DS_CHECK_OK(config_.Validate());
 }
 
 JobExecutor::~JobExecutor() {
@@ -241,11 +256,11 @@ void JobExecutor::TrimTree(PromptTree& tree) {
   });
 }
 
-void JobExecutor::RecordRoute(std::span<const rtc::BlockKey> keys, PromptTree& tree, TeId te) {
-  if (keys.empty()) {
+void JobExecutor::RecordRoute(const rtc::KeyChain& chain, PromptTree& tree, TeId te) {
+  if (chain.size() == 0) {
     return;
   }
-  auto* node = tree.Insert(keys, sim_->Now());
+  auto* node = tree.Insert(chain, sim_->Now());
   // Tag the full path: every prefix of this prompt now lives on `te`.
   for (PromptTree::Node* cursor = node; cursor != nullptr && cursor->parent != nullptr;
        cursor = cursor->parent) {
@@ -457,7 +472,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
   if (use_disagg) {
     ++stats_.routed_disaggregated;
     TaskExecutor* p = SelectFrom(keys, prefill_tree_, prefill);
-    RecordRoute(keys, prefill_tree_, p->id());
+    RecordRoute(chain, prefill_tree_, p->id());
     leader_.Append(ctrl::JobTable::kJobTeBound,
               {static_cast<int64_t>(job_id), static_cast<int64_t>(p->id())});
     if (obs::Tracer* t = sim_->tracer()) {
@@ -470,7 +485,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
   } else {
     ++stats_.routed_colocated;
     TaskExecutor* te = SelectFrom(keys, colocated_tree_, coloc);
-    RecordRoute(keys, colocated_tree_, te->id());
+    RecordRoute(chain, colocated_tree_, te->id());
     leader_.Append(ctrl::JobTable::kJobTeBound,
               {static_cast<int64_t>(job_id), static_cast<int64_t>(te->id())});
     if (obs::Tracer* t = sim_->tracer()) {

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "ctrl/control_log.h"
 #include "ctrl/job_table.h"
@@ -79,6 +80,11 @@ struct JeConfig {
   // set rather than stranding a placeable request. Off = generation-blind
   // routing, bit-identical to the historical behavior.
   bool cost_aware = false;
+
+  // Refuses a config no JE can run: a block_size or max_tree_nodes below 1,
+  // or a negative load_balance_slack, pd_overload_factor or
+  // pd_overload_slack.
+  [[nodiscard]] Status Validate() const;
 };
 
 struct JeStats {
@@ -180,6 +186,12 @@ class JobExecutor {
   const ctrl::ControlLog& control_log() const { return *leader_.log(); }
 
   const JeStats& stats() const { return stats_; }
+  // The colocated group's global prompt tree (§5.2).
+  const PromptTree& colocated_tree() const { return colocated_tree_; }
+  // Nodes in both global prompt trees.
+  size_t prompt_tree_nodes() const {
+    return colocated_tree_.NodeCount() + prefill_tree_.NodeCount();
+  }
   size_t colocated_count() const { return groups_[ctrl::JobTable::kColocated].size(); }
   size_t prefill_count() const { return groups_[ctrl::JobTable::kPrefill].size(); }
   size_t decode_count() const { return groups_[ctrl::JobTable::kDecode].size(); }
@@ -199,7 +211,7 @@ class JobExecutor {
   TaskExecutor* SelectFrom(std::span<const rtc::BlockKey> keys, PromptTree& tree,
                            const std::vector<TaskExecutor*>& tes);
 
-  void RecordRoute(std::span<const rtc::BlockKey> keys, PromptTree& tree, TeId te);
+  void RecordRoute(const rtc::KeyChain& chain, PromptTree& tree, TeId te);
   void TrimTree(PromptTree& tree);
   // Fills `*ready` with the ready TEs of `tes`, in order.
   static void ReadyTes(const std::vector<TaskExecutor*>& tes, std::vector<TaskExecutor*>* ready);

@@ -32,6 +32,8 @@ struct TePresence {
 };
 
 using PromptTree = rtc::RadixTree<TePresence>;
+static_assert(sizeof(PromptTree::Node) <= 144,
+              "a prompt-tree node keeps its edge and children out of line");
 
 // The locality-aware pick: among `tes`, the candidate with the longest
 // preserved prefix of `match`, ties to the lowest queue_depth() and then to

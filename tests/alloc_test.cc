@@ -5,9 +5,10 @@
 // allocated. The engine's steady-state decode step and the RTC's swap scan
 // are the two paths that run per step and per cached block; both must stay
 // free of per-step and per-block heap traffic (DESIGN #8 and #12), a
-// committed block adds 12 bytes to the cache index, and one left only in DRAM
-// gives its pool slot back (DESIGN #16). A request's dispatch must not copy
-// its prompt (DESIGN #14), nor copy or wrap its callbacks (DESIGN #15).
+// committed block adds 4 bytes to the cache index, whose edges slice the
+// request's key chain instead of copying it (DESIGN #12), and one left only in
+// DRAM gives its pool slot back (DESIGN #16). A request's dispatch must not
+// copy its prompt (DESIGN #14), nor copy or wrap its callbacks (DESIGN #15).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -119,7 +120,7 @@ int64_t SwapScanAllocations(int64_t leaf_blocks) {
     tokens.push_back(static_cast<TokenId>(i + 1));
   }
   auto leaf = master.AllocBlocks(leaf_blocks).value();
-  master.Preserve(tokens, leaf, rtc::TokensToBlockKeys(tokens, config.block_size));
+  master.Preserve(tokens, leaf, rtc::KeyChain::Hash(tokens, config.block_size));
   master.Free(leaf);
   // Private blocks keep NPU usage above the swap watermark; allocating them
   // arms the first scan.
@@ -137,11 +138,12 @@ TEST(AllocTest, SwapScanMakesNoPerBlockAllocation) {
   EXPECT_EQ(SwapScanAllocations(8), SwapScanAllocations(2));
 }
 
-TEST(AllocTest, CachedBlockCostsTwelveTreeBytes) {
-  // Committing a fresh 128-block run into an empty cache makes one tree node
-  // whose edge holds an 8-byte key and whose run holds a 4-byte slot index
-  // per block (DESIGN #16). With the BlockPool's 12-byte slot, that is 24
-  // bytes of metadata per cached block.
+TEST(AllocTest, CachedBlockCostsFourTreeBytes) {
+  // Committing a fresh 128-block run into an empty cache makes one tree node,
+  // and one entry for it in the root's child map, whose run holds a 4-byte
+  // slot index per block; its edge slices the prompt's key chain, hashed
+  // before the commit, and copies no key (DESIGN #12, #16). With the
+  // BlockPool's 12-byte slot, that is 16 bytes of metadata per cached block.
   constexpr int64_t kBlocks = 128;
   sim::Simulator sim;
   rtc::RtcConfig config;
@@ -152,22 +154,22 @@ TEST(AllocTest, CachedBlockCostsTwelveTreeBytes) {
   for (int64_t i = 0; i < config.block_size * kBlocks; ++i) {
     tokens.push_back(static_cast<TokenId>(i + 1));
   }
-  const std::vector<rtc::BlockKey> keys = rtc::TokensToBlockKeys(tokens, config.block_size);
+  const rtc::KeyChain keys = rtc::KeyChain::Hash(tokens, config.block_size);
   auto blocks = master.AllocBlocks(kBlocks).value();
   const int64_t bytes = g_bytes;
   master.Preserve(tokens, blocks, keys);
   const int64_t committed = g_bytes - bytes;
   EXPECT_EQ(master.index_nodes(), 1u);
-  const auto per_block = static_cast<int64_t>(sizeof(rtc::BlockKey) + sizeof(uint32_t));
-  EXPECT_LE(committed,
-            kBlocks * per_block +
-                static_cast<int64_t>(sizeof(rtc::RadixTree<rtc::BlockRun>::Node)));
+  using Tree = rtc::RadixTree<rtc::BlockRun>;
+  EXPECT_LE(committed, kBlocks * static_cast<int64_t>(sizeof(uint32_t)) +
+                           static_cast<int64_t>(sizeof(Tree::Node)) +
+                           static_cast<int64_t>(sizeof(Tree::ChildMap::Entry)));
   master.Free(blocks);
 }
 
 TEST(AllocTest, DramOnlyLeafGivesUpItsPoolSlots) {
   // A cached leaf whose blocks sit only in DRAM, unreferenced, keeps nothing
-  // but its edge keys: the swap scan that retires it parks its run, which
+  // but its edge (a slice of the prompt's key chain): the swap scan that retires it parks its run, which
   // frees one 12-byte BlockPool slot and one 4-byte run entry per block. The
   // DRAM tier still counts the blocks (DESIGN #16).
   constexpr int64_t kBlocks = 128;
@@ -184,7 +186,7 @@ TEST(AllocTest, DramOnlyLeafGivesUpItsPoolSlots) {
     tokens.push_back(static_cast<TokenId>(i + 1));
   }
   auto leaf = master.AllocBlocks(kBlocks).value();
-  master.Preserve(tokens, leaf, rtc::TokensToBlockKeys(tokens, config.block_size));
+  master.Preserve(tokens, leaf, rtc::KeyChain::Hash(tokens, config.block_size));
   master.Free(leaf);
   auto held = master.AllocBlocks(16).value();
   // Scan 1 demotes the leaf; its copy lands and drops the NPU copies.
@@ -241,6 +243,57 @@ TEST(AllocTest, DispatchDoesNotCopyThePrompt) {
   // 3840 extra tokens anywhere on the path would take 15 KB.
   const int64_t chain_growth = (4096 - 256) / 16 * static_cast<int64_t>(sizeof(rtc::BlockKey));
   EXPECT_LE(Dispatch(4096).bytes - Dispatch(256).bytes, chain_growth + 64);
+}
+
+TEST(AllocTest, JeAndRtcNodesSliceOneChainAndASplitCopiesNoKey) {
+  // One colocated request: the JE's prompt-tree node and the node the TE's
+  // RTC commits at release both slice the key chain the JE hashed (DESIGN
+  // #12, #14).
+  constexpr int64_t kBlocks = 64;
+  sim::Simulator sim;
+  serving::JobExecutor je(&sim, serving::JeConfig{}, serving::PdHeatmap::Default(),
+                          serving::MakeOraclePredictor());
+  serving::TeConfig te_config;
+  te_config.id = 1;
+  te_config.engine.model = model::ModelSpec::Tiny1B();
+  te_config.engine.parallelism = {1, 1, 1};
+  te_config.engine.kv_block_capacity_override = 4096;
+  serving::TaskExecutor te(&sim, te_config);
+  je.AddColocatedTe(&te);
+  const workload::RequestSpec spec = MakeRequest(1, 16 * kBlocks, 4);
+  je.HandleRequest(spec, {});
+  sim.Run();
+  ASSERT_EQ(te.engine().stats().completed, 1);
+  using Tree = rtc::RadixTree<rtc::BlockRun>;
+  const std::vector<rtc::BlockKey> keys = rtc::TokensToBlockKeys(spec.prompt, 16);
+  const serving::PromptTree::MatchResult routed = je.colocated_tree().Match(keys);
+  rtc::RtcMaster& cache = te.engine().rtc();
+  const Tree::MatchResult cached = cache.index().Match(keys);
+  ASSERT_EQ(routed.path.size(), 1u);
+  ASSERT_EQ(cached.path.size(), 1u);
+  const rtc::Edge& routed_edge = routed.path.front()->edge;
+  ASSERT_EQ(cached.path.front()->edge.size(), static_cast<size_t>(kBlocks));
+  EXPECT_EQ(&cached.path.front()->edge.front(), &routed_edge.front())
+      << "the RTC's node does not slice the JE's chain";
+
+  // A later prompt that ends halfway through the run splits the RTC's node.
+  // The tail re-slices the chain: the split allocates the tail node, the
+  // head's one child entry and the tail's half of the run, and no key.
+  const workload::Prompt half = MakeRequest(1, 16 * kBlocks / 2, 4).prompt;
+  const rtc::KeyChain half_keys = rtc::KeyChain::Hash(half, 16);
+  auto blocks = cache.AllocBlocks(kBlocks / 2).value();
+  const int64_t bytes = g_bytes;
+  cache.Preserve(half, blocks, half_keys);
+  const int64_t split = g_bytes - bytes;
+  cache.Free(blocks);
+  ASSERT_EQ(cache.index_nodes(), 2u);
+  EXPECT_LE(split, static_cast<int64_t>(sizeof(Tree::Node) + sizeof(Tree::ChildMap::Entry) +
+                                        kBlocks / 2 * sizeof(uint32_t)));
+  const Tree::MatchResult resplit = cache.index().Match(keys);
+  ASSERT_EQ(resplit.path.size(), 2u);
+  EXPECT_EQ(&resplit.path.front()->edge.front(), &routed_edge.front());
+  EXPECT_EQ(&resplit.path.back()->edge.front(), &routed_edge[kBlocks / 2])
+      << "the split tail does not slice the JE's chain";
 }
 
 TEST(AllocTest, DispatchNeitherCopiesNorWrapsTheCallbacks) {

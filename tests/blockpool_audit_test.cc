@@ -342,8 +342,8 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
       }
     };
     auto admit = [&](const std::vector<TokenId>& prompt) {
-      std::vector<BlockKey> keys = TokensToBlockKeys(prompt, config.block_size);
-      MatchInfo match = master.MatchByPrefixToken(prompt, keys);
+      const KeyChain keys = KeyChain::Hash(prompt, config.block_size);
+      MatchInfo match = master.MatchByPrefixToken(prompt, keys.span());
       master.Acquire(match.blocks);
       pin(match.blocks, 1);
       std::vector<BlockId> blocks = match.blocks;

@@ -39,7 +39,7 @@ class RtcPicTest : public ::testing::Test {
   void PreserveTokens(const std::vector<TokenId>& tokens) {
     int64_t n = static_cast<int64_t>(tokens.size()) / 16;
     auto blocks = master_->AllocBlocks(n).value();
-    master_->Preserve(tokens, blocks, rtc::TokensToBlockKeys(tokens, 16));
+    master_->Preserve(tokens, blocks, rtc::KeyChain::Hash(tokens, 16));
     master_->Free(blocks);
   }
 
@@ -105,7 +105,7 @@ TEST_F(RtcPicTest, DemotedAndPopulatedBlockIsStillFoundByContent) {
   rtc::RtcMaster master(&sim_, config);
   auto doc = Iota(64, 5000);
   auto blocks = master.AllocBlocks(4).value();
-  master.Preserve(doc, blocks, rtc::TokensToBlockKeys(doc, 16));
+  master.Preserve(doc, blocks, rtc::KeyChain::Hash(doc, 16));
   master.Free(blocks);
   auto held = master.AllocBlocks(35).value();  // 39 of 40; 35 once demoted
   sim_.RunUntil(MsToNs(75));
@@ -131,7 +131,7 @@ TEST_F(RtcPicTest, DisabledByDefault) {
   rtc::RtcMaster master(&sim_, config);
   auto doc = Iota(64, 5000);
   auto blocks = master.AllocBlocks(4).value();
-  master.Preserve(doc, blocks, rtc::TokensToBlockKeys(doc, config.block_size));
+  master.Preserve(doc, blocks, rtc::KeyChain::Hash(doc, config.block_size));
   master.Free(blocks);
   EXPECT_EQ(master.MatchPositionIndependent(doc, 0).matched_tokens, 0);
 }

@@ -60,7 +60,7 @@ TEST_P(RadixPropertyTest, MatchEqualsReferenceLcp) {
     for (size_t j = 0; j < len; ++j) {
       seq.push_back(static_cast<rtc::BlockKey>(rng.UniformInt(1, 4)));
     }
-    tree.Insert(seq, static_cast<TimeNs>(i));
+    tree.Insert(rtc::KeyChain::Of(seq), static_cast<TimeNs>(i));
     stored.push_back(std::move(seq));
     // Interleave queries with inserts.
     std::vector<rtc::BlockKey> query;
@@ -83,7 +83,7 @@ TEST_P(RadixPropertyTest, EveryStoredSequenceFullyMatches) {
     for (size_t j = 0; j < len; ++j) {
       seq.push_back(static_cast<rtc::BlockKey>(rng.UniformInt(1, 6)));
     }
-    tree.Insert(seq, static_cast<TimeNs>(i));
+    tree.Insert(rtc::KeyChain::Of(seq), static_cast<TimeNs>(i));
     stored.push_back(std::move(seq));
   }
   for (const auto& seq : stored) {
@@ -101,7 +101,7 @@ TEST_P(RadixPropertyTest, LeafRemovalNeverBreaksOtherMatches) {
     for (size_t j = 0; j < len; ++j) {
       seq.push_back(static_cast<rtc::BlockKey>(rng.UniformInt(1, 3)));
     }
-    tree.Insert(seq, static_cast<TimeNs>(i));
+    tree.Insert(rtc::KeyChain::Of(seq), static_cast<TimeNs>(i));
     stored.push_back(std::move(seq));
   }
   // Remove half the leaves (LRU order), then every surviving full sequence

@@ -6,16 +6,24 @@
 // boundary or partway through a compressed edge, and it stays true across
 // edge splits and leaf evictions. Structural invariants (edge keys, depth
 // bookkeeping, parent pointers, compression) are re-audited after every
-// mutation.
+// mutation. Every insert goes through a fresh KeyChain that the test drops at
+// once, so only the tree's edges keep it alive; the lifetime tests check that
+// they keep it exactly as long as they are in the tree.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <vector>
 
 #include "common/rng.h"
 #include "rtc/radix_tree.h"
+#include "serving/heatmap.h"
+#include "serving/job_executor.h"
+#include "serving/predictor.h"
+#include "serving/task_executor.h"
+#include "sim/simulator.h"
 
 namespace deepserve::rtc {
 namespace {
@@ -92,7 +100,7 @@ TEST(RadixPropertyTest, MatchAgreesWithNaiveReferenceUnderRandomInserts) {
     std::vector<Seq> inserted;
     for (int round = 0; round < 200; ++round) {
       Seq seq = RandomSeq(rng, 12);
-      tree.Insert(seq, /*now=*/round);
+      tree.Insert(KeyChain::Of(seq), /*now=*/round);
       AddCoverage(&coverage, seq);
       inserted.push_back(seq);
       AuditStructure(tree);
@@ -118,7 +126,7 @@ TEST(RadixPropertyTest, MatchResultPathIsConsistent) {
   Rng rng(7);
   Tree tree;
   for (int round = 0; round < 100; ++round) {
-    tree.Insert(RandomSeq(rng, 10), round);
+    tree.Insert(KeyChain::Of(RandomSeq(rng, 10)), round);
   }
   for (int probe = 0; probe < 200; ++probe) {
     Seq q = RandomSeq(rng, 12);
@@ -161,7 +169,7 @@ TEST(RadixPropertyTest, LruEvictionKeepsMatchConsistent) {
       ++now;
       if (round < 30 || rng.NextDouble() < 0.6) {
         Seq seq = RandomSeq(rng, 10);
-        tree.Insert(seq, now);
+        tree.Insert(KeyChain::Of(seq), now);
         AddCoverage(&coverage, seq);
       } else {
         // Evict the least-recently-used leaf, mirroring in the reference:
@@ -240,7 +248,7 @@ TEST(RadixPropertyTest, LruIndexMatchesPreorderReferenceUnderTiesAndOutOfOrderTo
       TimeNs now = rng.UniformInt(0, 12);
       double op = rng.NextDouble();
       if (round < 40 || op < 0.45) {
-        tree.Insert(RandomSeq(rng, 10), now);
+        tree.Insert(KeyChain::Of(RandomSeq(rng, 10)), now);
       } else if (op < 0.7) {
         auto match = tree.Match(RandomSeq(rng, 10));
         tree.Touch(match, now);
@@ -280,8 +288,8 @@ TEST(RadixPropertyTest, OneScanEvictsLikeRepeatedFindLruLeaf) {
     Tree repeated;
     Tree scanned;
     for (const auto& [seq, now] : inserts) {
-      repeated.Insert(seq, now);
-      scanned.Insert(seq, now);
+      repeated.Insert(KeyChain::Of(seq), now);
+      scanned.Insert(KeyChain::Of(seq), now);
     }
     // Removing eligible leaves exposes parents, which may be eligible in turn.
     std::vector<Seq> by_find;
@@ -305,10 +313,10 @@ TEST(RadixPropertyTest, OneScanEvictsLikeRepeatedFindLruLeaf) {
 
 TEST(RadixPropertyTest, ScanHandsOverExposedParentAtTheRemovedLeafsRank) {
   Tree tree;
-  tree.Insert(Seq{1, 2, 3}, 5);
-  tree.Insert(Seq{1, 2, 4}, 5);  // splits into [1 2] -> {[3], [4]}
-  tree.Insert(Seq{6}, 5);
-  tree.Insert(Seq{7}, 9);
+  tree.Insert(KeyChain::Of(Seq{1, 2, 3}), 5);
+  tree.Insert(KeyChain::Of(Seq{1, 2, 4}), 5);  // splits into [1 2] -> {[3], [4]}
+  tree.Insert(KeyChain::Of(Seq{6}), 5);
+  tree.Insert(KeyChain::Of(Seq{7}), 9);
   ASSERT_EQ(tree.NodeCount(), 5u);
   std::vector<Seq> removed;
   tree.ScanLruLeaves([&](Tree::Node& leaf) {
@@ -370,7 +378,7 @@ TEST(RadixPropertyTest, ActiveListScansTheFullOrderWithRetiredNodesFilteredOut) 
       TimeNs now = rng.UniformInt(0, 12);
       double op = rng.NextDouble();
       if (round < 40 || op < 0.35) {
-        tree.Insert(RandomSeq(rng, 10), now);  // splits retired nodes too
+        tree.Insert(KeyChain::Of(RandomSeq(rng, 10)), now);  // splits retired nodes too
       } else if (op < 0.55) {
         tree.Touch(tree.Match(RandomSeq(rng, 10)), now);
       } else if (op < 0.7) {
@@ -430,13 +438,13 @@ TEST(RadixPropertyTest, ActiveListScansTheFullOrderWithRetiredNodesFilteredOut) 
 
 TEST(RadixPropertyTest, SplitTailInheritsRetirement) {
   Tree tree;
-  Tree::Node* leaf = tree.Insert(Seq{1, 2, 3, 4}, 5);
-  tree.Insert(Seq{9}, 5);
+  Tree::Node* leaf = tree.Insert(KeyChain::Of(Seq{1, 2, 3, 4}), 5);
+  tree.Insert(KeyChain::Of(Seq{9}), 5);
   tree.Retire(leaf);
   ASSERT_EQ(ScannedLruOrder(tree, LruList::kActive).size(), 1u);
   // Diverging after [1 2] cuts the retired leaf into [1 2] -> [3 4]; the new
   // branch [5] is fresh.
-  tree.Insert(Seq{1, 2, 5}, 7);
+  tree.Insert(KeyChain::Of(Seq{1, 2, 5}), 7);
   Tree::MatchResult m = tree.Match(Seq{1, 2, 3, 4});
   ASSERT_EQ(m.path.size(), 2u);
   EXPECT_TRUE(m.path[0]->retired());
@@ -467,8 +475,8 @@ TEST(RadixPropertyTest, ActiveScanEvictsLikeRepeatedFindLruLeafOverNonRetired) {
     Tree repeated;
     Tree scanned;
     for (const auto& [seq, now] : inserts) {
-      repeated.Insert(seq, now);
-      scanned.Insert(seq, now);
+      repeated.Insert(KeyChain::Of(seq), now);
+      scanned.Insert(KeyChain::Of(seq), now);
     }
     // Same structure, so the same nodes retire in both trees.
     auto retire_some = [](Tree& tree) {
@@ -500,6 +508,112 @@ TEST(RadixPropertyTest, ActiveScanEvictsLikeRepeatedFindLruLeafOverNonRetired) {
     EXPECT_EQ(by_scan, by_find) << "seed " << seed;
     EXPECT_EQ(scanned.NodeCount(), repeated.NodeCount());
   }
+}
+
+// Distinct chains, each watched once (edges of one chain share an owner).
+using ChainSet = std::set<std::weak_ptr<const void>, std::owner_less<>>;
+
+size_t LiveChains(const ChainSet& chains) {
+  return static_cast<size_t>(std::count_if(chains.begin(), chains.end(),
+                                           [](const auto& chain) { return !chain.expired(); }));
+}
+
+TEST(RadixPropertyTest, EdgesHoldTheirChainsExactlyWhileInTheTree) {
+  for (uint64_t seed : {5ull, 23ull, 47ull}) {
+    Rng rng(seed);
+    Tree tree;
+    std::set<Seq> coverage;
+    ChainSet chains;
+    TimeNs now = 0;
+    for (int round = 0; round < 200; ++round) {
+      ++now;
+      if (round < 30 || rng.NextDouble() < 0.6) {
+        Seq seq = RandomSeq(rng, 10);
+        {
+          const KeyChain chain = KeyChain::Of(seq);
+          chains.insert(chain.Watch());
+          tree.Insert(chain, now);
+        }  // from here on only the edges that slice it hold the chain
+        AddCoverage(&coverage, seq);
+      } else {
+        Tree::Node* leaf = tree.FindLruLeaf([](const Tree::Node&) { return true; });
+        if (leaf == nullptr) {
+          continue;
+        }
+        Seq full = FullString(leaf);
+        for (size_t len = leaf->parent->depth + 1; len <= full.size(); ++len) {
+          coverage.erase(Seq(full.begin(), full.begin() + static_cast<ptrdiff_t>(len)));
+        }
+        tree.RemoveLeaf(leaf);
+      }
+      AuditStructure(tree);
+      // Every path spells what the reference covers, read through the edges.
+      ChainSet sliced;
+      tree.Visit([&](Tree::Node* node) {
+        EXPECT_EQ(coverage.count(FullString(node)), 1u) << "seed " << seed;
+        sliced.insert(node->edge.Watch());
+      });
+      // A chain lives exactly while some node slices it: one per node at most.
+      EXPECT_EQ(LiveChains(chains), sliced.size()) << "seed " << seed << " round " << round;
+      EXPECT_LE(sliced.size(), tree.NodeCount());
+    }
+    while (tree.NodeCount() > 0) {
+      tree.ScanLruLeaves([](Tree::Node&) { return LruStep::kRemove; });
+    }
+    EXPECT_EQ(LiveChains(chains), 0u) << "seed " << seed;
+  }
+}
+
+TEST(RadixPropertyTest, JeTrimReleasesTheChainsOfTrimmedNodes) {
+  // The JE's prompt tree at a small node cap. Its TE caches nothing, so once
+  // the requests finish only the prompt tree can hold their chains.
+  constexpr size_t kMaxNodes = 3;
+  Rng rng(13);
+  ChainSet chains;
+  {
+    sim::Simulator sim;
+    serving::JeConfig config;
+    config.max_tree_nodes = kMaxNodes;
+    serving::JobExecutor je(&sim, config, serving::PdHeatmap::Default(),
+                            serving::MakeOraclePredictor());
+    serving::TeConfig te_config;
+    te_config.id = 1;
+    te_config.engine.model = model::ModelSpec::Tiny1B();
+    te_config.engine.parallelism = {1, 1, 1};
+    te_config.engine.kv_block_capacity_override = 4096;
+    te_config.engine.enable_prefix_caching = false;
+    serving::TaskExecutor te(&sim, te_config);
+    je.AddColocatedTe(&te);
+    for (int i = 0; i < 40; ++i) {
+      // Up to six 16-token blocks, the first `shared` of them common to all
+      // prompts: prefixes collide and split edges.
+      const auto blocks = rng.UniformInt(1, 6);
+      const auto shared = rng.UniformInt(0, blocks);
+      std::vector<TokenId> tokens;
+      for (int64_t b = 0; b < blocks; ++b) {
+        const auto fill = static_cast<TokenId>(b < shared ? b + 1 : 1000 * (i + 1) + b);
+        tokens.insert(tokens.end(), 16, fill);
+      }
+      workload::RequestSpec spec;
+      spec.id = static_cast<workload::RequestId>(i + 1);
+      spec.decode_len = 2;
+      spec.prompt = std::move(tokens);
+      const std::vector<BlockKey> keys = TokensToBlockKeys(spec.prompt, config.block_size);
+      je.HandleRequest(spec, {});
+      const auto routed = je.colocated_tree().Match(keys);
+      for (const auto* node : routed.path) {
+        chains.insert(node->edge.Watch());
+      }
+      ASSERT_LE(je.prompt_tree_nodes(), kMaxNodes);
+    }
+    sim.Run();
+    ASSERT_EQ(te.engine().stats().completed, 40);
+    // Trimmed nodes took their chains with them: what is left alive is what
+    // the capped tree still slices.
+    EXPECT_GT(chains.size(), kMaxNodes);
+    EXPECT_LE(LiveChains(chains), je.prompt_tree_nodes());
+  }
+  EXPECT_EQ(LiveChains(chains), 0u);
 }
 
 TEST(RadixPropertyTest, TokensToBlockKeysDropsPartialTailAndChains) {

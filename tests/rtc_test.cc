@@ -40,13 +40,13 @@ MatchInfo Match(RtcMaster& master, std::span<const TokenId> tokens) {
 
 void Preserve(RtcMaster& master, std::span<const TokenId> tokens,
               std::span<const BlockId> blocks) {
-  master.Preserve(tokens, blocks, TokensToBlockKeys(tokens, master.config().block_size));
+  master.Preserve(tokens, blocks, KeyChain::Hash(tokens, master.config().block_size));
 }
 
 Status PreserveById(RtcMaster& master, const std::string& id, std::span<const TokenId> tokens,
                     std::span<const BlockId> blocks) {
   return master.PreserveById(id, tokens, blocks,
-                             TokensToBlockKeys(tokens, master.config().block_size));
+                             KeyChain::Hash(tokens, master.config().block_size));
 }
 
 // ---------------- ChainHash / TokensToBlockKeys ----------------
@@ -96,7 +96,7 @@ struct CountPayload {
 TEST(RadixTreeTest, InsertAndExactMatch) {
   RadixTree<CountPayload> tree;
   std::vector<BlockKey> keys = {11, 22, 33};
-  tree.Insert(keys, 1);
+  tree.Insert(KeyChain::Of(keys), 1);
   auto match = tree.Match(keys);
   EXPECT_EQ(match.matched, 3u);
   EXPECT_EQ(match.partial, nullptr);
@@ -105,7 +105,7 @@ TEST(RadixTreeTest, InsertAndExactMatch) {
 TEST(RadixTreeTest, PartialMatchOnDivergence) {
   RadixTree<CountPayload> tree;
   std::vector<BlockKey> a = {1, 2, 3, 4};
-  tree.Insert(a, 1);
+  tree.Insert(KeyChain::Of(a), 1);
   std::vector<BlockKey> b = {1, 2, 9, 9};
   auto match = tree.Match(b);
   EXPECT_EQ(match.matched, 2u);
@@ -117,8 +117,8 @@ TEST(RadixTreeTest, InsertSplitsSharedPrefix) {
   RadixTree<CountPayload> tree;
   std::vector<BlockKey> a = {1, 2, 3, 4};
   std::vector<BlockKey> b = {1, 2, 7, 8};
-  tree.Insert(a, 1);
-  tree.Insert(b, 2);
+  tree.Insert(KeyChain::Of(a), 1);
+  tree.Insert(KeyChain::Of(b), 2);
   // Nodes: [1,2] shared, [3,4], [7,8].
   EXPECT_EQ(tree.NodeCount(), 3u);
   EXPECT_EQ(tree.Match(a).matched, 4u);
@@ -129,13 +129,13 @@ TEST(RadixTreeTest, OnNewCallbackCoversExactlyNewSpans) {
   RadixTree<CountPayload> tree;
   std::vector<BlockKey> a = {1, 2, 3, 4};
   std::vector<std::pair<size_t, size_t>> spans;
-  tree.Insert(a, 1, [&](auto&, size_t b, size_t e) { spans.emplace_back(b, e); });
+  tree.Insert(KeyChain::Of(a), 1, [&](auto&, size_t b, size_t e) { spans.emplace_back(b, e); });
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0], std::make_pair(size_t{0}, size_t{4}));
   // Extending by two symbols creates exactly one new node covering [4, 6).
   std::vector<BlockKey> ext = {1, 2, 3, 4, 5, 6};
   spans.clear();
-  tree.Insert(ext, 2, [&](auto&, size_t b, size_t e) { spans.emplace_back(b, e); });
+  tree.Insert(KeyChain::Of(ext), 2, [&](auto&, size_t b, size_t e) { spans.emplace_back(b, e); });
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0], std::make_pair(size_t{4}, size_t{6}));
 }
@@ -143,10 +143,10 @@ TEST(RadixTreeTest, OnNewCallbackCoversExactlyNewSpans) {
 TEST(RadixTreeTest, SplitPreservesDepthAndParentLinks) {
   RadixTree<CountPayload> tree;
   std::vector<BlockKey> a = {1, 2, 3, 4};
-  auto* leaf_a = tree.Insert(a, 1);
+  auto* leaf_a = tree.Insert(KeyChain::Of(a), 1);
   EXPECT_EQ(leaf_a->depth, 4u);
   std::vector<BlockKey> b = {1, 2, 7};
-  auto* leaf_b = tree.Insert(b, 2);
+  auto* leaf_b = tree.Insert(KeyChain::Of(b), 2);
   EXPECT_EQ(leaf_b->depth, 3u);
   ASSERT_NE(leaf_b->parent, nullptr);
   EXPECT_EQ(leaf_b->parent->depth, 2u);
@@ -157,8 +157,8 @@ TEST(RadixTreeTest, LruLeafSelection) {
   RadixTree<CountPayload> tree;
   std::vector<BlockKey> a = {1, 2};
   std::vector<BlockKey> b = {3, 4};
-  tree.Insert(a, /*now=*/10);
-  tree.Insert(b, /*now=*/20);
+  tree.Insert(KeyChain::Of(a), /*now=*/10);
+  tree.Insert(KeyChain::Of(b), /*now=*/20);
   auto* lru = tree.FindLruLeaf([](const auto&) { return true; });
   ASSERT_NE(lru, nullptr);
   EXPECT_EQ(lru->last_access(), 10);

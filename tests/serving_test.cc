@@ -504,7 +504,7 @@ TEST(LocalityPickTest, DeepestTaggedNodeAgreesWithFullTally) {
       std::vector<rtc::BlockKey> routed = RandomKeys(rng, 9);
       if (!routed.empty()) {
         TeId te = static_cast<TeId>(rng.UniformInt(0, 11));
-        for (PromptTree::Node* n = tree.Insert(routed, round); n->parent != nullptr;
+        for (PromptTree::Node* n = tree.Insert(rtc::KeyChain::Of(routed), round); n->parent != nullptr;
              n = n->parent) {
           n->value.Add(te);
         }
@@ -889,6 +889,29 @@ TEST_F(ScalingTest, AutoscalerAddsTesUnderLoad) {
   sim_.Run();
   EXPECT_GT(manager.stats().scale_ups, 0);
   EXPECT_GT(je.colocated_count(), 1u);
+}
+
+TEST(JeConfigTest, ValidateRefusesWhatNoJeCanRun) {
+  EXPECT_TRUE(JeConfig{}.Validate().ok());
+  JeConfig edge;
+  edge.block_size = 1;
+  edge.max_tree_nodes = 1;
+  edge.load_balance_slack = 0;
+  edge.pd_overload_factor = 0;
+  edge.pd_overload_slack = 0;
+  EXPECT_TRUE(edge.Validate().ok()) << "one-token blocks, a one-node tree, no slack";
+  auto refused = [&edge](auto mutate) {
+    JeConfig config = edge;
+    mutate(config);
+    return config.Validate().code() == StatusCode::kInvalidArgument;
+  };
+  // A zero block size would abort in TokensToBlockKeys at the first dispatch.
+  EXPECT_TRUE(refused([](JeConfig& c) { c.block_size = 0; }));
+  EXPECT_TRUE(refused([](JeConfig& c) { c.block_size = -16; }));
+  EXPECT_TRUE(refused([](JeConfig& c) { c.max_tree_nodes = 0; }));
+  EXPECT_TRUE(refused([](JeConfig& c) { c.load_balance_slack = -1; }));
+  EXPECT_TRUE(refused([](JeConfig& c) { c.pd_overload_factor = -0.5; }));
+  EXPECT_TRUE(refused([](JeConfig& c) { c.pd_overload_slack = -1; }));
 }
 
 }  // namespace

@@ -216,6 +216,10 @@ int main(int argc, char** argv) {
     options.slow_factor = 3.0;            // slow enough to hurt, not to shed everything
     options.route.outlier_base_s = 15.0;  // keep the slow TE benched once caught
   }
+  if (Status route = options.route.ToConfig(options.seed).Validate(); !route.ok()) {
+    std::fprintf(stderr, "%s\n", route.ToString().c_str());
+    return 2;
+  }
 
   bench::PrintHeader("Traffic management: flash crowd + one slow TE, routing "
                      "policies ablated");

@@ -122,8 +122,9 @@ echo "==> deepserve_sim boundary: bad configs exit 2, not with an abort"
 # parallelism degree below 1, a negative TE count, a control-log config that
 # ctrl::CtrlConfig::Validate refuses, an unknown scale, sched or trace policy,
 # a predictor accuracy outside [0, 1], an autoscaler config that
-# serving::AutoscalerConfig::Validate refuses and an unknown flag (each line is
-# one run's flags).
+# serving::AutoscalerConfig::Validate refuses, traffic flags that
+# serving::RouteConfig::Validate refuses and an unknown flag (each line is one
+# run's flags).
 while read -r -a BAD_FLAGS; do
   BAD_STATUS=0
   ./build/examples/deepserve_sim "${BAD_FLAGS[@]}" >/dev/null 2>&1 || BAD_STATUS=$?
@@ -146,6 +147,10 @@ done <<'BAD_CONFIGS'
 --trace=bogus
 --scale-policy=reactive --max-tes=0
 --drain=0
+--je-replicas=2 --outlier-errors=-1
+--je-replicas=2 --outlier-errors=2 --outlier-base-s=-1
+--je-replicas=2 --hedge-ms=-5
+--je-replicas=2 --retry-budget=-3
 BAD_CONFIGS
 
 echo "==> perfbench self-tests: the repo benchmark builds, conserves and repeats"

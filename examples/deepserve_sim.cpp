@@ -36,8 +36,9 @@
 // a tp below 1, a negative TE count, an unknown --sched-policy or --trace, a
 // --predictor outside [0, 1], a control-log config that
 // ctrl::CtrlConfig::Validate refuses, an autoscaler config that
-// serving::AutoscalerConfig::Validate refuses, or a model that does not fit
-// its NPUs.
+// serving::AutoscalerConfig::Validate refuses, traffic flags that
+// serving::RouteConfig::Validate refuses, or a model that does not fit its
+// NPUs.
 
 #include <cstdio>
 #include <cstdlib>
@@ -188,11 +189,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", policy.status().ToString().c_str());
     return 2;
   }
-  // Validate --lb-policy up front for a clean CLI error (the Frontend itself
-  // treats an unknown policy as a programming error).
-  auto lb_policy = serving::MakeRoutePolicy(flags.route.ToConfig(flags.seed));
-  if (!lb_policy.ok()) {
-    std::fprintf(stderr, "%s\n", lb_policy.status().ToString().c_str());
+  // Validate the traffic flags up front for a clean CLI error (the Frontend
+  // treats a config Validate refuses as a programming error).
+  if (Status route = flags.route.ToConfig(flags.seed).Validate(); !route.ok()) {
+    std::fprintf(stderr, "%s\n", route.ToString().c_str());
     return 2;
   }
 

@@ -12,6 +12,9 @@ namespace {
 
 // Control-plane cost of establishing one round of endpoint pairs.
 constexpr DurationNs kLinkSetupCost = MsToNs(2);
+// Worker shards submitting transfer ops, sized so one hot endpoint pair
+// cannot hold up the others.
+constexpr uint64_t kNumWorkers = 8;
 
 std::pair<EndpointId, EndpointId> Canonical(EndpointId a, EndpointId b) {
   return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
@@ -23,8 +26,7 @@ TransferEngine::TransferEngine(sim::Simulator* sim, hw::Cluster* cluster, DistFl
     : sim_(sim), cluster_(cluster), config_(config) {
   DS_CHECK(sim != nullptr);
   DS_CHECK(cluster != nullptr);
-  DS_CHECK_GT(config_.num_workers, 0);
-  worker_busy_until_.assign(static_cast<size_t>(config_.num_workers), 0);
+  worker_busy_until_.assign(kNumWorkers, 0);
 }
 
 Status TransferEngine::RegisterEndpoint(EndpointId id, hw::NpuId npu) {
@@ -119,11 +121,7 @@ Result<TransferEngine::Route> TransferEngine::Resolve(const MemRegion& src,
   if (src.tier == rtc::Tier::kSsd) {
     route.hops.push_back(cluster_->machine(src_machine)->ssd_link());
   }
-  hw::SharedLink* fabric =
-      config_.force_backend
-          ? cluster_->LinkOfType(src_machine, config_.forced_backend)
-          : cluster_->InterNpuLink(src_npu, dst_npu);
-  route.hops.push_back(fabric);
+  route.hops.push_back(cluster_->InterNpuLink(src_npu, dst_npu));
   if (dst.tier == rtc::Tier::kSsd) {
     route.hops.push_back(cluster_->machine(dst_machine)->ssd_link());
   }
@@ -132,11 +130,10 @@ Result<TransferEngine::Route> TransferEngine::Resolve(const MemRegion& src,
 
 void TransferEngine::SubmitViaWorker(EndpointId src, EndpointId dst,
                                      std::function<void()> start) {
-  // Shard by endpoint pair so one hot pair cannot block the whole engine —
-  // unless num_workers is 1, which reproduces the serialized anti-design.
+  // Shard by endpoint pair so one hot pair cannot block the whole engine.
   size_t shard = static_cast<size_t>((static_cast<uint64_t>(src) * 2654435761u +
                                       static_cast<uint64_t>(dst) * 40503u) %
-                                     static_cast<uint64_t>(config_.num_workers));
+                                     kNumWorkers);
   TimeNs free_at = std::max(worker_busy_until_[shard], sim_->Now());
   worker_busy_until_[shard] = free_at + config_.per_op_overhead;
   sim_->ScheduleAt(worker_busy_until_[shard], std::move(start));
@@ -185,24 +182,6 @@ Status TransferEngine::Transfer(const MemRegion& src, const MemRegion& dst,
                     RunHops(std::move(hops), 0, bytes, std::move(cb));
                   });
   return Status::Ok();
-}
-
-Result<DurationNs> TransferEngine::EstimateTransfer(const MemRegion& src,
-                                                    const MemRegion& dst) const {
-  auto route = Resolve(src, dst);
-  if (!route.ok()) {
-    return route.status();
-  }
-  Bytes bytes = std::min(src.length, dst.length);
-  DurationNs total = config_.per_op_overhead;
-  for (hw::SharedLink* hop : route->hops) {
-    // Account for current contention: active flows share the link.
-    double share = static_cast<double>(hop->active_flows() + 1);
-    total += hop->latency() +
-             SToNs(static_cast<double>(bytes) * share /
-                         (hop->bandwidth_bps() * hop->bandwidth_scale()));
-  }
-  return total;
 }
 
 }  // namespace deepserve::distflow

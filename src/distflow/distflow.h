@@ -16,8 +16,7 @@
 // The "scalable threading model that avoids synchronization bottlenecks" is
 // modelled structurally: operations are sharded across worker queues by
 // endpoint pair, each worker serializing a small per-op submission cost, so
-// configurations with too few workers exhibit the head-of-line blocking the
-// real design avoids.
+// only ops on pairs that share a shard queue behind each other.
 #ifndef DEEPSERVE_DISTFLOW_DISTFLOW_H_
 #define DEEPSERVE_DISTFLOW_DISTFLOW_H_
 
@@ -50,16 +49,8 @@ struct MemRegion {
 };
 
 struct DistFlowConfig {
-  // Worker shards submitting transfer ops. The real system sizes this to
-  // avoid synchronization bottlenecks; 1 reproduces a serialized design.
-  int num_workers = 8;
   // CPU-side submission cost per op, serialized within a worker shard.
   DurationNs per_op_overhead = UsToNs(15);
-  // Force all inter-NPU traffic onto forced_backend (false = auto-select by
-  // topology). Only tests pin it; the NPU-fork benchmarks choose a fork's
-  // link per scale-up through ScaleRequest::fork_link instead.
-  bool force_backend = false;
-  hw::LinkType forced_backend = hw::LinkType::kHccs;
 };
 
 struct DistFlowStats {
@@ -91,9 +82,6 @@ class TransferEngine {
   // ---- data plane -----------------------------------------------------------
   // Moves min(src.length, dst.length) bytes; `on_complete` fires at landing.
   [[nodiscard]] Status Transfer(const MemRegion& src, const MemRegion& dst, std::function<void()> on_complete);
-
-  // Estimated isolated duration of such a transfer (scheduler cost model).
-  [[nodiscard]] Result<DurationNs> EstimateTransfer(const MemRegion& src, const MemRegion& dst) const;
 
   const DistFlowStats& stats() const { return stats_; }
   const DistFlowConfig& config() const { return config_; }

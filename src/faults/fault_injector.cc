@@ -79,22 +79,10 @@ FaultInjector::FaultInjector(sim::Simulator* sim, serving::ClusterManager* manag
   DS_CHECK(manager_ != nullptr);
 }
 
-int FaultInjector::TracePid() {
-  obs::Tracer* tracer = sim_->tracer();
-  if (tracer == nullptr) {
-    return -1;
-  }
-  if (trace_pid_ < 0) {
-    trace_pid_ = tracer->NewTrack("faults");
-    tracer->SetLaneName(trace_pid_, 0, "injection");
-  }
-  return trace_pid_;
-}
-
 void FaultInjector::TraceFault(const FaultEvent& event, std::string_view detail,
                                int64_t target) {
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, "fault.inject",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "fault.inject",
                {obs::Arg("kind", FaultKindToString(event.kind)), obs::Arg("target", target),
                 obs::Arg("detail", detail), obs::Arg("factor", event.factor)});
   }
@@ -200,7 +188,7 @@ void FaultInjector::Fire(const FaultEvent& event) {
           r->SetBandwidthScale(r->bandwidth_scale() / factor);
           ++stats_.restores;
           if (obs::Tracer* t = sim_->tracer()) {
-            t->Instant(sim_->Now(), TracePid(), 0, "fault.restore",
+            t->Instant(sim_->Now(), track_.Pid(t), 0, "fault.restore",
                        {obs::Arg("kind", "link-degrade"), obs::Arg("machine", machine)});
           }
         });
@@ -230,7 +218,7 @@ void FaultInjector::Fire(const FaultEvent& event) {
           e.SetStepTimeMultiplier(e.step_time_multiplier() / factor);
           ++stats_.restores;
           if (obs::Tracer* t = sim_->tracer()) {
-            t->Instant(sim_->Now(), TracePid(), 0, "fault.restore",
+            t->Instant(sim_->Now(), track_.Pid(t), 0, "fault.restore",
                        {obs::Arg("kind", "slow-node"), obs::Arg("te", static_cast<int64_t>(id))});
           }
         });

@@ -137,14 +137,13 @@ class FaultInjector {
   serving::TaskExecutor* PickTe(const FaultEvent& event);
   int PickMachine(const FaultEvent& event);
   void TraceFault(const FaultEvent& event, std::string_view detail, int64_t target);
-  int TracePid();
 
   sim::Simulator* sim_;
   serving::ClusterManager* manager_;
   std::vector<serving::JobExecutor*> jes_;
   Rng rng_;
   FaultInjectorStats stats_;
-  int trace_pid_ = -1;
+  obs::LazyTrack track_{"faults", {"injection"}};
 };
 
 }  // namespace deepserve::faults

@@ -16,6 +16,15 @@ namespace {
 // DRAM tier of each DP group's block pool, in blocks.
 constexpr int64_t kDramBlockCapacity = int64_t{1} << 20;
 
+// An engine's trace lanes: lane g is DP group g.
+std::vector<std::string> DpLaneNames(int dp) {
+  std::vector<std::string> lanes;
+  for (int g = 0; g < dp; ++g) {
+    lanes.push_back("dp" + std::to_string(g));
+  }
+  return lanes;
+}
+
 }  // namespace
 
 std::string_view EngineRoleToString(EngineRole role) {
@@ -82,7 +91,9 @@ Engine::Engine(sim::Simulator* sim, EngineConfig config)
     : sim_(sim), config_(config),
       cost_(config.model, config.npu_spec,
             model::ParallelismConfig{config.parallelism.tp, config.parallelism.pp, 1}),
-      tokenizer_(config.model.vocab_size) {
+      tokenizer_(config.model.vocab_size),
+      track_("engine/" + std::string(EngineRoleToString(config.role)) + "/" + config.model.name,
+             DpLaneNames(config.parallelism.dp)) {
   DS_CHECK(sim_ != nullptr);
   DS_CHECK_GE(config_.parallelism.dp, 1);
   auto policy = sched::MakeSchedPolicy(config_.sched);
@@ -112,21 +123,6 @@ Engine::Engine(sim::Simulator* sim, EngineConfig config)
 }
 
 Engine::~Engine() = default;
-
-int Engine::TracePid() {
-  obs::Tracer* tracer = sim_->tracer();
-  if (tracer == nullptr) {
-    return -1;
-  }
-  if (trace_pid_ < 0) {
-    trace_pid_ = tracer->NewTrack("engine/" + std::string(EngineRoleToString(config_.role)) +
-                                  "/" + config_.model.name);
-    for (const auto& group : groups_) {
-      tracer->SetLaneName(trace_pid_, group->index, "dp" + std::to_string(group->index));
-    }
-  }
-  return trace_pid_;
-}
 
 void Engine::EnsureMetrics() {
   obs::MetricsRegistry* metrics = sim_->metrics();
@@ -240,7 +236,7 @@ void Engine::Submit(const workload::RequestSpec& spec, ResponseHandler handler,
   seq->state = SeqState::kTokenizing;
   ++stats_.submitted;
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), seq->dp_group, "seq.submit",
+    t->Instant(sim_->Now(), track_.Pid(t), seq->dp_group, "seq.submit",
                {obs::Arg("req", static_cast<int64_t>(seq->request_id)),
                 obs::Arg("prompt_len", seq->prompt_len()),
                 obs::Arg("decode_len", seq->decode_target),
@@ -324,7 +320,7 @@ void Engine::FinishEnqueue(Sequence* seq) {
   seq->state = SeqState::kQueued;
   seq->enqueue_time = sim_->Now();
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), group.index, "seq.enqueue",
+    t->Instant(sim_->Now(), track_.Pid(t), group.index, "seq.enqueue",
                {obs::Arg("req", static_cast<int64_t>(seq->request_id)),
                 obs::Arg("reused_tokens", seq->reused_tokens),
                 obs::Arg("pic_tokens", seq->pic_tokens)});
@@ -355,7 +351,7 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, ResponseHandle
   seq->state = SeqState::kDecoding;
   ++stats_.submitted;
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), seq->dp_group, "seq.submit",
+    t->Instant(sim_->Now(), track_.Pid(t), seq->dp_group, "seq.submit",
                {obs::Arg("req", static_cast<int64_t>(seq->request_id)),
                 obs::Arg("prompt_len", seq->prompt_len()),
                 obs::Arg("decode_len", seq->decode_target),

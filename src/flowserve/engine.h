@@ -279,10 +279,6 @@ class Engine {
   DpGroup& GroupFor(const Sequence& seq) { return *groups_[static_cast<size_t>(seq.dp_group)]; }
   int PickDpGroup() const;
   void DetachFromGroup(DpGroup& group, Sequence* seq);
-  // Lazily registers this engine's trace track (one Chrome "process", one
-  // lane per DP group). Returns -1 when no tracer is attached, so call sites
-  // stay zero-cost with tracing disabled.
-  int TracePid();
   // Lazily binds registry counters; no-op until a registry is attached.
   void EnsureMetrics();
 
@@ -307,7 +303,8 @@ class Engine {
   EngineStats stats_;
   int busy_groups_ = 0;
 
-  int trace_pid_ = -1;
+  // One Chrome "process" per engine, one lane per DP group.
+  obs::LazyTrack track_;
   obs::Counter* m_steps_ = nullptr;
   obs::Counter* m_preemptions_ = nullptr;
   obs::Counter* m_prefill_tokens_ = nullptr;

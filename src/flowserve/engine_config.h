@@ -88,7 +88,6 @@ struct EngineConfig {
   int block_size = 16;                  // KV block tokens
   int64_t max_batch_seqs = 256;         // continuous-batching cap per DP group
   int64_t max_tokens_per_step = 8192;   // token budget per step
-  bool enable_chunked_prefill = true;
   int64_t prefill_chunk_tokens = 512;
   // Micro-batch chunk placement under PP (§4.2): spread across consecutive
   // micro-batches (the paper's design, >=20% TTFT win) vs sticky-to-one.

@@ -65,7 +65,7 @@ void Engine::FinishPrefill(DpGroup& group, Sequence* seq, DurationNs extra_laten
     }
     const workload::RequestId req_id = seq->request_id;
     if (obs::Tracer* t = sim_->tracer()) {
-      t->AsyncBegin(sim_->Now(), TracePid(), static_cast<uint64_t>(req_id), "kv_send",
+      t->AsyncBegin(sim_->Now(), track_.Pid(t), static_cast<uint64_t>(req_id), "kv_send",
                     {obs::Arg("req", static_cast<int64_t>(req_id)),
                      obs::Arg("bytes", static_cast<int64_t>(kv_bytes)),
                      obs::Arg("tokens", seq->prefilled)});
@@ -74,7 +74,7 @@ void Engine::FinishPrefill(DpGroup& group, Sequence* seq, DurationNs extra_laten
     // the callback past this frame, and the event fires after it unwinds.
     auto deliver = [this, gi = group.index, ref = SeqRef(seq), req_id] {
       if (obs::Tracer* t = sim_->tracer()) {
-        t->AsyncEnd(sim_->Now(), TracePid(), static_cast<uint64_t>(req_id), "kv_send");
+        t->AsyncEnd(sim_->Now(), track_.Pid(t), static_cast<uint64_t>(req_id), "kv_send");
       }
       if (!ref.Alive()) {
         return;
@@ -133,7 +133,7 @@ void Engine::FinishSequence(DpGroup& group, Sequence* seq, DurationNs extra_late
     }
   }
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), group.index, "seq.finish",
+    t->Instant(sim_->Now(), track_.Pid(t), group.index, "seq.finish",
                {obs::Arg("req", static_cast<int64_t>(seq->request_id)),
                 obs::Arg("generated", seq->generated)});
   }
@@ -160,7 +160,7 @@ void Engine::ShedSequence(DpGroup& group, Sequence* seq, const Status& status) {
     }
   }
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), group.index, "seq.shed",
+    t->Instant(sim_->Now(), track_.Pid(t), group.index, "seq.shed",
                {obs::Arg("req", static_cast<int64_t>(seq->request_id)),
                 obs::Arg("state", SeqStateToString(seq->state)),
                 obs::Arg("generated", seq->generated)});
@@ -226,7 +226,7 @@ Status Engine::Cancel(workload::RequestId request_id) {
     DetachFromGroup(group, seq);
     ++stats_.cancelled;
     if (obs::Tracer* t = sim_->tracer()) {
-      t->Instant(sim_->Now(), TracePid(), group.index, "seq.cancel",
+      t->Instant(sim_->Now(), track_.Pid(t), group.index, "seq.cancel",
                  {obs::Arg("req", static_cast<int64_t>(seq->request_id)),
                   obs::Arg("state", SeqStateToString(seq->state))});
     }

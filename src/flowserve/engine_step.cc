@@ -212,7 +212,7 @@ bool Engine::PreemptVictim(DpGroup& group, Sequence* keep, StepPlan* plan,
     m_preemptions_->Inc();
   }
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), group.index, "preempt",
+    t->Instant(sim_->Now(), track_.Pid(t), group.index, "preempt",
                {obs::Arg("req", static_cast<int64_t>(victim->request_id)),
                 obs::Arg("priority", victim->priority),
                 obs::Arg("state", SeqStateToString(victim->state)),
@@ -282,9 +282,7 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
     if (remaining <= 0) {
       return;
     }
-    int64_t chunk = config_.enable_chunked_prefill
-                        ? std::min({remaining, config_.prefill_chunk_tokens, budget})
-                        : remaining;  // unchunked: whole prompt in one step
+    int64_t chunk = std::min({remaining, config_.prefill_chunk_tokens, budget});
     // The policy may shrink the chunk (e.g. slo's TBT bound). The cost
     // functor predicts the full iteration duration were this chunk added,
     // using the exact arithmetic RunStep will apply.
@@ -356,9 +354,7 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
       }
     }
     int64_t remaining = oldest->prefill_target - oldest->prefilled;
-    int64_t chunk = config_.enable_chunked_prefill
-                        ? std::min(remaining, config_.prefill_chunk_tokens)
-                        : remaining;
+    int64_t chunk = std::min(remaining, config_.prefill_chunk_tokens);
     if (chunk > 0 &&
         EnsureBlocks(group, oldest, oldest->prefilled + chunk, /*allow_preempt=*/true, plan,
                      sched::PreemptReason::kDecodeGrowth)) {
@@ -424,7 +420,7 @@ void Engine::RunStep(DpGroup& group) {
     m_step_ms_->Add(NsToMs(iteration));
   }
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Begin(sim_->Now(), TracePid(), group.index, "step",
+    t->Begin(sim_->Now(), track_.Pid(t), group.index, "step",
              {obs::Arg("prefill_tokens", plan.shape.prefill_tokens),
               obs::Arg("attended_tokens", plan.shape.prefill_attended_tokens),
               obs::Arg("decode_seqs", plan.shape.decode_seqs),
@@ -445,7 +441,7 @@ void Engine::RunStep(DpGroup& group) {
 void Engine::CompleteStep(DpGroup& group) {
   const StepPlan& plan = group.plan;
   if (obs::Tracer* t = sim_->tracer()) {
-    t->End(sim_->Now(), TracePid(), group.index, "step");
+    t->End(sim_->Now(), track_.Pid(t), group.index, "step");
   }
   if (m_prefill_tokens_ != nullptr) {
     m_prefill_tokens_->Inc(plan.shape.prefill_tokens);

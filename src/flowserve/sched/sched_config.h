@@ -33,10 +33,6 @@ struct SchedConfig {
   // when no arrival is stamped). Counted only (EngineStats::ttft_violations)
   // for every policy when > 0 — it feeds the "slo" autoscaler, not shedding.
   double ttft_budget_ms = 0.0;
-
-  // "slo" shedding toggles.
-  bool shed_expired = true;     // deadline already passed while queued/running
-  bool shed_unmeetable = true;  // lower-bound service time cannot meet it
 };
 
 }  // namespace deepserve::flowserve::sched

@@ -17,9 +17,7 @@ inline TimeNs EffectiveDeadline(const Sequence& seq) {
 }  // namespace
 
 SloPolicy::SloPolicy(const SchedConfig& config)
-    : tbt_budget_ns_(config.tbt_budget_ms > 0 ? MsToNs(config.tbt_budget_ms) : 0),
-      shed_expired_(config.shed_expired),
-      shed_unmeetable_(config.shed_unmeetable) {}
+    : tbt_budget_ns_(config.tbt_budget_ms > 0 ? MsToNs(config.tbt_budget_ms) : 0) {}
 
 std::deque<Sequence*>::iterator SloPolicy::NextAdmission(std::deque<Sequence*>& ready,
                                                          TimeNs /*now*/) const {
@@ -87,12 +85,12 @@ Status SloPolicy::ShedVerdict(const Sequence& seq, TimeNs now, DurationNs min_re
   if (seq.deadline <= 0) {
     return Status::Ok();
   }
-  if (shed_expired_ && now > seq.deadline) {
+  if (now > seq.deadline) {
     return DeadlineExceededError("request " + std::to_string(seq.request_id) +
                                  " deadline expired while " +
                                  std::string(SeqStateToString(seq.state)));
   }
-  if (shed_unmeetable_ && now + min_remaining > seq.deadline) {
+  if (now + min_remaining > seq.deadline) {
     return DeadlineExceededError("request " + std::to_string(seq.request_id) +
                                  " provably unmeetable: needs >= " +
                                  std::to_string(NsToMs(min_remaining)) +

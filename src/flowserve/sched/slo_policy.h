@@ -33,8 +33,6 @@ class SloPolicy : public SchedPolicy {
 
  private:
   DurationNs tbt_budget_ns_ = 0;  // 0 = no chunk bounding
-  bool shed_expired_ = true;
-  bool shed_unmeetable_ = true;
 };
 
 }  // namespace deepserve::flowserve::sched

@@ -148,7 +148,6 @@ class Cluster {
   }
   int total_npus() const { return num_machines() * config_.npus_per_machine; }
 
-  bool SameMachine(NpuId a, NpuId b) const { return machine_of(a) == machine_of(b); }
   bool SameScaleUpDomain(NpuId a, NpuId b) const;
   bool SameSuperPod(NpuId a, NpuId b) const;
 

@@ -88,6 +88,19 @@ void Tracer::SetLaneName(int pid, int tid, std::string name) {
   lane_names_.emplace_back(std::make_pair(pid, tid), std::move(name));
 }
 
+int LazyTrack::Pid(Tracer* tracer) {
+  if (tracer == nullptr) {
+    return -1;
+  }
+  if (pid_ < 0) {
+    pid_ = tracer->NewTrack(name_);
+    for (size_t lane = 0; lane < lanes_.size(); ++lane) {
+      tracer->SetLaneName(pid_, static_cast<int>(lane), lanes_[lane]);
+    }
+  }
+  return pid_;
+}
+
 void Tracer::Instant(TimeNs ts, int pid, int tid, std::string_view name,
                      std::vector<TraceArg> args) {
   events_.push_back(TraceEvent{ts, Phase::kInstant, pid, tid, 0, std::string(name),

@@ -143,6 +143,25 @@ class Tracer {
   std::vector<std::pair<std::pair<int, int>, std::string>> lane_names_;
 };
 
+// A subsystem's track, registered with the tracer on first use so a tracer
+// may be attached after the subsystem is built. Subsystems register in the
+// order they first emit, so pids follow that order.
+class LazyTrack {
+ public:
+  // `lanes[i]` names lane (Chrome thread) i of the track.
+  LazyTrack(std::string name, std::vector<std::string> lanes)
+      : name_(std::move(name)), lanes_(std::move(lanes)) {}
+
+  // The track's pid; the first call with a tracer registers the track and
+  // its lane names. -1 while `tracer` is null.
+  int Pid(Tracer* tracer);
+
+ private:
+  std::string name_;
+  std::vector<std::string> lanes_;
+  int pid_ = -1;
+};
+
 }  // namespace deepserve::obs
 
 #endif  // DEEPSERVE_OBS_TRACE_H_

@@ -18,18 +18,6 @@ RtcMaster::RtcMaster(sim::Simulator* sim, RtcConfig config)
   };
 }
 
-int RtcMaster::TracePid() {
-  obs::Tracer* tracer = sim_->tracer();
-  if (tracer == nullptr) {
-    return -1;
-  }
-  if (trace_pid_ < 0) {
-    trace_pid_ = tracer->NewTrack("rtc");
-    tracer->SetLaneName(trace_pid_, 0, "cache");
-  }
-  return trace_pid_;
-}
-
 void RtcMaster::SyncListeners() {
   int64_t used = pool_.used(Tier::kNpu);
   int64_t delta = used - last_npu_used_;
@@ -93,7 +81,7 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
     ++stats_.match_misses;
   }
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, matched_tokens > 0 ? "cache.hit" : "cache.miss",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, matched_tokens > 0 ? "cache.hit" : "cache.miss",
                {obs::Arg("kind", "prefix"),
                 obs::Arg("matched_tokens", matched_tokens),
                 obs::Arg("requested_tokens", static_cast<int64_t>(prompt.size()))});
@@ -135,7 +123,7 @@ MatchInfo RtcMaster::MatchByID(const std::string& id) {
   auto miss = [this, &id] {
     ++stats_.match_misses;
     if (obs::Tracer* t = sim_->tracer()) {
-      t->Instant(sim_->Now(), TracePid(), 0, "cache.miss",
+      t->Instant(sim_->Now(), track_.Pid(t), 0, "cache.miss",
                  {obs::Arg("kind", "id"), obs::Arg("id", id)});
     }
     return MatchInfo{};
@@ -158,7 +146,7 @@ MatchInfo RtcMaster::MatchByID(const std::string& id) {
   stats_.matched_tokens += tokens;
   stats_.requested_tokens += tokens;
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, "cache.hit",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "cache.hit",
                {obs::Arg("kind", "id"), obs::Arg("id", id),
                 obs::Arg("matched_tokens", tokens)});
   }
@@ -203,7 +191,7 @@ Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
   ++stats_.populates;
   stats_.populated_blocks += needed;
   if (obs::Tracer* t = sim_->tracer()) {
-    t->AsyncBegin(sim_->Now(), TracePid(), ticket, "populate",
+    t->AsyncBegin(sim_->Now(), track_.Pid(t), ticket, "populate",
                   {obs::Arg("blocks", needed),
                    obs::Arg("from_dram", static_cast<int64_t>(from_dram.size())),
                    obs::Arg("from_ssd", static_cast<int64_t>(from_ssd.size()))});
@@ -226,7 +214,7 @@ Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
       DS_CHECK(it != inflight_populates_.end());
       if (--it->second == 0) {
         if (obs::Tracer* t = sim_->tracer()) {
-          t->AsyncEnd(sim_->Now(), TracePid(), ticket, "populate");
+          t->AsyncEnd(sim_->Now(), track_.Pid(t), ticket, "populate");
         }
         auto cb = populate_callbacks_.find(ticket);
         if (cb != populate_callbacks_.end()) {
@@ -504,16 +492,16 @@ std::vector<std::pair<std::string, int64_t>> RtcMaster::CacheEntries() const {
 }
 
 void RtcMaster::MaybeArmSwap() {
-  if (!config_.enable_background_swap || swap_armed_) {
+  if (swap_armed_) {
     return;
   }
   double usage = static_cast<double>(pool_.used(Tier::kNpu)) /
                  static_cast<double>(pool_.capacity(Tier::kNpu));
-  if (usage < config_.swap_high_watermark) {
+  if (usage < kSwapHighWatermark) {
     return;
   }
   swap_armed_ = true;
-  sim_->ScheduleAfter(config_.swap_interval, [this] {
+  sim_->ScheduleAfter(kSwapInterval, [this] {
     swap_armed_ = false;
     SwapScan();
   });
@@ -522,14 +510,14 @@ void RtcMaster::MaybeArmSwap() {
 void RtcMaster::SwapScan() {
   double usage = static_cast<double>(pool_.used(Tier::kNpu)) /
                  static_cast<double>(pool_.capacity(Tier::kNpu));
-  if (usage < config_.swap_high_watermark) {
+  if (usage < kSwapHighWatermark) {
     return;
   }
   // Demote the coldest unreferenced NPU-only leaf runs to DRAM, then release
   // their NPU copies once the (timed) copy lands. This keeps the synchronous
   // eviction path (EnsureNpuFree pass 1) stocked with droppable blocks. A
   // full DRAM tier takes no victims: Copy would skip every block.
-  int64_t budget = std::min(config_.swap_batch_blocks, pool_.free_blocks(Tier::kDram));
+  int64_t budget = std::min(kSwapBatchBlocks, pool_.free_blocks(Tier::kDram));
   auto swappable = [this](const Tree::Node& node) {
     if (node.value.blocks.empty()) {
       return false;

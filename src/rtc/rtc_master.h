@@ -7,7 +7,9 @@
 //     caching) + an explicit ID index (DeepServe's context-caching endpoint);
 //   * the populate path that fetches preserved KV back into the NPU;
 //   * LRU eviction and a background swapper that demotes cold blocks down
-//     the tier hierarchy so the synchronous allocation path stays fast.
+//     the tier hierarchy so the synchronous allocation path stays fast. It
+//     always runs: once NPU-block use reaches kSwapHighWatermark, a scan
+//     kSwapInterval later demotes at most kSwapBatchBlocks cold blocks.
 // Per-NPU RtcExecutors mirror the master's NPU-block decisions onto their
 // devices (master-executor SPMD, §4.1). Actual transfer *timing* is
 // delegated to an injected TransferFn, which FlowServe wires to DistFlow.
@@ -109,12 +111,6 @@ struct RtcConfig {
   Bytes bytes_per_block = 512 * 1024;
   // Position-independent caching (content-hash index alongside the tree).
   bool enable_pic = false;
-  bool enable_background_swap = true;
-  DurationNs swap_interval = MsToNs(50);
-  // Start demoting NPU->DRAM above this NPU-block usage fraction.
-  double swap_high_watermark = 0.85;
-  // Demote at most this many blocks per swap scan.
-  int64_t swap_batch_blocks = 64;
 };
 
 struct RtcStats {
@@ -144,6 +140,12 @@ struct RtcStats {
 
 class RtcMaster {
  public:
+  // Background swapper: a scan runs this long after NPU-block use reaches
+  // the watermark, and demotes at most the batch of cold blocks to DRAM.
+  static constexpr DurationNs kSwapInterval = MsToNs(50);
+  static constexpr double kSwapHighWatermark = 0.85;
+  static constexpr int64_t kSwapBatchBlocks = 64;
+
   RtcMaster(sim::Simulator* sim, RtcConfig config);
 
   RtcMaster(const RtcMaster&) = delete;
@@ -232,8 +234,6 @@ class RtcMaster {
 
   // Counts the NPU-resident prefix of `blocks` into npu/offnpu tokens.
   MatchInfo BuildMatchInfo(std::vector<BlockId> blocks, int64_t matched_tokens) const;
-  // Lazily registers this cache's trace track; -1 when tracing is disabled.
-  int TracePid();
   // DS_CHECKs that `keys` is a full chain of `tokens` at this block size.
   void CheckChain(std::span<const TokenId> tokens, std::span<const BlockKey> keys) const;
   // `keys` is `tokens`' full block-key chain.
@@ -271,7 +271,7 @@ class RtcMaster {
   RtcStats stats_;
   int64_t last_npu_used_ = 0;
   bool swap_armed_ = false;
-  int trace_pid_ = -1;
+  obs::LazyTrack track_{"rtc", {"cache"}};
 };
 
 }  // namespace deepserve::rtc

@@ -329,7 +329,7 @@ ScaleSignals Autoscaler::GatherSignals() const {
     s.tbt_violations += es.tbt_violations;
     s.deadline_misses += es.deadline_misses;
   }
-  s.admitted_requests = admission_fn_ ? admission_fn_() : je_->stats().requests;
+  s.admitted_requests = je_->stats().requests;
   s.scale_up_lead = cm_->EstimateScaleUpLead(template_);
   GenerationChoice choice = cm_->PreviewPlacement(template_.engine);
   s.scale_up_generation = choice.generation;
@@ -429,7 +429,7 @@ void Autoscaler::BeginDrain(TaskExecutor* victim) {
   ++stats_.drains_started;
   const TeId id = victim->id();
   if (obs::Tracer* t = sim_->tracer()) {
-    t->AsyncBegin(sim_->Now(), TracePid(), static_cast<uint64_t>(id), "te.drain",
+    t->AsyncBegin(sim_->Now(), track_.Pid(t), static_cast<uint64_t>(id), "te.drain",
                   {obs::Arg("te", static_cast<int64_t>(id)),
                    obs::Arg("inflight", victim->queue_depth())});
   }
@@ -489,7 +489,7 @@ void Autoscaler::FinishDrain(TeId id) {
     m_drain_ms_->Add(NsToMs(drain_ns));
   }
   if (obs::Tracer* t = sim_->tracer()) {
-    t->AsyncEnd(sim_->Now(), TracePid(), static_cast<uint64_t>(id), "te.drain");
+    t->AsyncEnd(sim_->Now(), track_.Pid(t), static_cast<uint64_t>(id), "te.drain");
   }
 }
 
@@ -510,18 +510,6 @@ void Autoscaler::OnDrainTimeout(TeId id) {
   // exactly-once termination is preserved through the retry path.
   auto killed = cm_->KillTe(id);
   (void)killed;
-}
-
-int Autoscaler::TracePid() {
-  obs::Tracer* tracer = sim_->tracer();
-  if (tracer == nullptr) {
-    return -1;
-  }
-  if (trace_pid_ < 0) {
-    trace_pid_ = tracer->NewTrack("autoscaler");
-    tracer->SetLaneName(trace_pid_, 0, "control");
-  }
-  return trace_pid_;
 }
 
 void Autoscaler::EnsureMetrics() {

@@ -22,7 +22,6 @@
 #define DEEPSERVE_SERVING_AUTOSCALER_H_
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,7 +90,7 @@ struct ScaleSignals {
   int draining_tes = 0;  // colocated TEs currently draining
   int pending_scale_ups = 0;
   int64_t total_queue_depth = 0;  // waiting+running over live TEs
-  int64_t admitted_requests = 0;  // JE admissions (or the injected counter)
+  int64_t admitted_requests = 0;  // cumulative JE admissions
   int64_t completed_requests = 0;
   int64_t ttft_violations = 0;
   int64_t tbt_violations = 0;
@@ -182,11 +181,6 @@ class Autoscaler {
   const ScalePolicy& policy() const { return *policy_; }
   const AutoscalerConfig& config() const { return config_; }
 
-  // Overrides the admission counter feeding predictive's forecast (default:
-  // the JE's cumulative stats().requests). A Frontend-fronted deployment
-  // passes its own request counter so rejected-at-the-door load still counts.
-  void SetAdmissionCounter(std::function<int64_t()> fn) { admission_fn_ = std::move(fn); }
-
  private:
   void Tick();
   ScaleSignals GatherSignals() const;
@@ -198,8 +192,6 @@ class Autoscaler {
   // Scale-down victim: the least-loaded ready colocated TE, ties broken
   // toward the highest id; nullptr when none is ready.
   TaskExecutor* PickVictim() const;
-  // Lazily registers the autoscaler trace track; -1 when tracing is off.
-  int TracePid();
   void EnsureMetrics();
 
   sim::Simulator* sim_;
@@ -208,7 +200,6 @@ class Autoscaler {
   AutoscalerConfig config_;
   ScaleRequest template_;
   std::unique_ptr<ScalePolicy> policy_;
-  std::function<int64_t()> admission_fn_;
 
   sim::PeriodicTask tick_;
   bool running_ = false;
@@ -219,7 +210,7 @@ class Autoscaler {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   AutoscalerStats stats_;
-  int trace_pid_ = -1;
+  obs::LazyTrack track_{"autoscaler", {"control"}};
   obs::Counter* m_scale_ups_ = nullptr;
   obs::Counter* m_scale_downs_ = nullptr;
   obs::Counter* m_drained_seqs_ = nullptr;

@@ -57,21 +57,9 @@ ClusterManager::ClusterManager(sim::Simulator* sim, hw::Cluster* cluster,
   leader_.Append(ctrl::TeDirectory::kInit, {cluster_->total_npus()});
 }
 
-int ClusterManager::TracePid() {
-  obs::Tracer* tracer = sim_->tracer();
-  if (tracer == nullptr) {
-    return -1;
-  }
-  if (trace_pid_ < 0) {
-    trace_pid_ = tracer->NewTrack("cluster-manager");
-    tracer->SetLaneName(trace_pid_, 0, "scaling");
-  }
-  return trace_pid_;
-}
-
 void ClusterManager::TraceScalePhase(std::string_view phase, DurationNs duration) {
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, "scale.phase",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "scale.phase",
                {obs::Arg("phase", phase), obs::Arg("ms", NsToMs(duration))});
   }
 }
@@ -371,11 +359,11 @@ Result<size_t> ClusterManager::Crash(TeId id, CrashKind kind, bool defer_detecti
     pending_crashes_.push_back(PendingCrash{id, kind, sim_->Now()});
   }
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, "fault.crash",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "fault.crash",
                {obs::Arg("te", static_cast<int64_t>(id)),
                 obs::Arg("kind", kind == CrashKind::kNpu ? "npu" : "te-shell"),
                 obs::Arg("lost_requests", static_cast<int64_t>(dropped))});
-    t->AsyncBegin(sim_->Now(), TracePid(), static_cast<uint64_t>(id), "outage",
+    t->AsyncBegin(sim_->Now(), track_.Pid(t), static_cast<uint64_t>(id), "outage",
                   {obs::Arg("te", static_cast<int64_t>(id))});
   }
   if (obs::MetricsRegistry* m = sim_->metrics()) {
@@ -420,7 +408,7 @@ Result<size_t> ClusterManager::AbortPipeline(TeId id, CrashKind kind) {
   leader_.Append(ctrl::TeDirectory::kPipelineAborted, {state->pipe});
   ReleaseNpus(state->npus);
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, "fault.crash",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "fault.crash",
                {obs::Arg("te", static_cast<int64_t>(id)),
                 obs::Arg("kind", kind == CrashKind::kNpu ? "npu" : "te-shell"),
                 obs::Arg("provisioning", true)});
@@ -451,7 +439,7 @@ void ClusterManager::DetectTeFailure(TeId id) {
   TimeNs crashed = meta->crash_time >= 0 ? meta->crash_time : sim_->Now();
   DurationNs detect_latency = sim_->Now() - crashed;
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, "fault.detect",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "fault.detect",
                {obs::Arg("te", static_cast<int64_t>(id)),
                 obs::Arg("detect_ms", NsToMs(detect_latency))});
   }
@@ -467,7 +455,7 @@ void ClusterManager::DetectTeFailure(TeId id) {
     stats_.mttr_total += mttr;
     ++stats_.mttr_count;
     if (obs::Tracer* t = sim_->tracer()) {
-      t->AsyncEnd(sim_->Now(), TracePid(), static_cast<uint64_t>(id), "outage");
+      t->AsyncEnd(sim_->Now(), track_.Pid(t), static_cast<uint64_t>(id), "outage");
     }
   };
   if (!replace_enabled_) {
@@ -488,7 +476,7 @@ void ClusterManager::DetectTeFailure(TeId id) {
         }
         ++stats_.replacements;
         if (obs::Tracer* t = sim_->tracer()) {
-          t->Instant(sim_->Now(), TracePid(), 0, "fault.recover",
+          t->Instant(sim_->Now(), track_.Pid(t), 0, "fault.recover",
                      {obs::Arg("te", static_cast<int64_t>(id)),
                       obs::Arg("replacement", static_cast<int64_t>(replacement->id())),
                       obs::Arg("mttr_ms", NsToMs(mttr))});
@@ -515,7 +503,7 @@ void ClusterManager::DetectTeFailure(TeId id) {
 void ClusterManager::TraceLeaderCrash() {
   if (obs::Tracer* t = sim_->tracer()) {
     const ctrl::ControlLog& log = *leader_.log();
-    t->Instant(sim_->Now(), TracePid(), 0, "fault.cm_crash",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "fault.cm_crash",
                {obs::Arg("replicated", log.replicated()),
                 obs::Arg("log_records", static_cast<int64_t>(log.records().size()))});
   }
@@ -523,7 +511,7 @@ void ClusterManager::TraceLeaderCrash() {
 
 void ClusterManager::RecordBufferedCrashes() {
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, "fault.cm_failover",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "fault.cm_failover",
                {obs::Arg("epoch", directory().epoch()),
                 obs::Arg("outage_ms", NsToMs(sim_->Now() - leader_.crash_time()))});
   }

@@ -375,8 +375,6 @@ class ClusterManager {
   // The detector noticed `id` is dead: release NPUs, notify handlers, start
   // the replacement scale-up. Idempotent (failover re-scans crashed TEs).
   void DetectTeFailure(TeId id);
-  // Lazily registers the scaling-pipeline trace track; -1 when disabled.
-  int TracePid();
   // Emits one scale.phase instant at the completion of a pipeline stage.
   void TraceScalePhase(std::string_view phase, DurationNs duration);
 
@@ -414,7 +412,7 @@ class ClusterManager {
 
   std::vector<PendingCrash> pending_crashes_;  // pod-runtime backlog during outage
 
-  int trace_pid_ = -1;
+  obs::LazyTrack track_{"cluster-manager", {"scaling"}};
 };
 
 }  // namespace deepserve::serving

@@ -18,11 +18,8 @@ constexpr int64_t kHedgeMinSamples = 16;
 
 Frontend::Frontend(sim::Simulator* sim, RouteConfig config)
     : sim_(sim), config_(std::move(config)) {
-  if (sim_ == nullptr) {
-    DS_CHECK(!config_.hedging()) << "hedging needs a simulator for its delay timer";
-    DS_CHECK(config_.eject_consecutive_errors == 0)
-        << "outlier ejection needs a simulator for its backoff clock";
-  }
+  DS_CHECK(sim_ != nullptr);
+  DS_CHECK_OK(config_.Validate());
   if (config_.retry_budget) {
     retry_budget_ = std::make_unique<RetryBudget>(kRetryRatio, config_.retry_floor);
   }
@@ -32,9 +29,7 @@ void Frontend::RegisterServingJe(const std::string& model_name, JobExecutor* je)
   DS_CHECK(je != nullptr);
   ModelRoute& route = routes_[model_name];
   if (route.policy == nullptr) {
-    auto policy = MakeRoutePolicy(config_);
-    DS_CHECK(policy.ok()) << policy.status().ToString();
-    route.policy = std::move(policy).value();
+    route.policy = MakeRoutePolicy(config_).value();  // the ctor validated the policy
   }
   route.replicas.emplace_back(je, config_);
   if (retry_budget_ != nullptr) {
@@ -47,23 +42,8 @@ size_t Frontend::je_count(const std::string& model_name) const {
   return it == routes_.end() ? 0 : it->second.replicas.size();
 }
 
-int Frontend::TracePid() {
-  if (sim_ == nullptr) {
-    return -1;
-  }
-  obs::Tracer* tracer = sim_->tracer();
-  if (tracer == nullptr) {
-    return -1;
-  }
-  if (trace_pid_ < 0) {
-    trace_pid_ = tracer->NewTrack("frontend");
-    tracer->SetLaneName(trace_pid_, 0, "traffic");
-  }
-  return trace_pid_;
-}
-
 void Frontend::EnsureMetrics() {
-  obs::MetricsRegistry* metrics = sim_ != nullptr ? sim_->metrics() : nullptr;
+  obs::MetricsRegistry* metrics = sim_->metrics();
   if (metrics == nullptr || m_requests_ != nullptr) {
     return;
   }
@@ -92,10 +72,10 @@ Status Frontend::Reject(RejectReason reason, workload::RequestId id, Status stat
   if (obs::Counter* counter = m_rejected_[static_cast<int>(reason)]) {
     counter->Inc();
   }
-  if (int pid = TracePid(); pid >= 0) {
-    sim_->tracer()->Instant(Now(), pid, 0, "fe.reject",
-                            {obs::Arg("req", static_cast<int64_t>(id)),
-                             obs::Arg("reason", RejectReasonToString(reason))});
+  if (obs::Tracer* t = sim_->tracer()) {
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "fe.reject",
+               {obs::Arg("req", static_cast<int64_t>(id)),
+                obs::Arg("reason", RejectReasonToString(reason))});
   }
   return status;
 }
@@ -104,7 +84,7 @@ std::vector<JeSnapshot> Frontend::BuildCandidates(ModelRoute& route, size_t excl
                                                   bool* ejected_capacity) const {
   std::vector<JeSnapshot> candidates;
   candidates.reserve(route.replicas.size());
-  TimeNs now = Now();
+  TimeNs now = sim_->Now();
   for (size_t i = 0; i < route.replicas.size(); ++i) {
     if (i == exclude) {
       continue;
@@ -131,7 +111,7 @@ Status Frontend::ChatCompletion(const ChatRequest& request, ResponseHandler hand
   if (m_requests_ != nullptr) {
     m_requests_->Inc();
   }
-  if (sim_ != nullptr && request.deadline > 0 && sim_->Now() > request.deadline) {
+  if (request.deadline > 0 && sim_->Now() > request.deadline) {
     return Reject(RejectReason::kDeadline, request.spec.id,
                   DeadlineExceededError("request " + std::to_string(request.spec.id) +
                                         " arrived past its deadline"));
@@ -195,11 +175,11 @@ Status Frontend::ChatCompletion(const ChatRequest& request, ResponseHandler hand
   flight->spec = std::move(spec);
   flight->user = std::move(handler);
   flight->route = &route;
-  if (int pid = TracePid(); pid >= 0) {
-    sim_->tracer()->Instant(Now(), pid, 0, "fe.route",
-                            {obs::Arg("req", static_cast<int64_t>(flight->spec.id)),
-                             obs::Arg("policy", route.policy->name()),
-                             obs::Arg("je", static_cast<int64_t>(replica_index))});
+  if (obs::Tracer* t = sim_->tracer()) {
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "fe.route",
+               {obs::Arg("req", static_cast<int64_t>(flight->spec.id)),
+                obs::Arg("policy", route.policy->name()),
+                obs::Arg("je", static_cast<int64_t>(replica_index))});
   }
   DispatchTo(route, replica_index, flight, /*branch=*/0);
   if (config_.hedging() && route.replicas.size() > 1) {
@@ -211,7 +191,7 @@ Status Frontend::ChatCompletion(const ChatRequest& request, ResponseHandler hand
 void Frontend::DispatchTo(ModelRoute& route, size_t replica_index,
                           const std::shared_ptr<Flight>& flight, int branch) {
   Replica& replica = route.replicas[replica_index];
-  replica.monitor.OnDispatch(Now());
+  replica.monitor.OnDispatch(sim_->Now());
   ++replica.outstanding;
   ++replica.dispatched;
   flight->branch_replica[branch] = replica_index;
@@ -229,7 +209,7 @@ void Frontend::DispatchTo(ModelRoute& route, size_t replica_index,
     }
   };
   dispatched.on_complete = [this, flight, branch,
-                            dispatch_time = Now()](const flowserve::Sequence& seq) {
+                            dispatch_time = sim_->Now()](const flowserve::Sequence& seq) {
     OnBranchComplete(flight, branch, dispatch_time, seq);
   };
   dispatched.on_error = [this, flight, branch](const Status& status) {
@@ -263,10 +243,10 @@ void Frontend::HedgeFire(const std::shared_ptr<Flight>& flight) {
   if (m_hedges_ != nullptr) {
     m_hedges_->Inc();
   }
-  if (int pid = TracePid(); pid >= 0) {
-    sim_->tracer()->Instant(Now(), pid, 0, "fe.hedge",
-                            {obs::Arg("req", static_cast<int64_t>(flight->spec.id)),
-                             obs::Arg("je", static_cast<int64_t>(replica_index))});
+  if (obs::Tracer* t = sim_->tracer()) {
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "fe.hedge",
+               {obs::Arg("req", static_cast<int64_t>(flight->spec.id)),
+                obs::Arg("je", static_cast<int64_t>(replica_index))});
   }
   DispatchTo(route, replica_index, flight, /*branch=*/1);
 }
@@ -284,10 +264,10 @@ void Frontend::CancelBranch(const std::shared_ptr<Flight>& flight, int branch) {
   if (m_hedge_cancels_ != nullptr) {
     m_hedge_cancels_->Inc();
   }
-  if (int pid = TracePid(); pid >= 0) {
-    sim_->tracer()->Instant(Now(), pid, 0, "fe.hedge_cancel",
-                            {obs::Arg("req", static_cast<int64_t>(flight->spec.id)),
-                             obs::Arg("jobs", static_cast<int64_t>(cancelled))});
+  if (obs::Tracer* t = sim_->tracer()) {
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "fe.hedge_cancel",
+               {obs::Arg("req", static_cast<int64_t>(flight->spec.id)),
+                obs::Arg("jobs", static_cast<int64_t>(cancelled))});
   }
 }
 
@@ -310,12 +290,12 @@ void Frontend::OnBranchComplete(const std::shared_ptr<Flight>& flight, int branc
     if (m_readmissions_ != nullptr) {
       m_readmissions_->Inc();
     }
-    if (int pid = TracePid(); pid >= 0) {
-      sim_->tracer()->Instant(Now(), pid, 0, "fe.readmit",
-                              {obs::Arg("je", static_cast<int64_t>(flight->branch_replica[branch]))});
+    if (obs::Tracer* t = sim_->tracer()) {
+      t->Instant(sim_->Now(), track_.Pid(t), 0, "fe.readmit",
+                 {obs::Arg("je", static_cast<int64_t>(flight->branch_replica[branch]))});
     }
   }
-  route.latency.Add(Now() - dispatch_time);
+  route.latency.Add(sim_->Now() - dispatch_time);
   if (flight->terminated) {
     return;
   }
@@ -345,14 +325,14 @@ void Frontend::OnBranchError(const std::shared_ptr<Flight>& flight, int branch,
   Replica& replica = flight->route->replicas[flight->branch_replica[branch]];
   --replica.outstanding;
   ++replica.errors;
-  if (replica.monitor.OnError(Now())) {
+  if (replica.monitor.OnError(sim_->Now())) {
     ++stats_.ejections;
     if (m_ejections_ != nullptr) {
       m_ejections_->Inc();
     }
-    if (int pid = TracePid(); pid >= 0) {
-      sim_->tracer()->Instant(
-          Now(), pid, 0, "fe.eject",
+    if (obs::Tracer* t = sim_->tracer()) {
+      t->Instant(
+          sim_->Now(), track_.Pid(t), 0, "fe.eject",
           {obs::Arg("je", static_cast<int64_t>(flight->branch_replica[branch])),
            obs::Arg("until", static_cast<int64_t>(replica.monitor.ejected_until()))});
     }

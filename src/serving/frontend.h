@@ -73,10 +73,9 @@ struct FrontendStats {
 
 class Frontend {
  public:
-  // `sim` enables deadline checks, hedging timers, and ejection clocks; a
-  // null simulator supports plain routing only (hedging and ejection then
-  // must stay disabled in `config`).
-  explicit Frontend(sim::Simulator* sim = nullptr, RouteConfig config = RouteConfig{});
+  // `sim` drives deadline checks, hedging timers and ejection clocks.
+  // `config` must pass RouteConfig::Validate.
+  explicit Frontend(sim::Simulator* sim, RouteConfig config = RouteConfig{});
 
   Frontend(const Frontend&) = delete;
   Frontend& operator=(const Frontend&) = delete;
@@ -139,7 +138,6 @@ class Frontend {
     bool branch_live[2] = {false, false};
   };
 
-  TimeNs Now() const { return sim_ != nullptr ? sim_->Now() : 0; }
   [[nodiscard]] Status Reject(RejectReason reason, workload::RequestId id, Status status);
   // Eligible replicas (ready capacity, not ejected), ascending index.
   // `ejected_capacity` reports whether any replica was held out of the list
@@ -154,17 +152,15 @@ class Frontend {
   void OnBranchComplete(const std::shared_ptr<Flight>& flight, int branch,
                         TimeNs dispatch_time, const flowserve::Sequence& seq);
   void OnBranchError(const std::shared_ptr<Flight>& flight, int branch, const Status& status);
-  // Lazily registers the frontend trace track; -1 when tracing is disabled.
-  int TracePid();
   void EnsureMetrics();
 
-  sim::Simulator* sim_ = nullptr;
+  sim::Simulator* sim_;
   RouteConfig config_;
   std::map<std::string, ModelRoute> routes_;
   std::unique_ptr<RetryBudget> retry_budget_;
   FineTuneJobExecutor* finetune_ = nullptr;
   FrontendStats stats_;
-  int trace_pid_ = -1;
+  obs::LazyTrack track_{"frontend", {"traffic"}};
   obs::Counter* m_requests_ = nullptr;
   obs::Counter* m_dispatched_ = nullptr;
   obs::Counter* m_errors_ = nullptr;

@@ -269,18 +269,6 @@ void JobExecutor::RecordRoute(const rtc::KeyChain& chain, PromptTree& tree, TeId
   TrimTree(tree);
 }
 
-int JobExecutor::TracePid() {
-  obs::Tracer* tracer = sim_->tracer();
-  if (tracer == nullptr) {
-    return -1;
-  }
-  if (trace_pid_ < 0) {
-    trace_pid_ = tracer->NewTrack("je");
-    tracer->SetLaneName(trace_pid_, 0, "routing");
-  }
-  return trace_pid_;
-}
-
 TaskId JobExecutor::NewTask(JobId job, TaskType type, TeId te) {
   const TaskId task_id = table().next_task();
   leader_.Append(ctrl::JobTable::kTaskCreated,
@@ -323,7 +311,7 @@ size_t JobExecutor::CancelRequest(workload::RequestId request_id) {
     }
     ++stats_.cancelled;
     if (obs::Tracer* t = sim_->tracer()) {
-      t->Instant(sim_->Now(), TracePid(), 0, "je.cancel",
+      t->Instant(sim_->Now(), track_.Pid(t), 0, "je.cancel",
                  {obs::Arg("req", static_cast<int64_t>(request_id))});
     }
   }
@@ -340,7 +328,7 @@ void JobExecutor::HandleRequest(const workload::RequestSpec& spec, ResponseHandl
     } else {
       ++stats_.errors;
       if (obs::Tracer* t = sim_->tracer()) {
-        t->Instant(sim_->Now(), TracePid(), 0, "je.error",
+        t->Instant(sim_->Now(), track_.Pid(t), 0, "je.error",
                    {obs::Arg("req", static_cast<int64_t>(spec.id)),
                     obs::Arg("code", "unavailable")});
       }
@@ -361,7 +349,7 @@ void JobExecutor::FailJob(JobId job_id, const Status& status) {
   ResponseHandler handler = CloseJob(job_id, ctrl::JobTable::kJobFailed);
   ++stats_.errors;
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, "je.error",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "je.error",
                {obs::Arg("req", static_cast<int64_t>(request)),
                 obs::Arg("code", StatusCodeToString(status.code()))});
   }
@@ -476,7 +464,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     leader_.Append(ctrl::JobTable::kJobTeBound,
               {static_cast<int64_t>(job_id), static_cast<int64_t>(p->id())});
     if (obs::Tracer* t = sim_->tracer()) {
-      t->Instant(sim_->Now(), TracePid(), 0, "je.route",
+      t->Instant(sim_->Now(), track_.Pid(t), 0, "je.route",
                  {obs::Arg("req", static_cast<int64_t>(spec.id)),
                   obs::Arg("route", "disaggregated"),
                   obs::Arg("prefill_te", static_cast<int64_t>(p->id()))});
@@ -489,7 +477,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
     leader_.Append(ctrl::JobTable::kJobTeBound,
               {static_cast<int64_t>(job_id), static_cast<int64_t>(te->id())});
     if (obs::Tracer* t = sim_->tracer()) {
-      t->Instant(sim_->Now(), TracePid(), 0, "je.route",
+      t->Instant(sim_->Now(), track_.Pid(t), 0, "je.route",
                  {obs::Arg("req", static_cast<int64_t>(spec.id)),
                   obs::Arg("route", "colocated"),
                   obs::Arg("te", static_cast<int64_t>(te->id()))});
@@ -584,7 +572,7 @@ void JobExecutor::OnTeFailure(TeId id) {
   }
   ++stats_.failed_tes_handled;
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, "je.te_failure",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "je.te_failure",
                {obs::Arg("te", static_cast<int64_t>(id))});
   }
   RemoveTe(id);
@@ -637,7 +625,7 @@ void JobExecutor::OnTeFailure(TeId id) {
       // instead of redispatching forever.
       ++stats_.errors;
       if (obs::Tracer* t = sim_->tracer()) {
-        t->Instant(sim_->Now(), TracePid(), 0, "je.error",
+        t->Instant(sim_->Now(), track_.Pid(t), 0, "je.error",
                    {obs::Arg("req", static_cast<int64_t>(retry.spec.id)),
                     obs::Arg("code", "aborted"),
                     obs::Arg("retries", static_cast<int64_t>(retry.retries))});
@@ -651,7 +639,7 @@ void JobExecutor::OnTeFailure(TeId id) {
     }
     ++stats_.retries;
     if (obs::Tracer* t = sim_->tracer()) {
-      t->Instant(sim_->Now(), TracePid(), 0, "je.redispatch",
+      t->Instant(sim_->Now(), track_.Pid(t), 0, "je.redispatch",
                  {obs::Arg("req", static_cast<int64_t>(retry.spec.id)),
                   obs::Arg("attempt", static_cast<int64_t>(retry.retries + 1))});
     }
@@ -662,7 +650,7 @@ void JobExecutor::OnTeFailure(TeId id) {
 void JobExecutor::OnLeaderCrash() {
   const ctrl::ControlLog& log = control_log();
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, "je.crash",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "je.crash",
                {obs::Arg("replicated", static_cast<int64_t>(log.replicated())),
                 obs::Arg("log_records", log.CountDomain(table().domain()))});
   }
@@ -698,7 +686,7 @@ void JobExecutor::OnLeaderCrash() {
 
 void JobExecutor::RebindTes() {
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Instant(sim_->Now(), TracePid(), 0, "je.failover",
+    t->Instant(sim_->Now(), track_.Pid(t), 0, "je.failover",
                {obs::Arg("epoch", table().epoch()),
                 obs::Arg("outage_ms", NsToMs(sim_->Now() - leader_.crash_time()))});
   }

@@ -253,8 +253,6 @@ class JobExecutor {
   void OnLeaderCrash();
   void RebindTes();
   void ReconcileAfterTakeover();
-  // Lazily registers the JE's trace track; -1 when tracing is disabled.
-  int TracePid();
 
   sim::Simulator* sim_;
   JeConfig config_;
@@ -297,7 +295,7 @@ class JobExecutor {
   };
   std::vector<PendingArrival> pending_arrivals_;
 
-  int trace_pid_ = -1;
+  obs::LazyTrack track_{"je", {"routing"}};
 };
 
 }  // namespace deepserve::serving

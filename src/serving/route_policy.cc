@@ -45,6 +45,27 @@ Result<std::unique_ptr<RoutePolicy>> MakeRoutePolicy(const RouteConfig& config) 
                               "\" (rr|p2c|wlc|slo)");
 }
 
+Status RouteConfig::Validate() const {
+  if (Result<std::unique_ptr<RoutePolicy>> made = MakeRoutePolicy(*this); !made.ok()) {
+    return made.status();
+  }
+  if (eject_consecutive_errors < 0) {
+    return InvalidArgumentError("outlier ejection error count must be >= 0, got " +
+                                std::to_string(eject_consecutive_errors));
+  }
+  if (eject_base < 0 || eject_max < eject_base) {
+    return InvalidArgumentError("outlier ejection needs 0 <= eject_base <= eject_max");
+  }
+  if (hedge_floor < 0) {
+    return InvalidArgumentError("hedge delay floor must be >= 0");
+  }
+  if (retry_floor < 0) {
+    return InvalidArgumentError("retry budget floor must be >= 0, got " +
+                                std::to_string(retry_floor));
+  }
+  return Status::Ok();
+}
+
 size_t PickLeastLoaded(const std::vector<JeSnapshot>& candidates) {
   DS_CHECK(!candidates.empty());
   size_t best = 0;

@@ -80,6 +80,10 @@ struct RouteConfig {
   DurationNs hedge_floor = 0;
 
   bool hedging() const { return hedge_floor > 0; }
+
+  // OK unless the policy is unknown, a count, duration or floor is negative,
+  // or eject_max < eject_base.
+  [[nodiscard]] Status Validate() const;
 };
 
 // One eligible JE replica as a policy sees it at decision time.

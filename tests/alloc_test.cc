@@ -113,7 +113,6 @@ int64_t SwapScanAllocations(int64_t leaf_blocks) {
   config.block_size = 16;
   config.pool.npu_capacity = 40;
   config.pool.dram_capacity = 256;
-  config.enable_background_swap = true;
   rtc::RtcMaster master(&sim, config);
   std::vector<TokenId> tokens;
   for (int64_t i = 0; i < 16 * leaf_blocks; ++i) {
@@ -126,7 +125,7 @@ int64_t SwapScanAllocations(int64_t leaf_blocks) {
   // arms the first scan.
   auto held = master.AllocBlocks(36 - leaf_blocks).value();
   const int64_t before = g_allocations;
-  sim.RunUntil(config.swap_interval + MsToNs(1));
+  sim.RunUntil(rtc::RtcMaster::kSwapInterval + MsToNs(1));
   const int64_t made = g_allocations - before;
   EXPECT_EQ(master.stats().swapped_out_blocks, leaf_blocks);
   EXPECT_FALSE(master.pool().info(leaf.front()).resident(rtc::Tier::kNpu));
@@ -176,10 +175,8 @@ TEST(AllocTest, DramOnlyLeafGivesUpItsPoolSlots) {
   sim::Simulator sim;
   rtc::RtcConfig config;
   config.block_size = 16;
-  config.pool.npu_capacity = 2 * kBlocks;
+  config.pool.npu_capacity = 8 * kBlocks;
   config.pool.dram_capacity = 2 * kBlocks;
-  config.swap_high_watermark = 0.05;  // the held blocks alone keep the scans going
-  config.enable_background_swap = true;
   rtc::RtcMaster master(&sim, config);
   std::vector<TokenId> tokens;
   for (int64_t i = 0; i < config.block_size * kBlocks; ++i) {
@@ -188,15 +185,17 @@ TEST(AllocTest, DramOnlyLeafGivesUpItsPoolSlots) {
   auto leaf = master.AllocBlocks(kBlocks).value();
   master.Preserve(tokens, leaf, rtc::KeyChain::Hash(tokens, config.block_size));
   master.Free(leaf);
-  auto held = master.AllocBlocks(16).value();
+  // 87.5% of the NPU: the held blocks alone keep use above the swap
+  // watermark, so the scans go on once the leaf is demoted.
+  auto held = master.AllocBlocks(7 * kBlocks).value();
   // Scan 1 demotes the leaf; its copy lands and drops the NPU copies.
-  sim.RunUntil(config.swap_interval + MsToNs(1));
+  sim.RunUntil(rtc::RtcMaster::kSwapInterval + MsToNs(1));
   ASSERT_EQ(master.stats().swapped_out_blocks, kBlocks);
   ASSERT_FALSE(master.pool().info(leaf.front()).resident(rtc::Tier::kNpu));
   const size_t slots = master.pool().total_blocks();
   const int64_t dram = master.pool().used(rtc::Tier::kDram);
   // Scan 2 retires the leaf and parks it.
-  sim.RunUntil(2 * config.swap_interval + MsToNs(1));
+  sim.RunUntil(2 * rtc::RtcMaster::kSwapInterval + MsToNs(1));
   EXPECT_EQ(master.pool().total_blocks(), slots - static_cast<size_t>(kBlocks));
   EXPECT_EQ(master.pool().used(rtc::Tier::kDram), dram);
   master.Free(held);

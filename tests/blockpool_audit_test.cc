@@ -323,9 +323,6 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
     config.block_size = 4;
     config.pool.npu_capacity = 40;
     config.pool.dram_capacity = 24;
-    config.swap_interval = MsToNs(1);
-    config.swap_high_watermark = 0.5;
-    config.swap_batch_blocks = 6;
     RtcMaster master(&sim, config);
     NpuMirror mirror;
     master.AddListener(&mirror);

@@ -84,7 +84,7 @@ class FrontendTest : public ::testing::Test {
 };
 
 TEST_F(FrontendTest, RoutesByModelName) {
-  serving::Frontend frontend;
+  serving::Frontend frontend(&sim_);
   auto je = MakeJeWithTe();
   frontend.RegisterServingJe("tiny-1b", je.get());
   bool done = false;
@@ -102,7 +102,7 @@ TEST_F(FrontendTest, UnknownModelRejectedThroughStatusExactlyOnce) {
   // Exactly-once reporting: a pre-dispatch rejection is the returned Status
   // and nothing else — the handler must NOT also fire (callers that count
   // both would double-count the request).
-  serving::Frontend frontend;
+  serving::Frontend frontend(&sim_);
   int error_calls = 0;
   Status s = frontend.ChatCompletion(Chat("gpt-17", MakeRequest(1, 64, 4)),
                                      {nullptr, nullptr, [&](const Status&) { ++error_calls; }});
@@ -133,7 +133,7 @@ TEST_F(FrontendTest, DeadlineAlreadyMissedRejected) {
 }
 
 TEST_F(FrontendTest, PriorityOverrideReachesEngine) {
-  serving::Frontend frontend;
+  serving::Frontend frontend(&sim_);
   auto je = MakeJeWithTe();
   frontend.RegisterServingJe("tiny-1b", je.get());
   auto request = Chat("tiny-1b", MakeRequest(1, 64, 4));
@@ -153,7 +153,7 @@ TEST_F(FrontendTest, PriorityOverrideReachesEngine) {
 }
 
 TEST_F(FrontendTest, RoundRobinAcrossJeReplicas) {
-  serving::Frontend frontend;
+  serving::Frontend frontend(&sim_);
   auto je1 = MakeJeWithTe();
   auto je2 = MakeJeWithTe();
   frontend.RegisterServingJe("tiny-1b", je1.get());
@@ -173,7 +173,7 @@ TEST_F(FrontendTest, RoundRobinAcrossJeReplicas) {
 }
 
 TEST_F(FrontendTest, SkipsJeWithoutCapacity) {
-  serving::Frontend frontend;
+  serving::Frontend frontend(&sim_);
   serving::JeConfig config;
   auto empty_je = std::make_unique<serving::JobExecutor>(
       &sim_, config, serving::PdHeatmap::Default(), serving::MakeOraclePredictor());
@@ -194,7 +194,7 @@ TEST_F(FrontendTest, SkipsJeWithoutCapacity) {
 }
 
 TEST_F(FrontendTest, AllReplicasDownMeansUnavailable) {
-  serving::Frontend frontend;
+  serving::Frontend frontend(&sim_);
   serving::JeConfig config;
   auto empty_je = std::make_unique<serving::JobExecutor>(
       &sim_, config, serving::PdHeatmap::Default(), serving::MakeOraclePredictor());
@@ -211,7 +211,7 @@ TEST_F(FrontendTest, CapacityConsultsTeStateNotGroupMembership) {
   // A JE whose only TE has failed still *has* the TE in its group; a
   // group-membership check would route to it. ReadyCapacityWeight must
   // consult TeState instead.
-  serving::Frontend frontend;
+  serving::Frontend frontend(&sim_);
   auto je = MakeJeWithTe();
   frontend.RegisterServingJe("tiny-1b", je.get());
   ASSERT_TRUE(manager_->KillTe(last_te_->id()).ok());
@@ -224,7 +224,7 @@ TEST_F(FrontendTest, CapacityConsultsTeStateNotGroupMembership) {
 }
 
 TEST_F(FrontendTest, RoundRobinSkipsFailedReplicaAndResumesOnReplacement) {
-  serving::Frontend frontend;
+  serving::Frontend frontend(&sim_);
   auto je1 = MakeJeWithTe();
   auto* te1 = last_te_;
   auto je2 = MakeJeWithTe();
@@ -268,7 +268,7 @@ TEST_F(FrontendTest, RoundRobinSkipsFailedReplicaAndResumesOnReplacement) {
 TEST_F(FrontendTest, PostDispatchLossDeliversOnError) {
   // The request is accepted (Status OK), then its TE dies with no surviving
   // capacity: the failure must surface through on_error, exactly once.
-  serving::Frontend frontend;
+  serving::Frontend frontend(&sim_);
   auto je = MakeJeWithTe();
   auto* te = last_te_;
   frontend.RegisterServingJe("tiny-1b", je.get());
@@ -298,7 +298,7 @@ TEST_F(FrontendTest, PostDispatchLossDeliversOnError) {
 }
 
 TEST_F(FrontendTest, FineTuneRouting) {
-  serving::Frontend frontend;
+  serving::Frontend frontend(&sim_);
   EXPECT_EQ(frontend.FineTune(serving::FineTuneRequest{}, nullptr).code(),
             StatusCode::kUnavailable);
   serving::FineTuneJobExecutor ft(&sim_, manager_.get());

@@ -34,6 +34,25 @@ TEST(TracerTest, TrackAndLaneRegistration) {
   EXPECT_NE(json.find("thread_name"), std::string::npos);
 }
 
+TEST(TracerTest, LazyTrackRegistersOnceOnFirstUse) {
+  obs::LazyTrack track("engine/colocated/tiny-1b", {"dp0", "dp1"});
+  EXPECT_EQ(track.Pid(nullptr), -1) << "no tracer attached";
+  obs::Tracer tracer;
+  int rtc = tracer.NewTrack("rtc");
+  int pid = track.Pid(&tracer);
+  EXPECT_EQ(track.Pid(&tracer), pid);
+  EXPECT_NE(pid, rtc);
+  ASSERT_EQ(tracer.tracks().size(), 2u) << "one track, registered on first use";
+  EXPECT_EQ(tracer.tracks()[static_cast<size_t>(pid)], "engine/colocated/tiny-1b");
+  // Each lane is named once, in the Chrome export's thread_name records.
+  std::string json = tracer.ToChromeJson();
+  for (const char* lane : {"\"dp0\"", "\"dp1\""}) {
+    size_t at = json.find(lane);
+    ASSERT_NE(at, std::string::npos) << lane;
+    EXPECT_EQ(json.find(lane, at + 1), std::string::npos) << lane;
+  }
+}
+
 TEST(TracerTest, RecordsTypedEvents) {
   obs::Tracer tracer;
   int pid = tracer.NewTrack("engine");

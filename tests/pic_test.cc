@@ -101,7 +101,6 @@ TEST_F(RtcPicTest, DemotedAndPopulatedBlockIsStillFoundByContent) {
   config.pool.npu_capacity = 40;
   config.pool.dram_capacity = 256;
   config.enable_pic = true;
-  config.enable_background_swap = true;
   rtc::RtcMaster master(&sim_, config);
   auto doc = Iota(64, 5000);
   auto blocks = master.AllocBlocks(4).value();

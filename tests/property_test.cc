@@ -252,20 +252,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, HeatmapPropertyTest, ::testing::Values(2, 22, 22
 
 // ---------------- Whole-engine sweeps ----------------
 
-// Dimensions: (model preset, chunked?, slo policy with a TBT budget (else
-// fcfs)?, pic?).
-using EngineSweepParam = std::tuple<const char*, bool, bool, bool>;
+// Dimensions: (model preset, prefill chunk tokens, slo policy with a TBT
+// budget (else fcfs)?, pic?).
+using EngineSweepParam = std::tuple<const char*, int64_t, bool, bool>;
 
 class EnginePropertySweep : public ::testing::TestWithParam<EngineSweepParam> {};
 
 TEST_P(EnginePropertySweep, RandomWorkloadAlwaysDrainsCleanly) {
-  auto [model_name, chunked, slo, pic] = GetParam();
+  auto [model_name, chunk_tokens, slo, pic] = GetParam();
   sim::Simulator sim;
   flowserve::EngineConfig config;
   config.model = model::ModelSpec::Preset(model_name).value();
   config.parallelism = {1, 1, 1};
   config.kv_block_capacity_override = 2048;
-  config.enable_chunked_prefill = chunked;
+  config.prefill_chunk_tokens = chunk_tokens;
   if (slo) {
     config.sched.policy = "slo";
     config.sched.tbt_budget_ms = 50.0;
@@ -305,7 +305,8 @@ TEST_P(EnginePropertySweep, RandomWorkloadAlwaysDrainsCleanly) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, EnginePropertySweep,
     ::testing::Combine(::testing::Values("tiny-1b", "llama3-8b", "mixtral-8x7b"),
-                       ::testing::Bool(), ::testing::Bool(), ::testing::Bool()));
+                       ::testing::Values(int64_t{64}, int64_t{512}), ::testing::Bool(),
+                       ::testing::Bool()));
 
 // Random cancellation storms never corrupt the engine.
 class CancelStormTest : public ::testing::TestWithParam<uint64_t> {};

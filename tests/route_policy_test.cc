@@ -172,6 +172,30 @@ TEST(RoutePolicyTest, FactoryRejectsUnknownPolicy) {
   EXPECT_EQ(policy.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(RouteConfigTest, ValidateRefusesWhatNoFrontendCanRun) {
+  EXPECT_TRUE(serving::RouteConfig{}.Validate().ok());
+  // Zero is "off" for ejection, hedging and the retry floor, not an error.
+  serving::RouteConfig edge;
+  edge.eject_consecutive_errors = 0;
+  edge.eject_base = 0;
+  edge.eject_max = 0;
+  edge.hedge_floor = 0;
+  edge.retry_budget = true;
+  edge.retry_floor = 0;
+  EXPECT_TRUE(edge.Validate().ok());
+  auto refused = [](auto mutate) {
+    serving::RouteConfig config;
+    mutate(config);
+    return config.Validate().code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(refused([](serving::RouteConfig& c) { c.policy = "bogus"; }));
+  EXPECT_TRUE(refused([](serving::RouteConfig& c) { c.eject_consecutive_errors = -1; }));
+  EXPECT_TRUE(refused([](serving::RouteConfig& c) { c.eject_base = -1; }));
+  EXPECT_TRUE(refused([](serving::RouteConfig& c) { c.eject_max = c.eject_base - 1; }));
+  EXPECT_TRUE(refused([](serving::RouteConfig& c) { c.hedge_floor = -MsToNs(5); }));
+  EXPECT_TRUE(refused([](serving::RouteConfig& c) { c.retry_floor = -3; }));
+}
+
 TEST(RoutePolicyTest, P2cSameSeedSamePickSequence) {
   serving::RouteConfig config;
   config.policy = "p2c";

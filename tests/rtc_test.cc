@@ -324,13 +324,14 @@ TEST(BlockPoolTest, SsdIsUnbounded) {
 class RtcMasterTest : public ::testing::Test {
  protected:
   RtcMasterTest() { Reset(64); }
-  void Reset(int64_t npu_blocks, bool background_swap = false) {
+  // The background swapper always runs. Tests that must not see a scan stay
+  // below its NPU-use watermark or end within one swap interval.
+  void Reset(int64_t npu_blocks) {
     RtcConfig config;
     config.block_size = 16;
     config.pool.npu_capacity = npu_blocks;
     config.pool.dram_capacity = 256;
     config.bytes_per_block = 1 << 20;
-    config.enable_background_swap = background_swap;
     master_ = std::make_unique<RtcMaster>(&sim_, config);
   }
 
@@ -547,7 +548,7 @@ TEST_F(RtcMasterTest, TruncateMatchRecomputesResidency) {
 }
 
 TEST_F(RtcMasterTest, BackgroundSwapDemotesColdBlocks) {
-  Reset(16, /*background_swap=*/true);
+  Reset(16);
   // Fill most of the NPU with cold cache (above the 0.85 watermark).
   PrefillAndPreserve(Iota(16 * 7, 0));
   PrefillAndPreserve(Iota(16 * 7, 90000));
@@ -555,6 +556,27 @@ TEST_F(RtcMasterTest, BackgroundSwapDemotesColdBlocks) {
   EXPECT_GT(master_->stats().swapped_out_blocks, 0);
   // Entries remain matchable after demotion.
   EXPECT_TRUE(Match(*master_, Iota(16 * 7, 0)).hit());
+}
+
+TEST_F(RtcMasterTest, BackgroundSwapUsesTheFixedWatermarkIntervalAndBatch) {
+  // Caches `cold` single-block leaves in a 100-block pool, all at t = 0.
+  auto fill = [this](int cold) {
+    Reset(100);
+    for (int i = 0; i < cold; ++i) {
+      PrefillAndPreserve(Iota(16, 1000 * (i + 1)));
+    }
+  };
+  // 84% NPU use stays under the 85% watermark: no scan is ever scheduled.
+  fill(84);
+  sim_.Run();
+  EXPECT_EQ(sim_.Now(), 0);
+  EXPECT_EQ(master_->stats().swap_scan_leaves, 0);
+  // 90% NPU use: one scan, 50 ms later, demotes one 64-block batch.
+  fill(90);
+  sim_.RunUntil(MsToNs(50) - 1);
+  EXPECT_EQ(master_->stats().swapped_out_blocks, 0);
+  sim_.RunUntil(MsToNs(50));
+  EXPECT_EQ(master_->stats().swapped_out_blocks, 64);
 }
 
 // A fleet-shaped swap setup: `cold` single-block cached leaves plus enough
@@ -567,7 +589,6 @@ class SwapScanTest : public ::testing::Test {
     config.block_size = 16;
     config.pool.npu_capacity = 40;
     config.pool.dram_capacity = dram_blocks;
-    config.enable_background_swap = true;
     master_ = std::make_unique<RtcMaster>(&sim_, config);
     for (int i = 0; i < cold; ++i) {
       auto blocks = master_->AllocBlocks(1).value();
@@ -578,7 +599,7 @@ class SwapScanTest : public ::testing::Test {
 
   // Runs one swap interval (scans fire at multiples of 50 ms).
   void NextScan() {
-    next_ += master_->config().swap_interval;
+    next_ += RtcMaster::kSwapInterval;
     sim_.RunUntil(next_);
   }
 

@@ -151,7 +151,9 @@ class OptionRegistry {
 };
 
 // The traffic-management flags shared by deepserve_sim and the traffic
-// benches, mapped onto serving::RouteConfig.
+// benches, mapped onto serving::RouteConfig. Register() leaves out
+// --lb-policy: fig_traffic fixes a policy per variant, so deepserve_sim, which
+// routes by one policy, registers that flag itself.
 struct RouteOptions {
   std::string lb_policy = "rr";
   double hedge_ms = 0.0;      // 0 disables hedging
@@ -161,7 +163,6 @@ struct RouteOptions {
   double outlier_max_s = 60.0;
 
   void Register(OptionRegistry& options) {
-    options.Flag("lb-policy", &lb_policy, "routing policy: rr | p2c | wlc | slo");
     options.Flag("hedge-ms", &hedge_ms,
                  "hedge-delay floor in ms; stragglers are duplicated onto a second "
                  "replica after max(this, observed p95) (0 = no hedging)");

@@ -126,20 +126,13 @@ RunResult RunVariant(const Options& options, const Variant& variant,
     }
   });
 
-  serving::RouteConfig route;
+  serving::RouteConfig route = options.route.ToConfig(options.seed);
   route.policy = variant.policy;
-  route.seed = options.seed;
-  if (variant.eject) {
-    route.eject_consecutive_errors = options.route.outlier_errors;
-    route.eject_base = SToNs(options.route.outlier_base_s);
-    route.eject_max = SToNs(options.route.outlier_max_s);
+  if (!variant.eject) {
+    route.eject_consecutive_errors = 0;
   }
-  if (variant.hedge) {
-    route.hedge_floor = MsToNs(options.route.hedge_ms);
-  }
-  if (options.route.retry_budget > 0) {
-    route.retry_budget = true;
-    route.retry_floor = options.route.retry_budget;
+  if (!variant.hedge) {
+    route.hedge_floor = 0;
   }
   serving::Frontend frontend(&sim, route);
   for (auto& je : jes) {

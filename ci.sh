@@ -78,10 +78,12 @@ echo "==> hetero smoke: cost-aware vs hetero-blind placement on a Gen1/Gen2 mix"
 ./build/bench/fig_hetero --smoke >/dev/null
 
 echo "==> perf_sim smoke: DES core throughput, replay determinism, BENCH_perf.json"
-# Exits non-zero unless the full-stack 64-TE replay is bit-identical across
-# two runs, the cancellation-heavy scenario beats the embedded pre-PR event
-# core by >= 3x events/sec, and replay_scale's cost per request grows at most
-# 1.8x over a 4x longer trace. Writes the tracked BENCH_perf.json.
+# Exits non-zero unless replay_scale's full-stack 64-TE replay is
+# bit-identical across its two rounds at every trace length and completes
+# requests at each, the cancellation-heavy scenario reaches >= 0.48x the
+# event-churn scenario's events/sec in the same run, and replay_scale's cost
+# per request grows at most 1.8x over a 4x longer trace. Writes the tracked
+# BENCH_perf.json.
 ./build/bench/perf_sim --smoke --out=BENCH_perf.json >/dev/null
 
 echo "==> deepserve_sim obs smoke: obs flags write their files, report unchanged"
@@ -152,6 +154,14 @@ done <<'BAD_CONFIGS'
 --je-replicas=2 --hedge-ms=-5
 --je-replicas=2 --retry-budget=-3
 BAD_CONFIGS
+# fig_traffic fixes a routing policy per variant, so --lb-policy is an
+# unknown flag there (exit 2), not one it silently ignores.
+TRAFFIC_STATUS=0
+./build/bench/fig_traffic --smoke --lb-policy=p2c >/dev/null 2>&1 || TRAFFIC_STATUS=$?
+if [[ "${TRAFFIC_STATUS}" -ne 2 ]]; then
+  echo "fig_traffic --smoke --lb-policy=p2c exited ${TRAFFIC_STATUS}, want 2" >&2
+  exit 1
+fi
 
 echo "==> perfbench self-tests: the repo benchmark builds, conserves and repeats"
 # Nothing else here builds perfbench/perfbench.cc, which drives the public

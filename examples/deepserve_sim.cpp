@@ -151,6 +151,7 @@ void ParseFlags(int argc, char** argv, Flags* flags, bench::ObsSession* obs) {
                 "autoscaler policy over replica 0 (empty = off): reactive|predictive|slo");
   registry.Flag("headroom", &flags->headroom, "autoscaler headroom TEs");
   registry.Flag("max-tes", &flags->max_tes, "autoscaler ceiling");
+  registry.Flag("lb-policy", &flags->route.lb_policy, "routing policy: rr | p2c | wlc | slo");
   flags->route.Register(registry);
   flags->ctrl.Register(registry);
   obs->Register(registry);

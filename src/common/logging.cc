@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -10,7 +9,7 @@ namespace deepserve {
 
 namespace {
 
-std::atomic<LogSeverity> g_min_severity{LogSeverity::kWarning};
+constexpr LogSeverity kMinSeverity = LogSeverity::kWarning;
 
 const char* SeverityTag(LogSeverity severity) {
   switch (severity) {
@@ -40,11 +39,7 @@ std::mutex& EmitMutex() {
 
 }  // namespace
 
-LogSeverity SetMinLogSeverity(LogSeverity severity) {
-  return g_min_severity.exchange(severity);
-}
-
-LogSeverity MinLogSeverity() { return g_min_severity.load(std::memory_order_relaxed); }
+LogSeverity MinLogSeverity() { return kMinSeverity; }
 
 namespace internal {
 

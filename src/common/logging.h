@@ -5,8 +5,8 @@
 //   DS_CHECK(ptr != nullptr) << "missing executor";
 //   DS_CHECK_EQ(a, b);
 //
-// Severity is filtered by a process-wide level (default WARNING so tests and
-// benches stay quiet); FATAL always aborts after printing.
+// Messages below WARNING are dropped so tests and benches stay quiet; FATAL
+// always aborts after printing.
 #ifndef DEEPSERVE_COMMON_LOGGING_H_
 #define DEEPSERVE_COMMON_LOGGING_H_
 
@@ -17,8 +17,7 @@ namespace deepserve {
 
 enum class LogSeverity { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
-// Sets the minimum severity that is emitted. Returns the previous level.
-LogSeverity SetMinLogSeverity(LogSeverity severity);
+// The minimum severity that is emitted.
 LogSeverity MinLogSeverity();
 
 namespace internal {

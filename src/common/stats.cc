@@ -106,43 +106,4 @@ double SampleStats::FractionBelow(double threshold) const {
   return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
 }
 
-Histogram::Histogram(double lo, double hi, size_t buckets) : lo_(lo), hi_(hi) {
-  DS_CHECK_GT(hi, lo);
-  DS_CHECK_GT(buckets, 0u);
-  width_ = (hi - lo) / static_cast<double>(buckets);
-  counts_.assign(buckets, 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  size_t idx = static_cast<size_t>((x - lo_) / width_);
-  if (idx >= counts_.size()) {
-    idx = counts_.size() - 1;
-  }
-  ++counts_[idx];
-}
-
-std::string Histogram::ToString() const {
-  static const char* kLevels[] = {" ", ".", ":", "-", "=", "+", "*", "#", "%", "@"};
-  size_t max_count = 0;
-  for (size_t c : counts_) {
-    max_count = std::max(max_count, c);
-  }
-  std::string out = "[";
-  for (size_t c : counts_) {
-    size_t level = max_count == 0 ? 0 : (c * 9) / max_count;
-    out += kLevels[level];
-  }
-  out += "]";
-  return out;
-}
-
 }  // namespace deepserve

@@ -2,13 +2,11 @@
 //
 // - OnlineStats: streaming mean / variance / min / max (Welford).
 // - SampleStats: stores samples, answers arbitrary percentiles exactly.
-// - Histogram: fixed-width bucket counts for quick distribution dumps.
 #ifndef DEEPSERVE_COMMON_STATS_H_
 #define DEEPSERVE_COMMON_STATS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace deepserve {
@@ -69,30 +67,6 @@ class SampleStats {
   std::vector<double> samples_;
   mutable std::vector<double> sorted_;
   mutable bool sorted_valid_ = false;
-};
-
-class Histogram {
- public:
-  // Buckets: [lo, lo+w), [lo+w, lo+2w), ... plus underflow/overflow.
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-  size_t total() const { return total_; }
-  const std::vector<size_t>& counts() const { return counts_; }
-  size_t underflow() const { return underflow_; }
-  size_t overflow() const { return overflow_; }
-
-  // One-line textual sparkline, handy in bench output.
-  std::string ToString() const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<size_t> counts_;
-  size_t underflow_ = 0;
-  size_t overflow_ = 0;
-  size_t total_ = 0;
 };
 
 }  // namespace deepserve

@@ -10,24 +10,6 @@
 
 namespace deepserve::hw {
 
-std::string_view LinkTypeToString(LinkType type) {
-  switch (type) {
-    case LinkType::kPcie:
-      return "PCIe";
-    case LinkType::kHccs:
-      return "HCCS";
-    case LinkType::kRoce:
-      return "RoCE";
-    case LinkType::kSsd:
-      return "SSD";
-    case LinkType::kMemcpy:
-      return "memcpy";
-    case LinkType::kUb:
-      return "UB";
-  }
-  return "?";
-}
-
 SharedLink::SharedLink(sim::Simulator* sim, std::string name, LinkType type, double bandwidth_bps,
                        DurationNs latency)
     : sim_(sim), name_(std::move(name)), type_(type), bandwidth_bps_(bandwidth_bps),

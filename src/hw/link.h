@@ -24,8 +24,6 @@ namespace deepserve::hw {
 // domains. Built only when ClusterConfig::enable_superpod is set.
 enum class LinkType { kPcie, kHccs, kRoce, kSsd, kMemcpy, kUb };
 
-std::string_view LinkTypeToString(LinkType type);
-
 using FlowId = uint64_t;
 
 class SharedLink {

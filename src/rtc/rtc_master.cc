@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/sorted_view.h"
 
 namespace deepserve::rtc {
 
@@ -480,15 +479,6 @@ Status RtcMaster::PreserveById(const std::string& id, std::span<const TokenId> t
   id_tokens_[id] =
       static_cast<int64_t>(keys.size()) * static_cast<int64_t>(config_.block_size);
   return Status::Ok();
-}
-
-bool RtcMaster::DropById(const std::string& id) {
-  id_tokens_.erase(id);
-  return id_index_.erase(id) > 0;
-}
-
-std::vector<std::pair<std::string, int64_t>> RtcMaster::CacheEntries() const {
-  return SortedItems(id_tokens_);
 }
 
 void RtcMaster::MaybeArmSwap() {

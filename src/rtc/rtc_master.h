@@ -209,7 +209,6 @@ class RtcMaster {
   // Explicit context caching: additionally registers the prefix under `id`.
   [[nodiscard]] Status PreserveById(const std::string& id, std::span<const TokenId> tokens,
                                     std::span<const BlockId> blocks, const KeyChain& keys);
-  bool DropById(const std::string& id);
 
   // ---- introspection -------------------------------------------------------
   const RtcConfig& config() const { return config_; }
@@ -219,12 +218,6 @@ class RtcMaster {
   int64_t npu_blocks_free() const { return pool_.free_blocks(Tier::kNpu); }
   size_t index_nodes() const { return tree_.NodeCount(); }
   const RadixTree<BlockRun>& index() const { return tree_; }
-  // Deterministic snapshot of the explicit context cache: (id, cached token
-  // count) sorted by id. The backing index is an unordered_map, so callers
-  // (dumps, audits, tests) must come through this sorted view rather than
-  // iterate it directly — see common/sorted_view.h and ds_lint rule
-  // `unordered-iter`.
-  std::vector<std::pair<std::string, int64_t>> CacheEntries() const;
 
   // Frees at least `n` NPU block slots by demoting/discarding cold cache.
   [[nodiscard]] Status EnsureNpuFree(int64_t n);

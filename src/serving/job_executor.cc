@@ -19,22 +19,6 @@ constexpr int kMaxRetries = 3;
 
 }  // namespace
 
-std::string_view SchedulingPolicyToString(SchedulingPolicy policy) {
-  switch (policy) {
-    case SchedulingPolicy::kRoundRobin:
-      return "round-robin";
-    case SchedulingPolicy::kLoadOnly:
-      return "load-only";
-    case SchedulingPolicy::kLocalityOnly:
-      return "locality-only";
-    case SchedulingPolicy::kPdAware:
-      return "pd-aware";
-    case SchedulingPolicy::kCombined:
-      return "combined";
-  }
-  return "?";
-}
-
 Status JeConfig::Validate() const {
   if (block_size < 1) {
     return InvalidArgumentError("JE block_size must be >= 1, got " + std::to_string(block_size));

@@ -60,8 +60,6 @@ enum class SchedulingPolicy {
   kCombined,   // Algorithm 1: PD-aware + locality-aware + load-aware
 };
 
-std::string_view SchedulingPolicyToString(SchedulingPolicy policy);
-
 struct JeConfig {
   SchedulingPolicy policy = SchedulingPolicy::kCombined;
   int block_size = 16;             // prompt-tree symbol granularity

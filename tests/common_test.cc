@@ -234,23 +234,6 @@ TEST(SampleStatsTest, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(s.p50(), 2.0);  // re-sorts after mutation
 }
 
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.Add(-1.0);
-  h.Add(0.0);
-  h.Add(5.5);
-  h.Add(9.999);
-  h.Add(10.0);
-  h.Add(42.0);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.counts()[0], 1u);
-  EXPECT_EQ(h.counts()[5], 1u);
-  EXPECT_EQ(h.counts()[9], 1u);
-  EXPECT_FALSE(h.ToString().empty());
-}
-
 TEST(SortedViewTest, SortedKeysOfMap) {
   std::unordered_map<std::string, int> m = {{"b", 2}, {"a", 1}, {"c", 3}};
   EXPECT_EQ(SortedKeys(m), (std::vector<std::string>{"a", "b", "c"}));

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -295,6 +296,57 @@ TEST(EventQueueTest, MassCancelledFarTimersCompactAndSurvivorsFire) {
     EXPECT_EQ(fired[pos], marker) << "survivor order diverged at " << pos;
     ++pos;
   }
+}
+
+// perf_sim's cancel_storm pattern: each 100 us round schedules 5000 timers,
+// 80% of them deadline guards ~1 s out and 90% of those cancelled at once.
+// Cancelled guards must give their slab slots back long before their due
+// time, so the slab stays within a small multiple of the live population; a
+// queue that frees a tombstone only when its time comes would hold every
+// cancelled guard (~12x the live peak here).
+TEST(EventQueueTest, CancelStormReusesSlots) {
+  constexpr int kRounds = 100;
+  constexpr int kBatch = 5000;
+  EventQueue q;
+  uint64_t fired = 0;
+  uint64_t state = 42;
+  auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return state >> 33;
+  };
+  TimeNs now = 0;
+  size_t peak_live = 0;
+  std::vector<EventQueue::Handle> guards;
+  for (int round = 0; round < kRounds; ++round) {
+    guards.clear();
+    for (int i = 0; i < kBatch; ++i) {
+      uint64_t r = next();
+      if (i % 5 == 4) {
+        q.Insert(now + 1 + static_cast<TimeNs>(r % 100000), [&fired] { ++fired; });
+      } else {
+        guards.push_back(
+            q.Insert(now + SToNs(1) + static_cast<TimeNs>(r % 100000), [&fired] { ++fired; }));
+      }
+    }
+    peak_live = std::max(peak_live, q.live());
+    for (size_t g = 0; g < guards.size(); ++g) {
+      if (g % 10 != 9) {
+        ASSERT_TRUE(q.Cancel(guards[g]));
+      }
+    }
+    now += UsToNs(100);
+    TimeNs t = 0;
+    SmallFn fn;
+    while (q.PopIfDue(now, &t, &fn)) {
+      fn();
+      fn.Reset();
+    }
+  }
+  EXPECT_LE(q.slab_slots(), 4 * peak_live)
+      << "cancelled guards held their slots; peak live " << peak_live;
+  Drain(q);
+  // Every near-term timer and every uncancelled guard fires.
+  EXPECT_EQ(fired, static_cast<uint64_t>(kRounds) * (kBatch / 5 + kBatch * 4 / 5 / 10));
 }
 
 TEST(EventQueueTest, RandomOpsMatchReferenceModel) {

@@ -437,27 +437,6 @@ TEST_F(RtcMasterTest, MatchByIdRoundTrip) {
   auto info = master_->MatchByID("ctx-1");
   EXPECT_EQ(info.matched_tokens, 48);
   EXPECT_FALSE(master_->MatchByID("ctx-2").hit());
-  EXPECT_TRUE(master_->DropById("ctx-1"));
-  EXPECT_FALSE(master_->MatchByID("ctx-1").hit());
-}
-
-TEST_F(RtcMasterTest, CacheEntriesAreSortedById) {
-  auto blocks = master_->AllocBlocks(3).value();
-  // Insert in non-sorted id order; the snapshot must come back sorted
-  // regardless of unordered_map hash order.
-  ASSERT_TRUE(PreserveById(*master_, "ctx-b", Iota(48, 100), blocks).ok());
-  ASSERT_TRUE(
-      PreserveById(*master_, "ctx-a", Iota(32, 2000), std::span(blocks).subspan(0, 2)).ok());
-  ASSERT_TRUE(
-      PreserveById(*master_, "ctx-c", Iota(16, 40000), std::span(blocks).subspan(0, 1)).ok());
-  master_->Free(blocks);
-  auto entries = master_->CacheEntries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0], (std::pair<std::string, int64_t>{"ctx-a", 32}));
-  EXPECT_EQ(entries[1], (std::pair<std::string, int64_t>{"ctx-b", 48}));
-  EXPECT_EQ(entries[2], (std::pair<std::string, int64_t>{"ctx-c", 16}));
-  EXPECT_TRUE(master_->DropById("ctx-b"));
-  EXPECT_EQ(master_->CacheEntries().size(), 2u);
 }
 
 TEST_F(RtcMasterTest, PreserveByIdRejectsBadInput) {

@@ -439,6 +439,33 @@ TEST_F(RtcMasterTest, MatchByIdRoundTrip) {
   EXPECT_FALSE(master_->MatchByID("ctx-2").hit());
 }
 
+TEST_F(RtcMasterTest, NestedIdEntriesMatchIndependently) {
+  // Three ids over one cached context, each covering a different prefix of
+  // the same blocks: every id matches its own length and its own blocks.
+  auto tokens = Iota(48);
+  auto blocks = master_->AllocBlocks(3).value();
+  const std::span<const TokenId> all(tokens);
+  ASSERT_TRUE(PreserveById(*master_, "ctx-b", all, blocks).ok());
+  ASSERT_TRUE(
+      PreserveById(*master_, "ctx-a", all.first(32), std::span(blocks).first(2)).ok());
+  ASSERT_TRUE(
+      PreserveById(*master_, "ctx-c", all.first(16), std::span(blocks).first(1)).ok());
+  master_->Free(blocks);
+  const MatchInfo a = master_->MatchByID("ctx-a");
+  const MatchInfo b = master_->MatchByID("ctx-b");
+  const MatchInfo c = master_->MatchByID("ctx-c");
+  EXPECT_EQ(a.matched_tokens, 32);
+  EXPECT_EQ(b.matched_tokens, 48);
+  EXPECT_EQ(c.matched_tokens, 16);
+  EXPECT_EQ(a.blocks, (std::vector<BlockId>{blocks[0], blocks[1]}));
+  EXPECT_EQ(b.blocks, blocks);
+  EXPECT_EQ(c.blocks, (std::vector<BlockId>{blocks[0]}));
+  // Preserving an existing id again replaces its entry.
+  ASSERT_TRUE(PreserveById(*master_, "ctx-c", all, blocks).ok());
+  EXPECT_EQ(master_->MatchByID("ctx-c").matched_tokens, 48);
+  EXPECT_EQ(master_->MatchByID("ctx-a").matched_tokens, 32);
+}
+
 TEST_F(RtcMasterTest, PreserveByIdRejectsBadInput) {
   auto blocks = master_->AllocBlocks(1).value();
   EXPECT_FALSE(PreserveById(*master_, "", Iota(16), blocks).ok());

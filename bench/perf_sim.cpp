@@ -1,5 +1,5 @@
 // DES core throughput harness: replays synthetic event workloads and a
-// full-stack trace against the calendar-queue simulator and records
+// full-stack trace against the binary-heap simulator and records
 // wall-clock throughput into a tracked JSON artifact (BENCH_perf.json).
 //
 // Scenarios:
@@ -138,10 +138,10 @@ ScenarioResult RunChurn(int actors, uint64_t target, uint64_t seed) {
 // timeout timers, retry guards). Each round schedules a batch of timers —
 // most of them guards ~1s out, a fifth near-term work — then "completes" 90%
 // of the guards, cancelling them long before they are due, and advances
-// 100us. The calendar queue tombstones in O(1) and reclaims tombstones as the
-// overflow tier compacts; a lazy-deletion heap would instead keep every
-// cancelled guard until its timestamp, every push/pop paying O(log n) over
-// mostly-dead entries. `events` counts scheduled events — each one's full
+// 100us. The event queue tombstones in O(1) and compacts the tombstones out
+// of its heap whenever they outnumber live entries; a lazy-deletion heap
+// would instead keep every cancelled guard until its timestamp, every
+// push/pop paying O(log n) over mostly-dead entries. `events` counts scheduled events — each one's full
 // lifecycle (schedule + cancel, or schedule + fire) passes through the queue,
 // so its events/sec is comparable with event_churn's schedule + fire.
 ScenarioResult RunStorm(int rounds, int batch, uint64_t seed) {
@@ -289,11 +289,12 @@ int RunAll(const Options& opt) {
   // 2.4k / 5k / 9.9k requests in smoke mode, 25k / 50k / 100k in full.
   const double scale_base_s = opt.smoke ? 12.5 : 125.0;
   // Floor on cancel_storm's events/sec over event_churn's. Over 42 smoke
-  // runs on a 4-vCPU host the calendar queue read 0.69-1.46; a lazy-deletion
-  // binary heap (std::priority_queue + unordered_set of cancelled ids +
-  // std::function callbacks) read 0.19-0.33 against its own churn, and
-  // 0.10-0.14 against the calendar queue's. The floor is the geometric mean
-  // of 0.69 and 0.33.
+  // runs on a 4-vCPU host an earlier calendar queue read 0.69-1.46; a
+  // lazy-deletion binary heap (std::priority_queue + unordered_set of
+  // cancelled ids + std::function callbacks) read 0.19-0.33 against its own
+  // churn. The floor is the geometric mean of 0.69 and 0.33. The binary heap
+  // that compacts its tombstones clears it: 0.63-0.85 over 16 smoke runs on
+  // the same host.
   const double min_storm_ratio = 0.48;
   // A JE that walks its whole prompt tree per dispatch grows ~2.7x here; one
   // that tallies every tag on the match path, with a swap scan that re-walks

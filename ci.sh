@@ -123,10 +123,12 @@ echo "==> deepserve_sim boundary: bad configs exit 2, not with an abort"
 # any TE, rather than die on the engine's capacity check. The same holds for a
 # parallelism degree below 1, a negative TE count, a control-log config that
 # ctrl::CtrlConfig::Validate refuses, an unknown scale, sched or trace policy,
-# a predictor accuracy outside [0, 1], an autoscaler config that
-# serving::AutoscalerConfig::Validate refuses, traffic flags that
-# serving::RouteConfig::Validate refuses and an unknown flag (each line is one
-# run's flags).
+# an unknown NPU generation, a negative SLO budget, deadline or bursty period,
+# a bursty peak below its base rate, a cluster (link bandwidth, SuperPod size)
+# that hw::ClusterConfig::Validate refuses, a predictor accuracy outside
+# [0, 1], an autoscaler config that serving::AutoscalerConfig::Validate
+# refuses, traffic flags that serving::RouteConfig::Validate refuses and an
+# unknown flag (each line is one run's flags).
 while read -r -a BAD_FLAGS; do
   BAD_STATUS=0
   ./build/examples/deepserve_sim "${BAD_FLAGS[@]}" >/dev/null 2>&1 || BAD_STATUS=$?
@@ -153,6 +155,15 @@ done <<'BAD_CONFIGS'
 --je-replicas=2 --outlier-errors=2 --outlier-base-s=-1
 --je-replicas=2 --hedge-ms=-5
 --je-replicas=2 --retry-budget=-3
+--model=tiny-1b --colocated=2 --rps=5 --duration=2 --trace=bursty --peak-rps=1
+--model=tiny-1b --colocated=2 --rps=5 --duration=2 --superpod --ub-gbps=0
+--model=tiny-1b --colocated=2 --rps=5 --duration=2 --superpod --ub-gbps=-3
+--model=tiny-1b --colocated=2 --rps=5 --duration=2 --superpod --machines-per-superpod=-1
+--model=tiny-1b --colocated=2 --rps=5 --duration=2 --gen=gen9
+--model=tiny-1b --colocated=2 --rps=5 --duration=2 --tbt-ms=-1
+--model=tiny-1b --colocated=2 --rps=5 --duration=2 --ttft-ms=-1
+--model=tiny-1b --colocated=2 --rps=5 --duration=2 --deadline-ms=-1
+--model=tiny-1b --colocated=2 --rps=5 --duration=2 --trace=bursty --period=-1
 BAD_CONFIGS
 # fig_traffic fixes a routing policy per variant, so --lb-policy is an
 # unknown flag there (exit 2), not one it silently ignores.

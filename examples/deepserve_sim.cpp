@@ -33,10 +33,12 @@
 // rtc.parked_blocks and rtc.unparked_blocks summed over every TE's cache,
 // and je.prompt_tree_nodes over every JE's prompt trees.
 // An unknown flag is a usage error (exit 2), and so is a value no run can use:
-// a tp below 1, a negative TE count, an unknown --sched-policy or --trace, a
-// --predictor outside [0, 1], a control-log config that
-// ctrl::CtrlConfig::Validate refuses, an autoscaler config that
-// serving::AutoscalerConfig::Validate refuses, traffic flags that
+// a tp below 1, a negative TE count, an unknown --sched-policy, --trace or
+// --gen, a negative --tbt-ms/--ttft-ms/--deadline-ms/--peak-rps/--period, a
+// bursty --peak-rps below --rps, a --predictor outside [0, 1], a control-log
+// config that ctrl::CtrlConfig::Validate refuses, a cluster (link bandwidths,
+// SuperPod size) that hw::ClusterConfig::Validate refuses, an autoscaler
+// config that serving::AutoscalerConfig::Validate refuses, traffic flags that
 // serving::RouteConfig::Validate refuses, or a model that does not fit its
 // NPUs.
 
@@ -209,6 +211,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown --trace %s (internal|codegen|bursty)\n", flags.trace.c_str());
     return 2;
   }
+  if (flags.tbt_ms < 0 || flags.ttft_ms < 0 || flags.deadline_ms < 0) {
+    std::fprintf(stderr, "--tbt-ms, --ttft-ms and --deadline-ms must be >= 0\n");
+    return 2;
+  }
+  if (flags.peak_rps < 0 || flags.period < 0) {
+    std::fprintf(stderr, "--peak-rps and --period must be >= 0\n");
+    return 2;
+  }
+  if (flags.gen != "gen1" && flags.gen != "gen2") {
+    std::fprintf(stderr, "unknown --gen %s (gen1|gen2)\n", flags.gen.c_str());
+    return 2;
+  }
   if (flags.predictor_accuracy < 0.0 || flags.predictor_accuracy > 1.0) {
     std::fprintf(stderr, "--predictor must be in [0, 1]\n");
     return 2;
@@ -243,6 +257,10 @@ int main(int argc, char** argv) {
   }
   if (flags.rps <= 0 || flags.duration <= 0) {
     std::fprintf(stderr, "--rps and --duration must be > 0\n");
+    return 2;
+  }
+  if (flags.trace == "bursty" && flags.peak_rps > 0 && flags.peak_rps < flags.rps) {
+    std::fprintf(stderr, "--peak-rps must be >= --rps\n");
     return 2;
   }
   sim::Simulator sim;
@@ -280,6 +298,10 @@ int main(int argc, char** argv) {
     cluster_config.enable_superpod = true;
     cluster_config.ub_gbps = flags.ub_gbps;
     cluster_config.machines_per_superpod = flags.machines_per_superpod;
+  }
+  if (Status cluster_valid = cluster_config.Validate(); !cluster_valid.ok()) {
+    std::fprintf(stderr, "%s\n", cluster_valid.ToString().c_str());
+    return 2;
   }
   hw::Cluster cluster(&sim, cluster_config);
   distflow::TransferEngine transfer(&sim, &cluster, {});

@@ -55,6 +55,11 @@ Status ClusterConfig::Validate() const {
       return InvalidArgumentError("degenerate NpuSpec '" + spec.name + "' in machine_specs");
     }
   }
+  // Checked whether or not the SuperPod tier is on, so a bad --ub-gbps never
+  // hides behind a disabled fabric.
+  if (pcie_gbps <= 0 || ssd_gbps <= 0 || hccs_gbps <= 0 || roce_gbps <= 0 || ub_gbps <= 0) {
+    return InvalidArgumentError("link bandwidths must be positive");
+  }
   if (machines_per_superpod < 0) {
     return InvalidArgumentError("machines_per_superpod must be >= 0");
   }

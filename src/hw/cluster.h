@@ -50,7 +50,6 @@ struct ClusterConfig {
   double ssd_gbps = 3.0;
   double hccs_gbps = 90.0;   // scale-up link
   double roce_gbps = 20.0;   // ~200 Gb/s NIC after protocol overhead
-  double dram_gbps = 80.0;   // page-cache read bandwidth feeding PCIe
 
   DurationNs pcie_latency = UsToNs(5);
   DurationNs ssd_latency = UsToNs(80);
@@ -66,7 +65,8 @@ struct ClusterConfig {
   bool heterogeneous() const;
   // Structural sanity: positive counts, npus_per_machine divisible by
   // npus_per_pcie_link, machine_specs (when present) sized num_machines with
-  // non-degenerate specs, SuperPods aligned to scale-up domains.
+  // non-degenerate specs, positive link bandwidths (UB included), SuperPods
+  // aligned to scale-up domains.
   [[nodiscard]] Status Validate() const;
 };
 

@@ -1,41 +1,24 @@
-// Slab-allocated calendar event queue — the DES hot path.
-//
-// The simulator previously kept a std::priority_queue<Event> plus an
-// unordered_set<EventId> of lazily-deleted cancellations: every schedule
-// heap-allocated a std::function, every fire paid O(log n) sift plus a hash
-// lookup, and every cancel paid a hash insert now and a hash erase later. At
-// cluster scale (1,000 TEs, millions of requests) that bookkeeping *is* the
-// simulation. This queue replaces all of it:
+// Slab-allocated binary-heap event queue — the DES hot path.
 //
 //   * Event records live in a chunked slab, addressed by stable 32-bit slot
 //     indices and recycled through a free list. A handle is
 //     (generation << 32) | slot, so a stale handle (fired, cancelled, or
 //     recycled event) is detected by a generation compare — Cancel is an O(1)
 //     tombstone write, with no auxiliary hash set and no double lookup.
-//   * Scheduling order is a calendar queue (Brown 1988): an array of bucket
-//     lists, each bucket covering a `width`-ns slice of virtual time modulo
-//     the bucket count. Records chain through intrusive `next` links inside
-//     the slab. Near-uniform event populations insert and extract in O(1);
-//     the bucket count doubles/halves with occupancy and the width is
-//     re-sampled from live inter-event gaps on each resize.
-//   * Far events — beyond one ring-year (width x nbuckets) of the dequeue
-//     window at insert time — bypass the ring into an unsorted overflow
-//     vector guarded by a lower time bound. Deadline guards and idle timers
-//     parked seconds ahead of a microsecond-dense present would otherwise
-//     force a full ring scan every time the dense region drains; with the
-//     tier, "nothing due before t" is O(1) whenever t precedes the bound,
-//     and the overflow migrates into a right-sized ring only when the
-//     simulation actually reaches it. Cancelled overflow entries compact
-//     away amortized O(1), so mass-cancelled far timers never touch the
-//     ring at all.
+//   * Scheduling order is a binary min-heap of 24-byte {time, seq, slot}
+//     entries (std::push_heap / std::pop_heap). A cancelled record keeps its
+//     slot and heap entry until the entry reaches the top, where PopIfDue
+//     frees it — or until cancelled entries outnumber live ones, when one
+//     compaction drops them all and rebuilds the heap. The slab and the heap
+//     therefore stay within about 2x the live population even when most
+//     deadline guards are cancelled long before they fall due.
 //   * Callbacks are SmallFn (common/small_fn.h): captures up to 48 bytes are
 //     stored inline in the slab record, so the schedule/fire cycle performs
 //     zero heap traffic for the lambdas the engine/JE/CM actually schedule.
 //
 // Determinism contract: extraction order is the strict total order
-// (time, seq) with seq assigned at insertion — exactly the FIFO tie-break of
-// the old binary heap, so replay is bit-identical. Bucket geometry (count,
-// width, window position) affects only cost, never order.
+// (time, seq) with seq assigned at insertion — FIFO among equal times, so
+// replay is bit-identical. Compaction timing affects only cost, never order.
 #ifndef DEEPSERVE_SIM_EVENT_QUEUE_H_
 #define DEEPSERVE_SIM_EVENT_QUEUE_H_
 
@@ -43,9 +26,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/small_fn.h"
-#include "common/time_units.h"
 #include "common/types.h"
 
 namespace deepserve::sim {
@@ -57,7 +38,7 @@ class EventQueue {
   using Handle = uint64_t;
   static constexpr Handle kNilHandle = 0;
 
-  EventQueue();
+  EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -65,9 +46,9 @@ class EventQueue {
   // Inserts a callback at virtual time t. FIFO among equal timestamps.
   Handle Insert(TimeNs t, common::SmallFn fn);
 
-  // O(1): tombstones a live record. Returns false — with no side effects —
-  // for a handle that already fired, was already cancelled, or was never
-  // issued.
+  // O(1) amortized: tombstones a live record. Returns false — with no side
+  // effects — for a handle that already fired, was already cancelled, or was
+  // never issued.
   bool Cancel(Handle h);
 
   // True iff the handle refers to a scheduled, not-yet-fired event.
@@ -79,41 +60,30 @@ class EventQueue {
   // the way are freed.
   bool PopIfDue(TimeNs limit, TimeNs* t, common::SmallFn* fn);
 
-  // Live (scheduled, uncancelled) events across both tiers.
-  size_t live() const { return ring_live_ + overflow_live_; }
-  bool empty() const { return live() == 0; }
+  // Live (scheduled, uncancelled) events.
+  size_t live() const { return live_; }
+  bool empty() const { return live_ == 0; }
 
-  // Introspection for tests and the perf harness.
-  size_t bucket_count() const { return nbuckets_; }
-  TimeNs bucket_width() const { return width_; }
+  // Slab slots ever allocated (live, tombstoned and free), for tests.
   size_t slab_slots() const { return slot_count_; }
-  size_t overflow_size() const { return overflow_live_; }
 
  private:
   enum class SlotState : uint8_t { kFree = 0, kScheduled = 1, kCancelled = 2 };
 
   struct Record {
-    TimeNs time = 0;
-    uint64_t seq = 0;
-    uint32_t next = kNilIdx;  // intrusive bucket chain (ring tier only)
     uint32_t gen = 1;
     SlotState state = SlotState::kFree;
-    bool in_overflow = false;  // which tier owns the record while scheduled
     common::SmallFn fn;
   };
 
-  static constexpr uint32_t kNilIdx = 0xffffffffu;
+  struct Entry {
+    TimeNs time;
+    uint64_t seq;
+    uint32_t slot;
+  };
+
   static constexpr size_t kChunkShift = 9;  // 512 records per slab chunk
   static constexpr size_t kChunkSize = size_t{1} << kChunkShift;
-  static constexpr size_t kMinBuckets = 16;
-  static constexpr size_t kMaxBuckets = size_t{1} << 22;
-  // A sorted insert that walks more links than this forces a rehash: the
-  // width no longer matches the live distribution (e.g. a dense cluster far
-  // from the window) and chains are degenerating toward a linked list.
-  static constexpr size_t kMaxChainWalk = 128;
-  // Width clamp keeps bucket_top_ arithmetic far from int64 overflow even
-  // when a full bucket ring is scanned.
-  static constexpr TimeNs kMaxWidth = SToNs(60);
 
   static uint32_t IndexOf(Handle h) { return static_cast<uint32_t>(h & 0xffffffffu); }
   static uint32_t GenOf(Handle h) { return static_cast<uint32_t>(h >> 32); }
@@ -123,78 +93,32 @@ class EventQueue {
     return chunks_[idx >> kChunkShift][idx & (kChunkSize - 1)];
   }
 
-  static bool Earlier(const Record& a, const Record& b) {
+  // Heap comparator: true when a fires after b, so the heap's front is the
+  // (time, seq) minimum.
+  static bool Later(const Entry& a, const Entry& b) {
     if (a.time != b.time) {
-      return a.time < b.time;
+      return a.time > b.time;
     }
-    return a.seq < b.seq;
+    return a.seq > b.seq;
   }
 
   uint32_t AllocSlot();
   void FreeSlot(uint32_t idx);
-
-  // Sorted insert into the record's bucket chain; O(1) append when the
-  // record belongs at the tail (equal-time FIFO batches, ascending inserts).
-  // Returns the number of links walked so Insert can detect degeneration.
-  size_t BucketInsert(uint32_t idx);
-  // Frees tombstoned records at the head of bucket `b`'s chain.
-  void PruneCancelledHead(size_t b);
-
-  size_t BucketOf(TimeNs t) const {
-    return static_cast<size_t>(static_cast<uint64_t>(t) / static_cast<uint64_t>(width_)) & mask_;
-  }
-  TimeNs WindowFloor() const { return bucket_top_ - width_; }
-  // One ring-year: the span of virtual time the bucket array covers before
-  // wrapping. Bounded by kMaxWidth * kMaxBuckets ~ 2.5e17 ns, far from
-  // int64 overflow when added to event times.
-  TimeNs RingSpan() const { return width_ * static_cast<TimeNs>(nbuckets_); }
-  void RewindWindowTo(TimeNs t);
-  // Index of the earliest live *ring* record (positioned as the head of
-  // buckets_[cur_bucket_] on return), or kNilIdx when the ring holds none.
-  // Overflow records are not considered; PopIfDue arbitrates the tiers.
-  uint32_t FindEarliest();
-  // Moves every live overflow record into the ring (freeing overflow
-  // tombstones) via a right-sized Rehash, then resets the overflow bound.
-  void MigrateOverflow();
-  // Frees tombstoned overflow entries in place and recomputes the exact
-  // lower bound; amortized O(1) per cancel by the > half-dead trigger.
-  void CompactOverflow();
-  void Rehash(size_t new_nbuckets, std::vector<uint32_t>* extra = nullptr);
-  TimeNs SampleWidth(const std::vector<uint32_t>& sorted_live);
+  // Removes the heap's front entry.
+  void PopTop();
+  // Frees every tombstoned record and rebuilds the heap from the live ones.
+  void Compact();
 
   // ---- slab ----------------------------------------------------------------
   std::vector<std::unique_ptr<Record[]>> chunks_;
   std::vector<uint32_t> free_slots_;  // LIFO
   size_t slot_count_ = 0;
 
-  // ---- calendar ------------------------------------------------------------
-  std::vector<uint32_t> buckets_;  // head slot per bucket, kNilIdx when empty
-  std::vector<uint32_t> tails_;    // tail of each bucket chain, for O(1) append
-  size_t nbuckets_ = 0;
-  size_t mask_ = 0;
-  TimeNs width_ = 0;
-  size_t cur_bucket_ = 0;   // dequeue scan position
-  TimeNs bucket_top_ = 0;   // exclusive upper time bound of cur_bucket_'s window
-  size_t cal_count_ = 0;    // records chained into buckets (live + tombstoned)
-  size_t ring_live_ = 0;    // live records in the ring tier
+  // ---- heap ----------------------------------------------------------------
+  std::vector<Entry> heap_;  // live and tombstoned entries
+  size_t live_ = 0;
+  size_t dead_ = 0;  // tombstoned entries still in heap_
   uint64_t next_seq_ = 1;
-
-  // ---- overflow tier -------------------------------------------------------
-  std::vector<uint32_t> overflow_;  // unsorted slots, live and tombstoned
-  size_t overflow_live_ = 0;
-  size_t overflow_dead_ = 0;
-  // Lower bound on every live overflow time. Never raised while entries
-  // remain (cancellations may leave it slack — still a valid bound); made
-  // exact by CompactOverflow and reset by MigrateOverflow. A ring candidate
-  // strictly earlier than this bound is the global minimum: strict, because
-  // an equal-time overflow record could carry the smaller seq.
-  TimeNs overflow_lb_ = kTimeNever;
-
-  // Working buffers of MigrateOverflow, Rehash and SampleWidth, kept across
-  // calls: a sparse queue migrates its overflow on nearly every pop.
-  std::vector<uint32_t> migrate_scratch_;
-  std::vector<uint32_t> rehash_scratch_;
-  std::vector<TimeNs> gap_scratch_;
 };
 
 }  // namespace deepserve::sim

@@ -1,7 +1,7 @@
 // Discrete-event simulation core.
 //
 // All timing in DeepServe flows through one Simulator: a virtual clock plus a
-// calendar queue of (time, sequence, callback) events. The real system's
+// binary heap of (time, sequence, callback) events. The real system's
 // threads — FlowServe's sched-enqueue / sched-loop, RTC's background swapper,
 // DistFlow's transfer workers, the autoscaler's control loop — become event
 // chains here, so "asynchrony" is genuine overlap in virtual time and every
@@ -9,11 +9,11 @@
 // scheduling order (FIFO tie-break), which keeps causality intuitive.
 //
 // The storage under the clock is sim/event_queue.h: slab-allocated event
-// records addressed by generation-checked handles, ordered by a calendar
-// queue. EventIds are those handles, so Cancel() is an O(1) tombstone and
-// cancelling a fired, cancelled, or never-issued id is detected exactly (a
-// true no-op returning false) instead of by the global-count heuristic the
-// old binary-heap core used.
+// records addressed by generation-checked handles, ordered by a binary heap
+// that sweeps cancelled entries. EventIds are those handles, so Cancel() is
+// an O(1) tombstone and cancelling a fired, cancelled, or never-issued id is
+// detected exactly (a true no-op returning false) instead of by the
+// global-count heuristic the original lazy-deletion core used.
 #ifndef DEEPSERVE_SIM_SIMULATOR_H_
 #define DEEPSERVE_SIM_SIMULATOR_H_
 

@@ -5,14 +5,11 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/small_fn.h"
-#include "common/sorted_view.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/time_units.h"
@@ -232,43 +229,6 @@ TEST(SampleStatsTest, InterleavedAddAndQuery) {
   s.Add(1.0);
   s.Add(2.0);
   EXPECT_DOUBLE_EQ(s.p50(), 2.0);  // re-sorts after mutation
-}
-
-TEST(SortedViewTest, SortedKeysOfMap) {
-  std::unordered_map<std::string, int> m = {{"b", 2}, {"a", 1}, {"c", 3}};
-  EXPECT_EQ(SortedKeys(m), (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(SortedViewTest, SortedValuesOfSet) {
-  std::unordered_set<int> s = {30, 10, 20};
-  EXPECT_EQ(SortedValues(s), (std::vector<int>{10, 20, 30}));
-  EXPECT_EQ(SortedKeys(s), SortedValues(s));  // set alias drains identically
-}
-
-TEST(SortedViewTest, SortedItemsPairsByKey) {
-  std::unordered_map<int, std::string> m = {{2, "two"}, {1, "one"}, {3, "three"}};
-  auto items = SortedItems(m);
-  ASSERT_EQ(items.size(), 3u);
-  EXPECT_EQ(items[0], (std::pair<int, std::string>{1, "one"}));
-  EXPECT_EQ(items[1], (std::pair<int, std::string>{2, "two"}));
-  EXPECT_EQ(items[2], (std::pair<int, std::string>{3, "three"}));
-}
-
-TEST(SortedViewTest, CustomComparator) {
-  std::unordered_map<int, int> m = {{1, 10}, {2, 20}, {3, 30}};
-  auto desc = [](int a, int b) { return a > b; };
-  EXPECT_EQ(SortedKeys(m, desc), (std::vector<int>{3, 2, 1}));
-  auto items = SortedItems(m, desc);
-  EXPECT_EQ(items.front().first, 3);
-  EXPECT_EQ(items.back().first, 1);
-}
-
-TEST(SortedViewTest, EmptyContainers) {
-  std::unordered_map<int, int> m;
-  std::unordered_set<int> s;
-  EXPECT_TRUE(SortedKeys(m).empty());
-  EXPECT_TRUE(SortedItems(m).empty());
-  EXPECT_TRUE(SortedValues(s).empty());
 }
 
 TEST(SmallFnTest, EmptyByDefault) {

@@ -1,13 +1,14 @@
-// Direct tests for the slab-allocated calendar event queue, below the
-// Simulator API: handle generation checking, bucket grow/shrink rehashes,
-// window rewinds for inserts behind the scan position, and exact
-// (time, insertion-order) extraction parity against a naive reference model.
+// Direct tests for the slab-allocated binary-heap event queue, below the
+// Simulator API: handle generation checking, tombstone sweeping and
+// compaction, and exact (time, insertion-order) extraction parity against a
+// naive reference model.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -137,14 +138,12 @@ TEST(EventQueueTest, CancelStormLeavesSurvivorsInOrder) {
 TEST(EventQueueTest, InsertBehindScanWindowStillPopsFirst) {
   EventQueue q;
   std::vector<uint64_t> fired;
-  // A single far-future event forces the dequeue scan to jump its window far
-  // forward when probed...
+  // A probe with only a far-future event queued pops nothing...
   InsertMarked(q, SToNs(1000), &fired, 1);
   TimeNs t = 0;
   SmallFn fn;
   EXPECT_FALSE(q.PopIfDue(100, &t, &fn));
-  // ...so a subsequent near-term insert lands behind the window floor and
-  // must rewind the scan rather than be orphaned for a full ring lap.
+  // ...and a near-term insert made after the probe still pops first.
   InsertMarked(q, 10, &fired, 2);
   ASSERT_TRUE(q.PopIfDue(100, &t, &fn));
   EXPECT_EQ(t, 10);
@@ -168,9 +167,8 @@ TEST(EventQueueTest, SparseAndClusteredTimesInterleave) {
   EXPECT_EQ(fired, (std::vector<uint64_t>{1, 3, 2, 0, 4}));
 }
 
-TEST(EventQueueTest, GrowAndShrinkRehashPreservesExactOrder) {
+TEST(EventQueueTest, LargeClumpyDrainAndRefillPreservesExactOrder) {
   EventQueue q;
-  const size_t initial_buckets = q.bucket_count();
   std::vector<uint64_t> fired;
   std::map<std::pair<TimeNs, uint64_t>, uint64_t> model;  // (time, ord) -> marker
   uint64_t state = 7;
@@ -178,19 +176,14 @@ TEST(EventQueueTest, GrowAndShrinkRehashPreservesExactOrder) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
     return state >> 33;
   };
-  // Enough inserts to force several doublings (grow triggers past 2x bucket
-  // occupancy) with deliberately clumpy times so buckets collide.
+  // A large population with deliberately clumpy times: many equal-time ties
+  // within each clump and wide gaps between clumps.
   for (uint64_t i = 0; i < 20000; ++i) {
     TimeNs t = static_cast<TimeNs>(next() % 1000 + (next() % 8) * 100000);
     InsertMarked(q, t, &fired, i);
     model[{t, i}] = i;
   }
-  const size_t peak_buckets = q.bucket_count();
-  EXPECT_GT(peak_buckets, initial_buckets) << "population should grow the ring";
-  // Drain almost all of it — crossing the 1/4-occupancy threshold shrinks
-  // the ring back down mid-extraction. (Far clumps ride the overflow tier
-  // and fold in along the way, so the ring must fall well below peak once
-  // only a sliver of the population remains.)
+  // Drain almost all of it in nondecreasing time.
   TimeNs t = 0;
   SmallFn fn;
   TimeNs prev = 0;
@@ -201,7 +194,6 @@ TEST(EventQueueTest, GrowAndShrinkRehashPreservesExactOrder) {
     fn();
     fn.Reset();
   }
-  EXPECT_LT(q.bucket_count(), peak_buckets) << "drain should shrink the ring";
   // Refill beyond the survivors, then drain fully.
   for (uint64_t i = 20000; i < 21000; ++i) {
     TimeNs ti = prev + static_cast<TimeNs>(next() % 5000);
@@ -218,33 +210,25 @@ TEST(EventQueueTest, GrowAndShrinkRehashPreservesExactOrder) {
   }
 }
 
-// Randomized parity: 50k mixed insert/cancel/pop operations against a naive
-// ordered-map reference. Checks exact extraction order, live counts, and
-// Cancel()/Live() agreement with the model at every step.
-// Far events (beyond one ring-year of the dequeue window) take the overflow
-// tier at insert and must migrate back into the ring in exact (time, seq)
-// order once the simulation reaches them — including FIFO ties straddling
-// the tiers.
-TEST(EventQueueTest, FarEventsMigrateInExactOrder) {
+// Events nanoseconds and seconds away, inserted interleaved, fire in exact
+// (time, seq) order — including FIFO ties among the far ones.
+TEST(EventQueueTest, NearAndFarEventsFireInExactOrder) {
   EventQueue q;
   std::vector<uint64_t> fired;
-  // Near cluster: microsecond-scale. Far cluster: seconds out, interleaved
-  // insertion so seq ordering crosses the tier boundary.
+  // Near cluster: nanosecond-scale. Far cluster: seconds out, interleaved
+  // insertion so seq ordering crosses the near/far boundary.
   InsertMarked(q, 100, &fired, 0);
   InsertMarked(q, SToNs(5), &fired, 1);
   InsertMarked(q, 200, &fired, 2);
   InsertMarked(q, SToNs(5), &fired, 3);  // same far time, later seq
   InsertMarked(q, SToNs(2), &fired, 4);
-  EXPECT_GT(q.overflow_size(), 0u) << "second-scale events should take the overflow tier";
   EXPECT_EQ(Drain(q), 5u);
   EXPECT_EQ(fired, (std::vector<uint64_t>{0, 2, 4, 1, 3}));
-  EXPECT_EQ(q.overflow_size(), 0u);
 }
 
-// "Nothing due before t" must not depend on far-future timers: a limit-
-// bounded pop below the overflow bound returns false without disturbing
-// them, and they still fire later.
-TEST(EventQueueTest, LimitBelowOverflowBoundLeavesFarTimersParked) {
+// A limit-bounded pop before every timer returns false without disturbing
+// them, and they all still fire later in order.
+TEST(EventQueueTest, LimitBeforeFarTimersPopsNothingAndKeepsThem) {
   EventQueue q;
   std::vector<uint64_t> fired;
   for (uint64_t i = 0; i < 100; ++i) {
@@ -253,7 +237,7 @@ TEST(EventQueueTest, LimitBelowOverflowBoundLeavesFarTimersParked) {
   TimeNs t = 0;
   SmallFn fn;
   EXPECT_FALSE(q.PopIfDue(MsToNs(1), &t, &fn));
-  EXPECT_GT(q.overflow_size(), 0u) << "a far-only probe must not force migration";
+  EXPECT_EQ(q.live(), 100u);
   EXPECT_EQ(Drain(q), 100u);
   for (uint64_t i = 0; i < 100; ++i) {
     EXPECT_EQ(fired[i], i);
@@ -261,8 +245,8 @@ TEST(EventQueueTest, LimitBelowOverflowBoundLeavesFarTimersParked) {
 }
 
 // The deadline-guard pattern: batches of far timers, 90% cancelled long
-// before due. Cancellations must compact out of the overflow tier (never
-// touching the ring) and the survivors fire in exact order.
+// before due. Cancellations compact out of the heap and the survivors fire
+// in exact order.
 TEST(EventQueueTest, MassCancelledFarTimersCompactAndSurvivorsFire) {
   EventQueue q;
   std::vector<uint64_t> fired;
@@ -349,6 +333,74 @@ TEST(EventQueueTest, CancelStormReusesSlots) {
   EXPECT_EQ(fired, static_cast<uint64_t>(kRounds) * (kBatch / 5 + kBatch * 4 / 5 / 10));
 }
 
+// Cancelled heads must not stand in for the next live event: a limit
+// between them and it pops nothing, a limit past it pops the live one.
+TEST(EventQueueTest, CancelledEarliestDoesNotHideADueEvent) {
+  EventQueue q;
+  std::vector<uint64_t> fired;
+  EventQueue::Handle first = InsertMarked(q, 10, &fired, 1);
+  EventQueue::Handle second = InsertMarked(q, 15, &fired, 2);
+  InsertMarked(q, 30, &fired, 3);
+  ASSERT_TRUE(q.Cancel(first));
+  ASSERT_TRUE(q.Cancel(second));
+  TimeNs t = 0;
+  SmallFn fn;
+  EXPECT_FALSE(q.PopIfDue(20, &t, &fn)) << "only cancelled events are due by 20";
+  EXPECT_EQ(q.live(), 1u);
+  ASSERT_TRUE(q.PopIfDue(40, &t, &fn));
+  EXPECT_EQ(t, 30);
+  fn();
+  EXPECT_EQ(fired, (std::vector<uint64_t>{3}));
+  EXPECT_TRUE(q.empty());
+}
+
+// Cancel releases the callback's captures at once, long before the
+// tombstone's entry is swept from the heap.
+TEST(EventQueueTest, CancelReleasesCapturesBeforeTheSweep) {
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  EventQueue::Handle h = q.Insert(SToNs(10), [token] { ++*token; });
+  q.Insert(SToNs(20), [] {});
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(q.Cancel(h));
+  EXPECT_EQ(token.use_count(), 1) << "the cancelled callback still holds its capture";
+  EXPECT_EQ(Drain(q), 1u);
+  EXPECT_EQ(*token, 0);
+}
+
+// Equal-time inserts keep FIFO order across a cancel burst large enough to
+// compact the heap (cancelled entries outnumber live ones, more than 64).
+TEST(EventQueueTest, EqualTimeFifoSurvivesCompaction) {
+  constexpr uint64_t kEvents = 1000;
+  EventQueue q;
+  std::vector<uint64_t> fired;
+  std::vector<EventQueue::Handle> handles;
+  for (uint64_t i = 0; i < kEvents; ++i) {
+    handles.push_back(InsertMarked(q, 500, &fired, i));
+  }
+  const size_t slots_before = q.slab_slots();
+  std::vector<uint64_t> expected;
+  for (uint64_t i = 0; i < kEvents; ++i) {
+    if (i % 7 == 3) {
+      expected.push_back(i);
+    } else {
+      ASSERT_TRUE(q.Cancel(handles[i]));
+    }
+  }
+  // Compaction returned most cancelled slots to the free list: the next
+  // inserts reuse them instead of growing the slab.
+  for (uint64_t i = kEvents; i < kEvents + kEvents / 2; ++i) {
+    InsertMarked(q, 500, &fired, i);
+    expected.push_back(i);
+  }
+  EXPECT_EQ(q.slab_slots(), slots_before) << "cancelled slots were not reclaimed";
+  EXPECT_EQ(Drain(q), expected.size());
+  EXPECT_EQ(fired, expected);
+}
+
+// Randomized parity: 50k mixed insert/cancel/pop operations against a naive
+// ordered-map reference. Checks exact extraction order, live counts, and
+// Cancel()/Live() agreement with the model at every step.
 TEST(EventQueueTest, RandomOpsMatchReferenceModel) {
   EventQueue q;
   struct ModelEvent {
@@ -369,7 +421,7 @@ TEST(EventQueueTest, RandomOpsMatchReferenceModel) {
   for (int op = 0; op < 50000; ++op) {
     uint64_t r = next() % 100;
     if (r < 55 || all_handles.empty()) {
-      // Mixed near/far horizon exercises both the year scan and direct search.
+      // Mixed horizon: mostly microseconds ahead, one insert in 20 up to 10 s.
       TimeNs horizon = (next() % 20 == 0) ? SToNs(10) : TimeNs{20000};
       TimeNs t = now + static_cast<TimeNs>(next() % static_cast<uint64_t>(horizon));
       uint64_t o = ord++;

@@ -318,6 +318,26 @@ TEST(ClusterConfigValidateTest, RejectsSuperPodStraddlingScaleUpDomains) {
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
   config.machines_per_superpod = 8;
   EXPECT_TRUE(config.Validate().ok());
+  config.machines_per_superpod = -1;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+}
+
+// A non-positive link bandwidth would abort the SharedLink constructor; the
+// UB link's is refused even while the SuperPod tier is off.
+TEST(ClusterConfigValidateTest, RejectsNonPositiveLinkBandwidth) {
+  ClusterConfig config;
+  config.ub_gbps = 0.0;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.enable_superpod = true;
+  config.ub_gbps = -3.0;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.ub_gbps = 196.0;
+  EXPECT_TRUE(config.Validate().ok());
+  config.hccs_gbps = 0.0;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.hccs_gbps = 90.0;
+  config.pcie_gbps = -1.0;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(HeteroClusterTest, SpecOfTracksMachineGeneration) {

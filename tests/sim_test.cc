@@ -103,6 +103,32 @@ TEST(SimulatorTest, RunUntilStopsAtBoundaryAndAdvancesClock) {
   EXPECT_EQ(fired.back(), 30);
 }
 
+// After a mass cancel (enough to compact the queue), RunUntil fires exactly
+// the survivors due by its limit, in order, and leaves the clock at the limit.
+TEST(SimulatorTest, RunUntilAfterMassCancelFiresOnlyDueSurvivors) {
+  Simulator sim;
+  std::vector<TimeNs> fired;
+  std::vector<EventId> ids;
+  for (TimeNs t = 1; t <= 1000; ++t) {
+    ids.push_back(sim.ScheduleAt(t, [&fired, t] { fired.push_back(t); }));
+  }
+  std::vector<TimeNs> expected;
+  for (TimeNs t = 1; t <= 1000; ++t) {
+    if (t % 10 == 0) {
+      if (t <= 555) {
+        expected.push_back(t);
+      }
+    } else {
+      ASSERT_TRUE(sim.Cancel(ids[static_cast<size_t>(t - 1)]));
+    }
+  }
+  EXPECT_EQ(sim.PendingEvents(), 100u);
+  EXPECT_EQ(sim.RunUntil(555), expected.size());
+  EXPECT_EQ(sim.Now(), 555);
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.PendingEvents(), 45u);
+}
+
 // Step, Run and RunUntil share one fire step: driving the same schedule by
 // single steps or by RunUntil windows fires the same events in the same order
 // at the same times, and counts them alike in TotalFired and the registry.

@@ -120,9 +120,9 @@ class UnorderedIterRule : public Rule {
             std::vector<Finding>* out) const {
     out->push_back({f.path, line, std::string(id()),
                     "iteration over unordered member '" + member +
-                        "' has nondeterministic order — drain a sorted snapshot "
-                        "(SortedKeys/SortedItems/SortedValues, "
-                        "common/sorted_view.h) or annotate with a reason"});
+                        "' has nondeterministic order — iterate a sorted copy of its "
+                        "keys, use an ordered container, or annotate with a "
+                        "reason"});
   }
 
   void CheckRangeFor(const FileCtx& f, const ProjectIndex& idx, const FuncDecl& fn,

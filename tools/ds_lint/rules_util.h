@@ -64,7 +64,7 @@ inline bool MemberChain(const std::vector<Token>& t, size_t begin, size_t end,
   if (!IsIdentTok(t, last)) return false;
   // Whole range must be an access chain: ident ((.|->) ident)* with optional
   // leading `this ->` or `(*this).`-free simple forms. Any '(' means a call
-  // or wrapper (e.g. SortedKeys(m)) and is not a bare member access.
+  // or wrapper (e.g. SortedKeysOf(m)) and is not a bare member access.
   bool expect_ident = true;
   for (size_t k = 0; k < ix.size(); ++k) {
     const Token& tok = t[ix[k]];

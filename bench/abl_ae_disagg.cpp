@@ -10,6 +10,7 @@
 
 #include "bench/common.h"
 #include "flowserve/engine.h"
+#include "rtc/radix_tree.h"
 
 namespace deepserve {
 namespace {
@@ -64,7 +65,7 @@ int64_t KvCapacity(bool ae) {
   config.parallelism = {4, 1, 1};
   config.ae_disagg.enabled = ae;
   flowserve::Engine engine(&sim, config);
-  return engine.kv_block_capacity() * config.block_size;
+  return engine.kv_block_capacity() * rtc::kBlockTokens;
 }
 
 }  // namespace

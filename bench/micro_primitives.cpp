@@ -37,7 +37,7 @@ std::vector<TokenId> RandomTokens(size_t n, uint64_t seed) {
 void BM_ChainHashBlockKeys(benchmark::State& state) {
   auto tokens = RandomTokens(static_cast<size_t>(state.range(0)), 1);
   for (auto _ : state) {
-    auto keys = rtc::TokensToBlockKeys(tokens, 16);
+    auto keys = rtc::TokensToBlockKeys(tokens);
     benchmark::DoNotOptimize(keys);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -268,7 +268,7 @@ void BM_RtcMatchPopulateCycle(benchmark::State& state) {
   rtc::RtcMaster master(&sim, config);
   auto tokens = RandomTokens(2048, 7);
   auto blocks = master.AllocBlocks(128).value();
-  const rtc::KeyChain keys = rtc::KeyChain::Hash(tokens, config.block_size);
+  const rtc::KeyChain keys = rtc::KeyChain::Hash(tokens);
   master.Preserve(tokens, blocks, keys);
   master.Free(blocks);
   for (auto _ : state) {

@@ -77,14 +77,15 @@ echo "==> hetero smoke: cost-aware vs hetero-blind placement on a Gen1/Gen2 mix"
 # and the aware run replays bit-identically.
 ./build/bench/fig_hetero --smoke >/dev/null
 
-echo "==> perf_sim smoke: DES core throughput, replay determinism, BENCH_perf.json"
+echo "==> perf_sim smoke: DES core throughput, replay determinism"
 # Exits non-zero unless replay_scale's full-stack 64-TE replay is
 # bit-identical across its two rounds at every trace length and completes
 # requests at each, the cancellation-heavy scenario reaches >= 0.48x the
 # event-churn scenario's events/sec in the same run, and replay_scale's cost
-# per request grows at most 1.8x over a 4x longer trace. Writes the tracked
-# BENCH_perf.json.
-./build/bench/perf_sim --smoke --out=BENCH_perf.json >/dev/null
+# per request grows at most 1.8x over a 4x longer trace. The smoke figures go
+# to build/BENCH_perf_smoke.json; the tracked BENCH_perf.json holds a
+# full-mode run and is written only by hand (README).
+./build/bench/perf_sim --smoke --out=build/BENCH_perf_smoke.json >/dev/null
 
 echo "==> deepserve_sim obs smoke: obs flags write their files, report unchanged"
 # Exits non-zero unless --trace-out and --metrics-out each write a non-empty
@@ -123,12 +124,13 @@ echo "==> deepserve_sim boundary: bad configs exit 2, not with an abort"
 # any TE, rather than die on the engine's capacity check. The same holds for a
 # parallelism degree below 1, a negative TE count, a control-log config that
 # ctrl::CtrlConfig::Validate refuses, an unknown scale, sched or trace policy,
-# an unknown NPU generation, a negative SLO budget, deadline or bursty period,
-# a bursty peak below its base rate, a cluster (link bandwidth, SuperPod size)
-# that hw::ClusterConfig::Validate refuses, a predictor accuracy outside
-# [0, 1], an autoscaler config that serving::AutoscalerConfig::Validate
-# refuses, traffic flags that serving::RouteConfig::Validate refuses and an
-# unknown flag (each line is one run's flags).
+# an unknown NPU generation, a negative SLO budget, deadline, bursty period or
+# NPU price, a bursty peak below its base rate, a cluster (link bandwidth,
+# SuperPod size) that hw::ClusterConfig::Validate refuses, a predictor
+# accuracy outside [0, 1], an autoscaler config that
+# serving::AutoscalerConfig::Validate refuses, traffic flags that
+# serving::RouteConfig::Validate refuses and an unknown flag (each line is one
+# run's flags).
 while read -r -a BAD_FLAGS; do
   BAD_STATUS=0
   ./build/examples/deepserve_sim "${BAD_FLAGS[@]}" >/dev/null 2>&1 || BAD_STATUS=$?
@@ -164,6 +166,8 @@ done <<'BAD_CONFIGS'
 --model=tiny-1b --colocated=2 --rps=5 --duration=2 --ttft-ms=-1
 --model=tiny-1b --colocated=2 --rps=5 --duration=2 --deadline-ms=-1
 --model=tiny-1b --colocated=2 --rps=5 --duration=2 --trace=bursty --period=-1
+--model=tiny-1b --colocated=2 --rps=5 --duration=2 --npu-mix=gen1:1 --npu-cost-gen1=-5
+--model=tiny-1b --colocated=2 --rps=5 --duration=2 --npu-mix=gen2:1 --npu-cost-gen2=-5
 BAD_CONFIGS
 # fig_traffic fixes a routing policy per variant, so --lb-policy is an
 # unknown flag there (exit 2), not one it silently ignores.

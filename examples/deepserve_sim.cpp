@@ -219,6 +219,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--peak-rps and --period must be >= 0\n");
     return 2;
   }
+  if (flags.npu_cost_gen1 < 0 || flags.npu_cost_gen2 < 0) {
+    std::fprintf(stderr, "--npu-cost-gen1 and --npu-cost-gen2 must be >= 0 (0 = preset)\n");
+    return 2;
+  }
   if (flags.gen != "gen1" && flags.gen != "gen2") {
     std::fprintf(stderr, "unknown --gen %s (gen1|gen2)\n", flags.gen.c_str());
     return 2;

@@ -65,10 +65,6 @@ Result<int64_t> KvBlockCapacity(const EngineConfig& config) {
     return InvalidArgumentError("parallelism " + par.ToString() +
                                 ": tp, pp and dp must each be >= 1");
   }
-  if (config.block_size <= 0) {
-    return InvalidArgumentError("KV block size must be > 0, got " +
-                                std::to_string(config.block_size));
-  }
   if (config.kv_block_capacity_override > 0) {
     return config.kv_block_capacity_override;
   }
@@ -77,12 +73,12 @@ Result<int64_t> KvBlockCapacity(const EngineConfig& config) {
   if (config.ae_disagg.enabled) {
     cost.SetAeDisagg(config.ae_disagg);
   }
-  int64_t blocks = cost.MaxKvTokensPerNpu() / config.block_size;
+  int64_t blocks = cost.MaxKvTokensPerNpu() / rtc::kBlockTokens;
   if (blocks <= 0) {
     return InvalidArgumentError("model " + config.model.name + " does not fit on " +
                                 config.npu_spec.name + " at " +
                                 config.parallelism.ToString() + ": no room for one " +
-                                std::to_string(config.block_size) + "-token KV block");
+                                std::to_string(rtc::kBlockTokens) + "-token KV block");
   }
   return blocks;
 }
@@ -111,11 +107,9 @@ Engine::Engine(sim::Simulator* sim, EngineConfig config)
     auto group = std::make_unique<DpGroup>();
     group->index = g;
     rtc::RtcConfig rtc_config;
-    rtc_config.block_size = config_.block_size;
     rtc_config.pool.npu_capacity = kv_block_capacity_;
     rtc_config.pool.dram_capacity = kDramBlockCapacity;
-    rtc_config.bytes_per_block =
-        config_.model.KvBytesPerToken() * static_cast<Bytes>(config_.block_size);
+    rtc_config.bytes_per_block = config_.model.KvBytesPerToken() * rtc::kBlockTokens;
     rtc_config.enable_pic = config_.enable_pic;
     group->rtc = std::make_unique<rtc::RtcMaster>(sim_, rtc_config);
     groups_.push_back(std::move(group));
@@ -153,8 +147,7 @@ void Engine::AttachNpus(const std::vector<hw::Npu*>& npus) {
   DS_CHECK_EQ(static_cast<int>(npus.size()), ranks * config_.parallelism.dp)
       << "engine needs one NPU per TP*PP*DP rank";
   Bytes per_npu_block =
-      config_.model.KvBytesPerToken() * static_cast<Bytes>(config_.block_size) /
-      static_cast<Bytes>(ranks);
+      config_.model.KvBytesPerToken() * rtc::kBlockTokens / static_cast<Bytes>(ranks);
   for (int g = 0; g < config_.parallelism.dp; ++g) {
     for (int r = 0; r < ranks; ++r) {
       auto executor = std::make_unique<rtc::RtcExecutor>(
@@ -208,8 +201,8 @@ Sequence* Engine::AddSequence(const workload::RequestSpec& spec, int dp_group,
 }
 
 const rtc::KeyChain& Engine::PromptKeys(Sequence* seq) {
-  if (seq->keys.block_size() != config_.block_size) {
-    seq->keys = rtc::KeyChain::Hash(seq->prompt, config_.block_size);
+  if (!seq->keys.hashed()) {
+    seq->keys = rtc::KeyChain::Hash(seq->prompt);
     ++stats_.prompt_hashes;
   }
   return seq->keys;
@@ -220,7 +213,7 @@ void Engine::Submit(const workload::RequestSpec& spec, ResponseHandler handler,
   DS_CHECK(!draining_) << "Submit() on a draining engine; the TE stopped admitting";
   const int64_t context =
       static_cast<int64_t>(spec.prompt.size()) + std::max<int64_t>(1, spec.decode_len);
-  if (context / config_.block_size + 1 > kv_block_capacity_) {
+  if (context / rtc::kBlockTokens + 1 > kv_block_capacity_) {
     // Never admissible here. The error fires from an event, so a caller that
     // is still inside its own dispatch is not re-entered.
     if (handler.on_error) {
@@ -313,8 +306,7 @@ void Engine::SchedEnqueue(Sequence* seq) {
 
 void Engine::FinishEnqueue(Sequence* seq) {
   DpGroup& group = GroupFor(*seq);
-  seq->block_tokens =
-      static_cast<int64_t>(seq->blocks.size()) * static_cast<int64_t>(config_.block_size);
+  seq->block_tokens = static_cast<int64_t>(seq->blocks.size()) * rtc::kBlockTokens;
   seq->prefilled = seq->reused_tokens;
   stats_.reused_tokens += seq->reused_tokens;
   seq->state = SeqState::kQueued;
@@ -340,14 +332,13 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, ResponseHandle
   const int64_t context = static_cast<int64_t>(spec.prompt.size()) + 1;
   std::vector<rtc::BlockId> blocks;
   DS_RETURN_IF_ERROR(
-      group.rtc->AllocBlocks((context + config_.block_size - 1) / config_.block_size, &blocks));
+      group.rtc->AllocBlocks((context + rtc::kBlockTokens - 1) / rtc::kBlockTokens, &blocks));
   Sequence* seq = AddSequence(spec, dp_group, std::move(keys));
   seq->prefilled = seq->prompt_len();
   seq->generated = 1;  // the prefill TE produced the first token
   seq->handler = std::move(handler);
   seq->blocks = std::move(blocks);
-  seq->block_tokens =
-      static_cast<int64_t>(seq->blocks.size()) * static_cast<int64_t>(config_.block_size);
+  seq->block_tokens = static_cast<int64_t>(seq->blocks.size()) * rtc::kBlockTokens;
   seq->state = SeqState::kDecoding;
   ++stats_.submitted;
   if (obs::Tracer* t = sim_->tracer()) {

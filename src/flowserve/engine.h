@@ -54,7 +54,7 @@ struct EngineStats {
   int64_t reused_tokens = 0;
   int64_t pic_reused_tokens = 0;
   // Prompts this engine hashed into a block-key chain itself because the
-  // request came without a usable one (see Submit).
+  // request came without one (see Submit).
   int64_t prompt_hashes = 0;
   int64_t populates_started = 0;
   int64_t populates_rejected = 0;  // cost model said recompute instead
@@ -99,8 +99,8 @@ struct LoadInfo {
 // set, else what HBM holds after the weights at the utilization target.
 // INVALID_ARGUMENT, naming the model and the parallelism, when that is not
 // one block, i.e. the model does not fit on its NPUs, and for a tp, pp or dp
-// below 1 or a block size below 1. The Engine sizes its cache with this; a
-// launcher calls it to refuse such a config up front.
+// below 1. The Engine sizes its cache with this; a launcher calls it to
+// refuse such a config up front.
 [[nodiscard]] Result<int64_t> KvBlockCapacity(const EngineConfig& config);
 
 class Engine {
@@ -130,8 +130,8 @@ class Engine {
   // Request paths -------------------------------------------------------------
   // Both paths share spec.prompt's storage and take `keys`, the caller's
   // block-key chain of it (the JE's), for the RTC match and cache commit. A
-  // chain hashed at another block size, or none, makes the engine hash the
-  // prompt itself when it first needs the chain.
+  // request without one (a direct Submit) has the engine hash the prompt
+  // itself, once, when it first needs the chain.
   //
   // Full path: tokenizer -> sched-enqueue (RTC match / populate) -> batch.
   // `handler.on_error` fires (exactly once, instead of on_complete) when the
@@ -233,8 +233,7 @@ class Engine {
   // Submit/enqueue paths (engine.cc).
   // The fields every submitted sequence takes from its request.
   Sequence* AddSequence(const workload::RequestSpec& spec, int dp_group, rtc::KeyChain keys);
-  // seq->keys, hashed here first (once) when the request brought no chain at
-  // this engine's block size.
+  // seq->keys, hashed here first (once) when the request brought no chain.
   const rtc::KeyChain& PromptKeys(Sequence* seq);
   void SchedEnqueue(Sequence* seq);
   void FinishEnqueue(Sequence* seq);

@@ -85,7 +85,6 @@ struct EngineConfig {
   EngineRole role = EngineRole::kColocated;
   EngineFeatures features = EngineFeatures::V3();
 
-  int block_size = 16;                  // KV block tokens
   int64_t max_batch_seqs = 256;         // continuous-batching cap per DP group
   int64_t max_tokens_per_step = 8192;   // token budget per step
   int64_t prefill_chunk_tokens = 512;

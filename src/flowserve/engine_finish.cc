@@ -178,10 +178,12 @@ void Engine::ShedSequence(DpGroup& group, Sequence* seq, const Status& status) {
 void Engine::ReleaseSequence(DpGroup& group, Sequence* seq, bool preserve) {
   if (preserve && config_.enable_prefix_caching && !seq->blocks.empty()) {
     const rtc::KeyChain& keys = PromptKeys(seq);
-    group.rtc->Preserve(seq->prompt, seq->blocks, keys);
-    if (!seq->context_id.empty()) {
-      // Intentional discard: a duplicate context id means another sequence
-      // already committed this prefix; the private copy simply dies on Free.
+    if (seq->context_id.empty()) {
+      group.rtc->Preserve(seq->prompt, seq->blocks, keys);
+    } else {
+      // PreserveById commits to the prefix tree as Preserve does. Intentional
+      // discard: it fails only for a context shorter than one block, which
+      // leaves nothing to cache.
       (void)group.rtc->PreserveById(seq->context_id, seq->prompt, seq->blocks, keys);
     }
   }

@@ -122,15 +122,14 @@ void Engine::SweepSheds(DpGroup& group) {
 
 bool Engine::EnsureBlocks(DpGroup& group, Sequence* seq, int64_t tokens, bool allow_preempt,
                           StepPlan* plan, sched::PreemptReason reason) {
-  int64_t needed =
-      (tokens + config_.block_size - 1) / config_.block_size -
-      static_cast<int64_t>(seq->blocks.size());
+  int64_t needed = (tokens + rtc::kBlockTokens - 1) / rtc::kBlockTokens -
+                   static_cast<int64_t>(seq->blocks.size());
   if (needed <= 0) {
     return true;
   }
   while (true) {
     if (group.rtc->AllocBlocks(needed, &seq->blocks).ok()) {
-      seq->block_tokens += needed * config_.block_size;
+      seq->block_tokens += needed * rtc::kBlockTokens;
       return true;
     }
     if (!allow_preempt || !PreemptVictim(group, seq, plan, reason)) {

@@ -45,9 +45,9 @@ struct ResponseHandler {
 struct Sequence {
   workload::RequestId request_id = 0;
   workload::Prompt prompt;  // shares the request's token storage
-  // `prompt`'s block-key chain at this engine's block size, for the RTC
-  // prefix match and the cache commit at release. Usually the JE's chain,
-  // shared; empty until the engine needs it when none came with the request.
+  // `prompt`'s block-key chain, for the RTC prefix match and the cache commit
+  // at release. Usually the JE's chain, shared; empty until the engine needs
+  // it when none came with the request.
   rtc::KeyChain keys;
   int64_t decode_target = 0;
   std::string context_id;  // explicit-cache id ("" = implicit only)

@@ -66,6 +66,10 @@ namespace deepserve::rtc {
 // Chain hash over token blocks: key(i) = H(key(i-1), tokens in block i).
 using BlockKey = uint64_t;
 
+// Tokens per KV block: the one block size of every cache and prompt tree, so
+// the JE's prompt-tree keys and each TE's RTC keys are one index (§5.2).
+inline constexpr int kBlockTokens = 16;
+
 inline BlockKey ChainHash(BlockKey prev, std::span<const TokenId> tokens) {
   uint64_t h = prev * 0x100000001b3ull + 0x9ae16a3b2f90404full;
   for (TokenId t : tokens) {
@@ -77,11 +81,10 @@ inline BlockKey ChainHash(BlockKey prev, std::span<const TokenId> tokens) {
 }
 
 // Writes the full-block key chain of `tokens` to `out`, which must have room
-// for tokens.size() / block_size keys (the partial tail block is dropped —
+// for tokens.size() / kBlockTokens keys (the partial tail block is dropped —
 // only complete blocks are cacheable).
-inline void HashBlocks(std::span<const TokenId> tokens, int block_size, BlockKey* out) {
-  DS_CHECK_GT(block_size, 0);
-  const size_t bs = static_cast<size_t>(block_size);
+inline void HashBlocks(std::span<const TokenId> tokens, BlockKey* out) {
+  constexpr size_t bs = kBlockTokens;
   BlockKey prev = 0;
   for (size_t b = 0; b < tokens.size() / bs; ++b) {
     prev = ChainHash(prev, tokens.subspan(b * bs, bs));
@@ -90,10 +93,9 @@ inline void HashBlocks(std::span<const TokenId> tokens, int block_size, BlockKey
 }
 
 // Converts a token sequence into its full-block key chain.
-inline std::vector<BlockKey> TokensToBlockKeys(std::span<const TokenId> tokens, int block_size) {
-  DS_CHECK_GT(block_size, 0);
-  std::vector<BlockKey> keys(tokens.size() / static_cast<size_t>(block_size));
-  HashBlocks(tokens, block_size, keys.data());
+inline std::vector<BlockKey> TokensToBlockKeys(std::span<const TokenId> tokens) {
+  std::vector<BlockKey> keys(tokens.size() / kBlockTokens);
+  HashBlocks(tokens, keys.data());
   return keys;
 }
 
@@ -140,30 +142,28 @@ static_assert(sizeof(Edge) == 24, "an edge is as small as the vector header it r
 // layer that keys on it: the JE's prompt tree, then the RTC match and cache
 // commit of each TE the request runs on. Every radix-tree node a prompt
 // creates slices this chain (Edge), so the chain outlives the request for as
-// long as any such node does (DESIGN #14). The chain records the block size
-// it was hashed at, so a holder with another block size can tell it does not
-// apply.
+// long as any such node does (DESIGN #14).
 class KeyChain {
  public:
   KeyChain() = default;
 
-  static KeyChain Hash(std::span<const TokenId> tokens, int block_size) {
-    DS_CHECK_GT(block_size, 0);
-    const size_t full = tokens.size() / static_cast<size_t>(block_size);
+  static KeyChain Hash(std::span<const TokenId> tokens) {
+    const size_t full = tokens.size() / kBlockTokens;
     auto keys = std::make_shared<BlockKey[]>(full);
-    HashBlocks(tokens, block_size, keys.get());
-    return KeyChain(std::move(keys), full, block_size);
+    HashBlocks(tokens, keys.get());
+    return KeyChain(std::move(keys), full);
   }
   // A chain over keys that were not hashed from tokens here (tests and
-  // benches that build key sequences directly). Its block size is 0.
+  // benches that build key sequences directly).
   static KeyChain Of(std::span<const BlockKey> keys) {
     auto copy = std::make_shared<BlockKey[]>(keys.size());
     std::copy(keys.begin(), keys.end(), copy.get());
-    return KeyChain(std::move(copy), keys.size(), 0);
+    return KeyChain(std::move(copy), keys.size());
   }
 
-  // 0 for an empty handle.
-  int block_size() const { return block_size_; }
+  // False only for a default-constructed handle, which holds no chain at all
+  // (a prompt shorter than one block still hashes to an empty chain).
+  bool hashed() const { return keys_ != nullptr; }
   size_t size() const { return size_; }
   std::span<const BlockKey> span() const { return {keys_.get(), size_}; }
   // The keys from `pos` on, as an edge that shares this chain.
@@ -177,14 +177,13 @@ class KeyChain {
   std::weak_ptr<const void> Watch() const { return keys_; }
 
  private:
-  KeyChain(std::shared_ptr<const BlockKey[]> keys, size_t size, int block_size)
-      : keys_(std::move(keys)), size_(static_cast<uint32_t>(size)), block_size_(block_size) {
+  KeyChain(std::shared_ptr<const BlockKey[]> keys, size_t size)
+      : keys_(std::move(keys)), size_(static_cast<uint32_t>(size)) {
     DS_CHECK_LE(size, static_cast<size_t>(UINT32_MAX));
   }
 
   std::shared_ptr<const BlockKey[]> keys_;
   uint32_t size_ = 0;
-  int block_size_ = 0;
 };
 
 // What a ScanLruLeaves visitor does with the leaf it was handed.

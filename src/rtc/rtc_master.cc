@@ -10,7 +10,6 @@ namespace deepserve::rtc {
 RtcMaster::RtcMaster(sim::Simulator* sim, RtcConfig config)
     : sim_(sim), config_(config), pool_(config.pool) {
   DS_CHECK(sim_ != nullptr);
-  DS_CHECK_GT(config_.block_size, 0);
   // Default transfer: completes on the next simulator tick (unit tests).
   transfer_ = [this](Tier, Tier, Bytes, std::function<void()> done) {
     sim_->ScheduleAfter(0, std::move(done));
@@ -37,7 +36,7 @@ MatchInfo RtcMaster::BuildMatchInfo(std::vector<BlockId> blocks,
   bool npu_prefix = true;
   for (BlockId id : info.blocks) {
     if (npu_prefix && pool_.info(id).resident(Tier::kNpu)) {
-      info.npu_tokens += config_.block_size;
+      info.npu_tokens += kBlockTokens;
     } else {
       npu_prefix = false;
     }
@@ -71,8 +70,7 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
     std::span<const uint32_t> slots(match.partial->value.blocks);
     AppendIds(slots.first(std::min(match.partial_len, slots.size())), &blocks);
   }
-  int64_t matched_tokens =
-      static_cast<int64_t>(blocks.size()) * static_cast<int64_t>(config_.block_size);
+  int64_t matched_tokens = static_cast<int64_t>(blocks.size()) * kBlockTokens;
   if (matched_tokens > 0) {
     ++stats_.match_hits;
     stats_.matched_tokens += matched_tokens;
@@ -136,12 +134,11 @@ MatchInfo RtcMaster::MatchByID(const std::string& id) {
   for (BlockId block : it->second) {
     if (!pool_.Exists(block)) {
       id_index_.erase(it);
-      id_tokens_.erase(id);
       return miss();
     }
   }
   ++stats_.match_hits;
-  int64_t tokens = id_tokens_.at(id);
+  int64_t tokens = static_cast<int64_t>(it->second.size()) * kBlockTokens;
   stats_.matched_tokens += tokens;
   stats_.requested_tokens += tokens;
   if (obs::Tracer* t = sim_->tracer()) {
@@ -247,12 +244,10 @@ MatchInfo RtcMaster::TruncateMatch(const MatchInfo& info, int64_t max_tokens) co
   if (info.matched_tokens <= max_tokens) {
     return info;
   }
-  size_t keep_blocks = static_cast<size_t>(std::max<int64_t>(0, max_tokens) /
-                                           static_cast<int64_t>(config_.block_size));
+  int64_t keep_blocks = std::max<int64_t>(0, max_tokens) / kBlockTokens;
   return BuildMatchInfo(
-      std::vector<BlockId>(info.blocks.begin(),
-                           info.blocks.begin() + static_cast<ptrdiff_t>(keep_blocks)),
-      static_cast<int64_t>(keep_blocks) * static_cast<int64_t>(config_.block_size));
+      std::vector<BlockId>(info.blocks.begin(), info.blocks.begin() + keep_blocks),
+      keep_blocks * kBlockTokens);
 }
 
 PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
@@ -261,7 +256,7 @@ PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
   if (!config_.enable_pic) {
     return match;
   }
-  size_t bs = static_cast<size_t>(config_.block_size);
+  constexpr size_t bs = kBlockTokens;
   size_t first_block = static_cast<size_t>(std::max<int64_t>(0, skip_tokens)) / bs;
   size_t full = prompt.size() / bs;
   for (size_t b = first_block; b < full; ++b) {
@@ -279,7 +274,7 @@ PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
       continue;  // off-NPU PIC blocks are not worth fetching
     }
     match.blocks.push_back(it->second);
-    match.matched_tokens += config_.block_size;
+    match.matched_tokens += kBlockTokens;
   }
   if (match.matched_tokens > 0) {
     ++stats_.pic_hits;
@@ -421,20 +416,18 @@ void RtcMaster::Free(std::span<const BlockId> blocks) {
   SyncListeners();
 }
 
-void RtcMaster::CheckChain(std::span<const TokenId> tokens,
-                           std::span<const BlockKey> keys) const {
-  DS_CHECK_EQ(keys.size(), tokens.size() / static_cast<size_t>(config_.block_size))
-      << "key chain does not match the tokens";
+void RtcMaster::CheckChain(std::span<const TokenId> tokens, std::span<const BlockKey> keys) {
+  DS_CHECK_EQ(keys.size(), tokens.size() / kBlockTokens) << "key chain does not match the tokens";
 }
 
-void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
-                             const KeyChain& keys) {
+void RtcMaster::Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
+                         const KeyChain& keys) {
   CheckChain(tokens, keys.span());
   if (keys.size() == 0) {
     return;
   }
   DS_CHECK_GE(blocks.size(), keys.size())
-      << "Preserve needs one block per full " << config_.block_size << "-token chunk";
+      << "Preserve needs one block per full " << kBlockTokens << "-token chunk";
   // ds-lint: allow(deferred-capture, RadixTree::Insert runs the per-node visitor before returning; the name collides with the deferred EventQueue::Insert sink)
   tree_.Insert(keys, sim_->Now(), [&](Tree::Node& node, size_t begin, size_t end) {
     node.value.blocks.reserve(end - begin);
@@ -444,8 +437,7 @@ void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const Bl
       if (config_.enable_pic) {
         // Content-only hash (chain seed 0): same tokens at any position map
         // to the same PIC key.
-        size_t bs = static_cast<size_t>(config_.block_size);
-        BlockKey content = ChainHash(0, tokens.subspan(i * bs, bs));
+        BlockKey content = ChainHash(0, tokens.subspan(i * kBlockTokens, kBlockTokens));
         pic_index_[content] = blocks[i];
         pool_.MarkIndexed(blocks[i]);
       }
@@ -454,30 +446,22 @@ void RtcMaster::CommitBlocks(std::span<const TokenId> tokens, std::span<const Bl
   MaybeArmSwap();
 }
 
-void RtcMaster::Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
-                         const KeyChain& keys) {
-  CommitBlocks(tokens, blocks, keys);
-}
-
 Status RtcMaster::PreserveById(const std::string& id, std::span<const TokenId> tokens,
                                std::span<const BlockId> blocks, const KeyChain& keys) {
   if (id.empty()) {
     return InvalidArgumentError("empty context-cache id");
   }
-  CheckChain(tokens, keys.span());
-  if (keys.size() == 0) {
+  if (tokens.size() < kBlockTokens) {
     return InvalidArgumentError("context shorter than one block");
   }
   // Explicit entries also live in the prefix tree so implicit matching still
-  // finds them (CommitBlocks is idempotent for existing spans).
-  CommitBlocks(tokens, blocks, keys);
+  // finds them (Preserve is idempotent for existing spans).
+  Preserve(tokens, blocks, keys);
   std::vector<BlockId>& indexed = id_index_[id];
   indexed.assign(blocks.begin(), blocks.begin() + static_cast<ptrdiff_t>(keys.size()));
   for (BlockId block : indexed) {
     pool_.MarkIndexed(block);  // the entry keeps its id: never park it
   }
-  id_tokens_[id] =
-      static_cast<int64_t>(keys.size()) * static_cast<int64_t>(config_.block_size);
   return Status::Ok();
 }
 

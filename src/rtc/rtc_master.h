@@ -104,7 +104,6 @@ class NpuBlockListener {
 };
 
 struct RtcConfig {
-  int block_size = 16;  // tokens per KV block
   BlockPoolConfig pool;
   // Bytes of one block across the whole instance (all layers, all TP ranks);
   // sizes populate/swap transfers.
@@ -155,8 +154,8 @@ class RtcMaster {
   void AddListener(NpuBlockListener* listener) { listeners_.push_back(listener); }
 
   // ---- Table 1: match APIs -------------------------------------------------
-  // `keys` is `prompt`'s block-key chain at this cache's block size
-  // (TokensToBlockKeys / KeyChain): the caller hashes the prompt, once.
+  // `keys` is `prompt`'s block-key chain (TokensToBlockKeys / KeyChain): the
+  // caller hashes the prompt, once.
   MatchInfo MatchByPrefixToken(std::span<const TokenId> prompt, std::span<const BlockKey> keys);
   MatchInfo MatchByID(const std::string& id);
 
@@ -199,7 +198,7 @@ class RtcMaster {
   // ---- preservation (cache commit) ----------------------------------------
   // Implicit prefix caching: indexes the sequence's full blocks under the
   // radix tree so future prompts can reuse them. `blocks` must cover at
-  // least tokens.size()/block_size entries. Duplicate spans (e.g. two
+  // least tokens.size()/kBlockTokens entries. Duplicate spans (e.g. two
   // concurrent identical prefills) keep the first commit; later private
   // duplicates simply die on Free. `keys` is `tokens`' block-key chain, as
   // for MatchByPrefixToken; every node the commit creates slices it, so
@@ -227,11 +226,8 @@ class RtcMaster {
 
   // Counts the NPU-resident prefix of `blocks` into npu/offnpu tokens.
   MatchInfo BuildMatchInfo(std::vector<BlockId> blocks, int64_t matched_tokens) const;
-  // DS_CHECKs that `keys` is a full chain of `tokens` at this block size.
-  void CheckChain(std::span<const TokenId> tokens, std::span<const BlockKey> keys) const;
-  // `keys` is `tokens`' full block-key chain.
-  void CommitBlocks(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
-                    const KeyChain& keys);
+  // DS_CHECKs that `keys` is a full chain of `tokens`.
+  static void CheckChain(std::span<const TokenId> tokens, std::span<const BlockKey> keys);
   void SyncListeners();
   void MaybeArmSwap();
   void SwapScan();
@@ -248,8 +244,8 @@ class RtcMaster {
   RtcConfig config_;
   BlockPool pool_;
   Tree tree_;
+  // Explicit entries: each id's blocks, one per full kBlockTokens-token chunk.
   std::unordered_map<std::string, std::vector<BlockId>> id_index_;
-  std::unordered_map<std::string, int64_t> id_tokens_;
   // Content-hash (position-independent) index; stale entries from evicted
   // blocks are pruned lazily on lookup.
   std::unordered_map<BlockKey, BlockId> pic_index_;

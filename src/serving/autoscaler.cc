@@ -26,6 +26,11 @@ constexpr double kEwmaAlpha = 0.35;
 // tick-to-tick (Poisson samples at sub-second ticks are far too noisy to
 // difference directly).
 constexpr DurationNs kSlopeWindow = SToNs(5.0);
+// "slo" thresholds on the per-tick violation rate (violations / (completions
+// + violations)): above the first scale up, at or below the second (for
+// down_stable_ticks ticks) scale down.
+constexpr double kSloScaleUpViolationRate = 0.05;
+constexpr double kSloScaleDownViolationRate = 0.005;
 
 // Queue-depth thresholding: scale-up takes precedence over scale-down, and
 // at most one scale-up is in flight (pending_scale_ups == 0).
@@ -195,11 +200,11 @@ class SloScalePolicy final : public ScalePolicy {
 
     double denom = static_cast<double>(std::max<int64_t>(1, completed_delta + violation_delta));
     double rate = static_cast<double>(violation_delta) / denom;
-    if (rate > config_.slo_scale_up_violation_rate &&
+    if (rate > kSloScaleUpViolationRate &&
         s.live_tes + s.pending_scale_ups < config_.max_tes) {
       d.scale_up = 1;
       down_streak_ = 0;
-    } else if (rate <= config_.slo_scale_down_violation_rate &&
+    } else if (rate <= kSloScaleDownViolationRate &&
                s.live_tes > config_.min_tes &&
                s.total_queue_depth <=
                    config_.scale_down_queue_depth * std::max(1, s.live_tes)) {

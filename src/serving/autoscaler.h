@@ -68,11 +68,6 @@ struct AutoscalerConfig {
   int headroom_tes = 1;         // spare TEs kept above the forecast requirement
   int down_stable_ticks = 6;    // surplus ticks required before a scale-down
 
-  // -- slo knobs --------------------------------------------------------------
-  // Per-tick violation rate (violations / (completions + violations)).
-  double slo_scale_up_violation_rate = 0.05;
-  double slo_scale_down_violation_rate = 0.005;
-
   // INVALID_ARGUMENT unless the policy is known (MakeScalePolicy), 1 <=
   // min_tes <= max_tes, check_interval > 0, headroom_tes >= 0 and
   // drain_timeout >= 0. The Autoscaler constructor still DS_CHECKs the

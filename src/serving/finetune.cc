@@ -7,9 +7,21 @@
 
 namespace deepserve::serving {
 
-FineTuneJobExecutor::FineTuneJobExecutor(sim::Simulator* sim, ClusterManager* manager,
-                                         FineTuneConfig config)
-    : sim_(sim), manager_(manager), config_(config) {
+namespace {
+
+// CPU-side preprocessing throughput (tokenization, packing, sharding).
+constexpr double kPreprocessTokensPerS = 2e6;
+// Training MFU relative to the NPU's effective serving FLOPs.
+constexpr double kTrainMfu = 0.80;
+// Checkpoint write bandwidth (weights streamed to storage each epoch).
+constexpr double kCheckpointWriteGbps = 2.0;
+// Retry cadence while waiting for NPUs.
+constexpr DurationNs kPlacementRetry = SToNs(5);
+
+}  // namespace
+
+FineTuneJobExecutor::FineTuneJobExecutor(sim::Simulator* sim, ClusterManager* manager)
+    : sim_(sim), manager_(manager) {
   DS_CHECK(sim_ != nullptr);
   DS_CHECK(manager_ != nullptr);
 }
@@ -20,12 +32,12 @@ DurationNs FineTuneJobExecutor::EstimateTrainDuration(const FineTuneRequest& req
                  static_cast<double>(request.dataset_tokens) *
                  static_cast<double>(request.epochs);
   hw::NpuSpec npu = manager_->cluster()->config().npu_spec;
-  double cluster_flops = npu.effective_flops() * config_.train_mfu *
+  double cluster_flops = npu.effective_flops() * kTrainMfu *
                          static_cast<double>(request.parallelism.TotalNpus());
   DurationNs compute = SToNs(flops / cluster_flops);
   DurationNs checkpoint = SToNs(
       static_cast<double>(request.base_model.WeightBytes()) /
-      (config_.checkpoint_write_gbps * 1e9));
+      (kCheckpointWriteGbps * 1e9));
   return compute + static_cast<DurationNs>(request.epochs) * checkpoint;
 }
 
@@ -64,7 +76,7 @@ void FineTuneJobExecutor::TryPlace() {
       if (!retry_armed_) {
         retry_armed_ = true;
         ++stats_.placement_retries;
-        sim_->ScheduleAfter(config_.placement_retry, [this] {
+        sim_->ScheduleAfter(kPlacementRetry, [this] {
           retry_armed_ = false;
           TryPlace();
         });
@@ -98,8 +110,8 @@ void FineTuneJobExecutor::RunPipeline(Pending pending, std::vector<hw::NpuId> np
 
   // --- task 1: preprocessing (CPU-side, no NPUs yet needed but held) -------
   TaskId preprocess = NewTask(job, TaskType::kPreprocess).id;
-  DurationNs prep = SToNs(static_cast<double>(pending.request.dataset_tokens) /
-                                config_.preprocess_tokens_per_s);
+  DurationNs prep =
+      SToNs(static_cast<double>(pending.request.dataset_tokens) / kPreprocessTokensPerS);
   sim_->ScheduleAfter(prep, [this, job, preprocess, result,
                              pending = std::move(pending), npus = std::move(npus)]() mutable {
     tasks_[preprocess - 1].state = TaskState::kCompleted;

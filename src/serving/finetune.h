@@ -44,17 +44,6 @@ struct FineTuneResult {
   TimeNs evaluate_done = 0;
 };
 
-struct FineTuneConfig {
-  // CPU-side preprocessing throughput (tokenization, packing, sharding).
-  double preprocess_tokens_per_s = 2e6;
-  // Training MFU relative to the NPU's effective serving FLOPs.
-  double train_mfu = 0.80;
-  // Checkpoint write bandwidth (weights streamed to storage each epoch).
-  double checkpoint_write_gbps = 2.0;
-  // Retry cadence while waiting for NPUs.
-  DurationNs placement_retry = SToNs(5);
-};
-
 struct FineTuneStats {
   int64_t requests = 0;
   int64_t completed = 0;
@@ -64,8 +53,7 @@ struct FineTuneStats {
 
 class FineTuneJobExecutor {
  public:
-  FineTuneJobExecutor(sim::Simulator* sim, ClusterManager* manager,
-                      FineTuneConfig config = {});
+  FineTuneJobExecutor(sim::Simulator* sim, ClusterManager* manager);
 
   FineTuneJobExecutor(const FineTuneJobExecutor&) = delete;
   FineTuneJobExecutor& operator=(const FineTuneJobExecutor&) = delete;
@@ -94,7 +82,6 @@ class FineTuneJobExecutor {
 
   sim::Simulator* sim_;
   ClusterManager* manager_;
-  FineTuneConfig config_;
 
   std::deque<Pending> queue_;
   bool retry_armed_ = false;

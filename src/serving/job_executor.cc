@@ -16,19 +16,21 @@ namespace {
 // Fault tolerance: how many times one request may be re-dispatched after TE
 // failures before it errors out through ResponseHandler::on_error.
 constexpr int kMaxRetries = 3;
+// Queue-depth spread across candidate TEs still considered balanced, so the
+// locality-aware pick may run.
+constexpr int64_t kLoadBalanceSlack = 8;
+// Online-dynamics guard (§5.3.2): the heatmap's preferred TE sub-group is
+// overridden when its least-loaded member is deeper than the alternative's
+// times the factor plus the slack — PD-disaggregated TEs "are more prone to
+// overloading", and the combined policy must not degrade badly there.
+constexpr double kPdOverloadFactor = 2.0;
+constexpr int64_t kPdOverloadSlack = 8;
 
 }  // namespace
 
 Status JeConfig::Validate() const {
-  if (block_size < 1) {
-    return InvalidArgumentError("JE block_size must be >= 1, got " + std::to_string(block_size));
-  }
   if (max_tree_nodes < 1) {
     return InvalidArgumentError("JE max_tree_nodes must be >= 1");
-  }
-  if (load_balance_slack < 0 || pd_overload_factor < 0 || pd_overload_slack < 0) {
-    return InvalidArgumentError(
-        "JE load_balance_slack, pd_overload_factor and pd_overload_slack must be >= 0");
   }
   return Status::Ok();
 }
@@ -180,7 +182,7 @@ bool JobExecutor::IsLoadBalanced(const std::vector<TaskExecutor*>& tes) const {
     lo = std::min(lo, depth);
     hi = std::max(hi, depth);
   }
-  return hi - lo <= config_.load_balance_slack;
+  return hi - lo <= kLoadBalanceSlack;
 }
 
 TaskExecutor* JobExecutor::LoadAware(const std::vector<TaskExecutor*>& tes) {
@@ -416,10 +418,10 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
         int64_t disagg_depth = std::max(LoadAware(prefill)->queue_depth(),
                                         LoadAware(decode)->queue_depth());
         int64_t coloc_depth = LoadAware(coloc)->queue_depth();
-        auto overloaded = [this](int64_t mine, int64_t other) {
+        auto overloaded = [](int64_t mine, int64_t other) {
           return static_cast<double>(mine) >
-                 static_cast<double>(other) * config_.pd_overload_factor +
-                     static_cast<double>(config_.pd_overload_slack);
+                 static_cast<double>(other) * kPdOverloadFactor +
+                     static_cast<double>(kPdOverloadSlack);
         };
         if (use_disagg && overloaded(disagg_depth, coloc_depth)) {
           use_disagg = false;
@@ -439,7 +441,7 @@ void JobExecutor::Dispatch(const workload::RequestSpec& spec, ResponseHandler ha
 
   // The prompt's block-key chain, hashed once: it keys the prompt-tree lookup
   // and rides with the request to the RTC of every TE it runs on.
-  rtc::KeyChain chain = rtc::KeyChain::Hash(spec.prompt, config_.block_size);
+  rtc::KeyChain chain = rtc::KeyChain::Hash(spec.prompt);
   std::span<const rtc::BlockKey> keys = chain.span();
   if (use_disagg) {
     ++stats_.routed_disaggregated;

@@ -62,15 +62,7 @@ enum class SchedulingPolicy {
 
 struct JeConfig {
   SchedulingPolicy policy = SchedulingPolicy::kCombined;
-  int block_size = 16;             // prompt-tree symbol granularity
-  int64_t load_balance_slack = 8;  // queue-depth spread considered balanced
   size_t max_tree_nodes = 65536;
-  // Online-dynamics guard (§5.3.2): the heatmap's preferred TE sub-group is
-  // overridden when its least-loaded member is this much deeper than the
-  // alternative's — PD-disaggregated TEs "are more prone to overloading", and
-  // the combined policy must not degrade badly there.
-  double pd_overload_factor = 2.0;
-  int64_t pd_overload_slack = 8;
   // Heterogeneous clusters: before the scheduling policy runs, narrow the
   // candidate TEs to those whose HBM fits the request's predicted context
   // (prefill + predicted decode), then to the generation with the best
@@ -79,9 +71,7 @@ struct JeConfig {
   // routing, bit-identical to the historical behavior.
   bool cost_aware = false;
 
-  // Refuses a config no JE can run: a block_size or max_tree_nodes below 1,
-  // or a negative load_balance_slack, pd_overload_factor or
-  // pd_overload_slack.
+  // Refuses a config no JE can run: a max_tree_nodes below 1.
   [[nodiscard]] Status Validate() const;
 };
 

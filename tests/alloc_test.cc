@@ -110,7 +110,6 @@ TEST(AllocTest, SteadyStateDecodeStepsDoNotAllocate) {
 int64_t SwapScanAllocations(int64_t leaf_blocks) {
   sim::Simulator sim;
   rtc::RtcConfig config;
-  config.block_size = 16;
   config.pool.npu_capacity = 40;
   config.pool.dram_capacity = 256;
   rtc::RtcMaster master(&sim, config);
@@ -119,7 +118,7 @@ int64_t SwapScanAllocations(int64_t leaf_blocks) {
     tokens.push_back(static_cast<TokenId>(i + 1));
   }
   auto leaf = master.AllocBlocks(leaf_blocks).value();
-  master.Preserve(tokens, leaf, rtc::KeyChain::Hash(tokens, config.block_size));
+  master.Preserve(tokens, leaf, rtc::KeyChain::Hash(tokens));
   master.Free(leaf);
   // Private blocks keep NPU usage above the swap watermark; allocating them
   // arms the first scan.
@@ -146,14 +145,13 @@ TEST(AllocTest, CachedBlockCostsFourTreeBytes) {
   constexpr int64_t kBlocks = 128;
   sim::Simulator sim;
   rtc::RtcConfig config;
-  config.block_size = 16;
   config.pool.npu_capacity = 4 * kBlocks;  // below the swap watermark
   rtc::RtcMaster master(&sim, config);
   std::vector<TokenId> tokens;
-  for (int64_t i = 0; i < config.block_size * kBlocks; ++i) {
+  for (int64_t i = 0; i < rtc::kBlockTokens * kBlocks; ++i) {
     tokens.push_back(static_cast<TokenId>(i + 1));
   }
-  const rtc::KeyChain keys = rtc::KeyChain::Hash(tokens, config.block_size);
+  const rtc::KeyChain keys = rtc::KeyChain::Hash(tokens);
   auto blocks = master.AllocBlocks(kBlocks).value();
   const int64_t bytes = g_bytes;
   master.Preserve(tokens, blocks, keys);
@@ -174,16 +172,15 @@ TEST(AllocTest, DramOnlyLeafGivesUpItsPoolSlots) {
   constexpr int64_t kBlocks = 128;
   sim::Simulator sim;
   rtc::RtcConfig config;
-  config.block_size = 16;
   config.pool.npu_capacity = 8 * kBlocks;
   config.pool.dram_capacity = 2 * kBlocks;
   rtc::RtcMaster master(&sim, config);
   std::vector<TokenId> tokens;
-  for (int64_t i = 0; i < config.block_size * kBlocks; ++i) {
+  for (int64_t i = 0; i < rtc::kBlockTokens * kBlocks; ++i) {
     tokens.push_back(static_cast<TokenId>(i + 1));
   }
   auto leaf = master.AllocBlocks(kBlocks).value();
-  master.Preserve(tokens, leaf, rtc::KeyChain::Hash(tokens, config.block_size));
+  master.Preserve(tokens, leaf, rtc::KeyChain::Hash(tokens));
   master.Free(leaf);
   // 87.5% of the NPU: the held blocks alone keep use above the swap
   // watermark, so the scans go on once the leaf is demoted.
@@ -264,7 +261,7 @@ TEST(AllocTest, JeAndRtcNodesSliceOneChainAndASplitCopiesNoKey) {
   sim.Run();
   ASSERT_EQ(te.engine().stats().completed, 1);
   using Tree = rtc::RadixTree<rtc::BlockRun>;
-  const std::vector<rtc::BlockKey> keys = rtc::TokensToBlockKeys(spec.prompt, 16);
+  const std::vector<rtc::BlockKey> keys = rtc::TokensToBlockKeys(spec.prompt);
   const serving::PromptTree::MatchResult routed = je.colocated_tree().Match(keys);
   rtc::RtcMaster& cache = te.engine().rtc();
   const Tree::MatchResult cached = cache.index().Match(keys);
@@ -279,7 +276,7 @@ TEST(AllocTest, JeAndRtcNodesSliceOneChainAndASplitCopiesNoKey) {
   // The tail re-slices the chain: the split allocates the tail node, the
   // head's one child entry and the tail's half of the run, and no key.
   const workload::Prompt half = MakeRequest(1, 16 * kBlocks / 2, 4).prompt;
-  const rtc::KeyChain half_keys = rtc::KeyChain::Hash(half, 16);
+  const rtc::KeyChain half_keys = rtc::KeyChain::Hash(half);
   auto blocks = cache.AllocBlocks(kBlocks / 2).value();
   const int64_t bytes = g_bytes;
   cache.Preserve(half, blocks, half_keys);

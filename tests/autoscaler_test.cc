@@ -195,8 +195,6 @@ TEST(PredictivePolicyTest, ArmedDownStreakRetiresOneTePerTick) {
 TEST(SloPolicyTest, ScalesOnViolationRateNotQueueDepth) {
   serving::AutoscalerConfig config;
   config.policy = "slo";
-  config.slo_scale_up_violation_rate = 0.05;
-  config.slo_scale_down_violation_rate = 0.005;
   config.down_stable_ticks = 2;
   config.scale_down_queue_depth = 4;
   config.min_tes = 1;

@@ -294,12 +294,11 @@ class NpuMirror : public NpuBlockListener {
 
 // A prompt of `n_blocks` full blocks whose first `shared` blocks are common to
 // every prompt of `family`; the rest are drawn from `rng`.
-std::vector<TokenId> ChurnPrompt(Rng& rng, int block_size, int64_t family, int64_t shared,
-                                 int64_t n_blocks) {
+std::vector<TokenId> ChurnPrompt(Rng& rng, int64_t family, int64_t shared, int64_t n_blocks) {
   std::vector<TokenId> tokens;
   for (int64_t b = 0; b < n_blocks; ++b) {
-    for (int t = 0; t < block_size; ++t) {
-      int64_t token = b < shared ? family * 1000 + b * block_size + t : rng.UniformInt(1, 7);
+    for (int t = 0; t < kBlockTokens; ++t) {
+      int64_t token = b < shared ? family * 1000 + b * kBlockTokens + t : rng.UniformInt(1, 7);
       tokens.push_back(static_cast<TokenId>(token));
     }
   }
@@ -320,7 +319,6 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
   for (uint64_t seed : {3ull, 17ull, 91ull}) {
     sim::Simulator sim;
     RtcConfig config;
-    config.block_size = 4;
     config.pool.npu_capacity = 40;
     config.pool.dram_capacity = 24;
     RtcMaster master(&sim, config);
@@ -339,7 +337,7 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
       }
     };
     auto admit = [&](const std::vector<TokenId>& prompt) {
-      const KeyChain keys = KeyChain::Hash(prompt, config.block_size);
+      const KeyChain keys = KeyChain::Hash(prompt);
       MatchInfo match = master.MatchByPrefixToken(prompt, keys.span());
       master.Acquire(match.blocks);
       pin(match.blocks, 1);
@@ -367,8 +365,7 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
     for (int step = 0; step < 3000; ++step) {
       int64_t op = rng.UniformInt(0, 6);
       if (op <= 1 && seqs.size() < 6) {  // admit a sequence
-        admit(ChurnPrompt(rng, config.block_size, rng.UniformInt(0, 3), rng.UniformInt(0, 6),
-                          rng.UniformInt(1, 8)));
+        admit(ChurnPrompt(rng, rng.UniformInt(0, 3), rng.UniformInt(0, 6), rng.UniformInt(1, 8)));
       } else if (op == 2 && seqs.size() < 6 && !committed.empty()) {  // rematch a prompt
         size_t pick =
             static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(committed.size()) - 1));
@@ -409,8 +406,7 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
     EXPECT_EQ(mirror.blocks, master.pool().used(Tier::kNpu));
     // Every committed prompt still matches through live slots.
     for (const std::vector<TokenId>& prompt : committed) {
-      MatchInfo match =
-          master.MatchByPrefixToken(prompt, TokensToBlockKeys(prompt, config.block_size));
+      MatchInfo match = master.MatchByPrefixToken(prompt, TokensToBlockKeys(prompt));
       for (BlockId id : match.blocks) {
         EXPECT_TRUE(master.pool().Exists(id));
         EXPECT_EQ(master.pool().info(id).ref_count, 0);

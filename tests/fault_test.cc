@@ -106,7 +106,7 @@ TEST_F(CancelTest, CancelDuringPopulateWait) {
   ASSERT_TRUE(done);
   auto& rtc = engine_.rtc();
   auto info = rtc.MatchByPrefixToken(
-      first.prompt, rtc::TokensToBlockKeys(first.prompt, rtc.config().block_size));
+      first.prompt, rtc::TokensToBlockKeys(first.prompt));
   ASSERT_TRUE(info.hit());
   rtc.Acquire(info.blocks);
   rtc.Copy(info.blocks, rtc::Tier::kDram, nullptr);

@@ -122,6 +122,30 @@ TEST_F(EngineTest, PrefixCacheReuseAcrossRequests) {
   EXPECT_LT(second.finish - second.first_token + 1, first.finish + 1);
 }
 
+// A request submitted without a block-key chain (straight to the engine, not
+// through a JE) is hashed by the engine once, for both its RTC match and its
+// cache commit; a request that brings its chain is not hashed again.
+TEST_F(EngineTest, DirectSubmitHashesItsPromptOnce) {
+  Start(TestConfig());
+  ASSERT_TRUE(Run(MakeRequest(1, 1024, 8)).completed);
+  EXPECT_EQ(engine_->stats().prompt_hashes, 1);
+  // A longer prompt with the same 1024-token prefix reuses all 64 committed
+  // blocks.
+  auto second = Run(MakeRequest(2, 1024 + 100, 8));
+  ASSERT_TRUE(second.completed);
+  EXPECT_EQ(second.reused, 1024);
+  EXPECT_EQ(engine_->stats().prompt_hashes, 2);
+
+  RequestSpec third = MakeRequest(3, 1024, 8);
+  int64_t third_reused = -1;
+  engine_->Submit(third, {nullptr, [&](const Sequence& seq) { third_reused = seq.reused_tokens; }},
+                  rtc::KeyChain::Hash(third.prompt));
+  sim_.Run();
+  // All but the block holding the final prompt token, which must run.
+  EXPECT_EQ(third_reused, 1024 - rtc::kBlockTokens);
+  EXPECT_EQ(engine_->stats().prompt_hashes, 2);
+}
+
 TEST_F(EngineTest, CacheDisabledMeansNoReuse) {
   auto config = TestConfig();
   config.enable_prefix_caching = false;
@@ -351,7 +375,7 @@ TEST_F(EngineTest, DpGroupsHaveIsolatedCaches) {
   Run(MakeRequest(1, 1024, 4));
   // The entry lives in exactly one group's RTC replica.
   auto tokens = MakeRequest(1, 1024, 4).prompt;
-  auto keys = rtc::TokensToBlockKeys(tokens, config.block_size);
+  auto keys = rtc::TokensToBlockKeys(tokens);
   bool g0 = engine_->rtc(0).MatchByPrefixToken(tokens, keys).hit();
   bool g1 = engine_->rtc(1).MatchByPrefixToken(tokens, keys).hit();
   EXPECT_NE(g0, g1);
@@ -412,7 +436,7 @@ TEST_F(EngineTest, CancelDuringWaitingPopulate) {
   ASSERT_TRUE(Run(spec).completed);  // warm the prefix cache
   // Demote the cached prompt: copy to DRAM, then drop its NPU residency.
   auto match = engine_->rtc().MatchByPrefixToken(
-      spec.prompt, rtc::TokensToBlockKeys(spec.prompt, config.block_size));
+      spec.prompt, rtc::TokensToBlockKeys(spec.prompt));
   ASSERT_GT(match.matched_tokens, 0);
   engine_->rtc().Copy(match.blocks, rtc::Tier::kDram, [] {});
   sim_.Run();
@@ -474,7 +498,7 @@ TEST(KvBlockCapacityTest, ModelThatDoesNotFitIsAnError) {
   EXPECT_TRUE(KvBlockCapacity(config).ok());
 }
 
-TEST(KvBlockCapacityTest, ParallelismOrBlockSizeBelowOneIsAnError) {
+TEST(KvBlockCapacityTest, ParallelismBelowOneIsAnError) {
   const model::ParallelismConfig bad[] = {{0, 1, 1}, {-2, 1, 1}, {1, 0, 1}, {1, 1, 0}};
   for (const model::ParallelismConfig& parallelism : bad) {
     EngineConfig config = TestConfig();
@@ -485,12 +509,6 @@ TEST(KvBlockCapacityTest, ParallelismOrBlockSizeBelowOneIsAnError) {
     config.kv_block_capacity_override = 0;  // the path that builds a CostModel
     EXPECT_EQ(KvBlockCapacity(config).status().code(), StatusCode::kInvalidArgument)
         << parallelism.ToString();
-  }
-  for (int block_size : {0, -16}) {
-    EngineConfig config = TestConfig();
-    config.block_size = block_size;
-    EXPECT_EQ(KvBlockCapacity(config).status().code(), StatusCode::kInvalidArgument)
-        << block_size;
   }
 }
 

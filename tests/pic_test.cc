@@ -30,7 +30,6 @@ class RtcPicTest : public ::testing::Test {
  protected:
   RtcPicTest() {
     rtc::RtcConfig config;
-    config.block_size = 16;
     config.pool.npu_capacity = 512;
     config.enable_pic = true;
     master_ = std::make_unique<rtc::RtcMaster>(&sim_, config);
@@ -39,7 +38,7 @@ class RtcPicTest : public ::testing::Test {
   void PreserveTokens(const std::vector<TokenId>& tokens) {
     int64_t n = static_cast<int64_t>(tokens.size()) / 16;
     auto blocks = master_->AllocBlocks(n).value();
-    master_->Preserve(tokens, blocks, rtc::KeyChain::Hash(tokens, 16));
+    master_->Preserve(tokens, blocks, rtc::KeyChain::Hash(tokens));
     master_->Free(blocks);
   }
 
@@ -55,7 +54,7 @@ TEST_F(RtcPicTest, FindsChunkAtDifferentPosition) {
   // prefix matching finds nothing, PIC finds the document blocks.
   auto prompt = Iota(64, 90000);
   prompt.insert(prompt.end(), doc.begin(), doc.end());
-  EXPECT_FALSE(master_->MatchByPrefixToken(prompt, rtc::TokensToBlockKeys(prompt, 16)).hit());
+  EXPECT_FALSE(master_->MatchByPrefixToken(prompt, rtc::TokensToBlockKeys(prompt)).hit());
   auto pic = master_->MatchPositionIndependent(prompt, 0);
   EXPECT_EQ(pic.matched_tokens, 128);
   EXPECT_EQ(pic.blocks.size(), 8u);
@@ -97,20 +96,19 @@ TEST_F(RtcPicTest, DemotedAndPopulatedBlockIsStillFoundByContent) {
   // retires it); a prefix match populates it back. The PIC index still
   // resolves its blocks by content afterwards.
   rtc::RtcConfig config;
-  config.block_size = 16;
   config.pool.npu_capacity = 40;
   config.pool.dram_capacity = 256;
   config.enable_pic = true;
   rtc::RtcMaster master(&sim_, config);
   auto doc = Iota(64, 5000);
   auto blocks = master.AllocBlocks(4).value();
-  master.Preserve(doc, blocks, rtc::KeyChain::Hash(doc, 16));
+  master.Preserve(doc, blocks, rtc::KeyChain::Hash(doc));
   master.Free(blocks);
   auto held = master.AllocBlocks(35).value();  // 39 of 40; 35 once demoted
   sim_.RunUntil(MsToNs(75));
   sim_.RunUntil(MsToNs(125));
   ASSERT_EQ(master.stats().swapped_out_blocks, 4);
-  auto match = master.MatchByPrefixToken(doc, rtc::TokensToBlockKeys(doc, 16));
+  auto match = master.MatchByPrefixToken(doc, rtc::TokensToBlockKeys(doc));
   ASSERT_EQ(match.offnpu_tokens, 64);
   master.Acquire(match.blocks);
   ASSERT_TRUE(master.Populate(match).ok());
@@ -130,7 +128,7 @@ TEST_F(RtcPicTest, DisabledByDefault) {
   rtc::RtcMaster master(&sim_, config);
   auto doc = Iota(64, 5000);
   auto blocks = master.AllocBlocks(4).value();
-  master.Preserve(doc, blocks, rtc::KeyChain::Hash(doc, config.block_size));
+  master.Preserve(doc, blocks, rtc::KeyChain::Hash(doc));
   master.Free(blocks);
   EXPECT_EQ(master.MatchPositionIndependent(doc, 0).matched_tokens, 0);
 }

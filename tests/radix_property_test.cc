@@ -598,7 +598,7 @@ TEST(RadixPropertyTest, JeTrimReleasesTheChainsOfTrimmedNodes) {
       spec.id = static_cast<workload::RequestId>(i + 1);
       spec.decode_len = 2;
       spec.prompt = std::move(tokens);
-      const std::vector<BlockKey> keys = TokensToBlockKeys(spec.prompt, config.block_size);
+      const std::vector<BlockKey> keys = TokensToBlockKeys(spec.prompt);
       je.HandleRequest(spec, {});
       const auto routed = je.colocated_tree().Match(keys);
       for (const auto* node : routed.path) {
@@ -621,11 +621,10 @@ TEST(RadixPropertyTest, TokensToBlockKeysDropsPartialTailAndChains) {
   for (int i = 0; i < 70; ++i) {
     tokens.push_back(1000 + i);
   }
-  auto keys = TokensToBlockKeys(tokens, /*block_size=*/16);
+  auto keys = TokensToBlockKeys(tokens);
   ASSERT_EQ(keys.size(), 4u) << "70 tokens / 16 = 4 full blocks";
   // Chain property: a prefix of tokens yields a prefix of keys.
-  auto prefix_keys =
-      TokensToBlockKeys(std::span<const TokenId>(tokens.data(), 32), /*block_size=*/16);
+  auto prefix_keys = TokensToBlockKeys(std::span<const TokenId>(tokens.data(), 32));
   ASSERT_EQ(prefix_keys.size(), 2u);
   EXPECT_EQ(prefix_keys[0], keys[0]);
   EXPECT_EQ(prefix_keys[1], keys[1]);
@@ -633,7 +632,7 @@ TEST(RadixPropertyTest, TokensToBlockKeysDropsPartialTailAndChains) {
   // there on (chain hashing).
   std::vector<TokenId> fork = tokens;
   fork[40] = 9;
-  auto fork_keys = TokensToBlockKeys(fork, /*block_size=*/16);
+  auto fork_keys = TokensToBlockKeys(fork);
   EXPECT_EQ(fork_keys[0], keys[0]);
   EXPECT_EQ(fork_keys[1], keys[1]);
   EXPECT_NE(fork_keys[2], keys[2]);

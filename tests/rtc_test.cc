@@ -32,21 +32,19 @@ std::vector<TokenId> Iota(int n, int start = 1000) {
   return out;
 }
 
-// The RTC takes the caller's block-key chain of a prompt; these hash it at the
-// cache's block size.
+// The RTC takes the caller's block-key chain of a prompt; these hash it.
 MatchInfo Match(RtcMaster& master, std::span<const TokenId> tokens) {
-  return master.MatchByPrefixToken(tokens, TokensToBlockKeys(tokens, master.config().block_size));
+  return master.MatchByPrefixToken(tokens, TokensToBlockKeys(tokens));
 }
 
 void Preserve(RtcMaster& master, std::span<const TokenId> tokens,
               std::span<const BlockId> blocks) {
-  master.Preserve(tokens, blocks, KeyChain::Hash(tokens, master.config().block_size));
+  master.Preserve(tokens, blocks, KeyChain::Hash(tokens));
 }
 
 Status PreserveById(RtcMaster& master, const std::string& id, std::span<const TokenId> tokens,
                     std::span<const BlockId> blocks) {
-  return master.PreserveById(id, tokens, blocks,
-                             KeyChain::Hash(tokens, master.config().block_size));
+  return master.PreserveById(id, tokens, blocks, KeyChain::Hash(tokens));
 }
 
 // ---------------- ChainHash / TokensToBlockKeys ----------------
@@ -61,14 +59,14 @@ TEST(ChainHashTest, DeterministicAndChainSensitive) {
 
 TEST(TokensToBlockKeysTest, DropsPartialTail) {
   auto tokens = Iota(35);
-  auto keys = TokensToBlockKeys(tokens, 16);
+  auto keys = TokensToBlockKeys(tokens);
   EXPECT_EQ(keys.size(), 2u);  // 35 tokens -> 2 full 16-token blocks
 }
 
 TEST(TokensToBlockKeysTest, PrefixKeysArePrefix) {
   auto tokens = Iota(64);
-  auto full = TokensToBlockKeys(tokens, 16);
-  auto half = TokensToBlockKeys(std::span(tokens).first(32), 16);
+  auto full = TokensToBlockKeys(tokens);
+  auto half = TokensToBlockKeys(std::span(tokens).first(32));
   ASSERT_EQ(full.size(), 4u);
   ASSERT_EQ(half.size(), 2u);
   EXPECT_EQ(full[0], half[0]);
@@ -79,8 +77,8 @@ TEST(TokensToBlockKeysTest, DivergenceChangesAllLaterKeys) {
   auto a = Iota(48);
   auto b = a;
   b[20] += 1;  // diverge inside block 1
-  auto ka = TokensToBlockKeys(a, 16);
-  auto kb = TokensToBlockKeys(b, 16);
+  auto ka = TokensToBlockKeys(a);
+  auto kb = TokensToBlockKeys(b);
   EXPECT_EQ(ka[0], kb[0]);
   EXPECT_NE(ka[1], kb[1]);
   EXPECT_NE(ka[2], kb[2]);  // chain hash propagates divergence
@@ -328,7 +326,6 @@ class RtcMasterTest : public ::testing::Test {
   // below its NPU-use watermark or end within one swap interval.
   void Reset(int64_t npu_blocks) {
     RtcConfig config;
-    config.block_size = 16;
     config.pool.npu_capacity = npu_blocks;
     config.pool.dram_capacity = 256;
     config.bytes_per_block = 1 << 20;
@@ -592,7 +589,6 @@ class SwapScanTest : public ::testing::Test {
  protected:
   void Build(int64_t dram_blocks, int cold) {
     RtcConfig config;
-    config.block_size = 16;
     config.pool.npu_capacity = 40;
     config.pool.dram_capacity = dram_blocks;
     master_ = std::make_unique<RtcMaster>(&sim_, config);

@@ -74,14 +74,13 @@ TEST_F(SchedPolicyTest, BenchProducedHeatmapDrivesRouting) {
 }
 
 TEST_F(SchedPolicyTest, OverloadGuardRedirectsToColocated) {
-  // All-positive heatmap (always prefer disagg) + a tiny overload threshold:
-  // once the pair queues up, traffic must spill to the colocated TE.
+  // All-positive heatmap (always prefer disagg): once the pair queues up past
+  // the guard (2x the colocated depth + 8), traffic must spill to the
+  // colocated TE.
   auto map = PdHeatmap::Parse("1 1\n1024\n1.0\n5.0\n");
   ASSERT_TRUE(map.ok());
   JeConfig config;
   config.policy = SchedulingPolicy::kCombined;
-  config.pd_overload_factor = 1.0;
-  config.pd_overload_slack = 2;
   JobExecutor je(&sim_, config, std::move(*map), MakeOraclePredictor());
   auto coloc = MakeTe(1, flowserve::EngineRole::kColocated);
   auto prefill = MakeTe(2, flowserve::EngineRole::kPrefillOnly);
@@ -89,9 +88,9 @@ TEST_F(SchedPolicyTest, OverloadGuardRedirectsToColocated) {
   je.AddColocatedTe(coloc.get());
   je.AddPrefillTe(prefill.get());
   je.AddDecodeTe(decode.get());
-  // Burst of simultaneous requests: the first few go disagg, then the guard
-  // fires and the rest land on the idle colocated TE.
-  for (int i = 0; i < 12; ++i) {
+  // Burst of simultaneous requests: the first go disagg until the pair's
+  // queue passes the guard, then the burst spills onto the colocated TE.
+  for (int i = 0; i < 24; ++i) {
     je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 1024, 512,
                                  static_cast<TokenId>(100 + 613 * i)), {nullptr, nullptr, nullptr});
   }
@@ -102,13 +101,12 @@ TEST_F(SchedPolicyTest, OverloadGuardRedirectsToColocated) {
 
 TEST_F(SchedPolicyTest, OverloadGuardAlsoProtectsColocatedSide) {
   // All-negative heatmap (always prefer colocated) with one colocated TE
-  // drowning: the guard spills to the idle disaggregated pair.
+  // drowning: past the guard, the burst spills to the idle disaggregated
+  // pair.
   auto map = PdHeatmap::Parse("1 1\n1024\n1.0\n-5.0\n");
   ASSERT_TRUE(map.ok());
   JeConfig config;
   config.policy = SchedulingPolicy::kCombined;
-  config.pd_overload_factor = 1.0;
-  config.pd_overload_slack = 2;
   JobExecutor je(&sim_, config, std::move(*map), MakeOraclePredictor());
   auto coloc = MakeTe(1, flowserve::EngineRole::kColocated);
   auto prefill = MakeTe(2, flowserve::EngineRole::kPrefillOnly);
@@ -116,7 +114,7 @@ TEST_F(SchedPolicyTest, OverloadGuardAlsoProtectsColocatedSide) {
   je.AddColocatedTe(coloc.get());
   je.AddPrefillTe(prefill.get());
   je.AddDecodeTe(decode.get());
-  for (int i = 0; i < 12; ++i) {
+  for (int i = 0; i < 24; ++i) {
     je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 1024, 512,
                                  static_cast<TokenId>(100 + 419 * i)), {nullptr, nullptr, nullptr});
   }
@@ -126,13 +124,14 @@ TEST_F(SchedPolicyTest, OverloadGuardAlsoProtectsColocatedSide) {
 }
 
 TEST_F(SchedPolicyTest, LoadBalanceSlackGatesLocality) {
-  // With a huge slack the combined policy always takes the locality branch;
-  // with slack 0 and unequal queues it always takes the load branch.
-  for (int64_t slack : {int64_t{1000}, int64_t{0}}) {
+  // A same-prefix burst piles onto one TE. While the queue-depth gap stays
+  // within the JE's slack of 8 (a burst of 9 at most) the combined policy
+  // always takes the locality branch; a longer burst widens the gap past it
+  // and the load branch takes over.
+  for (int burst : {8, 24}) {
     sim::Simulator sim;
     JeConfig config;
     config.policy = SchedulingPolicy::kCombined;
-    config.load_balance_slack = slack;
     JobExecutor je(&sim, config, PdHeatmap::Default(), MakeOraclePredictor());
     TeConfig tec1;
     tec1.id = 1;
@@ -144,11 +143,11 @@ TEST_F(SchedPolicyTest, LoadBalanceSlackGatesLocality) {
     TaskExecutor te2(&sim, std::move(tec2));
     je.AddColocatedTe(&te1);
     je.AddColocatedTe(&te2);
-    for (int i = 0; i < 6; ++i) {
+    for (int i = 0; i < burst; ++i) {
       je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 512, 64, 777), {nullptr, nullptr, nullptr});
     }
     sim.Run();
-    if (slack > 0) {
+    if (burst <= 9) {
       EXPECT_GT(je.stats().locality_decisions, 0);
       EXPECT_EQ(je.stats().load_decisions, 0);
     } else {

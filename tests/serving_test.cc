@@ -156,7 +156,6 @@ class ServingTest : public ::testing::Test {
   JobExecutor MakeJe(SchedulingPolicy policy) {
     JeConfig config;
     config.policy = policy;
-    config.load_balance_slack = 4;
     return JobExecutor(&sim_, config, PdHeatmap::Default(), MakeOraclePredictor());
   }
 
@@ -308,8 +307,7 @@ TEST_F(ServingTest, ColocatedSequenceSharesPromptAndJeChain) {
   sim_.Run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(prompt.SharesStorage(spec.prompt));
-  EXPECT_EQ(keys.block_size(), JeConfig{}.block_size);
-  EXPECT_EQ(keys.span().size(), 256u / 16);
+  EXPECT_EQ(keys.span().size(), 256u / rtc::kBlockTokens);
   EXPECT_EQ(te->engine().stats().prompt_hashes, 0);
   EXPECT_GT(te->engine().rtc().index_nodes(), 0u);
 }
@@ -337,52 +335,13 @@ TEST_F(ServingTest, PdSequencesSharePromptAndJeChain) {
   ASSERT_EQ(decode->engine().stats().completed, 1);
   EXPECT_TRUE(prefilled.prompt.SharesStorage(spec.prompt));
   EXPECT_TRUE(decoded.prompt.SharesStorage(spec.prompt));
-  EXPECT_EQ(prefilled.keys.span().size(), 4096u / 16);
+  EXPECT_EQ(prefilled.keys.span().size(), 4096u / rtc::kBlockTokens);
   EXPECT_TRUE(decoded.keys.SharesStorage(prefilled.keys));
   EXPECT_EQ(prefill->engine().stats().prompt_hashes, 0);
   EXPECT_EQ(decode->engine().stats().prompt_hashes, 0);
   // Both sides committed the prompt under the shared chain.
   EXPECT_GT(prefill->engine().rtc().index_nodes(), 0u);
   EXPECT_GT(decode->engine().rtc().index_nodes(), 0u);
-}
-
-// An engine whose block size differs from the JE's cannot use the JE's chain:
-// it hashes the prompt itself, and its RTC matches come out exactly as when
-// the JE hashes at the engine's block size.
-TEST(JeChainTest, BlockSizeMismatchMatchesLikeMatchingChain) {
-  struct Outcome {
-    int64_t match_hits, matched_tokens, reused_tokens, prompt_hashes;
-  };
-  auto run = [](int je_block_size) {
-    sim::Simulator sim;
-    JeConfig je_config;
-    je_config.block_size = je_block_size;
-    JobExecutor je(&sim, je_config, PdHeatmap::Default(), MakeOraclePredictor());
-    TeConfig te_config;
-    te_config.id = 1;
-    te_config.engine = SmallEngine(flowserve::EngineRole::kColocated);
-    te_config.engine.block_size = 32;
-    TaskExecutor te(&sim, te_config);
-    je.AddColocatedTe(&te);
-    for (int i = 0; i < 8; ++i) {
-      // Growing prompts over one base: each request reuses its predecessors.
-      RequestSpec spec = MakeRequest(static_cast<workload::RequestId>(i + 1), 300 + 40 * i, 4);
-      sim.ScheduleAt(MsToNs(200 * i), [&je, spec] { je.HandleRequest(spec, {}); });
-    }
-    sim.Run();
-    EXPECT_EQ(te.engine().stats().completed, 8);
-    const rtc::RtcStats& rtc = te.engine().rtc().stats();
-    return Outcome{rtc.match_hits, rtc.matched_tokens, te.engine().stats().reused_tokens,
-                   te.engine().stats().prompt_hashes};
-  };
-  const Outcome matching = run(32);
-  const Outcome mismatched = run(16);
-  EXPECT_GT(matching.match_hits, 0);
-  EXPECT_EQ(mismatched.match_hits, matching.match_hits);
-  EXPECT_EQ(mismatched.matched_tokens, matching.matched_tokens);
-  EXPECT_EQ(mismatched.reused_tokens, matching.reused_tokens);
-  EXPECT_EQ(matching.prompt_hashes, 0);
-  EXPECT_EQ(mismatched.prompt_hashes, 8);
 }
 
 TEST_F(ServingTest, PdAwareRoutesByShape) {
@@ -556,17 +515,14 @@ TEST(LocalityPickTest, TePresenceStaysSortedAndDistinct) {
 }
 
 TEST_F(ServingTest, LoadAwareKicksInWhenUnbalanced) {
-  JeConfig config;
-  config.policy = SchedulingPolicy::kCombined;
-  config.load_balance_slack = 0;  // any imbalance triggers load-aware
-  JobExecutor je(&sim_, config, PdHeatmap::Default(), MakeOraclePredictor());
+  auto je = MakeJe(SchedulingPolicy::kCombined);
   auto te1 = MakeTe(1, flowserve::EngineRole::kColocated);
   auto te2 = MakeTe(2, flowserve::EngineRole::kColocated);
   je.AddColocatedTe(te1.get());
   je.AddColocatedTe(te2.get());
   // Same prefix every time: pure locality would pile everything on one TE,
-  // but load-aware spreads once the queue gap exceeds the slack.
-  for (int i = 0; i < 8; ++i) {
+  // but load-aware spreads once the queue gap exceeds the JE's slack of 8.
+  for (int i = 0; i < 16; ++i) {
     je.HandleRequest(MakeRequest(static_cast<workload::RequestId>(i + 1), 2048, 64, 777), {nullptr, nullptr, nullptr});
   }
   sim_.Run();
@@ -894,24 +850,10 @@ TEST_F(ScalingTest, AutoscalerAddsTesUnderLoad) {
 TEST(JeConfigTest, ValidateRefusesWhatNoJeCanRun) {
   EXPECT_TRUE(JeConfig{}.Validate().ok());
   JeConfig edge;
-  edge.block_size = 1;
   edge.max_tree_nodes = 1;
-  edge.load_balance_slack = 0;
-  edge.pd_overload_factor = 0;
-  edge.pd_overload_slack = 0;
-  EXPECT_TRUE(edge.Validate().ok()) << "one-token blocks, a one-node tree, no slack";
-  auto refused = [&edge](auto mutate) {
-    JeConfig config = edge;
-    mutate(config);
-    return config.Validate().code() == StatusCode::kInvalidArgument;
-  };
-  // A zero block size would abort in TokensToBlockKeys at the first dispatch.
-  EXPECT_TRUE(refused([](JeConfig& c) { c.block_size = 0; }));
-  EXPECT_TRUE(refused([](JeConfig& c) { c.block_size = -16; }));
-  EXPECT_TRUE(refused([](JeConfig& c) { c.max_tree_nodes = 0; }));
-  EXPECT_TRUE(refused([](JeConfig& c) { c.load_balance_slack = -1; }));
-  EXPECT_TRUE(refused([](JeConfig& c) { c.pd_overload_factor = -0.5; }));
-  EXPECT_TRUE(refused([](JeConfig& c) { c.pd_overload_slack = -1; }));
+  EXPECT_TRUE(edge.Validate().ok()) << "a one-node tree";
+  edge.max_tree_nodes = 0;
+  EXPECT_EQ(edge.Validate().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

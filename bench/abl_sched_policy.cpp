@@ -37,6 +37,7 @@
 
 #include "bench/common.h"
 #include "common/time_units.h"
+#include "flowserve/sched/sched_policy.h"
 #include "serving/frontend.h"
 
 using namespace deepserve;
@@ -142,10 +143,10 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
 int main(int argc, char** argv) {
   Options options;
   bench::OptionRegistry registry;
-  registry.Flag("rps", &options.rps, "offered load (fleet saturates ~1)");
-  registry.Flag("duration-s", &options.duration_s, "trace horizon in seconds");
-  registry.Flag("deadline-ms", &options.deadline_ms, "per-request completion deadline");
-  registry.Flag("tbt-ms", &options.tbt_ms, "slo TBT budget for decode-bearing steps");
+  registry.PositiveFlag("rps", &options.rps, "offered load (fleet saturates ~1)");
+  registry.PositiveFlag("duration-s", &options.duration_s, "trace horizon in seconds");
+  registry.PositiveFlag("deadline-ms", &options.deadline_ms, "per-request completion deadline");
+  registry.PositiveFlag("tbt-ms", &options.tbt_ms, "slo TBT budget for decode-bearing steps");
   registry.Flag("seed", &options.seed, "trace seed");
   registry.Flag("policy", &options.policy,
                 "run only one policy: fcfs | slo | priority-preempt (default: all)");
@@ -158,6 +159,14 @@ int main(int argc, char** argv) {
     options.rps = 2.5;
     options.duration_s = 8.0;
     options.deadline_ms = 8000.0;
+  }
+  if (!options.policy.empty()) {
+    flowserve::sched::SchedConfig sched;
+    sched.policy = options.policy;
+    if (auto made = flowserve::sched::MakeSchedPolicy(sched); !made.ok()) {
+      std::fprintf(stderr, "--policy: %s\n", made.status().ToString().c_str());
+      return 2;
+    }
   }
 
   bench::PrintHeader("Ablation: engine scheduling policy under overload "

@@ -61,13 +61,18 @@ bool ParseNumber(const std::string& text, T* out) {
 // Parse() consumes argv. `--help` prints every registered flag and exits 0.
 //
 // Value flags are spelled --name=VALUE; bool flags are bare --name switches.
-// An unknown flag, or a numeric value that ParseNumber rejects, prints a
-// message and exits 2. Help order is registration order, so related flags
-// group naturally.
+// An unknown flag, a numeric value that ParseNumber rejects, or a
+// PositiveFlag value <= 0 prints a message and exits 2.
+// Help order is registration order, so related flags group naturally.
 class OptionRegistry {
  public:
   void Flag(const std::string& name, double* out, const std::string& help) {
     NumberFlag(name, out, help);
+  }
+  // A rate, a duration or a shape exponent: a value <= 0 is refused like a
+  // malformed one.
+  void PositiveFlag(const std::string& name, double* out, const std::string& help) {
+    NumberFlag(name, out, help, /*positive=*/true);
   }
   void Flag(const std::string& name, int* out, const std::string& help) {
     NumberFlag(name, out, help);
@@ -118,12 +123,15 @@ class OptionRegistry {
   }
 
   template <typename T>
-  void NumberFlag(const std::string& name, T* out, const std::string& help) {
-    Add(name, help, /*is_switch=*/false, [name, out](const std::string& value) {
-      if (!ParseNumber(value, out)) {
+  void NumberFlag(const std::string& name, T* out, const std::string& help,
+                  bool positive = false) {
+    Add(name, help, /*is_switch=*/false, [name, out, positive](const std::string& value) {
+      if (!ParseNumber(value, out) || (positive && !(*out > 0))) {
         std::fprintf(stderr, "invalid value for --%s: '%s' (expected %s)\n", name.c_str(),
                      value.c_str(),
-                     std::is_floating_point_v<T> ? "a finite number" : "an integer in range");
+                     positive                        ? "a number > 0"
+                     : std::is_floating_point_v<T> ? "a finite number"
+                                                   : "an integer in range");
         std::exit(2);
       }
     });
@@ -149,6 +157,16 @@ class OptionRegistry {
 
   std::vector<Entry> entries_;  // registration order == help order (deterministic)
 };
+
+// A bursty trace sweeps its rate between a base and a peak, so a peak below
+// the base is a usage error (exit 2), not a generator abort.
+inline void RequirePeakAtLeastBase(const char* base_flag, double base_rps, double peak_rps) {
+  if (peak_rps < base_rps) {
+    std::fprintf(stderr, "--peak-rps (%g) must be >= --%s (%g)\n", peak_rps, base_flag,
+                 base_rps);
+    std::exit(2);
+  }
+}
 
 // The traffic-management flags shared by deepserve_sim and the traffic
 // benches, mapped onto serving::RouteConfig. Register() leaves out

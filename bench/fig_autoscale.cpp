@@ -80,6 +80,20 @@ struct RunResult {
   uint64_t timeline_hash = 0;
 };
 
+serving::AutoscalerConfig AutoscalerFor(const Options& options, const std::string& policy) {
+  serving::AutoscalerConfig config;
+  config.policy = policy;
+  config.check_interval = MsToNs(500);
+  config.scale_up_queue_depth = 4;
+  config.scale_down_queue_depth = 1;
+  config.min_tes = 1;
+  config.max_tes = options.max_tes;
+  config.headroom_tes = 1;
+  config.te_capacity_rps = 1.0;
+  config.down_stable_ticks = 3;
+  return config;
+}
+
 RunResult RunPolicy(const Options& options, const std::string& policy,
                     std::vector<workload::RequestSpec> trace) {
   bench::Testbed bed(/*num_machines=*/3, serving::SchedulingPolicy::kLoadOnly);
@@ -97,19 +111,9 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
   // Drain timeouts force-kill through the crash path; re-dispatch the victims.
   bed.manager().AddFailureHandler([&bed](serving::TeId id) { bed.je().OnTeFailure(id); });
 
-  serving::AutoscalerConfig config;
-  config.policy = policy;
-  config.check_interval = MsToNs(500);
-  config.scale_up_queue_depth = 4;
-  config.scale_down_queue_depth = 1;
-  config.min_tes = 1;
-  config.max_tes = options.max_tes;
-  config.headroom_tes = 1;
-  config.te_capacity_rps = 1.0;
-  config.down_stable_ticks = 3;
   serving::ScaleRequest request;
   request.engine = engine;
-  bed.manager().StartAutoscaler(&bed.je(), config, request);
+  bed.manager().StartAutoscaler(&bed.je(), AutoscalerFor(options, policy), request);
 
   // Preload/settle advanced sim time; shift arrivals so trace t=0 is "now".
   const TimeNs t0 = bed.sim().Now();
@@ -174,12 +178,14 @@ RunResult RunPolicy(const Options& options, const std::string& policy,
 int main(int argc, char** argv) {
   Options options;
   bench::OptionRegistry registry;
-  registry.Flag("base-rps", &options.base_rps, "trough arrival rate of the diurnal wave");
-  registry.Flag("peak-rps", &options.peak_rps, "crest arrival rate of the diurnal wave");
-  registry.Flag("period-s", &options.period_s, "wave period in seconds");
-  registry.Flag("duration-s", &options.duration_s, "trace horizon in seconds");
-  registry.Flag("sharpness", &options.sharpness, "wave shape exponent (higher = spikier crests)");
-  registry.Flag("ttft-slo-ms", &options.ttft_slo_ms, "TTFT SLO used for the attainment column");
+  registry.PositiveFlag("base-rps", &options.base_rps, "trough arrival rate of the diurnal wave");
+  registry.PositiveFlag("peak-rps", &options.peak_rps, "crest arrival rate of the diurnal wave");
+  registry.PositiveFlag("period-s", &options.period_s, "wave period in seconds");
+  registry.PositiveFlag("duration-s", &options.duration_s, "trace horizon in seconds");
+  registry.PositiveFlag("sharpness", &options.sharpness,
+                        "wave shape exponent (higher = spikier crests)");
+  registry.PositiveFlag("ttft-slo-ms", &options.ttft_slo_ms,
+                        "TTFT SLO used for the attainment column");
   registry.Flag("max-tes", &options.max_tes, "autoscaler ceiling");
   registry.Flag("seed", &options.seed, "trace seed");
   registry.Flag("policy", &options.policy,
@@ -199,6 +205,13 @@ int main(int argc, char** argv) {
     options.period_s = 40.0;
     options.sharpness = 12.0;
     options.duration_s = 80.0;
+  }
+  bench::RequirePeakAtLeastBase("base-rps", options.base_rps, options.peak_rps);
+  if (Status valid =
+          AutoscalerFor(options, options.policy.empty() ? "reactive" : options.policy).Validate();
+      !valid.ok()) {
+    std::fprintf(stderr, "%s\n", valid.ToString().c_str());
+    return 2;
   }
 
   bench::PrintHeader("Autoscaling under a bursty diurnal trace "

@@ -182,9 +182,9 @@ int main(int argc, char** argv) {
   registry.Flag("fault-schedule", &options.schedule,
                 "fault plan; cm@T crashes the CM leader, je@T[:k] a JE leader");
   registry.Flag("seed", &options.seed, "trace seed");
-  registry.Flag("rps", &options.rps, "flash-crowd base arrival rate");
-  registry.Flag("peak-rps", &options.peak_rps, "flash-crowd peak arrival rate");
-  registry.Flag("duration-s", &options.duration_s, "trace duration in seconds");
+  registry.PositiveFlag("rps", &options.rps, "flash-crowd base arrival rate");
+  registry.PositiveFlag("peak-rps", &options.peak_rps, "flash-crowd peak arrival rate");
+  registry.PositiveFlag("duration-s", &options.duration_s, "trace duration in seconds");
   registry.Flag("smoke", &options.smoke,
                 "small fixed run; non-zero exit on conservation/failover/replay failure");
   bench::ObsSession obs;
@@ -200,6 +200,7 @@ int main(int argc, char** argv) {
     options.duration_s = 12.0;
     options.schedule = "cm@4;je@5;npu@6";
   }
+  bench::RequirePeakAtLeastBase("rps", options.rps, options.peak_rps);
 
   bench::PrintHeader("Control-plane failover: CM leader crash mid-flash-crowd "
                      "(replicated vs single replica)");

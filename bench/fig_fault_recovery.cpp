@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
                 "(overrides --fault-seed's generated plan)");
   registry.Flag("detect-ms", &options.detect_ms,
                 "NPU-crash detection latency target in ms (shell crashes detect at /10)");
-  registry.Flag("rps", &options.rps, "request arrival rate");
-  registry.Flag("duration-s", &options.duration_s, "trace duration in seconds");
+  registry.PositiveFlag("rps", &options.rps, "request arrival rate");
+  registry.PositiveFlag("duration-s", &options.duration_s, "trace duration in seconds");
   registry.Flag("no-faults", &options.no_faults, "disable injection (baseline run)");
   registry.Flag("smoke", &options.smoke,
                 "small fixed run that exits non-zero on a conservation violation");
@@ -67,6 +67,14 @@ int main(int argc, char** argv) {
   if (options.smoke) {
     options.rps = 4.0;
     options.duration_s = 10.0;
+  }
+  serving::FaultDetectionConfig detection;
+  detection.missed_heartbeats = 3;
+  detection.heartbeat_interval = MsToNs(options.detect_ms / 3.0);
+  detection.shell_crash_detect_latency = MsToNs(options.detect_ms / 10.0);
+  if (Status valid = detection.Validate(); !valid.ok()) {
+    std::fprintf(stderr, "--detect-ms: %s\n", valid.ToString().c_str());
+    return 2;
   }
 
   bench::PrintHeader("Fault recovery: goodput under chaos (detection -> "
@@ -79,10 +87,6 @@ int main(int argc, char** argv) {
   serving::JobExecutor& je = bed.je();
   serving::ClusterManager& manager = bed.manager();
   manager.AddFailureHandler([&je](serving::TeId id) { je.OnTeFailure(id); });
-  serving::FaultDetectionConfig detection;
-  detection.missed_heartbeats = 3;
-  detection.heartbeat_interval = MsToNs(options.detect_ms / 3.0);
-  detection.shell_crash_detect_latency = MsToNs(options.detect_ms / 10.0);
   manager.SetFaultDetection(detection);
   serving::ScaleRequest replacement;
   replacement.engine = engine;
@@ -108,7 +112,7 @@ int main(int argc, char** argv) {
       auto parsed = faults::FaultInjector::ParseSchedule(options.schedule);
       if (!parsed.ok()) {
         std::fprintf(stderr, "--fault-schedule: %s\n", parsed.status().ToString().c_str());
-        return 1;
+        return 2;
       }
       plan = *parsed;
     } else {

@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
   registry.Flag("tes", &options.tes, "colocated TEs to place");
   registry.Flag("tp", &options.tp, "tensor-parallel degree per TE");
   registry.Flag("rps-list", &options.rps_list, "comma-separated arrival-rate sweep");
-  registry.Flag("duration-s", &options.duration_s, "trace horizon per sweep point");
+  registry.PositiveFlag("duration-s", &options.duration_s, "trace horizon per sweep point");
   registry.Flag("seed", &options.seed, "trace seed");
   registry.Flag("smoke", &options.smoke,
                 "fixed run; exits non-zero unless the hetero-aware win holds");

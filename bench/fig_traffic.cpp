@@ -184,11 +184,13 @@ int main(int argc, char** argv) {
   Options options;
   options.route.outlier_errors = 3;  // ejection on by default for the ablation
   bench::OptionRegistry registry;
-  registry.Flag("base-rps", &options.base_rps, "trough arrival rate of the flash-crowd wave");
-  registry.Flag("peak-rps", &options.peak_rps, "crest arrival rate of the flash-crowd wave");
-  registry.Flag("period-s", &options.period_s, "wave period in seconds");
-  registry.Flag("duration-s", &options.duration_s, "trace horizon in seconds");
-  registry.Flag("deadline-ms", &options.deadline_ms, "per-request completion deadline");
+  registry.PositiveFlag("base-rps", &options.base_rps,
+                        "trough arrival rate of the flash-crowd wave");
+  registry.PositiveFlag("peak-rps", &options.peak_rps,
+                        "crest arrival rate of the flash-crowd wave");
+  registry.PositiveFlag("period-s", &options.period_s, "wave period in seconds");
+  registry.PositiveFlag("duration-s", &options.duration_s, "trace horizon in seconds");
+  registry.PositiveFlag("deadline-ms", &options.deadline_ms, "per-request completion deadline");
   registry.Flag("slow-factor", &options.slow_factor,
                 "step-time multiplier planted on replica 0's TE");
   registry.Flag("seed", &options.seed, "trace / p2c seed");
@@ -208,6 +210,11 @@ int main(int argc, char** argv) {
     options.deadline_ms = 12000.0;
     options.slow_factor = 3.0;            // slow enough to hurt, not to shed everything
     options.route.outlier_base_s = 15.0;  // keep the slow TE benched once caught
+  }
+  bench::RequirePeakAtLeastBase("base-rps", options.base_rps, options.peak_rps);
+  if (options.slow_factor < 1.0) {
+    std::fprintf(stderr, "--slow-factor must be >= 1, got %g\n", options.slow_factor);
+    return 2;
   }
   if (Status route = options.route.ToConfig(options.seed).Validate(); !route.ok()) {
     std::fprintf(stderr, "%s\n", route.ToString().c_str());

@@ -89,8 +89,9 @@ echo "==> perf_sim smoke: DES core throughput, replay determinism"
 
 echo "==> deepserve_sim obs smoke: obs flags write their files, report unchanged"
 # Exits non-zero unless --trace-out and --metrics-out each write a non-empty
-# file, the metrics dump carries the end-of-run rtc.index_nodes gauge, and the
-# traced run's stdout is byte-identical to an untraced run.
+# file, the metrics dump carries the end-of-run rtc.index_nodes and
+# ctrl.log_bytes gauges, and the traced run's stdout is byte-identical to an
+# untraced run.
 SIM_ARGS=(--model=tiny-1b --colocated=2 --rps=5 --duration=5)
 OBS_DIR="$(mktemp -d)"
 ./build/examples/deepserve_sim "${SIM_ARGS[@]}" >"${OBS_DIR}/plain.out"
@@ -100,10 +101,12 @@ if [[ ! -s "${OBS_DIR}/trace.json" || ! -s "${OBS_DIR}/metrics.txt" ]]; then
   echo "deepserve_sim wrote no trace or metrics file" >&2
   exit 1
 fi
-if ! grep -q "rtc.index_nodes" "${OBS_DIR}/metrics.txt"; then
-  echo "deepserve_sim's metrics dump has no rtc.index_nodes gauge" >&2
-  exit 1
-fi
+for GAUGE in rtc.index_nodes ctrl.log_bytes; do
+  if ! grep -q "${GAUGE}" "${OBS_DIR}/metrics.txt"; then
+    echo "deepserve_sim's metrics dump has no ${GAUGE} gauge" >&2
+    exit 1
+  fi
+done
 cmp "${OBS_DIR}/plain.out" "${OBS_DIR}/traced.out"
 rm -rf "${OBS_DIR}"
 
@@ -124,13 +127,13 @@ echo "==> deepserve_sim boundary: bad configs exit 2, not with an abort"
 # any TE, rather than die on the engine's capacity check. The same holds for a
 # parallelism degree below 1, a negative TE count, a control-log config that
 # ctrl::CtrlConfig::Validate refuses, an unknown scale, sched or trace policy,
-# an unknown NPU generation, a negative SLO budget, deadline, bursty period or
-# NPU price, a bursty peak below its base rate, a cluster (link bandwidth,
-# SuperPod size) that hw::ClusterConfig::Validate refuses, a predictor
-# accuracy outside [0, 1], an autoscaler config that
-# serving::AutoscalerConfig::Validate refuses, traffic flags that
-# serving::RouteConfig::Validate refuses and an unknown flag (each line is one
-# run's flags).
+# an unknown NPU generation, a non-positive rate or duration, a negative SLO
+# budget, deadline, bursty period or NPU price, a bursty peak below its base
+# rate, a cluster (link bandwidth, SuperPod size) that
+# hw::ClusterConfig::Validate refuses, a predictor accuracy outside [0, 1], an
+# autoscaler config that serving::AutoscalerConfig::Validate refuses, traffic
+# flags that serving::RouteConfig::Validate refuses and an unknown flag (each
+# line is one run's flags).
 while read -r -a BAD_FLAGS; do
   BAD_STATUS=0
   ./build/examples/deepserve_sim "${BAD_FLAGS[@]}" >/dev/null 2>&1 || BAD_STATUS=$?
@@ -168,15 +171,42 @@ done <<'BAD_CONFIGS'
 --model=tiny-1b --colocated=2 --rps=5 --duration=2 --trace=bursty --period=-1
 --model=tiny-1b --colocated=2 --rps=5 --duration=2 --npu-mix=gen1:1 --npu-cost-gen1=-5
 --model=tiny-1b --colocated=2 --rps=5 --duration=2 --npu-mix=gen2:1 --npu-cost-gen2=-5
+--model=tiny-1b --colocated=2 --rps=0 --duration=2
+--model=tiny-1b --colocated=2 --rps=5 --duration=-1
 BAD_CONFIGS
-# fig_traffic fixes a routing policy per variant, so --lb-policy is an
-# unknown flag there (exit 2), not one it silently ignores.
-TRAFFIC_STATUS=0
-./build/bench/fig_traffic --smoke --lb-policy=p2c >/dev/null 2>&1 || TRAFFIC_STATUS=$?
-if [[ "${TRAFFIC_STATUS}" -ne 2 ]]; then
-  echo "fig_traffic --smoke --lb-policy=p2c exited ${TRAFFIC_STATUS}, want 2" >&2
-  exit 1
-fi
+# The benches refuse bad flags the same way: a rate, duration or shape value
+# <= 0 (bench::OptionRegistry::PositiveFlag), a burst peak below its base
+# rate, a slow-node factor below 1, a fault schedule that does not parse, a
+# detection latency that serving::FaultDetectionConfig::Validate refuses, an
+# unknown scheduling or scale policy, and --lb-policy on fig_traffic, which
+# fixes a routing policy per variant (an unknown flag there, not one it
+# silently ignores). Each line is one bench and its flags.
+while read -r -a BAD_BENCH; do
+  BAD_STATUS=0
+  "./build/bench/${BAD_BENCH[0]}" "${BAD_BENCH[@]:1}" >/dev/null 2>&1 || BAD_STATUS=$?
+  if [[ "${BAD_STATUS}" -ne 2 ]]; then
+    echo "${BAD_BENCH[*]} exited ${BAD_STATUS}, want 2" >&2
+    exit 1
+  fi
+done <<'BAD_BENCH_CONFIGS'
+fig_traffic --smoke --lb-policy=p2c
+fig_fault_recovery --smoke --detect-ms=-5
+fig_fault_recovery --fault-schedule=bogus
+abl_sched_policy --smoke --policy=bogus
+fig_autoscale --smoke --policy=bogus
+fig_fault_recovery --rps=-1
+fig_fault_recovery --duration-s=-1
+fig_autoscale --base-rps=-1
+fig_ctrl_failover --rps=-2
+fig_traffic --base-rps=-1
+fig_traffic --period-s=0
+abl_sched_policy --rps=-1
+abl_sched_policy --tbt-ms=-1
+fig_autoscale --sharpness=-1
+fig_ctrl_failover --peak-rps=0.5
+fig_traffic --deadline-ms=-5
+fig_traffic --slow-factor=-1
+BAD_BENCH_CONFIGS
 
 echo "==> perfbench self-tests: the repo benchmark builds, conserves and repeats"
 # Nothing else here builds perfbench/perfbench.cc, which drives the public

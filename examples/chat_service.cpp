@@ -4,6 +4,7 @@
 // Prints the request/job/task ledger and fleet-level statistics.
 
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "bench/common.h"
@@ -92,7 +93,7 @@ int main() {
     if (record.domain != je.table().domain()) {
       continue;
     }
-    const std::vector<int64_t>& ints = record.ints;
+    const std::span<const int64_t> ints = record.ints;
     if (record.type == ctrl::JobTable::kJobCreated && job == 0) {
       request = static_cast<uint64_t>(ints[1]);
     } else if (record.type == ctrl::JobTable::kTaskCreated) {

@@ -31,7 +31,8 @@
 // metrics dump; the printed report is byte-identical with or without them.
 // The dump ends with gauges of what the run left indexed: rtc.index_nodes,
 // rtc.parked_blocks and rtc.unparked_blocks summed over every TE's cache,
-// and je.prompt_tree_nodes over every JE's prompt trees.
+// je.prompt_tree_nodes over every JE's prompt trees, and ctrl.log_records and
+// ctrl.log_bytes (ControlLog::bytes) over the control logs.
 // An unknown flag is a usage error (exit 2), and so is a value no run can use:
 // a tp below 1, a negative TE count, an unknown --sched-policy, --trace or
 // --gen, a negative --tbt-ms/--ttft-ms/--deadline-ms/--peak-rps/--period, a
@@ -42,6 +43,9 @@
 // serving::RouteConfig::Validate refuses, or a model that does not fit its
 // NPUs.
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -128,10 +132,10 @@ void ParseFlags(int argc, char** argv, Flags* flags, bench::ObsSession* obs) {
   registry.Flag("ttft-ms", &flags->ttft_ms, "TTFT SLO budget, counted only (0 = off)");
   registry.Flag("deadline-ms", &flags->deadline_ms, "per-request deadline (0 = none)");
   registry.Flag("trace", &flags->trace, "trace shape: internal|codegen|bursty");
-  registry.Flag("rps", &flags->rps, "arrival rate (bursty: base rate)");
+  registry.PositiveFlag("rps", &flags->rps, "arrival rate (bursty: base rate)");
   registry.Flag("peak-rps", &flags->peak_rps, "bursty trace peak (0 = 4x rps)");
   registry.Flag("period", &flags->period, "bursty trace period seconds (0 = duration/3)");
-  registry.Flag("duration", &flags->duration, "trace horizon in seconds");
+  registry.PositiveFlag("duration", &flags->duration, "trace horizon in seconds");
   registry.Flag("seed", &flags->seed, "trace / predictor / p2c seed");
   registry.Flag("predictor", &flags->predictor_accuracy,
                 "decode-length predictor accuracy (1.0 = oracle)");
@@ -257,10 +261,6 @@ int main(int argc, char** argv) {
   // because the unreplicated default builds no log.
   if (Status ctrl = flags.ctrl.ToConfig().Validate(); !ctrl.ok()) {
     std::fprintf(stderr, "%s\n", ctrl.ToString().c_str());
-    return 2;
-  }
-  if (flags.rps <= 0 || flags.duration <= 0) {
-    std::fprintf(stderr, "--rps and --duration must be > 0\n");
     return 2;
   }
   if (flags.trace == "bursty" && flags.peak_rps > 0 && flags.peak_rps < flags.rps) {
@@ -507,6 +507,22 @@ int main(int argc, char** argv) {
     registry->gauge("rtc.parked_blocks")->Set(static_cast<double>(parked));
     registry->gauge("rtc.unparked_blocks")->Set(static_cast<double>(unparked));
     registry->gauge("je.prompt_tree_nodes")->Set(static_cast<double>(tree_nodes));
+    // A replicated log is shared by the CM and every JE; otherwise each holds
+    // a private one.
+    std::vector<const ctrl::ControlLog*> logs = {manager.ctrl_log()};
+    for (const auto& je : jes) {
+      if (std::find(logs.begin(), logs.end(), &je->control_log()) == logs.end()) {
+        logs.push_back(&je->control_log());
+      }
+    }
+    uint64_t log_records = 0;
+    size_t log_bytes = 0;
+    for (const ctrl::ControlLog* log : logs) {
+      log_records += log->next_seq();
+      log_bytes += log->bytes();
+    }
+    registry->gauge("ctrl.log_records")->Set(static_cast<double>(log_records));
+    registry->gauge("ctrl.log_bytes")->Set(static_cast<double>(log_bytes));
   }
 
   std::printf("%s\n", metrics.Summary().c_str());

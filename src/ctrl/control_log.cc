@@ -1,6 +1,8 @@
 #include "ctrl/control_log.h"
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -47,49 +49,73 @@ void ControlLog::Attach(CtrlStateMachine* sm) {
 
 void ControlLog::Detach(int32_t domain) { attached_.erase(domain); }
 
-const LogRecord& ControlLog::Append(LogRecord record) {
-  DS_CHECK(domain_names_.count(record.domain) != 0);
-  record.seq = next_seq_++;
-  record.time = sim_->Now();
-  records_.push_back(std::move(record));
-  const LogRecord& stored = records_.back();
-  auto it = attached_.find(stored.domain);
-  if (it != attached_.end()) {
-    it->second->Apply(stored);
+LogRecord ControlLog::Append(int32_t domain, int32_t type, std::span<const int64_t> ints,
+                             std::string_view str, workload::Prompt prompt) {
+  DS_CHECK(domain_names_.count(domain) != 0);
+  const uint64_t seq = headers_.size();
+  const bool has_payload = !str.empty() || !prompt.empty();
+  headers_.push_back({.time = sim_->Now(), .ints_begin = ints_.size(), .has_payload = has_payload,
+                      .domain = domain, .type = type});
+  ints_.insert(ints_.end(), ints.begin(), ints.end());
+  if (has_payload) {
+    payloads_.emplace_hint(payloads_.end(), seq, Payload{std::string(str), std::move(prompt)});
   }
-  return stored;
+  const LogRecord record = View(seq);
+  auto it = attached_.find(domain);
+  if (it != attached_.end()) {
+    it->second->Apply(record);
+  }
+  return record;
 }
 
 void ControlLog::DropPayload(uint64_t seq) {
-  DS_CHECK(seq < records_.size());
-  LogRecord& record = records_[seq];
-  DS_CHECK(record.seq == seq);
-  record.prompt = {};
-  std::string().swap(record.str);
+  DS_CHECK(seq < headers_.size());
+  Header& header = headers_[seq];
+  if (header.has_payload) {
+    payloads_.erase(seq);
+    header.has_payload = false;
+  }
+}
+
+LogRecord ControlLog::View(uint64_t seq) const {
+  static const Payload kNoPayload;
+  const Header& header = headers_[seq];
+  const uint64_t end = seq + 1 < headers_.size() ? headers_[seq + 1].ints_begin : ints_.size();
+  const Payload& payload = header.has_payload ? payloads_.find(seq)->second : kNoPayload;
+  return {seq,
+          header.time,
+          header.domain,
+          header.type,
+          std::span<const int64_t>(ints_).subspan(header.ints_begin, end - header.ints_begin),
+          payload.str,
+          payload.prompt};
 }
 
 void ControlLog::ReplayInto(CtrlStateMachine* sm) const {
   DS_CHECK(sm != nullptr);
-  for (const LogRecord& record : records_) {
-    if (record.domain == sm->domain()) {
-      sm->Apply(record);
+  for (uint64_t seq = 0; seq < headers_.size(); ++seq) {
+    if (headers_[seq].domain == sm->domain()) {
+      sm->Apply(View(seq));
     }
   }
 }
 
 void ControlLog::ReplayRange(CtrlStateMachine* sm, uint64_t after_seq) const {
   DS_CHECK(sm != nullptr);
-  for (const LogRecord& record : records_) {
-    if (record.seq > after_seq && record.domain == sm->domain()) {
-      sm->Apply(record);
+  if (after_seq >= headers_.size()) {
+    return;
+  }
+  for (uint64_t seq = after_seq + 1; seq < headers_.size(); ++seq) {
+    if (headers_[seq].domain == sm->domain()) {
+      sm->Apply(View(seq));
     }
   }
 }
 
 int64_t ControlLog::CountDomain(int32_t domain) const {
   int64_t count = 0;
-  for (const LogRecord& record : records_) {
-    if (record.domain == domain) {
+  for (const Header& header : headers_) {
+    if (header.domain == domain) {
       ++count;
     }
   }
@@ -102,7 +128,7 @@ int64_t ControlLog::UnreplicatedAt(TimeNs crash_time) const {
   }
   const TimeNs horizon = crash_time - config_.replication_latency;
   int64_t tail = 0;
-  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
+  for (auto it = headers_.rbegin(); it != headers_.rend(); ++it) {
     if (it->time <= horizon) {
       break;
     }
@@ -115,6 +141,21 @@ DurationNs ControlLog::FailoverDelay(TimeNs crash_time) const {
   const int64_t tail = UnreplicatedAt(crash_time);
   return config_.lease_duration + config_.replication_latency +
          tail * config_.replay_cost_per_record;
+}
+
+size_t ControlLog::bytes() const {
+  // A payload entry is a map node: three links and a color beside the key
+  // and the Payload, plus the str's characters when they spill to the heap.
+  constexpr size_t kEntryBytes = 4 * sizeof(void*) + sizeof(uint64_t) + sizeof(Payload);
+  const size_t inline_chars = std::string().capacity();
+  size_t bytes = headers_.capacity() * sizeof(Header) + ints_.capacity() * sizeof(int64_t);
+  for (const auto& [seq, payload] : payloads_) {
+    bytes += kEntryBytes;
+    if (payload.str.capacity() > inline_chars) {
+      bytes += payload.str.capacity() + 1;
+    }
+  }
+  return bytes;
 }
 
 }  // namespace deepserve::ctrl

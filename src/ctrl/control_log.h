@@ -29,12 +29,21 @@
 // This keeps the event stream of every non-failover run untouched (the
 // 3-seed golden parity test pins that), while still charging honest time for
 // failover itself.
+//
+// Storage is flat (DESIGN #10): a 24-byte header per record (time, domain,
+// type, arena offset; the seq is its index), every record's ints in one
+// arena, and the (str, prompt) payloads in a table keyed by seq that holds
+// only records whose payload has not been dropped. records() and Apply see a
+// LogRecord view assembled from the three.
 #ifndef DEEPSERVE_CTRL_CONTROL_LOG_H_
 #define DEEPSERVE_CTRL_CONTROL_LOG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -42,6 +51,7 @@
 #include "common/types.h"
 #include "ctrl/ctrl_state_machine.h"
 #include "sim/simulator.h"
+#include "workload/request.h"
 
 namespace deepserve::ctrl {
 
@@ -85,14 +95,17 @@ class ControlLog {
   void Attach(CtrlStateMachine* sm);
   void Detach(int32_t domain);
 
-  // Sequences, stamps, stores, and leader-applies one record. The returned
-  // reference is valid until the next Append.
-  const LogRecord& Append(LogRecord record);
+  // Sequences, stamps, stores, and leader-applies one record. A record with a
+  // non-empty `str` or `prompt` gets a payload entry. `ints` must not point
+  // into this log (the arena may reallocate). The returned view is valid
+  // until the next Append or DropPayload.
+  LogRecord Append(int32_t domain, int32_t type, std::span<const int64_t> ints = {},
+                   std::string_view str = {}, workload::Prompt prompt = {});
 
-  // Releases stored record `seq`'s prompt reference and frees its str. Only
-  // for a payload a later record of the same domain has made unobservable to
-  // replay (DESIGN #10). The record itself, its ints, seq and time stay, so
-  // counts, UnreplicatedAt and FailoverDelay do not change.
+  // Erases stored record `seq`'s payload: its prompt reference and its str.
+  // Only for a payload a later record of the same domain has made
+  // unobservable to replay (DESIGN #10). The record itself, its ints, seq and
+  // time stay, so counts, UnreplicatedAt and FailoverDelay do not change.
   void DropPayload(uint64_t seq);
 
   // Replays every stored record of sm->domain() into `sm`, oldest first.
@@ -113,16 +126,70 @@ class ControlLog {
   // comment). Meaningless when !replicated().
   DurationNs FailoverDelay(TimeNs crash_time) const;
 
+  // The stored records in seq order, as LogRecord views.
+  class Records {
+   public:
+    class Iterator {
+     public:
+      LogRecord operator*() const { return log_->View(seq_); }
+      Iterator& operator++() {
+        ++seq_;
+        return *this;
+      }
+      bool operator==(const Iterator& other) const { return seq_ == other.seq_; }
+
+     private:
+      friend class Records;
+      Iterator(const ControlLog* log, uint64_t seq) : log_(log), seq_(seq) {}
+      const ControlLog* log_;
+      uint64_t seq_;
+    };
+
+    Iterator begin() const { return {log_, 0}; }
+    Iterator end() const { return {log_, size()}; }
+    size_t size() const { return log_->headers_.size(); }
+    LogRecord operator[](uint64_t seq) const { return log_->View(seq); }
+    LogRecord front() const { return log_->View(0); }
+    LogRecord back() const { return log_->View(size() - 1); }
+
+   private:
+    friend class ControlLog;
+    explicit Records(const ControlLog* log) : log_(log) {}
+    const ControlLog* log_;
+  };
+
   bool replicated() const { return config_.replicas > 1; }
   const CtrlConfig& config() const { return config_; }
-  const std::vector<LogRecord>& records() const { return records_; }
-  uint64_t next_seq() const { return next_seq_; }
+  Records records() const { return Records(this); }
+  uint64_t next_seq() const { return headers_.size(); }
+  // Bytes the stored records hold: header and arena capacity plus the live
+  // payload entries (the prompts' tokens belong to their requests and are
+  // not counted).
+  size_t bytes() const;
 
  private:
+  // One record's fixed part. Its ints are ints_[ints_begin, the next
+  // header's ints_begin), or up to the arena's end for the last record.
+  struct Header {
+    TimeNs time;
+    uint64_t ints_begin : 63;
+    uint64_t has_payload : 1;  // payloads_ holds an entry for this seq
+    int32_t domain;
+    int32_t type;
+  };
+  static_assert(sizeof(Header) == 24);
+  struct Payload {
+    std::string str;
+    workload::Prompt prompt;
+  };
+
+  LogRecord View(uint64_t seq) const;
+
   sim::Simulator* sim_;
   CtrlConfig config_;
-  std::vector<LogRecord> records_;
-  uint64_t next_seq_ = 0;
+  std::vector<Header> headers_;  // indexed by seq
+  std::vector<int64_t> ints_;    // every record's ints, in seq order
+  std::map<uint64_t, Payload> payloads_;  // by seq, only while not dropped
   int32_t next_domain_ = 1;
   std::map<int32_t, std::string> domain_names_;
   std::map<int32_t, CtrlStateMachine*> attached_;

@@ -22,30 +22,32 @@
 #define DEEPSERVE_CTRL_CTRL_STATE_MACHINE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/types.h"
 #include "workload/request.h"
 
 namespace deepserve::ctrl {
 
-// One sequenced mutation. `seq` is global across domains (the log is shared);
-// `domain` routes the record to one state machine; `type` is domain-specific.
-// Payload is deliberately lowest-common-denominator — a flat int vector plus
-// one string — so records are trivially comparable, hashable, and replayable.
-// A record that carries a request's prompt holds it by shared reference
-// rather than as ints: the tokens are immutable, so sharing them is replay-
-// equivalent to a copy.
+// One sequenced mutation, as ControlLog hands it out: a view into the log's
+// storage, valid until the next Append or DropPayload. `seq` is global across
+// domains (the log is shared); `domain` routes the record to one state
+// machine; `type` is domain-specific. The content is deliberately
+// lowest-common-denominator -- a run of ints plus an optional string -- so
+// records are trivially comparable, hashable, and replayable. A record that
+// carries a request's prompt holds it by shared reference rather than as
+// ints: the tokens are immutable, so sharing them is replay-equivalent to a
+// copy.
 struct LogRecord {
-  uint64_t seq = 0;   // assigned by ControlLog::Append
-  TimeNs time = 0;    // sim time at append (replay uses this, never Now())
-  int32_t domain = 0; // ControlLog::RegisterDomain id
-  int32_t type = 0;   // domain-specific record type
-  std::vector<int64_t> ints;
-  std::string str;
-  workload::Prompt prompt = {};
+  uint64_t seq;    // assigned by ControlLog::Append
+  TimeNs time;     // sim time at append (replay uses this, never Now())
+  int32_t domain;  // ControlLog::RegisterDomain id
+  int32_t type;    // domain-specific record type
+  std::span<const int64_t> ints;
+  std::string_view str;
+  const workload::Prompt& prompt;
 };
 
 class CtrlStateMachine {

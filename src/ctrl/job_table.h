@@ -5,11 +5,13 @@
 // TEs touched + retry count — enough to re-dispatch or fail a request exactly
 // once), the id counters, the round-robin cursor, the epoch, and the TE group
 // membership (as ids). The job/task ledger is the log itself: kJobCreated,
-// kTaskCreated, kTaskCompleted and the close records carry it, and readers
-// decode it from ControlLog::records(). Runtime-only artifacts stay in the
-// JobExecutor: ResponseHandlers (re-established connections on takeover),
-// TaskExecutor pointers (re-bound from ids via the ClusterManager), and the
-// prompt-tree caches (rebuildable, affect only routing quality).
+// kTaskCreated, kTaskCompleted and the close records carry it as ints, and
+// readers decode it from ControlLog::records(). kJobCreated's prompt and
+// context id are a payload the log keeps only while the job is open.
+// Runtime-only artifacts stay in the JobExecutor: ResponseHandlers
+// (re-established connections on takeover), TaskExecutor pointers (re-bound
+// from ids via the ClusterManager), and the prompt-tree caches (rebuildable,
+// affect only routing quality).
 #ifndef DEEPSERVE_CTRL_JOB_TABLE_H_
 #define DEEPSERVE_CTRL_JOB_TABLE_H_
 
@@ -30,7 +32,8 @@ class JobTable final : public CtrlStateMachine {
     kTeAdded = 1,    // ints: [group, te_id]
     kTeRemoved,      // ints: [te_id] — removed from every group
     kJobCreated,     // ints: [job_id, request_id, retries, arrival, decode_len,
-                     //        priority, deadline]; prompt; str = context_id
+                     //        priority, deadline]; payload until the job's
+                     //        close record: prompt, str = context_id
     kJobTeBound,     // ints: [job_id, te_id] — outstanding request touches this TE
     kTaskCreated,    // ints: [task_id, job_id, task_type, te_id]
     kTaskCompleted,  // ints: [task_id]
@@ -43,7 +46,7 @@ class JobTable final : public CtrlStateMachine {
   enum Group : int64_t { kColocated = 0, kPrefill = 1, kDecode = 2 };
 
   struct Outstanding {
-    workload::RequestSpec spec;  // the prompt shared with the kJobCreated record
+    workload::RequestSpec spec;  // the prompt shared with the kJobCreated payload
     std::vector<workload::TeId> tes;  // TEs this request has touched
     int retries = 0;
     // Log position of this job's kJobCreated record. Not fingerprinted: it

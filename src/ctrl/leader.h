@@ -11,8 +11,11 @@
 #define DEEPSERVE_CTRL_LEADER_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -76,10 +79,13 @@ class Leader {
   TimeNs crash_time() const { return crash_time_; }
 
   // Appends one record of this leader's domain.
-  void Append(int32_t type, std::vector<int64_t> ints = {}, std::string str = {},
+  void Append(int32_t type, std::initializer_list<int64_t> ints = {}, std::string_view str = {},
               workload::Prompt prompt = {}) {
-    log_->Append({.domain = state_.domain(), .type = type, .ints = std::move(ints),
-                  .str = std::move(str), .prompt = std::move(prompt)});
+    Append(type, std::span<const int64_t>(ints.begin(), ints.size()), str, std::move(prompt));
+  }
+  void Append(int32_t type, std::span<const int64_t> ints, std::string_view str = {},
+              workload::Prompt prompt = {}) {
+    log_->Append(state_.domain(), type, ints, str, std::move(prompt));
   }
 
   // Parks `op` until the next takeover. Only while the leader is down.

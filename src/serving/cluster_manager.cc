@@ -1,6 +1,7 @@
 #include "serving/cluster_manager.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/logging.h"
@@ -248,7 +249,7 @@ Result<TaskExecutor*> ClusterManager::CreateReadyTe(
   const TeId id = directory().next_te_id();
   std::vector<int64_t> ints = {id};
   ints.insert(ints.end(), npus.begin(), npus.end());
-  leader_.Append(ctrl::TeDirectory::kTeCreated, std::move(ints));
+  leader_.Append(ctrl::TeDirectory::kTeCreated, ints);
   flowserve::EngineConfig placed = PlacedEngine(engine_config, npus);
   return BindTe(id, std::move(placed), std::move(npus));
 }
@@ -297,6 +298,24 @@ Status ClusterManager::StopTe(TeId id) {
   target->set_state(TeState::kStopped);
   ReleaseNpus(target->config().npus);
   return Status::Ok();
+}
+
+Status FaultDetectionConfig::Validate() const {
+  if (heartbeat_interval <= 0 || missed_heartbeats < 1) {
+    return InvalidArgumentError("fault detection needs a heartbeat interval > 0 and "
+                                "missed_heartbeats >= 1, got interval " +
+                                std::to_string(heartbeat_interval) + " ns, missed " +
+                                std::to_string(missed_heartbeats));
+  }
+  if (shell_crash_detect_latency < 0) {
+    return InvalidArgumentError("fault detection's shell-crash latency must be >= 0");
+  }
+  return Status::Ok();
+}
+
+void ClusterManager::SetFaultDetection(FaultDetectionConfig config) {
+  DS_CHECK_OK(config.Validate());
+  detection_ = config;
 }
 
 int64_t ClusterManager::AddFailureHandler(std::function<void(TeId)> handler) {
@@ -380,13 +399,10 @@ Result<size_t> ClusterManager::Crash(TeId id, CrashKind kind, bool defer_detecti
   // heartbeat grid) or the pod runtime's exit signal (TE-shell crash).
   DurationNs latency;
   if (kind == CrashKind::kNpu) {
-    latency = detection_.npu_crash_detect_latency();
-    if (detection_.heartbeat_interval > 0) {
-      TimeNs noticed = sim_->Now() + latency;
-      TimeNs grid = detection_.heartbeat_interval;
-      noticed = (noticed + grid - 1) / grid * grid;
-      latency = noticed - sim_->Now();
-    }
+    const TimeNs grid = detection_.heartbeat_interval;
+    const TimeNs noticed = (sim_->Now() + detection_.npu_crash_detect_latency() + grid - 1) /
+                           grid * grid;
+    latency = noticed - sim_->Now();
   } else {
     latency = detection_.shell_crash_detect_latency;
   }
@@ -589,7 +605,7 @@ Result<TeId> ClusterManager::ScaleUp(const ScaleRequest& request, ScaleCallback 
   state->te_id = directory().next_te_id();
   std::vector<int64_t> ints = {state->pipe, state->te_id};
   ints.insert(ints.end(), state->npus.begin(), state->npus.end());
-  leader_.Append(ctrl::TeDirectory::kPipelineStarted, std::move(ints));
+  leader_.Append(ctrl::TeDirectory::kPipelineStarted, ints);
   live_pipelines_[state->pipe] = state;
   ++stats_.scale_ups;
   const TeId reserved = state->te_id;

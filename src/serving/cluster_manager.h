@@ -138,6 +138,11 @@ struct FaultDetectionConfig {
   DurationNs npu_crash_detect_latency() const {
     return heartbeat_interval * missed_heartbeats;
   }
+
+  // INVALID_ARGUMENT unless heartbeat_interval > 0, missed_heartbeats >= 1
+  // and shell_crash_detect_latency >= 0. SetFaultDetection requires a valid
+  // config.
+  [[nodiscard]] Status Validate() const;
 };
 
 enum class CrashKind {
@@ -216,7 +221,7 @@ class ClusterManager {
   // Returns whether the registration existed. Handlers fire in registration
   // order regardless of removals.
   bool RemoveFailureHandler(int64_t handler_id);
-  void SetFaultDetection(FaultDetectionConfig config) { detection_ = config; }
+  void SetFaultDetection(FaultDetectionConfig config);
   const FaultDetectionConfig& fault_detection() const { return detection_; }
   // Auto-replacement: every detected crash triggers a ScaleUp from `request`;
   // `on_ready` receives the replacement TE (add it to the JE's groups there).

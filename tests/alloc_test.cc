@@ -9,6 +9,8 @@
 // request's key chain instead of copying it (DESIGN #12), and one left only in
 // DRAM gives its pool slot back (DESIGN #16). A request's dispatch must not
 // copy its prompt (DESIGN #14), nor copy or wrap its callbacks (DESIGN #15).
+// A control-log append allocates only when the log's storage doubles
+// (DESIGN #10).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,6 +20,8 @@
 #include <vector>
 
 #include "common/time_units.h"
+#include "ctrl/leader.h"
+#include "ctrl/te_directory.h"
 #include "flowserve/engine.h"
 #include "rtc/rtc_master.h"
 #include "serving/heatmap.h"
@@ -304,6 +308,26 @@ TEST(AllocTest, DispatchNeitherCopiesNorWrapsTheCallbacks) {
   const DispatchCost empty = Dispatch(256);
   EXPECT_EQ(with_callbacks.allocations, empty.allocations);
   EXPECT_EQ(*fired, 2);  // the first token and the completion
+}
+
+TEST(AllocTest, ControlLogAppendDoesNotAllocatePerRecord) {
+  // Fixed-arity records go into the log's header vector and int arena, so N
+  // appends allocate only at those two vectors' doublings, never per record.
+  sim::Simulator sim;
+  int64_t crashes = 0;
+  int64_t failovers = 0;
+  int64_t parked = 0;
+  DurationNs outage = 0;
+  ctrl::Leader<ctrl::TeDirectory> leader(&sim, nullptr, {&crashes, &failovers, &parked, &outage},
+                                         {});
+  constexpr int kRecords = 4096;  // 2^12
+  const int64_t allocations = g_allocations;
+  for (int i = 0; i < kRecords; ++i) {
+    leader.Append(ctrl::TeDirectory::kReservePods, {1});
+  }
+  EXPECT_LE(g_allocations - allocations, 2 * 12 + 4);
+  EXPECT_EQ(leader.state().prewarmed_pods(), kRecords);
+  EXPECT_EQ(leader.log()->next_seq(), static_cast<uint64_t>(kRecords));
 }
 
 }  // namespace

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/time_units.h"
@@ -50,6 +54,14 @@ workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64
   return spec;
 }
 
+// ControlLog::Append with the record's ints as a braced list.
+ctrl::LogRecord Append(ctrl::ControlLog& log, int32_t domain, int32_t type,
+                       std::initializer_list<int64_t> ints = {}, std::string_view str = {},
+                       workload::Prompt prompt = {}) {
+  return log.Append(domain, type, std::span<const int64_t>(ints.begin(), ints.size()), str,
+                    std::move(prompt));
+}
+
 // What `domain`'s kJobCreated records still hold beyond their fixed ints:
 // the tokens of the prompts they reference plus context-id bytes.
 int64_t CreatedPayload(const ctrl::ControlLog& log, int32_t domain) {
@@ -72,9 +84,9 @@ TEST(ControlLogTest, SequencesAcrossDomainsInAppendOrder) {
   const int32_t beta = log.RegisterDomain("beta");
   EXPECT_NE(alpha, beta);
 
-  EXPECT_EQ(log.Append({0, 0, alpha, 1, {}, {}}).seq, 0u);
-  EXPECT_EQ(log.Append({0, 0, beta, 1, {}, {}}).seq, 1u);
-  EXPECT_EQ(log.Append({0, 0, alpha, 2, {}, {}}).seq, 2u);
+  EXPECT_EQ(Append(log, alpha, 1).seq, 0u);
+  EXPECT_EQ(Append(log, beta, 1).seq, 1u);
+  EXPECT_EQ(Append(log, alpha, 2).seq, 2u);
   EXPECT_EQ(log.next_seq(), 3u);
   EXPECT_EQ(log.CountDomain(alpha), 2);
   EXPECT_EQ(log.CountDomain(beta), 1);
@@ -87,9 +99,8 @@ TEST(ControlLogTest, AppendAppliesInlineToAttachedMachine) {
   ctrl::JobTable table(log.RegisterDomain("job-table"));
   log.Attach(&table);
 
-  log.Append({0, 0, table.domain(), ctrl::JobTable::kRrAdvanced, {}, {}});
-  log.Append({0, 0, table.domain(), ctrl::JobTable::kTeAdded,
-              {ctrl::JobTable::kColocated, 7}, {}});
+  Append(log, table.domain(), ctrl::JobTable::kRrAdvanced);
+  Append(log, table.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kColocated, 7});
   EXPECT_EQ(table.rr_cursor(), 1u);
   ASSERT_EQ(table.group(ctrl::JobTable::kColocated).size(), 1u);
   EXPECT_EQ(table.group(ctrl::JobTable::kColocated)[0], 7);
@@ -97,7 +108,7 @@ TEST(ControlLogTest, AppendAppliesInlineToAttachedMachine) {
 
   // Detached machines stop observing appends.
   log.Detach(table.domain());
-  log.Append({0, 0, table.domain(), ctrl::JobTable::kRrAdvanced, {}, {}});
+  Append(log, table.domain(), ctrl::JobTable::kRrAdvanced);
   EXPECT_EQ(table.rr_cursor(), 1u);
 }
 
@@ -108,11 +119,11 @@ TEST(ControlLogTest, ReplayFromNothingMatchesLiveFingerprint) {
   log.Attach(&live);
   const int32_t other = log.RegisterDomain("other");
 
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kColocated, 3}, {}});
-  log.Append({0, 0, other, 99, {1, 2, 3}, "noise"});  // foreign domain: must be filtered
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kPrefill, 4}, {}});
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kRrAdvanced, {}, {}});
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeRemoved, {3}, {}});
+  Append(log, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kColocated, 3});
+  Append(log, other, 99, {1, 2, 3}, "noise");  // foreign domain: must be filtered
+  Append(log, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kPrefill, 4});
+  Append(log, live.domain(), ctrl::JobTable::kRrAdvanced);
+  Append(log, live.domain(), ctrl::JobTable::kTeRemoved, {3});
 
   ctrl::JobTable standby(live.domain());
   log.ReplayInto(&standby);
@@ -129,8 +140,8 @@ TEST(ControlLogTest, JobCreatedSharesPromptAndDropPayloadReleasesIt) {
   ctrl::JobTable table(log.RegisterDomain("job-table"));
   log.Attach(&table);
   const workload::Prompt prompt(std::vector<TokenId>{11, 12, 13, 14});
-  log.Append({0, 0, table.domain(), ctrl::JobTable::kJobCreated, {1, 42, 0, 5, 8, 1, 0}, "ctx",
-              prompt});
+  Append(log, table.domain(), ctrl::JobTable::kJobCreated, {1, 42, 0, 5, 8, 1, 0}, "ctx",
+         prompt);
   const ctrl::LogRecord& record = log.records().front();
   EXPECT_TRUE(record.prompt.SharesStorage(prompt));
   EXPECT_TRUE(table.outstanding().at(1).spec.prompt.SharesStorage(prompt));
@@ -143,21 +154,86 @@ TEST(ControlLogTest, JobCreatedSharesPromptAndDropPayloadReleasesIt) {
   EXPECT_EQ(log.records().front().ints.size(), 7u);
 }
 
+// The flat storage hands back what was appended: records of arity 0, 1 and 7
+// and a variable-arity TE-directory record read back with their seq, time,
+// domain, type and ints, and DropPayload clears only a record's str and
+// prompt.
+TEST(ControlLogTest, RecordsRoundTripThroughFlatStorage) {
+  sim::Simulator sim;
+  ctrl::ControlLog log(&sim);
+  const int32_t jobs = log.RegisterDomain("job-table");
+  const int32_t tes = log.RegisterDomain("te-directory");
+  const workload::Prompt prompt(std::vector<TokenId>{21, 22, 23});
+  struct Appended {
+    int32_t domain;
+    int32_t type;
+    std::vector<int64_t> ints;
+    TimeNs time;
+  };
+  const std::vector<Appended> appended = {
+      {jobs, ctrl::JobTable::kRrAdvanced, {}, 0},
+      {jobs, ctrl::JobTable::kTaskCompleted, {9}, MsToNs(1)},
+      {jobs, ctrl::JobTable::kJobCreated, {1, 42, 0, 5, 8, 1, -3}, MsToNs(2)},
+      {tes, ctrl::TeDirectory::kTeCreated, {4, 10, 11, 12, 13, 14, 15, 16, 17}, MsToNs(2)},
+      {jobs, ctrl::JobTable::kEpoch, {}, MsToNs(3)},
+  };
+  for (const Appended& record : appended) {
+    sim.ScheduleAt(record.time, [&log, &prompt, &record] {
+      const bool created = record.type == ctrl::JobTable::kJobCreated;
+      log.Append(record.domain, record.type, record.ints, created ? "ctx" : "",
+                 created ? prompt : workload::Prompt{});
+    });
+  }
+  sim.Run();
+
+  auto expect_as_appended = [&](const ctrl::ControlLog& stored) {
+    ASSERT_EQ(stored.records().size(), appended.size());
+    uint64_t seq = 0;
+    for (const ctrl::LogRecord& record : stored.records()) {
+      const Appended& want = appended[seq];
+      EXPECT_EQ(record.seq, seq);
+      EXPECT_EQ(record.time, want.time);
+      EXPECT_EQ(record.domain, want.domain);
+      EXPECT_EQ(record.type, want.type);
+      EXPECT_EQ(std::vector<int64_t>(record.ints.begin(), record.ints.end()), want.ints);
+      ++seq;
+    }
+  };
+  expect_as_appended(log);
+  const ctrl::LogRecord created = log.records()[2];
+  EXPECT_EQ(created.str, "ctx");
+  EXPECT_TRUE(created.prompt.SharesStorage(prompt));
+  EXPECT_TRUE(log.records().back().str.empty());
+  EXPECT_TRUE(log.records().back().prompt.empty());
+  const size_t bytes = log.bytes();
+  EXPECT_GE(bytes, appended.size() * 24 + 17 * sizeof(int64_t));
+
+  log.DropPayload(2);
+  log.DropPayload(3);  // a record without a payload: nothing to drop
+  expect_as_appended(log);
+  EXPECT_TRUE(log.records()[2].str.empty());
+  EXPECT_TRUE(log.records()[2].prompt.empty());
+  EXPECT_LT(log.bytes(), bytes);
+  EXPECT_EQ(log.next_seq(), appended.size());
+  EXPECT_EQ(log.CountDomain(jobs), 4);
+  EXPECT_EQ(log.CountDomain(tes), 1);
+}
+
 TEST(ControlLogTest, SnapshotPlusRangeReplayMatchesLive) {
   sim::Simulator sim;
   ctrl::ControlLog log(&sim);
   ctrl::JobTable live(log.RegisterDomain("job-table"));
   log.Attach(&live);
 
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kColocated, 1}, {}});
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kDecode, 2}, {}});
+  Append(log, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kColocated, 1});
+  Append(log, live.domain(), ctrl::JobTable::kTeAdded, {ctrl::JobTable::kDecode, 2});
 
   // The "snapshot" is a plain value copy taken at a known sequence point.
   ctrl::JobTable snapshot = live;
   const uint64_t snapshot_seq = log.next_seq() - 1;
 
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kRrAdvanced, {}, {}});
-  log.Append({0, 0, live.domain(), ctrl::JobTable::kTeRemoved, {2}, {}});
+  Append(log, live.domain(), ctrl::JobTable::kRrAdvanced);
+  Append(log, live.domain(), ctrl::JobTable::kTeRemoved, {2});
 
   EXPECT_NE(snapshot.Fingerprint(), live.Fingerprint());
   log.ReplayRange(&snapshot, snapshot_seq);
@@ -178,10 +254,10 @@ TEST(ControlLogTest, FailoverDelayChargesLeaseGapAndTailReplay) {
   const int32_t domain = log.RegisterDomain("dir");
 
   // Three records at t=0, two more at t=10ms.
-  for (int i = 0; i < 3; ++i) log.Append({0, 0, domain, 1, {}, {}});
+  for (int i = 0; i < 3; ++i) Append(log, domain, 1);
   sim.ScheduleAt(MsToNs(10), [&] {
-    log.Append({0, 0, domain, 1, {}, {}});
-    log.Append({0, 0, domain, 1, {}, {}});
+    Append(log, domain, 1);
+    Append(log, domain, 1);
   });
   sim.Run();
 

@@ -377,6 +377,24 @@ TEST_F(FaultToleranceTest, DetectionLatencyIsConfigurable) {
   EXPECT_EQ(manager_->stats().detections, 1);
 }
 
+TEST(FaultDetectionConfigTest, ValidateRefusesWhatNoDetectorCanRun) {
+  EXPECT_TRUE(serving::FaultDetectionConfig{}.Validate().ok());
+  serving::FaultDetectionConfig edge;
+  edge.heartbeat_interval = 1;
+  edge.missed_heartbeats = 1;
+  edge.shell_crash_detect_latency = 0;
+  EXPECT_TRUE(edge.Validate().ok()) << "one 1 ns heartbeat, instant shell detection";
+  auto refused = [&edge](auto mutate) {
+    serving::FaultDetectionConfig config = edge;
+    mutate(config);
+    return config.Validate().code() == StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(refused([](serving::FaultDetectionConfig& c) { c.heartbeat_interval = 0; }));
+  EXPECT_TRUE(refused([](serving::FaultDetectionConfig& c) { c.heartbeat_interval = -1; }));
+  EXPECT_TRUE(refused([](serving::FaultDetectionConfig& c) { c.missed_heartbeats = 0; }));
+  EXPECT_TRUE(refused([](serving::FaultDetectionConfig& c) { c.shell_crash_detect_latency = -1; }));
+}
+
 TEST_F(FaultToleranceTest, CrashAccountsLostKvTokens) {
   auto* te1 = AddTe(flowserve::EngineRole::kColocated);
   AddTe(flowserve::EngineRole::kColocated);

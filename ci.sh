@@ -125,7 +125,8 @@ echo "==> deepserve_sim boundary: bad configs exit 2, not with an abort"
 # yi-34b's weights overflow one Gen2 NPU's HBM at tp1. deepserve_sim must
 # refuse the config with an INVALID_ARGUMENT message (exit 2) before it builds
 # any TE, rather than die on the engine's capacity check. The same holds for a
-# parallelism degree below 1, a negative TE count, a control-log config that
+# parallelism degree below 1, a negative TE count, a fleet with no colocated
+# TE and no prefill/decode pair and no autoscaler, a control-log config that
 # ctrl::CtrlConfig::Validate refuses, an unknown scale, sched or trace policy,
 # an unknown NPU generation, a non-positive rate or duration, a negative SLO
 # budget, deadline, bursty period or NPU price, a bursty peak below its base
@@ -173,6 +174,8 @@ done <<'BAD_CONFIGS'
 --model=tiny-1b --colocated=2 --rps=5 --duration=2 --npu-mix=gen2:1 --npu-cost-gen2=-5
 --model=tiny-1b --colocated=2 --rps=0 --duration=2
 --model=tiny-1b --colocated=2 --rps=5 --duration=-1
+--model=tiny-1b --rps=5 --duration=2 --colocated=0 --prefill-tes=0 --decode-tes=0
+--model=tiny-1b --rps=5 --duration=2 --colocated=0 --prefill-tes=1 --decode-tes=0
 BAD_CONFIGS
 # The benches refuse bad flags the same way: a rate, duration or shape value
 # <= 0 (bench::OptionRegistry::PositiveFlag), a burst peak below its base

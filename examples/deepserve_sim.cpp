@@ -34,8 +34,10 @@
 // je.prompt_tree_nodes over every JE's prompt trees, and ctrl.log_records and
 // ctrl.log_bytes (ControlLog::bytes) over the control logs.
 // An unknown flag is a usage error (exit 2), and so is a value no run can use:
-// a tp below 1, a negative TE count, an unknown --sched-policy, --trace or
-// --gen, a negative --tbt-ms/--ttft-ms/--deadline-ms/--peak-rps/--period, a
+// a tp below 1, a negative TE count, a fleet with no colocated TE and no
+// prefill/decode pair (unless --scale-policy grows one), an unknown
+// --sched-policy, --trace or --gen, a negative
+// --tbt-ms/--ttft-ms/--deadline-ms/--peak-rps/--period, a
 // bursty --peak-rps below --rps, a --predictor outside [0, 1], a control-log
 // config that ctrl::CtrlConfig::Validate refuses, a cluster (link bandwidths,
 // SuperPod size) that hw::ClusterConfig::Validate refuses, an autoscaler
@@ -255,6 +257,14 @@ int main(int argc, char** argv) {
   }
   if (flags.colocated < 0 || flags.prefill_tes < 0 || flags.decode_tes < 0) {
     std::fprintf(stderr, "--colocated, --prefill-tes and --decode-tes must be >= 0\n");
+    return 2;
+  }
+  // An autoscaler grows replica 0's colocated group from one TE; without one
+  // the fleet needs a colocated TE or a complete prefill/decode pair.
+  if (!autoscale && flags.colocated == 0 && (flags.prefill_tes == 0 || flags.decode_tes == 0)) {
+    std::fprintf(stderr,
+                 "the fleet serves nothing: needs --colocated >= 1, or --prefill-tes and "
+                 "--decode-tes >= 1, or a --scale-policy\n");
     return 2;
   }
   // Checked for every replica count, so a bad value never goes unnoticed just

@@ -66,6 +66,17 @@ Result<int64_t> KvBlockCapacity(const EngineConfig& config) {
                                 ": tp, pp and dp must each be >= 1");
   }
   if (config.kv_block_capacity_override > 0) {
+    // Each of the tp*pp NPUs holds its share of every block.
+    const Bytes per_npu_block = config.model.KvBytesPerToken() * rtc::kBlockTokens /
+                                (static_cast<Bytes>(par.tp) * static_cast<Bytes>(par.pp));
+    if (per_npu_block > 0 && static_cast<Bytes>(config.kv_block_capacity_override) >
+                                 config.npu_spec.hbm_capacity / per_npu_block) {
+      return InvalidArgumentError(
+          "kv_block_capacity_override " + std::to_string(config.kv_block_capacity_override) +
+          " blocks of " + config.model.name + " at " + par.ToString() + " exceed the " +
+          std::to_string(config.npu_spec.hbm_capacity) + "-byte HBM of " +
+          config.npu_spec.name);
+    }
     return config.kv_block_capacity_override;
   }
   model::CostModel cost(config.model, config.npu_spec,
@@ -140,22 +151,6 @@ void Engine::NotifyWhenIdle(std::function<void()> cb) {
     return;
   }
   idle_waiters_.push_back(std::move(cb));
-}
-
-void Engine::AttachNpus(const std::vector<hw::Npu*>& npus) {
-  const int ranks = config_.parallelism.tp * config_.parallelism.pp;
-  DS_CHECK_EQ(static_cast<int>(npus.size()), ranks * config_.parallelism.dp)
-      << "engine needs one NPU per TP*PP*DP rank";
-  Bytes per_npu_block =
-      config_.model.KvBytesPerToken() * rtc::kBlockTokens / static_cast<Bytes>(ranks);
-  for (int g = 0; g < config_.parallelism.dp; ++g) {
-    for (int r = 0; r < ranks; ++r) {
-      auto executor = std::make_unique<rtc::RtcExecutor>(
-          npus[static_cast<size_t>(g * ranks + r)], per_npu_block);
-      groups_[static_cast<size_t>(g)]->rtc->AddListener(executor.get());
-      rtc_executors_.push_back(std::move(executor));
-    }
-  }
 }
 
 void Engine::SetRtcTransferFn(rtc::TransferFn fn) {

@@ -9,9 +9,9 @@
 //     busy: asynchronous KV prefetch keeps requests off the critical path,
 //     and asynchronous execution overlaps CPU scheduling of batch N+1 with
 //     NPU execution of batch N;
-//   * SPMD master-executor — this class is the master; per-NPU executors
-//     (RtcExecutor for memory, the cost model standing in for the model
-//     runner) carry out its decisions in lockstep.
+//   * SPMD master-executor — this class is the master; the cost model
+//     stands in for the per-NPU model runners that carry out its decisions
+//     in lockstep. HBM occupancy is the RTC pool's NPU-tier block count.
 //
 // Time: everything runs on the injected sim::Simulator. A "step" is one
 // scheduler iteration (continuous batching); its NPU duration comes from the
@@ -32,10 +32,8 @@
 #include "flowserve/engine_config.h"
 #include "flowserve/sched/sched_policy.h"
 #include "flowserve/sequence.h"
-#include "hw/npu.h"
 #include "model/cost_model.h"
 #include "model/tokenizer.h"
-#include "rtc/rtc_executor.h"
 #include "rtc/rtc_master.h"
 #include "sim/simulator.h"
 #include "workload/request.h"
@@ -98,7 +96,8 @@ struct LoadInfo {
 // KV blocks one DP group's NPU tier holds under `config`: the override when
 // set, else what HBM holds after the weights at the utilization target.
 // INVALID_ARGUMENT, naming the model and the parallelism, when that is not
-// one block, i.e. the model does not fit on its NPUs, and for a tp, pp or dp
+// one block, i.e. the model does not fit on its NPUs, when an override's
+// per-NPU share of its blocks exceeds one NPU's HBM, and for a tp, pp or dp
 // below 1. The Engine sizes its cache with this; a launcher calls it to
 // refuse such a config up front.
 [[nodiscard]] Result<int64_t> KvBlockCapacity(const EngineConfig& config);
@@ -116,9 +115,6 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   // Optional wiring ----------------------------------------------------------
-  // Mirrors RTC block traffic onto real simulated NPUs (one per TP*PP rank;
-  // DP groups map round-robin over the provided devices).
-  void AttachNpus(const std::vector<hw::Npu*>& npus);
   // Timed transfers for populate/swap (defaults to instantaneous).
   void SetRtcTransferFn(rtc::TransferFn fn);
   void SetKvSendFn(KvSendFn fn) { kv_send_ = std::move(fn); }
@@ -289,7 +285,6 @@ class Engine {
   int64_t kv_block_capacity_ = 0;
 
   std::vector<std::unique_ptr<DpGroup>> groups_;
-  std::vector<std::unique_ptr<rtc::RtcExecutor>> rtc_executors_;
   // Owns all live sequences. Deferred callbacks (tokenizer, populate,
   // KV-send, step completion) may outlive a cancelled sequence; they hold a
   // SeqRef and re-validate it.

@@ -162,14 +162,10 @@ void PageCache::Erase(const std::string& key) {
   }
 }
 
-Machine::Machine(sim::Simulator* sim, MachineId id, const ClusterConfig& config,
-                 NpuId first_npu_id)
+Machine::Machine(sim::Simulator* sim, MachineId id, const ClusterConfig& config)
     : id_(id), page_cache_(config.dram_capacity),
       npus_per_pcie_link_(config.npus_per_pcie_link) {
   DS_CHECK_GT(npus_per_pcie_link_, 0);
-  for (int i = 0; i < config.npus_per_machine; ++i) {
-    npus_.push_back(std::make_unique<Npu>(first_npu_id + i, id, config.spec_for_machine(id)));
-  }
   int num_pcie = (config.npus_per_machine + npus_per_pcie_link_ - 1) / npus_per_pcie_link_;
   for (int i = 0; i < num_pcie; ++i) {
     std::string name = LinkName(id, "pcie");
@@ -194,8 +190,7 @@ Cluster::Cluster(sim::Simulator* sim, ClusterConfig config)
   Status valid = config_.Validate();
   DS_CHECK(valid.ok()) << valid.ToString();
   for (int m = 0; m < config_.num_machines; ++m) {
-    machines_.push_back(
-        std::make_unique<Machine>(sim, m, config_, m * config_.npus_per_machine));
+    machines_.push_back(std::make_unique<Machine>(sim, m, config_));
     hccs_links_.push_back(std::make_unique<SharedLink>(
         sim, LinkName(m, "hccs"), LinkType::kHccs, config_.hccs_gbps * 1e9,
         config_.hccs_latency));
@@ -207,13 +202,6 @@ Cluster::Cluster(sim::Simulator* sim, ClusterConfig config)
           sim, LinkName(m, "ub"), LinkType::kUb, config_.ub_gbps * 1e9, config_.ub_latency));
     }
   }
-}
-
-Npu* Cluster::npu(NpuId id) {
-  DS_CHECK_GE(id, 0);
-  MachineId m = machine_of(id);
-  DS_CHECK_LT(m, num_machines());
-  return machines_[static_cast<size_t>(m)]->npu(id % config_.npus_per_machine);
 }
 
 bool Cluster::SameScaleUpDomain(NpuId a, NpuId b) const {

@@ -107,14 +107,13 @@ class PageCache {
   std::map<std::string, Entry> entries_;
 };
 
-// A host machine: NPUs, per-pair PCIe links, one SSD link, DRAM page cache.
+// A host machine: per-pair PCIe links for its NPUs, one SSD link, DRAM page
+// cache.
 class Machine {
  public:
-  Machine(sim::Simulator* sim, MachineId id, const ClusterConfig& config, NpuId first_npu_id);
+  Machine(sim::Simulator* sim, MachineId id, const ClusterConfig& config);
 
   MachineId id() const { return id_; }
-  const std::vector<std::unique_ptr<Npu>>& npus() const { return npus_; }
-  Npu* npu(int local_index) { return npus_[static_cast<size_t>(local_index)].get(); }
 
   // The PCIe link serving a given local NPU index (shared between pairs).
   SharedLink* pcie_link_for(int local_npu_index);
@@ -124,7 +123,6 @@ class Machine {
 
  private:
   MachineId id_;
-  std::vector<std::unique_ptr<Npu>> npus_;
   std::vector<std::unique_ptr<SharedLink>> pcie_links_;
   std::unique_ptr<SharedLink> ssd_link_;
   PageCache page_cache_;
@@ -142,7 +140,6 @@ class Cluster {
 
   int num_machines() const { return static_cast<int>(machines_.size()); }
   Machine* machine(MachineId id) { return machines_[static_cast<size_t>(id)].get(); }
-  Npu* npu(NpuId id);
   MachineId machine_of(NpuId id) const {
     return id / config_.npus_per_machine;
   }

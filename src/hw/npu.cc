@@ -1,7 +1,5 @@
 #include "hw/npu.h"
 
-#include "common/logging.h"
-
 namespace deepserve::hw {
 
 NpuSpec NpuSpec::Gen1() {
@@ -22,19 +20,6 @@ NpuSpec NpuSpec::Gen2() {
   spec.hbm_capacity = 64ull << 30;
   spec.cost_per_hour = 2.5;
   return spec;
-}
-
-Status Npu::AllocateHbm(Bytes bytes) {
-  if (hbm_used_ + bytes > spec_.hbm_capacity) {
-    return ResourceExhaustedError("HBM exhausted on NPU " + std::to_string(id_));
-  }
-  hbm_used_ += bytes;
-  return Status::Ok();
-}
-
-void Npu::FreeHbm(Bytes bytes) {
-  DS_CHECK_LE(bytes, hbm_used_) << "double free of HBM on NPU " << id_;
-  hbm_used_ -= bytes;
 }
 
 }  // namespace deepserve::hw

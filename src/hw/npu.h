@@ -1,14 +1,14 @@
-// Simulated Ascend NPU device: compute/bandwidth spec plus an HBM byte
-// allocator. The DaVinci-core micro-architecture is abstracted into the two
-// roofline parameters that the paper's results actually depend on (dense
-// FP16 throughput and HBM bandwidth), plus capacity.
+// Simulated Ascend NPU spec. The DaVinci-core micro-architecture is
+// abstracted into the two roofline parameters that the paper's results
+// actually depend on (dense FP16 throughput and HBM bandwidth), plus
+// capacity. HBM occupancy is not tracked here: a TE's KV blocks on its NPUs
+// are the RTC pool's NPU-tier count (rtc::BlockPool).
 #ifndef DEEPSERVE_HW_NPU_H_
 #define DEEPSERVE_HW_NPU_H_
 
 #include <cstdint>
 #include <string>
 
-#include "common/status.h"
 #include "common/types.h"
 
 namespace deepserve::hw {
@@ -39,33 +39,6 @@ struct NpuSpec {
 
   double effective_flops() const { return tflops_fp16 * 1e12 * compute_efficiency; }
   double effective_hbm_bps() const { return hbm_bandwidth_gbps * 1e9 * memory_efficiency; }
-};
-
-// One NPU card. HBM accounting is in bytes; the KV block granularity lives in
-// RTC, which allocates byte ranges here.
-class Npu {
- public:
-  Npu(NpuId id, MachineId machine, NpuSpec spec)
-      : id_(id), machine_(machine), spec_(std::move(spec)) {}
-
-  NpuId id() const { return id_; }
-  MachineId machine() const { return machine_; }
-  const NpuSpec& spec() const { return spec_; }
-
-  Bytes hbm_capacity() const { return spec_.hbm_capacity; }
-  Bytes hbm_used() const { return hbm_used_; }
-  Bytes hbm_free() const { return spec_.hbm_capacity - hbm_used_; }
-
-  // Reserves HBM; fails with RESOURCE_EXHAUSTED when capacity would be
-  // exceeded (the caller decides whether to evict or reject).
-  [[nodiscard]] Status AllocateHbm(Bytes bytes);
-  void FreeHbm(Bytes bytes);
-
- private:
-  NpuId id_;
-  MachineId machine_;
-  NpuSpec spec_;
-  Bytes hbm_used_ = 0;
 };
 
 }  // namespace deepserve::hw

@@ -9,8 +9,8 @@
 // index) holds its id. The content key itself lives on the radix-tree edge
 // that indexes the block, not here. Blocks carry no LRU time: recency lives
 // on the radix-tree nodes that index them. The pool enforces per-tier
-// capacity and is purely logical — byte-level HBM effects are applied by
-// RtcExecutors.
+// capacity, and its NPU-tier count is the one record of a TE's HBM KV
+// occupancy.
 //
 // Storage is a dense vector of 12-byte slots indexed by the low 32 bits of
 // the BlockId, with destroyed slots recycled through a free list. The high

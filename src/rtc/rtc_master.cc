@@ -16,18 +16,6 @@ RtcMaster::RtcMaster(sim::Simulator* sim, RtcConfig config)
   };
 }
 
-void RtcMaster::SyncListeners() {
-  int64_t used = pool_.used(Tier::kNpu);
-  int64_t delta = used - last_npu_used_;
-  if (delta == 0) {
-    return;
-  }
-  last_npu_used_ = used;
-  for (NpuBlockListener* listener : listeners_) {
-    listener->OnNpuBlocksChanged(delta);
-  }
-}
-
 MatchInfo RtcMaster::BuildMatchInfo(std::vector<BlockId> blocks,
                                     int64_t matched_tokens) const {
   MatchInfo info;
@@ -200,7 +188,6 @@ Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
       DS_CHECK_OK(pool_.AddResidency(id, Tier::kNpu));
       pool_.Pin(id);
     }
-    SyncListeners();
     Bytes bytes = static_cast<Bytes>(blocks.size()) * config_.bytes_per_block;
     transfer_(src, Tier::kNpu, bytes, [this, ticket, blocks = std::move(blocks)] {
       for (BlockId id : blocks) {
@@ -352,7 +339,6 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
     }
     return LruStep::kRemove;
   });
-  SyncListeners();
   if (pool_.free_blocks(Tier::kNpu) < n) {
     return ResourceExhaustedError("NPU blocks exhausted: need " + std::to_string(n) + ", free " +
                                   std::to_string(pool_.free_blocks(Tier::kNpu)));
@@ -363,7 +349,6 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
 Status RtcMaster::AllocBlocks(int64_t n, std::vector<BlockId>* out) {
   DS_RETURN_IF_ERROR(EnsureNpuFree(n));
   DS_RETURN_IF_ERROR(pool_.Allocate(n, Tier::kNpu, out));
-  SyncListeners();
   MaybeArmSwap();
   return Status::Ok();
 }
@@ -413,7 +398,6 @@ void RtcMaster::Free(std::span<const BlockId> blocks) {
   for (BlockId id : blocks) {
     pool_.Unref(id);
   }
-  SyncListeners();
 }
 
 void RtcMaster::CheckChain(std::span<const TokenId> tokens, std::span<const BlockKey> keys) {
@@ -558,7 +542,6 @@ void RtcMaster::SwapScan() {
           pool_.DropResidency(id, Tier::kNpu);
         }
       }
-      SyncListeners();
     };
     stats_.swapped_out_blocks += Copy(ids, Tier::kDram, std::move(demote));
   }

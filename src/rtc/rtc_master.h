@@ -10,9 +10,9 @@
 //     the tier hierarchy so the synchronous allocation path stays fast. It
 //     always runs: once NPU-block use reaches kSwapHighWatermark, a scan
 //     kSwapInterval later demotes at most kSwapBatchBlocks cold blocks.
-// Per-NPU RtcExecutors mirror the master's NPU-block decisions onto their
-// devices (master-executor SPMD, §4.1). Actual transfer *timing* is
-// delegated to an injected TransferFn, which FlowServe wires to DistFlow.
+// The pool's NPU-tier count is the one ledger of HBM KV occupancy. Actual
+// transfer *timing* is delegated to an injected TransferFn, which FlowServe
+// wires to DistFlow.
 #ifndef DEEPSERVE_RTC_RTC_MASTER_H_
 #define DEEPSERVE_RTC_RTC_MASTER_H_
 
@@ -96,13 +96,6 @@ struct PicMatch {
 // to immediate completion so RTC unit-tests need no transfer fabric.
 using TransferFn = std::function<void(Tier, Tier, Bytes, std::function<void()>)>;
 
-// Mirrors master NPU-block deltas onto a device (see RtcExecutor).
-class NpuBlockListener {
- public:
-  virtual ~NpuBlockListener() = default;
-  virtual void OnNpuBlocksChanged(int64_t delta_blocks) = 0;
-};
-
 struct RtcConfig {
   BlockPoolConfig pool;
   // Bytes of one block across the whole instance (all layers, all TP ranks);
@@ -151,7 +144,6 @@ class RtcMaster {
   RtcMaster& operator=(const RtcMaster&) = delete;
 
   void SetTransferFn(TransferFn fn) { transfer_ = std::move(fn); }
-  void AddListener(NpuBlockListener* listener) { listeners_.push_back(listener); }
 
   // ---- Table 1: match APIs -------------------------------------------------
   // `keys` is `prompt`'s block-key chain (TokensToBlockKeys / KeyChain): the
@@ -228,7 +220,6 @@ class RtcMaster {
   MatchInfo BuildMatchInfo(std::vector<BlockId> blocks, int64_t matched_tokens) const;
   // DS_CHECKs that `keys` is a full chain of `tokens`.
   static void CheckChain(std::span<const TokenId> tokens, std::span<const BlockKey> keys);
-  void SyncListeners();
   void MaybeArmSwap();
   void SwapScan();
   // Appends the full ids of the blocks in a run's `slots` to `*out`.
@@ -250,7 +241,6 @@ class RtcMaster {
   // blocks are pruned lazily on lookup.
   std::unordered_map<BlockKey, BlockId> pic_index_;
   TransferFn transfer_;
-  std::vector<NpuBlockListener*> listeners_;
 
   PopulateTicket next_ticket_ = 1;
   std::unordered_map<PopulateTicket, int> inflight_populates_;  // remaining groups
@@ -258,7 +248,6 @@ class RtcMaster {
   std::vector<Tree::Node*> swap_victims_;  // SwapScan's victim list, reused
 
   RtcStats stats_;
-  int64_t last_npu_used_ = 0;
   bool swap_armed_ = false;
   obs::LazyTrack track_{"rtc", {"cache"}};
 };

@@ -55,6 +55,7 @@ ClusterManager::ClusterManager(sim::Simulator* sim, hw::Cluster* cluster,
               {[this] { TraceLeaderCrash(); }, [this] { RecordBufferedCrashes(); },
                [this] { HealthScan(); }}) {
   DS_CHECK(cluster_ != nullptr);
+  DS_CHECK(transfer_ != nullptr);
   leader_.Append(ctrl::TeDirectory::kInit, {cluster_->total_npus()});
 }
 
@@ -261,9 +262,7 @@ Result<TaskExecutor*> ClusterManager::BindTe(TeId id, flowserve::EngineConfig en
   config.engine = std::move(engine);
   config.npus = std::move(npus);
   auto te = std::make_unique<TaskExecutor>(sim_, std::move(config));
-  if (transfer_ != nullptr) {
-    DS_RETURN_IF_ERROR(te->AttachFabric(cluster_, transfer_));
-  }
+  DS_RETURN_IF_ERROR(te->AttachFabric(transfer_));
   te->set_state(TeState::kReady);
   TaskExecutor* raw = te.get();
   bindings_[id] = raw;

@@ -30,21 +30,16 @@ TaskExecutor::TaskExecutor(sim::Simulator* sim, TeConfig config)
   }
 }
 
-Status TaskExecutor::AttachFabric(hw::Cluster* cluster, distflow::TransferEngine* transfer) {
-  DS_CHECK(cluster != nullptr);
+Status TaskExecutor::AttachFabric(distflow::TransferEngine* transfer) {
   DS_CHECK(transfer != nullptr);
-  if (config_.npus.empty()) {
-    return FailedPreconditionError("TE " + std::to_string(config_.id) + " has no NPUs assigned");
+  const model::ParallelismConfig& par = config_.engine.parallelism;
+  if (static_cast<int>(config_.npus.size()) != par.TotalNpus()) {
+    return InvalidArgumentError("TE " + std::to_string(config_.id) + " has " +
+                                std::to_string(config_.npus.size()) + " NPUs, " +
+                                par.ToString() + " needs " + std::to_string(par.TotalNpus()));
   }
-  cluster_ = cluster;
   transfer_ = transfer;
   DS_RETURN_IF_ERROR(transfer_->RegisterEndpoint(config_.id, config_.npus[0]));
-  std::vector<hw::Npu*> npus;
-  npus.reserve(config_.npus.size());
-  for (hw::NpuId id : config_.npus) {
-    npus.push_back(cluster_->npu(id));
-  }
-  engine_->AttachNpus(npus);
   // RTC populate/swap traffic rides DistFlow between this TE's own tiers.
   engine_->SetRtcTransferFn([this](rtc::Tier src, rtc::Tier dst, Bytes bytes,
                                    std::function<void()> done) {

@@ -18,7 +18,7 @@
 #include "common/status.h"
 #include "distflow/distflow.h"
 #include "flowserve/engine.h"
-#include "hw/cluster.h"
+#include "hw/npu.h"
 #include "serving/job.h"
 #include "sim/simulator.h"
 #include "workload/request.h"
@@ -42,7 +42,8 @@ using flowserve::ResponseHandler;
 struct TeConfig {
   TeId id = 0;
   flowserve::EngineConfig engine;
-  // One NPU per TP*PP*DP rank; empty = purely logical (no device accounting).
+  // One NPU per TP*PP*DP rank; the first is the DistFlow endpoint. Empty for
+  // a TE that never attaches to the fabric.
   std::vector<hw::NpuId> npus;
 };
 
@@ -53,9 +54,10 @@ class TaskExecutor {
   TaskExecutor(const TaskExecutor&) = delete;
   TaskExecutor& operator=(const TaskExecutor&) = delete;
 
-  // Registers this TE's DistFlow endpoint, mirrors KV traffic onto its NPUs,
-  // and routes RTC populate/swap plus PD KV hand-offs through DistFlow.
-  [[nodiscard]] Status AttachFabric(hw::Cluster* cluster, distflow::TransferEngine* transfer);
+  // Registers this TE's DistFlow endpoint and routes RTC populate/swap plus
+  // PD KV hand-offs through DistFlow. INVALID_ARGUMENT unless the TE has one
+  // NPU per TP*PP*DP rank.
+  [[nodiscard]] Status AttachFabric(distflow::TransferEngine* transfer);
 
   TeId id() const { return config_.id; }
   flowserve::EngineRole role() const { return config_.engine.role; }
@@ -123,7 +125,6 @@ class TaskExecutor {
   std::unique_ptr<flowserve::Engine> engine_;
   TeState state_ = TeState::kReady;
 
-  hw::Cluster* cluster_ = nullptr;
   distflow::TransferEngine* transfer_ = nullptr;
 
   struct PendingHandoff {

@@ -525,6 +525,31 @@ TEST(KvBlockCapacityTest, MatchesWhatTheEngineUses) {
   EXPECT_EQ(KvBlockCapacity(config).value(), 4096);
 }
 
+TEST(KvBlockCapacityTest, OverrideBeyondHbmIsAnError) {
+  EngineConfig config = TestConfig();
+  config.parallelism = {2, 2, 1};
+  // Each of the 4 NPUs holds a quarter of every block's KV.
+  const Bytes per_npu_block = config.model.KvBytesPerToken() * rtc::kBlockTokens / 4;
+  const Bytes hbm = config.npu_spec.hbm_capacity;
+  const int64_t bound = static_cast<int64_t>(hbm / per_npu_block);
+  ASSERT_LE(static_cast<Bytes>(bound) * per_npu_block, hbm);
+  ASSERT_GT(static_cast<Bytes>(bound + 1) * per_npu_block, hbm);
+  config.kv_block_capacity_override = bound;
+  Result<int64_t> at_bound = KvBlockCapacity(config);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  EXPECT_EQ(*at_bound, bound);
+  config.kv_block_capacity_override = bound + 1;
+  Result<int64_t> above = KvBlockCapacity(config);
+  ASSERT_FALSE(above.ok());
+  EXPECT_EQ(above.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(above.status().message().find(config.npu_spec.name), std::string::npos);
+  // Another DP group brings its own NPUs, so it does not move the bound.
+  config.parallelism = {2, 2, 2};
+  EXPECT_EQ(KvBlockCapacity(config).status().code(), StatusCode::kInvalidArgument);
+  config.kv_block_capacity_override = bound;
+  EXPECT_TRUE(KvBlockCapacity(config).ok());
+}
+
 // Parameterized sweep: engines complete all work across batch-size and
 // prompt-length combinations without deadlock or leak.
 class EngineSweepTest : public ::testing::TestWithParam<std::tuple<int, int64_t, int64_t>> {};

@@ -8,10 +8,8 @@
 #include "common/logging.h"
 #include "common/time_units.h"
 #include "common/types.h"
-#include "hw/npu.h"
 #include "rtc/block_pool.h"
 #include "rtc/radix_tree.h"
-#include "rtc/rtc_executor.h"
 #include "rtc/rtc_master.h"
 #include "sim/simulator.h"
 
@@ -827,21 +825,6 @@ TEST_F(RtcMasterTest, TokenHitRateTracksReuse) {
   PrefillAndPreserve(tokens);
   Match(*master_, tokens);  // hit: 64 requested, 64 matched
   EXPECT_NEAR(master_->stats().TokenHitRate(), 0.5, 0.01);
-}
-
-TEST(RtcExecutorTest, MirrorsBlockTrafficOntoNpu) {
-  sim::Simulator sim;
-  hw::Npu npu(0, 0, hw::NpuSpec::Gen2());
-  RtcConfig config;
-  config.pool.npu_capacity = 128;
-  config.bytes_per_block = 4 << 20;
-  RtcMaster master(&sim, config);
-  RtcExecutor executor(&npu, config.bytes_per_block);
-  master.AddListener(&executor);
-  auto blocks = master.AllocBlocks(10).value();
-  EXPECT_EQ(npu.hbm_used(), 40ull << 20);
-  master.Free(blocks);
-  EXPECT_EQ(npu.hbm_used(), 0u);
 }
 
 }  // namespace

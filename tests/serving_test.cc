@@ -614,12 +614,30 @@ TEST_F(ScalingTest, CreateReadyTeAllocatesNpus) {
   ASSERT_TRUE(te.ok());
   EXPECT_TRUE((*te)->ready());
   EXPECT_EQ((*te)->config().npus.size(), 1u);
-  // Device accounting wired: engine KV traffic shows up on the NPU.
+  // Wired to the fabric: the TE serves with its RTC traffic on DistFlow.
   bool done = false;
   (*te)->SubmitUnified(MakeRequest(1, 256, 8),
                        {nullptr, [&](const flowserve::Sequence&) { done = true; }, nullptr});
   sim_.Run();
   EXPECT_TRUE(done);
+}
+
+TEST_F(ScalingTest, AttachFabricNeedsOneNpuPerRank) {
+  TeConfig config;
+  config.id = 1;
+  config.engine = SmallEngine(flowserve::EngineRole::kColocated);
+  config.engine.parallelism = {2, 1, 2};  // tp*pp*dp = 4 NPUs
+  for (std::vector<hw::NpuId> npus : {std::vector<hw::NpuId>{}, std::vector<hw::NpuId>{0, 1, 2}}) {
+    config.npus = npus;
+    TaskExecutor short_te(&sim_, config);
+    EXPECT_EQ(short_te.AttachFabric(&transfer_).code(), StatusCode::kInvalidArgument)
+        << npus.size() << " NPUs";
+    EXPECT_FALSE(transfer_.HasEndpoint(1)) << "a refused TE registers no endpoint";
+  }
+  config.npus.push_back(3);
+  TaskExecutor te(&sim_, config);
+  EXPECT_TRUE(te.AttachFabric(&transfer_).ok());
+  EXPECT_TRUE(transfer_.HasEndpoint(1));
 }
 
 TEST_F(ScalingTest, NpuAllocationExhausts) {

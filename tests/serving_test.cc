@@ -640,6 +640,27 @@ TEST_F(ScalingTest, AttachFabricNeedsOneNpuPerRank) {
   EXPECT_TRUE(transfer_.HasEndpoint(1));
 }
 
+TEST_F(ScalingTest, EveryBoundTeAttachesToTheFabric) {
+  auto manager = MakeManager({});
+  auto wide = SmallEngine(flowserve::EngineRole::kColocated);
+  wide.parallelism = {2, 1, 2};
+  auto direct = manager.CreateReadyTe(wide);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ((*direct)->config().npus.size(), 4u);
+  EXPECT_TRUE(transfer_.HasEndpoint((*direct)->id()));
+
+  ScaleRequest request;
+  request.engine = SmallEngine(flowserve::EngineRole::kColocated);
+  TaskExecutor* scaled = nullptr;
+  ASSERT_TRUE(manager.ScaleUp(request, [&](TaskExecutor* te, const ScalingBreakdown&) {
+                       scaled = te;
+                     }).ok());
+  sim_.Run();
+  ASSERT_NE(scaled, nullptr);
+  EXPECT_NE(scaled->id(), (*direct)->id());
+  EXPECT_TRUE(transfer_.HasEndpoint(scaled->id())) << "the scale-up pipeline binds through BindTe";
+}
+
 TEST_F(ScalingTest, NpuAllocationExhausts) {
   auto manager = MakeManager({});
   auto cfg = SmallEngine(flowserve::EngineRole::kColocated);

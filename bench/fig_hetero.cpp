@@ -118,8 +118,8 @@ RunResult Run(const Options& options, bool aware, std::vector<workload::RequestS
 
   flowserve::EngineConfig engine = bench::Engine34BTp4(flowserve::EngineRole::kColocated);
   engine.parallelism = {options.tp, 1, 1};
+  // On a mixed cluster the ClusterManager gives each TE its machine's spec.
   engine.npu_spec = mix->front();
-  engine.npu_spec_from_placement = true;  // TE cost models track their silicon
   bed.BuildFleet(engine, options.tes, /*prefill=*/0, /*decode=*/0);
 
   RunResult result;

@@ -126,7 +126,8 @@ echo "==> deepserve_sim boundary: bad configs exit 2, not with an abort"
 # refuse the config with an INVALID_ARGUMENT message (exit 2) before it builds
 # any TE, rather than die on the engine's capacity check. The same holds for a
 # parallelism degree below 1, a negative TE count, a fleet with no colocated
-# TE and no prefill/decode pair and no autoscaler, a control-log config that
+# TE and no prefill/decode pair unless the predictive autoscaler grows one
+# (reactive and slo never scale up from zero TEs), a control-log config that
 # ctrl::CtrlConfig::Validate refuses, an unknown scale, sched or trace policy,
 # an unknown NPU generation, a non-positive rate or duration, a negative SLO
 # budget, deadline, bursty period or NPU price, a bursty peak below its base
@@ -176,6 +177,8 @@ done <<'BAD_CONFIGS'
 --model=tiny-1b --colocated=2 --rps=5 --duration=-1
 --model=tiny-1b --rps=5 --duration=2 --colocated=0 --prefill-tes=0 --decode-tes=0
 --model=tiny-1b --rps=5 --duration=2 --colocated=0 --prefill-tes=1 --decode-tes=0
+--model=tiny-1b --rps=5 --duration=20 --colocated=0 --scale-policy=reactive --max-tes=4
+--model=tiny-1b --rps=5 --duration=20 --colocated=0 --scale-policy=slo --max-tes=4
 BAD_CONFIGS
 # The benches refuse bad flags the same way: a rate, duration or shape value
 # <= 0 (bench::OptionRegistry::PositiveFlag), a burst peak below its base

@@ -35,7 +35,8 @@
 // ctrl.log_bytes (ControlLog::bytes) over the control logs.
 // An unknown flag is a usage error (exit 2), and so is a value no run can use:
 // a tp below 1, a negative TE count, a fleet with no colocated TE and no
-// prefill/decode pair (unless --scale-policy grows one), an unknown
+// prefill/decode pair (unless --scale-policy=predictive grows one; reactive
+// and slo never scale up from zero TEs), an unknown
 // --sched-policy, --trace or --gen, a negative
 // --tbt-ms/--ttft-ms/--deadline-ms/--peak-rps/--period, a
 // bursty --peak-rps below --rps, a --predictor outside [0, 1], a control-log
@@ -259,12 +260,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--colocated, --prefill-tes and --decode-tes must be >= 0\n");
     return 2;
   }
-  // An autoscaler grows replica 0's colocated group from one TE; without one
-  // the fleet needs a colocated TE or a complete prefill/decode pair.
-  if (!autoscale && flags.colocated == 0 && (flags.prefill_tes == 0 || flags.decode_tes == 0)) {
+  // Only the predictive autoscaler grows replica 0's colocated group from
+  // zero TEs: reactive scales on a live TE's queue, and slo on violations,
+  // which requests rejected before dispatch never produce. Otherwise the
+  // fleet needs a colocated TE or a complete prefill/decode pair.
+  if (flags.scale_policy != "predictive" && flags.colocated == 0 &&
+      (flags.prefill_tes == 0 || flags.decode_tes == 0)) {
+    std::string why;
+    if (autoscale) {
+      why = "--scale-policy=" + flags.scale_policy + " never scales up from zero TEs; ";
+    }
     std::fprintf(stderr,
-                 "the fleet serves nothing: needs --colocated >= 1, or --prefill-tes and "
-                 "--decode-tes >= 1, or a --scale-policy\n");
+                 "the fleet serves nothing: %sneeds --colocated >= 1, or --prefill-tes and "
+                 "--decode-tes >= 1, or --scale-policy=predictive\n",
+                 why.c_str());
     return 2;
   }
   // Checked for every replica count, so a bad value never goes unnoticed just
@@ -352,9 +361,8 @@ int main(int argc, char** argv) {
   engine.model = *model;
   engine.npu_spec = cluster_config.npu_spec;
   if (!flags.npu_mix.empty()) {
-    // Each TE's cost model must reflect the silicon it actually lands on.
+    // On a mixed cluster the ClusterManager gives each TE its machine's spec.
     engine.npu_spec = cluster_config.machine_specs.front();
-    engine.npu_spec_from_placement = true;
   }
   engine.parallelism = {flags.tp, 1, 1};
   engine.sched = sched_config;

@@ -52,7 +52,6 @@ class SampleStats {
   // empty so report code needs no special-casing.
   double Percentile(double q) const;
   double p50() const { return Percentile(0.50); }
-  double p90() const { return Percentile(0.90); }
   double p95() const { return Percentile(0.95); }
   double p99() const { return Percentile(0.99); }
 

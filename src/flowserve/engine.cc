@@ -301,7 +301,6 @@ void Engine::SchedEnqueue(Sequence* seq) {
 
 void Engine::FinishEnqueue(Sequence* seq) {
   DpGroup& group = GroupFor(*seq);
-  seq->block_tokens = static_cast<int64_t>(seq->blocks.size()) * rtc::kBlockTokens;
   seq->prefilled = seq->reused_tokens;
   stats_.reused_tokens += seq->reused_tokens;
   seq->state = SeqState::kQueued;
@@ -333,7 +332,6 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, ResponseHandle
   seq->generated = 1;  // the prefill TE produced the first token
   seq->handler = std::move(handler);
   seq->blocks = std::move(blocks);
-  seq->block_tokens = static_cast<int64_t>(seq->blocks.size()) * rtc::kBlockTokens;
   seq->state = SeqState::kDecoding;
   ++stats_.submitted;
   if (obs::Tracer* t = sim_->tracer()) {
@@ -359,25 +357,6 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, ResponseHandle
 void Engine::SetStepTimeMultiplier(double multiplier) {
   DS_CHECK(multiplier > 0.0);
   step_time_multiplier_ = multiplier;
-}
-
-LoadInfo Engine::load() const {
-  LoadInfo info;
-  double usage_sum = 0;
-  for (const auto& group : groups_) {
-    info.running += static_cast<int64_t>(group->prefilling.size() + group->decoding.size());
-    usage_sum += static_cast<double>(group->rtc->npu_blocks_used()) /
-                 static_cast<double>(kv_block_capacity_);
-    for (const Sequence* seq : group->prefilling) {
-      info.inflight_tokens += seq->prompt_len();
-    }
-    for (const Sequence* seq : group->decoding) {
-      info.inflight_tokens += seq->context_len();
-    }
-  }
-  info.kv_usage = usage_sum / static_cast<double>(groups_.size());
-  info.waiting = static_cast<int64_t>(sequences_.size()) - info.running;
-  return info;
 }
 
 bool Engine::busy() const { return busy_groups_ > 0; }

@@ -85,14 +85,6 @@ struct EngineStats {
   int64_t ttft_violations = 0;
 };
 
-// Scheduler-visible load of an engine (feeds §5's load-aware policy).
-struct LoadInfo {
-  int64_t waiting = 0;          // queued + populating + tokenizing
-  int64_t running = 0;          // prefilling + decoding
-  int64_t inflight_tokens = 0;  // context tokens held by running sequences
-  double kv_usage = 0.0;        // fraction of NPU KV blocks in use
-};
-
 // KV blocks one DP group's NPU tier holds under `config`: the override when
 // set, else what HBM holds after the weights at the utilization target.
 // INVALID_ARGUMENT, naming the model and the parallelism, when that is not
@@ -154,9 +146,8 @@ class Engine {
   size_t Abort();
 
   // Introspection --------------------------------------------------------------
-  LoadInfo load() const;
-  // Sequences accepted and not yet terminated (= load().waiting +
-  // load().running), without load()'s per-sequence token sum.
+  // Sequences accepted and not yet terminated (waiting + running): the
+  // engine's one load measure, O(1), behind §5's load-aware dispatch.
   int64_t live_sequences() const { return static_cast<int64_t>(sequences_.size()); }
   const EngineStats& stats() const { return stats_; }
   const EngineConfig& config() const { return config_; }

@@ -74,13 +74,9 @@ struct EngineFeatures {
 
 struct EngineConfig {
   model::ModelSpec model = model::ModelSpec::Yi34B();
+  // On a heterogeneous cluster the ClusterManager replaces this with the
+  // spec of the machine the TE lands on; on a homogeneous one it stands.
   hw::NpuSpec npu_spec = hw::NpuSpec::Gen2();
-  // Heterogeneous clusters: let the ClusterManager overwrite npu_spec with
-  // the spec of the machine the TE actually lands on, so each TE's CostModel
-  // reflects its own silicon. Off by default — benches that pin a hardware
-  // generation independent of placement (and all pre-heterogeneity configs)
-  // keep the explicit npu_spec bit-identically.
-  bool npu_spec_from_placement = false;
   model::ParallelismConfig parallelism{4, 1, 1};
   EngineRole role = EngineRole::kColocated;
   EngineFeatures features = EngineFeatures::V3();

@@ -129,7 +129,6 @@ bool Engine::EnsureBlocks(DpGroup& group, Sequence* seq, int64_t tokens, bool al
   }
   while (true) {
     if (group.rtc->AllocBlocks(needed, &seq->blocks).ok()) {
-      seq->block_tokens += needed * rtc::kBlockTokens;
       return true;
     }
     if (!allow_preempt || !PreemptVictim(group, seq, plan, reason)) {
@@ -219,7 +218,6 @@ bool Engine::PreemptVictim(DpGroup& group, Sequence* keep, StepPlan* plan,
   }
   group.rtc->Free(victim->blocks);
   victim->blocks.clear();
-  victim->block_tokens = 0;
   victim->prefilled = 0;
   victim->reused_tokens = 0;
   // Preemption drops all KV, including the position-independent pins: the

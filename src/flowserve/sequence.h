@@ -72,8 +72,6 @@ struct Sequence {
   // its own (position-adjusted) KV into `blocks`.
   std::vector<rtc::BlockId> pic_blocks;
   int64_t pic_tokens = 0;
-  // How many tokens of KV capacity `blocks` covers.
-  int64_t block_tokens = 0;
 
   int dp_group = 0;
   int micro_batch = -1;  // PP home micro-batch (once admitted)

@@ -93,7 +93,6 @@ class PageCache {
 
   Bytes used() const { return used_; }
   Bytes capacity() const { return capacity_; }
-  size_t entry_count() const { return entries_.size(); }
 
  private:
   struct Entry {

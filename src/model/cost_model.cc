@@ -37,6 +37,14 @@ double CostModel::WeightReadBytes(double new_tokens) const {
   return (per_layer * model_.num_layers + embeddings) * model_.bytes_per_param;
 }
 
+namespace {
+
+// Fixed NPU-side per-step overhead (kernel launches, sampling on device),
+// added to every StepDuration and AeStepDuration.
+constexpr DurationNs kStepOverhead = UsToNs(400);
+
+}  // namespace
+
 DurationNs CostModel::StepDuration(const StepShape& shape) const {
   if (shape.empty()) {
     return 0;
@@ -89,7 +97,7 @@ DurationNs CostModel::StepDuration(const StepShape& shape) const {
              static_cast<double>(comm_.per_hop_latency)));
   }
 
-  return roofline + comm + step_overhead_;
+  return roofline + comm + kStepOverhead;
 }
 
 DurationNs CostModel::AeStepDuration(const StepShape& shape) const {
@@ -129,7 +137,7 @@ DurationNs CostModel::AeStepDuration(const StepShape& shape) const {
 
   // Layers pipeline across the two TEs: the slowest stage paces the step.
   double step_s = layers * std::max({attn_l, expert_l, xfer_l});
-  return SToNs(step_s) + step_overhead_;
+  return SToNs(step_s) + kStepOverhead;
 }
 
 DurationNs CostModel::PrefillDuration(int64_t prompt_tokens) const {

@@ -108,10 +108,6 @@ class CostModel {
   // How many KV tokens fit on each NPU after weights, at kHbmUtilization.
   int64_t MaxKvTokensPerNpu() const;
 
-  // Fixed NPU-side per-step overhead (kernel launches, sampling on device).
-  void set_step_overhead(DurationNs overhead) { step_overhead_ = overhead; }
-  DurationNs step_overhead() const { return step_overhead_; }
-
   // Enables attention-expert disaggregated execution (MoE models only).
   void SetAeDisagg(AeDisaggConfig config) { ae_ = config; }
   const AeDisaggConfig& ae_disagg() const { return ae_; }
@@ -128,7 +124,6 @@ class CostModel {
   ParallelismConfig parallelism_;
   CommModel comm_;
   AeDisaggConfig ae_;
-  DurationNs step_overhead_ = UsToNs(400);
   // Fixed by the model spec, so computed once instead of on every step.
   double active_params_ = 0.0;
   double dense_weight_bytes_ = 0.0;

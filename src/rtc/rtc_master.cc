@@ -164,9 +164,7 @@ Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
   }
   int64_t needed = static_cast<int64_t>(from_dram.size() + from_ssd.size());
   if (needed == 0) {
-    PopulateTicket ticket = next_ticket_++;
-    inflight_populates_[ticket] = 0;  // instantly ready
-    return ticket;
+    return next_ticket_++;  // instantly ready: never in flight
   }
   DS_RETURN_IF_ERROR(EnsureNpuFree(needed));
   PopulateTicket ticket = next_ticket_++;
@@ -196,6 +194,7 @@ Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
       auto it = inflight_populates_.find(ticket);
       DS_CHECK(it != inflight_populates_.end());
       if (--it->second == 0) {
+        inflight_populates_.erase(it);
         if (obs::Tracer* t = sim_->tracer()) {
           t->AsyncEnd(sim_->Now(), track_.Pid(t), ticket, "populate");
         }
@@ -218,8 +217,7 @@ Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
 }
 
 void RtcMaster::OnPopulateReady(PopulateTicket ticket, std::function<void()> callback) {
-  auto it = inflight_populates_.find(ticket);
-  if (it == inflight_populates_.end() || it->second == 0) {
+  if (!inflight_populates_.contains(ticket)) {
     sim_->ScheduleAfter(0, std::move(callback));
     return;
   }
@@ -271,11 +269,10 @@ PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
 }
 
 PopulateState RtcMaster::QueryPopulate(PopulateTicket ticket) const {
-  auto it = inflight_populates_.find(ticket);
-  if (it == inflight_populates_.end()) {
-    return PopulateState::kUnknown;
+  if (inflight_populates_.contains(ticket)) {
+    return PopulateState::kInFlight;
   }
-  return it->second == 0 ? PopulateState::kReady : PopulateState::kInFlight;
+  return ticket >= 1 && ticket < next_ticket_ ? PopulateState::kReady : PopulateState::kUnknown;
 }
 
 Status RtcMaster::EnsureNpuFree(int64_t n) {

@@ -160,6 +160,8 @@ class RtcMaster {
   // Starts fetching `info`'s off-NPU blocks into the NPU (async). The blocks
   // must be pinned (Acquire) first so eviction cannot race the fetch.
   [[nodiscard]] Result<PopulateTicket> Populate(const MatchInfo& info);
+  // kInFlight while a transfer is outstanding, kReady for any other ticket
+  // Populate returned, kUnknown for one it never returned.
   PopulateState QueryPopulate(PopulateTicket ticket) const;
   // Registers a one-shot callback fired when the ticket becomes ready (fires
   // immediately if it already is). This is how the sched-enqueue thread
@@ -243,7 +245,9 @@ class RtcMaster {
   TransferFn transfer_;
 
   PopulateTicket next_ticket_ = 1;
-  std::unordered_map<PopulateTicket, int> inflight_populates_;  // remaining groups
+  // In-flight tickets only, with their remaining transfer groups; a returned
+  // ticket absent here has landed (or never needed a transfer).
+  std::unordered_map<PopulateTicket, int> inflight_populates_;
   std::unordered_map<PopulateTicket, std::function<void()>> populate_callbacks_;
   std::vector<Tree::Node*> swap_victims_;  // SwapScan's victim list, reused
 

@@ -118,7 +118,6 @@ class PredictivePolicy final : public ScalePolicy {
     // the earliest under the in-flight cap).
     double lead_s = NsToS(s.scale_up_lead) + dt;
     double forecast = std::max(0.0, ewma_ + slope * lead_s);
-    d.forecast_rps = forecast;
     forecasts_.push_back({s.now + s.scale_up_lead, forecast});
 
     if (s.live_tes > 0 && completion_rate > 0.0) {
@@ -301,16 +300,6 @@ int Autoscaler::live_tes() const {
   return live;
 }
 
-int Autoscaler::draining_tes() const {
-  int draining = 0;
-  for (const auto& te : cm_->tes()) {
-    if (te->draining() && te->role() == flowserve::EngineRole::kColocated) {
-      ++draining;
-    }
-  }
-  return draining;
-}
-
 ScaleSignals Autoscaler::GatherSignals() const {
   ScaleSignals s;
   s.now = sim_->Now();
@@ -323,8 +312,6 @@ ScaleSignals Autoscaler::GatherSignals() const {
     if (te->ready()) {
       ++s.live_tes;
       s.total_queue_depth += te->queue_depth();
-    } else if (te->draining()) {
-      ++s.draining_tes;
     }
     // Cumulative counters aggregate over every colocated TE regardless of
     // state: stats survive the TE's death, keeping the series monotone.
@@ -336,10 +323,6 @@ ScaleSignals Autoscaler::GatherSignals() const {
   }
   s.admitted_requests = je_->stats().requests;
   s.scale_up_lead = cm_->EstimateScaleUpLead(template_);
-  GenerationChoice choice = cm_->PreviewPlacement(template_.engine);
-  s.scale_up_generation = choice.generation;
-  s.scale_up_tokens_per_dollar = choice.tokens_per_dollar;
-  s.scale_up_feasible = choice.feasible;
   return s;
 }
 

@@ -81,8 +81,7 @@ struct AutoscalerConfig {
 struct ScaleSignals {
   TimeNs now = 0;
   DurationNs tick_interval = 0;
-  int live_tes = 0;      // ready colocated TEs
-  int draining_tes = 0;  // colocated TEs currently draining
+  int live_tes = 0;  // ready colocated TEs
   int pending_scale_ups = 0;
   int64_t total_queue_depth = 0;  // waiting+running over live TEs
   int64_t admitted_requests = 0;  // cumulative JE admissions
@@ -93,23 +92,13 @@ struct ScaleSignals {
   // ClusterManager::EstimateScaleUpLead for the template request: how long a
   // scale-up started now would take to deliver ready capacity.
   DurationNs scale_up_lead = 0;
-  // Generation-aware context on heterogeneous clusters: the generation a
-  // scale-up launched now would land on (cost-aware placement picks the
-  // feasible generation with the best tokens-per-second-per-dollar), its
-  // score, and whether any generation fits the model at all. On homogeneous
-  // clusters this is the single installed generation.
-  std::string scale_up_generation;
-  double scale_up_tokens_per_dollar = 0.0;
-  bool scale_up_feasible = true;
 };
 
 struct ScaleDecision {
   int scale_up = 0;
   int scale_down = 0;
-  // Predictive extras (ignored by other policies): the arrival-rate forecast
-  // at now + scale_up_lead, and |past forecast for ~now − observed rate|
-  // once a forecast's target time has arrived (< 0 = no sample this tick).
-  double forecast_rps = 0.0;
+  // Predictive only: |past forecast for ~now − observed rate| once a
+  // forecast's target time has arrived (< 0 = no sample this tick).
   double forecast_abs_err = -1.0;
 };
 
@@ -170,10 +159,8 @@ class Autoscaler {
 
   // Recomputed from cluster state on every call.
   int live_tes() const;
-  int draining_tes() const;
 
   const AutoscalerStats& stats() const { return stats_; }
-  const ScalePolicy& policy() const { return *policy_; }
   const AutoscalerConfig& config() const { return config_; }
 
  private:

@@ -160,8 +160,7 @@ Result<std::vector<hw::NpuId>> ClusterManager::AllocateNpusForEngine(
   if (!placement_.hetero_aware || !cluster_->heterogeneous()) {
     return AllocateNpus(count);
   }
-  std::vector<GenGroup> groups =
-      ScoreGenerations(*cluster_, engine);
+  std::vector<GenGroup> groups = ScoreGenerations(*cluster_, engine);
   for (const GenGroup& group : groups) {
     if (!group.fits) {
       continue;
@@ -180,26 +179,6 @@ Result<std::vector<hw::NpuId>> ClusterManager::AllocateNpusForEngine(
   return AllocateNpus(count);
 }
 
-GenerationChoice ClusterManager::PreviewPlacement(const flowserve::EngineConfig& engine) const {
-  std::vector<GenGroup> groups =
-      ScoreGenerations(*cluster_, engine);
-  GenerationChoice choice;
-  for (const GenGroup& group : groups) {
-    if (!group.fits) {
-      continue;
-    }
-    choice.generation = group.name;
-    choice.tokens_per_dollar = group.score;
-    choice.feasible = true;
-    return choice;
-  }
-  if (!groups.empty()) {
-    choice.generation = groups.front().name;
-    choice.tokens_per_dollar = groups.front().score;
-  }
-  return choice;
-}
-
 const hw::NpuSpec& ClusterManager::TeSpec(TeId id) const {
   const ctrl::TeDirectory::TeMeta* meta = directory().Find(id);
   if (meta == nullptr || meta->npus.empty()) {
@@ -208,19 +187,10 @@ const hw::NpuSpec& ClusterManager::TeSpec(TeId id) const {
   return cluster_->spec_of(meta->npus[0]);
 }
 
-double ClusterManager::TeTokensPerDollar(TeId id) const {
-  auto it = bindings_.find(id);
-  if (it == bindings_.end()) {
-    return 0.0;
-  }
-  const flowserve::EngineConfig& engine = it->second->config().engine;
-  return model::TokensPerSecondPerDollar(engine.model, TeSpec(id), engine.parallelism);
-}
-
 flowserve::EngineConfig ClusterManager::PlacedEngine(
     const flowserve::EngineConfig& engine, const std::vector<hw::NpuId>& npus) const {
   flowserve::EngineConfig placed = engine;
-  if (placed.npu_spec_from_placement && !npus.empty()) {
+  if (cluster_->heterogeneous() && !npus.empty()) {
     placed.npu_spec = cluster_->spec_of(npus[0]);
   }
   return placed;

@@ -2,6 +2,11 @@
 // the five-step fast-scaling pipeline (§6, Fig. 7, Table 2), and the
 // AUTOSCALER.
 //
+// Placement on a mixed-generation cluster ranks generations by
+// tokens-per-second-per-dollar among those whose HBM fits the model, and a
+// TE placed there runs its machine's NpuSpec: the cluster, not a per-engine
+// switch, decides whether an engine's cost model follows its silicon.
+//
 // Scaling a TE walks five stages, each with the Table-2 optimization as an
 // independent toggle so Fig. 8's before/after (and any ablation) is pure
 // configuration:
@@ -117,14 +122,6 @@ struct PlacementConfig {
 // context-load floor).
 inline constexpr int64_t kMinKvTokensPerNpu = 1024;
 
-// What a cost-aware placement would pick right now (autoscaler signal /
-// bench reporting): the best-scoring feasible generation and its score.
-struct GenerationChoice {
-  std::string generation;
-  double tokens_per_dollar = 0.0;
-  bool feasible = false;  // false = no generation fits the model's HBM needs
-};
-
 // Heartbeat-based failure detection (§2: failures are routine at cluster
 // scale). A crashed TE's in-flight work is lost immediately, but recovery
 // (NPU release, JE notification, replacement scale-up) only starts once the
@@ -222,7 +219,6 @@ class ClusterManager {
   // order regardless of removals.
   bool RemoveFailureHandler(int64_t handler_id);
   void SetFaultDetection(FaultDetectionConfig config);
-  const FaultDetectionConfig& fault_detection() const { return detection_; }
   // Auto-replacement: every detected crash triggers a ScaleUp from `request`;
   // `on_ready` receives the replacement TE (add it to the JE's groups there).
   // MTTR is measured crash -> replacement ready (detection time when no
@@ -288,9 +284,6 @@ class ClusterManager {
   // The running autoscaler (nullptr before StartAutoscaler): policy state,
   // drain stats, admission-counter override.
   Autoscaler* autoscaler() { return autoscaler_.get(); }
-  // Live ready colocated TEs as the autoscaler sees them — recomputed from
-  // cluster state, so crashes between ticks can't skew it.
-  int autoscaler_target() const { return autoscaler_ ? autoscaler_->live_tes() : 0; }
 
   // How long a ScaleUp(request) launched now would take to deliver a ready
   // TE, mirroring the five-stage pipeline's cost model without consuming
@@ -307,20 +300,15 @@ class ClusterManager {
 
   // ---- heterogeneity & cost-aware placement -----------------------------------
   void SetPlacement(PlacementConfig config) { placement_ = config; }
-  const PlacementConfig& placement() const { return placement_; }
   // Cost-aware AllocateNpus: on a heterogeneous cluster, feasible generations
   // (HBM fits weights + the predicted context floor) are tried in descending
   // tokens-per-second-per-dollar order; if none has room, any free NPUs beat
   // stranding the job. Homogeneous clusters take the historical path.
   [[nodiscard]] Result<std::vector<hw::NpuId>> AllocateNpusForEngine(
       const flowserve::EngineConfig& engine);
-  // The generation a scale-up for `engine` would land on right now, without
-  // allocating — the autoscaler's generation-aware signal.
-  GenerationChoice PreviewPlacement(const flowserve::EngineConfig& engine) const;
-  // Per-TE generation (the spec of the silicon under the TE's primary NPU;
-  // the cluster default for unknown ids) and its cost-normalized throughput.
+  // Per-TE generation: the spec of the silicon under the TE's primary NPU
+  // (the cluster default for unknown ids).
   const hw::NpuSpec& TeSpec(TeId id) const;
-  double TeTokensPerDollar(TeId id) const;
 
  private:
   struct PipelineState;
@@ -334,7 +322,10 @@ class ClusterManager {
   // restricts candidate machines — the lever generation preference pulls.
   [[nodiscard]] Result<std::vector<hw::NpuId>> AllocateNpusOn(
       int count, const std::vector<uint8_t>* machine_ok);
-  // Applies npu_spec_from_placement: the engine a TE placed on `npus` runs.
+  // The engine a TE placed on `npus` runs. On a heterogeneous cluster its
+  // npu_spec becomes the spec of the machine under npus[0], so each TE's
+  // cost model reflects its own silicon; on a homogeneous cluster the
+  // caller's npu_spec stands (a bench may pin a generation of its own).
   flowserve::EngineConfig PlacedEngine(const flowserve::EngineConfig& engine,
                                        const std::vector<hw::NpuId>& npus) const;
   // Builds TE `id` on `npus`, wires it to the fabric, marks it ready and

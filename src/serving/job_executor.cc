@@ -132,7 +132,8 @@ std::vector<TaskExecutor*> JobExecutor::CostAwareFilter(
   }
   // Feasibility: the TE's HBM must hold this request's predicted context at
   // the utilization target. The cost model reflects the TE's own silicon
-  // (the ClusterManager applies npu_spec_from_placement at creation).
+  // (on a mixed cluster the ClusterManager sets each TE's spec from its
+  // machine at creation).
   std::vector<TaskExecutor*> fits;
   for (TaskExecutor* te : tes) {
     if (te->engine().cost_model().MaxKvTokensPerNpu() >= predicted_tokens) {

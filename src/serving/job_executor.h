@@ -181,8 +181,6 @@ class JobExecutor {
     return colocated_tree_.NodeCount() + prefill_tree_.NodeCount();
   }
   size_t colocated_count() const { return groups_[ctrl::JobTable::kColocated].size(); }
-  size_t prefill_count() const { return groups_[ctrl::JobTable::kPrefill].size(); }
-  size_t decode_count() const { return groups_[ctrl::JobTable::kDecode].size(); }
 
  private:
   // The one membership write behind AddColocatedTe/AddPrefillTe/AddDecodeTe.

@@ -109,9 +109,8 @@ class TaskExecutor {
   // Used by the JE's cancel path (hedge losers); the caller owns termination.
   bool CancelRequest(workload::RequestId request_id);
 
-  // TE-shell health surface for the cluster manager.
-  flowserve::LoadInfo load() const { return engine_->load(); }
-  // Waiting + running sequences; O(1), read per TE on every JE dispatch.
+  // Waiting + running sequences; O(1), read per TE on every JE dispatch and
+  // by the autoscaler's queue signal and victim pick.
   int64_t queue_depth() const { return engine_->live_sequences(); }
 
  private:

@@ -19,7 +19,6 @@ void MetricsCollector::Record(const RequestRecord& record) {
   }
   jct_ms_.Add(record.jct_ms());
   total_output_tokens_ += record.decode_len;
-  total_input_tokens_ += record.prefill_len;
   first_arrival_ = std::min(first_arrival_, record.arrival);
   last_completion_ = std::max(last_completion_, record.completion);
   records_.push_back(record);

@@ -49,9 +49,6 @@ class MetricsCollector {
   const SampleStats& jct_ms() const { return jct_ms_; }
   const std::vector<RequestRecord>& records() const { return records_; }
 
-  int64_t total_output_tokens() const { return total_output_tokens_; }
-  int64_t total_input_tokens() const { return total_input_tokens_; }
-  TimeNs first_arrival() const { return first_arrival_; }
   TimeNs last_completion() const { return last_completion_; }
 
   // Output tokens per second over [first arrival, last completion].
@@ -73,7 +70,6 @@ class MetricsCollector {
   SampleStats tpot_ms_;
   SampleStats jct_ms_;
   int64_t total_output_tokens_ = 0;
-  int64_t total_input_tokens_ = 0;
   TimeNs first_arrival_ = kTimeNever;
   TimeNs last_completion_ = 0;
   std::vector<RequestRecord> records_;

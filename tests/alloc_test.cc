@@ -88,7 +88,13 @@ TEST(AllocTest, SteadyStateDecodeStepsDoNotAllocate) {
   // Past tokenize and prefill: every sequence decodes in every step.
   while (engine.stats().steps < 8 && sim.Step()) {
   }
-  ASSERT_EQ(engine.load().running, kBatch);
+  // One step decodes one token for each of the kBatch sequences.
+  auto expect_full_batch_step = [&] {
+    const int64_t decoded = engine.stats().decode_tokens_generated;
+    ASSERT_TRUE(sim.Step());
+    EXPECT_EQ(engine.stats().decode_tokens_generated - decoded, kBatch);
+  };
+  expect_full_batch_step();
 
   // Each event from here on completes one step and issues the next. A step
   // whose sequences all stay inside their current KV block must not touch the
@@ -105,7 +111,7 @@ TEST(AllocTest, SteadyStateDecodeStepsDoNotAllocate) {
       ++clean_steps;
     }
   }
-  EXPECT_EQ(engine.load().running, kBatch);
+  expect_full_batch_step();
   EXPECT_GE(clean_steps, 48);
 }
 

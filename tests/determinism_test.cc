@@ -125,20 +125,16 @@ Outcome RunStack(uint64_t seed, bool enable_faults, bool ctrl_faults = false,
   }
 
   // One colocated TE (the autoscaler's group) plus a disaggregated
-  // prefill/decode pair sharing the dispatch layer.
-  auto engine_for = [mixed](flowserve::EngineRole role) {
-    flowserve::EngineConfig config = TinyEngine(role);
-    config.npu_spec_from_placement = mixed;  // TE cost models track their silicon
-    return config;
-  };
+  // prefill/decode pair sharing the dispatch layer. On the mixed cluster the
+  // ClusterManager gives each TE its machine's NpuSpec.
   std::vector<distflow::EndpointId> endpoints;
-  auto* colocated = manager.CreateReadyTe(engine_for(flowserve::EngineRole::kColocated)).value();
+  auto* colocated = manager.CreateReadyTe(TinyEngine(flowserve::EngineRole::kColocated)).value();
   je.AddColocatedTe(colocated);
   endpoints.push_back(colocated->id());
-  auto* prefill = manager.CreateReadyTe(engine_for(flowserve::EngineRole::kPrefillOnly)).value();
+  auto* prefill = manager.CreateReadyTe(TinyEngine(flowserve::EngineRole::kPrefillOnly)).value();
   je.AddPrefillTe(prefill);
   endpoints.push_back(prefill->id());
-  auto* decode = manager.CreateReadyTe(engine_for(flowserve::EngineRole::kDecodeOnly)).value();
+  auto* decode = manager.CreateReadyTe(TinyEngine(flowserve::EngineRole::kDecodeOnly)).value();
   je.AddDecodeTe(decode);
   endpoints.push_back(decode->id());
   DS_CHECK_OK(transfer.LinkCluster(endpoints, nullptr));
@@ -154,7 +150,7 @@ Outcome RunStack(uint64_t seed, bool enable_faults, bool ctrl_faults = false,
   as.te_capacity_rps = 2.0;
   as.down_stable_ticks = 3;
   serving::ScaleRequest request;
-  request.engine = engine_for(flowserve::EngineRole::kColocated);
+  request.engine = TinyEngine(flowserve::EngineRole::kColocated);
   manager.StartAutoscaler(&je, as, request);
 
   faults::FaultInjector injector(&sim, &manager, seed);

@@ -619,7 +619,6 @@ class HeteroFaultTest : public ::testing::Test {
   serving::TaskExecutor* AddColocatedTe() {
     flowserve::EngineConfig config = SmallEngine(flowserve::EngineRole::kColocated);
     config.parallelism = {8, 1, 1};  // one TE per machine
-    config.npu_spec_from_placement = true;
     auto te = manager_->CreateReadyTe(config).value();
     je_->AddColocatedTe(te);
     endpoints_.push_back(te->id());

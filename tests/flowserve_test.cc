@@ -381,17 +381,6 @@ TEST_F(EngineTest, DpGroupsHaveIsolatedCaches) {
   EXPECT_NE(g0, g1);
 }
 
-TEST_F(EngineTest, LoadInfoReflectsRunningWork) {
-  Start(TestConfig());
-  engine_->Submit(MakeRequest(1, 2048, 512), {nullptr, [](const Sequence&) {}});
-  sim_.RunUntil(MsToNs(400));
-  auto load = engine_->load();
-  EXPECT_EQ(load.waiting + load.running, 1);
-  sim_.Run();
-  EXPECT_EQ(engine_->load().running, 0);
-  EXPECT_TRUE(engine_->idle());
-}
-
 TEST_F(EngineTest, StatsAccounting) {
   Start(TestConfig());
   Run(MakeRequest(1, 512, 16));
@@ -570,7 +559,7 @@ TEST_P(EngineSweepTest, AllRequestsComplete) {
   EXPECT_EQ(engine.rtc().pool().used(rtc::Tier::kNpu),
             static_cast<int64_t>(engine.rtc().pool().used(rtc::Tier::kNpu)));
   // All sequence pins released: every remaining block is unreferenced cache.
-  EXPECT_EQ(engine.load().running, 0);
+  EXPECT_EQ(engine.live_sequences(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,9 +1,10 @@
 // Heterogeneous Gen1/Gen2 placement tests: the ClusterManager's cost-aware
 // NPU allocation (cheapest generation whose HBM fits, graceful fallback), the
-// per-TE generation/cost directory views, the JE's cost-aware dispatch
-// narrowing, and randomized placement properties (never a non-fitting
-// generation while a fitting one has room, never a stranded placeable job,
-// creation order monotone in tokens-per-second-per-dollar).
+// per-TE generation view and the engine spec placement derives from it, the
+// JE's cost-aware dispatch narrowing, and randomized placement properties
+// (the first TE lands on the best-scoring fitting generation, never a
+// stranded placeable job, creation order monotone in
+// tokens-per-second-per-dollar).
 
 #include <gtest/gtest.h>
 
@@ -81,7 +82,6 @@ flowserve::EngineConfig EngineFor(const model::ModelSpec& model, int tp) {
   config.model = model;
   config.parallelism = {tp, 1, 1};
   config.role = flowserve::EngineRole::kColocated;
-  config.npu_spec_from_placement = true;
   return config;
 }
 
@@ -100,41 +100,50 @@ workload::RequestSpec MakeRequest(workload::RequestId id, int64_t prefill, int64
 
 // ---------------- ClusterManager placement ----------------
 
-TEST(HeteroPlacementTest, PreviewPicksCheapestFittingGeneration) {
+TEST(HeteroPlacementTest, FirstTeLandsOnCheapestFittingGeneration) {
   HeteroBed bed("gen2:2,gen1:2");
   // Yi-34B TP4 fits both generations; Gen1's $/hr makes it the better
   // tokens-per-second-per-dollar even at half the bandwidth.
-  serving::GenerationChoice choice =
-      bed.manager().PreviewPlacement(EngineFor(model::ModelSpec::Yi34B(), 4));
-  EXPECT_TRUE(choice.feasible);
-  EXPECT_EQ(choice.generation, hw::NpuSpec::Gen1().name);
-  EXPECT_GT(choice.tokens_per_dollar, 0.0);
+  auto* te = bed.AddColocatedTe(EngineFor(model::ModelSpec::Yi34B(), 4));
+  EXPECT_EQ(bed.manager().TeSpec(te->id()).name, hw::NpuSpec::Gen1().name);
 }
 
-TEST(HeteroPlacementTest, PreviewSkipsGenerationWhoseHbmCannotFit) {
+TEST(HeteroPlacementTest, FirstTeSkipsGenerationWhoseHbmCannotFit) {
   HeteroBed bed("gen1:2,gen2:2");
   // Llama3-70B TP4 needs ~35 GB of weights per NPU: over Gen1's 32 GB HBM,
   // comfortably inside Gen2's 64 GB.
-  serving::GenerationChoice choice =
-      bed.manager().PreviewPlacement(EngineFor(model::ModelSpec::Llama3_70B(), 4));
-  EXPECT_TRUE(choice.feasible);
-  EXPECT_EQ(choice.generation, hw::NpuSpec::Gen2().name);
+  auto* te = bed.AddColocatedTe(EngineFor(model::ModelSpec::Llama3_70B(), 4));
+  EXPECT_EQ(bed.manager().TeSpec(te->id()).name, hw::NpuSpec::Gen2().name);
 }
 
-TEST(HeteroPlacementTest, PreviewReportsInfeasibleWhenNothingFits) {
-  HeteroBed bed("gen1:1,gen2:1");
-  // Qwen2-72B TP1 wants ~144 GB on one NPU — no generation holds it.
-  serving::GenerationChoice choice =
-      bed.manager().PreviewPlacement(EngineFor(model::ModelSpec::Qwen2_72B(), 1));
-  EXPECT_FALSE(choice.feasible);
-}
-
-TEST(HeteroPlacementTest, PreviewOnHomogeneousClusterNamesInstalledGeneration) {
+TEST(HeteroPlacementTest, HomogeneousClusterPlacesOnInstalledGeneration) {
   HeteroBed bed("gen2:2");
-  serving::GenerationChoice choice =
-      bed.manager().PreviewPlacement(EngineFor(model::ModelSpec::Yi34B(), 4));
-  EXPECT_TRUE(choice.feasible);
-  EXPECT_EQ(choice.generation, hw::NpuSpec::Gen2().name);
+  auto* te = bed.AddColocatedTe(EngineFor(model::ModelSpec::Yi34B(), 4));
+  EXPECT_EQ(bed.manager().TeSpec(te->id()).name, hw::NpuSpec::Gen2().name);
+}
+
+TEST(HeteroPlacementTest, EngineSpecFollowsPlacementOnlyOnMixedClusters) {
+  flowserve::EngineConfig engine = EngineFor(model::ModelSpec::Yi34B(), 4);
+  engine.npu_spec = hw::NpuSpec::Gen1();
+  {
+    // Homogeneous Gen2: the engine keeps the Gen1 cost model it asked for.
+    HeteroBed bed("gen2:2");
+    auto* te = bed.AddColocatedTe(engine);
+    EXPECT_EQ(bed.manager().TeSpec(te->id()).name, hw::NpuSpec::Gen2().name);
+    EXPECT_EQ(te->config().engine.npu_spec.name, hw::NpuSpec::Gen1().name);
+    EXPECT_EQ(te->engine().cost_model().npu().name, hw::NpuSpec::Gen1().name);
+  }
+  {
+    // Mixed: the Gen1 machine holds two TP4 TEs, so the third lands on Gen2
+    // and its engine runs the Gen2 spec.
+    HeteroBed bed("gen1:1,gen2:1");
+    bed.AddColocatedTe(engine);
+    bed.AddColocatedTe(engine);
+    auto* te = bed.AddColocatedTe(engine);
+    EXPECT_EQ(bed.manager().TeSpec(te->id()).name, hw::NpuSpec::Gen2().name);
+    EXPECT_EQ(te->config().engine.npu_spec.name, hw::NpuSpec::Gen2().name);
+    EXPECT_EQ(te->engine().cost_model().npu().name, hw::NpuSpec::Gen2().name);
+  }
 }
 
 TEST(HeteroPlacementTest, AllocationOverflowsGracefullyToNextGeneration) {
@@ -148,10 +157,7 @@ TEST(HeteroPlacementTest, AllocationOverflowsGracefullyToNextGeneration) {
   EXPECT_EQ(bed.manager().TeSpec(first->id()).name, hw::NpuSpec::Gen1().name);
   EXPECT_EQ(bed.manager().TeSpec(second->id()).name, hw::NpuSpec::Gen1().name);
   EXPECT_EQ(bed.manager().TeSpec(third->id()).name, hw::NpuSpec::Gen2().name);
-  // The directory's cost view tracks each TE's actual silicon.
-  EXPECT_GT(bed.manager().TeTokensPerDollar(first->id()),
-            bed.manager().TeTokensPerDollar(third->id()));
-  // npu_spec_from_placement rewrote each engine's spec to match.
+  // Placement rewrote each engine's spec to match.
   EXPECT_EQ(first->config().engine.npu_spec.name, hw::NpuSpec::Gen1().name);
   EXPECT_EQ(third->config().engine.npu_spec.name, hw::NpuSpec::Gen2().name);
 }
@@ -263,7 +269,7 @@ std::string RandomMix(Rng& rng) {
 
 class HeteroPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(HeteroPropertyTest, PreviewNeverPicksGenerationWhoseHbmCannotFit) {
+TEST_P(HeteroPropertyTest, FirstTeLandsOnBestFittingGeneration) {
   Rng rng(GetParam());
   for (int iter = 0; iter < 20; ++iter) {
     std::string mix = RandomMix(rng);
@@ -271,7 +277,6 @@ TEST_P(HeteroPropertyTest, PreviewNeverPicksGenerationWhoseHbmCannotFit) {
     ModelChoice pick = FeasibleModels()[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(FeasibleModels().size()) - 1))];
     flowserve::EngineConfig engine = EngineFor(pick.model, pick.tp);
-    serving::GenerationChoice choice = bed.manager().PreviewPlacement(engine);
 
     // Reference: which generations fit, and the best fitting score.
     std::vector<hw::NpuSpec> gens = {hw::NpuSpec::Gen1(), hw::NpuSpec::Gen2()};
@@ -291,16 +296,20 @@ TEST_P(HeteroPropertyTest, PreviewNeverPicksGenerationWhoseHbmCannotFit) {
             model::TokensPerSecondPerDollar(pick.model, gen, engine.parallelism));
       }
     }
-    EXPECT_EQ(choice.feasible, any_fits)
-        << "mix " << mix << " model " << pick.model.name << " tp " << pick.tp;
-    if (any_fits) {
-      // The choice fits, and no fitting generation scores better (monotone
-      // in tokens-per-second-per-dollar).
-      EXPECT_TRUE(fitting.count(choice.generation) > 0)
-          << "mix " << mix << " chose non-fitting " << choice.generation;
-      EXPECT_DOUBLE_EQ(choice.tokens_per_dollar, best_fitting_score)
-          << "mix " << mix << " model " << pick.model.name;
+    if (!any_fits) {
+      continue;  // no engine can be built; placement falls back to first-fit
     }
+    // On an empty cluster the first TE lands on a fitting generation, and no
+    // fitting generation scores better (monotone in
+    // tokens-per-second-per-dollar).
+    auto te = bed.manager().CreateReadyTe(engine);
+    ASSERT_TRUE(te.ok()) << "mix " << mix << ": " << te.status().ToString();
+    const hw::NpuSpec& placed = bed.manager().TeSpec((*te)->id());
+    EXPECT_TRUE(fitting.count(placed.name) > 0)
+        << "mix " << mix << " placed on non-fitting " << placed.name;
+    EXPECT_DOUBLE_EQ(model::TokensPerSecondPerDollar(pick.model, placed, engine.parallelism),
+                     best_fitting_score)
+        << "mix " << mix << " model " << pick.model.name;
   }
 }
 
@@ -318,7 +327,8 @@ TEST_P(HeteroPropertyTest, PlacementNeverStrandsAPlaceableJobAndOrdersByValue) {
       auto te = bed.manager().CreateReadyTe(engine);
       ASSERT_TRUE(te.ok()) << "mix " << mix << " stranded TE " << i << " of " << capacity
                            << ": " << te.status().ToString();
-      double score = bed.manager().TeTokensPerDollar((*te)->id());
+      double score = model::TokensPerSecondPerDollar(
+          engine.model, bed.manager().TeSpec((*te)->id()), engine.parallelism);
       if (last_score >= 0.0) {
         // Creation order drains generations best-value-first.
         EXPECT_LE(score, last_score + 1e-9) << "mix " << mix << " TE " << i;

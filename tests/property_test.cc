@@ -297,7 +297,7 @@ TEST_P(EnginePropertySweep, RandomWorkloadAlwaysDrainsCleanly) {
   EXPECT_EQ(completed, n);
   EXPECT_EQ(first_tokens, n);
   EXPECT_TRUE(engine.idle());
-  EXPECT_EQ(engine.load().running, 0);
+  EXPECT_EQ(engine.live_sequences(), 0);
   // Every remaining NPU block is reclaimable cache, not a leaked pin.
   EXPECT_TRUE(engine.rtc().EnsureNpuFree(engine.kv_block_capacity()).ok());
 }

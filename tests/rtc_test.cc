@@ -537,6 +537,23 @@ TEST_F(RtcMasterTest, QueryUnknownTicket) {
   EXPECT_EQ(master_->QueryPopulate(9999), PopulateState::kUnknown);
 }
 
+TEST_F(RtcMasterTest, QueryPopulateKnowsExactlyTheReturnedTickets) {
+  auto tokens = Iota(64);
+  PrefillAndPreserve(tokens);
+  auto info = Match(*master_, tokens);
+  master_->Acquire(info.blocks);
+  auto first = master_->Populate(info);
+  auto second = master_->Populate(info);
+  ASSERT_TRUE(first.ok() && second.ok());
+  // Resident populates still take consecutive tickets and stay queryable.
+  EXPECT_EQ(*second, *first + 1);
+  EXPECT_EQ(master_->QueryPopulate(*first), PopulateState::kReady);
+  EXPECT_EQ(master_->QueryPopulate(*second), PopulateState::kReady);
+  EXPECT_EQ(master_->QueryPopulate(0), PopulateState::kUnknown);
+  EXPECT_EQ(master_->QueryPopulate(*second + 1), PopulateState::kUnknown);
+  master_->Free(info.blocks);
+}
+
 TEST_F(RtcMasterTest, TruncateMatchRecomputesResidency) {
   auto tokens = Iota(64);
   PrefillAndPreserve(tokens);

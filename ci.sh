@@ -90,8 +90,8 @@ echo "==> perf_sim smoke: DES core throughput, replay determinism"
 echo "==> deepserve_sim obs smoke: obs flags write their files, report unchanged"
 # Exits non-zero unless --trace-out and --metrics-out each write a non-empty
 # file, the metrics dump carries the end-of-run rtc.index_nodes and
-# ctrl.log_bytes gauges, and the traced run's stdout is byte-identical to an
-# untraced run.
+# ctrl.log_bytes gauges, and each traced run's stdout (and per-request CSV)
+# is byte-identical to its untraced twin's.
 SIM_ARGS=(--model=tiny-1b --colocated=2 --rps=5 --duration=5)
 OBS_DIR="$(mktemp -d)"
 ./build/examples/deepserve_sim "${SIM_ARGS[@]}" >"${OBS_DIR}/plain.out"
@@ -108,6 +108,19 @@ for GAUGE in rtc.index_nodes ctrl.log_bytes; do
   fi
 done
 cmp "${OBS_DIR}/plain.out" "${OBS_DIR}/traced.out"
+# A traced engine steps one event per step; an untraced one runs a decode-only
+# batch up to its next KV block boundary in one event (DESIGN #6). So each
+# traced/untraced pair also checks decode runs against stepping: this one on a
+# mixed colocated + 1P1D fleet, per request (--csv) as well as in the report.
+# Both runs write the same CSV path, so their stdout can match byte for byte.
+RUNS_ARGS=(--model=tiny-1b --colocated=2 --prefill-tes=1 --decode-tes=1 --rps=20 --duration=10
+  --csv="${OBS_DIR}/run.csv")
+./build/examples/deepserve_sim "${RUNS_ARGS[@]}" >"${OBS_DIR}/runs_plain.out"
+mv "${OBS_DIR}/run.csv" "${OBS_DIR}/runs_plain.csv"
+./build/examples/deepserve_sim "${RUNS_ARGS[@]}" --trace-out="${OBS_DIR}/runs_trace.json" \
+  >"${OBS_DIR}/runs_traced.out" 2>/dev/null
+cmp "${OBS_DIR}/runs_plain.out" "${OBS_DIR}/runs_traced.out"
+cmp "${OBS_DIR}/runs_plain.csv" "${OBS_DIR}/run.csv"
 rm -rf "${OBS_DIR}"
 
 echo "==> ctrl-replica parity: a 3-replica control log changes no simulated output"
@@ -127,7 +140,9 @@ echo "==> deepserve_sim boundary: bad configs exit 2, not with an abort"
 # any TE, rather than die on the engine's capacity check. The same holds for a
 # parallelism degree below 1, a negative TE count, a fleet with no colocated
 # TE and no prefill/decode pair unless the predictive autoscaler grows one
-# (reactive and slo never scale up from zero TEs), a control-log config that
+# (reactive and slo never scale up from zero TEs), the slo autoscaler with no
+# --ttft-ms, --tbt-ms or --deadline-ms (no budget, no violation to scale on),
+# a control-log config that
 # ctrl::CtrlConfig::Validate refuses, an unknown scale, sched or trace policy,
 # an unknown NPU generation, a non-positive rate or duration, a negative SLO
 # budget, deadline, bursty period or NPU price, a bursty peak below its base
@@ -179,6 +194,7 @@ done <<'BAD_CONFIGS'
 --model=tiny-1b --rps=5 --duration=2 --colocated=0 --prefill-tes=1 --decode-tes=0
 --model=tiny-1b --rps=5 --duration=20 --colocated=0 --scale-policy=reactive --max-tes=4
 --model=tiny-1b --rps=5 --duration=20 --colocated=0 --scale-policy=slo --max-tes=4
+--model=tiny-1b --colocated=1 --rps=40 --duration=30 --scale-policy=slo --max-tes=4
 BAD_CONFIGS
 # The benches refuse bad flags the same way: a rate, duration or shape value
 # <= 0 (bench::OptionRegistry::PositiveFlag), a burst peak below its base

@@ -36,8 +36,9 @@
 // An unknown flag is a usage error (exit 2), and so is a value no run can use:
 // a tp below 1, a negative TE count, a fleet with no colocated TE and no
 // prefill/decode pair (unless --scale-policy=predictive grows one; reactive
-// and slo never scale up from zero TEs), an unknown
-// --sched-policy, --trace or --gen, a negative
+// and slo never scale up from zero TEs), --scale-policy=slo with none of
+// --ttft-ms, --tbt-ms or --deadline-ms (it has no violation to scale on), an
+// unknown --sched-policy, --trace or --gen, a negative
 // --tbt-ms/--ttft-ms/--deadline-ms/--peak-rps/--period, a
 // bursty --peak-rps below --rps, a --predictor outside [0, 1], a control-log
 // config that ctrl::CtrlConfig::Validate refuses, a cluster (link bandwidths,
@@ -250,6 +251,15 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", as_valid.ToString().c_str());
       return 2;
     }
+  }
+  // slo scales up on TTFT, TBT and deadline violations, and an engine counts
+  // none of them without a budget.
+  if (flags.scale_policy == "slo" && flags.ttft_ms == 0 && flags.tbt_ms == 0 &&
+      flags.deadline_ms == 0) {
+    std::fprintf(stderr,
+                 "--scale-policy=slo needs an SLO budget to scale on: set --ttft-ms, --tbt-ms "
+                 "or --deadline-ms\n");
+    return 2;
   }
 
   if (flags.je_replicas < 1) {

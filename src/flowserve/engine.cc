@@ -117,6 +117,8 @@ Engine::Engine(sim::Simulator* sim, EngineConfig config)
   for (int g = 0; g < config_.parallelism.dp; ++g) {
     auto group = std::make_unique<DpGroup>();
     group->index = g;
+    // A decode run ends by the time its first sequence needs another block.
+    group->run.reserve(rtc::kBlockTokens);
     rtc::RtcConfig rtc_config;
     rtc_config.pool.npu_capacity = kv_block_capacity_;
     rtc_config.pool.dram_capacity = kDramBlockCapacity;
@@ -356,6 +358,7 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, ResponseHandle
 
 void Engine::SetStepTimeMultiplier(double multiplier) {
   DS_CHECK(multiplier > 0.0);
+  SettleRuns();  // planned steps took their durations from the old factor
   step_time_multiplier_ = multiplier;
 }
 

@@ -16,7 +16,12 @@
 // Time: everything runs on the injected sim::Simulator. A "step" is one
 // scheduler iteration (continuous batching); its NPU duration comes from the
 // analytical cost model and its CPU duration from the engine feature level
-// (v1/v2/v3), which is how Fig. 3's versions are reproduced.
+// (v1/v2/v3), which is how Fig. 3's versions are reproduced. A decode-only
+// batch that nothing can change before its next KV block boundary or finish
+// runs those steps as one decode run: one event at the run's end, with each
+// step's effects applied at that end, or earlier when an outside call
+// settles the run (see RunStep). Every simulated time and count is the same
+// as stepping one event at a time.
 #ifndef DEEPSERVE_FLOWSERVE_ENGINE_H_
 #define DEEPSERVE_FLOWSERVE_ENGINE_H_
 
@@ -83,6 +88,8 @@ struct EngineStats {
   // engines, whose first token was produced by the prefill TE). Feeds the
   // "slo" autoscaler policy.
   int64_t ttft_violations = 0;
+
+  friend bool operator==(const EngineStats&, const EngineStats&) = default;
 };
 
 // KV blocks one DP group's NPU tier holds under `config`: the override when
@@ -111,7 +118,8 @@ class Engine {
   void SetRtcTransferFn(rtc::TransferFn fn);
   void SetKvSendFn(KvSendFn fn) { kv_send_ = std::move(fn); }
   // Fault modeling: scales every iteration's wall-clock duration (slow-node
-  // straggler injection). 1.0 = healthy; must be > 0.
+  // straggler injection). 1.0 = healthy; must be > 0. Steps already started
+  // keep their duration.
   void SetStepTimeMultiplier(double multiplier);
   double step_time_multiplier() const { return step_time_multiplier_; }
 
@@ -149,7 +157,11 @@ class Engine {
   // Sequences accepted and not yet terminated (waiting + running): the
   // engine's one load measure, O(1), behind §5's load-aware dispatch.
   int64_t live_sequences() const { return static_cast<int64_t>(sequences_.size()); }
-  const EngineStats& stats() const { return stats_; }
+  // Settles every decode run first, so the counts are those of Now().
+  const EngineStats& stats() {
+    SettleRuns();
+    return stats_;
+  }
   const EngineConfig& config() const { return config_; }
   const sched::SchedPolicy& policy() const { return *policy_; }
   const model::CostModel& cost_model() const { return cost_; }
@@ -196,6 +208,13 @@ class Engine {
     }
   };
 
+  // One step of a decode run: when it ends and what it costs.
+  struct RunStepTimes {
+    TimeNs end = 0;
+    DurationNs npu_time = 0;
+    DurationNs cpu_time = 0;
+  };
+
   struct DpGroup {
     int index = 0;
     std::unique_ptr<rtc::RtcMaster> rtc;
@@ -209,6 +228,15 @@ class Engine {
     // group owns that step's plan, which RunStep refills in place.
     bool loop_running = false;
     StepPlan plan;
+    // The steps of the run in flight: one, or a decode run of k > 1 (see
+    // RunStep). Steps before index `run_done` have completed; `plan` holds
+    // the shape of step run_done + 1, whose accounting is charged. Only the
+    // last step's completion is an event (`step_event`); each earlier one is
+    // applied at that event or when SettleRun finds it past.
+    std::vector<RunStepTimes> run;
+    size_t run_done = 0;
+    TimeNs run_start = 0;
+    sim::EventId step_event = sim::kInvalidEventId;
     // BuildStep's snapshot of `decoding`, reused across steps.
     std::vector<Sequence*> decode_scratch;
     // SweepSheds' candidate list, reused across steps.
@@ -228,7 +256,25 @@ class Engine {
   void KickLoop(DpGroup& group);
   void RunStep(DpGroup& group);
   bool BuildStep(DpGroup& group, StepPlan* plan);
+  // Appends steps 2..k of a decode run to group.run when the step just built
+  // may start one.
+  void PlanDecodeRun(DpGroup& group);
+  // Schedules the completion of group.run's last step, ordered as if it had
+  // been scheduled when that step started.
+  void ScheduleStepEnd(DpGroup& group);
   void CompleteStep(DpGroup& group);
+  // Charges one started step's accounting: steps, NPU/CPU time, TBT.
+  void ChargeStep(const StepPlan& plan, DurationNs iteration);
+  // Applies one finished step's effects on its sequences and counters.
+  void ApplyStepResult(DpGroup& group);
+  // Completes run steps until step `in_flight` + 1 is the one in flight.
+  void AdvanceRun(DpGroup& group, size_t in_flight);
+  // Brings a decode run to Now(): applies the steps that have ended and makes
+  // the step in flight the group's last, so its state is what stepping one
+  // event at a time would show. Called before anything reads or changes the
+  // group's step state from outside the step loop.
+  void SettleRun(DpGroup& group);
+  void SettleRuns();
   // Shared iteration-cost arithmetic: BuildStep/RunStep and the policy's
   // ChunkCostFn all go through these, so a policy's predicted step duration is
   // exactly what RunStep will charge.

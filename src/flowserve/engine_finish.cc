@@ -225,6 +225,7 @@ Status Engine::Cancel(workload::RequestId request_id) {
       continue;
     }
     DpGroup& group = GroupFor(*seq);
+    SettleRun(group);
     DetachFromGroup(group, seq);
     ++stats_.cancelled;
     if (obs::Tracer* t = sim_->tracer()) {
@@ -240,6 +241,7 @@ Status Engine::Cancel(workload::RequestId request_id) {
 }
 
 size_t Engine::Abort() {
+  SettleRuns();
   size_t aborted = 0;
   int64_t lost_tokens = 0;
   while (!sequences_.empty()) {

@@ -20,7 +20,9 @@ constexpr double kPicRecomputeFraction = 0.15;
 }  // namespace
 
 void Engine::KickLoop(DpGroup& group) {
-  if (!group.loop_running) {
+  if (group.loop_running) {
+    SettleRun(group);  // the new work joins at the step in flight's end
+  } else {
     RunStep(group);
   }
 }
@@ -369,6 +371,85 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
   return true;
 }
 
+// A decode run. A step that carries decode work only, for every decoding
+// sequence of the group, with nothing else to admit and no shed checks, is
+// followed by the same batch with one more token each until a sequence needs
+// a new KV block (EnsureBlocks would allocate, and may preempt) or finishes.
+// Those steps' shapes and durations are known now, so the group schedules one
+// event at the end of the last and applies the ones before it there, in step
+// order, with the accounting each would have charged. Any outside contact
+// (admission, SubmitPrefilled, Cancel, Abort, SetStepTimeMultiplier, stats())
+// settles the run first. Under a tracer, PP or a shedding policy every run is
+// one step long.
+void Engine::PlanDecodeRun(DpGroup& group) {
+  const StepPlan& plan = group.plan;
+  if (plan.shape.decode_seqs == 0 || !plan.prefill_chunks.empty() || !group.ready.empty() ||
+      !group.prefilling.empty() || plan.decode_seqs.size() != group.decoding.size() ||
+      config_.parallelism.pp != 1 || policy_->WantsShedChecks() || sim_->tracer() != nullptr) {
+    return;
+  }
+  // Step j builds at context_len() + j - 1 per sequence: it allocates once
+  // that passes the blocks held, and a sequence finishes at its target.
+  int64_t steps = INT64_MAX;
+  for (SeqRef ref : plan.decode_seqs) {
+    const Sequence& seq = *ref.seq;
+    const int64_t room =
+        static_cast<int64_t>(seq.blocks.size()) * rtc::kBlockTokens - seq.context_len();
+    steps = std::min({steps, room, seq.decode_target - seq.generated});
+  }
+  model::StepShape shape = plan.shape;
+  TimeNs end = group.run.back().end;
+  for (int64_t j = 2; j <= steps; ++j) {
+    shape.decode_context_tokens += shape.decode_seqs;
+    const DurationNs npu = NpuTime(shape);
+    const DurationNs cpu = CpuTime(shape, 0);
+    end += IterationTime(npu, cpu);
+    group.run.push_back({end, npu, cpu});
+  }
+}
+
+void Engine::ScheduleStepEnd(DpGroup& group) {
+  const size_t last = group.run.size() - 1;
+  const TimeNs started = last == 0 ? group.run_start : group.run[last - 1].end;
+  // Scheduled once per run, so the capture must fit SmallFn's inline buffer
+  // (tests/alloc_test.cc): the plan stays on the group.
+  group.step_event = sim_->ScheduleAt(
+      group.run[last].end,
+      [this, gi = group.index] {
+        --busy_groups_;
+        CompleteStep(*groups_[static_cast<size_t>(gi)]);
+      },
+      started);
+}
+
+void Engine::ChargeStep(const StepPlan& plan, DurationNs iteration) {
+  ++stats_.steps;
+  stats_.prefill_attended_tokens += plan.shape.prefill_attended_tokens;
+  stats_.npu_busy += plan.npu_time;
+  stats_.cpu_sched_total += plan.cpu_time;
+  if (config_.features.async_scheduling) {
+    // The scheduler prepares iteration N+1 while the NPU runs N; only CPU
+    // time exceeding the NPU time stalls the device.
+    stats_.cpu_stall += std::max<DurationNs>(0, plan.cpu_time - plan.npu_time);
+  } else {
+    stats_.cpu_stall += plan.cpu_time;
+  }
+  if (plan.shape.decode_seqs > 0) {
+    stats_.max_decode_step = std::max(stats_.max_decode_step, iteration);
+    if (config_.sched.tbt_budget_ms > 0 &&
+        NsToMs(iteration) > config_.sched.tbt_budget_ms) {
+      ++stats_.tbt_violations;
+      if (m_tbt_violations_ != nullptr) {
+        m_tbt_violations_->Inc();
+      }
+    }
+  }
+  if (m_steps_ != nullptr) {
+    m_steps_->Inc();
+    m_step_ms_->Add(NsToMs(iteration));
+  }
+}
+
 // ds-lint: allow(span-pairing, the "step" slice spans the step's sim-time duration and closes in CompleteStep)
 void Engine::RunStep(DpGroup& group) {
   // Marked running while it builds, so a callback fired by a shed cannot start
@@ -390,34 +471,11 @@ void Engine::RunStep(DpGroup& group) {
     return;
   }
   EnsureMetrics();
-  ++stats_.steps;
-  stats_.prefill_attended_tokens += plan.shape.prefill_attended_tokens;
-  stats_.npu_busy += plan.npu_time;
-  stats_.cpu_sched_total += plan.cpu_time;
-  if (config_.features.async_scheduling) {
-    // The scheduler prepares iteration N+1 while the NPU runs N; only CPU
-    // time exceeding the NPU time stalls the device.
-    stats_.cpu_stall += std::max<DurationNs>(0, plan.cpu_time - plan.npu_time);
-  } else {
-    stats_.cpu_stall += plan.cpu_time;
-  }
+  const TimeNs now = sim_->Now();
   DurationNs iteration = IterationTime(plan.npu_time, plan.cpu_time);
-  if (plan.shape.decode_seqs > 0) {
-    stats_.max_decode_step = std::max(stats_.max_decode_step, iteration);
-    if (config_.sched.tbt_budget_ms > 0 &&
-        NsToMs(iteration) > config_.sched.tbt_budget_ms) {
-      ++stats_.tbt_violations;
-      if (m_tbt_violations_ != nullptr) {
-        m_tbt_violations_->Inc();
-      }
-    }
-  }
-  if (m_steps_ != nullptr) {
-    m_steps_->Inc();
-    m_step_ms_->Add(NsToMs(iteration));
-  }
+  ChargeStep(plan, iteration);
   if (obs::Tracer* t = sim_->tracer()) {
-    t->Begin(sim_->Now(), track_.Pid(t), group.index, "step",
+    t->Begin(now, track_.Pid(t), group.index, "step",
              {obs::Arg("prefill_tokens", plan.shape.prefill_tokens),
               obs::Arg("attended_tokens", plan.shape.prefill_attended_tokens),
               obs::Arg("decode_seqs", plan.shape.decode_seqs),
@@ -426,20 +484,16 @@ void Engine::RunStep(DpGroup& group) {
               obs::Arg("cpu_ms", NsToMs(plan.cpu_time))});
   }
   ++busy_groups_;
-  // Scheduled once per step, so the capture must fit SmallFn's inline buffer
-  // (tests/alloc_test.cc): the plan stays on the group.
-  sim_->ScheduleAfter(iteration, [this, gi = group.index] {
-    --busy_groups_;
-    CompleteStep(*groups_[static_cast<size_t>(gi)]);
-  });
+  group.run.clear();
+  group.run_done = 0;
+  group.run_start = now;
+  group.run.push_back({now + iteration, plan.npu_time, plan.cpu_time});
+  PlanDecodeRun(group);
+  ScheduleStepEnd(group);
 }
 
-// ds-lint: allow(span-pairing, closes the "step" slice opened in RunStep at the step's sim-time start)
-void Engine::CompleteStep(DpGroup& group) {
+void Engine::ApplyStepResult(DpGroup& group) {
   const StepPlan& plan = group.plan;
-  if (obs::Tracer* t = sim_->tracer()) {
-    t->End(sim_->Now(), track_.Pid(t), group.index, "step");
-  }
   if (m_prefill_tokens_ != nullptr) {
     m_prefill_tokens_->Inc(plan.shape.prefill_tokens);
     m_decode_tokens_->Inc(plan.shape.decode_seqs);
@@ -466,6 +520,64 @@ void Engine::CompleteStep(DpGroup& group) {
       FinishSequence(group, seq, plan.pipeline_drain);
     }
   }
+}
+
+void Engine::AdvanceRun(DpGroup& group, size_t in_flight) {
+  StepPlan& plan = group.plan;
+  while (group.run_done < in_flight) {
+    // No sequence finishes before a run's last step, so this fires no
+    // callback.
+    ApplyStepResult(group);
+    const TimeNs started = group.run[group.run_done].end;
+    const RunStepTimes& next = group.run[++group.run_done];
+    plan.shape.decode_context_tokens += plan.shape.decode_seqs;
+    plan.npu_time = next.npu_time;
+    plan.cpu_time = next.cpu_time;
+    ChargeStep(plan, next.end - started);
+  }
+}
+
+void Engine::SettleRun(DpGroup& group) {
+  if (group.run_done + 1 >= group.run.size()) {
+    return;  // only the last step is in flight: its event is its completion
+  }
+  // Step i (0-based) ended before the current event iff its completion
+  // would have fired first: at an earlier time, or at this time when
+  // scheduled (at the step's start) before the current event was.
+  const TimeNs now = sim_->Now();
+  const TimeNs firing_as_of = sim_->FiringScheduledAt();
+  const size_t last = group.run.size() - 1;
+  size_t in_flight = group.run_done;
+  while (in_flight < last) {
+    const TimeNs end = group.run[in_flight].end;
+    const TimeNs started = in_flight == 0 ? group.run_start : group.run[in_flight - 1].end;
+    if (end > now || (end == now && firing_as_of <= started)) {
+      break;
+    }
+    ++in_flight;
+  }
+  AdvanceRun(group, in_flight);
+  if (in_flight < last) {
+    sim_->Cancel(group.step_event);
+    group.run.resize(in_flight + 1);
+    ScheduleStepEnd(group);
+  }
+}
+
+void Engine::SettleRuns() {
+  for (auto& group : groups_) {
+    SettleRun(*group);
+  }
+}
+
+// ds-lint: allow(span-pairing, closes the "step" slice opened in RunStep at the step's sim-time start)
+void Engine::CompleteStep(DpGroup& group) {
+  // A decode run's earlier steps ended without events of their own.
+  AdvanceRun(group, group.run.size() - 1);
+  if (obs::Tracer* t = sim_->tracer()) {
+    t->End(sim_->Now(), track_.Pid(t), group.index, "step");
+  }
+  ApplyStepResult(group);
   RunStep(group);
 }
 

@@ -31,13 +31,14 @@ void EventQueue::FreeSlot(uint32_t idx) {
   free_slots_.push_back(idx);
 }
 
-EventQueue::Handle EventQueue::Insert(TimeNs t, common::SmallFn fn) {
-  DS_CHECK_GE(t, 0);
+EventQueue::Handle EventQueue::Insert(TimeNs t, TimeNs ordered_at, common::SmallFn fn) {
+  DS_CHECK_GE(ordered_at, 0);
+  DS_CHECK_GE(t, ordered_at);
   uint32_t idx = AllocSlot();
   Record& r = Rec(idx);
   r.state = SlotState::kScheduled;
   r.fn = std::move(fn);
-  heap_.push_back(Entry{t, next_seq_++, idx});
+  heap_.push_back(Entry{t, ordered_at, next_seq_++, idx});
   std::push_heap(heap_.begin(), heap_.end(), Later);
   ++live_;
   return (static_cast<uint64_t>(r.gen) << 32) | idx;
@@ -90,7 +91,7 @@ void EventQueue::Compact() {
   DS_CHECK_EQ(kept, live_);
 }
 
-bool EventQueue::PopIfDue(TimeNs limit, TimeNs* t, common::SmallFn* fn) {
+bool EventQueue::PopIfDue(TimeNs limit, TimeNs* t, TimeNs* ordered_at, common::SmallFn* fn) {
   while (!heap_.empty()) {
     const Entry top = heap_.front();
     Record& r = Rec(top.slot);
@@ -106,6 +107,7 @@ bool EventQueue::PopIfDue(TimeNs limit, TimeNs* t, common::SmallFn* fn) {
     PopTop();
     --live_;
     *t = top.time;
+    *ordered_at = top.ordered_at;
     *fn = std::move(r.fn);
     FreeSlot(top.slot);
     return true;

@@ -5,8 +5,8 @@
 //     (generation << 32) | slot, so a stale handle (fired, cancelled, or
 //     recycled event) is detected by a generation compare — Cancel is an O(1)
 //     tombstone write, with no auxiliary hash set and no double lookup.
-//   * Scheduling order is a binary min-heap of 24-byte {time, seq, slot}
-//     entries (std::push_heap / std::pop_heap). A cancelled record keeps its
+//   * Scheduling order is a binary min-heap of 32-byte
+//     {time, ordered_at, seq, slot} entries (std::push_heap / std::pop_heap). A cancelled record keeps its
 //     slot and heap entry until the entry reaches the top, where PopIfDue
 //     frees it — or until cancelled entries outnumber live ones, when one
 //     compaction drops them all and rebuilds the heap. The slab and the heap
@@ -17,8 +17,11 @@
 //     zero heap traffic for the lambdas the engine/JE/CM actually schedule.
 //
 // Determinism contract: extraction order is the strict total order
-// (time, seq) with seq assigned at insertion — FIFO among equal times, so
-// replay is bit-identical. Compaction timing affects only cost, never order.
+// (time, ordered_at, seq) with seq assigned at insertion. The Simulator passes
+// its clock as ordered_at, which never decreases, so for every ordinary event
+// this is FIFO among equal times; an event inserted "as of" a later instant
+// sorts among equal-time events as if it had been inserted then. Replay is
+// bit-identical. Compaction timing affects only cost, never order.
 #ifndef DEEPSERVE_SIM_EVENT_QUEUE_H_
 #define DEEPSERVE_SIM_EVENT_QUEUE_H_
 
@@ -43,8 +46,10 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Inserts a callback at virtual time t. FIFO among equal timestamps.
-  Handle Insert(TimeNs t, common::SmallFn fn);
+  // Inserts a callback at virtual time t (>= ordered_at). Among equal
+  // timestamps it fires after every entry with a smaller ordered_at, and in
+  // insertion order among entries with the same one.
+  Handle Insert(TimeNs t, TimeNs ordered_at, common::SmallFn fn);
 
   // O(1) amortized: tombstones a live record. Returns false — with no side
   // effects — for a handle that already fired, was already cancelled, or was
@@ -54,11 +59,11 @@ class EventQueue {
   // True iff the handle refers to a scheduled, not-yet-fired event.
   bool Live(Handle h) const;
 
-  // Extracts the earliest live event if its time is <= limit; fills *t and
-  // *fn and returns true. Returns false when the queue is empty or the
-  // earliest event lies beyond the limit. Tombstoned records encountered on
-  // the way are freed.
-  bool PopIfDue(TimeNs limit, TimeNs* t, common::SmallFn* fn);
+  // Extracts the earliest live event if its time is <= limit; fills *t,
+  // *ordered_at and *fn and returns true. Returns false when the queue is
+  // empty or the earliest event lies beyond the limit. Tombstoned records
+  // encountered on the way are freed.
+  bool PopIfDue(TimeNs limit, TimeNs* t, TimeNs* ordered_at, common::SmallFn* fn);
 
   // Live (scheduled, uncancelled) events.
   size_t live() const { return live_; }
@@ -78,6 +83,7 @@ class EventQueue {
 
   struct Entry {
     TimeNs time;
+    TimeNs ordered_at;
     uint64_t seq;
     uint32_t slot;
   };
@@ -94,10 +100,13 @@ class EventQueue {
   }
 
   // Heap comparator: true when a fires after b, so the heap's front is the
-  // (time, seq) minimum.
+  // (time, ordered_at, seq) minimum.
   static bool Later(const Entry& a, const Entry& b) {
     if (a.time != b.time) {
       return a.time > b.time;
+    }
+    if (a.ordered_at != b.ordered_at) {
+      return a.ordered_at > b.ordered_at;
     }
     return a.seq > b.seq;
   }

@@ -19,10 +19,10 @@ void Simulator::SetMetrics(obs::MetricsRegistry* metrics) {
   }
 }
 
-EventId Simulator::ScheduleAt(TimeNs t, EventFn fn) {
+EventId Simulator::ScheduleAt(TimeNs t, EventFn fn, TimeNs as_of) {
   DS_CHECK_GE(t, now_) << "cannot schedule into the past";
   DS_CHECK(fn != nullptr);
-  EventId id = queue_.Insert(t, std::move(fn));
+  EventId id = queue_.Insert(t, as_of, std::move(fn));
   if (m_scheduled_ != nullptr) {
     m_scheduled_->Inc();
     m_max_depth_->SetMax(static_cast<double>(queue_.live()));
@@ -42,10 +42,12 @@ bool Simulator::Cancel(EventId id) {
 
 bool Simulator::FireNext(TimeNs until) {
   TimeNs t = 0;
+  TimeNs as_of = 0;
   EventFn fn;
-  if (!queue_.PopIfDue(until, &t, &fn)) {
+  if (!queue_.PopIfDue(until, &t, &as_of, &fn)) {
     return false;
   }
+  firing_as_of_ = as_of;
   DS_CHECK_GE(t, now_);
   now_ = t;
   ++fired_count_;
@@ -73,6 +75,7 @@ size_t Simulator::RunUntil(TimeNs t) {
     ++fired;
   }
   now_ = t;
+  firing_as_of_ = kTimeNever;
   return fired;
 }
 

@@ -6,7 +6,10 @@
 // DistFlow's transfer workers, the autoscaler's control loop — become event
 // chains here, so "asynchrony" is genuine overlap in virtual time and every
 // run replays deterministically. Events at equal timestamps fire in
-// scheduling order (FIFO tie-break), which keeps causality intuitive.
+// scheduling order (FIFO tie-break), which keeps causality intuitive. One
+// event may instead be ordered as if it had been scheduled at another instant
+// (see the three-argument ScheduleAt): that is how a single event stands in
+// for a chain of events, each of which would have scheduled the next.
 //
 // The storage under the clock is sim/event_queue.h: slab-allocated event
 // records addressed by generation-checked handles, ordered by a binary heap
@@ -48,7 +51,13 @@ class Simulator {
 
   // Schedules fn at absolute virtual time t (>= Now()). Returns an id usable
   // with Cancel().
-  EventId ScheduleAt(TimeNs t, EventFn fn);
+  EventId ScheduleAt(TimeNs t, EventFn fn) { return ScheduleAt(t, std::move(fn), now_); }
+
+  // As above, but among the events due at t, fn fires as if it had been
+  // scheduled at `as_of` (<= t) instead of now: after every event scheduled
+  // before `as_of` and before every event scheduled after it. Events
+  // scheduled at the same instant fire in insertion order.
+  EventId ScheduleAt(TimeNs t, EventFn fn, TimeNs as_of);
 
   // Schedules fn after the given delay (>= 0).
   EventId ScheduleAfter(DurationNs delay, EventFn fn) {
@@ -74,6 +83,12 @@ class Simulator {
   // Fires the single earliest event. Returns false if the queue is empty.
   bool Step();
 
+  // The scheduled-at instant of the event firing now (or fired last). After
+  // RunUntil it is kTimeNever: every event due by then has fired. An event
+  // due at Now() that was scheduled before this instant has fired already;
+  // one scheduled after it has not.
+  TimeNs FiringScheduledAt() const { return firing_as_of_; }
+
   bool Empty() const { return queue_.empty(); }
   size_t PendingEvents() const { return queue_.live(); }
   uint64_t TotalFired() const { return fired_count_; }
@@ -96,6 +111,7 @@ class Simulator {
   bool FireNext(TimeNs until);
 
   TimeNs now_ = 0;
+  TimeNs firing_as_of_ = 0;
   uint64_t fired_count_ = 0;
   EventQueue queue_;
 

@@ -85,8 +85,12 @@ TEST(AllocTest, SteadyStateDecodeStepsDoNotAllocate) {
   for (int i = 0; i < kBatch; ++i) {
     engine.Submit(MakeRequest(i + 1, 100, 400), {nullptr, [](const flowserve::Sequence&) {}});
   }
-  // Past tokenize and prefill: every sequence decodes in every step.
-  while (engine.stats().steps < 8 && sim.Step()) {
+  // Past tokenize and prefill: every sequence decodes in every step. Each
+  // stats() call settles the decode run in flight, so every event here
+  // completes one step. Two KV blocks' worth of such steps also bring the
+  // event queue to its steady size: a settle cancels the run's end event,
+  // whose tombstone stays queued until its time passes.
+  while (engine.stats().steps < 40 && sim.Step()) {
   }
   // One step decodes one token for each of the kBatch sequences.
   auto expect_full_batch_step = [&] {
@@ -113,6 +117,66 @@ TEST(AllocTest, SteadyStateDecodeStepsDoNotAllocate) {
   }
   expect_full_batch_step();
   EXPECT_GE(clean_steps, 48);
+}
+
+// Without stats() reads between events, each event completes a whole decode
+// run: every step up to the next KV block boundary. A settle mid-run (one
+// stats() read) applies the steps that have ended and moves the run's end
+// event. Neither allocates once the engine is warm.
+TEST(AllocTest, DecodeRunsAndSettlesDoNotAllocate) {
+  sim::Simulator sim;
+  flowserve::EngineConfig config;
+  config.model = model::ModelSpec::Tiny1B();
+  config.parallelism = {1, 1, 1};
+  config.kv_block_capacity_override = 4096;
+  flowserve::Engine engine(&sim, config);
+  constexpr int kBatch = 6;
+  constexpr int64_t kRunSteps = rtc::kBlockTokens;
+  // The first request's prefill runs alone, a step ahead of the rest. One
+  // prompt token fewer keeps every context equal, so the whole batch crosses
+  // a KV block at the same step and each run is one block long.
+  for (int i = 0; i < kBatch; ++i) {
+    engine.Submit(MakeRequest(i + 1, i == 0 ? 99 : 100, 400),
+                  {nullptr, [](const flowserve::Sequence&) {}});
+  }
+  while (engine.stats().steps < 40 && sim.Step()) {
+  }
+  // Each read cuts the run in flight to its first step; the next event ends
+  // that step, the one after it the rest of the block.
+  const int64_t steps = engine.stats().steps;
+  const int64_t decoded = engine.stats().decode_tokens_generated;
+  ASSERT_TRUE(sim.Step());
+  ASSERT_TRUE(sim.Step());
+
+  // Whole runs. A run's end also builds the next run's first step, which
+  // takes each sequence's next block: that allocates only when a block
+  // table outgrows its capacity.
+  int clean_runs = 0;
+  TimeNs run_time = 0;
+  for (int run = 0; run < 8; ++run) {
+    const int64_t allocations = g_allocations;
+    const TimeNs start = sim.Now();
+    ASSERT_TRUE(sim.Step());
+    run_time = sim.Now() - start;
+    clean_runs += g_allocations == allocations ? 1 : 0;
+  }
+  EXPECT_GE(clean_runs, 6);
+
+  // One settle halfway into the next run: it applies the steps that ended
+  // and moves the run's end event. No block changes hands, so neither the
+  // settle nor the end of the step left in flight allocates.
+  sim.RunUntil(sim.Now() + run_time / 2);
+  int64_t allocations = g_allocations;
+  const flowserve::EngineStats& settled = engine.stats();
+  EXPECT_EQ(g_allocations - allocations, 0);
+  // Each of the eight whole runs' events completed a block's worth of
+  // steps, each step a full batch.
+  const int64_t done = settled.steps - steps;
+  EXPECT_GT(done, 8 * kRunSteps + 2);
+  EXPECT_EQ(settled.decode_tokens_generated - decoded, kBatch * done);
+  allocations = g_allocations;
+  ASSERT_TRUE(sim.Step());
+  EXPECT_EQ(g_allocations - allocations, 0);
 }
 
 // Heap allocations of one background swap scan that demotes a single cached

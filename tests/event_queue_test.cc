@@ -27,8 +27,9 @@ using common::SmallFn;
 size_t Drain(EventQueue& q) {
   size_t n = 0;
   TimeNs t = 0;
+  TimeNs as_of = 0;
   SmallFn fn;
-  while (q.PopIfDue(kTimeNever, &t, &fn)) {
+  while (q.PopIfDue(kTimeNever, &t, &as_of, &fn)) {
     fn();
     fn.Reset();
     ++n;
@@ -39,7 +40,7 @@ size_t Drain(EventQueue& q) {
 // Inserts an event whose callback appends `marker` to `*out`.
 EventQueue::Handle InsertMarked(EventQueue& q, TimeNs t, std::vector<uint64_t>* out,
                                 uint64_t marker) {
-  return q.Insert(t, [out, marker] { out->push_back(marker); });
+  return q.Insert(t, 0, [out, marker] { out->push_back(marker); });
 }
 
 TEST(EventQueueTest, PopsInTimeThenFifoOrder) {
@@ -52,9 +53,10 @@ TEST(EventQueueTest, PopsInTimeThenFifoOrder) {
   }
   EXPECT_EQ(q.live(), 8u);
   TimeNs t = 0;
+  TimeNs as_of = 0;
   SmallFn fn;
   TimeNs prev = 0;
-  while (q.PopIfDue(kTimeNever, &t, &fn)) {
+  while (q.PopIfDue(kTimeNever, &t, &as_of, &fn)) {
     EXPECT_GE(t, prev);
     prev = t;
     fn();
@@ -71,13 +73,14 @@ TEST(EventQueueTest, PopIfDueRespectsLimit) {
   InsertMarked(q, 10, &fired, 10);
   InsertMarked(q, 20, &fired, 20);
   TimeNs t = 0;
+  TimeNs as_of = 0;
   SmallFn fn;
-  ASSERT_TRUE(q.PopIfDue(15, &t, &fn));
+  ASSERT_TRUE(q.PopIfDue(15, &t, &as_of, &fn));
   EXPECT_EQ(t, 10);
   fn.Reset();
-  EXPECT_FALSE(q.PopIfDue(15, &t, &fn)) << "event at 20 is beyond the limit";
+  EXPECT_FALSE(q.PopIfDue(15, &t, &as_of, &fn)) << "event at 20 is beyond the limit";
   EXPECT_EQ(q.live(), 1u);
-  ASSERT_TRUE(q.PopIfDue(20, &t, &fn));
+  ASSERT_TRUE(q.PopIfDue(20, &t, &as_of, &fn));
   EXPECT_EQ(t, 20);
 }
 
@@ -89,8 +92,10 @@ TEST(EventQueueTest, HandlesAreGenerationCheckedAcrossSlotReuse) {
   EXPECT_TRUE(q.Live(a));
 
   TimeNs t = 0;
+
+  TimeNs as_of = 0;
   SmallFn fn;
-  ASSERT_TRUE(q.PopIfDue(kTimeNever, &t, &fn));
+  ASSERT_TRUE(q.PopIfDue(kTimeNever, &t, &as_of, &fn));
   fn.Reset();
   EXPECT_FALSE(q.Live(a));
   EXPECT_FALSE(q.Cancel(a)) << "handle already fired";
@@ -141,15 +146,16 @@ TEST(EventQueueTest, InsertBehindScanWindowStillPopsFirst) {
   // A probe with only a far-future event queued pops nothing...
   InsertMarked(q, SToNs(1000), &fired, 1);
   TimeNs t = 0;
+  TimeNs as_of = 0;
   SmallFn fn;
-  EXPECT_FALSE(q.PopIfDue(100, &t, &fn));
+  EXPECT_FALSE(q.PopIfDue(100, &t, &as_of, &fn));
   // ...and a near-term insert made after the probe still pops first.
   InsertMarked(q, 10, &fired, 2);
-  ASSERT_TRUE(q.PopIfDue(100, &t, &fn));
+  ASSERT_TRUE(q.PopIfDue(100, &t, &as_of, &fn));
   EXPECT_EQ(t, 10);
   fn();
   fn.Reset();
-  ASSERT_TRUE(q.PopIfDue(kTimeNever, &t, &fn));
+  ASSERT_TRUE(q.PopIfDue(kTimeNever, &t, &as_of, &fn));
   EXPECT_EQ(t, SToNs(1000));
   fn();
   EXPECT_EQ(fired, (std::vector<uint64_t>{2, 1}));
@@ -185,10 +191,11 @@ TEST(EventQueueTest, LargeClumpyDrainAndRefillPreservesExactOrder) {
   }
   // Drain almost all of it in nondecreasing time.
   TimeNs t = 0;
+  TimeNs as_of = 0;
   SmallFn fn;
   TimeNs prev = 0;
   for (int i = 0; i < 19900; ++i) {
-    ASSERT_TRUE(q.PopIfDue(kTimeNever, &t, &fn));
+    ASSERT_TRUE(q.PopIfDue(kTimeNever, &t, &as_of, &fn));
     ASSERT_GE(t, prev);
     prev = t;
     fn();
@@ -235,8 +242,9 @@ TEST(EventQueueTest, LimitBeforeFarTimersPopsNothingAndKeepsThem) {
     InsertMarked(q, SToNs(1) + static_cast<TimeNs>(i), &fired, i);
   }
   TimeNs t = 0;
+  TimeNs as_of = 0;
   SmallFn fn;
-  EXPECT_FALSE(q.PopIfDue(MsToNs(1), &t, &fn));
+  EXPECT_FALSE(q.PopIfDue(MsToNs(1), &t, &as_of, &fn));
   EXPECT_EQ(q.live(), 100u);
   EXPECT_EQ(Drain(q), 100u);
   for (uint64_t i = 0; i < 100; ++i) {
@@ -306,10 +314,10 @@ TEST(EventQueueTest, CancelStormReusesSlots) {
     for (int i = 0; i < kBatch; ++i) {
       uint64_t r = next();
       if (i % 5 == 4) {
-        q.Insert(now + 1 + static_cast<TimeNs>(r % 100000), [&fired] { ++fired; });
+        q.Insert(now + 1 + static_cast<TimeNs>(r % 100000), now, [&fired] { ++fired; });
       } else {
         guards.push_back(
-            q.Insert(now + SToNs(1) + static_cast<TimeNs>(r % 100000), [&fired] { ++fired; }));
+            q.Insert(now + SToNs(1) + static_cast<TimeNs>(r % 100000), now, [&fired] { ++fired; }));
       }
     }
     peak_live = std::max(peak_live, q.live());
@@ -320,8 +328,9 @@ TEST(EventQueueTest, CancelStormReusesSlots) {
     }
     now += UsToNs(100);
     TimeNs t = 0;
+    TimeNs as_of = 0;
     SmallFn fn;
-    while (q.PopIfDue(now, &t, &fn)) {
+    while (q.PopIfDue(now, &t, &as_of, &fn)) {
       fn();
       fn.Reset();
     }
@@ -344,10 +353,11 @@ TEST(EventQueueTest, CancelledEarliestDoesNotHideADueEvent) {
   ASSERT_TRUE(q.Cancel(first));
   ASSERT_TRUE(q.Cancel(second));
   TimeNs t = 0;
+  TimeNs as_of = 0;
   SmallFn fn;
-  EXPECT_FALSE(q.PopIfDue(20, &t, &fn)) << "only cancelled events are due by 20";
+  EXPECT_FALSE(q.PopIfDue(20, &t, &as_of, &fn)) << "only cancelled events are due by 20";
   EXPECT_EQ(q.live(), 1u);
-  ASSERT_TRUE(q.PopIfDue(40, &t, &fn));
+  ASSERT_TRUE(q.PopIfDue(40, &t, &as_of, &fn));
   EXPECT_EQ(t, 30);
   fn();
   EXPECT_EQ(fired, (std::vector<uint64_t>{3}));
@@ -359,8 +369,8 @@ TEST(EventQueueTest, CancelledEarliestDoesNotHideADueEvent) {
 TEST(EventQueueTest, CancelReleasesCapturesBeforeTheSweep) {
   EventQueue q;
   auto token = std::make_shared<int>(0);
-  EventQueue::Handle h = q.Insert(SToNs(10), [token] { ++*token; });
-  q.Insert(SToNs(20), [] {});
+  EventQueue::Handle h = q.Insert(SToNs(10), 0, [token] { ++*token; });
+  q.Insert(SToNs(20), 0, [] {});
   EXPECT_EQ(token.use_count(), 2);
   ASSERT_TRUE(q.Cancel(h));
   EXPECT_EQ(token.use_count(), 1) << "the cancelled callback still holds its capture";
@@ -441,8 +451,9 @@ TEST(EventQueueTest, RandomOpsMatchReferenceModel) {
       }
     } else {
       TimeNs t = 0;
+      TimeNs as_of = 0;
       SmallFn fn;
-      bool popped = q.PopIfDue(kTimeNever, &t, &fn);
+      bool popped = q.PopIfDue(kTimeNever, &t, &as_of, &fn);
       ASSERT_EQ(popped, !model.empty());
       if (popped) {
         auto it = model.begin();

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -7,6 +9,7 @@
 #include "common/time_units.h"
 #include "common/types.h"
 #include "flowserve/engine.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 #include "workload/metrics.h"
 #include "workload/request.h"
@@ -537,6 +540,227 @@ TEST(KvBlockCapacityTest, OverrideBeyondHbmIsAnError) {
   EXPECT_EQ(KvBlockCapacity(config).status().code(), StatusCode::kInvalidArgument);
   config.kv_block_capacity_override = bound;
   EXPECT_TRUE(KvBlockCapacity(config).ok());
+}
+
+// ---- decode runs ------------------------------------------------------------
+// An engine with a tracer attached steps one event per step, so it is the
+// oracle for the decode runs and settles an untraced twin takes instead. Each
+// scenario below runs on both twins from the same sim events and must give
+// the same per-request times, stats() reads and final EngineStats, in ns.
+
+struct TwinOutcome {
+  // Request id -> (first_token_time, finish_time), completed requests only.
+  std::map<workload::RequestId, std::pair<TimeNs, TimeNs>> times;
+  int errored = 0;
+  // (steps, decode_tokens_generated) at each stats() read the scenario made.
+  std::vector<std::pair<int64_t, int64_t>> reads;
+  EngineStats stats;
+  TimeNs end = 0;
+  uint64_t events = 0;
+};
+
+class Twin {
+ public:
+  Twin(const EngineConfig& config, bool traced) {
+    if (traced) {
+      sim.SetTracer(&tracer);
+    }
+    engine = std::make_unique<Engine>(&sim, config);
+  }
+  Twin(const Twin&) = delete;
+  Twin& operator=(const Twin&) = delete;
+
+  ResponseHandler Handler() {
+    return {nullptr,
+            [this](const Sequence& seq) {
+              out.times[seq.request_id] = {seq.first_token_time, seq.finish_time};
+            },
+            [this](const Status&) { ++out.errored; }};
+  }
+  void Submit(const RequestSpec& spec) { engine->Submit(spec, Handler()); }
+  // Hands a prefilled request over as a PD hand-off does: a refusal retries
+  // 10 ms later until the engine takes it.
+  void SubmitPrefilled(const RequestSpec& spec) {
+    if (!engine->SubmitPrefilled(spec, Handler()).ok()) {
+      sim.ScheduleAfter(MsToNs(10), [this, spec] { SubmitPrefilled(spec); });
+    }
+  }
+  void Read() {
+    const EngineStats& stats = engine->stats();
+    out.reads.emplace_back(stats.steps, stats.decode_tokens_generated);
+  }
+  TwinOutcome Finish() {
+    sim.Run();
+    out.stats = engine->stats();
+    out.end = sim.Now();
+    out.events = sim.TotalFired();
+    return out;
+  }
+
+  sim::Simulator sim;
+  obs::Tracer tracer;
+  std::unique_ptr<Engine> engine;
+  TwinOutcome out;
+};
+
+using Scenario = std::function<void(Twin&)>;
+
+// Runs `scenario` on a traced and an untraced twin; returns the untraced
+// outcome after checking it against the traced one.
+TwinOutcome ExpectRunsMatchSteps(const EngineConfig& config, const Scenario& scenario) {
+  Twin stepped(config, /*traced=*/true);
+  Twin runs(config, /*traced=*/false);
+  scenario(stepped);
+  scenario(runs);
+  const TwinOutcome want = stepped.Finish();
+  const TwinOutcome got = runs.Finish();
+  EXPECT_EQ(got.times, want.times);
+  EXPECT_EQ(got.errored, want.errored);
+  EXPECT_EQ(got.reads, want.reads);
+  EXPECT_EQ(got.end, want.end);
+  const EngineStats& a = got.stats;
+  const EngineStats& b = want.stats;
+  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.decode_tokens_generated, b.decode_tokens_generated);
+  EXPECT_EQ(a.npu_busy, b.npu_busy);
+  EXPECT_EQ(a.cpu_sched_total, b.cpu_sched_total);
+  EXPECT_EQ(a.cpu_stall, b.cpu_stall);
+  EXPECT_EQ(a.max_decode_step, b.max_decode_step);
+  EXPECT_EQ(a.tbt_violations, b.tbt_violations);
+  EXPECT_TRUE(a == b) << "an EngineStats field differs";
+  EXPECT_LT(got.events, want.events) << "no decode run formed";
+  return got;
+}
+
+// The twins' rough step length for these configs, to place contacts
+// inside runs.
+constexpr TimeNs kStep = MsToNs(2.6);
+
+TEST(DecodeRunTest, StaggeredSubmitsLandInsideRuns) {
+  for (int dp : {1, 2}) {
+    EngineConfig config = TestConfig();
+    config.parallelism = {1, 1, dp};
+    config.sched.tbt_budget_ms = 2.7;  // some steps exceed it
+    const TwinOutcome got = ExpectRunsMatchSteps(config, [](Twin& twin) {
+      twin.Submit(MakeRequest(1, 100, 300, 1000));
+      twin.Submit(MakeRequest(2, 37, 120, 3000));
+      uint64_t state = 33;
+      for (workload::RequestId id = 3; id < 15; ++id) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        const TimeNs at = static_cast<TimeNs>((state >> 33) % 200) * kStep / 3;
+        const int64_t len = 20 + static_cast<int64_t>((state >> 20) % 400);
+        const int64_t decode = 1 + static_cast<int64_t>((state >> 40) % 150);
+        const TokenId base = id % 3 == 0 ? 1000 : static_cast<TokenId>(5000 + 991 * id);
+        twin.sim.ScheduleAt(at, [&twin, id, len, decode, base] {
+          twin.Submit(MakeRequest(id, len, decode, base));
+        });
+      }
+    });
+    EXPECT_EQ(got.times.size(), 14u) << "dp " << dp;
+    EXPECT_GT(got.stats.tbt_violations, 0) << "dp " << dp;
+  }
+}
+
+TEST(DecodeRunTest, DecodeOnlyEngineFedBySubmitPrefilled) {
+  // With a batch cap of 3, some decoding sequences sit out each step.
+  for (int64_t max_batch : {256, 3}) {
+    EngineConfig config = TestConfig();
+    config.role = EngineRole::kDecodeOnly;
+    config.kv_block_capacity_override = 48;  // 768 tokens: some hand-offs wait
+    config.max_batch_seqs = max_batch;
+    const TwinOutcome got = ExpectRunsMatchSteps(config, [](Twin& twin) {
+      for (workload::RequestId id = 1; id <= 10; ++id) {
+        const TimeNs at = static_cast<TimeNs>(id * id) * kStep * 3 / 2;
+        twin.sim.ScheduleAt(at, [&twin, id] {
+          twin.SubmitPrefilled(MakeRequest(id, 100 + 29 * static_cast<int64_t>(id), 90 - 5 * id,
+                                   static_cast<TokenId>(1000 * id)));
+        });
+      }
+    });
+    EXPECT_EQ(got.times.size(), 10u) << "max_batch_seqs " << max_batch;
+  }
+}
+
+TEST(DecodeRunTest, CancelAbortAndSlowdownMidRun) {
+  const TwinOutcome got = ExpectRunsMatchSteps(TestConfig(), [](Twin& twin) {
+    for (workload::RequestId id = 1; id <= 4; ++id) {
+      twin.Submit(MakeRequest(id, 60 * static_cast<int64_t>(id), 200, static_cast<TokenId>(1000 * id)));
+    }
+    twin.sim.ScheduleAt(kStep * 23 + 7, [&twin] { ASSERT_TRUE(twin.engine->Cancel(2).ok()); });
+    twin.sim.ScheduleAt(kStep * 41 + 3, [&twin] { twin.engine->SetStepTimeMultiplier(1.7); });
+    twin.sim.ScheduleAt(kStep * 77 + 11, [&twin] { twin.engine->SetStepTimeMultiplier(1.0); });
+    twin.sim.ScheduleAt(kStep * 130 + 5, [&twin] { twin.engine->Abort(); });
+    twin.sim.ScheduleAt(kStep * 131, [&twin] {
+      twin.Submit(MakeRequest(5, 300, 60, 1000));
+      twin.Submit(MakeRequest(6, 45, 70, 9000));
+    });
+    twin.sim.ScheduleAt(kStep * 150 + 1, [&twin] { ASSERT_TRUE(twin.engine->Cancel(6).ok()); });
+  });
+  EXPECT_EQ(got.times.size(), 1u);  // 1, 3 and 4 aborted, 2 and 6 cancelled
+  EXPECT_EQ(got.stats.cancelled, 2);
+  EXPECT_EQ(got.stats.aborted, 3);
+}
+
+TEST(DecodeRunTest, StatsReadsMidRunSeeTheSteppedCounts) {
+  const TwinOutcome got = ExpectRunsMatchSteps(TestConfig(), [](Twin& twin) {
+    twin.Submit(MakeRequest(1, 100, 150, 1000));
+    twin.Submit(MakeRequest(2, 230, 100, 2000));
+    for (int i = 1; i < 60; ++i) {
+      twin.sim.ScheduleAt(kStep * 37 * i / 10, [&twin] { twin.Read(); });
+    }
+  });
+  EXPECT_EQ(got.reads.size(), 59u);
+  EXPECT_GT(got.reads.back().second, 0);
+}
+
+// Contacts at exactly a step boundary b_j. Stepping one event per step, step
+// j's completion is scheduled at b_{j-1}: a contact at b_j scheduled before
+// b_{j-1} sees step j unfinished, and one scheduled after b_{j-1} sees it
+// finished. A slowdown applied there reaches step j+1 in the first case and
+// only step j+2 in the second.
+TEST(DecodeRunTest, ContactsAtExactlyAStepBoundary) {
+  // One request: after its prefill step each run covers the steps up to the
+  // sequence's next KV block, steps 2..12, then 13..28 and so on. So b_20
+  // lies inside a run and b_28 is a run's end.
+  EngineConfig config = TestConfig();
+  auto base = [](Twin& twin) { twin.Submit(MakeRequest(1, 100, 200, 1000)); };
+  std::vector<TimeNs> ends;  // ends[j - 1] = b_j
+  {
+    Twin probe(config, /*traced=*/true);
+    base(probe);
+    probe.Finish();
+    for (const obs::TraceEvent* event : probe.tracer.EventsNamed("step")) {
+      if (event->phase == obs::Phase::kEnd) {
+        ends.push_back(event->ts);
+      }
+    }
+  }
+  ASSERT_GT(ends.size(), 30u);
+  auto contact = [](Twin& twin) {
+    twin.Read();
+    twin.engine->SetStepTimeMultiplier(2.0);
+  };
+  for (const int64_t j : {20, 28}) {
+    const TimeNs b_j = ends[j - 1];
+    // Scheduled at `from`, due at b_j.
+    auto contact_from = [&](TimeNs from) {
+      return [&, from](Twin& twin) {
+        base(twin);
+        twin.sim.ScheduleAt(from, [&twin, &contact, b_j] {
+          twin.sim.ScheduleAt(b_j, [&twin, &contact] { contact(twin); });
+        });
+      };
+    };
+    const TwinOutcome before = ExpectRunsMatchSteps(config, contact_from(ends[j - 3] + 1));
+    const TwinOutcome after = ExpectRunsMatchSteps(config, contact_from(ends[j - 2] + 1));
+    ASSERT_EQ(before.reads.size(), 1u);
+    ASSERT_EQ(after.reads.size(), 1u);
+    // Steps charged: j with j - 1 done before, j + 1 with j done after. The
+    // prefill step emits no decode token.
+    EXPECT_EQ(before.reads[0], std::make_pair(j, j - 2)) << "b_" << j;
+    EXPECT_EQ(after.reads[0], std::make_pair(j + 1, j - 1)) << "b_" << j;
+    EXPECT_GT(before.times.at(1).second, after.times.at(1).second) << "b_" << j;
+  }
 }
 
 // Parameterized sweep: engines complete all work across batch-size and

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -334,6 +336,84 @@ TEST(SimulatorTest, PropertyPendingCountMatchesLiveEventsAcross10kOps) {
   EXPECT_TRUE(model.order.empty());
   EXPECT_TRUE(sim.Empty());
   EXPECT_EQ(sim.PendingEvents(), 0u);
+}
+
+// An event scheduled "as of" another instant sorts among equal-time events
+// as if it had been scheduled then: after those scheduled earlier, before
+// those scheduled later, whether that instant is past or still to come.
+TEST(SimulatorTest, AsOfOrdersAmongEqualTimesByThatInstant) {
+  Simulator sim;
+  std::vector<char> order;
+  std::vector<TimeNs> as_of;
+  auto mark = [&](char c) {
+    return [&order, &as_of, &sim, c] {
+      order.push_back(c);
+      as_of.push_back(sim.FiringScheduledAt());
+    };
+  };
+  sim.ScheduleAt(100, mark('A'));                // scheduled at 0
+  sim.RunUntil(50);
+  EXPECT_EQ(sim.FiringScheduledAt(), kTimeNever);
+  sim.ScheduleAt(100, mark('B'));                // scheduled at 50
+  sim.ScheduleAt(100, mark('C'), /*as_of=*/10);  // backdated
+  sim.ScheduleAt(100, mark('D'), /*as_of=*/80);  // postdated
+  sim.ScheduleAt(60, [&] { sim.ScheduleAt(100, mark('E')); });
+  sim.ScheduleAt(80, [&] { sim.ScheduleAt(100, mark('F')); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<char>{'A', 'C', 'B', 'E', 'D', 'F'}));
+  EXPECT_EQ(as_of, (std::vector<TimeNs>{0, 10, 50, 60, 80, 80}));
+}
+
+// Property: across random schedules, some from inside firing events, every
+// firing is the earliest live event by (time, scheduled-at, schedule order),
+// where scheduled-at is the clock at ScheduleAt unless an as-of instant was
+// given. With no as-of instant this is the (time, schedule order) model: an
+// event scheduled later never has an earlier scheduled-at.
+TEST(SimulatorTest, PropertyFiresInTimeScheduledAtInsertionOrder) {
+  for (bool with_as_of : {false, true}) {
+    Simulator sim;
+    using Key = std::tuple<TimeNs, TimeNs, uint64_t>;
+    std::map<Key, int> model;  // live events; the value is unused
+    uint64_t counter = 0;
+    uint64_t state = with_as_of ? 7 : 2026;
+    auto next = [&state] {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      return state >> 33;
+    };
+    int fired = 0;
+    std::function<void()> schedule = [&] {
+      // Few distinct times, so equal times are common.
+      const TimeNs t = sim.Now() + static_cast<TimeNs>(next() % 4) * 10;
+      TimeNs as_of = sim.Now();
+      if (with_as_of && next() % 3 == 0) {
+        as_of = static_cast<TimeNs>(next() % static_cast<uint64_t>(t + 1));
+      }
+      const Key key{t, as_of, counter++};
+      model[key] = 0;
+      auto fire = [&, key] {
+        ASSERT_FALSE(model.empty());
+        EXPECT_EQ(model.begin()->first, key) << "fired out of order";
+        EXPECT_EQ(sim.FiringScheduledAt(), std::get<1>(key));
+        model.erase(key);
+        ++fired;
+        for (uint64_t n = next() % 4; n > 0 && counter < 3000; --n) {
+          schedule();
+        }
+      };
+      if (as_of == sim.Now() && next() % 2 == 0) {
+        sim.ScheduleAt(t, fire);
+      } else {
+        sim.ScheduleAt(t, fire, as_of);
+      }
+    };
+    for (int i = 0; i < 50; ++i) {
+      schedule();
+    }
+    sim.Run();
+    EXPECT_TRUE(model.empty());
+    EXPECT_EQ(fired, static_cast<int>(counter));
+    EXPECT_GT(fired, 1000);
+  }
 }
 
 TEST(PeriodicTaskTest, FiresAtFixedInterval) {

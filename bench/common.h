@@ -5,6 +5,7 @@
 #ifndef DEEPSERVE_BENCH_COMMON_H_
 #define DEEPSERVE_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <charconv>
 #include <cinttypes>
 #include <cmath>
@@ -18,6 +19,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/time_units.h"
 #include "ctrl/control_log.h"
 #include "distflow/distflow.h"
@@ -421,13 +423,34 @@ class TraceReplay {
   // Per-request state lives in vectors indexed by trace position, and every
   // callback captures `this` and that index (small enough for std::function's
   // inline buffer): no per-request map, no copied spec.
+  //
+  // Arrivals are chained: only the first arrival (and any at its timestamp)
+  // is queued here, and each Arrive queues the next, so the event queue holds
+  // one trace step at a time however long the trace is. Every arrival is
+  // queued as of this instant, so among events due at its time it keeps the
+  // place it would have had if all had been queued up front.
   void ScheduleArrivals() {
-    for (size_t i = 0; i < trace_.size(); ++i) {
-      sim_->ScheduleAt(trace_[i].arrival, [this, i] { Arrive(i); });
+    DS_CHECK(std::is_sorted(trace_.begin(), trace_.end(),
+                            [](const workload::RequestSpec& a, const workload::RequestSpec& b) {
+                              return a.arrival < b.arrival;
+                            }))
+        << "a replayed trace must be sorted by arrival";
+    scheduled_at_ = sim_->Now();
+    ScheduleFrom(0);
+  }
+
+  // Queues arrival `first` and every later one with the same timestamp, in
+  // trace order.
+  void ScheduleFrom(size_t first) {
+    for (size_t i = first; i < trace_.size() && trace_[i].arrival == trace_[first].arrival; ++i) {
+      sim_->ScheduleAt(trace_[i].arrival, [this, i] { Arrive(i); }, scheduled_at_);
     }
   }
 
   void Arrive(size_t i) {
+    if (i + 1 < trace_.size() && trace_[i + 1].arrival != trace_[i].arrival) {
+      ScheduleFrom(i + 1);  // arrivals at this timestamp are queued already
+    }
     // On a disaggregated route the first token comes from the prefill TE and
     // the completion from the decode TE, which never saw the first token.
     serving::ResponseHandler handler{
@@ -480,6 +503,7 @@ class TraceReplay {
   serving::JobExecutor* je_ = nullptr;
   serving::Frontend* frontend_ = nullptr;
   std::string model_;
+  TimeNs scheduled_at_ = 0;  // the instant ScheduleOnto ran
   std::vector<TimeNs> first_token_;
   std::vector<uint8_t> terminated_;
   ReplayCounts counts_;

@@ -89,9 +89,9 @@ echo "==> perf_sim smoke: DES core throughput, replay determinism"
 
 echo "==> deepserve_sim obs smoke: obs flags write their files, report unchanged"
 # Exits non-zero unless --trace-out and --metrics-out each write a non-empty
-# file, the metrics dump carries the end-of-run rtc.index_nodes and
-# ctrl.log_bytes gauges, and each traced run's stdout (and per-request CSV)
-# is byte-identical to its untraced twin's.
+# file, both Chrome traces parse as JSON, the metrics dump carries the
+# end-of-run rtc.index_nodes and ctrl.log_bytes gauges, and each traced run's
+# stdout (and per-request CSV) is byte-identical to its untraced twin's.
 SIM_ARGS=(--model=tiny-1b --colocated=2 --rps=5 --duration=5)
 OBS_DIR="$(mktemp -d)"
 ./build/examples/deepserve_sim "${SIM_ARGS[@]}" >"${OBS_DIR}/plain.out"
@@ -121,6 +121,9 @@ mv "${OBS_DIR}/run.csv" "${OBS_DIR}/runs_plain.csv"
   >"${OBS_DIR}/runs_traced.out" 2>/dev/null
 cmp "${OBS_DIR}/runs_plain.out" "${OBS_DIR}/runs_traced.out"
 cmp "${OBS_DIR}/runs_plain.csv" "${OBS_DIR}/run.csv"
+for TRACE in trace.json runs_trace.json; do
+  python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "${OBS_DIR}/${TRACE}"
+done
 rm -rf "${OBS_DIR}"
 
 echo "==> ctrl-replica parity: a 3-replica control log changes no simulated output"

@@ -72,8 +72,8 @@ bool TransferEngine::Linked(EndpointId a, EndpointId b) const {
   return links_.count(Canonical(a, b)) > 0;
 }
 
-Result<TransferEngine::Route> TransferEngine::Resolve(const MemRegion& src,
-                                                      const MemRegion& dst) const {
+Result<hw::SharedLink*> TransferEngine::Resolve(const MemRegion& src,
+                                                const MemRegion& dst) const {
   auto src_it = endpoints_.find(src.endpoint);
   auto dst_it = endpoints_.find(dst.endpoint);
   if (src_it == endpoints_.end() || dst_it == endpoints_.end()) {
@@ -82,50 +82,19 @@ Result<TransferEngine::Route> TransferEngine::Resolve(const MemRegion& src,
   hw::NpuId src_npu = src_it->second;
   hw::NpuId dst_npu = dst_it->second;
   hw::MachineId src_machine = cluster_->machine_of(src_npu);
-  hw::MachineId dst_machine = cluster_->machine_of(dst_npu);
-  int src_local = src_npu % cluster_->config().npus_per_machine;
-  int dst_local = dst_npu % cluster_->config().npus_per_machine;
-
-  Route route;
-  if (src_machine == dst_machine) {
-    // Tier moves within one machine.
-    hw::Machine* machine = cluster_->machine(src_machine);
-    auto tier_hop = [&](rtc::Tier from, rtc::Tier to, int local_npu) -> hw::SharedLink* {
-      if (from == to) {
-        return nullptr;
-      }
-      bool touches_ssd = from == rtc::Tier::kSsd || to == rtc::Tier::kSsd;
-      bool touches_npu = from == rtc::Tier::kNpu || to == rtc::Tier::kNpu;
-      if (touches_ssd && !touches_npu) {
-        return machine->ssd_link();
-      }
-      return machine->pcie_link_for(local_npu);
-    };
-    if (src.tier == rtc::Tier::kSsd && dst.tier == rtc::Tier::kNpu) {
-      route.hops.push_back(machine->ssd_link());
-      route.hops.push_back(machine->pcie_link_for(dst_local));
-    } else if (src.tier == rtc::Tier::kNpu && dst.tier == rtc::Tier::kSsd) {
-      route.hops.push_back(machine->pcie_link_for(src_local));
-      route.hops.push_back(machine->ssd_link());
-    } else if (src.tier == rtc::Tier::kNpu && dst.tier == rtc::Tier::kNpu &&
-               src_npu != dst_npu) {
-      // NPU-to-NPU inside one machine rides the scale-up fabric.
-      route.hops.push_back(cluster_->hccs_link(src_machine));
-    } else if (hw::SharedLink* hop = tier_hop(src.tier, dst.tier, src_local)) {
-      route.hops.push_back(hop);
-    }
-    return route;
+  if (src_machine != cluster_->machine_of(dst_npu)) {
+    return cluster_->InterNpuLink(src_npu, dst_npu);
   }
-
-  // Cross-machine: stage up to NPU/DRAM, cross the fabric, stage down.
-  if (src.tier == rtc::Tier::kSsd) {
-    route.hops.push_back(cluster_->machine(src_machine)->ssd_link());
+  if (src.tier != dst.tier) {
+    // NPU <-> DRAM rides the source NPU's PCIe link.
+    return cluster_->machine(src_machine)->pcie_link_for(src_npu %
+                                                         cluster_->config().npus_per_machine);
   }
-  route.hops.push_back(cluster_->InterNpuLink(src_npu, dst_npu));
-  if (dst.tier == rtc::Tier::kSsd) {
-    route.hops.push_back(cluster_->machine(dst_machine)->ssd_link());
+  if (src.tier == rtc::Tier::kNpu && src_npu != dst_npu) {
+    // NPU-to-NPU inside one machine rides the scale-up fabric.
+    return cluster_->hccs_link(src_machine);
   }
-  return route;
+  return nullptr;
 }
 
 void TransferEngine::SubmitViaWorker(EndpointId src, EndpointId dst,
@@ -136,22 +105,9 @@ void TransferEngine::SubmitViaWorker(EndpointId src, EndpointId dst,
                                      kNumWorkers);
   TimeNs free_at = std::max(worker_busy_until_[shard], sim_->Now());
   worker_busy_until_[shard] = free_at + config_.per_op_overhead;
-  sim_->ScheduleAt(worker_busy_until_[shard], std::move(start));
-}
-
-void TransferEngine::RunHops(std::vector<hw::SharedLink*> hops, size_t index, Bytes bytes,
-                             std::function<void()> on_complete) {
-  if (index >= hops.size()) {
-    if (on_complete) {
-      on_complete();
-    }
-    return;
+  if (start) {
+    sim_->ScheduleAt(worker_busy_until_[shard], std::move(start));
   }
-  hw::SharedLink* hop = hops[index];
-  hop->StartFlow(bytes, [this, hops = std::move(hops), index, bytes,
-                         cb = std::move(on_complete)]() mutable {
-    RunHops(std::move(hops), index + 1, bytes, std::move(cb));
-  });
 }
 
 Status TransferEngine::Transfer(const MemRegion& src, const MemRegion& dst,
@@ -161,25 +117,21 @@ Status TransferEngine::Transfer(const MemRegion& src, const MemRegion& dst,
     return FailedPreconditionError("endpoints not linked: " + std::to_string(src.endpoint) +
                                    " <-> " + std::to_string(dst.endpoint));
   }
-  auto route = Resolve(src, dst);
-  if (!route.ok()) {
+  auto link = Resolve(src, dst);
+  if (!link.ok()) {
     ++stats_.rejected;
-    return route.status();
+    return link.status();
   }
   Bytes bytes = std::min(src.length, dst.length);
   ++stats_.transfers;
   stats_.bytes_moved += bytes;
-  if (route->hops.size() > 1) {
-    ++stats_.multi_hop_transfers;
-  }
-  if (route->hops.empty()) {
-    // Same tier, same device: memcpy-class move, charged only worker overhead.
+  if (*link == nullptr) {
     SubmitViaWorker(src.endpoint, dst.endpoint, std::move(on_complete));
     return Status::Ok();
   }
   SubmitViaWorker(src.endpoint, dst.endpoint,
-                  [this, hops = route->hops, bytes, cb = std::move(on_complete)]() mutable {
-                    RunHops(std::move(hops), 0, bytes, std::move(cb));
+                  [link = *link, bytes, cb = std::move(on_complete)]() mutable {
+                    link->StartFlow(bytes, std::move(cb));
                   });
   return Status::Ok();
 }

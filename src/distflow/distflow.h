@@ -9,9 +9,9 @@
 //     regions (DistFlow has no block abstraction, per the paper), and a
 //     completion callback fires when the last byte lands.
 // Backends: HCCL P2P for the regular Ascend cluster, RoCE for cross-domain
-// traffic, and memcpy-style moves for SuperPod-like shared memory; tier hops
-// inside a machine ride PCIe/SSD links. Multi-hop routes (e.g. SSD -> NPU)
-// are chained flows.
+// traffic, and memcpy-style moves for SuperPod-like shared memory; NPU <->
+// DRAM moves inside a machine ride that NPU's PCIe link. Every transfer is
+// one flow on at most one link.
 //
 // The "scalable threading model that avoids synchronization bottlenecks" is
 // modelled structurally: operations are sharded across worker queues by
@@ -56,7 +56,6 @@ struct DistFlowConfig {
 struct DistFlowStats {
   int64_t transfers = 0;
   Bytes bytes_moved = 0;
-  int64_t multi_hop_transfers = 0;
   int64_t rejected = 0;
 };
 
@@ -69,7 +68,7 @@ class TransferEngine {
 
   // ---- control plane --------------------------------------------------------
   // Registers an endpoint backed by the given NPU (its machine provides the
-  // DRAM/SSD tiers for that endpoint).
+  // endpoint's DRAM tier).
   [[nodiscard]] Status RegisterEndpoint(EndpointId id, hw::NpuId npu);
   bool HasEndpoint(EndpointId id) const { return endpoints_.count(id) > 0; }
 
@@ -80,21 +79,20 @@ class TransferEngine {
   bool Linked(EndpointId a, EndpointId b) const;
 
   // ---- data plane -----------------------------------------------------------
-  // Moves min(src.length, dst.length) bytes; `on_complete` fires at landing.
+  // Moves min(src.length, dst.length) bytes; `on_complete`, if set, fires at
+  // landing.
   [[nodiscard]] Status Transfer(const MemRegion& src, const MemRegion& dst, std::function<void()> on_complete);
 
   const DistFlowStats& stats() const { return stats_; }
   const DistFlowConfig& config() const { return config_; }
 
  private:
-  struct Route {
-    std::vector<hw::SharedLink*> hops;  // traversed in order
-  };
-
-  [[nodiscard]] Result<Route> Resolve(const MemRegion& src, const MemRegion& dst) const;
+  // The one link a transfer rides; nullptr for a same-tier move on one
+  // device (memcpy-class, charged only the worker overhead).
+  [[nodiscard]] Result<hw::SharedLink*> Resolve(const MemRegion& src, const MemRegion& dst) const;
+  // Charges the op's submission cost on its pair's worker shard, then runs
+  // `start` (if set).
   void SubmitViaWorker(EndpointId src, EndpointId dst, std::function<void()> start);
-  void RunHops(std::vector<hw::SharedLink*> hops, size_t index, Bytes bytes,
-               std::function<void()> on_complete);
 
   sim::Simulator* sim_;
   hw::Cluster* cluster_;

@@ -13,7 +13,9 @@ void Hccl::Broadcast(NpuId src, int num_destinations, Bytes bytes, LinkType link
                      std::function<void()> on_complete) {
   DS_CHECK_GE(num_destinations, 0);
   if (num_destinations == 0) {
-    cluster_->simulator()->ScheduleAfter(0, std::move(on_complete));
+    if (on_complete) {
+      cluster_->simulator()->ScheduleAfter(0, std::move(on_complete));
+    }
     return;
   }
   SharedLink* src_link = cluster_->LinkOfType(cluster_->machine_of(src), link_type);
@@ -24,7 +26,9 @@ void Hccl::Broadcast(NpuId src, int num_destinations, Bytes bytes, LinkType link
   DurationNs tail = static_cast<DurationNs>(rounds - 1) * src_link->IsolatedDuration(bytes);
   auto* simulator = cluster_->simulator();
   src_link->StartFlow(bytes, [simulator, tail, cb = std::move(on_complete)]() mutable {
-    simulator->ScheduleAfter(tail, std::move(cb));
+    if (cb) {
+      simulator->ScheduleAfter(tail, std::move(cb));
+    }
   });
 }
 

@@ -27,7 +27,7 @@ class Hccl {
   explicit Hccl(Cluster* cluster);
 
   // Broadcasts `bytes` from src to `num_destinations` peers over `link_type`.
-  // on_complete fires when the last destination holds the payload.
+  // on_complete, if set, fires when the last destination holds the payload.
   void Broadcast(NpuId src, int num_destinations, Bytes bytes, LinkType link_type,
                  std::function<void()> on_complete);
 

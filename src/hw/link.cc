@@ -30,7 +30,7 @@ void SharedLink::AdvanceProgress() {
   TimeNs now = sim_->Now();
   if (now > last_update_ && !flows_.empty()) {
     double progressed = PerFlowRate() * NsToS(now - last_update_);
-    for (auto& [id, flow] : flows_) {
+    for (Flow& flow : flows_) {
       flow.remaining_bytes = std::max(0.0, flow.remaining_bytes - progressed);
     }
   }
@@ -45,8 +45,8 @@ void SharedLink::Reschedule() {
   if (flows_.empty()) {
     return;
   }
-  double min_remaining = flows_.begin()->second.remaining_bytes;
-  for (const auto& [id, flow] : flows_) {
+  double min_remaining = flows_.front().remaining_bytes;
+  for (const Flow& flow : flows_) {
     min_remaining = std::min(min_remaining, flow.remaining_bytes);
   }
   double rate = PerFlowRate();
@@ -62,16 +62,16 @@ void SharedLink::Reschedule() {
 
 void SharedLink::CompleteEarliest() {
   AdvanceProgress();
-  // Collect every flow that is (numerically) done; ties complete together.
+  // Collect every flow that is (numerically) done, a sub-byte residue
+  // included; ties complete together, in start order.
+  auto finished = [](const Flow& flow) { return flow.remaining_bytes <= 0.5; };
   std::vector<std::function<void()>> done;
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (it->second.remaining_bytes <= 0.5) {  // sub-byte residue = done
-      done.push_back(std::move(it->second.on_complete));
-      it = flows_.erase(it);
-    } else {
-      ++it;
+  for (Flow& flow : flows_) {
+    if (finished(flow)) {
+      done.push_back(std::move(flow.on_complete));
     }
   }
+  std::erase_if(flows_, finished);
   Reschedule();
   for (auto& fn : done) {
     if (fn) {
@@ -80,11 +80,10 @@ void SharedLink::CompleteEarliest() {
   }
 }
 
-FlowId SharedLink::StartFlow(Bytes bytes, std::function<void()> on_complete) {
-  FlowId id = next_flow_id_++;
+void SharedLink::StartFlow(Bytes bytes, std::function<void()> on_complete) {
   total_bytes_ += bytes;
   // The latency prologue runs before the flow starts competing for bandwidth.
-  sim_->ScheduleAfter(latency_, [this, id, bytes, cb = std::move(on_complete)]() mutable {
+  sim_->ScheduleAfter(latency_, [this, bytes, cb = std::move(on_complete)]() mutable {
     AdvanceProgress();
     if (bytes == 0) {
       if (cb) {
@@ -92,10 +91,9 @@ FlowId SharedLink::StartFlow(Bytes bytes, std::function<void()> on_complete) {
       }
       return;
     }
-    flows_.emplace(id, Flow{static_cast<double>(bytes), std::move(cb)});
+    flows_.push_back(Flow{static_cast<double>(bytes), std::move(cb)});
     Reschedule();
   });
-  return id;
 }
 
 void SharedLink::SetBandwidthScale(double scale) {

@@ -11,8 +11,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "sim/simulator.h"
@@ -23,8 +23,6 @@ namespace deepserve::hw {
 // wider than HCCS, spanning whole SuperPods rather than single scale-up
 // domains. Built only when ClusterConfig::enable_superpod is set.
 enum class LinkType { kPcie, kHccs, kRoce, kSsd, kMemcpy, kUb };
-
-using FlowId = uint64_t;
 
 class SharedLink {
  public:
@@ -38,7 +36,7 @@ class SharedLink {
 
   // Starts a flow of `bytes`; `on_complete` fires (via the simulator) when the
   // last byte lands. Zero-byte flows complete after just the latency.
-  FlowId StartFlow(Bytes bytes, std::function<void()> on_complete);
+  void StartFlow(Bytes bytes, std::function<void()> on_complete);
 
   // Multiplicative slowdown applied to this link's bandwidth, e.g. to model
   // compute/transfer contention on a busy source NPU. 1.0 = full speed.
@@ -76,8 +74,10 @@ class SharedLink {
   DurationNs latency_;
   double bandwidth_scale_ = 1.0;
 
-  FlowId next_flow_id_ = 1;
-  std::map<FlowId, Flow> flows_;
+  // Active flows in start order. Every flow pays the same latency, so start
+  // order is the order flows join, and flows that finish together complete
+  // in it.
+  std::vector<Flow> flows_;
   TimeNs last_update_ = 0;
   sim::EventId pending_event_ = sim::kInvalidEventId;
   Bytes total_bytes_ = 0;

@@ -22,8 +22,6 @@ std::string_view TierToString(Tier tier) {
       return "NPU";
     case Tier::kDram:
       return "DRAM";
-    case Tier::kSsd:
-      return "SSD";
   }
   return "?";
 }
@@ -39,8 +37,6 @@ int64_t BlockPool::capacity(Tier tier) const {
       return config_.npu_capacity;
     case Tier::kDram:
       return config_.dram_capacity;
-    case Tier::kSsd:
-      return INT64_MAX;
   }
   return 0;
 }
@@ -160,7 +156,7 @@ void BlockPool::DropResidency(BlockId id, Tier tier) {
 void BlockPool::Destroy(BlockId id) {
   BlockInfo& info = mutable_info(id);
   DS_CHECK_EQ(info.ref_count, 0) << "destroying referenced block " << id;
-  for (Tier tier : {Tier::kNpu, Tier::kDram, Tier::kSsd}) {
+  for (Tier tier : {Tier::kNpu, Tier::kDram}) {
     if (info.resident(tier)) {
       --used_[static_cast<size_t>(tier)];
     }

@@ -8,9 +8,9 @@
 // and whether an index outside the radix tree (the explicit id index, the PIC
 // index) holds its id. The content key itself lives on the radix-tree edge
 // that indexes the block, not here. Blocks carry no LRU time: recency lives
-// on the radix-tree nodes that index them. The pool enforces per-tier
-// capacity, and its NPU-tier count is the one record of a TE's HBM KV
-// occupancy.
+// on the radix-tree nodes that index them. The pool has two tiers, NPU HBM
+// and host DRAM, and enforces each one's capacity; its NPU-tier count is the
+// one record of a TE's HBM KV occupancy.
 //
 // Storage is a dense vector of 12-byte slots indexed by the low 32 bits of
 // the BlockId, with destroyed slots recycled through a free list. The high
@@ -43,7 +43,7 @@ namespace deepserve::rtc {
 using BlockId = int64_t;
 inline constexpr BlockId kInvalidBlock = -1;
 
-enum class Tier : uint8_t { kNpu = 0, kDram = 1, kSsd = 2 };
+enum class Tier : uint8_t { kNpu = 0, kDram = 1 };
 
 std::string_view TierToString(Tier tier);
 
@@ -74,7 +74,6 @@ static_assert(sizeof(BlockInfo) == 8, "a block record is 8 bytes");
 struct BlockPoolConfig {
   int64_t npu_capacity = 4096;   // blocks
   int64_t dram_capacity = 16384; // blocks
-  // SSD is modelled as unbounded (tiered storage backing store).
 };
 
 class BlockPool {
@@ -175,7 +174,7 @@ class BlockPool {
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;  // LIFO
   size_t live_count_ = 0;
-  int64_t used_[3] = {0, 0, 0};
+  int64_t used_[2] = {0, 0};
 };
 
 }  // namespace deepserve::rtc

@@ -143,86 +143,64 @@ void RtcMaster::Acquire(std::span<const BlockId> blocks) {
   }
 }
 
-Tier RtcMaster::LowestTierBelowNpu(const BlockInfo& info) const {
-  if (info.resident(Tier::kDram)) {
-    return Tier::kDram;
-  }
-  return Tier::kSsd;
-}
-
 Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
-  // Collect matched blocks that still need an NPU copy, grouped by source.
-  std::vector<BlockId> from_dram;
-  std::vector<BlockId> from_ssd;
+  // Collect matched blocks that still need an NPU copy; each has one in DRAM.
+  std::vector<BlockId> blocks;
   for (BlockId id : info.blocks) {
     const BlockInfo& block = pool_.info(id);
     DS_CHECK_GT(block.ref_count, 0) << "Populate requires Acquire()d blocks";
-    if (block.resident(Tier::kNpu)) {
-      continue;
+    if (!block.resident(Tier::kNpu)) {
+      blocks.push_back(id);
     }
-    (LowestTierBelowNpu(block) == Tier::kDram ? from_dram : from_ssd).push_back(id);
   }
-  int64_t needed = static_cast<int64_t>(from_dram.size() + from_ssd.size());
-  if (needed == 0) {
+  if (blocks.empty()) {
     return next_ticket_++;  // instantly ready: never in flight
   }
+  const auto needed = static_cast<int64_t>(blocks.size());
   DS_RETURN_IF_ERROR(EnsureNpuFree(needed));
   PopulateTicket ticket = next_ticket_++;
-  int groups = static_cast<int>(!from_dram.empty()) + static_cast<int>(!from_ssd.empty());
-  inflight_populates_[ticket] = groups;
+  inflight_populates_.emplace(ticket, nullptr);
   ++stats_.populates;
   stats_.populated_blocks += needed;
   if (obs::Tracer* t = sim_->tracer()) {
     t->AsyncBegin(sim_->Now(), track_.Pid(t), ticket, "populate",
-                  {obs::Arg("blocks", needed),
-                   obs::Arg("from_dram", static_cast<int64_t>(from_dram.size())),
-                   obs::Arg("from_ssd", static_cast<int64_t>(from_ssd.size()))});
+                  {obs::Arg("blocks", needed)});
   }
-
-  auto launch = [this, ticket](std::vector<BlockId> blocks, Tier src) {
-    // Reserve NPU slots up-front so concurrent allocation cannot over-commit;
-    // pin the blocks so eviction cannot race the in-flight copy.
+  // Reserve NPU slots up-front so concurrent allocation cannot over-commit;
+  // pin the blocks so eviction cannot race the in-flight copy.
+  for (BlockId id : blocks) {
+    DS_CHECK_OK(pool_.AddResidency(id, Tier::kNpu));
+    pool_.Pin(id);
+  }
+  Bytes bytes = static_cast<Bytes>(needed) * config_.bytes_per_block;
+  transfer_(Tier::kDram, Tier::kNpu, bytes, [this, ticket, blocks = std::move(blocks)] {
     for (BlockId id : blocks) {
-      DS_CHECK_OK(pool_.AddResidency(id, Tier::kNpu));
-      pool_.Pin(id);
+      pool_.Unpin(id);
     }
-    Bytes bytes = static_cast<Bytes>(blocks.size()) * config_.bytes_per_block;
-    transfer_(src, Tier::kNpu, bytes, [this, ticket, blocks = std::move(blocks)] {
-      for (BlockId id : blocks) {
-        pool_.Unpin(id);
-      }
-      auto it = inflight_populates_.find(ticket);
-      DS_CHECK(it != inflight_populates_.end());
-      if (--it->second == 0) {
-        inflight_populates_.erase(it);
-        if (obs::Tracer* t = sim_->tracer()) {
-          t->AsyncEnd(sim_->Now(), track_.Pid(t), ticket, "populate");
-        }
-        auto cb = populate_callbacks_.find(ticket);
-        if (cb != populate_callbacks_.end()) {
-          auto fn = std::move(cb->second);
-          populate_callbacks_.erase(cb);
-          fn();
-        }
-      }
-    });
-  };
-  if (!from_dram.empty()) {
-    launch(std::move(from_dram), Tier::kDram);
-  }
-  if (!from_ssd.empty()) {
-    launch(std::move(from_ssd), Tier::kSsd);
-  }
+    auto it = inflight_populates_.find(ticket);
+    DS_CHECK(it != inflight_populates_.end());
+    std::function<void()> callback = std::move(it->second);
+    inflight_populates_.erase(it);
+    if (obs::Tracer* t = sim_->tracer()) {
+      t->AsyncEnd(sim_->Now(), track_.Pid(t), ticket, "populate");
+    }
+    if (callback) {
+      callback();
+    }
+  });
   return ticket;
 }
 
 void RtcMaster::OnPopulateReady(PopulateTicket ticket, std::function<void()> callback) {
-  if (!inflight_populates_.contains(ticket)) {
-    sim_->ScheduleAfter(0, std::move(callback));
+  auto it = inflight_populates_.find(ticket);
+  if (it == inflight_populates_.end()) {
+    if (callback) {
+      sim_->ScheduleAfter(0, std::move(callback));
+    }
     return;
   }
-  DS_CHECK(populate_callbacks_.emplace(ticket, std::move(callback)).second)
-      << "populate ticket already has a callback";
+  DS_CHECK(!it->second) << "populate ticket already has a callback";
+  it->second = std::move(callback);
 }
 
 MatchInfo RtcMaster::TruncateMatch(const MatchInfo& info, int64_t max_tokens) const {
@@ -306,7 +284,7 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
       MaybePark(node);
     }
     // The node stays: its blocks remain matchable (and populatable) from
-    // DRAM/SSD.
+    // DRAM.
     return LruStep::kNext;
   });
   // Pass 2: discard cold NPU-only cache entries entirely.
@@ -372,7 +350,9 @@ int64_t RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
   }
   const auto started = static_cast<int64_t>(to_copy.size());
   if (to_copy.empty()) {
-    sim_->ScheduleAfter(0, std::move(on_complete));
+    if (on_complete) {
+      sim_->ScheduleAfter(0, std::move(on_complete));
+    }
     return started;
   }
   for (BlockId id : to_copy) {

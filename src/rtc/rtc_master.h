@@ -2,12 +2,13 @@
 //
 // RTC unifies caching and memory management for the KV cache. The master
 // (this class) owns all indexing and placement decisions:
-//   * a block pool with per-tier (NPU / DRAM / SSD) capacity accounting;
+//   * a block pool with per-tier (NPU / DRAM) capacity accounting;
 //   * a hybrid index: radix tree over block-key chains (implicit prefix
 //     caching) + an explicit ID index (DeepServe's context-caching endpoint);
-//   * the populate path that fetches preserved KV back into the NPU;
-//   * LRU eviction and a background swapper that demotes cold blocks down
-//     the tier hierarchy so the synchronous allocation path stays fast. It
+//   * the populate path that fetches preserved KV from DRAM back into the
+//     NPU, one transfer per populate;
+//   * LRU eviction and a background swapper that demotes cold blocks to
+//     DRAM so the synchronous allocation path stays fast. It
 //     always runs: once NPU-block use reaches kSwapHighWatermark, a scan
 //     kSwapInterval later demotes at most kSwapBatchBlocks cold blocks.
 // The pool's NPU-tier count is the one ledger of HBM KV occupancy. Actual
@@ -157,15 +158,17 @@ class RtcMaster {
   PicMatch MatchPositionIndependent(std::span<const TokenId> prompt, int64_t skip_tokens);
 
   // ---- Table 1: populate ---------------------------------------------------
-  // Starts fetching `info`'s off-NPU blocks into the NPU (async). The blocks
-  // must be pinned (Acquire) first so eviction cannot race the fetch.
+  // Starts fetching `info`'s off-NPU blocks from DRAM into the NPU in one
+  // transfer (async). The blocks must be pinned (Acquire) first so eviction
+  // cannot race the fetch.
   [[nodiscard]] Result<PopulateTicket> Populate(const MatchInfo& info);
-  // kInFlight while a transfer is outstanding, kReady for any other ticket
+  // kInFlight while its transfer is outstanding, kReady for any other ticket
   // Populate returned, kUnknown for one it never returned.
   PopulateState QueryPopulate(PopulateTicket ticket) const;
-  // Registers a one-shot callback fired when the ticket becomes ready (fires
-  // immediately if it already is). This is how the sched-enqueue thread
-  // "marks the request as ready" (§4.2) without polling.
+  // Registers a one-shot callback fired when the ticket becomes ready (on the
+  // next tick if it already is; an empty callback is ignored). This is how
+  // the sched-enqueue thread "marks the request as ready" (§4.2) without
+  // polling.
   void OnPopulateReady(PopulateTicket ticket, std::function<void()> callback);
 
   // Truncates a match to at most `max_tokens` (block-aligned), recomputing
@@ -183,8 +186,8 @@ class RtcMaster {
   [[nodiscard]] Result<std::vector<BlockId>> AllocBlocks(int64_t n);
   // Copies blocks to `dst` (timed through the TransferFn); used by explicit
   // checkpointing and by the background swapper. Blocks already on `dst`, or
-  // that do not fit there, are skipped. Returns how many blocks it started
-  // copying.
+  // that do not fit there, are skipped. `on_complete`, if set, fires once
+  // the copy lands. Returns how many blocks it started copying.
   int64_t Copy(std::span<const BlockId> blocks, Tier dst, std::function<void()> on_complete);
   // Releases a sequence's pins. Cached blocks stay preserved; private ones die.
   void Free(std::span<const BlockId> blocks);
@@ -231,7 +234,6 @@ class RtcMaster {
   bool MaybePark(Tree::Node& node);
   // Gives a parked run one fresh slot per edge symbol.
   void Unpark(Tree::Node& node);
-  Tier LowestTierBelowNpu(const BlockInfo& info) const;
 
   sim::Simulator* sim_;
   RtcConfig config_;
@@ -245,10 +247,10 @@ class RtcMaster {
   TransferFn transfer_;
 
   PopulateTicket next_ticket_ = 1;
-  // In-flight tickets only, with their remaining transfer groups; a returned
-  // ticket absent here has landed (or never needed a transfer).
-  std::unordered_map<PopulateTicket, int> inflight_populates_;
-  std::unordered_map<PopulateTicket, std::function<void()>> populate_callbacks_;
+  // In-flight tickets only, each with its OnPopulateReady callback (empty
+  // until one is registered); a returned ticket absent here has landed (or
+  // never needed a transfer).
+  std::unordered_map<PopulateTicket, std::function<void()>> inflight_populates_;
   std::vector<Tree::Node*> swap_victims_;  // SwapScan's victim list, reused
 
   RtcStats stats_;

@@ -190,6 +190,33 @@ TEST(TraceReplayTest, TakesTheFirstTokenFromThePrefillSideOnADisaggregatedRoute)
   EXPECT_TRUE(CheckConservation("1P1D", replay.counts()));
 }
 
+// Arrivals are chained, so the event queue's peak depth is set by what the
+// fleet has in flight, not by how many requests the trace holds.
+TEST(TraceReplayTest, QueueDepthDoesNotGrowWithTheTrace) {
+  auto peak_depth = [](int requests) {
+    Testbed bed(/*num_machines=*/1);
+    flowserve::EngineConfig engine;
+    engine.model = model::ModelSpec::Tiny1B();
+    engine.parallelism = {1, 1, 1};
+    bed.BuildFleet(engine, /*colocated=*/2, /*prefill=*/0, /*decode=*/0);
+    obs::MetricsRegistry metrics;
+    bed.sim().SetMetrics(&metrics);
+    std::vector<workload::RequestSpec> trace = SmallTrace(requests);
+    for (workload::RequestSpec& spec : trace) {
+      spec.arrival += bed.sim().Now();
+    }
+    TraceReplay replay(&bed.sim(), trace);
+    replay.ScheduleOnto(&bed.je());
+    bed.sim().Run();
+    EXPECT_EQ(replay.counts().completed, requests);
+    return metrics.gauge("sim.event_queue_depth_max")->value();
+  };
+  const double short_peak = peak_depth(50);
+  const double long_peak = peak_depth(200);
+  EXPECT_GT(short_peak, 0.0);
+  EXPECT_LE(long_peak, short_peak);
+}
+
 TEST(CheckConservationTest, ReportsEachKindOfViolation) {
   ReplayCounts ok;
   ok.submitted = 5;

@@ -43,7 +43,7 @@ class Audit {
       : pool_(pool), shadow_(shadow) {}
 
   void Check() const {
-    int64_t used[3] = {0, 0, 0};
+    int64_t used[2] = {0, 0};
     for (const auto& [id, sb] : *shadow_) {
       ASSERT_TRUE(pool_->Exists(id)) << "block " << id << " vanished";
       const BlockInfo& info = pool_->info(id);
@@ -51,7 +51,7 @@ class Audit {
       EXPECT_GE(info.ref_count, 0) << "block " << id;
       EXPECT_EQ(info.residency, sb.residency) << "block " << id;
       EXPECT_EQ(info.cached(), sb.cached) << "block " << id;
-      for (Tier tier : {Tier::kNpu, Tier::kDram, Tier::kSsd}) {
+      for (Tier tier : {Tier::kNpu, Tier::kDram}) {
         if (info.resident(tier)) {
           ++used[static_cast<size_t>(tier)];
         }
@@ -63,7 +63,7 @@ class Audit {
       }
     }
     EXPECT_EQ(pool_->total_blocks(), shadow_->size());
-    for (Tier tier : {Tier::kNpu, Tier::kDram, Tier::kSsd}) {
+    for (Tier tier : {Tier::kNpu, Tier::kDram}) {
       EXPECT_EQ(pool_->used(tier), used[static_cast<size_t>(tier)])
           << "tier " << TierToString(tier) << " accounting drifted";
       EXPECT_LE(pool_->used(tier), pool_->capacity(tier));
@@ -98,7 +98,7 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
     for (int step = 0; step < 2000; ++step) {
       switch (rng.UniformInt(0, 6)) {
         case 0: {  // allocate 1..4 private blocks on a random tier
-          Tier tier = static_cast<Tier>(rng.UniformInt(0, 2));
+          Tier tier = static_cast<Tier>(rng.UniformInt(0, 1));
           int64_t n = rng.UniformInt(1, 4);
           int64_t used_before = pool.used(tier);
           std::vector<BlockId> ids;
@@ -148,7 +148,7 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
           if (id == kInvalidBlock) {
             break;
           }
-          Tier tier = static_cast<Tier>(rng.UniformInt(0, 2));
+          Tier tier = static_cast<Tier>(rng.UniformInt(0, 1));
           int64_t used_before = pool.used(tier);
           Status status = pool.AddResidency(id, tier);
           if (status.ok()) {
@@ -166,7 +166,7 @@ TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
           if (id == kInvalidBlock) {
             break;
           }
-          Tier tier = static_cast<Tier>(rng.UniformInt(0, 2));
+          Tier tier = static_cast<Tier>(rng.UniformInt(0, 1));
           pool.DropResidency(id, tier);
           shadow[id].residency &= static_cast<uint8_t>(~TierBit(tier));
           break;
@@ -210,8 +210,6 @@ TEST(BlockPoolAuditTest, ExhaustedTierRejectsWithoutPartialAllocation) {
   EXPECT_EQ(ids.size(), 3u) << "failed allocation returned ids";
   EXPECT_EQ(pool.used(Tier::kNpu), 3) << "failed allocation changed usage";
   EXPECT_EQ(pool.total_blocks(), 3u);
-  // SSD is unbounded backing store.
-  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd, &ids).ok());
 }
 
 TEST(BlockPoolAuditTest, PromoteThenDemoteKeepsOneCopyAccounted) {

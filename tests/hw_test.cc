@@ -236,6 +236,13 @@ TEST_F(HcclTest, BroadcastToZeroCompletesImmediately) {
   EXPECT_TRUE(done);
 }
 
+TEST_F(HcclTest, BroadcastTakesAnEmptyCallback) {
+  hccl_.Broadcast(0, 0, GiB(1), LinkType::kHccs, nullptr);
+  hccl_.Broadcast(0, 3, GiB(1), LinkType::kHccs, nullptr);
+  sim_.Run();
+  EXPECT_EQ(cluster_.LinkOfType(0, LinkType::kHccs)->total_bytes_transferred(), GiB(1));
+}
+
 TEST(NpuMixTest, ParsesGroupsInOrder) {
   auto specs = ParseNpuMix("gen1:2,gen2:3");
   ASSERT_TRUE(specs.ok());

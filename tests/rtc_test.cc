@@ -303,16 +303,10 @@ TEST(BlockPoolTest, HeldOrIndexedBlocksAreNotParkable) {
   pool.MarkIndexed(id);
   EXPECT_TRUE(pool.info(id).cached());
   EXPECT_FALSE(pool.info(id).parkable()) << "an id index holds the block";
-  BlockId ssd = AllocOne(pool, Tier::kSsd);
-  pool.MarkCached(ssd);
-  pool.Unref(ssd);
-  EXPECT_FALSE(pool.info(ssd).parkable()) << "not in DRAM";
-}
-
-TEST(BlockPoolTest, SsdIsUnbounded) {
-  BlockPool pool({.npu_capacity = 1, .dram_capacity = 1});
-  std::vector<BlockId> ids;
-  EXPECT_TRUE(pool.Allocate(1000, Tier::kSsd, &ids).ok());
+  BlockId npu = AllocOne(pool, Tier::kNpu);
+  pool.MarkCached(npu);
+  pool.Unref(npu);
+  EXPECT_FALSE(pool.info(npu).parkable()) << "not in DRAM";
 }
 
 // ---------------- RtcMaster ----------------
@@ -529,6 +523,25 @@ TEST_F(RtcMasterTest, PopulateOfResidentBlocksIsInstantlyReady) {
   master_->Acquire(info.blocks);
   auto ticket = master_->Populate(info);
   ASSERT_TRUE(ticket.ok());
+  EXPECT_EQ(master_->QueryPopulate(*ticket), PopulateState::kReady);
+  master_->Free(info.blocks);
+}
+
+TEST_F(RtcMasterTest, EmptyCopyTakesAnEmptyCallback) {
+  EXPECT_EQ(master_->Copy({}, Tier::kDram, nullptr), 0);
+  sim_.Run();
+  EXPECT_EQ(master_->pool().used(Tier::kDram), 0);
+}
+
+TEST_F(RtcMasterTest, ReadyTicketTakesAnEmptyCallback) {
+  auto tokens = Iota(64);
+  PrefillAndPreserve(tokens);
+  auto info = Match(*master_, tokens);
+  master_->Acquire(info.blocks);
+  auto ticket = master_->Populate(info);
+  ASSERT_TRUE(ticket.ok());
+  master_->OnPopulateReady(*ticket, nullptr);
+  sim_.Run();
   EXPECT_EQ(master_->QueryPopulate(*ticket), PopulateState::kReady);
   master_->Free(info.blocks);
 }

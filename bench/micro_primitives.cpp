@@ -220,12 +220,12 @@ BENCHMARK(BM_LocalityPickOverTaggedPath)->Arg(10)->Arg(40)->Arg(160);
 
 void BM_BlockPoolAllocFree(benchmark::State& state) {
   rtc::BlockPool pool({.npu_capacity = 1 << 20, .dram_capacity = 0});
-  std::vector<rtc::BlockId> blocks;
+  rtc::BlockTable blocks;
   for (auto _ : state) {
     blocks.clear();
     DS_CHECK_OK(pool.Allocate(64, rtc::Tier::kNpu, &blocks));
-    for (auto id : blocks) {
-      pool.Unref(id);
+    for (const rtc::Extent& extent : blocks.extents()) {
+      pool.Unref(extent);
     }
   }
   state.SetItemsProcessed(state.iterations() * 64);
@@ -238,8 +238,7 @@ BENCHMARK(BM_BlockPoolAllocFree);
 // warm free-list cycle above never reaches.
 void BM_BlockPoolColdGrowth(benchmark::State& state) {
   constexpr int64_t kBlocks = int64_t{1} << 16;
-  std::vector<rtc::BlockId> blocks;
-  blocks.reserve(kBlocks);
+  rtc::BlockTable blocks;
   size_t slab_bytes = 0;
   for (auto _ : state) {
     state.PauseTiming();

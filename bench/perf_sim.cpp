@@ -11,9 +11,10 @@
 //                  measured by one harness under the same host load.
 //   replay_scale   the full serving stack: 64 tiny colocated TEs behind one JE
 //                  on a Poisson trace at 200 rps over three trace lengths (x1,
-//                  x2, x4), each replayed twice: host microseconds per
-//                  request at each, `growth`, the x4 figure over the x1 one,
-//                  and whether both rounds produced the same timelines.
+//                  x2, x4), each replayed three times, interleaved: host
+//                  microseconds per request at each (its fastest round),
+//                  `growth`, the x4 figure over the x1 one, and whether every
+//                  round produced the same timelines.
 //
 // Per synthetic scenario the JSON records `events_per_sec` (events through
 // the queue per wall second) and `sim_seconds_per_wall_second` (virtual-time
@@ -24,11 +25,12 @@
 // Flags (plus the ObsSession observability flags):
 //   --out=PATH   JSON artifact path (default BENCH_perf.json)
 //   --seed=N     workload seed (default 42)
-//   --smoke      smaller sizes for CI; exits non-zero unless (a) both
+//   --smoke      smaller sizes for CI; exits non-zero unless (a) all
 //                replay_scale rounds agree at every length on timeline hash,
 //                final sim clock and events fired, and every point completes
 //                a request, (b) cancel_storm reaches >= 0.48x event_churn's
-//                events/sec, and (c) replay_scale's growth stays <= 1.8x.
+//                events/sec, and (c) replay_scale's growth stays <= 1.8x. A
+//                failed growth gate prints every round's cost per request.
 
 #include <algorithm>
 #include <array>
@@ -248,21 +250,25 @@ ReplayResult RunReplay(int tes, double rps, double duration_s, uint64_t seed) {
   return r;
 }
 
-// Two rounds over all three lengths. Each point keeps the faster round, so a
-// few seconds of host slowdown cannot land on one length alone, and both
-// rounds must be the same replay at every length.
+// `reps` rounds over all three lengths, interleaved (x1, x2, x4, x1, ...).
+// Each point keeps its fastest round, so a few seconds of host slowdown
+// cannot land on one length alone, and every round must be the same replay
+// at every length.
 struct ScaleRun {
   std::vector<ReplayResult> points;
+  std::vector<std::vector<double>> round_us;  // per point, each round's us/request
   bool identical = true;
 };
 
-ScaleRun RunReplayScale(int tes, double base_duration_s, uint64_t seed) {
+ScaleRun RunReplayScale(int tes, double base_duration_s, uint64_t seed, int reps) {
   constexpr std::array<double, 3> kFactors = {1.0, 2.0, 4.0};
   ScaleRun run;
   run.points.resize(kFactors.size());
-  for (int round = 0; round < 2; ++round) {
+  run.round_us.resize(kFactors.size());
+  for (int round = 0; round < reps; ++round) {
     for (size_t i = 0; i < kFactors.size(); ++i) {
       ReplayResult r = RunReplay(tes, /*rps=*/200.0, base_duration_s * kFactors[i], seed);
+      run.round_us[i].push_back(r.us_per_request());
       if (round == 0) {
         run.points[i] = r;
         continue;
@@ -324,7 +330,7 @@ int RunAll(const Options& opt) {
   double storm_ratio = storm.events_per_sec() / std::max(churn.events_per_sec(), 1e-9);
   std::printf("cancel_storm / event_churn events/sec: %.2fx\n", storm_ratio);
 
-  ScaleRun scale = RunReplayScale(tes, scale_base_s, opt.seed);
+  ScaleRun scale = RunReplayScale(tes, scale_base_s, opt.seed, reps);
   const ReplayResult& first = scale.points.front();
   const ReplayResult& last = scale.points.back();
   double scale_growth = last.us_per_request() / std::max(first.us_per_request(), 1e-9);
@@ -336,7 +342,7 @@ int RunAll(const Options& opt) {
     all_completed = all_completed && point.completed > 0;
   }
   std::printf("replay_scale: growth %.2fx (x4 trace over x1, cost per request), %s\n",
-              scale_growth, scale.identical ? "both rounds bit-identical" : "ROUNDS DIVERGED");
+              scale_growth, scale.identical ? "every round bit-identical" : "ROUNDS DIVERGED");
 
   std::FILE* f = std::fopen(opt.out.c_str(), "w");
   if (f == nullptr) {
@@ -376,7 +382,7 @@ int RunAll(const Options& opt) {
 
   if (opt.smoke) {
     if (!scale.identical) {
-      std::fprintf(stderr, "SMOKE FAIL: replay_scale's second round diverged from its first\n");
+      std::fprintf(stderr, "SMOKE FAIL: a replay_scale round diverged from the first\n");
       return 1;
     }
     if (!all_completed) {
@@ -395,6 +401,13 @@ int RunAll(const Options& opt) {
                    "SMOKE FAIL: replay_scale cost per request grew %.2fx from %zu to %zu "
                    "requests (limit %.1fx)\n",
                    scale_growth, first.requests, last.requests, max_scale_growth);
+      for (size_t i = 0; i < scale.points.size(); ++i) {
+        std::fprintf(stderr, "  %zu requests:", scale.points[i].requests);
+        for (double us : scale.round_us[i]) {
+          std::fprintf(stderr, " %.1f", us);
+        }
+        std::fprintf(stderr, " us/request per round\n");
+      }
       return 1;
     }
     std::fprintf(stderr,
@@ -413,7 +426,7 @@ int main(int argc, char** argv) {
   registry.Flag("out", &opt.out, "machine-readable result JSON path");
   registry.Flag("seed", &opt.seed, "workload seed");
   registry.Flag("smoke", &opt.smoke,
-                "fast run; exits non-zero unless replay_scale's two rounds are "
+                "fast run; exits non-zero unless replay_scale's rounds are all "
                 "bit-identical, cancel_storm keeps pace with event_churn, and "
                 "replay_scale stays near-flat");
   bench::ObsSession obs;

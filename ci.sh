@@ -79,7 +79,7 @@ echo "==> hetero smoke: cost-aware vs hetero-blind placement on a Gen1/Gen2 mix"
 
 echo "==> perf_sim smoke: DES core throughput, replay determinism"
 # Exits non-zero unless replay_scale's full-stack 64-TE replay is
-# bit-identical across its two rounds at every trace length and completes
+# bit-identical across its three rounds at every trace length and completes
 # requests at each, the cancellation-heavy scenario reaches >= 0.48x the
 # event-churn scenario's events/sec in the same run, and replay_scale's cost
 # per request grows at most 1.8x over a 4x longer trace. The smoke figures go

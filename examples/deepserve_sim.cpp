@@ -31,6 +31,9 @@
 // metrics dump; the printed report is byte-identical with or without them.
 // The dump ends with gauges of what the run left indexed: rtc.index_nodes,
 // rtc.parked_blocks and rtc.unparked_blocks summed over every TE's cache,
+// with its BlockPool's free-range takes and the blocks they covered
+// (rtc.pool_range_takes, rtc.pool_blocks_taken) and the leaves its swap scans
+// examined (rtc.swap_scan_leaves),
 // je.prompt_tree_nodes over every JE's prompt trees, and ctrl.log_records and
 // ctrl.log_bytes (ControlLog::bytes) over the control logs.
 // An unknown flag is a usage error (exit 2), and so is a value no run can use:
@@ -518,6 +521,9 @@ int main(int argc, char** argv) {
     int64_t index_nodes = 0;
     int64_t parked = 0;
     int64_t unparked = 0;
+    int64_t range_takes = 0;
+    int64_t blocks_taken = 0;
+    int64_t swap_scan_leaves = 0;
     for (const auto& te : manager.tes()) {
       flowserve::Engine& te_engine = te->engine();
       for (int g = 0; g < te_engine.config().parallelism.dp; ++g) {
@@ -525,6 +531,9 @@ int main(int argc, char** argv) {
         index_nodes += static_cast<int64_t>(cache.index_nodes());
         parked += cache.stats().parked_blocks;
         unparked += cache.stats().unparked_blocks;
+        range_takes += cache.pool().range_takes();
+        blocks_taken += cache.pool().blocks_taken();
+        swap_scan_leaves += cache.stats().swap_scan_leaves;
       }
     }
     size_t tree_nodes = 0;
@@ -534,6 +543,9 @@ int main(int argc, char** argv) {
     registry->gauge("rtc.index_nodes")->Set(static_cast<double>(index_nodes));
     registry->gauge("rtc.parked_blocks")->Set(static_cast<double>(parked));
     registry->gauge("rtc.unparked_blocks")->Set(static_cast<double>(unparked));
+    registry->gauge("rtc.pool_range_takes")->Set(static_cast<double>(range_takes));
+    registry->gauge("rtc.pool_blocks_taken")->Set(static_cast<double>(blocks_taken));
+    registry->gauge("rtc.swap_scan_leaves")->Set(static_cast<double>(swap_scan_leaves));
     registry->gauge("je.prompt_tree_nodes")->Set(static_cast<double>(tree_nodes));
     // A replicated log is shared by the CM and every JE; otherwise each holds
     // a private one.

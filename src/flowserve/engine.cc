@@ -326,7 +326,7 @@ Status Engine::SubmitPrefilled(const workload::RequestSpec& spec, ResponseHandle
   // The prefill TE produced the prompt's KV and the first token: the context
   // is the prompt plus that token.
   const int64_t context = static_cast<int64_t>(spec.prompt.size()) + 1;
-  std::vector<rtc::BlockId> blocks;
+  rtc::BlockTable blocks;
   DS_RETURN_IF_ERROR(
       group.rtc->AllocBlocks((context + rtc::kBlockTokens - 1) / rtc::kBlockTokens, &blocks));
   Sequence* seq = AddSequence(spec, dp_group, std::move(keys));

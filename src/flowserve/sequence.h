@@ -66,11 +66,11 @@ struct Sequence {
   int64_t generated = 0;
 
   // KV blocks pinned by this sequence (reused + privately allocated).
-  std::vector<rtc::BlockId> blocks;
+  rtc::BlockTable blocks;
   // Position-independent reuse: pinned source blocks and the tokens they
   // cover. PIC reuse discounts prefill compute but the sequence still writes
   // its own (position-adjusted) KV into `blocks`.
-  std::vector<rtc::BlockId> pic_blocks;
+  rtc::BlockTable pic_blocks;
   int64_t pic_tokens = 0;
 
   int dp_group = 0;

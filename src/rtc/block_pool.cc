@@ -1,5 +1,8 @@
 #include "rtc/block_pool.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/logging.h"
 
 namespace deepserve::rtc {
@@ -41,80 +44,252 @@ int64_t BlockPool::capacity(Tier tier) const {
   return 0;
 }
 
-Status BlockPool::Allocate(int64_t n, Tier tier, std::vector<BlockId>* out) {
+Status BlockPool::Allocate(int64_t n, Tier tier, BlockTable* out) {
   DS_CHECK_GE(n, 0);
   if (used(tier) + n > capacity(tier)) {
     return ResourceExhaustedError("tier " + std::string(TierToString(tier)) + " needs " +
                                   std::to_string(n) + " blocks, has " +
                                   std::to_string(free_blocks(tier)));
   }
-  const BlockInfo fresh{.ref_count = 1, .residency = TierBit(tier)};
-  for (int64_t i = 0; i < n; ++i) {
-    out->push_back(TakeSlot(fresh));
-  }
+  TakeSlots(n, BlockInfo{.ref_count = 1, .residency = TierBit(tier)}, out);
   used_[static_cast<size_t>(tier)] += n;
   return Status::Ok();
 }
 
-BlockId BlockPool::TakeSlot(const BlockInfo& info) {
-  size_t idx;
-  if (!free_slots_.empty()) {
-    idx = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    DS_CHECK_LT(slots_.size(), size_t{0xffffffff}) << "block slab exhausted";
-    idx = slots_.size();
-    slots_.emplace_back();
-  }
-  Slot& slot = slots_[idx];
-  slot.info = info;
-  slot.tag |= kLiveBit;
-  ++live_count_;
-  return MakeId(idx, slot.tag & ~kLiveBit);
-}
-
-void BlockPool::ReleaseSlot(size_t idx) {
-  Slot& slot = slots_[idx];
-  slot.info = BlockInfo{};
-  uint32_t gen = slot.tag & ~kLiveBit;
-  slot.tag = gen == kMaxGen ? 1 : gen + 1;
-  free_slots_.push_back(static_cast<uint32_t>(idx));
-  --live_count_;
-}
-
-void BlockPool::Park(uint32_t slot) {
-  DS_CHECK(InfoAt(slot).parkable()) << "parking block " << IdAt(slot)
-                                    << " that a holder still needs";
-  ReleaseSlot(slot);
-}
-
-BlockId BlockPool::Unpark() {
-  return TakeSlot(BlockInfo{.residency = TierBit(Tier::kDram), .flags = kBlockCommitted});
-}
-
-BlockId BlockPool::IdAt(uint32_t slot) const {
-  InfoAt(slot);  // checks that the slot is live
-  return MakeId(slot, slots_[slot].tag & ~kLiveBit);
-}
-
-void BlockPool::Pin(BlockId id) {
-  BlockInfo& info = mutable_info(id);
-  DS_CHECK_LT(info.pins, UINT16_MAX) << "too many in-flight copies of block " << id;
-  ++info.pins;
-}
-
-void BlockPool::Unpin(BlockId id) {
-  if (!Exists(id)) {
+void BlockPool::TakeSlots(int64_t n, const BlockInfo& info, BlockTable* out) {
+  if (n <= 0) {
     return;
   }
-  BlockInfo& info = slots_[IndexOf(id)].info;
-  DS_CHECK_GT(info.pins, 0) << "unpin of unpinned block " << id;
-  --info.pins;
+  for (size_t r = 0; r < free_.size(); ++r) {
+    if (free_[r].count >= n) {
+      TakeRange(r, static_cast<uint32_t>(n), info, out);
+      return;
+    }
+  }
+  // No one range covers `n`. Grow the slab by what the free ranges lack (the
+  // new slots join a free range that ends at the slab's end), then take the
+  // largest ranges first, ties to the lowest address.
+  int64_t free_slots = 0;
+  for (const Range& range : free_) {
+    free_slots += range.count;
+  }
+  if (free_slots < n) {
+    const size_t grow = static_cast<size_t>(n - free_slots);
+    DS_CHECK_LE(slots_.size() + grow, size_t{0xffffffff}) << "block slab exhausted";
+    const size_t old_size = slots_.size();
+    slots_.resize(old_size + grow);
+    AddFreeRange(old_size, grow);
+  }
+  while (n > 0) {
+    size_t best = 0;
+    for (size_t r = 1; r < free_.size(); ++r) {
+      if (free_[r].count > free_[best].count) {
+        best = r;
+      }
+    }
+    const uint32_t take = static_cast<uint32_t>(std::min<int64_t>(n, free_[best].count));
+    TakeRange(best, take, info, out);
+    n -= take;
+  }
 }
 
-BlockInfo& BlockPool::mutable_info(BlockId id) {
-  DS_CHECK(Exists(id)) << "unknown block " << id;
-  return slots_[IndexOf(id)].info;
+void BlockPool::TakeRange(size_t r, uint32_t n, const BlockInfo& info, BlockTable* out) {
+  Range& range = free_[r];
+  Slot* slot = &slots_[range.first];
+  // The range takes the highest generation among its slots, so no slot's
+  // generation moves back to one a stale id may still carry.
+  uint32_t gen = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    gen = std::max(gen, slot[i].tag);
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    slot[i] = Slot{info, gen | kLiveBit};
+  }
+  out->Append({MakeId(range.first, gen), n});
+  range.first += n;
+  range.count -= n;
+  if (range.count == 0) {
+    free_.erase(free_.begin() + static_cast<ptrdiff_t>(r));
+  }
+  live_count_ += n;
+  ++range_takes_;
+  blocks_taken_ += n;
+}
+
+void BlockPool::ReleaseSlots(size_t first, size_t count) {
+  for (size_t i = first; i < first + count; ++i) {
+    Slot& slot = slots_[i];
+    slot.info = BlockInfo{};
+    uint32_t gen = slot.tag & ~kLiveBit;
+    slot.tag = gen == kMaxGen ? 1 : gen + 1;
+  }
+  live_count_ -= count;
+  AddFreeRange(first, count);
+}
+
+void BlockPool::AddFreeRange(size_t first, size_t count) {
+  auto next = std::lower_bound(free_.begin(), free_.end(), first,
+                               [](const Range& range, size_t at) { return range.first < at; });
+  const bool join_prev = next != free_.begin() && (next - 1)->first + (next - 1)->count == first;
+  const bool join_next = next != free_.end() && first + count == next->first;
+  if (join_prev) {
+    (next - 1)->count += static_cast<uint32_t>(count + (join_next ? next->count : 0));
+    if (join_next) {
+      free_.erase(next);
+    }
+  } else if (join_next) {
+    next->first = static_cast<uint32_t>(first);
+    next->count += static_cast<uint32_t>(count);
+  } else {
+    free_.insert(next, Range{static_cast<uint32_t>(first), static_cast<uint32_t>(count)});
+  }
+}
+
+bool BlockPool::Exists(Extent extent) const {
+  const size_t first = IndexOf(extent.first);
+  if (extent.first < 0 || first + extent.count > slots_.size()) {
+    return false;
+  }
+  const uint32_t tag = GenOf(extent.first) | kLiveBit;
+  bool live = true;
+  for (size_t i = first; i < first + extent.count; ++i) {
+    live &= slots_[i].tag == tag;
+  }
+  return live;
+}
+
+const BlockPool::Slot* BlockPool::LiveSlots(Extent extent) const {
+  // One check per extent: non-empty, in bounds, and both end slots live at
+  // its generation. The caller holds every block between them; a holder that
+  // can outlive its blocks checks each one with Exists() instead.
+  const size_t first = IndexOf(extent.first);
+  const uint32_t tag = GenOf(extent.first) | kLiveBit;
+  DS_CHECK(extent.first >= 0 && extent.count > 0 && first + extent.count <= slots_.size() &&
+           slots_[first].tag == tag && slots_[first + extent.count - 1].tag == tag)
+      << "extent of " << extent.count << " blocks from " << extent.first << " is not live";
+  return &slots_[first];
+}
+
+BlockPool::Slot* BlockPool::LiveSlots(Extent extent) {
+  return const_cast<Slot*>(std::as_const(*this).LiveSlots(extent));
+}
+
+void BlockPool::Ref(Extent extent) {
+  Slot* slot = LiveSlots(extent);
+  for (uint32_t i = 0; i < extent.count; ++i) {
+    ++slot[i].info.ref_count;
+  }
+}
+
+void BlockPool::OrFlags(Extent extent, uint8_t flags) {
+  Slot* slot = LiveSlots(extent);
+  for (uint32_t i = 0; i < extent.count; ++i) {
+    slot[i].info.flags |= flags;
+  }
+}
+
+void BlockPool::DropAllResidency(const BlockInfo& info) {
+  for (Tier tier : {Tier::kNpu, Tier::kDram}) {
+    if (info.resident(tier)) {
+      --used_[static_cast<size_t>(tier)];
+    }
+  }
+}
+
+void BlockPool::Unref(Extent extent) {
+  Slot* slot = LiveSlots(extent);
+  const size_t first = IndexOf(extent.first);
+  // Private blocks that reach zero die; consecutive ones free their slots as
+  // one range.
+  uint32_t dead_begin = 0;
+  uint32_t dead = 0;
+  for (uint32_t i = 0; i < extent.count; ++i) {
+    BlockInfo& info = slot[i].info;
+    DS_CHECK_GT(info.ref_count, 0) << "unref of unreferenced block " << extent.first + i;
+    if (--info.ref_count == 0 && !info.cached()) {
+      DropAllResidency(info);
+      dead_begin = dead == 0 ? i : dead_begin;
+      ++dead;
+    } else if (dead > 0) {
+      ReleaseSlots(first + dead_begin, dead);
+      dead = 0;
+    }
+  }
+  if (dead > 0) {
+    ReleaseSlots(first + dead_begin, dead);
+  }
+}
+
+void BlockPool::AddResidency(Extent extent, Tier tier, BlockTable* added) {
+  Slot* slot = LiveSlots(extent);
+  int64_t& used = used_[static_cast<size_t>(tier)];
+  const int64_t cap = capacity(tier);
+  Extent run{extent.first, 0};  // the blocks given a copy since the last skip
+  for (uint32_t i = 0; i < extent.count && used < cap; ++i) {
+    BlockInfo& info = slot[i].info;
+    if (info.resident(tier)) {
+      added->Append(run);
+      run = {extent.first + i + 1, 0};
+      continue;
+    }
+    info.residency |= TierBit(tier);
+    ++used;
+    ++run.count;
+  }
+  added->Append(run);
+}
+
+void BlockPool::DropResidency(Extent extent, Tier tier) {
+  Slot* slot = LiveSlots(extent);
+  for (uint32_t i = 0; i < extent.count; ++i) {
+    BlockInfo& info = slot[i].info;
+    if (info.resident(tier)) {
+      info.residency &= static_cast<uint8_t>(~TierBit(tier));
+      --used_[static_cast<size_t>(tier)];
+    }
+  }
+}
+
+void BlockPool::Destroy(Extent extent) {
+  Slot* slot = LiveSlots(extent);
+  for (uint32_t i = 0; i < extent.count; ++i) {
+    DS_CHECK_EQ(slot[i].info.ref_count, 0) << "destroying referenced block " << extent.first + i;
+    DropAllResidency(slot[i].info);
+  }
+  ReleaseSlots(IndexOf(extent.first), extent.count);
+}
+
+void BlockPool::Park(Extent extent) {
+  DS_CHECK_EQ(CountWhile(extent, [](const BlockInfo& info) { return info.parkable(); }),
+              extent.count)
+      << "parking blocks from " << extent.first << " that a holder still needs";
+  ReleaseSlots(IndexOf(extent.first), extent.count);
+}
+
+void BlockPool::Unpark(int64_t n, BlockTable* out) {
+  TakeSlots(n, BlockInfo{.residency = TierBit(Tier::kDram), .flags = kBlockCommitted}, out);
+}
+
+void BlockPool::Pin(Extent extent) {
+  Slot* slot = LiveSlots(extent);
+  for (uint32_t i = 0; i < extent.count; ++i) {
+    BlockInfo& info = slot[i].info;
+    DS_CHECK_LT(info.pins, UINT16_MAX) << "too many in-flight copies of block "
+                                       << extent.first + i;
+    ++info.pins;
+  }
+}
+
+void BlockPool::Unpin(Extent extent) {
+  for (uint32_t i = 0; i < extent.count; ++i) {
+    const BlockId id = extent.first + i;
+    if (!Exists(id)) {
+      continue;  // destroyed since the copy started
+    }
+    BlockInfo& info = slots_[IndexOf(id)].info;
+    DS_CHECK_GT(info.pins, 0) << "unpin of unpinned block " << id;
+    --info.pins;
+  }
 }
 
 const BlockInfo& BlockPool::info(BlockId id) const {
@@ -122,46 +297,93 @@ const BlockInfo& BlockPool::info(BlockId id) const {
   return slots_[IndexOf(id)].info;
 }
 
-void BlockPool::Unref(BlockId id) {
-  BlockInfo& info = mutable_info(id);
-  DS_CHECK_GT(info.ref_count, 0) << "unref of unreferenced block " << id;
-  --info.ref_count;
-  if (info.ref_count == 0 && !info.cached()) {
-    Destroy(id);
+BlockId BlockTable::operator[](size_t i) const {
+  DS_CHECK_LT(i, blocks_);
+  for (const Extent& extent : extents()) {
+    if (i < extent.count) {
+      return extent.first + static_cast<BlockId>(i);
+    }
+    i -= extent.count;
   }
+  return kInvalidBlock;
 }
 
-Status BlockPool::AddResidency(BlockId id, Tier tier) {
-  BlockInfo& info = mutable_info(id);
-  if (info.resident(tier)) {
-    return Status::Ok();
+BlockTable& BlockTable::operator=(const BlockTable& other) {
+  if (this == &other) {
+    return *this;
   }
-  if (used(tier) + 1 > capacity(tier)) {
-    return ResourceExhaustedError("no free blocks on tier " + std::string(TierToString(tier)));
+  if (capacity_ < other.size_) {
+    extents_ = std::make_unique_for_overwrite<Extent[]>(other.size_);
+    capacity_ = other.size_;
   }
-  info.residency |= TierBit(tier);
-  ++used_[static_cast<size_t>(tier)];
-  return Status::Ok();
+  std::copy_n(other.extents_.get(), other.size_, extents_.get());
+  size_ = other.size_;
+  blocks_ = other.blocks_;
+  return *this;
 }
 
-void BlockPool::DropResidency(BlockId id, Tier tier) {
-  BlockInfo& info = mutable_info(id);
-  if (!info.resident(tier)) {
+void BlockTable::Append(Extent extent) {
+  if (extent.count == 0) {
     return;
   }
-  info.residency &= static_cast<uint8_t>(~TierBit(tier));
-  --used_[static_cast<size_t>(tier)];
+  blocks_ += extent.count;
+  if (size_ > 0 && extents_[size_ - 1].end() == extent.first) {
+    extents_[size_ - 1].count += extent.count;
+    return;
+  }
+  if (size_ == capacity_) {
+    capacity_ = std::max<uint32_t>(1, 2 * capacity_);
+    auto grown = std::make_unique_for_overwrite<Extent[]>(capacity_);
+    std::copy_n(extents_.get(), size_, grown.get());
+    extents_ = std::move(grown);
+  }
+  extents_[size_++] = extent;
 }
 
-void BlockPool::Destroy(BlockId id) {
-  BlockInfo& info = mutable_info(id);
-  DS_CHECK_EQ(info.ref_count, 0) << "destroying referenced block " << id;
-  for (Tier tier : {Tier::kNpu, Tier::kDram}) {
-    if (info.resident(tier)) {
-      --used_[static_cast<size_t>(tier)];
+void BlockTable::Append(const BlockTable& other, size_t n) {
+  DS_CHECK_LE(n, other.size());
+  for (const Extent& extent : other.extents()) {
+    if (n == 0) {
+      break;
     }
+    const auto take = static_cast<uint32_t>(std::min<size_t>(n, extent.count));
+    Append({extent.first, take});
+    n -= take;
   }
-  ReleaseSlot(IndexOf(id));
+}
+
+BlockTable BlockTable::Slice(size_t begin, size_t end) const {
+  DS_CHECK_LE(begin, end);
+  DS_CHECK_LE(end, blocks_);
+  BlockTable out;
+  size_t pos = 0;
+  for (const Extent& extent : extents()) {
+    if (pos >= end) {
+      break;
+    }
+    const size_t lo = std::max(begin, pos);
+    const size_t hi = std::min(end, pos + extent.count);
+    if (lo < hi) {
+      out.Append({extent.first + static_cast<BlockId>(lo - pos), static_cast<uint32_t>(hi - lo)});
+    }
+    pos += extent.count;
+  }
+  return out;
+}
+
+BlockTable BlockTable::SplitTail(size_t offset) {
+  BlockTable tail = Slice(offset, blocks_);
+  size_t pos = 0;
+  uint32_t keep = 0;
+  while (keep < size_ && pos + extents_[keep].count <= offset) {
+    pos += extents_[keep++].count;
+  }
+  if (pos < offset) {
+    extents_[keep++].count = static_cast<uint32_t>(offset - pos);
+  }
+  size_ = keep;
+  blocks_ = offset;
+  return tail;
 }
 
 }  // namespace deepserve::rtc

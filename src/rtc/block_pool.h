@@ -12,25 +12,36 @@
 // and host DRAM, and enforces each one's capacity; its NPU-tier count is the
 // one record of a TE's HBM KV occupancy.
 //
-// Storage is a dense vector of 12-byte slots indexed by the low 32 bits of
-// the BlockId, with destroyed slots recycled through a free list. The high
-// bits carry a per-slot generation, so a stale id (a block destroyed and its
-// slot reused) never aliases the new occupant. A slot keeps its generation
-// and a live bit in one word, so Exists() is a bounds check plus one compare,
-// and every Ref/Unref/Pin on the engine's per-token hot path is a direct
-// index instead of an unordered_map lookup. Holders that know a slot is live
-// (the RTC tree's block runs) may store just the 4-byte slot index and
-// rebuild the id with IdAt().
+// Extents. Storage is a dense vector of 12-byte slots indexed by the low 32
+// bits of the BlockId; the high bits carry a per-slot generation, so a stale
+// id (a block destroyed and its slot reused) never aliases the new occupant.
+// The unit of every operation is an Extent, a contiguous run of slots whose
+// blocks share one generation: block i of an extent has id first + i. Free
+// slots sit in an address-ordered list of coalesced ranges. Allocate takes
+// the first range that covers the request, else as few of the largest ranges
+// as cover it, and grows the slab only when the free ranges cannot, so the
+// slab never holds more slots than the peak live block count. A taken range
+// gets the highest generation any of its slots had, so every slot's
+// generation only moves forward. Each operation checks an extent's bounds and
+// that every slot in it is live at the extent's generation, then loops over
+// the records; capacity accounting stays per block.
+//
+// Holders keep a BlockTable: a short list of extents plus its block count.
+// Anything that can outlive a block (a copy completion, the id and PIC
+// indexes) checks each block's liveness with Exists() before touching it.
 //
 // Parking. A committed block that no sequence, copy or outside index holds
 // and whose only copy sits in DRAM needs no slot: Park frees its slot but
-// keeps it counted in used(kDram), and Unpark gives such a block a fresh
-// slot without counting it again. Tier capacity never sees the difference.
+// keeps it counted in used(kDram), and Unpark gives such blocks fresh slots
+// without counting them again. Tier capacity never sees the difference.
 #ifndef DEEPSERVE_RTC_BLOCK_POOL_H_
 #define DEEPSERVE_RTC_BLOCK_POOL_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -71,6 +82,67 @@ struct BlockInfo {
 };
 static_assert(sizeof(BlockInfo) == 8, "a block record is 8 bytes");
 
+// A contiguous run of `count` blocks in consecutive pool slots, all of one
+// generation: block i's id is first + i.
+struct Extent {
+  BlockId first = kInvalidBlock;
+  uint32_t count = 0;
+
+  BlockId end() const { return first + count; }
+  bool operator==(const Extent&) const = default;
+};
+
+// A block table: an ordered list of extents and the blocks they cover.
+// Appending an extent that starts where the last one ends merges the two, so
+// a table is always in its one canonical form and equal tables list the same
+// blocks. The extent array is held by hand so that a table is 24 bytes and a
+// radix-tree node that holds one stays within its size bound.
+class BlockTable {
+ public:
+  BlockTable() = default;
+  BlockTable(const BlockTable& other) { *this = other; }
+  BlockTable& operator=(const BlockTable& other);
+  BlockTable(BlockTable&& other) noexcept { *this = std::move(other); }
+  BlockTable& operator=(BlockTable&& other) noexcept {
+    extents_ = std::move(other.extents_);
+    size_ = std::exchange(other.size_, 0);
+    capacity_ = std::exchange(other.capacity_, 0);
+    blocks_ = std::exchange(other.blocks_, 0);
+    return *this;
+  }
+
+  size_t size() const { return blocks_; }  // in blocks
+  bool empty() const { return blocks_ == 0; }
+  std::span<const Extent> extents() const { return {extents_.get(), size_}; }
+  BlockId front() const { return extents_[0].first; }
+  // The id of block `i` (a walk over the extents).
+  BlockId operator[](size_t i) const;
+
+  void Append(Extent extent);
+  // Appends the first `n` blocks of `other`.
+  void Append(const BlockTable& other, size_t n);
+  void Append(const BlockTable& other) { Append(other, other.size()); }
+  // Blocks [begin, end) as a table of their own.
+  BlockTable Slice(size_t begin, size_t end) const;
+  // Keeps blocks [0, offset) and returns the rest.
+  BlockTable SplitTail(size_t offset);
+  void clear() {
+    size_ = 0;
+    blocks_ = 0;
+  }
+
+  bool operator==(const BlockTable& other) const {
+    return blocks_ == other.blocks_ && std::ranges::equal(extents(), other.extents());
+  }
+
+ private:
+  std::unique_ptr<Extent[]> extents_;
+  uint32_t size_ = 0;  // extents in use
+  uint32_t capacity_ = 0;
+  size_t blocks_ = 0;
+};
+static_assert(sizeof(BlockTable) == 24, "a block table is a pointer and three counts");
+
 struct BlockPoolConfig {
   int64_t npu_capacity = 4096;   // blocks
   int64_t dram_capacity = 16384; // blocks
@@ -81,45 +153,49 @@ class BlockPool {
   explicit BlockPool(BlockPoolConfig config);
 
   // Creates `n` fresh private blocks resident on `tier`, each with ref 1,
-  // and appends their ids to `*out`. Fails with RESOURCE_EXHAUSTED without
+  // and appends them to `*out`. Fails with RESOURCE_EXHAUSTED without
   // allocating anything if the tier lacks capacity (caller evicts and
   // retries).
-  [[nodiscard]] Status Allocate(int64_t n, Tier tier, std::vector<BlockId>* out);
+  [[nodiscard]] Status Allocate(int64_t n, Tier tier, BlockTable* out);
 
-  void Ref(BlockId id) { ++mutable_info(id).ref_count; }
-  // Drops one reference. Blocks are never destroyed here — an unreferenced
-  // cached block stays preserved until evicted; an unreferenced private
-  // (uncached) block is destroyed and its residency released.
-  void Unref(BlockId id);
+  void Ref(Extent extent);
+  // Drops one reference from each block. Blocks are never destroyed here
+  // once cached — an unreferenced cached block stays preserved until
+  // evicted; an unreferenced private (uncached) block is destroyed and its
+  // residency released.
+  void Unref(Extent extent);
 
-  // Adds/removes a tier copy. AddResidency fails when the tier is full.
-  [[nodiscard]] Status AddResidency(BlockId id, Tier tier);
-  void DropResidency(BlockId id, Tier tier);
+  // Adds a `tier` copy to each block of `extent` not yet resident there, in
+  // order, for as long as the tier has room, and appends the blocks it gave
+  // one to `*added`.
+  void AddResidency(Extent extent, Tier tier, BlockTable* added);
+  // Removes the `tier` copy of each block that has one.
+  void DropResidency(Extent extent, Tier tier);
 
-  // Destroys an unreferenced block outright (eviction path). The slot is
-  // recycled under a new generation, so the old id stops resolving.
-  void Destroy(BlockId id);
+  // Destroys unreferenced blocks outright (eviction path). The slots are
+  // freed under a new generation, so the old ids stop resolving.
+  void Destroy(Extent extent);
 
-  // Marks the block as committed to the cache index: from now on its last
-  // Unref preserves it instead of destroying it.
-  void MarkCached(BlockId id) { mutable_info(id).flags |= kBlockCommitted; }
-  // Marks the block as held by an index that keeps its full id (the explicit
-  // id index, the PIC index): Park never takes its slot.
-  void MarkIndexed(BlockId id) { mutable_info(id).flags |= kBlockIndexed; }
+  // Marks the blocks as committed to the cache index: from now on their last
+  // Unref preserves them instead of destroying them.
+  void MarkCached(Extent extent) { OrFlags(extent, kBlockCommitted); }
+  // Marks the blocks as held by an index that keeps their full ids (the
+  // explicit id index, the PIC index): Park never takes their slots.
+  void MarkIndexed(Extent extent) { OrFlags(extent, kBlockIndexed); }
 
-  // Frees `slot`, which holds a parkable() block (a run's entry). The block
-  // stays counted in used(kDram); its id stops resolving, as after Destroy.
-  void Park(uint32_t slot);
-  // Gives one parked block a fresh slot — committed, resident in DRAM,
-  // unreferenced — without counting it in used(kDram) again, and returns its
-  // id.
-  BlockId Unpark();
+  // Frees the slots of parkable() blocks (a run's). The blocks stay counted
+  // in used(kDram); their ids stop resolving, as after Destroy.
+  void Park(Extent extent);
+  // Gives `n` parked blocks fresh slots — committed, resident in DRAM,
+  // unreferenced — without counting them in used(kDram) again, and appends
+  // them to `*out`.
+  void Unpark(int64_t n, BlockTable* out);
 
   // In-flight copy pins: a pinned block is never evicted or swapped. Pin
-  // needs a live block; Unpin of a block destroyed since (its slot possibly
-  // reused) is a no-op, so a transfer may complete after its block died.
-  void Pin(BlockId id);
-  void Unpin(BlockId id);
+  // needs live blocks; Unpin skips a block destroyed since (its slot possibly
+  // reused), so a transfer may complete after its blocks died.
+  void Pin(Extent extent);
+  void Unpin(Extent extent);
 
   const BlockInfo& info(BlockId id) const;
   // Negative ids (kInvalidBlock, anything with bit 63 set) never resolve; a
@@ -129,23 +205,41 @@ class BlockPool {
     size_t idx = IndexOf(id);
     return id >= 0 && idx < slots_.size() && slots_[idx].tag == (GenOf(id) | kLiveBit);
   }
+  // Whether every block of `extent` is live.
+  bool Exists(Extent extent) const;
 
-  // Slot index of a live block, and back: IdAt rebuilds the full id of the
-  // block now in `slot`, which must be live, and InfoAt reads its record.
-  static uint32_t SlotOf(BlockId id) { return static_cast<uint32_t>(IndexOf(id)); }
-  BlockId IdAt(uint32_t slot) const;
-  const BlockInfo& InfoAt(uint32_t slot) const {
-    DS_CHECK(slot < slots_.size() && (slots_[slot].tag & kLiveBit) != 0)
-        << "block slot " << slot << " is not live";
-    return slots_[slot].info;
+  // How many blocks of the live `extent`, from its start, satisfy
+  // `pred(info)` before the first one that does not.
+  template <typename Pred>
+  uint32_t CountWhile(Extent extent, Pred pred) const {
+    const Slot* slot = LiveSlots(extent);
+    uint32_t n = 0;
+    while (n < extent.count && pred(slot[n].info)) {
+      ++n;
+    }
+    return n;
+  }
+  // How many blocks of the live `extent` satisfy `pred(info)`.
+  template <typename Pred>
+  uint32_t CountIf(Extent extent, Pred pred) const {
+    const Slot* slot = LiveSlots(extent);
+    uint32_t n = 0;
+    for (uint32_t i = 0; i < extent.count; ++i) {
+      n += pred(slot[i].info) ? 1 : 0;
+    }
+    return n;
   }
 
   int64_t used(Tier tier) const { return used_[static_cast<size_t>(tier)]; }
   int64_t capacity(Tier tier) const;
   int64_t free_blocks(Tier tier) const { return capacity(tier) - used(tier); }
   size_t total_blocks() const { return live_count_; }
-  // Heap bytes of the slot slab (its capacity, live or free).
+  // Slots in the slab, live or free, and the slab's heap bytes.
+  size_t slab_slots() const { return slots_.size(); }
   size_t slab_bytes() const { return slots_.capacity() * sizeof(Slot); }
+  // Free ranges taken (by Allocate and Unpark), and the blocks they covered.
+  int64_t range_takes() const { return range_takes_; }
+  int64_t blocks_taken() const { return blocks_taken_; }
 
  private:
   // Bit 31 of a slot's tag is set while a block occupies the slot; bits
@@ -158,23 +252,40 @@ class BlockPool {
   };
   static_assert(sizeof(Slot) == 12, "a block slot is 12 bytes");
 
+  // A free range of slots [first, first + count).
+  struct Range {
+    uint32_t first;
+    uint32_t count;
+  };
+
   static size_t IndexOf(BlockId id) {
     return static_cast<size_t>(static_cast<uint64_t>(id) & 0xffffffffull);
   }
   static uint32_t GenOf(BlockId id) { return static_cast<uint32_t>(static_cast<uint64_t>(id) >> 32); }
 
-  BlockInfo& mutable_info(BlockId id);
-  // Takes a free slot (recycled or new), marks it live, stores `info` and
-  // returns the new occupant's id; ReleaseSlot frees it under the next
-  // generation.
-  BlockId TakeSlot(const BlockInfo& info);
-  void ReleaseSlot(size_t idx);
+  // DS_CHECKs that `extent` is in bounds and every slot in it live at its
+  // generation; returns its first slot.
+  Slot* LiveSlots(Extent extent);
+  const Slot* LiveSlots(Extent extent) const;
+  void OrFlags(Extent extent, uint8_t flags);
+  // Takes `n` free slots (growing the slab if the free ranges lack them),
+  // stores `info` in each, and appends the new blocks to `*out`.
+  void TakeSlots(int64_t n, const BlockInfo& info, BlockTable* out);
+  void TakeRange(size_t range, uint32_t n, const BlockInfo& info, BlockTable* out);
+  // Frees `count` live slots from `first` under their next generation.
+  void ReleaseSlots(size_t first, size_t count);
+  // Adds free slots [first, first + count) to the free list, coalescing.
+  void AddFreeRange(size_t first, size_t count);
+  // Uncounts the tier copies of a block that is going away.
+  void DropAllResidency(const BlockInfo& info);
 
   BlockPoolConfig config_;
   std::vector<Slot> slots_;
-  std::vector<uint32_t> free_slots_;  // LIFO
+  std::vector<Range> free_;  // address-ordered, coalesced
   size_t live_count_ = 0;
   int64_t used_[2] = {0, 0};
+  int64_t range_takes_ = 0;
+  int64_t blocks_taken_ = 0;
 };
 
 }  // namespace deepserve::rtc

@@ -16,17 +16,16 @@ RtcMaster::RtcMaster(sim::Simulator* sim, RtcConfig config)
   };
 }
 
-MatchInfo RtcMaster::BuildMatchInfo(std::vector<BlockId> blocks,
-                                    int64_t matched_tokens) const {
+MatchInfo RtcMaster::BuildMatchInfo(BlockTable blocks, int64_t matched_tokens) const {
   MatchInfo info;
   info.matched_tokens = matched_tokens;
   info.blocks = std::move(blocks);
-  bool npu_prefix = true;
-  for (BlockId id : info.blocks) {
-    if (npu_prefix && pool_.info(id).resident(Tier::kNpu)) {
-      info.npu_tokens += kBlockTokens;
-    } else {
-      npu_prefix = false;
+  for (const Extent& extent : info.blocks.extents()) {
+    const uint32_t npu = pool_.CountWhile(
+        extent, [](const BlockInfo& block) { return block.resident(Tier::kNpu); });
+    info.npu_tokens += static_cast<int64_t>(npu) * kBlockTokens;
+    if (npu < extent.count) {
+      break;
     }
   }
   info.offnpu_tokens = info.matched_tokens - info.npu_tokens;
@@ -43,20 +42,19 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
   // Every edge symbol carries one block, so the match length is the count.
   // A parked run on the way gets its slots back first, so the match reports
   // its blocks exactly as if they had never given them up.
-  std::vector<BlockId> blocks;
-  blocks.reserve(match.matched);
+  BlockTable blocks;
   for (auto* node : match.path) {
     if (node->value.parked()) {
       Unpark(*node);
     }
-    AppendIds(node->value.blocks, &blocks);
+    blocks.Append(node->value.blocks);
   }
   if (match.partial != nullptr) {
     if (match.partial->value.parked()) {
       Unpark(*match.partial);
     }
-    std::span<const uint32_t> slots(match.partial->value.blocks);
-    AppendIds(slots.first(std::min(match.partial_len, slots.size())), &blocks);
+    const BlockTable& run = match.partial->value.blocks;
+    blocks.Append(run, std::min(match.partial_len, run.size()));
   }
   int64_t matched_tokens = static_cast<int64_t>(blocks.size()) * kBlockTokens;
   if (matched_tokens > 0) {
@@ -74,33 +72,21 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
   return BuildMatchInfo(std::move(blocks), matched_tokens);
 }
 
-void RtcMaster::AppendIds(std::span<const uint32_t> slots, std::vector<BlockId>* out) const {
-  for (uint32_t slot : slots) {
-    out->push_back(pool_.IdAt(slot));
-  }
-}
-
 bool RtcMaster::MaybePark(Tree::Node& node) {
-  std::vector<uint32_t>& slots = node.value.blocks;
-  for (uint32_t slot : slots) {
-    if (!pool_.InfoAt(slot).parkable()) {
-      return false;
-    }
+  BlockTable& blocks = node.value.blocks;
+  if (!AllOf(blocks, [](const BlockInfo& info) { return info.parkable(); })) {
+    return false;
   }
-  for (uint32_t slot : slots) {
-    pool_.Park(slot);
+  for (const Extent& extent : blocks.extents()) {
+    pool_.Park(extent);
   }
-  stats_.parked_blocks += static_cast<int64_t>(slots.size());
-  slots = std::vector<uint32_t>();  // hands the buffer back too
+  stats_.parked_blocks += static_cast<int64_t>(blocks.size());
+  blocks = BlockTable();  // hands the buffer back too
   return true;
 }
 
 void RtcMaster::Unpark(Tree::Node& node) {
-  std::vector<uint32_t>& slots = node.value.blocks;
-  slots.reserve(node.edge.size());
-  for (size_t i = 0; i < node.edge.size(); ++i) {
-    slots.push_back(BlockPool::SlotOf(pool_.Unpark()));
-  }
+  pool_.Unpark(static_cast<int64_t>(node.edge.size()), &node.value.blocks);
   stats_.unparked_blocks += static_cast<int64_t>(node.edge.size());
 }
 
@@ -118,9 +104,10 @@ MatchInfo RtcMaster::MatchByID(const std::string& id) {
     return miss();
   }
   // Validate against eviction: any discarded block invalidates the entry
-  // (block ids are never reused, so Exists() is a safe liveness check).
-  for (BlockId block : it->second) {
-    if (!pool_.Exists(block)) {
+  // (a reused slot has a new generation, so Exists() is a safe liveness
+  // check).
+  for (const Extent& extent : it->second.extents()) {
+    if (!pool_.Exists(extent)) {
       id_index_.erase(it);
       return miss();
     }
@@ -137,26 +124,24 @@ MatchInfo RtcMaster::MatchByID(const std::string& id) {
   return BuildMatchInfo(it->second, tokens);
 }
 
-void RtcMaster::Acquire(std::span<const BlockId> blocks) {
-  for (BlockId id : blocks) {
-    pool_.Ref(id);
+void RtcMaster::Acquire(const BlockTable& blocks) {
+  for (const Extent& extent : blocks.extents()) {
+    pool_.Ref(extent);
   }
 }
 
 Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
-  // Collect matched blocks that still need an NPU copy; each has one in DRAM.
-  std::vector<BlockId> blocks;
-  for (BlockId id : info.blocks) {
-    const BlockInfo& block = pool_.info(id);
-    DS_CHECK_GT(block.ref_count, 0) << "Populate requires Acquire()d blocks";
-    if (!block.resident(Tier::kNpu)) {
-      blocks.push_back(id);
-    }
+  // Count matched blocks that still need an NPU copy; each has one in DRAM.
+  DS_CHECK(AllOf(info.blocks, [](const BlockInfo& block) { return block.ref_count > 0; }))
+      << "Populate requires Acquire()d blocks";
+  int64_t needed = 0;
+  for (const Extent& extent : info.blocks.extents()) {
+    needed += pool_.CountIf(extent,
+                            [](const BlockInfo& block) { return !block.resident(Tier::kNpu); });
   }
-  if (blocks.empty()) {
+  if (needed == 0) {
     return next_ticket_++;  // instantly ready: never in flight
   }
-  const auto needed = static_cast<int64_t>(blocks.size());
   DS_RETURN_IF_ERROR(EnsureNpuFree(needed));
   PopulateTicket ticket = next_ticket_++;
   inflight_populates_.emplace(ticket, nullptr);
@@ -168,14 +153,18 @@ Result<PopulateTicket> RtcMaster::Populate(const MatchInfo& info) {
   }
   // Reserve NPU slots up-front so concurrent allocation cannot over-commit;
   // pin the blocks so eviction cannot race the in-flight copy.
-  for (BlockId id : blocks) {
-    DS_CHECK_OK(pool_.AddResidency(id, Tier::kNpu));
-    pool_.Pin(id);
+  BlockTable blocks;
+  for (const Extent& extent : info.blocks.extents()) {
+    pool_.AddResidency(extent, Tier::kNpu, &blocks);
+  }
+  DS_CHECK_EQ(static_cast<int64_t>(blocks.size()), needed);
+  for (const Extent& extent : blocks.extents()) {
+    pool_.Pin(extent);
   }
   Bytes bytes = static_cast<Bytes>(needed) * config_.bytes_per_block;
   transfer_(Tier::kDram, Tier::kNpu, bytes, [this, ticket, blocks = std::move(blocks)] {
-    for (BlockId id : blocks) {
-      pool_.Unpin(id);
+    for (const Extent& extent : blocks.extents()) {
+      pool_.Unpin(extent);
     }
     auto it = inflight_populates_.find(ticket);
     DS_CHECK(it != inflight_populates_.end());
@@ -208,9 +197,8 @@ MatchInfo RtcMaster::TruncateMatch(const MatchInfo& info, int64_t max_tokens) co
     return info;
   }
   int64_t keep_blocks = std::max<int64_t>(0, max_tokens) / kBlockTokens;
-  return BuildMatchInfo(
-      std::vector<BlockId>(info.blocks.begin(), info.blocks.begin() + keep_blocks),
-      keep_blocks * kBlockTokens);
+  return BuildMatchInfo(info.blocks.Slice(0, static_cast<size_t>(keep_blocks)),
+                        keep_blocks * kBlockTokens);
 }
 
 PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
@@ -236,7 +224,7 @@ PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
     if (!info.resident(Tier::kNpu)) {
       continue;  // off-NPU PIC blocks are not worth fetching
     }
-    match.blocks.push_back(it->second);
+    match.blocks.Append({it->second, 1});
     match.matched_tokens += kBlockTokens;
   }
   if (match.matched_tokens > 0) {
@@ -260,27 +248,20 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
   // Pass 1: drop NPU residency of cold blocks that already have a lower-tier
   // copy (no data loss), coldest leaf first.
   auto droppable = [&](const Tree::Node& node) {
-    if (node.value.blocks.empty()) {
-      return false;
-    }
-    for (uint32_t slot : node.value.blocks) {
-      const BlockInfo& info = pool_.InfoAt(slot);
-      if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu) ||
-          info.residency == TierBit(Tier::kNpu)) {
-        return false;
-      }
-    }
-    return true;
+    return !node.value.blocks.empty() && AllOf(node.value.blocks, [](const BlockInfo& info) {
+      return info.ref_count == 0 && !info.pinned() && info.resident(Tier::kNpu) &&
+             info.residency != TierBit(Tier::kNpu);
+    });
   };
   tree_.ScanLruLeaves([&](Tree::Node& node) {
     if (pool_.free_blocks(Tier::kNpu) >= n) {
       return LruStep::kStop;
     }
     if (droppable(node)) {
-      for (uint32_t slot : node.value.blocks) {
-        pool_.DropResidency(pool_.IdAt(slot), Tier::kNpu);
-        ++stats_.evicted_blocks;
+      for (const Extent& extent : node.value.blocks.extents()) {
+        pool_.DropResidency(extent, Tier::kNpu);
       }
+      stats_.evicted_blocks += static_cast<int64_t>(node.value.blocks.size());
       MaybePark(node);
     }
     // The node stays: its blocks remain matchable (and populatable) from
@@ -289,16 +270,9 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
   });
   // Pass 2: discard cold NPU-only cache entries entirely.
   auto discardable = [&](const Tree::Node& node) {
-    if (node.value.blocks.empty()) {
-      return false;
-    }
-    for (uint32_t slot : node.value.blocks) {
-      const BlockInfo& info = pool_.InfoAt(slot);
-      if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu)) {
-        return false;
-      }
-    }
-    return true;
+    return !node.value.blocks.empty() && AllOf(node.value.blocks, [](const BlockInfo& info) {
+      return info.ref_count == 0 && !info.pinned() && info.resident(Tier::kNpu);
+    });
   };
   tree_.ScanLruLeaves([&](Tree::Node& node) {
     if (pool_.free_blocks(Tier::kNpu) >= n) {
@@ -308,10 +282,10 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
       return LruStep::kNext;
     }
     // The leaf leaves the tree with its blocks: no run keeps a freed slot.
-    for (uint32_t slot : node.value.blocks) {
-      pool_.Destroy(pool_.IdAt(slot));
-      ++stats_.discarded_blocks;
+    for (const Extent& extent : node.value.blocks.extents()) {
+      pool_.Destroy(extent);
     }
+    stats_.discarded_blocks += static_cast<int64_t>(node.value.blocks.size());
     return LruStep::kRemove;
   });
   if (pool_.free_blocks(Tier::kNpu) < n) {
@@ -321,32 +295,25 @@ Status RtcMaster::EnsureNpuFree(int64_t n) {
   return Status::Ok();
 }
 
-Status RtcMaster::AllocBlocks(int64_t n, std::vector<BlockId>* out) {
+Status RtcMaster::AllocBlocks(int64_t n, BlockTable* out) {
   DS_RETURN_IF_ERROR(EnsureNpuFree(n));
   DS_RETURN_IF_ERROR(pool_.Allocate(n, Tier::kNpu, out));
   MaybeArmSwap();
   return Status::Ok();
 }
 
-Result<std::vector<BlockId>> RtcMaster::AllocBlocks(int64_t n) {
-  std::vector<BlockId> blocks;
+Result<BlockTable> RtcMaster::AllocBlocks(int64_t n) {
+  BlockTable blocks;
   DS_RETURN_IF_ERROR(AllocBlocks(n, &blocks));
   return blocks;
 }
 
-int64_t RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
-                        std::function<void()> on_complete) {
-  std::vector<BlockId> to_copy;
-  to_copy.reserve(blocks.size());
-  for (BlockId id : blocks) {
-    const BlockInfo& info = pool_.info(id);
-    if (info.resident(dst)) {
-      continue;
-    }
-    if (!pool_.AddResidency(id, dst).ok()) {
-      continue;  // destination tier full: skip (best-effort copy)
-    }
-    to_copy.push_back(id);
+int64_t RtcMaster::Copy(const BlockTable& blocks, Tier dst, std::function<void()> on_complete) {
+  // Blocks that do not fit on a full destination tier are skipped
+  // (best-effort copy).
+  BlockTable to_copy;
+  for (const Extent& extent : blocks.extents()) {
+    pool_.AddResidency(extent, dst, &to_copy);
   }
   const auto started = static_cast<int64_t>(to_copy.size());
   if (to_copy.empty()) {
@@ -355,14 +322,14 @@ int64_t RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
     }
     return started;
   }
-  for (BlockId id : to_copy) {
-    pool_.Pin(id);
+  for (const Extent& extent : to_copy.extents()) {
+    pool_.Pin(extent);
   }
   Bytes bytes = static_cast<Bytes>(to_copy.size()) * config_.bytes_per_block;
   transfer_(Tier::kNpu, dst, bytes,
             [this, to_copy = std::move(to_copy), cb = std::move(on_complete)]() mutable {
-              for (BlockId id : to_copy) {
-                pool_.Unpin(id);
+              for (const Extent& extent : to_copy.extents()) {
+                pool_.Unpin(extent);
               }
               if (cb) {
                 cb();
@@ -371,9 +338,9 @@ int64_t RtcMaster::Copy(std::span<const BlockId> blocks, Tier dst,
   return started;
 }
 
-void RtcMaster::Free(std::span<const BlockId> blocks) {
-  for (BlockId id : blocks) {
-    pool_.Unref(id);
+void RtcMaster::Free(const BlockTable& blocks) {
+  for (const Extent& extent : blocks.extents()) {
+    pool_.Unref(extent);
   }
 }
 
@@ -381,7 +348,7 @@ void RtcMaster::CheckChain(std::span<const TokenId> tokens, std::span<const Bloc
   DS_CHECK_EQ(keys.size(), tokens.size() / kBlockTokens) << "key chain does not match the tokens";
 }
 
-void RtcMaster::Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
+void RtcMaster::Preserve(std::span<const TokenId> tokens, const BlockTable& blocks,
                          const KeyChain& keys) {
   CheckChain(tokens, keys.span());
   if (keys.size() == 0) {
@@ -391,24 +358,27 @@ void RtcMaster::Preserve(std::span<const TokenId> tokens, std::span<const BlockI
       << "Preserve needs one block per full " << kBlockTokens << "-token chunk";
   // ds-lint: allow(deferred-capture, RadixTree::Insert runs the per-node visitor before returning; the name collides with the deferred EventQueue::Insert sink)
   tree_.Insert(keys, sim_->Now(), [&](Tree::Node& node, size_t begin, size_t end) {
-    node.value.blocks.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) {
-      pool_.MarkCached(blocks[i]);
-      node.value.blocks.push_back(BlockPool::SlotOf(blocks[i]));
-      if (config_.enable_pic) {
-        // Content-only hash (chain seed 0): same tokens at any position map
-        // to the same PIC key.
-        BlockKey content = ChainHash(0, tokens.subspan(i * kBlockTokens, kBlockTokens));
-        pic_index_[content] = blocks[i];
-        pool_.MarkIndexed(blocks[i]);
+    node.value.blocks = blocks.Slice(begin, end);
+    size_t i = begin;
+    for (const Extent& extent : node.value.blocks.extents()) {
+      pool_.MarkCached(extent);
+      if (!config_.enable_pic) {
+        continue;
       }
+      // Content-only hash (chain seed 0): same tokens at any position map to
+      // the same PIC key.
+      for (uint32_t j = 0; j < extent.count; ++j, ++i) {
+        BlockKey content = ChainHash(0, tokens.subspan(i * kBlockTokens, kBlockTokens));
+        pic_index_[content] = extent.first + j;
+      }
+      pool_.MarkIndexed(extent);
     }
   });
   MaybeArmSwap();
 }
 
 Status RtcMaster::PreserveById(const std::string& id, std::span<const TokenId> tokens,
-                               std::span<const BlockId> blocks, const KeyChain& keys) {
+                               const BlockTable& blocks, const KeyChain& keys) {
   if (id.empty()) {
     return InvalidArgumentError("empty context-cache id");
   }
@@ -418,10 +388,10 @@ Status RtcMaster::PreserveById(const std::string& id, std::span<const TokenId> t
   // Explicit entries also live in the prefix tree so implicit matching still
   // finds them (Preserve is idempotent for existing spans).
   Preserve(tokens, blocks, keys);
-  std::vector<BlockId>& indexed = id_index_[id];
-  indexed.assign(blocks.begin(), blocks.begin() + static_cast<ptrdiff_t>(keys.size()));
-  for (BlockId block : indexed) {
-    pool_.MarkIndexed(block);  // the entry keeps its id: never park it
+  BlockTable& indexed = id_index_[id];
+  indexed = blocks.Slice(0, keys.size());
+  for (const Extent& extent : indexed.extents()) {
+    pool_.MarkIndexed(extent);  // the entry keeps its ids: never park them
   }
   return Status::Ok();
 }
@@ -454,17 +424,10 @@ void RtcMaster::SwapScan() {
   // full DRAM tier takes no victims: Copy would skip every block.
   int64_t budget = std::min(kSwapBatchBlocks, pool_.free_blocks(Tier::kDram));
   auto swappable = [this](const Tree::Node& node) {
-    if (node.value.blocks.empty()) {
-      return false;
-    }
-    for (uint32_t slot : node.value.blocks) {
-      const BlockInfo& info = pool_.InfoAt(slot);
-      if (info.ref_count > 0 || info.pinned() || !info.resident(Tier::kNpu) ||
-          info.resident(Tier::kDram)) {
-        return false;
-      }
-    }
-    return true;
+    return !node.value.blocks.empty() && AllOf(node.value.blocks, [](const BlockInfo& info) {
+      return info.ref_count == 0 && !info.pinned() && info.resident(Tier::kNpu) &&
+             !info.resident(Tier::kDram);
+    });
   };
   // Only Destroy drops a block's DRAM copy, and a destroyed block's leaf
   // leaves the tree with it, so a leaf whose blocks all sit in DRAM (a parked
@@ -473,16 +436,11 @@ void RtcMaster::SwapScan() {
   // scan's list. One whose demote copy is still in flight is looked at again
   // by the next scan, by when the copy has landed and it can park.
   auto demoted = [this](const Tree::Node& node) {
-    return std::all_of(node.value.blocks.begin(), node.value.blocks.end(),
-                       [this](uint32_t slot) {
-                         return pool_.InfoAt(slot).resident(Tier::kDram);
-                       });
+    return AllOf(node.value.blocks,
+                 [](const BlockInfo& info) { return info.resident(Tier::kDram); });
   };
   auto copying = [this](const Tree::Node& node) {
-    return std::any_of(node.value.blocks.begin(), node.value.blocks.end(),
-                       [this](uint32_t slot) {
-                         return pool_.InfoAt(slot).pinned();
-                       });
+    return !AllOf(node.value.blocks, [](const BlockInfo& info) { return !info.pinned(); });
   };
   std::vector<Tree::Node*>& victims = swap_victims_;
   victims.clear();
@@ -506,21 +464,26 @@ void RtcMaster::SwapScan() {
       },
       LruList::kActive);
   for (Tree::Node* victim : victims) {
-    // The completion may run after the leaf is gone, so it holds full ids.
-    std::vector<BlockId> blocks;
-    blocks.reserve(victim->value.blocks.size());
-    AppendIds(victim->value.blocks, &blocks);
-    // Moving the list into the closure keeps its buffer, so `ids` stays valid.
-    std::span<const BlockId> ids(blocks);
-    auto demote = [this, blocks = std::move(blocks)] {
-      for (BlockId id : blocks) {
-        if (pool_.Exists(id) && pool_.info(id).ref_count == 0 &&
-            pool_.info(id).resident(Tier::kDram)) {
-          pool_.DropResidency(id, Tier::kNpu);
+    // The completion drops the NPU copies of the blocks still unreferenced
+    // and in DRAM. It may run after the leaf is gone, so it checks each
+    // block's generation unless the whole extent is live.
+    auto demote = [this, blocks = victim->value.blocks] {
+      auto idle_in_dram = [](const BlockInfo& info) {
+        return info.ref_count == 0 && info.resident(Tier::kDram);
+      };
+      for (const Extent& extent : blocks.extents()) {
+        if (pool_.Exists(extent) && pool_.CountWhile(extent, idle_in_dram) == extent.count) {
+          pool_.DropResidency(extent, Tier::kNpu);
+          continue;
+        }
+        for (BlockId id = extent.first; id < extent.end(); ++id) {
+          if (pool_.Exists(id) && idle_in_dram(pool_.info(id))) {
+            pool_.DropResidency({id, 1}, Tier::kNpu);
+          }
         }
       }
     };
-    stats_.swapped_out_blocks += Copy(ids, Tier::kDram, std::move(demote));
+    stats_.swapped_out_blocks += Copy(victim->value.blocks, Tier::kDram, std::move(demote));
   }
   MaybeArmSwap();
 }

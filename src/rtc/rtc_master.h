@@ -33,36 +33,31 @@
 namespace deepserve::rtc {
 
 // Payload of one radix-tree node: the cached blocks covering its edge span,
-// one BlockPool slot index per edge symbol (BlockPool::IdAt rebuilds the id),
-// or none at all while the run is parked.
+// one per edge symbol, or none at all while the run is parked.
 //
-// A run holds a live slot for every block or for none. A run stores 4-byte
-// slot indices rather than 8-byte ids because every slot it holds is live:
-// the RTC frees a run's slots only in EnsureNpuFree pass 2, which removes the
-// leaf with them (BlockPool::Destroy), and when it parks the whole run
+// A run holds every block or none. Every block a run holds is live: the RTC
+// frees a run's blocks only in EnsureNpuFree pass 2, which removes the leaf
+// with them (BlockPool::Destroy), and when it parks the whole run
 // (BlockPool::Park). A cached block is never Unref'd to death (MarkCached
 // precedes any Unref that could reach zero), so no slot can be freed, and
 // then reused, under a run that still lists it. Anything that can outlive a
-// block — MatchInfo, a sequence's block table, the id and PIC indexes — keeps
-// full BlockIds and their generation check.
+// block — a copy completion, the id and PIC indexes — checks each block's
+// generation before touching it.
 //
-// Parked. A non-root run with no entries is parked: every block in it is
+// Parked. A non-root run with no blocks is parked: every block in it is
 // committed, unreferenced, unpinned, outside the id and PIC indexes, and
 // resident only in DRAM, where it still counts. Its block count is its
 // node's edge length. A match that reaches it gives it fresh slots first.
 struct BlockRun {
-  std::vector<uint32_t> blocks;
+  BlockTable blocks;
 
   bool parked() const { return blocks.empty(); }
 
   BlockRun SplitTail(size_t offset) {
-    BlockRun tail;
     if (parked()) {
-      return tail;  // both halves stay parked
+      return BlockRun{};  // both halves stay parked
     }
-    tail.blocks.assign(blocks.begin() + static_cast<ptrdiff_t>(offset), blocks.end());
-    blocks.resize(offset);
-    return tail;
+    return BlockRun{blocks.SplitTail(offset)};
   }
 };
 static_assert(sizeof(RadixTree<BlockRun>::Node) <= 144,
@@ -75,7 +70,7 @@ struct MatchInfo {
   int64_t matched_tokens = 0;
   int64_t npu_tokens = 0;
   int64_t offnpu_tokens = 0;
-  std::vector<BlockId> blocks;
+  BlockTable blocks;
 
   bool hit() const { return matched_tokens > 0; }
   bool needs_populate() const { return offnpu_tokens > 0; }
@@ -90,7 +85,7 @@ enum class PopulateState { kUnknown, kInFlight, kReady };
 // PIC reuse as a prefill-compute discount rather than skipped tokens.
 struct PicMatch {
   int64_t matched_tokens = 0;
-  std::vector<BlockId> blocks;
+  BlockTable blocks;
 };
 
 // (src tier, dst tier, bytes, completion). Installed by the engine; defaults
@@ -178,33 +173,32 @@ class RtcMaster {
 
   // ---- Table 1: block APIs -------------------------------------------------
   // Pins matched blocks for a sequence (one ref each).
-  void Acquire(std::span<const BlockId> blocks);
+  void Acquire(const BlockTable& blocks);
   // Allocates n fresh NPU blocks, evicting cold cache as needed, and appends
-  // their ids to `*out` (a sequence's block table grows in place).
-  [[nodiscard]] Status AllocBlocks(int64_t n, std::vector<BlockId>* out);
+  // them to `*out` (a sequence's block table grows in place).
+  [[nodiscard]] Status AllocBlocks(int64_t n, BlockTable* out);
   // By-value convenience for tests and benches.
-  [[nodiscard]] Result<std::vector<BlockId>> AllocBlocks(int64_t n);
+  [[nodiscard]] Result<BlockTable> AllocBlocks(int64_t n);
   // Copies blocks to `dst` (timed through the TransferFn); used by explicit
   // checkpointing and by the background swapper. Blocks already on `dst`, or
   // that do not fit there, are skipped. `on_complete`, if set, fires once
   // the copy lands. Returns how many blocks it started copying.
-  int64_t Copy(std::span<const BlockId> blocks, Tier dst, std::function<void()> on_complete);
+  int64_t Copy(const BlockTable& blocks, Tier dst, std::function<void()> on_complete);
   // Releases a sequence's pins. Cached blocks stay preserved; private ones die.
-  void Free(std::span<const BlockId> blocks);
+  void Free(const BlockTable& blocks);
 
   // ---- preservation (cache commit) ----------------------------------------
   // Implicit prefix caching: indexes the sequence's full blocks under the
   // radix tree so future prompts can reuse them. `blocks` must cover at
-  // least tokens.size()/kBlockTokens entries. Duplicate spans (e.g. two
+  // least tokens.size()/kBlockTokens blocks. Duplicate spans (e.g. two
   // concurrent identical prefills) keep the first commit; later private
   // duplicates simply die on Free. `keys` is `tokens`' block-key chain, as
   // for MatchByPrefixToken; every node the commit creates slices it, so
   // the chain lives on with the cached blocks.
-  void Preserve(std::span<const TokenId> tokens, std::span<const BlockId> blocks,
-                const KeyChain& keys);
+  void Preserve(std::span<const TokenId> tokens, const BlockTable& blocks, const KeyChain& keys);
   // Explicit context caching: additionally registers the prefix under `id`.
   [[nodiscard]] Status PreserveById(const std::string& id, std::span<const TokenId> tokens,
-                                    std::span<const BlockId> blocks, const KeyChain& keys);
+                                    const BlockTable& blocks, const KeyChain& keys);
 
   // ---- introspection -------------------------------------------------------
   const RtcConfig& config() const { return config_; }
@@ -222,17 +216,25 @@ class RtcMaster {
   using Tree = RadixTree<BlockRun>;
 
   // Counts the NPU-resident prefix of `blocks` into npu/offnpu tokens.
-  MatchInfo BuildMatchInfo(std::vector<BlockId> blocks, int64_t matched_tokens) const;
+  MatchInfo BuildMatchInfo(BlockTable blocks, int64_t matched_tokens) const;
+  // Whether `pred(info)` holds for every block of `blocks`.
+  template <typename Pred>
+  bool AllOf(const BlockTable& blocks, Pred pred) const {
+    for (const Extent& extent : blocks.extents()) {
+      if (pool_.CountWhile(extent, pred) < extent.count) {
+        return false;
+      }
+    }
+    return true;
+  }
   // DS_CHECKs that `keys` is a full chain of `tokens`.
   static void CheckChain(std::span<const TokenId> tokens, std::span<const BlockKey> keys);
   void MaybeArmSwap();
   void SwapScan();
-  // Appends the full ids of the blocks in a run's `slots` to `*out`.
-  void AppendIds(std::span<const uint32_t> slots, std::vector<BlockId>* out) const;
   // Parks `node`'s run if every block in it is parkable (see BlockRun);
   // returns whether the run is parked now.
   bool MaybePark(Tree::Node& node);
-  // Gives a parked run one fresh slot per edge symbol.
+  // Gives a parked run one fresh block slot per edge symbol.
   void Unpark(Tree::Node& node);
 
   sim::Simulator* sim_;
@@ -240,7 +242,7 @@ class RtcMaster {
   BlockPool pool_;
   Tree tree_;
   // Explicit entries: each id's blocks, one per full kBlockTokens-token chunk.
-  std::unordered_map<std::string, std::vector<BlockId>> id_index_;
+  std::unordered_map<std::string, BlockTable> id_index_;
   // Content-hash (position-independent) index; stale entries from evicted
   // blocks are pruned lazily on lookup.
   std::unordered_map<BlockKey, BlockId> pic_index_;

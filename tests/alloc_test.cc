@@ -4,10 +4,11 @@
 // and bytes, so a test can assert how much a window of simulated work
 // allocated. The engine's steady-state decode step and the RTC's swap scan
 // are the two paths that run per step and per cached block; both must stay
-// free of per-step and per-block heap traffic (DESIGN #8 and #12), a
-// committed block adds 4 bytes to the cache index, whose edges slice the
-// request's key chain instead of copying it (DESIGN #12), and one left only in
-// DRAM gives its pool slot back (DESIGN #16). A request's dispatch must not
+// free of per-step and per-block heap traffic (DESIGN #8 and #12), and so must
+// every RTC operation on a block table (DESIGN #16). A committed block adds at
+// most 4 bytes to the cache index, whose edges slice the request's key chain
+// instead of copying it (DESIGN #12), and one left only in DRAM gives its pool
+// slot back (DESIGN #16). A request's dispatch must not
 // copy its prompt (DESIGN #14), nor copy or wrap its callbacks (DESIGN #15).
 // A control-log append allocates only when the log's storage doubles
 // (DESIGN #10).
@@ -210,12 +211,78 @@ TEST(AllocTest, SwapScanMakesNoPerBlockAllocation) {
   EXPECT_EQ(SwapScanAllocations(8), SwapScanAllocations(2));
 }
 
+// Heap allocations of each RTC operation on one `n`-block table: the commit,
+// the release, a swap demotion (the scan's Copy and its completion), the
+// match and Acquire that pin it again, and its Populate back from DRAM.
+struct TableOpCosts {
+  int64_t preserve = 0;
+  int64_t free = 0;
+  int64_t demote = 0;
+  int64_t acquire = 0;
+  int64_t populate = 0;
+};
+
+TableOpCosts TableOpAllocations(int64_t n) {
+  sim::Simulator sim;
+  rtc::RtcConfig config;
+  config.pool.npu_capacity = 2 * n;
+  config.pool.dram_capacity = 2 * n;
+  rtc::RtcMaster master(&sim, config);
+  std::vector<TokenId> tokens;
+  for (int64_t i = 0; i < rtc::kBlockTokens * n; ++i) {
+    tokens.push_back(static_cast<TokenId>(i + 1));
+  }
+  const rtc::KeyChain keys = rtc::KeyChain::Hash(tokens);
+  rtc::BlockTable blocks = master.AllocBlocks(n).value();
+  // Private blocks keep NPU use above the swap watermark and arm the scan.
+  rtc::BlockTable held = master.AllocBlocks(n - n / 16).value();
+  TableOpCosts cost;
+  int64_t mark = g_allocations;
+  auto take = [&mark] {
+    const int64_t made = g_allocations - mark;
+    mark = g_allocations;
+    return made;
+  };
+  master.Preserve(tokens, blocks, keys);
+  cost.preserve = take();
+  master.Free(blocks);
+  cost.free = take();
+  // One scan demotes the whole leaf; its copy lands and drops the NPU copies.
+  sim.RunUntil(rtc::RtcMaster::kSwapInterval + MsToNs(1));
+  cost.demote = take();
+  EXPECT_EQ(master.stats().swapped_out_blocks, n);
+  rtc::MatchInfo match = master.MatchByPrefixToken(tokens, keys.span());
+  master.Acquire(match.blocks);
+  cost.acquire = take();
+  EXPECT_EQ(match.offnpu_tokens, rtc::kBlockTokens * n);
+  auto ticket = master.Populate(match);
+  EXPECT_TRUE(ticket.ok());
+  while (master.QueryPopulate(*ticket) == rtc::PopulateState::kInFlight && sim.Step()) {
+  }
+  cost.populate = take();
+  EXPECT_EQ(master.stats().populated_blocks, n);
+  master.Free(match.blocks);
+  master.Free(held);
+  return cost;
+}
+
+TEST(AllocTest, BlockTableOpsMakeNoPerBlockAllocation) {
+  const TableOpCosts small = TableOpAllocations(16);
+  const TableOpCosts large = TableOpAllocations(1024);
+  EXPECT_EQ(large.preserve, small.preserve);
+  EXPECT_EQ(large.free, small.free);
+  EXPECT_EQ(large.demote, small.demote);
+  EXPECT_EQ(large.acquire, small.acquire);
+  EXPECT_EQ(large.populate, small.populate);
+}
+
 TEST(AllocTest, CachedBlockCostsFourTreeBytes) {
   // Committing a fresh 128-block run into an empty cache makes one tree node,
-  // and one entry for it in the root's child map, whose run holds a 4-byte
-  // slot index per block; its edge slices the prompt's key chain, hashed
-  // before the commit, and copies no key (DESIGN #12, #16). With the
-  // BlockPool's 12-byte slot, that is 16 bytes of metadata per cached block.
+  // and one entry for it in the root's child map, whose run holds the
+  // table's extents (one here): at most 4 bytes per block; its edge slices
+  // the prompt's key chain, hashed before the commit, and copies no key
+  // (DESIGN #12, #16). With the BlockPool's 12-byte slot, that is at most 16
+  // bytes of metadata per cached block.
   constexpr int64_t kBlocks = 128;
   sim::Simulator sim;
   rtc::RtcConfig config;
@@ -240,9 +307,10 @@ TEST(AllocTest, CachedBlockCostsFourTreeBytes) {
 
 TEST(AllocTest, DramOnlyLeafGivesUpItsPoolSlots) {
   // A cached leaf whose blocks sit only in DRAM, unreferenced, keeps nothing
-  // but its edge (a slice of the prompt's key chain): the swap scan that retires it parks its run, which
-  // frees one 12-byte BlockPool slot and one 4-byte run entry per block. The
-  // DRAM tier still counts the blocks (DESIGN #16).
+  // but its edge (a slice of the prompt's key chain): the swap scan that
+  // retires it parks its run, which frees one 12-byte BlockPool slot per block
+  // and the run's extent list. The DRAM tier still counts the blocks (DESIGN
+  // #16).
   constexpr int64_t kBlocks = 128;
   sim::Simulator sim;
   rtc::RtcConfig config;

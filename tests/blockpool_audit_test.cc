@@ -1,24 +1,32 @@
-// BlockPool invariant audit: a randomized operation stream (allocate, pin,
-// commit, tier-promote, unref, evict) checked after every step against a
-// shadow model. The audited invariants:
-//   * per-tier used() equals the number of live blocks resident on the tier,
-//     and never exceeds capacity;
-//   * ref_count never goes negative; an unreferenced *uncached* block is
-//     destroyed immediately, an unreferenced cached block is preserved until
-//     evicted;
-//   * failed Allocate/AddResidency calls leave the pool untouched (no
-//     partial allocation);
+// BlockPool invariant audit: seeded random streams of extent operations
+// (allocate, ref, unref, commit, pin, unpin, tier copies, park, unpark,
+// destroy), each checked after every step against a per-block reference
+// model written here. The audited invariants:
+//   * every live block's record (refs, pins, residency, flags) matches the
+//     model's, per-tier used() equals the model's count (parked blocks
+//     included), and no tier exceeds its capacity;
+//   * an unreferenced *uncached* block is destroyed immediately, an
+//     unreferenced cached block is preserved until evicted;
+//   * Allocate takes the first free range that covers the request, else as
+//     few of the largest free ranges as cover it, from free ranges that are
+//     coalesced; the slab never holds more slots than the peak live block
+//     count;
+//   * failed Allocate calls leave the pool untouched (no partial
+//     allocation), and AddResidency stops where its tier fills;
 //   * a destroyed block's id never resolves again, even once its slot holds
-//     a new block, and neither does any negative id;
-//   * under RtcMaster churn, every slot a radix-tree block run holds stays
-//     live (BlockPool::IdAt aborts otherwise), a run holds a slot for every
-//     block or for none (parked), and a parked run's blocks stay counted in
-//     DRAM.
+//     a new block, an unpin by such an id changes nothing, and no negative id
+//     resolves;
+//   * under RtcMaster churn, every block a radix-tree run holds stays live,
+//     a run holds one block per edge symbol or none (parked), and a parked
+//     run's blocks stay counted in DRAM.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,169 +39,357 @@
 namespace deepserve::rtc {
 namespace {
 
-struct ShadowBlock {
-  int32_t ref = 0;
-  uint8_t residency = 0;
-  bool cached = false;
-};
+uint32_t SlotOf(BlockId id) { return static_cast<uint32_t>(static_cast<uint64_t>(id)); }
 
-class Audit {
- public:
-  Audit(BlockPool* pool, std::map<BlockId, ShadowBlock>* shadow)
-      : pool_(pool), shadow_(shadow) {}
-
-  void Check() const {
-    int64_t used[2] = {0, 0};
-    for (const auto& [id, sb] : *shadow_) {
-      ASSERT_TRUE(pool_->Exists(id)) << "block " << id << " vanished";
-      const BlockInfo& info = pool_->info(id);
-      EXPECT_EQ(info.ref_count, sb.ref) << "block " << id;
-      EXPECT_GE(info.ref_count, 0) << "block " << id;
-      EXPECT_EQ(info.residency, sb.residency) << "block " << id;
-      EXPECT_EQ(info.cached(), sb.cached) << "block " << id;
-      for (Tier tier : {Tier::kNpu, Tier::kDram}) {
-        if (info.resident(tier)) {
-          ++used[static_cast<size_t>(tier)];
-        }
-      }
-      // The preservation rule: a block with no references exists only if it
-      // was committed to the cache index.
-      if (sb.ref == 0) {
-        EXPECT_TRUE(sb.cached) << "unreferenced private block " << id << " survived";
-      }
-    }
-    EXPECT_EQ(pool_->total_blocks(), shadow_->size());
-    for (Tier tier : {Tier::kNpu, Tier::kDram}) {
-      EXPECT_EQ(pool_->used(tier), used[static_cast<size_t>(tier)])
-          << "tier " << TierToString(tier) << " accounting drifted";
-      EXPECT_LE(pool_->used(tier), pool_->capacity(tier));
-      EXPECT_EQ(pool_->free_blocks(tier), pool_->capacity(tier) - pool_->used(tier));
+std::vector<BlockId> Ids(const BlockTable& table) {
+  std::vector<BlockId> ids;
+  for (const Extent& extent : table.extents()) {
+    for (BlockId id = extent.first; id < extent.end(); ++id) {
+      ids.push_back(id);
     }
   }
-
- private:
-  BlockPool* pool_;
-  std::map<BlockId, ShadowBlock>* shadow_;
-};
-
-BlockId PickLive(Rng& rng, const std::map<BlockId, ShadowBlock>& shadow) {
-  if (shadow.empty()) {
-    return kInvalidBlock;
-  }
-  auto it = shadow.begin();
-  std::advance(it, rng.UniformInt(0, static_cast<int64_t>(shadow.size()) - 1));
-  return it->first;
+  return ids;
 }
 
-TEST(BlockPoolAuditTest, RandomOpStreamPreservesInvariants) {
+// The per-block reference: every live block's record, the per-tier used
+// counts, and the parked blocks (counted in DRAM, with no record).
+struct Model {
+  std::map<BlockId, BlockInfo> blocks;
+  int64_t used[2] = {0, 0};
+  int64_t parked = 0;
+
+  void Uncount(const BlockInfo& info) {
+    for (Tier tier : {Tier::kNpu, Tier::kDram}) {
+      used[static_cast<size_t>(tier)] -= info.resident(tier) ? 1 : 0;
+    }
+  }
+};
+
+// A random extent of live blocks: a sub-run of the run of consecutive ids
+// around a random live block, so it may span blocks of several allocations.
+Extent PickExtent(Rng& rng, const Model& model) {
+  if (model.blocks.empty()) {
+    return {};
+  }
+  auto it = model.blocks.begin();
+  std::advance(it, rng.UniformInt(0, static_cast<int64_t>(model.blocks.size()) - 1));
+  BlockId lo = it->first;
+  BlockId hi = it->first + 1;
+  while (model.blocks.contains(lo - 1)) {
+    --lo;
+  }
+  while (model.blocks.contains(hi)) {
+    ++hi;
+  }
+  const BlockId first = lo + rng.UniformInt(0, hi - lo - 1);
+  return {first, static_cast<uint32_t>(rng.UniformInt(1, hi - first))};
+}
+
+// The longest prefix of `extent` whose every block satisfies `pred`.
+template <typename Pred>
+Extent PrefixWhere(const Model& model, Extent extent, Pred pred) {
+  uint32_t n = 0;
+  while (n < extent.count && pred(model.blocks.at(extent.first + n))) {
+    ++n;
+  }
+  return {extent.first, n};
+}
+
+// The ranges Allocate(n) must take, in order, given the slab's free slots:
+// the first free range that covers n, else (after growing the slab by what
+// the free ranges lack) the largest ranges first, ties to the lowest address.
+std::vector<std::pair<uint32_t, uint32_t>> ExpectedTakes(const Model& model, size_t slab,
+                                                         int64_t n) {
+  std::vector<std::pair<uint32_t, uint32_t>> free;
+  std::set<uint32_t> live;
+  for (const auto& [id, info] : model.blocks) {
+    live.insert(SlotOf(id));
+  }
+  for (uint32_t slot = 0; slot < slab; ++slot) {
+    if (live.contains(slot)) {
+      continue;
+    }
+    if (!free.empty() && free.back().first + free.back().second == slot) {
+      ++free.back().second;
+    } else {
+      free.emplace_back(slot, 1);
+    }
+  }
+  for (const auto& [first, count] : free) {
+    if (count >= n) {
+      return {{first, static_cast<uint32_t>(n)}};
+    }
+  }
+  int64_t total = 0;
+  for (const auto& range : free) {
+    total += range.second;
+  }
+  if (total < n) {
+    const auto grow = static_cast<uint32_t>(n - total);
+    if (!free.empty() && free.back().first + free.back().second == slab) {
+      free.back().second += grow;
+    } else {
+      free.emplace_back(static_cast<uint32_t>(slab), grow);
+    }
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> takes;
+  while (n > 0) {
+    auto best = std::max_element(free.begin(), free.end(), [](const auto& a, const auto& b) {
+      return a.second < b.second;
+    });
+    const auto take = static_cast<uint32_t>(std::min<int64_t>(n, best->second));
+    takes.emplace_back(best->first, take);
+    n -= take;
+    free.erase(best);
+  }
+  return takes;
+}
+
+void ExpectMatches(const BlockPool& pool, const Model& model, const std::set<BlockId>& stale) {
+  for (const auto& [id, want] : model.blocks) {
+    ASSERT_TRUE(pool.Exists(id)) << "block " << id << " vanished";
+    const BlockInfo& info = pool.info(id);
+    EXPECT_EQ(info.ref_count, want.ref_count) << "block " << id;
+    EXPECT_EQ(info.pins, want.pins) << "block " << id;
+    EXPECT_EQ(info.residency, want.residency) << "block " << id;
+    EXPECT_EQ(info.flags, want.flags) << "block " << id;
+    // The preservation rule: a block with no references exists only if it
+    // was committed to the cache index.
+    if (want.ref_count == 0) {
+      EXPECT_TRUE(info.cached()) << "unreferenced private block " << id << " survived";
+    }
+  }
+  EXPECT_EQ(pool.total_blocks(), model.blocks.size());
+  for (Tier tier : {Tier::kNpu, Tier::kDram}) {
+    EXPECT_EQ(pool.used(tier), model.used[static_cast<size_t>(tier)])
+        << "tier " << TierToString(tier) << " accounting drifted";
+    EXPECT_LE(pool.used(tier), pool.capacity(tier));
+  }
+  for (BlockId id : stale) {
+    EXPECT_FALSE(pool.Exists(id)) << "destroyed block " << id << " resolves again";
+  }
+}
+
+TEST(BlockPoolAuditTest, ExtentOpsMatchAPerBlockReferenceModel) {
   for (uint64_t seed : {2ull, 29ull, 400ull}) {
-    BlockPoolConfig config;
-    config.npu_capacity = 24;
-    config.dram_capacity = 32;
-    BlockPool pool(config);
-    std::map<BlockId, ShadowBlock> shadow;
-    Audit audit(&pool, &shadow);
+    BlockPool pool({.npu_capacity = 48, .dram_capacity = 20});
+    Model model;
+    std::set<BlockId> stale;  // destroyed and parked ids
+    size_t peak_live = 0;
+    int64_t split_allocations = 0;
+    int64_t stale_unpins = 0;
     Rng rng(seed);
 
-    for (int step = 0; step < 2000; ++step) {
-      switch (rng.UniformInt(0, 6)) {
-        case 0: {  // allocate 1..4 private blocks on a random tier
-          Tier tier = static_cast<Tier>(rng.UniformInt(0, 1));
-          int64_t n = rng.UniformInt(1, 4);
-          int64_t used_before = pool.used(tier);
-          std::vector<BlockId> ids;
-          Status status = pool.Allocate(n, tier, &ids);
-          if (status.ok()) {
-            for (BlockId id : ids) {
-              shadow[id] = ShadowBlock{1, TierBit(tier), false};
-            }
-          } else {
-            EXPECT_TRUE(ids.empty()) << "failed Allocate returned ids";
+    for (int step = 0; step < 3000; ++step) {
+      const Extent pick = PickExtent(rng, model);
+      switch (rng.UniformInt(0, 11)) {
+        case 0:
+        case 1: {  // allocate 1..10 private blocks on a random tier
+          const Tier tier = static_cast<Tier>(rng.UniformInt(0, 1));
+          const int64_t n = rng.UniformInt(1, 10);
+          const auto expected = ExpectedTakes(model, pool.slab_slots(), n);
+          BlockTable table;
+          const Status status = pool.Allocate(n, tier, &table);
+          if (!status.ok()) {
+            EXPECT_TRUE(table.empty()) << "failed Allocate returned blocks";
             EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-            EXPECT_GT(pool.used(tier) + n, pool.capacity(tier));
-            EXPECT_EQ(pool.used(tier), used_before) << "failed Allocate leaked blocks";
-          }
-          break;
-        }
-        case 1: {  // pin
-          BlockId id = PickLive(rng, shadow);
-          if (id != kInvalidBlock) {
-            pool.Ref(id);
-            ++shadow[id].ref;
-          }
-          break;
-        }
-        case 2: {  // unref: uncached blocks die at zero, cached are preserved
-          BlockId id = PickLive(rng, shadow);
-          if (id != kInvalidBlock && shadow[id].ref > 0) {
-            pool.Unref(id);
-            ShadowBlock& sb = shadow[id];
-            if (--sb.ref == 0 && !sb.cached) {
-              shadow.erase(id);
-              EXPECT_FALSE(pool.Exists(id));
-            }
-          }
-          break;
-        }
-        case 3: {  // commit: private -> cached content block
-          BlockId id = PickLive(rng, shadow);
-          if (id != kInvalidBlock && !shadow[id].cached) {
-            pool.MarkCached(id);
-            shadow[id].cached = true;
-          }
-          break;
-        }
-        case 4: {  // tier-promote / add residency copy
-          BlockId id = PickLive(rng, shadow);
-          if (id == kInvalidBlock) {
+            EXPECT_GT(model.used[static_cast<size_t>(tier)] + n, pool.capacity(tier));
             break;
           }
-          Tier tier = static_cast<Tier>(rng.UniformInt(0, 1));
-          int64_t used_before = pool.used(tier);
-          Status status = pool.AddResidency(id, tier);
-          if (status.ok()) {
-            shadow[id].residency |= TierBit(tier);
-          } else {
-            EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
-            EXPECT_EQ(pool.used(tier), used_before);
-            EXPECT_FALSE((shadow[id].residency & TierBit(tier)) != 0)
-                << "AddResidency failed on an already-resident block";
+          ASSERT_EQ(table.extents().size(), expected.size()) << "step " << step;
+          for (size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_EQ(SlotOf(table.extents()[i].first), expected[i].first) << "step " << step;
+            EXPECT_EQ(table.extents()[i].count, expected[i].second) << "step " << step;
           }
+          split_allocations += expected.size() > 1 ? 1 : 0;
+          const std::vector<BlockId> ids = Ids(table);
+          for (BlockId id : ids) {
+            EXPECT_FALSE(stale.contains(id)) << "a new block reuses a dead id";
+            model.blocks[id] = BlockInfo{.ref_count = 1, .residency = TierBit(tier)};
+          }
+          model.used[static_cast<size_t>(tier)] += n;
+          // Splitting the table anywhere keeps each block on its side.
+          const auto at = static_cast<size_t>(rng.UniformInt(0, n));
+          BlockTable head = table;
+          const BlockTable tail = head.SplitTail(at);
+          EXPECT_EQ(Ids(head), std::vector<BlockId>(ids.begin(), ids.begin() + at));
+          EXPECT_EQ(Ids(tail), std::vector<BlockId>(ids.begin() + at, ids.end()));
+          head.Append(tail);
+          EXPECT_EQ(head, table);
+          const auto end = static_cast<size_t>(rng.UniformInt(static_cast<int64_t>(at), n));
+          EXPECT_EQ(Ids(table.Slice(at, end)),
+                    std::vector<BlockId>(ids.begin() + at, ids.begin() + end));
           break;
         }
-        case 5: {  // drop one residency copy (demote)
-          BlockId id = PickLive(rng, shadow);
-          if (id == kInvalidBlock) {
-            break;
-          }
-          Tier tier = static_cast<Tier>(rng.UniformInt(0, 1));
-          pool.DropResidency(id, tier);
-          shadow[id].residency &= static_cast<uint8_t>(~TierBit(tier));
-          break;
-        }
-        case 6: {  // evict: destroy an unreferenced cached block
-          BlockId victim = kInvalidBlock;
-          for (const auto& [id, sb] : shadow) {
-            if (sb.ref == 0) {
-              victim = id;
-              break;
+        case 2: {  // ref
+          if (pick.count > 0) {
+            pool.Ref(pick);
+            for (BlockId id = pick.first; id < pick.end(); ++id) {
+              ++model.blocks.at(id).ref_count;
             }
           }
-          if (victim != kInvalidBlock) {
-            pool.Destroy(victim);
-            shadow.erase(victim);
-            EXPECT_FALSE(pool.Exists(victim));
+          break;
+        }
+        case 3: {  // unref a prefix: uncached blocks die at zero
+          const Extent held =
+              PrefixWhere(model, pick, [](const BlockInfo& info) { return info.ref_count > 0; });
+          if (held.count == 0) {
+            break;
           }
+          pool.Unref(held);
+          for (BlockId id = held.first; id < held.end(); ++id) {
+            BlockInfo& info = model.blocks.at(id);
+            if (--info.ref_count == 0 && !info.cached()) {
+              model.Uncount(info);
+              model.blocks.erase(id);
+              stale.insert(id);
+            }
+          }
+          break;
+        }
+        case 4: {  // commit (sometimes into an id index too)
+          if (pick.count == 0) {
+            break;
+          }
+          const bool indexed = rng.UniformInt(0, 4) == 0;
+          pool.MarkCached(pick);
+          if (indexed) {
+            pool.MarkIndexed(pick);
+          }
+          for (BlockId id = pick.first; id < pick.end(); ++id) {
+            model.blocks.at(id).flags |= kBlockCommitted | (indexed ? kBlockIndexed : 0);
+          }
+          break;
+        }
+        case 5: {  // pin, or unpin a pinned prefix
+          if (pick.count == 0) {
+            break;
+          }
+          if (rng.UniformInt(0, 1) == 0) {
+            pool.Pin(pick);
+            for (BlockId id = pick.first; id < pick.end(); ++id) {
+              ++model.blocks.at(id).pins;
+            }
+            break;
+          }
+          const Extent pinned =
+              PrefixWhere(model, pick, [](const BlockInfo& info) { return info.pins > 0; });
+          pool.Unpin(pinned);
+          for (BlockId id = pinned.first; id < pinned.end(); ++id) {
+            --model.blocks.at(id).pins;
+          }
+          break;
+        }
+        case 6:
+        case 7: {  // add a tier copy: stops where the tier fills
+          if (pick.count == 0) {
+            break;
+          }
+          const Tier tier = static_cast<Tier>(rng.UniformInt(0, 1));
+          int64_t& used = model.used[static_cast<size_t>(tier)];
+          std::vector<BlockId> want;
+          for (BlockId id = pick.first; id < pick.end() && used < pool.capacity(tier); ++id) {
+            BlockInfo& info = model.blocks.at(id);
+            if (!info.resident(tier)) {
+              info.residency |= TierBit(tier);
+              ++used;
+              want.push_back(id);
+            }
+          }
+          BlockTable added;
+          pool.AddResidency(pick, tier, &added);
+          EXPECT_EQ(Ids(added), want) << "step " << step;
+          break;
+        }
+        case 8: {  // drop a tier copy
+          if (pick.count == 0) {
+            break;
+          }
+          const Tier tier = static_cast<Tier>(rng.UniformInt(0, 1));
+          pool.DropResidency(pick, tier);
+          for (BlockId id = pick.first; id < pick.end(); ++id) {
+            BlockInfo& info = model.blocks.at(id);
+            if (info.resident(tier)) {
+              info.residency &= static_cast<uint8_t>(~TierBit(tier));
+              --model.used[static_cast<size_t>(tier)];
+            }
+          }
+          break;
+        }
+        case 9: {  // park a parkable prefix, or unpark some parked blocks
+          if (rng.UniformInt(0, 1) == 0 && model.parked > 0) {
+            const int64_t n = rng.UniformInt(1, model.parked);
+            BlockTable table;
+            pool.Unpark(n, &table);
+            for (BlockId id : Ids(table)) {
+              EXPECT_FALSE(stale.contains(id)) << "an unparked block reuses a dead id";
+              model.blocks[id] =
+                  BlockInfo{.residency = TierBit(Tier::kDram), .flags = kBlockCommitted};
+            }
+            EXPECT_EQ(table.size(), static_cast<size_t>(n));
+            model.parked -= n;
+            break;
+          }
+          if (pick.count == 0) {
+            break;
+          }
+          const Extent parkable =
+              PrefixWhere(model, pick, [](const BlockInfo& info) { return info.parkable(); });
+          if (parkable.count == 0) {
+            break;
+          }
+          pool.Park(parkable);
+          for (BlockId id = parkable.first; id < parkable.end(); ++id) {
+            model.blocks.erase(id);
+            stale.insert(id);
+          }
+          model.parked += parkable.count;
+          break;
+        }
+        case 10: {  // destroy an unreferenced prefix (eviction)
+          if (pick.count == 0) {
+            break;
+          }
+          const Extent victim = PrefixWhere(
+              model, pick, [](const BlockInfo& info) { return info.ref_count == 0; });
+          if (victim.count == 0) {
+            break;
+          }
+          pool.Destroy(victim);
+          for (BlockId id = victim.first; id < victim.end(); ++id) {
+            model.Uncount(model.blocks.at(id));
+            model.blocks.erase(id);
+            stale.insert(id);
+          }
+          break;
+        }
+        case 11: {  // a copy of a dead block lands: its unpin changes nothing
+          if (stale.empty()) {
+            break;
+          }
+          auto it = stale.begin();
+          std::advance(it, rng.UniformInt(0, static_cast<int64_t>(stale.size()) - 1));
+          uint32_t n = 1;  // a run of dead ids, as a copy's extent would be
+          while (n < 3 && stale.contains(*it + n)) {
+            ++n;
+          }
+          pool.Unpin({*it, n});
+          ++stale_unpins;
           break;
         }
       }
-      audit.Check();
-      if (::testing::Test::HasFatalFailure()) {
+      ExpectMatches(pool, model, stale);
+      peak_live = std::max(peak_live, pool.total_blocks());
+      EXPECT_LE(pool.slab_slots(), peak_live) << "the slab outgrew the peak live count";
+      if (::testing::Test::HasFailure()) {
         FAIL() << "seed " << seed << " step " << step;
       }
     }
     // The stream must have actually exercised the interesting paths.
-    EXPECT_GT(shadow.size(), 0u);
+    EXPECT_GT(model.blocks.size(), 0u) << "seed " << seed;
+    EXPECT_GT(split_allocations, 0) << "seed " << seed << ": no allocation spanned ranges";
+    EXPECT_GT(stale_unpins, 0) << "seed " << seed;
+    EXPECT_GT(pool.range_takes(), 0) << "seed " << seed;
   }
 }
 
@@ -202,37 +398,42 @@ TEST(BlockPoolAuditTest, ExhaustedTierRejectsWithoutPartialAllocation) {
   config.npu_capacity = 4;
   config.dram_capacity = 4;
   BlockPool pool(config);
-  std::vector<BlockId> ids;
-  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu, &ids).ok());
-  Status b = pool.Allocate(2, Tier::kNpu, &ids);
+  BlockTable blocks;
+  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu, &blocks).ok());
+  Status b = pool.Allocate(2, Tier::kNpu, &blocks);
   ASSERT_FALSE(b.ok());
   EXPECT_EQ(b.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(ids.size(), 3u) << "failed allocation returned ids";
+  EXPECT_EQ(blocks.size(), 3u) << "failed allocation returned blocks";
   EXPECT_EQ(pool.used(Tier::kNpu), 3) << "failed allocation changed usage";
   EXPECT_EQ(pool.total_blocks(), 3u);
 }
 
 TEST(BlockPoolAuditTest, PromoteThenDemoteKeepsOneCopyAccounted) {
   BlockPool pool(BlockPoolConfig{});
-  std::vector<BlockId> ids;
-  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &ids).ok());
-  BlockId id = ids[0];
-  ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
+  BlockTable blocks;
+  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &blocks).ok());
+  const Extent block = blocks.extents()[0];
+  const BlockId id = block.first;
+  BlockTable added;
+  pool.AddResidency(block, Tier::kDram, &added);
+  EXPECT_EQ(added, blocks);
   EXPECT_TRUE(pool.info(id).resident(Tier::kNpu));
   EXPECT_TRUE(pool.info(id).resident(Tier::kDram));
   EXPECT_EQ(pool.used(Tier::kNpu), 1);
   EXPECT_EQ(pool.used(Tier::kDram), 1);
   // Re-adding an existing copy is a no-op, not a double count.
-  ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
+  added.clear();
+  pool.AddResidency(block, Tier::kDram, &added);
+  EXPECT_TRUE(added.empty());
   EXPECT_EQ(pool.used(Tier::kDram), 1);
-  pool.DropResidency(id, Tier::kNpu);
+  pool.DropResidency(block, Tier::kNpu);
   EXPECT_FALSE(pool.info(id).resident(Tier::kNpu));
   EXPECT_EQ(pool.used(Tier::kNpu), 0);
   // Dropping a non-resident tier is a no-op.
-  pool.DropResidency(id, Tier::kNpu);
+  pool.DropResidency(block, Tier::kNpu);
   EXPECT_EQ(pool.used(Tier::kNpu), 0);
   // Unref of the (uncached) block releases its remaining DRAM copy.
-  pool.Unref(id);
+  pool.Unref(block);
   EXPECT_FALSE(pool.Exists(id));
   EXPECT_EQ(pool.used(Tier::kDram), 0);
 }
@@ -244,43 +445,87 @@ BlockId WithBit63(BlockId id) {
 
 TEST(BlockPoolAuditTest, ReusedSlotNeverResolvesTheOldId) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  std::vector<BlockId> ids;
-  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &ids).ok());
-  const BlockId old_id = ids[0];
-  EXPECT_EQ(pool.IdAt(BlockPool::SlotOf(old_id)), old_id);
-  pool.MarkCached(old_id);
-  pool.Unref(old_id);
+  BlockTable blocks;
+  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &blocks).ok());
+  const BlockId old_id = blocks.front();
+  pool.MarkCached({old_id, 1});
+  pool.Unref({old_id, 1});
   ASSERT_TRUE(pool.Exists(old_id)) << "a cached block outlives its last ref";
-  pool.Destroy(old_id);
+  pool.Destroy({old_id, 1});
   EXPECT_FALSE(pool.Exists(old_id));
 
-  ids.clear();
-  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &ids).ok());
-  const BlockId new_id = ids[0];
-  ASSERT_EQ(BlockPool::SlotOf(new_id), BlockPool::SlotOf(old_id)) << "the slot was not reused";
+  blocks.clear();
+  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &blocks).ok());
+  const BlockId new_id = blocks.front();
+  ASSERT_EQ(SlotOf(new_id), SlotOf(old_id)) << "the only free slot was not reused";
   EXPECT_NE(new_id, old_id);
   EXPECT_FALSE(pool.Exists(old_id));
   EXPECT_TRUE(pool.Exists(new_id));
-  EXPECT_EQ(pool.IdAt(BlockPool::SlotOf(new_id)), new_id);
   EXPECT_FALSE(pool.info(new_id).cached()) << "the new occupant inherited the cached flag";
 
   // A copy of the old block completing now must not touch the new occupant.
-  pool.Pin(new_id);
-  pool.Unpin(old_id);
+  pool.Pin({new_id, 1});
+  pool.Unpin({old_id, 1});
   EXPECT_EQ(pool.info(new_id).pins, 1);
-  pool.Unpin(new_id);
+  pool.Unpin({new_id, 1});
 
   // Negative ids never resolve, whatever the slot they point at holds.
   EXPECT_FALSE(pool.Exists(kInvalidBlock));
   EXPECT_FALSE(pool.Exists(WithBit63(new_id)));
   EXPECT_FALSE(pool.Exists(WithBit63(old_id)));
-  ids.clear();
-  ASSERT_TRUE(pool.Allocate(2, Tier::kDram, &ids).ok());
-  pool.Unref(ids[1]);  // leaves a free slot at generation 2
-  EXPECT_FALSE(pool.Exists(WithBit63(ids[0])));
-  EXPECT_FALSE(pool.Exists(WithBit63(ids[1])));
+  EXPECT_FALSE(pool.Exists(Extent{WithBit63(new_id), 1}));
+  blocks.clear();
+  ASSERT_TRUE(pool.Allocate(2, Tier::kDram, &blocks).ok());
+  pool.Unref({blocks[1], 1});  // leaves a free slot at generation 2
+  EXPECT_FALSE(pool.Exists(WithBit63(blocks[0])));
+  EXPECT_FALSE(pool.Exists(WithBit63(blocks[1])));
   EXPECT_EQ(pool.used(Tier::kNpu), 1);
   EXPECT_EQ(pool.used(Tier::kDram), 1);
+}
+
+TEST(BlockPoolAuditTest, ARangeTakesItsSlotsHighestGeneration) {
+  // Slots 0 and 1 are freed at different generations and coalesce; the
+  // two-block range taken from them gets the higher one for both slots, so
+  // neither old id resolves and both new blocks form one extent.
+  BlockPool pool({.npu_capacity = 4, .dram_capacity = 0});
+  BlockTable blocks;
+  ASSERT_TRUE(pool.Allocate(2, Tier::kNpu, &blocks).ok());
+  const BlockId zero = blocks[0];
+  pool.Unref({blocks[1], 1});
+  BlockTable again;
+  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &again).ok());
+  const BlockId one = again.front();
+  ASSERT_EQ(SlotOf(one), 1u);
+  pool.Unref({one, 1});
+  pool.Unref({zero, 1});
+  BlockTable both;
+  ASSERT_TRUE(pool.Allocate(2, Tier::kNpu, &both).ok());
+  ASSERT_EQ(both.extents().size(), 1u);
+  EXPECT_EQ(SlotOf(both.front()), 0u);
+  EXPECT_EQ(both.front() >> 32, (one >> 32) + 1)
+      << "the range takes slot 1's generation, the one after `one`'s";
+  EXPECT_FALSE(pool.Exists(zero));
+  EXPECT_FALSE(pool.Exists(one));
+  EXPECT_EQ(pool.slab_slots(), 2u);
+}
+
+// Walks the RTC's tree: every run is parked (no blocks) or holds one live
+// block per edge symbol.
+void ExpectRunsLive(const RtcMaster& master) {
+  using Node = RadixTree<BlockRun>::Node;
+  auto walk = [&](const Node* node, const auto& self) -> void {
+    node->children.ForEach([&](BlockKey, const Node* child) {
+      const BlockTable& run = child->value.blocks;
+      if (!run.empty()) {
+        EXPECT_EQ(run.size(), child->edge.size()) << "a run and its edge disagree";
+        for (const Extent& extent : run.extents()) {
+          EXPECT_TRUE(master.pool().Exists(extent)) << "a run holds a dead block";
+        }
+      }
+      self(child, self);
+    });
+  };
+  walk(master.index().root(), walk);
 }
 
 // A prompt of `n_blocks` full blocks whose first `shared` blocks are common to
@@ -301,10 +546,11 @@ std::vector<TokenId> ChurnPrompt(Rng& rng, int64_t family, int64_t shared, int64
 // earlier prompts come back to rematch their leaves, parked or not. Allocation
 // pressure and explicit EnsureNpuFree calls drive both of its passes (the drop
 // pass parks the runs it demotes), and the background swapper demotes,
-// retires and parks as simulated time passes. Every tree walk resolves its
-// run's slots through BlockPool::IdAt, which aborts on a slot that is not
-// live. After every step the pool's ref counts match the sequences' pins, no
-// tier is over capacity, and the DRAM tier still counts every parked block.
+// retires and parks as simulated time passes. Every pool operation on a run's
+// extents aborts on a block that is not live, and after every step a walk of
+// the tree finds each run live and one block per edge symbol, or parked. The
+// pool's ref counts match the sequences' pins, no tier is over capacity, and
+// the DRAM tier still counts every parked block.
 TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
   for (uint64_t seed : {3ull, 17ull, 91ull}) {
     sim::Simulator sim;
@@ -312,13 +558,13 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
     config.pool.npu_capacity = 40;
     config.pool.dram_capacity = 24;
     RtcMaster master(&sim, config);
-    std::vector<std::vector<BlockId>> seqs;
+    std::vector<BlockTable> seqs;
     std::vector<std::vector<TokenId>> committed;  // prompts to rematch
     std::map<BlockId, int32_t> refs;
     Rng rng(seed);
 
-    auto pin = [&](std::span<const BlockId> blocks, int32_t delta) {
-      for (BlockId id : blocks) {
+    auto pin = [&](const BlockTable& blocks, int32_t delta) {
+      for (BlockId id : Ids(blocks)) {
         if ((refs[id] += delta) == 0) {
           refs.erase(id);
         }
@@ -329,14 +575,14 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
       MatchInfo match = master.MatchByPrefixToken(prompt, keys.span());
       master.Acquire(match.blocks);
       pin(match.blocks, 1);
-      std::vector<BlockId> blocks = match.blocks;
+      BlockTable blocks = match.blocks;
       bool ok = true;
       if (match.needs_populate()) {
         ok = master.Populate(match).ok();
       }
       ok = ok && master.AllocBlocks(static_cast<int64_t>(keys.size() - blocks.size()),
                                     &blocks).ok();
-      pin(std::span<const BlockId>(blocks).subspan(match.blocks.size()), 1);
+      pin(blocks.Slice(match.blocks.size(), blocks.size()), 1);
       if (!ok) {
         master.Free(blocks);
         pin(blocks, -1);
@@ -380,11 +626,12 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
       const RtcStats& stats = master.stats();
       EXPECT_GE(master.pool().used(Tier::kDram), stats.parked_blocks - stats.unparked_blocks)
           << "step " << step;
+      ExpectRunsLive(master);
       if (::testing::Test::HasFailure()) {
         FAIL() << "seed " << seed << " step " << step;
       }
     }
-    for (const std::vector<BlockId>& blocks : seqs) {
+    for (const BlockTable& blocks : seqs) {
       master.Free(blocks);
       pin(blocks, -1);
     }
@@ -393,7 +640,7 @@ TEST(BlockPoolAuditTest, RtcChurnKeepsEveryTreeSlotLive) {
     // Every committed prompt still matches through live slots.
     for (const std::vector<TokenId>& prompt : committed) {
       MatchInfo match = master.MatchByPrefixToken(prompt, TokensToBlockKeys(prompt));
-      for (BlockId id : match.blocks) {
+      for (BlockId id : Ids(match.blocks)) {
         EXPECT_TRUE(master.pool().Exists(id));
         EXPECT_EQ(master.pool().info(id).ref_count, 0);
       }

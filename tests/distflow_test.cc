@@ -198,7 +198,7 @@ TEST_F(TransferEngineTest, PopulateIsOneTransfer) {
   for (size_t i = 0; i < tokens.size(); ++i) {
     tokens[i] = static_cast<TokenId>(100 + i);
   }
-  std::vector<rtc::BlockId> blocks = rtc.AllocBlocks(4).value();
+  rtc::BlockTable blocks = rtc.AllocBlocks(4).value();
   rtc.Preserve(tokens, blocks, rtc::KeyChain::Hash(tokens));
   rtc.Copy(blocks, rtc::Tier::kDram, nullptr);
   sim_.Run();

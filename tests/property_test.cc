@@ -137,11 +137,13 @@ TEST_P(BlockPoolPropertyTest, UsageMatchesShadowAccounting) {
     int op = static_cast<int>(rng.UniformInt(0, 5));
     if (op <= 1) {  // allocate
       int64_t n = rng.UniformInt(1, 4);
-      std::vector<rtc::BlockId> blocks;
+      rtc::BlockTable blocks;
       if (pool.Allocate(n, rtc::Tier::kNpu, &blocks).ok()) {
-        for (auto id : blocks) {
-          live.push_back(id);
-          refs[id] = 1;
+        for (const rtc::Extent& extent : blocks.extents()) {
+          for (rtc::BlockId id = extent.first; id < extent.end(); ++id) {
+            live.push_back(id);
+            refs[id] = 1;
+          }
         }
         shadow_npu += n;
       } else {
@@ -149,13 +151,13 @@ TEST_P(BlockPoolPropertyTest, UsageMatchesShadowAccounting) {
       }
     } else if (op == 2 && !live.empty()) {  // extra ref
       auto id = live[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
-      pool.Ref(id);
+      pool.Ref({id, 1});
       ++refs[id];
     } else if (op == 3 && !live.empty()) {  // unref (maybe destroy)
       size_t idx = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
       auto id = live[idx];
       bool had_dram = pool.info(id).resident(rtc::Tier::kDram);
-      pool.Unref(id);
+      pool.Unref({id, 1});
       if (--refs[id] == 0) {
         // Private block destroyed: residency released everywhere.
         shadow_npu -= pool.Exists(id) ? 0 : 1;
@@ -169,14 +171,13 @@ TEST_P(BlockPoolPropertyTest, UsageMatchesShadowAccounting) {
       }
     } else if (op == 4 && !live.empty()) {  // add DRAM copy
       auto id = live[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
-      if (!pool.info(id).resident(rtc::Tier::kDram) &&
-          pool.AddResidency(id, rtc::Tier::kDram).ok()) {
-        ++shadow_dram;
-      }
+      rtc::BlockTable added;
+      pool.AddResidency({id, 1}, rtc::Tier::kDram, &added);
+      shadow_dram += static_cast<int64_t>(added.size());
     } else if (op == 5 && !live.empty()) {  // drop DRAM copy
       auto id = live[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
       if (pool.info(id).resident(rtc::Tier::kDram)) {
-        pool.DropResidency(id, rtc::Tier::kDram);
+        pool.DropResidency({id, 1}, rtc::Tier::kDram);
         --shadow_dram;
       }
     }

@@ -35,13 +35,12 @@ MatchInfo Match(RtcMaster& master, std::span<const TokenId> tokens) {
   return master.MatchByPrefixToken(tokens, TokensToBlockKeys(tokens));
 }
 
-void Preserve(RtcMaster& master, std::span<const TokenId> tokens,
-              std::span<const BlockId> blocks) {
+void Preserve(RtcMaster& master, std::span<const TokenId> tokens, const BlockTable& blocks) {
   master.Preserve(tokens, blocks, KeyChain::Hash(tokens));
 }
 
 Status PreserveById(RtcMaster& master, const std::string& id, std::span<const TokenId> tokens,
-                    std::span<const BlockId> blocks) {
+                    const BlockTable& blocks) {
   return master.PreserveById(id, tokens, blocks, KeyChain::Hash(tokens));
 }
 
@@ -173,71 +172,101 @@ TEST(RadixTreeTest, MatchDoesNotCreateNodes) {
 
 TEST(BlockPoolTest, AllocateRespectsCapacity) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 2});
-  std::vector<BlockId> ids;
-  ASSERT_TRUE(pool.Allocate(4, Tier::kNpu, &ids).ok());
+  BlockTable blocks;
+  ASSERT_TRUE(pool.Allocate(4, Tier::kNpu, &blocks).ok());
   EXPECT_EQ(pool.free_blocks(Tier::kNpu), 0);
-  EXPECT_FALSE(pool.Allocate(1, Tier::kNpu, &ids).ok());
-  EXPECT_TRUE(pool.Allocate(2, Tier::kDram, &ids).ok());
+  EXPECT_FALSE(pool.Allocate(1, Tier::kNpu, &blocks).ok());
+  EXPECT_TRUE(pool.Allocate(2, Tier::kDram, &blocks).ok());
+  // Six fresh blocks in one growing slab: one extent.
+  EXPECT_EQ(blocks.size(), 6u);
+  EXPECT_EQ(blocks.extents().size(), 1u);
 }
 
 TEST(BlockPoolTest, FailedAllocateIsAtomic) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 0});
-  std::vector<BlockId> ids;
-  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu, &ids).ok());
-  EXPECT_FALSE(pool.Allocate(2, Tier::kNpu, &ids).ok());
+  BlockTable blocks;
+  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu, &blocks).ok());
+  EXPECT_FALSE(pool.Allocate(2, Tier::kNpu, &blocks).ok());
   EXPECT_EQ(pool.used(Tier::kNpu), 3);
-  EXPECT_EQ(ids.size(), 3u);
+  EXPECT_EQ(blocks.size(), 3u);
 }
 
 TEST(BlockPoolTest, UnrefDestroysPrivateBlocks) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  std::vector<BlockId> blocks;
+  BlockTable blocks;
   ASSERT_TRUE(pool.Allocate(2, Tier::kNpu, &blocks).ok());
-  pool.Unref(blocks[0]);
+  pool.Unref({blocks[0], 1});
   EXPECT_FALSE(pool.Exists(blocks[0]));
+  EXPECT_TRUE(pool.Exists(blocks[1]));
   EXPECT_EQ(pool.used(Tier::kNpu), 1);
 }
 
 TEST(BlockPoolTest, UnrefKeepsCachedBlocks) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
-  std::vector<BlockId> blocks;
-  ASSERT_TRUE(pool.Allocate(1, Tier::kNpu, &blocks).ok());
-  pool.MarkCached(blocks[0]);
-  pool.Unref(blocks[0]);
-  EXPECT_TRUE(pool.Exists(blocks[0]));
-  EXPECT_EQ(pool.info(blocks[0]).ref_count, 0);
+  BlockTable blocks;
+  ASSERT_TRUE(pool.Allocate(3, Tier::kNpu, &blocks).ok());
+  const Extent all = blocks.extents()[0];
+  pool.MarkCached({all.first + 1, 1});
+  pool.Unref(all);
+  EXPECT_FALSE(pool.Exists(blocks[0]));
+  EXPECT_TRUE(pool.Exists(blocks[1]));
+  EXPECT_FALSE(pool.Exists(blocks[2]));
+  EXPECT_EQ(pool.info(blocks[1]).ref_count, 0);
+  EXPECT_EQ(pool.used(Tier::kNpu), 1);
 }
 
-// One fresh block's id, allocated on `tier`.
+// One fresh block, allocated on `tier`.
 BlockId AllocOne(BlockPool& pool, Tier tier) {
-  std::vector<BlockId> ids;
-  DS_CHECK_OK(pool.Allocate(1, tier, &ids));
-  return ids[0];
+  BlockTable blocks;
+  DS_CHECK_OK(pool.Allocate(1, tier, &blocks));
+  return blocks.front();
 }
 
 TEST(BlockPoolTest, ResidencyBitmaskAndCounters) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
   BlockId id = AllocOne(pool, Tier::kNpu);
-  ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
+  BlockTable added;
+  pool.AddResidency({id, 1}, Tier::kDram, &added);
+  EXPECT_EQ(added.size(), 1u);
   EXPECT_TRUE(pool.info(id).resident(Tier::kNpu));
   EXPECT_TRUE(pool.info(id).resident(Tier::kDram));
   EXPECT_EQ(pool.used(Tier::kDram), 1);
-  pool.DropResidency(id, Tier::kNpu);
+  pool.DropResidency({id, 1}, Tier::kNpu);
   EXPECT_FALSE(pool.info(id).resident(Tier::kNpu));
   EXPECT_EQ(pool.used(Tier::kNpu), 0);
   // Idempotent add/drop.
-  ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
+  added.clear();
+  pool.AddResidency({id, 1}, Tier::kDram, &added);
+  EXPECT_TRUE(added.empty());
   EXPECT_EQ(pool.used(Tier::kDram), 1);
-  pool.DropResidency(id, Tier::kNpu);
+  pool.DropResidency({id, 1}, Tier::kNpu);
+}
+
+TEST(BlockPoolTest, AddResidencyStopsWhereTheTierFills) {
+  BlockPool pool({.npu_capacity = 8, .dram_capacity = 4});
+  BlockTable blocks;
+  ASSERT_TRUE(pool.Allocate(5, Tier::kNpu, &blocks).ok());
+  const Extent all = blocks.extents()[0];
+  BlockTable added;
+  pool.AddResidency({all.first + 1, 1}, Tier::kDram, &added);
+  added.clear();
+  // Block 1 already has its copy; blocks 0, 2 and 3 fill the tier; 4 gets none.
+  pool.AddResidency(all, Tier::kDram, &added);
+  ASSERT_EQ(added.extents().size(), 2u);
+  EXPECT_EQ(added.extents()[0], (Extent{all.first, 1}));
+  EXPECT_EQ(added.extents()[1], (Extent{all.first + 2, 2}));
+  EXPECT_EQ(pool.used(Tier::kDram), 4);
+  EXPECT_FALSE(pool.info(blocks[4]).resident(Tier::kDram));
 }
 
 TEST(BlockPoolTest, DestroyReleasesAllTiers) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
   BlockId id = AllocOne(pool, Tier::kNpu);
-  ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
-  pool.MarkCached(id);
-  pool.Unref(id);
-  pool.Destroy(id);
+  BlockTable added;
+  pool.AddResidency({id, 1}, Tier::kDram, &added);
+  pool.MarkCached({id, 1});
+  pool.Unref({id, 1});
+  pool.Destroy({id, 1});
   EXPECT_EQ(pool.used(Tier::kNpu), 0);
   EXPECT_EQ(pool.used(Tier::kDram), 0);
   EXPECT_FALSE(pool.Exists(id));
@@ -246,44 +275,71 @@ TEST(BlockPoolTest, DestroyReleasesAllTiers) {
 TEST(BlockPoolTest, CopyPinsCountAndStaleUnpinIsANoOp) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
   BlockId id = AllocOne(pool, Tier::kNpu);
-  pool.Pin(id);
-  pool.Pin(id);
-  pool.Unpin(id);
+  pool.Pin({id, 1});
+  pool.Pin({id, 1});
+  pool.Unpin({id, 1});
   EXPECT_TRUE(pool.info(id).pinned());
   // A private block dies with its last ref even mid-copy; its slot is reused.
-  pool.Unref(id);
+  pool.Unref({id, 1});
   ASSERT_FALSE(pool.Exists(id));
   BlockId reused = AllocOne(pool, Tier::kNpu);
   EXPECT_FALSE(pool.info(reused).pinned());
   // The copy's completion unpins the dead id: the new occupant is untouched.
-  pool.Pin(reused);
-  pool.Unpin(id);
+  pool.Pin({reused, 1});
+  pool.Unpin({id, 1});
   EXPECT_TRUE(pool.info(reused).pinned());
-  pool.Unpin(reused);
+  pool.Unpin({reused, 1});
   EXPECT_FALSE(pool.info(reused).pinned());
+}
+
+TEST(BlockPoolTest, FreeRangesCoalesceAndAllocateFirstFit) {
+  BlockPool pool({.npu_capacity = 16, .dram_capacity = 0});
+  BlockTable blocks;
+  ASSERT_TRUE(pool.Allocate(8, Tier::kNpu, &blocks).ok());
+  const Extent all = blocks.extents()[0];
+  // Free slots 1-2 and 5, then 3-4: the frees coalesce into one range, 1-5.
+  pool.Unref({all.first + 1, 2});
+  pool.Unref({all.first + 5, 1});
+  pool.Unref({all.first + 3, 2});
+  EXPECT_EQ(pool.slab_slots(), 8u);
+  // Five blocks fit the first free range: one extent, no slab growth.
+  BlockTable five;
+  ASSERT_TRUE(pool.Allocate(5, Tier::kNpu, &five).ok());
+  ASSERT_EQ(five.extents().size(), 1u);
+  EXPECT_EQ(five.extents()[0].count, 5u);
+  EXPECT_EQ(pool.slab_slots(), 8u);
+  // No free slot is left: the slab grows, by exactly what is asked.
+  BlockTable two;
+  ASSERT_TRUE(pool.Allocate(2, Tier::kNpu, &two).ok());
+  EXPECT_EQ(pool.slab_slots(), 10u);
+  EXPECT_EQ(pool.range_takes(), 3);
+  EXPECT_EQ(pool.blocks_taken(), 15);
 }
 
 TEST(BlockPoolTest, ParkFreesTheSlotButKeepsTheDramCount) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
   BlockId id = AllocOne(pool, Tier::kNpu);
-  ASSERT_TRUE(pool.AddResidency(id, Tier::kDram).ok());
-  pool.MarkCached(id);
-  pool.Unref(id);
+  BlockTable added;
+  pool.AddResidency({id, 1}, Tier::kDram, &added);
+  pool.MarkCached({id, 1});
+  pool.Unref({id, 1});
   EXPECT_FALSE(pool.info(id).parkable()) << "an NPU copy still lives";
-  pool.DropResidency(id, Tier::kNpu);
+  pool.DropResidency({id, 1}, Tier::kNpu);
   ASSERT_TRUE(pool.info(id).parkable());
-  pool.Park(BlockPool::SlotOf(id));
+  pool.Park({id, 1});
   EXPECT_FALSE(pool.Exists(id));
   EXPECT_EQ(pool.total_blocks(), 0u);
   EXPECT_EQ(pool.used(Tier::kDram), 1);
   EXPECT_EQ(pool.free_blocks(Tier::kDram), 3);
   // Unpark gives the block a fresh slot without counting it again.
-  BlockId back = pool.Unpark();
-  EXPECT_NE(back, id);
+  BlockTable back;
+  pool.Unpark(1, &back);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_NE(back.front(), id);
   EXPECT_EQ(pool.total_blocks(), 1u);
   EXPECT_EQ(pool.used(Tier::kDram), 1);
   EXPECT_EQ(pool.used(Tier::kNpu), 0);
-  const BlockInfo& info = pool.info(back);
+  const BlockInfo& info = pool.info(back.front());
   EXPECT_EQ(info.flags, kBlockCommitted);
   EXPECT_EQ(info.ref_count, 0);
   EXPECT_EQ(info.residency, TierBit(Tier::kDram));
@@ -294,19 +350,47 @@ TEST(BlockPoolTest, HeldOrIndexedBlocksAreNotParkable) {
   BlockPool pool({.npu_capacity = 4, .dram_capacity = 4});
   BlockId id = AllocOne(pool, Tier::kDram);
   EXPECT_FALSE(pool.info(id).parkable()) << "referenced and private";
-  pool.MarkCached(id);
-  pool.Unref(id);
+  pool.MarkCached({id, 1});
+  pool.Unref({id, 1});
   ASSERT_TRUE(pool.info(id).parkable());
-  pool.Pin(id);
+  pool.Pin({id, 1});
   EXPECT_FALSE(pool.info(id).parkable()) << "a copy is in flight";
-  pool.Unpin(id);
-  pool.MarkIndexed(id);
+  pool.Unpin({id, 1});
+  pool.MarkIndexed({id, 1});
   EXPECT_TRUE(pool.info(id).cached());
   EXPECT_FALSE(pool.info(id).parkable()) << "an id index holds the block";
   BlockId npu = AllocOne(pool, Tier::kNpu);
-  pool.MarkCached(npu);
-  pool.Unref(npu);
+  pool.MarkCached({npu, 1});
+  pool.Unref({npu, 1});
   EXPECT_FALSE(pool.info(npu).parkable()) << "not in DRAM";
+}
+
+// ---------------- BlockTable ----------------
+
+TEST(BlockTableTest, AppendMergesContiguousExtentsAndSplitsAnywhere) {
+  const BlockId a = (BlockId{3} << 32) | 10;
+  const BlockId b = (BlockId{5} << 32) | 14;  // another generation
+  BlockTable table;
+  table.Append({a, 2});
+  table.Append({a + 2, 2});  // contiguous: merges
+  table.Append({b, 3});
+  ASSERT_EQ(table.extents().size(), 2u);
+  EXPECT_EQ(table.size(), 7u);
+  EXPECT_EQ(table[3], a + 3);
+  EXPECT_EQ(table[4], b);
+  EXPECT_EQ(table.Slice(3, 5).extents().size(), 2u);
+  BlockTable copy = table;
+  BlockTable tail = copy.SplitTail(3);
+  EXPECT_EQ(copy.size(), 3u);
+  EXPECT_EQ(copy.extents().back(), (Extent{a, 3}));
+  ASSERT_EQ(tail.extents().size(), 2u);
+  EXPECT_EQ(tail.extents()[0], (Extent{a + 3, 1}));
+  EXPECT_EQ(tail.extents()[1], (Extent{b, 3}));
+  copy.Append(tail);
+  EXPECT_EQ(copy, table) << "a split and re-append restores the table";
+  BlockTable at_boundary = table;
+  EXPECT_EQ(at_boundary.SplitTail(4).extents()[0], (Extent{b, 3}));
+  EXPECT_EQ(at_boundary.extents().size(), 1u);
 }
 
 // ---------------- RtcMaster ----------------
@@ -325,7 +409,7 @@ class RtcMasterTest : public ::testing::Test {
   }
 
   // Simulates a prefill: allocate blocks for the tokens, preserve, release.
-  std::vector<BlockId> PrefillAndPreserve(const std::vector<TokenId>& tokens) {
+  BlockTable PrefillAndPreserve(const std::vector<TokenId>& tokens) {
     int64_t n = static_cast<int64_t>(tokens.size()) / 16;
     auto blocks = master_->AllocBlocks(n).value();
     Preserve(*master_, tokens, blocks);
@@ -436,9 +520,9 @@ TEST_F(RtcMasterTest, NestedIdEntriesMatchIndependently) {
   const std::span<const TokenId> all(tokens);
   ASSERT_TRUE(PreserveById(*master_, "ctx-b", all, blocks).ok());
   ASSERT_TRUE(
-      PreserveById(*master_, "ctx-a", all.first(32), std::span(blocks).first(2)).ok());
+      PreserveById(*master_, "ctx-a", all.first(32), blocks.Slice(0, 2)).ok());
   ASSERT_TRUE(
-      PreserveById(*master_, "ctx-c", all.first(16), std::span(blocks).first(1)).ok());
+      PreserveById(*master_, "ctx-c", all.first(16), blocks.Slice(0, 1)).ok());
   master_->Free(blocks);
   const MatchInfo a = master_->MatchByID("ctx-a");
   const MatchInfo b = master_->MatchByID("ctx-b");
@@ -446,9 +530,9 @@ TEST_F(RtcMasterTest, NestedIdEntriesMatchIndependently) {
   EXPECT_EQ(a.matched_tokens, 32);
   EXPECT_EQ(b.matched_tokens, 48);
   EXPECT_EQ(c.matched_tokens, 16);
-  EXPECT_EQ(a.blocks, (std::vector<BlockId>{blocks[0], blocks[1]}));
+  EXPECT_EQ(a.blocks, blocks.Slice(0, 2));
   EXPECT_EQ(b.blocks, blocks);
-  EXPECT_EQ(c.blocks, (std::vector<BlockId>{blocks[0]}));
+  EXPECT_EQ(c.blocks, blocks.Slice(0, 1));
   // Preserving an existing id again replaces its entry.
   ASSERT_TRUE(PreserveById(*master_, "ctx-c", all, blocks).ok());
   EXPECT_EQ(master_->MatchByID("ctx-c").matched_tokens, 48);
@@ -687,7 +771,7 @@ TEST_F(SwapScanTest, SplitHalfWithoutADramCopyStaysSwappable) {
   master_->Free(leaf);
   // An explicit checkpoint of the first block only: the leaf is partly in
   // DRAM, so no swap can take it, but it is not fully demoted either.
-  EXPECT_EQ(master_->Copy(std::span<const BlockId>(leaf.data(), 1), Tier::kDram, nullptr), 1);
+  EXPECT_EQ(master_->Copy(leaf.Slice(0, 1), Tier::kDram, nullptr), 1);
   auto held = master_->AllocBlocks(36).value();  // 38 of 40 NPU blocks used
   NextScan();
   EXPECT_EQ(Scanned(), 1);
@@ -753,8 +837,8 @@ class ParkTest : public SwapScanTest {
   void LandCopies() { sim_.RunUntil(sim_.Now() + 1); }
 
   std::vector<TokenId> tokens_ = Iota(64, 5000);
-  std::vector<BlockId> leaf_;
-  std::vector<BlockId> held_;
+  BlockTable leaf_;
+  BlockTable held_;
 };
 
 TEST_F(ParkTest, ParkedLeafMatchesAsBeforeAndParksAgain) {

@@ -191,10 +191,12 @@ void BM_LocalityPickOverTaggedPath(benchmark::State& state) {
   Rng rng(9);
   std::vector<FakeTe> fleet(64);
   std::vector<FakeTe*> candidates;
+  serving::TeSlots slots;
   for (size_t i = 0; i < fleet.size(); ++i) {
     fleet[i].te_id = static_cast<workload::TeId>(i);
     fleet[i].depth = rng.UniformInt(0, 4);
     candidates.push_back(&fleet[i]);
+    slots.Assign(fleet[i].te_id);
   }
   serving::PromptTree tree;
   std::vector<rtc::BlockKey> keys;
@@ -204,14 +206,14 @@ void BM_LocalityPickOverTaggedPath(benchmark::State& state) {
       keys.push_back(keys.size() + 1);
     }
     serving::PromptTree::Node* leaf = tree.Insert(rtc::KeyChain::Of(keys), 0);
-    while (leaf->value.tes.size() < 30) {
-      leaf->value.Add(static_cast<workload::TeId>(rng.UniformInt(0, 63)));
+    while (leaf->value.Slots().size() < 30) {
+      leaf->value.Add(slots.Of(static_cast<workload::TeId>(rng.UniformInt(0, 63))));
     }
   }
   const serving::PromptTree::MatchResult match = tree.Match(keys);
   for (auto _ : state) {
     bool hit = false;
-    benchmark::DoNotOptimize(serving::LocalityPick(match, candidates, &hit));
+    benchmark::DoNotOptimize(serving::LocalityPick(match, candidates, slots, &hit));
     benchmark::DoNotOptimize(hit);
   }
   state.SetItemsProcessed(state.iterations());

@@ -1,6 +1,7 @@
 #include "rtc/block_pool.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
 
 #include "common/logging.h"
@@ -158,20 +159,10 @@ bool BlockPool::Exists(Extent extent) const {
   return live;
 }
 
-const BlockPool::Slot* BlockPool::LiveSlots(Extent extent) const {
-  // One check per extent: non-empty, in bounds, and both end slots live at
-  // its generation. The caller holds every block between them; a holder that
-  // can outlive its blocks checks each one with Exists() instead.
-  const size_t first = IndexOf(extent.first);
-  const uint32_t tag = GenOf(extent.first) | kLiveBit;
-  DS_CHECK(extent.first >= 0 && extent.count > 0 && first + extent.count <= slots_.size() &&
-           slots_[first].tag == tag && slots_[first + extent.count - 1].tag == tag)
-      << "extent of " << extent.count << " blocks from " << extent.first << " is not live";
-  return &slots_[first];
-}
-
-BlockPool::Slot* BlockPool::LiveSlots(Extent extent) {
-  return const_cast<Slot*>(std::as_const(*this).LiveSlots(extent));
+void BlockPool::DeadExtent(Extent extent) {
+  DS_LOG(FATAL) << "Check failed: extent of " << extent.count << " blocks from " << extent.first
+                << " is not live";
+  std::abort();  // FATAL has aborted already
 }
 
 void BlockPool::Ref(Extent extent) {

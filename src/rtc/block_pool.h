@@ -263,10 +263,25 @@ class BlockPool {
   }
   static uint32_t GenOf(BlockId id) { return static_cast<uint32_t>(static_cast<uint64_t>(id) >> 32); }
 
-  // DS_CHECKs that `extent` is in bounds and every slot in it live at its
-  // generation; returns its first slot.
-  Slot* LiveSlots(Extent extent);
-  const Slot* LiveSlots(Extent extent) const;
+  // Checks `extent` and returns its first slot. One check per extent:
+  // non-empty, in bounds, and both end slots live at its generation. The
+  // caller holds every block between them; a holder that can outlive its
+  // blocks checks each one with Exists() instead. Inline, because every
+  // extent operation runs it; only the failure path is out of line.
+  const Slot* LiveSlots(Extent extent) const {
+    const size_t first = IndexOf(extent.first);
+    const uint32_t tag = GenOf(extent.first) | kLiveBit;
+    if (!(extent.first >= 0 && extent.count > 0 && first + extent.count <= slots_.size() &&
+          slots_[first].tag == tag && slots_[first + extent.count - 1].tag == tag)) [[unlikely]] {
+      DeadExtent(extent);
+    }
+    return &slots_[first];
+  }
+  Slot* LiveSlots(Extent extent) {
+    return const_cast<Slot*>(std::as_const(*this).LiveSlots(extent));
+  }
+  // LiveSlots' failure path: aborts with the extent in the message.
+  [[noreturn]] static void DeadExtent(Extent extent);
   void OrFlags(Extent extent, uint8_t flags);
   // Takes `n` free slots (growing the slab if the free ranges lack them),
   // stores `info` in each, and appends the new blocks to `*out`.

@@ -17,15 +17,20 @@
 // Node children live out of line in a ChildMap: a sorted vector for the
 // common low-fanout case (radix nodes overwhelmingly have a handful of
 // children, and most nodes are leaves with none, which allocate nothing),
-// spilling to a std::map only past kMaxSortedChildren — the root of a global
-// prompt tree can fan out to one child per distinct opening block. Both modes
-// look up by exact key and iterate in ascending key order.
+// spilling to a hash table only past kMaxSortedChildren — a shared prefix's
+// node in a global prompt tree fans out to one child per request that
+// diverges there, and a Match must not pay a search tree's depth of cache
+// misses at it. Both modes look up by exact key; only the sorted mode
+// iterates in key order, and nothing that decides an output iterates
+// children (the eviction order reads no key, see below).
 //
 // LRU index. Every non-root node sits on an intrusive doubly-linked list
 // ordered by last_access (ties in any order), and the tree keeps its node
 // count incrementally, so eviction never walks the tree. The eviction order is
-// ascending last_access, ties broken by pre-order position (ascending key
-// path) — the order a full depth-first walk with a strict `<` would produce.
+// ascending last_access, ties broken by insertion rank: a per-tree counter
+// that Insert hands each node it creates, and that a split tail inherits from
+// the head it was cut from. Nodes sharing a rank all lie on one path, so no
+// two leaves share one, and the order never depends on the key values.
 // Ties are resolved only when a scan reaches a time bucket holding more than
 // one leaf. A touch at a time no earlier than the newest in the tree (the
 // simulator's clock only moves forward) is O(1); an earlier time falls back
@@ -52,9 +57,10 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <map>
+#include <cstring>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -63,31 +69,52 @@
 
 namespace deepserve::rtc {
 
-// Chain hash over token blocks: key(i) = H(key(i-1), tokens in block i).
+// Chain hash over token blocks: key(i) = ChainHash(key(i-1), block i), with
+// key(-1) = 0.
 using BlockKey = uint64_t;
 
 // Tokens per KV block: the one block size of every cache and prompt tree, so
 // the JE's prompt-tree keys and each TE's RTC keys are one index (§5.2).
 inline constexpr int kBlockTokens = 16;
 
-inline BlockKey ChainHash(BlockKey prev, std::span<const TokenId> tokens) {
-  uint64_t h = prev * 0x100000001b3ull + 0x9ae16a3b2f90404full;
-  for (TokenId t : tokens) {
-    h ^= static_cast<uint64_t>(static_cast<uint32_t>(t));
-    h *= 0x100000001b3ull;
-  }
-  h ^= h >> 29;
-  return h;
+// The folded 64x64 -> 128-bit product: the mixing step of ChainHash.
+inline uint64_t MulFold(uint64_t a, uint64_t b) {
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  return static_cast<uint64_t>(product) ^ static_cast<uint64_t>(product >> 64);
+}
+
+// A block's 16 tokens are eight 64-bit words (two tokens each, in memory
+// order). Four independent multiplies fold them, so they overlap in the
+// pipeline; only the last multiply, which mixes in `prev`, is on the chain's
+// critical path.
+inline BlockKey ChainHash(BlockKey prev, std::span<const TokenId, kBlockTokens> block) {
+  static constexpr uint64_t kSecret[10] = {
+      0xa0761d6478bd642full, 0xe7037ed1a0b428dbull, 0x8ebc6af09c88c6e3ull,
+      0x589965cc75374cc3ull, 0x1d8e4e27c47d124full, 0x9ae16a3b2f90404full,
+      0xc2b2ae3d27d4eb4full, 0x165667b19e3779f9ull, 0xd6e8feb86659fd93ull,
+      0xff51afd7ed558ccdull};
+  uint64_t w[8];
+  static_assert(sizeof(w) == kBlockTokens * sizeof(TokenId), "a block is eight words");
+  std::memcpy(w, block.data(), sizeof(w));
+  const uint64_t lanes = MulFold(w[0] ^ kSecret[0], w[1] ^ kSecret[1]) +
+                         MulFold(w[2] ^ kSecret[2], w[3] ^ kSecret[3]) +
+                         MulFold(w[4] ^ kSecret[4], w[5] ^ kSecret[5]) +
+                         MulFold(w[6] ^ kSecret[6], w[7] ^ kSecret[7]);
+  return MulFold(lanes ^ kSecret[8], prev ^ kSecret[9]);
+}
+
+// The `b`-th full block of `tokens`.
+inline std::span<const TokenId, kBlockTokens> Block(std::span<const TokenId> tokens, size_t b) {
+  return std::span<const TokenId, kBlockTokens>(tokens.data() + b * kBlockTokens, kBlockTokens);
 }
 
 // Writes the full-block key chain of `tokens` to `out`, which must have room
 // for tokens.size() / kBlockTokens keys (the partial tail block is dropped —
 // only complete blocks are cacheable).
 inline void HashBlocks(std::span<const TokenId> tokens, BlockKey* out) {
-  constexpr size_t bs = kBlockTokens;
   BlockKey prev = 0;
-  for (size_t b = 0; b < tokens.size() / bs; ++b) {
-    prev = ChainHash(prev, tokens.subspan(b * bs, bs));
+  for (size_t b = 0; b < tokens.size() / kBlockTokens; ++b) {
+    prev = ChainHash(prev, Block(tokens, b));
     out[b] = prev;
   }
 }
@@ -208,8 +235,9 @@ class RadixTree {
   // Children of one node, keyed by first edge symbol. A sorted vector up to
   // kMaxSortedChildren entries (find = short linear scan, insert = memmove of
   // a few 16-byte entries) that allocates only once the node has a child, so
-  // a leaf pays for none; larger fanouts migrate wholesale to a std::map and
-  // stay there. Iteration is ascending by key in both modes.
+  // a leaf pays for none; larger fanouts migrate wholesale to a hash table
+  // and stay there. Block keys are already uniform hashes, so the table
+  // hashes them as they are.
   class ChildMap {
    public:
     static constexpr size_t kMaxSortedChildren = 8;
@@ -273,7 +301,8 @@ class RadixTree {
       return out;
     }
 
-    // Visits (key, child) pairs in ascending key order.
+    // Visits every (key, child) pair: in ascending key order while sorted,
+    // in the table's order once spilled.
     template <typename Fn>
     void ForEach(const Fn& fn) const {
       if (spill_ != nullptr) {
@@ -297,15 +326,16 @@ class RadixTree {
 
    private:
     void Spill() {
-      spill_ = std::make_unique<std::map<BlockKey, std::unique_ptr<Node>>>();
+      spill_ = std::make_unique<Spilled>();
       for (Entry& entry : sorted_) {
         spill_->emplace(entry.key, std::move(entry.node));
       }
       sorted_ = std::vector<Entry>();
     }
 
+    using Spilled = std::unordered_map<BlockKey, std::unique_ptr<Node>>;
     std::vector<Entry> sorted_;
-    std::unique_ptr<std::map<BlockKey, std::unique_ptr<Node>>> spill_;
+    std::unique_ptr<Spilled> spill_;
   };
 
   struct Node {
@@ -319,6 +349,8 @@ class RadixTree {
     // keeps the LRU index in step with it.
     TimeNs last_access() const { return last_access_; }
     bool retired() const { return retired_; }
+    // Insertion rank: breaks last_access ties in the eviction order.
+    uint32_t rank() const { return rank_; }
     // Depth in symbols from the root to the END of this node's edge.
     size_t depth = 0;
 
@@ -326,6 +358,7 @@ class RadixTree {
     friend class RadixTree;
     TimeNs last_access_ = 0;
     bool retired_ = false;
+    uint32_t rank_ = 0;  // in the padding after retired_
     // Neighbours on each LruList: older (prev) and newer (next). A retired
     // node's kActive links are null.
     std::array<Node*, 2> lru_prev_{};
@@ -344,6 +377,16 @@ class RadixTree {
   // Longest-prefix match; touches nothing.
   MatchResult Match(std::span<const BlockKey> keys) const {
     MatchResult result;
+    Match(keys, &result);
+    return result;
+  }
+
+  // The same match into a caller-owned result, whose path buffer is reused.
+  void Match(std::span<const BlockKey> keys, MatchResult* out) const {
+    MatchResult& result = *out;
+    result.path.clear();
+    result.partial = nullptr;
+    result.partial_len = 0;
     const Node* node = root_.get();
     size_t pos = 0;
     while (pos < keys.size()) {
@@ -367,7 +410,6 @@ class RadixTree {
       }
     }
     result.matched = pos;
-    return result;
   }
 
   // Ensures a path spelling exactly `chain` exists, splitting edges as
@@ -388,6 +430,8 @@ class RadixTree {
         fresh->parent = node;
         fresh->depth = node->depth + fresh->edge.size();
         fresh->last_access_ = now;
+        DS_CHECK_LT(next_rank_, UINT32_MAX) << "insertion rank overflow";
+        fresh->rank_ = next_rank_++;
         Node* raw = node->children.Emplace(keys[pos], std::move(fresh));
         ++node_count_;
         LinkByTime(raw);
@@ -451,12 +495,13 @@ class RadixTree {
   // Hands every leaf on `list` to `fn(Node&) -> LruStep` in eviction order
   // (see the file comment) until it returns kStop. On kRemove the leaf is
   // removed, and if that makes its parent a leaf on `list` no newer than the
-  // time bucket being scanned, the parent is handed over next, at the removed
-  // leaf's rank — exactly where a fresh scan would find it. On kRetire the
-  // leaf is retired. `fn` must not modify the tree itself, and must leave
-  // every leaf it has passed over no more eligible than it was: the scan never
-  // revisits a leaf, so a visitor that picks eligible leaves sees the same
-  // sequence as repeated FindLruLeaf calls.
+  // time bucket being scanned, the parent is handed over next: a parent's
+  // rank is never above its child's, so a fresh scan would find it ahead of
+  // every leaf this one has yet to reach. On kRetire the leaf is retired.
+  // `fn` must not modify the tree itself, and must leave every leaf it has
+  // passed over no more eligible than it was: the scan never revisits a leaf,
+  // so a visitor that picks eligible leaves sees the same sequence as
+  // repeated FindLruLeaf calls.
   template <typename Fn>
   void ScanLruLeaves(const Fn& fn, LruList list = LruList::kAll) {
     const size_t l = static_cast<size_t>(list);
@@ -487,7 +532,8 @@ class RadixTree {
         }
         continue;
       }
-      std::sort(ties.begin(), ties.end(), PreorderLess);
+      std::sort(ties.begin(), ties.end(),
+                [](const Node* a, const Node* b) { return a->rank_ < b->rank_; });
       for (Node* leaf : ties) {
         if (!VisitLeaf(leaf, bucket, list, fn)) {
           return;
@@ -510,7 +556,7 @@ class RadixTree {
     return found;
   }
 
-  // Pre-order traversal over all non-root nodes.
+  // Pre-order traversal over all non-root nodes (siblings in ChildMap order).
   template <typename Fn>
   void Visit(const Fn& fn) {
     VisitSubtree(root_.get(), fn);
@@ -559,25 +605,6 @@ class RadixTree {
     return true;
   }
 
-  // Pre-order comparison of two distinct leaves: below their lowest common
-  // ancestor, the branch with the smaller first edge symbol comes first.
-  static bool PreorderLess(const Node* a, const Node* b) {
-    const Node* a_branch = a;
-    const Node* b_branch = b;
-    // `depth` grows strictly downwards, so the deeper of two distinct nodes
-    // is never an ancestor of the other and can safely be lifted.
-    while (a != b) {
-      if (a->depth >= b->depth) {
-        a_branch = a;
-        a = a->parent;
-      } else {
-        b_branch = b;
-        b = b->parent;
-      }
-    }
-    return a_branch->edge.front() < b_branch->edge.front();
-  }
-
   void SplitChild(Node* child, size_t offset) {
     DS_CHECK_GT(offset, 0u);
     DS_CHECK_LT(offset, child->edge.size());
@@ -586,6 +613,7 @@ class RadixTree {
     tail->value = child->value.SplitTail(offset);
     tail->last_access_ = child->last_access_;
     tail->retired_ = child->retired_;
+    tail->rank_ = child->rank_;
     tail->children = std::move(child->children);
     tail->depth = child->depth;
     tail->children.ForEach([&](BlockKey, Node* grandchild) { grandchild->parent = tail.get(); });
@@ -660,6 +688,7 @@ class RadixTree {
 
   std::unique_ptr<Node> root_;
   size_t node_count_ = 0;
+  uint32_t next_rank_ = 0;  // the rank of the next node Insert creates
   std::array<Node*, 2> lru_head_{};  // oldest on each LruList
   std::array<Node*, 2> lru_tail_{};  // newest on each LruList
 };

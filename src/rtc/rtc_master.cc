@@ -211,7 +211,7 @@ PicMatch RtcMaster::MatchPositionIndependent(std::span<const TokenId> prompt,
   size_t first_block = static_cast<size_t>(std::max<int64_t>(0, skip_tokens)) / bs;
   size_t full = prompt.size() / bs;
   for (size_t b = first_block; b < full; ++b) {
-    BlockKey content = ChainHash(0, prompt.subspan(b * bs, bs));
+    BlockKey content = ChainHash(0, Block(prompt, b));
     auto it = pic_index_.find(content);
     if (it == pic_index_.end()) {
       continue;
@@ -368,7 +368,7 @@ void RtcMaster::Preserve(std::span<const TokenId> tokens, const BlockTable& bloc
       // Content-only hash (chain seed 0): same tokens at any position map to
       // the same PIC key.
       for (uint32_t j = 0; j < extent.count; ++j, ++i) {
-        BlockKey content = ChainHash(0, tokens.subspan(i * kBlockTokens, kBlockTokens));
+        BlockKey content = ChainHash(0, Block(tokens, i));
         pic_index_[content] = extent.first + j;
       }
       pool_.MarkIndexed(extent);

@@ -80,6 +80,7 @@ void JobExecutor::AddTe(ctrl::JobTable::Group group, TaskExecutor* te) {
     return;
   }
   leader_.Append(ctrl::JobTable::kTeAdded, {group, static_cast<int64_t>(te->id())});
+  te_slots_.Assign(te->id());
   groups_[group].push_back(te);
 }
 
@@ -111,7 +112,8 @@ bool JobExecutor::RemoveTe(TeId id) {
     std::erase_if(group, [id](TaskExecutor* te) { return te->id() == id; });
   }
   leader_.Append(ctrl::JobTable::kTeRemoved, {static_cast<int64_t>(id)});
-  // Prompt-tree tags for the departed TE are cleaned lazily during matching.
+  // The departed TE's prompt-tree tags stay: LocalityPick reads only the
+  // candidates' slots, and no other TE ever takes this one's slot.
   return true;
 }
 
@@ -199,7 +201,8 @@ TaskExecutor* JobExecutor::LoadAware(const std::vector<TaskExecutor*>& tes) {
 TaskExecutor* JobExecutor::LocalityAware(std::span<const rtc::BlockKey> keys, PromptTree& tree,
                                          const std::vector<TaskExecutor*>& tes) {
   bool hit = false;
-  TaskExecutor* best = LocalityPick(tree.Match(keys), tes, &hit);
+  tree.Match(keys, &match_);
+  TaskExecutor* best = LocalityPick(match_, tes, te_slots_, &hit);
   if (hit) {
     ++stats_.locality_hits;
   }
@@ -249,9 +252,9 @@ void JobExecutor::RecordRoute(const rtc::KeyChain& chain, PromptTree& tree, TeId
   }
   auto* node = tree.Insert(chain, sim_->Now());
   // Tag the full path: every prefix of this prompt now lives on `te`.
-  for (PromptTree::Node* cursor = node; cursor != nullptr && cursor->parent != nullptr;
-       cursor = cursor->parent) {
-    cursor->value.Add(te);
+  const uint32_t slot = te_slots_.Of(te);
+  for (PromptTree::Node* cursor = node; cursor->parent != nullptr; cursor = cursor->parent) {
+    cursor->value.Add(slot);
   }
   TrimTree(tree);
 }
@@ -686,6 +689,7 @@ void JobExecutor::RebindTes() {
     groups_[g].clear();
     for (TeId id : table().group(static_cast<ctrl::JobTable::Group>(g))) {
       if (TaskExecutor* te = cm_->te(id)) {
+        te_slots_.Assign(id);
         groups_[g].push_back(te);
       } else {
         unbound_.push_back(id);

@@ -270,6 +270,10 @@ class JobExecutor {
 
   PromptTree colocated_tree_;
   PromptTree prefill_tree_;
+  // The member slots both trees tag with; kept across takeovers with them.
+  TeSlots te_slots_;
+  // LocalityAware's match, whose path buffer each dispatch reuses.
+  PromptTree::MatchResult match_;
 
   // Per-leader runtime bindings for failover.
   ClusterManager* cm_ = nullptr;

@@ -13,8 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,6 +28,7 @@
 #include "serving/predictor.h"
 #include "serving/task_executor.h"
 #include "sim/simulator.h"
+#include "workload/tracegen.h"
 
 namespace deepserve::rtc {
 namespace {
@@ -202,18 +207,51 @@ TEST(RadixPropertyTest, LruEvictionKeepsMatchConsistent) {
   }
 }
 
-// Reference eviction order: every leaf in pre-order, stably sorted by
-// last_access — the order of a full depth-first walk that keeps the first
-// leaf seen among equals.
-std::vector<Tree::Node*> ReferenceLruOrder(Tree& tree) {
+// Insertion-rank reference: every string the tree covers (each prefix of a
+// stored root-to-node string), numbered by the insert that added it, counting
+// only inserts that added any. A node's rank is its full string's number: an
+// insert adds new strings only by creating one node, a split leaves the
+// covered strings alone, and a removed leaf takes its own span's strings with
+// it. The model never looks at the tree's own ranks.
+class RankModel {
+ public:
+  void Insert(const Seq& seq) {
+    bool added = false;
+    for (size_t len = 1; len <= seq.size(); ++len) {
+      added |= rank_.emplace(Seq(seq.begin(), seq.begin() + static_cast<ptrdiff_t>(len)), next_)
+                   .second;
+    }
+    next_ += added ? 1 : 0;
+  }
+  // Call before the tree removes `leaf`.
+  void Remove(const Tree::Node* leaf) {
+    Seq full = FullString(leaf);
+    for (size_t len = leaf->parent->depth + 1; len <= full.size(); ++len) {
+      rank_.erase(Seq(full.begin(), full.begin() + static_cast<ptrdiff_t>(len)));
+    }
+  }
+  uint64_t Of(const Tree::Node* node) const { return rank_.at(FullString(node)); }
+
+ private:
+  std::map<Seq, uint64_t> rank_;
+  uint64_t next_ = 0;
+};
+
+// Reference eviction order: every leaf, sorted by last_access and then by
+// the model's insertion rank, which no two leaves share.
+std::vector<Tree::Node*> ReferenceLruOrder(Tree& tree, const RankModel& model) {
   std::vector<Tree::Node*> leaves;
   tree.Visit([&](Tree::Node* node) {
     if (node->is_leaf()) {
       leaves.push_back(node);
     }
   });
-  std::stable_sort(leaves.begin(), leaves.end(), [](const Tree::Node* a, const Tree::Node* b) {
-    return a->last_access() < b->last_access();
+  std::sort(leaves.begin(), leaves.end(), [&model](const Tree::Node* a, const Tree::Node* b) {
+    if (a->last_access() != b->last_access()) {
+      return a->last_access() < b->last_access();
+    }
+    EXPECT_NE(model.Of(a), model.Of(b)) << "two leaves share an insertion rank";
+    return model.Of(a) < model.Of(b);
   });
   return leaves;
 }
@@ -238,42 +276,123 @@ size_t WalkedNodeCount(Tree& tree) {
 // A fixed per-node eligibility, so acting on one leaf never changes another's.
 bool Eligible(const Tree::Node& node) { return node.edge.back() % 3 != 0; }
 
-TEST(RadixPropertyTest, LruIndexMatchesPreorderReferenceUnderTiesAndOutOfOrderTouches) {
+TEST(RadixPropertyTest, LruIndexMatchesInsertionRankReferenceUnderTiesAndOutOfOrderTouches) {
   for (uint64_t seed : {2ull, 11ull, 29ull, 71ull}) {
     Rng rng(seed);
     Tree tree;
+    RankModel model;
     for (int round = 0; round < 400; ++round) {
       // A narrow time range makes ties common and touches often move a node
       // backwards in time.
       TimeNs now = rng.UniformInt(0, 12);
       double op = rng.NextDouble();
       if (round < 40 || op < 0.45) {
-        tree.Insert(KeyChain::Of(RandomSeq(rng, 10)), now);
+        Seq seq = RandomSeq(rng, 10);
+        tree.Insert(KeyChain::Of(seq), now);
+        model.Insert(seq);
       } else if (op < 0.7) {
         auto match = tree.Match(RandomSeq(rng, 10));
         tree.Touch(match, now);
       } else if (op < 0.85) {
         Tree::Node* leaf = tree.FindLruLeaf(Eligible);
-        std::vector<Tree::Node*> reference = ReferenceLruOrder(tree);
+        std::vector<Tree::Node*> reference = ReferenceLruOrder(tree, model);
         auto first = std::find_if(reference.begin(), reference.end(),
                                   [](const Tree::Node* n) { return Eligible(*n); });
         ASSERT_EQ(leaf, first == reference.end() ? nullptr : *first) << "seed " << seed;
         if (leaf != nullptr) {
+          model.Remove(leaf);
           tree.RemoveLeaf(leaf);
         }
       } else {
         // Evict a few leaves in one scan; parents the scan exposes are
         // handed over too.
         int budget = static_cast<int>(rng.UniformInt(1, 4));
-        tree.ScanLruLeaves([&](Tree::Node&) {
-          return budget-- > 0 ? LruStep::kRemove : LruStep::kStop;
+        tree.ScanLruLeaves([&](Tree::Node& leaf) {
+          if (budget-- <= 0) {
+            return LruStep::kStop;
+          }
+          model.Remove(&leaf);
+          return LruStep::kRemove;
         });
       }
       ASSERT_EQ(tree.NodeCount(), WalkedNodeCount(tree)) << "seed " << seed << " round " << round;
-      ASSERT_EQ(ScannedLruOrder(tree), ReferenceLruOrder(tree))
+      ASSERT_EQ(ScannedLruOrder(tree), ReferenceLruOrder(tree, model))
           << "seed " << seed << " round " << round;
       AuditStructure(tree);
     }
+  }
+}
+
+// The eviction order never reads a key value: the same operations on a twin
+// tree whose every key is XORed with a constant scan the same nodes in the
+// same order, on both lists, through ties, out-of-order touches, retirements
+// and removals.
+TEST(RadixPropertyTest, ScanOrderIsBlindToKeyValues) {
+  constexpr Key kFlip = 0x6;  // permutes the alphabet 1..5 and its order
+  auto flip = [](Seq seq) {
+    for (Key& k : seq) {
+      k ^= kFlip;
+    }
+    return seq;
+  };
+  // The scan order of `tree`, as full strings passed through `map`.
+  auto order = [](Tree& tree, LruList list, const auto& map) {
+    std::vector<Seq> out;
+    for (const Tree::Node* node : ScannedLruOrder(tree, list)) {
+      out.push_back(map(FullString(node)));
+    }
+    return out;
+  };
+  auto same = [](Seq seq) { return seq; };
+  for (uint64_t seed : {1ull, 9ull, 33ull, 58ull}) {
+    Rng rng(seed);
+    Tree plain;
+    Tree flipped;
+    int ties = 0;
+    for (int round = 0; round < 400; ++round) {
+      const TimeNs now = rng.UniformInt(0, 12);
+      const double op = rng.NextDouble();
+      if (round < 40 || op < 0.4) {
+        Seq seq = RandomSeq(rng, 10);
+        plain.Insert(KeyChain::Of(seq), now);
+        flipped.Insert(KeyChain::Of(flip(seq)), now);
+      } else if (op < 0.6) {
+        Seq q = RandomSeq(rng, 10);
+        plain.Touch(plain.Match(q), now);
+        flipped.Touch(flipped.Match(flip(q)), now);
+      } else if (op < 0.7) {
+        // Retire one node, found in the twin by its flipped string.
+        std::vector<Tree::Node*> nodes;
+        plain.Visit([&](Tree::Node* node) { nodes.push_back(node); });
+        Tree::Node* node = nodes[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(nodes.size()) - 1))];
+        Tree::MatchResult twin = flipped.Match(flip(FullString(node)));
+        ASSERT_EQ(twin.partial, nullptr);
+        plain.Retire(node);
+        flipped.Retire(twin.path.back());
+      } else {
+        const int budget = static_cast<int>(rng.UniformInt(1, 4));
+        const LruList list = rng.NextDouble() < 0.5 ? LruList::kAll : LruList::kActive;
+        const LruStep step = rng.NextDouble() < 0.7 ? LruStep::kRemove : LruStep::kRetire;
+        for (Tree* tree : {&plain, &flipped}) {
+          int left = budget;
+          tree->ScanLruLeaves([&](Tree::Node&) { return left-- > 0 ? step : LruStep::kStop; },
+                              list);
+        }
+      }
+      ASSERT_EQ(plain.NodeCount(), flipped.NodeCount()) << "seed " << seed;
+      for (LruList list : {LruList::kAll, LruList::kActive}) {
+        ASSERT_EQ(order(plain, list, same), order(flipped, list, flip))
+            << "seed " << seed << " round " << round;
+      }
+      std::set<TimeNs> times;
+      std::vector<Tree::Node*> leaves = ScannedLruOrder(plain);
+      for (const Tree::Node* leaf : leaves) {
+        times.insert(leaf->last_access());
+      }
+      ties += times.size() < leaves.size() ? 1 : 0;
+    }
+    EXPECT_GT(ties, 200) << "seed " << seed;  // the tie order was exercised
   }
 }
 
@@ -323,11 +442,17 @@ TEST(RadixPropertyTest, ScanHandsOverExposedParentAtTheRemovedLeafsRank) {
     removed.push_back(FullString(&leaf));
     return removed.size() < 4 ? LruStep::kRemove : LruStep::kStop;
   });
-  // All of time 5 in pre-order; [1 2] becomes a leaf once both children go
-  // and precedes [6]. [7] is newer and is never reached.
+  // All of time 5 by insertion rank: [3] keeps the rank of the [1 2 3] it
+  // was cut from, [4] and [6] come later. [1 2] shares [3]'s rank, becomes a
+  // leaf once both children go and precedes [6], which the visitor keeps.
+  // [7] is newer and is never reached.
   EXPECT_EQ(removed, (std::vector<Seq>{{1, 2, 3}, {1, 2, 4}, {1, 2}, {6}}));
   EXPECT_EQ(tree.NodeCount(), 2u);
-  EXPECT_EQ(ScannedLruOrder(tree), ReferenceLruOrder(tree));
+  std::vector<Seq> left;
+  for (const Tree::Node* leaf : ScannedLruOrder(tree)) {
+    left.push_back(FullString(leaf));
+  }
+  EXPECT_EQ(left, (std::vector<Seq>{{6}, {7}}));
 }
 
 // Reference model for retirement: the symbol ranges retired so far, each
@@ -370,15 +495,19 @@ TEST(RadixPropertyTest, ActiveListScansTheFullOrderWithRetiredNodesFilteredOut) 
   for (uint64_t seed : {6ull, 19ull, 43ull, 88ull}) {
     Rng rng(seed);
     Tree tree;
+    RankModel model;
     std::vector<RetiredSpan> spans;
     auto remove_leaf = [&](Tree::Node* leaf) {
       ForgetLeaf(&spans, FullString(leaf), SpanBegin(leaf));
+      model.Remove(leaf);
     };
     for (int round = 0; round < 400; ++round) {
       TimeNs now = rng.UniformInt(0, 12);
       double op = rng.NextDouble();
       if (round < 40 || op < 0.35) {
-        tree.Insert(KeyChain::Of(RandomSeq(rng, 10)), now);  // splits retired nodes too
+        Seq seq = RandomSeq(rng, 10);
+        tree.Insert(KeyChain::Of(seq), now);  // splits retired nodes too
+        model.Insert(seq);
       } else if (op < 0.55) {
         tree.Touch(tree.Match(RandomSeq(rng, 10)), now);
       } else if (op < 0.7) {
@@ -424,11 +553,11 @@ TEST(RadixPropertyTest, ActiveListScansTheFullOrderWithRetiredNodesFilteredOut) 
         ASSERT_EQ(node->retired(), InsideRetiredSpan(spans, node))
             << "seed " << seed << " round " << round;
       });
-      std::vector<Tree::Node*> expected = ReferenceLruOrder(tree);
+      std::vector<Tree::Node*> expected = ReferenceLruOrder(tree, model);
       std::erase_if(expected, [](const Tree::Node* n) { return n->retired(); });
       ASSERT_EQ(ScannedLruOrder(tree, LruList::kActive), expected)
           << "seed " << seed << " round " << round;
-      ASSERT_EQ(ScannedLruOrder(tree), ReferenceLruOrder(tree))
+      ASSERT_EQ(ScannedLruOrder(tree), ReferenceLruOrder(tree, model))
           << "seed " << seed << " round " << round;
       ASSERT_EQ(tree.NodeCount(), WalkedNodeCount(tree));
       AuditStructure(tree);
@@ -637,6 +766,70 @@ TEST(RadixPropertyTest, TokensToBlockKeysDropsPartialTailAndChains) {
   EXPECT_EQ(fork_keys[1], keys[1]);
   EXPECT_NE(fork_keys[2], keys[2]);
   EXPECT_NE(fork_keys[3], keys[3]);
+}
+
+// Every block key a trace's prompts produce, chained or content-only (the
+// PIC hash, seed 0), names exactly one (previous key, block) pair: no two
+// distinct blocks share a 64-bit key. By induction over the chain, no two
+// distinct block prefixes do either, as long as no key is 0 (the seed).
+TEST(RadixPropertyTest, BlockKeysNeverCollideAcrossTraceGenerators) {
+  struct Hashed {
+    BlockKey prev = 0;
+    std::array<TokenId, kBlockTokens> tokens{};
+    bool operator==(const Hashed&) const = default;
+  };
+  auto check = [](const std::vector<workload::RequestSpec>& trace, const std::string& label) {
+    std::unordered_map<BlockKey, Hashed> seen;
+    size_t keys = 0;
+    auto record = [&](BlockKey key, BlockKey prev, std::span<const TokenId, kBlockTokens> block) {
+      Hashed entry{prev, {}};
+      std::copy(block.begin(), block.end(), entry.tokens.begin());
+      auto [it, fresh] = seen.emplace(key, entry);
+      ASSERT_TRUE(fresh || it->second == entry) << label << ": key " << key << " collides";
+      ASSERT_NE(key, 0u) << label;
+      ++keys;
+    };
+    for (const workload::RequestSpec& spec : trace) {
+      const std::span<const TokenId> tokens = spec.prompt.span();
+      const std::vector<BlockKey> chain = TokensToBlockKeys(tokens);
+      for (size_t b = 0; b < chain.size(); ++b) {
+        record(chain[b], b == 0 ? 0 : chain[b - 1], Block(tokens, b));
+        record(ChainHash(0, Block(tokens, b)), 0, Block(tokens, b));
+      }
+    }
+    EXPECT_GT(keys, 2000u) << label;
+    EXPECT_GT(seen.size(), 1000u) << label;
+  };
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const std::string tag = " seed " + std::to_string(seed);
+    using workload::TraceGenerator;
+    check(TraceGenerator(TraceGenerator::InternalTrace(20.0, 4.0, seed)).Generate(),
+          "poisson" + tag);
+    check(TraceGenerator(TraceGenerator::InternalTrace(20.0, 4.0, seed))
+              .GenerateBursty(5.0, 40.0, 2.0),
+          "bursty" + tag);
+    check(TraceGenerator(TraceGenerator::CodeGenTrace(15.0, 4.0, seed)).Generate(),
+          "codegen" + tag);
+    check(TraceGenerator::FixedBatch(32, 1024, 8, seed), "fixed" + tag);
+  }
+}
+
+// A few key values, pinned so that a change to the hash is deliberate: the
+// eviction order does not read keys (ScanOrderIsBlindToKeyValues), but every
+// stored key and PIC index entry does.
+TEST(RadixPropertyTest, BlockHashValuesArePinned) {
+  std::vector<TokenId> tokens(48);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    tokens[i] = static_cast<TokenId>(1000 + 37 * i);
+  }
+  const std::vector<BlockKey> keys = TokensToBlockKeys(tokens);
+  ASSERT_EQ(keys.size(), 3u);
+  EXPECT_EQ(keys[0], 0x1acc14a03f18f3c1ull);
+  EXPECT_EQ(keys[1], 0xf8cef258c3aa6ad0ull);
+  EXPECT_EQ(keys[2], 0x96d75735d78d369cull);
+  const std::array<TokenId, kBlockTokens> zeros{};
+  EXPECT_EQ(ChainHash(0, zeros), 0xa3874edb7173d38full);
+  EXPECT_EQ(ChainHash(keys[2], zeros), 0xbdb58c8d95d3f28eull);
 }
 
 }  // namespace

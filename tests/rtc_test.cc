@@ -16,14 +16,6 @@
 namespace deepserve::rtc {
 namespace {
 
-std::vector<TokenId> Tokens(std::initializer_list<int> ids) {
-  std::vector<TokenId> out;
-  for (int id : ids) {
-    out.push_back(static_cast<TokenId>(id));
-  }
-  return out;
-}
-
 std::vector<TokenId> Iota(int n, int start = 1000) {
   std::vector<TokenId> out(static_cast<size_t>(n));
   std::iota(out.begin(), out.end(), static_cast<TokenId>(start));
@@ -47,11 +39,12 @@ Status PreserveById(RtcMaster& master, const std::string& id, std::span<const To
 // ---------------- ChainHash / TokensToBlockKeys ----------------
 
 TEST(ChainHashTest, DeterministicAndChainSensitive) {
-  auto a = Tokens({1, 2, 3, 4});
-  EXPECT_EQ(ChainHash(0, a), ChainHash(0, a));
-  EXPECT_NE(ChainHash(0, a), ChainHash(1, a));  // different chain prefix
-  auto b = Tokens({1, 2, 3, 5});
-  EXPECT_NE(ChainHash(0, a), ChainHash(0, b));
+  auto a = Iota(kBlockTokens);
+  EXPECT_EQ(ChainHash(0, Block(a, 0)), ChainHash(0, Block(a, 0)));
+  EXPECT_NE(ChainHash(0, Block(a, 0)), ChainHash(1, Block(a, 0)));  // different chain prefix
+  auto b = a;
+  b.back() += 1;
+  EXPECT_NE(ChainHash(0, Block(a, 0)), ChainHash(0, Block(b, 0)));
 }
 
 TEST(TokensToBlockKeysTest, DropsPartialTail) {

@@ -408,16 +408,21 @@ struct FakeTe {
 
 // The locality pick as a full tally: every TE's deepest tagged node on the
 // match path, then the deepest TE, ties to the lower queue depth and then to
-// the earlier candidate. Returns the pick and whether its depth is non-zero.
-std::pair<FakeTe*, bool> TallyPick(const PromptTree::MatchResult& match,
-                                   const std::vector<FakeTe*>& tes) {
-  std::map<TeId, size_t> depth_by_te;
-  auto tally = [&](const PromptTree::Node* node, size_t depth) {
-    for (TeId te : node->value.tes) {
-      depth_by_te[te] = std::max(depth_by_te[te], depth);
+// the earlier candidate. `tags_of(node)` lists the TEs tagged on a node, by
+// any key `key_of(te)` names them with. Returns the pick and whether its
+// depth is non-zero.
+template <typename Tree, typename TagsOf, typename KeyOf>
+std::pair<FakeTe*, bool> TallyPick(const typename Tree::MatchResult& match,
+                                   const std::vector<FakeTe*>& tes, const TagsOf& tags_of,
+                                   const KeyOf& key_of) {
+  std::map<int64_t, size_t> depth_by_te;
+  auto tally = [&](const typename Tree::Node* node, size_t depth) {
+    for (auto te : tags_of(node)) {
+      depth_by_te[static_cast<int64_t>(te)] =
+          std::max(depth_by_te[static_cast<int64_t>(te)], depth);
     }
   };
-  for (const PromptTree::Node* node : match.path) {
+  for (const typename Tree::Node* node : match.path) {
     tally(node, node->depth);
   }
   if (match.partial != nullptr) {
@@ -426,7 +431,7 @@ std::pair<FakeTe*, bool> TallyPick(const PromptTree::MatchResult& match,
   FakeTe* best = nullptr;
   size_t best_depth = 0;
   for (FakeTe* te : tes) {
-    auto it = depth_by_te.find(te->id());
+    auto it = depth_by_te.find(key_of(te));
     size_t depth = it == depth_by_te.end() ? 0 : it->second;
     if (best == nullptr || depth > best_depth ||
         (depth == best_depth && te->queue_depth() < best->queue_depth())) {
@@ -446,13 +451,24 @@ std::vector<rtc::BlockKey> RandomKeys(Rng& rng, size_t max_len) {
   return keys;
 }
 
+// Shuffles `v` in place with `rng`.
+template <typename T>
+void Shuffle(Rng& rng, std::vector<T>* v) {
+  for (size_t i = v->size(); i > 1; --i) {
+    const auto j = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i) - 1));
+    std::swap((*v)[i - 1], (*v)[j]);
+  }
+}
+
 TEST(LocalityPickTest, DeepestTaggedNodeAgreesWithFullTally) {
   for (uint64_t seed : {1ull, 12ull, 77ull, 250ull}) {
     Rng rng(seed);
     PromptTree tree;
     std::vector<FakeTe> fleet(12);
+    TeSlots slots;
     for (size_t i = 0; i < fleet.size(); ++i) {
       fleet[i].te_id = static_cast<TeId>(i);
+      slots.Assign(fleet[i].te_id);
     }
     int hits = 0;
     int misses = 0;
@@ -465,7 +481,7 @@ TEST(LocalityPickTest, DeepestTaggedNodeAgreesWithFullTally) {
         TeId te = static_cast<TeId>(rng.UniformInt(0, 11));
         for (PromptTree::Node* n = tree.Insert(rtc::KeyChain::Of(routed), round); n->parent != nullptr;
              n = n->parent) {
-          n->value.Add(te);
+          n->value.Add(slots.Of(te));
         }
       }
       if (tree.NodeCount() > 40) {
@@ -484,14 +500,13 @@ TEST(LocalityPickTest, DeepestTaggedNodeAgreesWithFullTally) {
       if (candidates.empty()) {
         candidates.push_back(&fleet[static_cast<size_t>(rng.UniformInt(0, 9))]);
       }
-      for (size_t i = candidates.size(); i > 1; --i) {
-        std::swap(candidates[i - 1],
-                  candidates[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(i) - 1))]);
-      }
+      Shuffle(rng, &candidates);
       PromptTree::MatchResult match = tree.Match(RandomKeys(rng, 11));
       bool hit = false;
-      FakeTe* picked = LocalityPick(match, candidates, &hit);
-      auto [expected, expected_hit] = TallyPick(match, candidates);
+      FakeTe* picked = LocalityPick(match, candidates, slots, &hit);
+      auto [expected, expected_hit] = TallyPick<PromptTree>(
+          match, candidates, [](const PromptTree::Node* node) { return node->value.Slots(); },
+          [&slots](const FakeTe* te) { return static_cast<int64_t>(slots.Of(te->id())); });
       ASSERT_EQ(picked, expected) << "seed " << seed << " round " << round;
       ASSERT_EQ(hit, expected_hit) << "seed " << seed << " round " << round;
       (hit ? hits : misses) += 1;
@@ -504,14 +519,146 @@ TEST(LocalityPickTest, DeepestTaggedNodeAgreesWithFullTally) {
   }
 }
 
+// The tag representation the bit word replaced: the TE ids tagged on a span,
+// sorted and distinct. A reference tree carries it beside the prompt tree.
+struct IdPresence {
+  std::vector<TeId> tes;
+
+  void Add(TeId te) {
+    auto it = std::lower_bound(tes.begin(), tes.end(), te);
+    if (it == tes.end() || *it != te) {
+      tes.insert(it, te);
+    }
+  }
+  IdPresence SplitTail(size_t) const { return *this; }
+};
+using IdTree = rtc::RadixTree<IdPresence>;
+
+TEST(LocalityPickTest, BitWordAgreesWithSortedIdTallyAcrossMembershipChurn) {
+  for (uint64_t seed : {3ull, 31ull, 404ull}) {
+    Rng rng(seed);
+    // Ids are spread out and join in shuffled order, so a TE's slot is
+    // neither its id nor its index; 150 members overflow the 64-bit word.
+    std::vector<FakeTe> fleet(400);
+    for (size_t i = 0; i < fleet.size(); ++i) {
+      fleet[i].te_id = static_cast<TeId>(7 + 3 * i);
+    }
+    std::vector<size_t> order(150);
+    for (size_t i = 0; i < order.size(); ++i) {
+      order[i] = i;
+    }
+    Shuffle(rng, &order);
+    TeSlots slots;
+    std::vector<FakeTe*> members;
+    for (size_t i : order) {
+      slots.Assign(fleet[i].te_id);
+      members.push_back(&fleet[i]);
+    }
+    size_t next_fresh = order.size();  // replacement TEs take unused ids
+    std::vector<FakeTe*> departed;
+    PromptTree tree;
+    IdTree reference;
+    int hits = 0;
+    int spilled_hits = 0;
+    int rejoins = 0;
+    for (int round = 0; round < 1500; ++round) {
+      const double op = rng.NextDouble();
+      if (op < 0.04 && members.size() > 1) {
+        // A TE departs: its tags stay behind in both trees.
+        const auto k =
+            static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(members.size()) - 1));
+        departed.push_back(members[k]);
+        members.erase(members.begin() + static_cast<ptrdiff_t>(k));
+      } else if (op < 0.06 && !departed.empty()) {
+        // A departed TE rejoins under its id and keeps its slot and tags.
+        const auto k =
+            static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(departed.size()) - 1));
+        FakeTe* te = departed[k];
+        departed.erase(departed.begin() + static_cast<ptrdiff_t>(k));
+        const uint32_t slot = slots.Of(te->id());
+        ASSERT_EQ(slots.Assign(te->id()), slot);
+        members.push_back(te);
+        ++rejoins;
+      } else if (op < 0.08 && next_fresh < fleet.size()) {
+        // A replacement TE: a new id takes a new slot, never a departed one's.
+        FakeTe* te = &fleet[next_fresh++];
+        slots.Assign(te->id());
+        members.push_back(te);
+      }
+      std::vector<rtc::BlockKey> routed = RandomKeys(rng, 9);
+      if (!routed.empty()) {
+        FakeTe* te = members[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(members.size()) - 1))];
+        for (PromptTree::Node* n = tree.Insert(rtc::KeyChain::Of(routed), round);
+             n->parent != nullptr; n = n->parent) {
+          n->value.Add(slots.Of(te->id()));
+        }
+        for (IdTree::Node* n = reference.Insert(rtc::KeyChain::Of(routed), round);
+             n->parent != nullptr; n = n->parent) {
+          n->value.Add(te->id());
+        }
+      }
+      // The trim order is key- and payload-blind, so both trees keep the
+      // same shape.
+      auto trim = [](auto& t) {
+        if (t.NodeCount() > 60) {
+          t.ScanLruLeaves([&t](auto&) {
+            return t.NodeCount() > 45 ? rtc::LruStep::kRemove : rtc::LruStep::kStop;
+          });
+        }
+      };
+      trim(tree);
+      trim(reference);
+      ASSERT_EQ(tree.NodeCount(), reference.NodeCount());
+      std::vector<FakeTe*> candidates;
+      for (FakeTe* te : members) {
+        te->depth = rng.UniformInt(0, 2);
+        if (rng.NextDouble() < 0.7) {
+          candidates.push_back(te);
+        }
+      }
+      if (candidates.empty()) {
+        candidates.push_back(members.front());
+      }
+      Shuffle(rng, &candidates);
+      const std::vector<rtc::BlockKey> query = RandomKeys(rng, 11);
+      bool hit = false;
+      FakeTe* picked = LocalityPick(tree.Match(query), candidates, slots, &hit);
+      auto [expected, expected_hit] = TallyPick<IdTree>(
+          reference.Match(query), candidates,
+          [](const IdTree::Node* node) { return node->value.tes; },
+          [](const FakeTe* te) { return static_cast<int64_t>(te->id()); });
+      ASSERT_EQ(picked, expected) << "seed " << seed << " round " << round;
+      ASSERT_EQ(hit, expected_hit) << "seed " << seed << " round " << round;
+      hits += hit ? 1 : 0;
+      spilled_hits += hit && slots.Of(picked->id()) >= 64 ? 1 : 0;
+    }
+    // Locality decides often, also for TEs whose tags live in the spill.
+    EXPECT_GT(hits, 300) << "seed " << seed;
+    EXPECT_GT(spilled_hits, 50) << "seed " << seed;
+    EXPECT_GT(rejoins, 5) << "seed " << seed;
+    EXPECT_GT(next_fresh, order.size() + 10) << "seed " << seed;
+  }
+}
+
 TEST(LocalityPickTest, TePresenceStaysSortedAndDistinct) {
   TePresence presence;
-  for (TeId te : {5, 2, 9, 2, 5, 0}) {
-    presence.Add(te);
+  for (uint32_t slot : {5u, 2u, 9u, 2u, 5u, 0u}) {
+    presence.Add(slot);
   }
-  EXPECT_EQ(presence.tes, (std::vector<TeId>{0, 2, 5, 9}));
+  EXPECT_EQ(presence.Slots(), (std::vector<uint32_t>{0, 2, 5, 9}));
   EXPECT_TRUE(presence.Has(9));
   EXPECT_FALSE(presence.Has(3));
+  // Slots past the word spill, and a split copies them too.
+  for (uint32_t slot : {200u, 64u, 63u, 200u}) {
+    presence.Add(slot);
+  }
+  EXPECT_EQ(presence.Slots(), (std::vector<uint32_t>{0, 2, 5, 9, 63, 64, 200}));
+  EXPECT_FALSE(presence.Has(65));
+  EXPECT_FALSE(presence.Has(1000));
+  TePresence tail = presence.SplitTail(1);
+  presence.Add(300);
+  EXPECT_EQ(tail.Slots(), (std::vector<uint32_t>{0, 2, 5, 9, 63, 64, 200}));
 }
 
 TEST_F(ServingTest, LoadAwareKicksInWhenUnbalanced) {

@@ -91,7 +91,8 @@ echo "==> deepserve_sim obs smoke: obs flags write their files, report unchanged
 # Exits non-zero unless --trace-out and --metrics-out each write a non-empty
 # file, both Chrome traces parse as JSON, the metrics dump carries the
 # end-of-run rtc.index_nodes and ctrl.log_bytes gauges, and each traced run's
-# stdout (and per-request CSV) is byte-identical to its untraced twin's.
+# stdout (and per-request CSV) is byte-identical to its untraced twin's, and
+# the mixed-fleet run's CSV matches its pinned digest.
 SIM_ARGS=(--model=tiny-1b --colocated=2 --rps=5 --duration=5)
 OBS_DIR="$(mktemp -d)"
 ./build/examples/deepserve_sim "${SIM_ARGS[@]}" >"${OBS_DIR}/plain.out"
@@ -121,6 +122,13 @@ mv "${OBS_DIR}/run.csv" "${OBS_DIR}/runs_plain.csv"
   >"${OBS_DIR}/runs_traced.out" 2>/dev/null
 cmp "${OBS_DIR}/runs_plain.out" "${OBS_DIR}/runs_traced.out"
 cmp "${OBS_DIR}/runs_plain.csv" "${OBS_DIR}/run.csv"
+# The per-request CSV the stepping engine wrote for this run, pinned, so the
+# oracle outlives the stepping path.
+RUNS_CSV_SHA256=91d4fd828446d899090d5c16797cdbc82f39a772f44d10e8556ec77f953cd496
+if [[ "$(sha256sum <"${OBS_DIR}/run.csv" | cut -d' ' -f1)" != "${RUNS_CSV_SHA256}" ]]; then
+  echo "deepserve_sim's mixed-fleet CSV differs from the pinned stepping run" >&2
+  exit 1
+fi
 for TRACE in trace.json runs_trace.json; do
   python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "${OBS_DIR}/${TRACE}"
 done

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -546,7 +549,8 @@ TEST(KvBlockCapacityTest, OverrideBeyondHbmIsAnError) {
 // An engine with a tracer attached steps one event per step, so it is the
 // oracle for the decode runs and settles an untraced twin takes instead. Each
 // scenario below runs on both twins from the same sim events and must give
-// the same per-request times, stats() reads and final EngineStats, in ns.
+// the same per-request times, stats() reads and final EngineStats, in ns; the
+// stepped outcome is also pinned, so the oracle outlives the stepping path.
 
 struct TwinOutcome {
   // Request id -> (first_token_time, finish_time), completed requests only.
@@ -603,17 +607,63 @@ class Twin {
   TwinOutcome out;
 };
 
+// FNV-1a over `words`, in order.
+uint64_t Fnv(std::initializer_list<int64_t> words, uint64_t hash = 1469598103934665603ull) {
+  for (const int64_t word : words) {
+    hash ^= static_cast<uint64_t>(word);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// A scenario's stepped outcome: its end time and step count, readable, and a
+// digest of every TwinOutcome field but the event count.
+struct Pin {
+  TimeNs end = 0;
+  int64_t steps = 0;
+  uint64_t digest = 0;
+};
+
+Pin PinOf(const TwinOutcome& out) {
+  uint64_t hash = Fnv({out.errored, out.end});
+  for (const auto& [id, times] : out.times) {
+    hash = Fnv({static_cast<int64_t>(id), times.first, times.second}, hash);
+  }
+  for (const auto& [steps, tokens] : out.reads) {
+    hash = Fnv({steps, tokens}, hash);
+  }
+  const EngineStats& s = out.stats;
+  hash = Fnv({s.submitted, s.completed, s.steps, s.prefill_tokens_processed,
+              s.prefill_attended_tokens, s.decode_tokens_generated, s.reused_tokens,
+              s.pic_reused_tokens, s.prompt_hashes, s.populates_started, s.populates_rejected,
+              s.preemptions, s.cancelled, s.aborted, s.aborted_kv_tokens, s.max_decode_step,
+              s.npu_busy, s.cpu_sched_total, s.cpu_stall, s.shed, s.deadline_misses,
+              s.tbt_violations, s.ttft_violations},
+             hash);
+  return {out.end, s.steps, hash};
+}
+
+void ExpectPinned(const TwinOutcome& out, const Pin& want) {
+  const Pin got = PinOf(out);
+  EXPECT_EQ(got.end, want.end);
+  EXPECT_EQ(got.steps, want.steps);
+  EXPECT_EQ(got.digest, want.digest)
+      << "pin {" << got.end << ", " << got.steps << ", 0x" << std::hex << got.digest << "ull}";
+}
+
 using Scenario = std::function<void(Twin&)>;
 
 // Runs `scenario` on a traced and an untraced twin; returns the untraced
-// outcome after checking it against the traced one.
-TwinOutcome ExpectRunsMatchSteps(const EngineConfig& config, const Scenario& scenario) {
+// outcome after checking it against the traced one, and that against `pin`.
+TwinOutcome ExpectRunsMatchSteps(const EngineConfig& config, const Scenario& scenario,
+                                 const Pin& pin) {
   Twin stepped(config, /*traced=*/true);
   Twin runs(config, /*traced=*/false);
   scenario(stepped);
   scenario(runs);
   const TwinOutcome want = stepped.Finish();
   const TwinOutcome got = runs.Finish();
+  ExpectPinned(want, pin);
   EXPECT_EQ(got.times, want.times);
   EXPECT_EQ(got.errored, want.errored);
   EXPECT_EQ(got.reads, want.reads);
@@ -636,33 +686,87 @@ TwinOutcome ExpectRunsMatchSteps(const EngineConfig& config, const Scenario& sce
 // inside runs.
 constexpr TimeNs kStep = MsToNs(2.6);
 
-TEST(DecodeRunTest, StaggeredSubmitsLandInsideRuns) {
-  for (int dp : {1, 2}) {
-    EngineConfig config = TestConfig();
-    config.parallelism = {1, 1, dp};
-    config.sched.tbt_budget_ms = 2.7;  // some steps exceed it
-    const TwinOutcome got = ExpectRunsMatchSteps(config, [](Twin& twin) {
-      twin.Submit(MakeRequest(1, 100, 300, 1000));
-      twin.Submit(MakeRequest(2, 37, 120, 3000));
-      uint64_t state = 33;
-      for (workload::RequestId id = 3; id < 15; ++id) {
-        state = state * 6364136223846793005ull + 1442695040888963407ull;
-        const TimeNs at = static_cast<TimeNs>((state >> 33) % 200) * kStep / 3;
-        const int64_t len = 20 + static_cast<int64_t>((state >> 20) % 400);
-        const int64_t decode = 1 + static_cast<int64_t>((state >> 40) % 150);
-        const TokenId base = id % 3 == 0 ? 1000 : static_cast<TokenId>(5000 + 991 * id);
-        twin.sim.ScheduleAt(at, [&twin, id, len, decode, base] {
-          twin.Submit(MakeRequest(id, len, decode, base));
-        });
-      }
+// Two requests at once, then twelve more at pseudo-random times, some
+// sharing a prefix.
+void StaggeredSubmits(Twin& twin) {
+  twin.Submit(MakeRequest(1, 100, 300, 1000));
+  twin.Submit(MakeRequest(2, 37, 120, 3000));
+  uint64_t state = 33;
+  for (workload::RequestId id = 3; id < 15; ++id) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const TimeNs at = static_cast<TimeNs>((state >> 33) % 200) * kStep / 3;
+    const int64_t len = 20 + static_cast<int64_t>((state >> 20) % 400);
+    const int64_t decode = 1 + static_cast<int64_t>((state >> 40) % 150);
+    const TokenId base = id % 3 == 0 ? 1000 : static_cast<TokenId>(5000 + 991 * id);
+    twin.sim.ScheduleAt(at, [&twin, id, len, decode, base] {
+      twin.Submit(MakeRequest(id, len, decode, base));
     });
+  }
+}
+
+EngineConfig StaggeredConfig(int dp) {
+  EngineConfig config = TestConfig();
+  config.parallelism = {1, 1, dp};
+  config.sched.tbt_budget_ms = 2.7;  // some steps exceed it
+  return config;
+}
+
+TEST(DecodeRunTest, StaggeredSubmitsLandInsideRuns) {
+  const Pin pins[] = {{794154791, 301, 0x255eb22258f0d165ull},
+                      {771912594, 496, 0xeed04de91dda7059ull}};
+  for (int dp : {1, 2}) {
+    const TwinOutcome got =
+        ExpectRunsMatchSteps(StaggeredConfig(dp), StaggeredSubmits, pins[dp - 1]);
     EXPECT_EQ(got.times.size(), 14u) << "dp " << dp;
     EXPECT_GT(got.stats.tbt_violations, 0) << "dp " << dp;
   }
 }
 
+// FNV-1a over the sorted set of `tracer`'s step slice records (ts, phase,
+// lane and args), which does not depend on the order they were recorded in.
+uint64_t StepSliceDigest(const obs::Tracer& tracer, size_t* count) {
+  std::vector<std::string> records;
+  for (const obs::TraceEvent* event : tracer.EventsNamed("step")) {
+    std::string record = std::to_string(event->ts) + ' ' +
+                         std::string(obs::PhaseToString(event->phase)) + ' ' +
+                         std::to_string(event->tid);
+    for (const obs::TraceArg& arg : event->args) {
+      record += ' ' + arg.key + '=' + arg.value;
+    }
+    records.push_back(std::move(record));
+  }
+  std::sort(records.begin(), records.end());
+  *count = records.size();
+  uint64_t hash = Fnv({});
+  for (const std::string& record : records) {
+    for (const char c : record) {
+      hash = Fnv({static_cast<unsigned char>(c)}, hash);
+    }
+    hash = Fnv({'\n'}, hash);
+  }
+  return hash;
+}
+
+TEST(DecodeRunTest, TracedRunsRecordTheSteppedSlices) {
+  // The step slices of the stepping engine's trace, one slice per step.
+  const std::pair<size_t, uint64_t> pins[] = {{602, 0x605e2803d89e4b07ull},
+                                               {992, 0xef94971cf69de3b1ull}};
+  for (int dp : {1, 2}) {
+    Twin traced(StaggeredConfig(dp), /*traced=*/true);
+    StaggeredSubmits(traced);
+    const TwinOutcome out = traced.Finish();
+    size_t count = 0;
+    const uint64_t digest = StepSliceDigest(traced.tracer, &count);
+    EXPECT_EQ(count, static_cast<size_t>(2 * out.stats.steps)) << "dp " << dp;
+    EXPECT_EQ(count, pins[dp - 1].first) << "dp " << dp;
+    EXPECT_EQ(digest, pins[dp - 1].second) << "dp " << dp << ": 0x" << std::hex << digest;
+  }
+}
+
 TEST(DecodeRunTest, DecodeOnlyEngineFedBySubmitPrefilled) {
   // With a batch cap of 3, some decoding sequences sit out each step.
+  const Pin pins[] = {{765900000, 292, 0x786ea58b5734889eull},
+                      {765900000, 292, 0x786ea58b5734889eull}};
   for (int64_t max_batch : {256, 3}) {
     EngineConfig config = TestConfig();
     config.role = EngineRole::kDecodeOnly;
@@ -676,7 +780,7 @@ TEST(DecodeRunTest, DecodeOnlyEngineFedBySubmitPrefilled) {
                                    static_cast<TokenId>(1000 * id)));
         });
       }
-    });
+    }, pins[max_batch == 3]);
     EXPECT_EQ(got.times.size(), 10u) << "max_batch_seqs " << max_batch;
   }
 }
@@ -695,7 +799,7 @@ TEST(DecodeRunTest, CancelAbortAndSlowdownMidRun) {
       twin.Submit(MakeRequest(6, 45, 70, 9000));
     });
     twin.sim.ScheduleAt(kStep * 150 + 1, [&twin] { ASSERT_TRUE(twin.engine->Cancel(6).ok()); });
-  });
+  }, {496580245, 177, 0xa2b72479a6024c27ull});
   EXPECT_EQ(got.times.size(), 1u);  // 1, 3 and 4 aborted, 2 and 6 cancelled
   EXPECT_EQ(got.stats.cancelled, 2);
   EXPECT_EQ(got.stats.aborted, 3);
@@ -708,7 +812,7 @@ TEST(DecodeRunTest, StatsReadsMidRunSeeTheSteppedCounts) {
     for (int i = 1; i < 60; ++i) {
       twin.sim.ScheduleAt(kStep * 37 * i / 10, [&twin] { twin.Read(); });
     }
-  });
+  }, {567580000, 150, 0xf7eb21bdf037647bull});
   EXPECT_EQ(got.reads.size(), 59u);
   EXPECT_GT(got.reads.back().second, 0);
 }
@@ -740,6 +844,12 @@ TEST(DecodeRunTest, ContactsAtExactlyAStepBoundary) {
     twin.Read();
     twin.engine->SetStepTimeMultiplier(2.0);
   };
+  // Contacts at b_20 then b_28, each scheduled before and after b_{j-1}.
+  const Pin pins[] = {{959942750, 200, 0x64c2056279f8df6eull},
+                      {957419192, 200, 0x66cabc78035ec578ull},
+                      {939753569, 200, 0x42fdfd7f049289c4ull},
+                      {937229806, 200, 0x49f7eb0197973f00ull}};
+  const Pin* pin = pins;
   for (const int64_t j : {20, 28}) {
     const TimeNs b_j = ends[j - 1];
     // Scheduled at `from`, due at b_j.
@@ -751,8 +861,8 @@ TEST(DecodeRunTest, ContactsAtExactlyAStepBoundary) {
         });
       };
     };
-    const TwinOutcome before = ExpectRunsMatchSteps(config, contact_from(ends[j - 3] + 1));
-    const TwinOutcome after = ExpectRunsMatchSteps(config, contact_from(ends[j - 2] + 1));
+    const TwinOutcome before = ExpectRunsMatchSteps(config, contact_from(ends[j - 3] + 1), *pin++);
+    const TwinOutcome after = ExpectRunsMatchSteps(config, contact_from(ends[j - 2] + 1), *pin++);
     ASSERT_EQ(before.reads.size(), 1u);
     ASSERT_EQ(after.reads.size(), 1u);
     // Steps charged: j with j - 1 done before, j + 1 with j done after. The

@@ -90,9 +90,10 @@ echo "==> perf_sim smoke: DES core throughput, replay determinism"
 echo "==> deepserve_sim obs smoke: obs flags write their files, report unchanged"
 # Exits non-zero unless --trace-out and --metrics-out each write a non-empty
 # file, both Chrome traces parse as JSON, the metrics dump carries the
-# end-of-run rtc.index_nodes and ctrl.log_bytes gauges, and each traced run's
-# stdout (and per-request CSV) is byte-identical to its untraced twin's, and
-# the mixed-fleet run's CSV matches its pinned digest.
+# end-of-run rtc.index_nodes and ctrl.log_bytes gauges, each traced run's
+# stdout (and the mixed-fleet run's per-request CSV and metrics dump) is
+# byte-identical to its untraced twin's, and that CSV matches its pinned
+# digest.
 SIM_ARGS=(--model=tiny-1b --colocated=2 --rps=5 --duration=5)
 OBS_DIR="$(mktemp -d)"
 ./build/examples/deepserve_sim "${SIM_ARGS[@]}" >"${OBS_DIR}/plain.out"
@@ -109,21 +110,23 @@ for GAUGE in rtc.index_nodes ctrl.log_bytes; do
   fi
 done
 cmp "${OBS_DIR}/plain.out" "${OBS_DIR}/traced.out"
-# A traced engine steps one event per step; an untraced one runs a decode-only
-# batch up to its next KV block boundary in one event (DESIGN #6). So each
-# traced/untraced pair also checks decode runs against stepping: this one on a
-# mixed colocated + 1P1D fleet, per request (--csv) as well as in the report.
-# Both runs write the same CSV path, so their stdout can match byte for byte.
+# Traced or not, an engine runs a decode-only batch up to its next KV block
+# boundary in one event (DESIGN #6), so a tracer changes no event: this mixed
+# colocated + 1P1D pair's report, per-request CSV and metrics dump
+# (sim.events_fired included) must match byte for byte. Both runs write the
+# same CSV path, since stdout names it.
 RUNS_ARGS=(--model=tiny-1b --colocated=2 --prefill-tes=1 --decode-tes=1 --rps=20 --duration=10
   --csv="${OBS_DIR}/run.csv")
-./build/examples/deepserve_sim "${RUNS_ARGS[@]}" >"${OBS_DIR}/runs_plain.out"
+./build/examples/deepserve_sim "${RUNS_ARGS[@]}" --metrics-out="${OBS_DIR}/runs_plain.metrics" \
+  >"${OBS_DIR}/runs_plain.out" 2>/dev/null
 mv "${OBS_DIR}/run.csv" "${OBS_DIR}/runs_plain.csv"
 ./build/examples/deepserve_sim "${RUNS_ARGS[@]}" --trace-out="${OBS_DIR}/runs_trace.json" \
-  >"${OBS_DIR}/runs_traced.out" 2>/dev/null
+  --metrics-out="${OBS_DIR}/runs_traced.metrics" >"${OBS_DIR}/runs_traced.out" 2>/dev/null
 cmp "${OBS_DIR}/runs_plain.out" "${OBS_DIR}/runs_traced.out"
 cmp "${OBS_DIR}/runs_plain.csv" "${OBS_DIR}/run.csv"
-# The per-request CSV the stepping engine wrote for this run, pinned, so the
-# oracle outlives the stepping path.
+cmp "${OBS_DIR}/runs_plain.metrics" "${OBS_DIR}/runs_traced.metrics"
+# The per-request CSV an engine that stepped one event per step wrote for
+# this run, pinned: the oracle for decode runs.
 RUNS_CSV_SHA256=91d4fd828446d899090d5c16797cdbc82f39a772f44d10e8556ec77f953cd496
 if [[ "$(sha256sum <"${OBS_DIR}/run.csv" | cut -d' ' -f1)" != "${RUNS_CSV_SHA256}" ]]; then
   echo "deepserve_sim's mixed-fleet CSV differs from the pinned stepping run" >&2

@@ -263,8 +263,9 @@ class Engine {
   // been scheduled when that step started.
   void ScheduleStepEnd(DpGroup& group);
   void CompleteStep(DpGroup& group);
-  // Charges one started step's accounting: steps, NPU/CPU time, TBT.
-  void ChargeStep(const StepPlan& plan, DurationNs iteration);
+  // Charges the accounting of group.plan's step, which runs from `begin` to
+  // `end`: steps, NPU/CPU time, TBT, and its "step" trace slice.
+  void ChargeStep(const DpGroup& group, TimeNs begin, TimeNs end);
   // Applies one finished step's effects on its sequences and counters.
   void ApplyStepResult(DpGroup& group);
   // Completes run steps until step `in_flight` + 1 is the one in flight.

@@ -379,13 +379,13 @@ bool Engine::BuildStep(DpGroup& group, StepPlan* plan) {
 // event at the end of the last and applies the ones before it there, in step
 // order, with the accounting each would have charged. Any outside contact
 // (admission, SubmitPrefilled, Cancel, Abort, SetStepTimeMultiplier, stats())
-// settles the run first. Under a tracer, PP or a shedding policy every run is
-// one step long.
+// settles the run first. Under PP or a shedding policy every run is one step
+// long.
 void Engine::PlanDecodeRun(DpGroup& group) {
   const StepPlan& plan = group.plan;
   if (plan.shape.decode_seqs == 0 || !plan.prefill_chunks.empty() || !group.ready.empty() ||
       !group.prefilling.empty() || plan.decode_seqs.size() != group.decoding.size() ||
-      config_.parallelism.pp != 1 || policy_->WantsShedChecks() || sim_->tracer() != nullptr) {
+      config_.parallelism.pp != 1 || policy_->WantsShedChecks()) {
     return;
   }
   // Step j builds at context_len() + j - 1 per sequence: it allocates once
@@ -422,7 +422,9 @@ void Engine::ScheduleStepEnd(DpGroup& group) {
       started);
 }
 
-void Engine::ChargeStep(const StepPlan& plan, DurationNs iteration) {
+void Engine::ChargeStep(const DpGroup& group, TimeNs begin, TimeNs end) {
+  const StepPlan& plan = group.plan;
+  const DurationNs iteration = end - begin;
   ++stats_.steps;
   stats_.prefill_attended_tokens += plan.shape.prefill_attended_tokens;
   stats_.npu_busy += plan.npu_time;
@@ -448,9 +450,19 @@ void Engine::ChargeStep(const StepPlan& plan, DurationNs iteration) {
     m_steps_->Inc();
     m_step_ms_->Add(NsToMs(iteration));
   }
+  if (obs::Tracer* t = sim_->tracer()) {
+    const int pid = track_.Pid(t);
+    t->Begin(begin, pid, group.index, "step",
+             {obs::Arg("prefill_tokens", plan.shape.prefill_tokens),
+              obs::Arg("attended_tokens", plan.shape.prefill_attended_tokens),
+              obs::Arg("decode_seqs", plan.shape.decode_seqs),
+              obs::Arg("decode_ctx", plan.shape.decode_context_tokens),
+              obs::Arg("npu_ms", NsToMs(plan.npu_time)),
+              obs::Arg("cpu_ms", NsToMs(plan.cpu_time))});
+    t->End(end, pid, group.index, "step");
+  }
 }
 
-// ds-lint: allow(span-pairing, the "step" slice spans the step's sim-time duration and closes in CompleteStep)
 void Engine::RunStep(DpGroup& group) {
   // Marked running while it builds, so a callback fired by a shed cannot start
   // a second step for this group.
@@ -472,22 +484,13 @@ void Engine::RunStep(DpGroup& group) {
   }
   EnsureMetrics();
   const TimeNs now = sim_->Now();
-  DurationNs iteration = IterationTime(plan.npu_time, plan.cpu_time);
-  ChargeStep(plan, iteration);
-  if (obs::Tracer* t = sim_->tracer()) {
-    t->Begin(now, track_.Pid(t), group.index, "step",
-             {obs::Arg("prefill_tokens", plan.shape.prefill_tokens),
-              obs::Arg("attended_tokens", plan.shape.prefill_attended_tokens),
-              obs::Arg("decode_seqs", plan.shape.decode_seqs),
-              obs::Arg("decode_ctx", plan.shape.decode_context_tokens),
-              obs::Arg("npu_ms", NsToMs(plan.npu_time)),
-              obs::Arg("cpu_ms", NsToMs(plan.cpu_time))});
-  }
+  const TimeNs end = now + IterationTime(plan.npu_time, plan.cpu_time);
+  ChargeStep(group, now, end);
   ++busy_groups_;
   group.run.clear();
   group.run_done = 0;
   group.run_start = now;
-  group.run.push_back({now + iteration, plan.npu_time, plan.cpu_time});
+  group.run.push_back({end, plan.npu_time, plan.cpu_time});
   PlanDecodeRun(group);
   ScheduleStepEnd(group);
 }
@@ -533,7 +536,7 @@ void Engine::AdvanceRun(DpGroup& group, size_t in_flight) {
     plan.shape.decode_context_tokens += plan.shape.decode_seqs;
     plan.npu_time = next.npu_time;
     plan.cpu_time = next.cpu_time;
-    ChargeStep(plan, next.end - started);
+    ChargeStep(group, started, next.end);
   }
 }
 
@@ -570,13 +573,9 @@ void Engine::SettleRuns() {
   }
 }
 
-// ds-lint: allow(span-pairing, closes the "step" slice opened in RunStep at the step's sim-time start)
 void Engine::CompleteStep(DpGroup& group) {
   // A decode run's earlier steps ended without events of their own.
   AdvanceRun(group, group.run.size() - 1);
-  if (obs::Tracer* t = sim_->tracer()) {
-    t->End(sim_->Now(), track_.Pid(t), group.index, "step");
-  }
   ApplyStepResult(group);
   RunStep(group);
 }

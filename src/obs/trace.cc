@@ -146,11 +146,7 @@ std::vector<const TraceEvent*> Tracer::EventsNamed(std::string_view name) const 
   return out;
 }
 
-std::string Tracer::ToChromeJson() const {
-  // Stable sort by timestamp: recording order is already non-decreasing
-  // within one Simulator, but a bench may replay several sims through one
-  // tracer; sorting keeps the merged stream monotonic without reordering
-  // same-timestamp events (which would break B/E nesting).
+std::vector<const TraceEvent*> Tracer::EventsByTs() const {
   std::vector<const TraceEvent*> ordered;
   ordered.reserve(events_.size());
   for (const TraceEvent& ev : events_) {
@@ -158,7 +154,10 @@ std::string Tracer::ToChromeJson() const {
   }
   std::stable_sort(ordered.begin(), ordered.end(),
                    [](const TraceEvent* a, const TraceEvent* b) { return a->ts < b->ts; });
+  return ordered;
+}
 
+std::string Tracer::ToChromeJson() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   auto add_meta = [&](int pid, int tid, const char* what, const std::string& name) {
@@ -178,7 +177,7 @@ std::string Tracer::ToChromeJson() const {
   for (const auto& [key, name] : lane_names_) {
     add_meta(key.first, key.second, "thread_name", name);
   }
-  for (const TraceEvent* ev : ordered) {
+  for (const TraceEvent* ev : EventsByTs()) {
     if (!first) {
       out += ',';
     }
@@ -212,15 +211,8 @@ std::string Tracer::ToChromeJson() const {
 }
 
 std::string Tracer::ToJsonl() const {
-  std::vector<const TraceEvent*> ordered;
-  ordered.reserve(events_.size());
-  for (const TraceEvent& ev : events_) {
-    ordered.push_back(&ev);
-  }
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const TraceEvent* a, const TraceEvent* b) { return a->ts < b->ts; });
   std::string out;
-  for (const TraceEvent* ev : ordered) {
+  for (const TraceEvent* ev : EventsByTs()) {
     out += "{\"ts\":" + std::to_string(ev->ts) + ",\"ph\":\"";
     out += PhaseToString(ev->phase);
     out += "\",\"pid\":" + std::to_string(ev->pid) + ",\"tid\":" + std::to_string(ev->tid);

@@ -121,15 +121,19 @@ class Tracer {
   // ---- introspection / export ---------------------------------------------
   size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
+  // In recording order, not sim-time order: an engine records a decode
+  // run's later steps when the run settles.
   const std::vector<TraceEvent>& events() const { return events_; }
   const std::vector<std::string>& tracks() const { return track_names_; }
 
-  // Events with the given name, in recording (= sim time) order.
+  // Events with the given name, in recording order.
   std::vector<const TraceEvent*> EventsNamed(std::string_view name) const;
+  // Every event, stably sorted by timestamp (ties keep recording order, so
+  // B/E slices still nest): the order both exports write.
+  std::vector<const TraceEvent*> EventsByTs() const;
 
   // Chrome trace_event JSON ({"traceEvents": [...]}; ts in microseconds as
-  // chrome expects, original ns kept in args). Events are stably sorted by
-  // timestamp so traces spanning several Simulator instances stay monotonic.
+  // chrome expects, original ns kept in args).
   std::string ToChromeJson() const;
   // One JSON object per line: {"ts":..,"ph":..,"pid":..,"name":..,args...}.
   std::string ToJsonl() const;

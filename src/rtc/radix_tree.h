@@ -176,14 +176,14 @@ class KeyChain {
 
   static KeyChain Hash(std::span<const TokenId> tokens) {
     const size_t full = tokens.size() / kBlockTokens;
-    auto keys = std::make_shared<BlockKey[]>(full);
+    auto keys = std::make_shared_for_overwrite<BlockKey[]>(full);
     HashBlocks(tokens, keys.get());
     return KeyChain(std::move(keys), full);
   }
   // A chain over keys that were not hashed from tokens here (tests and
   // benches that build key sequences directly).
   static KeyChain Of(std::span<const BlockKey> keys) {
-    auto copy = std::make_shared<BlockKey[]>(keys.size());
+    auto copy = std::make_shared_for_overwrite<BlockKey[]>(keys.size());
     std::copy(keys.begin(), keys.end(), copy.get());
     return KeyChain(std::move(copy), keys.size());
   }

@@ -36,25 +36,24 @@ MatchInfo RtcMaster::MatchByPrefixToken(std::span<const TokenId> prompt,
                                         std::span<const BlockKey> keys) {
   CheckChain(prompt, keys);
   stats_.requested_tokens += static_cast<int64_t>(prompt.size());
-  auto match = tree_.Match(keys);
-  TimeNs now = sim_->Now();
-  tree_.Touch(match, now);
+  tree_.Match(keys, &match_);
+  tree_.Touch(match_, sim_->Now());
   // Every edge symbol carries one block, so the match length is the count.
   // A parked run on the way gets its slots back first, so the match reports
   // its blocks exactly as if they had never given them up.
   BlockTable blocks;
-  for (auto* node : match.path) {
+  for (auto* node : match_.path) {
     if (node->value.parked()) {
       Unpark(*node);
     }
     blocks.Append(node->value.blocks);
   }
-  if (match.partial != nullptr) {
-    if (match.partial->value.parked()) {
-      Unpark(*match.partial);
+  if (match_.partial != nullptr) {
+    if (match_.partial->value.parked()) {
+      Unpark(*match_.partial);
     }
-    const BlockTable& run = match.partial->value.blocks;
-    blocks.Append(run, std::min(match.partial_len, run.size()));
+    const BlockTable& run = match_.partial->value.blocks;
+    blocks.Append(run, std::min(match_.partial_len, run.size()));
   }
   int64_t matched_tokens = static_cast<int64_t>(blocks.size()) * kBlockTokens;
   if (matched_tokens > 0) {

@@ -254,6 +254,7 @@ class RtcMaster {
   // never needed a transfer).
   std::unordered_map<PopulateTicket, std::function<void()>> inflight_populates_;
   std::vector<Tree::Node*> swap_victims_;  // SwapScan's victim list, reused
+  Tree::MatchResult match_;                 // MatchByPrefixToken's, path reused
 
   RtcStats stats_;
   bool swap_armed_ = false;

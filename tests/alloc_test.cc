@@ -8,7 +8,8 @@
 // every RTC operation on a block table (DESIGN #16). A committed block adds at
 // most 4 bytes to the cache index, whose edges slice the request's key chain
 // instead of copying it (DESIGN #12), and one left only in DRAM gives its pool
-// slot back (DESIGN #16). A request's dispatch must not
+// slot back (DESIGN #16). A prefix match reuses its path buffer, so its heap
+// traffic does not grow with the path's depth. A request's dispatch must not
 // copy its prompt (DESIGN #14), nor copy or wrap its callbacks (DESIGN #15).
 // A control-log append allocates only when the log's storage doubles
 // (DESIGN #10).
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "common/time_units.h"
@@ -303,6 +305,41 @@ TEST(AllocTest, CachedBlockCostsFourTreeBytes) {
                            static_cast<int64_t>(sizeof(Tree::Node)) +
                            static_cast<int64_t>(sizeof(Tree::ChildMap::Entry)));
   master.Free(blocks);
+}
+
+TEST(AllocTest, PrefixMatchDownADeepPathAllocatesNoMore) {
+  // A prefix lookup down a path of one-block nodes allocates no more than one
+  // down a single node holding as many blocks: the match's path buffer is the
+  // RtcMaster's, reused, and the path's blocks are contiguous, so they make
+  // one extent either way (DESIGN #16).
+  constexpr int64_t kBlocks = 64;
+  auto lookup_allocations = [](bool deep) {
+    sim::Simulator sim;
+    rtc::RtcConfig config;
+    config.pool.npu_capacity = 4 * kBlocks;  // below the swap watermark
+    rtc::RtcMaster master(&sim, config);
+    std::vector<TokenId> tokens;
+    for (int64_t i = 0; i < rtc::kBlockTokens * kBlocks; ++i) {
+      tokens.push_back(static_cast<TokenId>(i + 1));
+    }
+    const rtc::KeyChain keys = rtc::KeyChain::Hash(tokens);
+    const rtc::BlockTable blocks = master.AllocBlocks(kBlocks).value();
+    // Each commit of a one-block-longer prefix adds one node under the last.
+    for (int64_t n = deep ? 1 : kBlocks; n <= kBlocks; ++n) {
+      const std::span<const TokenId> prefix(tokens.data(),
+                                            static_cast<size_t>(n * rtc::kBlockTokens));
+      master.Preserve(prefix, blocks, rtc::KeyChain::Hash(prefix));
+    }
+    EXPECT_EQ(master.index_nodes(), static_cast<size_t>(deep ? kBlocks : 1));
+    master.MatchByPrefixToken(tokens, keys.span());  // sizes the reused buffers
+    const int64_t allocations = g_allocations;
+    const rtc::MatchInfo match = master.MatchByPrefixToken(tokens, keys.span());
+    const int64_t made = g_allocations - allocations;
+    EXPECT_EQ(match.matched_tokens, rtc::kBlockTokens * kBlocks);
+    master.Free(blocks);
+    return made;
+  };
+  EXPECT_LE(lookup_allocations(/*deep=*/true), lookup_allocations(/*deep=*/false));
 }
 
 TEST(AllocTest, DramOnlyLeafGivesUpItsPoolSlots) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -148,7 +149,7 @@ TEST(MetricsRegistryTest, GetOrCreateIsStable) {
 // ---------------- Golden engine trace ----------------
 
 // One deterministic request through an engine records the canonical event
-// sequence in order, with monotonically non-decreasing timestamps.
+// sequence, which the exports write in non-decreasing timestamp order.
 TEST(TraceGoldenTest, SingleRequestEventOrder) {
   sim::Simulator sim;
   obs::Tracer tracer;
@@ -176,26 +177,38 @@ TEST(TraceGoldenTest, SingleRequestEventOrder) {
   sim.Run();
   ASSERT_TRUE(done);
 
-  // Lifecycle markers, in order: submit -> enqueue -> first step begin ->
-  // ... -> finish. 1024 prompt tokens at chunk 512 = 2 prefill steps, plus
-  // 3 decode steps (prefill emits token 1 of 4).
-  auto submit = tracer.EventsNamed("seq.submit");
-  auto enqueue = tracer.EventsNamed("seq.enqueue");
-  auto steps = tracer.EventsNamed("step");
-  auto finish = tracer.EventsNamed("seq.finish");
-  ASSERT_EQ(submit.size(), 1u);
-  ASSERT_EQ(enqueue.size(), 1u);
-  ASSERT_EQ(finish.size(), 1u);
-  EXPECT_EQ(steps.size(), 10u);  // 5 steps x (begin + end)
-  EXPECT_LE(submit[0]->ts, enqueue[0]->ts);
-  EXPECT_LE(enqueue[0]->ts, steps[0]->ts);
-  EXPECT_LE(steps.back()->ts, finish[0]->ts);
-
-  // The whole stream is recorded in non-decreasing sim-time order.
-  const auto& events = tracer.events();
-  for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LE(events[i - 1].ts, events[i].ts) << "event " << i << " went backwards";
+  // Lifecycle markers, in export order: submit -> enqueue -> first step
+  // begin -> ... -> finish. 1024 prompt tokens at chunk 512 = 2 prefill
+  // steps, plus 3 decode steps (prefill emits token 1 of 4).
+  std::vector<std::string> names;
+  std::vector<const obs::TraceEvent*> steps;
+  for (const obs::TraceEvent* event : tracer.EventsByTs()) {
+    names.push_back(event->name);
+    if (event->name == "step") {
+      steps.push_back(event);
+    }
   }
+  EXPECT_EQ(steps.size(), 10u);  // 5 steps x (begin + end)
+  const std::vector<std::string> lifecycle = {"seq.submit", "seq.enqueue", "step", "seq.finish"};
+  auto next = names.begin();
+  for (const std::string& name : lifecycle) {
+    next = std::find(next, names.end(), name);
+    EXPECT_NE(next, names.end()) << name << " missing or out of order";
+  }
+  EXPECT_EQ(std::count(names.begin(), names.end(), "seq.finish"), 1);
+  EXPECT_EQ(names.back(), "seq.finish");
+
+  // The JSONL export's timestamps never go backwards.
+  const std::string jsonl = tracer.ToJsonl();
+  TimeNs last = 0;
+  size_t lines = 0;
+  for (size_t at = 0; at < jsonl.size(); at = jsonl.find('\n', at) + 1, ++lines) {
+    ASSERT_EQ(jsonl.compare(at, 6, "{\"ts\":"), 0) << "line " << lines;
+    const TimeNs ts = std::stoll(jsonl.substr(at + 6, 20));
+    EXPECT_LE(last, ts) << "line " << lines << " went backwards";
+    last = ts;
+  }
+  EXPECT_EQ(lines, tracer.size());
 
   // Step slices alternate B/E on the single DP lane and carry the StepShape.
   for (size_t i = 0; i < steps.size(); ++i) {

@@ -126,7 +126,8 @@ cmp "${OBS_DIR}/runs_plain.out" "${OBS_DIR}/runs_traced.out"
 cmp "${OBS_DIR}/runs_plain.csv" "${OBS_DIR}/run.csv"
 cmp "${OBS_DIR}/runs_plain.metrics" "${OBS_DIR}/runs_traced.metrics"
 # The per-request CSV an engine that stepped one event per step wrote for
-# this run, pinned: the oracle for decode runs.
+# this run, pinned: the oracle for decode runs (they agree on this run; DESIGN
+# #6 names the one tie where they can part).
 RUNS_CSV_SHA256=91d4fd828446d899090d5c16797cdbc82f39a772f44d10e8556ec77f953cd496
 if [[ "$(sha256sum <"${OBS_DIR}/run.csv" | cut -d' ' -f1)" != "${RUNS_CSV_SHA256}" ]]; then
   echo "deepserve_sim's mixed-fleet CSV differs from the pinned stepping run" >&2

@@ -550,7 +550,8 @@ TEST(KvBlockCapacityTest, OverrideBeyondHbmIsAnError) {
 // events. Both take decode runs and settles, fire the same events, and must
 // give the outcome pinned for the scenario: the per-request times, stats()
 // reads and final EngineStats, in ns, of an engine that stepped one event per
-// step, which is the oracle for decode runs.
+// step, which is the oracle for decode runs. The one pin that is not a stepped
+// outcome is the tie ContactsAtExactlyAStepBoundary names (DESIGN #6).
 
 struct TwinOutcome {
   // Request id -> (first_token_time, finish_time), completed requests only.
@@ -624,6 +625,9 @@ struct Pin {
   uint64_t digest = 0;
 };
 
+// Every EngineStats field is in the digest below.
+static_assert(sizeof(EngineStats) == 23 * sizeof(int64_t), "add the new field to PinOf");
+
 Pin PinOf(const TwinOutcome& out) {
   uint64_t hash = Fnv({out.errored, out.end});
   for (const auto& [id, times] : out.times) {
@@ -653,10 +657,44 @@ void ExpectPinned(const TwinOutcome& out, const Pin& want) {
 
 using Scenario = std::function<void(Twin&)>;
 
+// FNV-1a over the sorted set of `tracer`'s step slice records (ts, phase,
+// lane and args), which does not depend on the order they were recorded in.
+uint64_t StepSliceDigest(const obs::Tracer& tracer, size_t* count) {
+  std::vector<std::string> records;
+  for (const obs::TraceEvent* event : tracer.EventsNamed("step")) {
+    std::string record = std::to_string(event->ts) + ' ' +
+                         std::string(obs::PhaseToString(event->phase)) + ' ' +
+                         std::to_string(event->tid);
+    for (const obs::TraceArg& arg : event->args) {
+      record += ' ' + arg.key + '=' + arg.value;
+    }
+    records.push_back(std::move(record));
+  }
+  std::sort(records.begin(), records.end());
+  *count = records.size();
+  uint64_t hash = Fnv({});
+  for (const std::string& record : records) {
+    for (const char c : record) {
+      hash = Fnv({static_cast<unsigned char>(c)}, hash);
+    }
+    hash = Fnv({'\n'}, hash);
+  }
+  return hash;
+}
+
+// The step slices a traced engine that stepped recorded: how many, and the
+// StepSliceDigest of them.
+struct SlicePin {
+  size_t count = 0;
+  uint64_t digest = 0;
+};
+
 // Runs `scenario` on a traced and an untraced twin, checks both against
-// `pin`, and returns the untraced outcome.
+// `pin`, checks that the traced twin recorded one step slice per step (and,
+// given `slices`, that they are the pinned ones), and returns the untraced
+// outcome.
 TwinOutcome ExpectRunsMatchSteps(const EngineConfig& config, const Scenario& scenario,
-                                 const Pin& pin) {
+                                 const Pin& pin, const SlicePin* slices = nullptr) {
   Twin traced(config, /*traced=*/true);
   Twin untraced(config, /*traced=*/false);
   scenario(traced);
@@ -666,6 +704,13 @@ TwinOutcome ExpectRunsMatchSteps(const EngineConfig& config, const Scenario& sce
   ExpectPinned(traced.Finish(), pin);
   EXPECT_EQ(traced.out.events, got.events) << "tracing changed the event path";
   EXPECT_LT(got.events, static_cast<uint64_t>(got.stats.steps)) << "no decode run formed";
+  size_t count = 0;
+  const uint64_t digest = StepSliceDigest(traced.tracer, &count);
+  EXPECT_EQ(count, static_cast<size_t>(2 * traced.out.stats.steps));
+  if (slices != nullptr) {
+    EXPECT_EQ(count, slices->count);
+    EXPECT_EQ(digest, slices->digest) << "slices 0x" << std::hex << digest;
+  }
   return got;
 }
 
@@ -701,80 +746,48 @@ EngineConfig StaggeredConfig(int dp) {
 TEST(DecodeRunTest, StaggeredSubmitsLandInsideRuns) {
   const Pin pins[] = {{794154791, 301, 0x255eb22258f0d165ull},
                       {771912594, 496, 0xeed04de91dda7059ull}};
+  // The traced twin records the step slices stepping recorded: one per step,
+  // each with its own begin and end.
+  const SlicePin slices[] = {{602, 0x605e2803d89e4b07ull}, {992, 0xef94971cf69de3b1ull}};
   for (int dp : {1, 2}) {
-    const TwinOutcome got =
-        ExpectRunsMatchSteps(StaggeredConfig(dp), StaggeredSubmits, pins[dp - 1]);
+    const TwinOutcome got = ExpectRunsMatchSteps(StaggeredConfig(dp), StaggeredSubmits,
+                                                 pins[dp - 1], &slices[dp - 1]);
     EXPECT_EQ(got.times.size(), 14u) << "dp " << dp;
     EXPECT_GT(got.stats.tbt_violations, 0) << "dp " << dp;
   }
 }
 
-// FNV-1a over the sorted set of `tracer`'s step slice records (ts, phase,
-// lane and args), which does not depend on the order they were recorded in.
-uint64_t StepSliceDigest(const obs::Tracer& tracer, size_t* count) {
-  std::vector<std::string> records;
-  for (const obs::TraceEvent* event : tracer.EventsNamed("step")) {
-    std::string record = std::to_string(event->ts) + ' ' +
-                         std::string(obs::PhaseToString(event->phase)) + ' ' +
-                         std::to_string(event->tid);
-    for (const obs::TraceArg& arg : event->args) {
-      record += ' ' + arg.key + '=' + arg.value;
-    }
-    records.push_back(std::move(record));
-  }
-  std::sort(records.begin(), records.end());
-  *count = records.size();
-  uint64_t hash = Fnv({});
-  for (const std::string& record : records) {
-    for (const char c : record) {
-      hash = Fnv({static_cast<unsigned char>(c)}, hash);
-    }
-    hash = Fnv({'\n'}, hash);
-  }
-  return hash;
-}
-
-TEST(DecodeRunTest, TracedRunsRecordTheSteppedSlices) {
-  // A traced engine takes the untraced one's event path, and its trace holds
-  // the step slices that stepping one event per step recorded: one slice per
-  // step, each with its own begin and end.
-  const std::pair<size_t, uint64_t> pins[] = {{602, 0x605e2803d89e4b07ull},
-                                               {992, 0xef94971cf69de3b1ull}};
-  for (int dp : {1, 2}) {
-    Twin traced(StaggeredConfig(dp), /*traced=*/true);
-    Twin untraced(StaggeredConfig(dp), /*traced=*/false);
-    StaggeredSubmits(traced);
-    StaggeredSubmits(untraced);
-    const TwinOutcome out = traced.Finish();
-    EXPECT_EQ(out.events, untraced.Finish().events) << "dp " << dp;
-    size_t count = 0;
-    const uint64_t digest = StepSliceDigest(traced.tracer, &count);
-    EXPECT_EQ(count, static_cast<size_t>(2 * out.stats.steps)) << "dp " << dp;
-    EXPECT_EQ(count, pins[dp - 1].first) << "dp " << dp;
-    EXPECT_EQ(digest, pins[dp - 1].second) << "dp " << dp << ": 0x" << std::hex << digest;
-  }
-}
-
 TEST(DecodeRunTest, DecodeOnlyEngineFedBySubmitPrefilled) {
-  // With a batch cap of 3, some decoding sequences sit out each step.
-  const Pin pins[] = {{765900000, 292, 0x786ea58b5734889eull},
-                      {765900000, 292, 0x786ea58b5734889eull}};
-  for (int64_t max_batch : {256, 3}) {
-    EngineConfig config = TestConfig();
-    config.role = EngineRole::kDecodeOnly;
-    config.kv_block_capacity_override = 48;  // 768 tokens: some hand-offs wait
-    config.max_batch_seqs = max_batch;
-    const TwinOutcome got = ExpectRunsMatchSteps(config, [](Twin& twin) {
+  // Ten hand-offs into 48 KV blocks (768 tokens), so some wait for room.
+  auto config = [](int64_t max_batch) {
+    EngineConfig decode_only = TestConfig();
+    decode_only.role = EngineRole::kDecodeOnly;
+    decode_only.kv_block_capacity_override = 48;
+    decode_only.max_batch_seqs = max_batch;
+    return decode_only;
+  };
+  auto handoffs = [](int64_t prompt_base) -> Scenario {
+    return [prompt_base](Twin& twin) {
       for (workload::RequestId id = 1; id <= 10; ++id) {
         const TimeNs at = static_cast<TimeNs>(id * id) * kStep * 3 / 2;
-        twin.sim.ScheduleAt(at, [&twin, id] {
-          twin.SubmitPrefilled(MakeRequest(id, 100 + 29 * static_cast<int64_t>(id), 90 - 5 * id,
-                                   static_cast<TokenId>(1000 * id)));
+        twin.sim.ScheduleAt(at, [&twin, id, prompt_base] {
+          twin.SubmitPrefilled(MakeRequest(id, prompt_base + 29 * static_cast<int64_t>(id),
+                                           90 - 5 * id, static_cast<TokenId>(1000 * id)));
         });
       }
-    }, pins[max_batch == 3]);
-    EXPECT_EQ(got.times.size(), 10u) << "max_batch_seqs " << max_batch;
-  }
+    };
+  };
+  const TwinOutcome got =
+      ExpectRunsMatchSteps(config(256), handoffs(100), {765900000, 292, 0x786ea58b5734889eull});
+  EXPECT_EQ(got.times.size(), 10u);
+  // Shorter prompts let more sequences in at once, and a batch cap of 3 makes
+  // some of them sit out steps: the outcome differs from an uncapped run's.
+  const TwinOutcome capped =
+      ExpectRunsMatchSteps(config(3), handoffs(30), {638808114, 246, 0x28628ce3694f1c21ull});
+  EXPECT_EQ(capped.times.size(), 10u);
+  Twin uncapped(config(256), /*traced=*/false);
+  handoffs(30)(uncapped);
+  EXPECT_NE(PinOf(uncapped.Finish()).digest, PinOf(capped).digest) << "the batch cap never binds";
 }
 
 TEST(DecodeRunTest, CancelAbortAndSlowdownMidRun) {
@@ -838,7 +851,8 @@ TEST(DecodeRunTest, ContactsAtExactlyAStepBoundary) {
     twin.Read();
     twin.engine->SetStepTimeMultiplier(2.0);
   };
-  // Contacts at b_20 then b_28, each scheduled before and after b_{j-1}.
+  // Contacts at b_20 then b_28, each scheduled before, after and exactly at
+  // b_{j-1}.
   const Pin pins[] = {{959942750, 200, 0x64c2056279f8df6eull},
                       {957419192, 200, 0x66cabc78035ec578ull},
                       {939753569, 200, 0x42fdfd7f049289c4ull},
@@ -864,6 +878,15 @@ TEST(DecodeRunTest, ContactsAtExactlyAStepBoundary) {
     EXPECT_EQ(before.reads[0], std::make_pair(j, j - 2)) << "b_" << j;
     EXPECT_EQ(after.reads[0], std::make_pair(j + 1, j - 1)) << "b_" << j;
     EXPECT_GT(before.times.at(1).second, after.times.at(1).second) << "b_" << j;
+    // Scheduled at exactly b_{j-1} by an event scheduled at t = 0. Stepping
+    // fires that event before step j - 1's completion, so the contact comes
+    // before step j's end and reads what `before` reads. A run agrees while
+    // b_j lies inside it (SettleRun counts step j in flight). At a run's end
+    // it does not: the run's one event, scheduled at the run's start as of
+    // b_{j-1}, fires first, and the contact reads what `after` reads. That
+    // tie (DESIGN #6) is pinned so that a change to it is deliberate.
+    const TwinOutcome& tie = j == 20 ? before : after;
+    ExpectRunsMatchSteps(config, contact_from(ends[j - 2]), PinOf(tie));
   }
 }
 

@@ -195,6 +195,8 @@ TEST(TraceGoldenTest, SingleRequestEventOrder) {
     next = std::find(next, names.end(), name);
     EXPECT_NE(next, names.end()) << name << " missing or out of order";
   }
+  EXPECT_EQ(std::count(names.begin(), names.end(), "seq.submit"), 1);
+  EXPECT_EQ(std::count(names.begin(), names.end(), "seq.enqueue"), 1);
   EXPECT_EQ(std::count(names.begin(), names.end(), "seq.finish"), 1);
   EXPECT_EQ(names.back(), "seq.finish");
 
